@@ -140,7 +140,7 @@ mod tests {
     #[test]
     fn analysis_path_filter() {
         assert!(analyzed("crates/remos-serve/src/queue.rs"));
-        assert!(analyzed("crates/remos-core/src/modeler/pool.rs"));
+        assert!(analyzed("crates/remos-core/src/modeler/mod.rs"));
         assert!(!analyzed("crates/remos-serve/src/bin/tool.rs"));
         assert!(!analyzed("crates/cli/src/main.rs"));
         assert!(!analyzed("crates/remos-audit/tests/fixtures/ws/crates/x/src/a.rs"));

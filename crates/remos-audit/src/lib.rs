@@ -508,12 +508,10 @@ pub fn scope_for(rel: &Path) -> RuleScope {
     // source: it runs pure computation over immutable shared data with
     // deterministic (input-order) result placement, and never touches
     // the simulated clock, the collector, or the trace recorder. It
-    // lives in remos-net (the engine parallelizes independent solver
-    // components over it) and is re-exported as `modeler::pool`; the
-    // historical re-export path stays sanctioned so the thin shim file
-    // never trips the rule either.
-    let sanctioned_pool = p == "crates/remos-net/src/pool.rs"
-        || p == "crates/remos-core/src/modeler/pool.rs";
+    // lives in remos-net; the engine (independent solver components)
+    // and the facade (batch answers) both import it from there, so this
+    // one file is the whole exemption.
+    let sanctioned_pool = p == "crates/remos-net/src/pool.rs";
     // queue.rs is the serving crate's one sanctioned VecDeque home: its
     // FairQueue enforces the depth/cost bounds every other module must
     // route backlog through.
@@ -974,13 +972,13 @@ mod tests {
         assert!(s.float_eq && s.wall_clock && !s.panic);
         let s = scope_for(Path::new("crates/remos-obs/src/clock.rs"));
         assert!(s.float_eq && !s.wall_clock);
-        // The shared worker pool is the one sanctioned thread source
-        // (both its remos-net home and the modeler re-export path);
-        // everywhere else in the library crates threads are flagged.
+        // The shared worker pool is the one sanctioned thread source;
+        // everywhere else in the library crates — the modeler that fans
+        // batch answers out over it included — threads are flagged.
         let s = scope_for(Path::new("crates/remos-net/src/pool.rs"));
         assert!(!s.thread && s.panic);
-        let s = scope_for(Path::new("crates/remos-core/src/modeler/pool.rs"));
-        assert!(!s.thread && s.panic && s.nondet);
+        let s = scope_for(Path::new("crates/remos-core/src/modeler/mod.rs"));
+        assert!(s.thread && s.panic && s.nondet);
         let s = scope_for(Path::new("crates/remos-core/src/api.rs"));
         assert!(s.thread);
         let s = scope_for(Path::new("crates/remos-fx/src/adapt.rs"));

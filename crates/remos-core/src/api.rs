@@ -8,30 +8,29 @@
 //! of runtime overhead is low and directly related to the depth and
 //! frequency of its requests").
 //!
-//! Queries are built with [`Query`](crate::query::Query) and executed by
-//! [`Remos::run`], or by [`Remos::run_within`] under a per-request
-//! deadline budget. Serving front ends that must answer even when the
-//! network cannot be measured use the degraded entry points
-//! [`Remos::run_from_history`] (answer from existing samples, no new
-//! measurement) and [`Remos::topology_only`] (structure with total
-//! uncertainty); both mark their answers via
+//! Queries are built with [`Query`](crate::query::Query). Every entry
+//! point runs the same four stages — validate, measure, prepare, answer
+//! (see [`Remos`]) — and differs only in the second: [`Remos::run`] /
+//! [`Remos::run_within`] measure for one query (the latter under a
+//! per-request deadline budget), [`Remos::run_batch`] measures once for
+//! many, and the degraded entry points a serving front end falls back
+//! to measure nothing: [`Remos::run_from_history`] answers from existing
+//! samples and [`Remos::topology_only`] returns structure with total
+//! uncertainty, both marked via
 //! [`Provenance::degraded`](crate::Provenance::degraded).
 
 use crate::budget::QueryBudget;
 use crate::collector::{Clock, Collector};
-use crate::error::{CoreResult, InvalidQueryKind, RemosError};
-use crate::flows::FlowInfoRequest;
+use crate::error::{CoreResult, RemosError};
 use crate::graph::{HostInfo, RemosGraph};
 use crate::modeler::plan::QueryPlan;
-use crate::modeler::{pool, Modeler, ModelerConfig, SelectedSamples};
+use crate::modeler::{AnswerScratch, Modeler, ModelerConfig, QueryWorkspace, SelectedSamples};
 use crate::provenance::Provenance;
 use crate::quality::DataQuality;
-use crate::query::{FlowQuery, GraphQuery, QueryResult, QuerySpec, ReachableQuery, WhatIfQuery};
+use crate::query::{require_nodes, QueryResult, QuerySpec, ReachableQuery};
 use crate::timeframe::Timeframe;
-use crate::whatif::HypotheticalFlow;
-use remos_net::{SimDuration, SimTime};
+use remos_net::{pool, SimDuration, SimTime};
 use remos_obs::{Counter, Histogram, Obs};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Remos configuration.
@@ -78,39 +77,6 @@ impl RemosMetrics {
     }
 }
 
-/// A batch entry whose measurement inputs are pinned and ready for a
-/// worker: everything a pure compute pass needs, nothing that touches
-/// the collector or the clock.
-enum BatchJob {
-    Graph {
-        plan: Arc<QueryPlan>,
-        hosts: Vec<Option<HostInfo>>,
-        selected: Arc<SelectedSamples>,
-        q: GraphQuery,
-    },
-    Flows {
-        plan: Arc<QueryPlan>,
-        selected: Arc<SelectedSamples>,
-        q: FlowQuery,
-    },
-    WhatIf {
-        plan: Arc<QueryPlan>,
-        selected: Arc<SelectedSamples>,
-        q: WhatIfQuery,
-    },
-}
-
-/// How [`Remos::dispatch`] satisfies a query's measurement needs.
-#[derive(Clone, Copy, PartialEq)]
-enum ServeMode {
-    /// Take fresh samples as the timeframe demands (normal serving).
-    Measure,
-    /// Answer from existing history only — the stale-snapshot rung of a
-    /// serving front end's degradation ladder. Consumes no measured time;
-    /// answers are marked [`Provenance::degraded`].
-    FromHistory,
-}
-
 /// Stamp serving metadata into an answer's provenance: the collector the
 /// measurements came from, and whether a degraded mode produced it.
 /// Answers whose provenance was stripped are left untouched.
@@ -123,22 +89,30 @@ fn mark_answer(result: &mut QueryResult, source: &str, degraded: bool) {
     };
     match result {
         QueryResult::Graph(g) => mark(&mut g.provenance),
-        QueryResult::Flows(resp) => {
-            for g in resp
-                .fixed
-                .iter_mut()
-                .chain(resp.variable.iter_mut())
-                .chain(resp.independent.iter_mut())
-            {
-                mark(&mut g.provenance);
-            }
-        }
+        QueryResult::Flows(resp) => resp.all_grants_mut().for_each(|g| mark(&mut g.provenance)),
         QueryResult::Peers(_) => {}
         QueryResult::Fcts(r) => mark(&mut r.provenance),
     }
 }
 
 /// The Remos query interface.
+///
+/// Every entry point is the same four stages over one [`QuerySpec`]:
+///
+/// 1. **validate** — pure, on the spec; a malformed query is rejected
+///    before any measured time is spent.
+/// 2. **measure** — the only `&mut` stage and the only one that differs
+///    between entry points: poll for one query's timeframe
+///    ([`Remos::run`], [`Remos::run_within`]), poll once for a whole
+///    batch ([`Remos::run_batch`]), or require existing history
+///    ([`Remos::run_from_history`]).
+/// 3. **prepare** — the collector reads: one plan lookup, the host
+///    table, the timeframe's sample selection.
+/// 4. **answer** — `Modeler::answer`: `&self`, pure, and the same
+///    function whichever entry point got the query this far.
+///
+/// Each query counts once in its kind counter and, iff it returns
+/// `Err`, once in `remos_rejected_queries_total`.
 pub struct Remos {
     collector: Box<dyn Collector>,
     clock: Box<dyn Clock>,
@@ -146,6 +120,19 @@ pub struct Remos {
     cfg: RemosConfig,
     obs: Obs,
     obs_metrics: RemosMetrics,
+    /// Stage-three and stage-four buffers of the single-query entry points.
+    ws: QueryWorkspace,
+}
+
+/// A batch entry whose collector reads are done: what a pool worker
+/// needs to call `Modeler::answer`.
+struct BatchEntry {
+    /// Index into the batch.
+    index: usize,
+    plan: Arc<QueryPlan>,
+    hosts: Vec<Option<HostInfo>>,
+    /// Index into the batch's per-timeframe sample selections.
+    selection: usize,
 }
 
 impl Remos {
@@ -156,7 +143,7 @@ impl Remos {
         let obs_metrics = RemosMetrics::new(&obs);
         let mut modeler = Modeler::new(cfg.modeler);
         modeler.set_obs(&obs);
-        Remos { collector, clock, modeler, cfg, obs, obs_metrics }
+        Remos { collector, clock, modeler, cfg, obs, obs_metrics, ws: QueryWorkspace::new() }
     }
 
     /// Report into a shared observability handle: facade query counters,
@@ -193,27 +180,34 @@ impl Remos {
         &*self.collector
     }
 
-    /// Make sure enough measurements exist for the timeframe, taking
-    /// fresh ones (and letting measured time pass) as needed.
-    fn ensure_samples(&mut self, tf: Timeframe) -> CoreResult<()> {
-        if matches!(tf, Timeframe::Current) {
-            // Always measure *now*: a node-selection decision must reflect
-            // current traffic, not a stale snapshot. Measuring takes one
-            // poll gap of real (simulated) time — this is the per-decision
-            // overhead the paper reports — and the produced sample covers
-            // the interval since the previous counter read, so it includes
-            // whatever the application itself sent meanwhile (the root of
-            // the §8.3 self-traffic fallacy).
-            self.pin_samples(0, true)
-        } else {
-            self.pin_samples(tf.min_samples(self.cfg.poll_gap), false)
+    /// Discover the topology if the collector has none yet.
+    fn ensure_topology(&mut self) -> CoreResult<()> {
+        if self.collector.topology().is_err() {
+            self.collector.refresh_topology()?;
+        }
+        Ok(())
+    }
+
+    /// What a timeframe demands of the history: `(samples, fresh)`.
+    /// `Current` always measures *now*: a node-selection decision must
+    /// reflect current traffic, not a stale snapshot. Measuring takes one
+    /// poll gap of real (simulated) time — this is the per-decision
+    /// overhead the paper reports — and the produced sample covers the
+    /// interval since the previous counter read, so it includes whatever
+    /// the application itself sent meanwhile (the root of the §8.3
+    /// self-traffic fallacy).
+    fn demand(&self, tf: Timeframe) -> (usize, bool) {
+        match tf {
+            Timeframe::Current => (0, true),
+            _ => (tf.min_samples(self.cfg.poll_gap), false),
         }
     }
 
     /// Drive the collector until `needed` samples have accumulated, then
-    /// take one extra fresh sample if `fresh` is set — the shared
-    /// measurement step behind [`Remos::run`] and [`Remos::run_batch`].
-    fn pin_samples(&mut self, needed: usize, fresh: bool) -> CoreResult<()> {
+    /// take one extra fresh sample if `fresh` is set — the measurement
+    /// step behind [`Remos::run`] and [`Remos::run_batch`], and the one
+    /// place measured time passes.
+    fn pin_samples(&mut self, (needed, fresh): (usize, bool)) -> CoreResult<()> {
         let mut guard = 0;
         while self.collector.history().len() < needed {
             guard += 1;
@@ -259,11 +253,9 @@ impl Remos {
         spec: impl Into<QuerySpec>,
         budget: QueryBudget,
     ) -> CoreResult<QueryResult> {
-        let res = self.dispatch(spec.into(), budget, ServeMode::Measure);
-        if res.is_err() {
-            self.obs_metrics.rejected_queries.inc();
-        }
-        res
+        let spec = spec.into();
+        let res = self.serve(&spec, budget, false);
+        self.finish(&spec, res, false)
     }
 
     /// Answer a query from the measurement history already on hand,
@@ -273,11 +265,9 @@ impl Remos {
     /// [`RemosError::InsufficientHistory`] when no samples exist yet;
     /// answers are marked [`Provenance::degraded`].
     pub fn run_from_history(&mut self, spec: impl Into<QuerySpec>) -> CoreResult<QueryResult> {
-        let res = self.dispatch(spec.into(), QueryBudget::UNLIMITED, ServeMode::FromHistory);
-        if res.is_err() {
-            self.obs_metrics.rejected_queries.inc();
-        }
-        res
+        let spec = spec.into();
+        let res = self.serve(&spec, QueryBudget::UNLIMITED, true);
+        self.finish(&spec, res, true)
     }
 
     /// The collector's current measured time, for deadline checks. A
@@ -288,128 +278,64 @@ impl Remos {
         self.collector.now().unwrap_or(SimTime::ZERO)
     }
 
-    /// Satisfy a timeframe's measurement demand according to the serving
-    /// mode: measure fresh (letting measured time pass), or reuse the
-    /// history as-is.
-    fn provide_samples(&mut self, tf: Timeframe, mode: ServeMode) -> CoreResult<()> {
-        match mode {
-            ServeMode::Measure => self.ensure_samples(tf),
-            ServeMode::FromHistory => {
-                if self.collector.topology().is_err() {
-                    self.collector.refresh_topology()?;
-                }
-                if self.collector.history().is_empty() {
-                    return Err(RemosError::InsufficientHistory { needed: 1, available: 0 });
-                }
-                Ok(())
-            }
+    /// The four stages for one query. `from_history` swaps the measure
+    /// stage for a check that samples already exist.
+    fn serve(
+        &mut self,
+        spec: &QuerySpec,
+        budget: QueryBudget,
+        from_history: bool,
+    ) -> CoreResult<QueryResult> {
+        spec.validate()?;
+        if let QuerySpec::Reachable(q) = spec {
+            return self.answer_reachable(q);
         }
+        budget.check(self.measured_now())?;
+        if from_history {
+            self.ensure_topology()?;
+            if self.collector.history().is_empty() {
+                return Err(RemosError::InsufficientHistory { needed: 1, available: 0 });
+            }
+        } else if let Some(tf) = spec.timeframe() {
+            self.pin_samples(self.demand(tf))?;
+        }
+        // Measurement consumed time; shed before planning if the
+        // deadline passed while polling.
+        budget.check(self.measured_now())?;
+        let plan = self.modeler.prepare(&*self.collector, spec, &mut self.ws)?;
+        budget.check(self.measured_now())?;
+        let ws = &mut self.ws;
+        self.modeler.answer(&plan, &ws.hosts, &ws.selected, spec, &mut ws.scratch)
     }
 
-    fn dispatch(
-        &mut self,
-        spec: QuerySpec,
-        budget: QueryBudget,
-        mode: ServeMode,
+    /// The single exit of every entry point: count the query in its kind
+    /// counter, count a rejection iff it failed, and stamp an answer's
+    /// provenance with the collector it came from and whether a degraded
+    /// mode produced it.
+    fn finish(
+        &self,
+        spec: &QuerySpec,
+        mut res: CoreResult<QueryResult>,
+        degraded: bool,
     ) -> CoreResult<QueryResult> {
-        let degraded = mode == ServeMode::FromHistory;
-        let mut res = match spec {
-            QuerySpec::Graph(q) => {
-                self.obs_metrics.graph_queries.inc();
-                if q.nodes.is_empty() {
-                    return Err(InvalidQueryKind::EmptyNodeSet.into());
+        let m = &self.obs_metrics;
+        match spec {
+            QuerySpec::Graph(_) => m.graph_queries.inc(),
+            QuerySpec::Flows(_) => m.flow_queries.inc(),
+            QuerySpec::WhatIf(q) => m.whatif_batch.observe(q.flows.len() as u64),
+            QuerySpec::Reachable(_) => {}
+        }
+        match &mut res {
+            Ok(answer) => {
+                if let QueryResult::Fcts(report) = answer {
+                    m.whatif_flows_estimated.add(report.flows.len() as u64);
+                    m.whatif_replay_steps.add(report.replay_steps);
                 }
-                budget.check(self.measured_now())?;
-                self.provide_samples(q.timeframe, mode)?;
-                // Measurement consumed time; shed before planning if the
-                // deadline passed while polling.
-                budget.check(self.measured_now())?;
-                let plan = self.modeler.plan_for(&*self.collector, &q.nodes)?;
-                let hosts = Modeler::host_table(&*self.collector, &plan);
-                let selected = self.modeler.select_samples(
-                    &*self.collector,
-                    plan.topo.dir_link_count(),
-                    q.timeframe,
-                )?;
-                budget.check(self.measured_now())?;
-                let mut g = self.modeler.annotate_graph(&plan, &hosts, &selected, q.timeframe)?;
-                if let Some(required) = q.min_quality {
-                    let actual = g.worst_quality();
-                    if !actual.meets(required) {
-                        return Err(RemosError::QualityTooLow { required, actual });
-                    }
-                }
-                if !q.provenance {
-                    g.provenance = None;
-                }
-                QueryResult::Graph(g)
+                mark_answer(answer, &self.collector.describe(), degraded);
             }
-            QuerySpec::Flows(q) => {
-                self.obs_metrics.flow_queries.inc();
-                if q.request.flow_count() == 0 {
-                    return Err(InvalidQueryKind::EmptyFlowRequest.into());
-                }
-                // Validate before measuring, so malformed requests cost
-                // no measurement time (same order as `Modeler::flow_info`).
-                let names = self.flow_plan_names(&q.request)?;
-                budget.check(self.measured_now())?;
-                self.provide_samples(q.timeframe, mode)?;
-                budget.check(self.measured_now())?;
-                let plan = self.modeler.plan_for(&*self.collector, &names)?;
-                let selected = self.modeler.select_samples(
-                    &*self.collector,
-                    plan.topo.dir_link_count(),
-                    q.timeframe,
-                )?;
-                budget.check(self.measured_now())?;
-                let mut resp =
-                    self.modeler.flow_answer(&plan, &selected, &q.request, q.timeframe)?;
-                if let Some(required) = q.min_quality {
-                    let actual = resp.worst_quality();
-                    if !actual.meets(required) {
-                        return Err(RemosError::QualityTooLow { required, actual });
-                    }
-                }
-                if !q.provenance {
-                    for g in resp
-                        .fixed
-                        .iter_mut()
-                        .chain(resp.variable.iter_mut())
-                        .chain(resp.independent.iter_mut())
-                    {
-                        g.provenance = None;
-                    }
-                }
-                QueryResult::Flows(resp)
-            }
-            QuerySpec::WhatIf(q) => {
-                self.obs_metrics.whatif_batch.observe(q.flows.len() as u64);
-                if q.flows.is_empty() {
-                    return Err(InvalidQueryKind::EmptyFlowSet.into());
-                }
-                // Validate before measuring, so malformed flow sets cost
-                // no measurement time (same order as the flows arm).
-                let names = Self::whatif_plan_names(&q.flows)?;
-                budget.check(self.measured_now())?;
-                self.provide_samples(q.timeframe, mode)?;
-                budget.check(self.measured_now())?;
-                self.check_whatif_hosts(&names)?;
-                let plan = self.modeler.plan_for(&*self.collector, &names)?;
-                let selected = self.modeler.select_samples(
-                    &*self.collector,
-                    plan.topo.dir_link_count(),
-                    q.timeframe,
-                )?;
-                budget.check(self.measured_now())?;
-                let report = self.modeler.whatif_answer(&plan, &selected, &q)?;
-                self.obs_metrics.whatif_flows_estimated.add(report.flows.len() as u64);
-                self.obs_metrics.whatif_replay_steps.add(report.replay_steps);
-                QueryResult::Fcts(report)
-            }
-            QuerySpec::Reachable(q) => self.answer_reachable(&q)?,
-        };
-        mark_answer(&mut res, &self.collector.describe(), degraded);
-        Ok(res)
+            Err(_) => m.rejected_queries.inc(),
+        }
+        res
     }
 
     /// The topology-only degradation rung: the logical structure for
@@ -419,14 +345,18 @@ impl Remos {
     /// history and consumes no measured time; the answer is marked
     /// [`Provenance::degraded`].
     pub fn topology_only(&mut self, nodes: &[String]) -> CoreResult<RemosGraph> {
-        if nodes.is_empty() {
-            return Err(InvalidQueryKind::EmptyNodeSet.into());
-        }
         self.obs_metrics.graph_queries.inc();
-        if self.collector.topology().is_err() {
-            self.collector.refresh_topology()?;
+        let res = self.topology_graph(nodes);
+        if res.is_err() {
+            self.obs_metrics.rejected_queries.inc();
         }
-        let plan = self.modeler.plan_for(&*self.collector, nodes)?;
+        res
+    }
+
+    fn topology_graph(&mut self, nodes: &[String]) -> CoreResult<RemosGraph> {
+        require_nodes(nodes)?;
+        self.ensure_topology()?;
+        let plan = self.modeler.plan_for(&*self.collector, nodes, &mut Vec::new())?;
         let mut g: RemosGraph = (*plan.static_graph).clone();
         for link in &mut g.links {
             for slot in 0..2 {
@@ -453,10 +383,10 @@ impl Remos {
         Ok(g)
     }
 
+    /// Reachability reads the topology alone — no samples, no plan — so
+    /// it skips the measure, prepare and answer stages.
     fn answer_reachable(&mut self, q: &ReachableQuery) -> CoreResult<QueryResult> {
-        if self.collector.topology().is_err() {
-            self.collector.refresh_topology()?;
-        }
+        self.ensure_topology()?;
         let topo = self.collector.topology()?;
         let a = topo
             .lookup(&q.anchor)
@@ -475,27 +405,6 @@ impl Remos {
         ))
     }
 
-    /// Sample selection for one timeframe, shared across batch entries
-    /// that ask for the same timeframe (the amortized `select_samples`).
-    fn selection_for(
-        &self,
-        tf: Timeframe,
-        cache: &mut BTreeMap<(u8, u64), Arc<SelectedSamples>>,
-    ) -> CoreResult<Arc<SelectedSamples>> {
-        let key = match tf {
-            Timeframe::Current => (0u8, 0u64),
-            Timeframe::Window(w) => (1, w.as_nanos()),
-            Timeframe::Future(h) => (2, h.as_nanos()),
-        };
-        if let Some(s) = cache.get(&key) {
-            return Ok(Arc::clone(s));
-        }
-        let n = self.collector.topology()?.dir_link_count();
-        let s = Arc::new(self.modeler.select_samples(&*self.collector, n, tf)?);
-        cache.insert(key, Arc::clone(&s));
-        Ok(s)
-    }
-
     /// Answer a batch of queries against one pinned snapshot selection.
     ///
     /// Measurement happens once for the whole batch — enough polls for
@@ -508,289 +417,96 @@ impl Remos {
     /// the whole batch costs one query's worth of measured time.
     ///
     /// Sample selection is amortized across entries per distinct
-    /// timeframe, plans come from the epoch-keyed cache, and the
-    /// remaining pure compute (annotation, flow solving) runs on a
-    /// scoped worker pool. Results come back in input order, one per
-    /// entry; a batch-wide measurement failure fails every entry.
+    /// timeframe, plans come from the epoch-keyed cache, and the answer
+    /// stage runs on a scoped worker pool. Results come back in input
+    /// order, one per entry; a batch-wide measurement failure fails
+    /// every entry.
     pub fn run_batch(&mut self, specs: Vec<QuerySpec>) -> Vec<CoreResult<QueryResult>> {
-        let entries: Vec<(QuerySpec, QueryBudget)> =
-            specs.into_iter().map(|s| (s, QueryBudget::UNLIMITED)).collect();
-        self.run_batch_within(entries)
-    }
-
-    /// [`Remos::run_batch`] under per-entry deadline budgets. Entries
-    /// whose budget has already expired at entry are shed with
-    /// [`RemosError::DeadlineExceeded`] and contribute nothing to the
-    /// batch's measurement demand; entries whose deadline passes *during*
-    /// the shared measurement are shed at the prep stage, before any
-    /// plan or solver work is spent on them. Measurement happens at most
-    /// once for the whole batch, so shed decisions depend only on the
-    /// batch content and the measured clock — bit-reproducible
-    /// run-to-run.
-    pub fn run_batch_within(
-        &mut self,
-        entries: Vec<(QuerySpec, QueryBudget)>,
-    ) -> Vec<CoreResult<QueryResult>> {
-        self.obs_metrics.batch_size.observe(entries.len() as u64);
-        let n = entries.len();
-        // Scan the batch for its measurement demand; already-expired
-        // entries make no demand.
-        let t_entry = self.measured_now();
-        let mut needed = 0usize;
-        let mut fresh = false;
-        let mut measures = false;
-        for (s, b) in &entries {
-            if b.expired(t_entry) {
-                continue;
-            }
-            let tf = match s {
-                QuerySpec::Graph(q) if !q.nodes.is_empty() => Some(q.timeframe),
-                QuerySpec::Flows(q) if q.request.flow_count() > 0 => Some(q.timeframe),
-                QuerySpec::WhatIf(q) if !q.flows.is_empty() => Some(q.timeframe),
-                _ => None,
-            };
-            if let Some(tf) = tf {
-                measures = true;
-                match tf {
-                    Timeframe::Current => fresh = true,
-                    _ => needed = needed.max(tf.min_samples(self.cfg.poll_gap)),
-                }
-            }
-        }
-        if measures {
-            if let Err(e) = self.pin_samples(needed, fresh) {
-                let msg = e.to_string();
-                self.obs_metrics.rejected_queries.add(n as u64);
-                return entries
-                    .into_iter()
-                    .map(|(_, b)| match b.check(t_entry) {
-                        Err(shed) => Err(shed),
-                        Ok(()) => {
-                            Err(RemosError::Collector(format!("batch measurement failed: {msg}")))
-                        }
-                    })
-                    .collect();
-            }
-        }
-        // Prepare jobs on this thread — plans, host tables and sample
-        // selections all touch the collector, which is not thread-safe.
-        // Workers then get pure compute over shared immutable data.
-        let t_measured = self.measured_now();
-        let mut results: Vec<Option<CoreResult<QueryResult>>> = (0..n).map(|_| None).collect();
-        let mut selections: BTreeMap<(u8, u64), Arc<SelectedSamples>> = BTreeMap::new();
-        let mut jobs: Vec<(usize, BatchJob)> = Vec::new();
-        for (i, (spec, b)) in entries.into_iter().enumerate() {
-            if let Err(shed) = b.check(t_measured) {
-                results[i] = Some(Err(shed));
-                continue;
-            }
-            match spec {
-                QuerySpec::Graph(q) => {
-                    self.obs_metrics.graph_queries.inc();
-                    if q.nodes.is_empty() {
-                        results[i] = Some(Err(InvalidQueryKind::EmptyNodeSet.into()));
-                        continue;
-                    }
-                    let prepared = self.modeler.plan_for(&*self.collector, &q.nodes).and_then(
-                        |plan| {
-                            let hosts = Modeler::host_table(&*self.collector, &plan);
-                            let selected = self.selection_for(q.timeframe, &mut selections)?;
-                            Ok(BatchJob::Graph { plan, hosts, selected, q })
-                        },
-                    );
-                    match prepared {
-                        Ok(job) => jobs.push((i, job)),
-                        Err(e) => results[i] = Some(Err(e)),
-                    }
-                }
-                QuerySpec::Flows(q) => {
-                    self.obs_metrics.flow_queries.inc();
-                    if q.request.flow_count() == 0 {
-                        results[i] = Some(Err(InvalidQueryKind::EmptyFlowRequest.into()));
-                        continue;
-                    }
-                    let prepared = self.flow_plan_names(&q.request).and_then(|names| {
-                        let plan = self.modeler.plan_for(&*self.collector, &names)?;
-                        let selected = self.selection_for(q.timeframe, &mut selections)?;
-                        Ok(BatchJob::Flows { plan, selected, q })
-                    });
-                    match prepared {
-                        Ok(job) => jobs.push((i, job)),
-                        Err(e) => results[i] = Some(Err(e)),
-                    }
-                }
-                QuerySpec::WhatIf(q) => {
-                    self.obs_metrics.whatif_batch.observe(q.flows.len() as u64);
-                    if q.flows.is_empty() {
-                        results[i] = Some(Err(InvalidQueryKind::EmptyFlowSet.into()));
-                        continue;
-                    }
-                    let prepared = Self::whatif_plan_names(&q.flows).and_then(|names| {
-                        self.check_whatif_hosts(&names)?;
-                        let plan = self.modeler.plan_for(&*self.collector, &names)?;
-                        let selected = self.selection_for(q.timeframe, &mut selections)?;
-                        Ok(BatchJob::WhatIf { plan, selected, q })
-                    });
-                    match prepared {
-                        Ok(job) => jobs.push((i, job)),
-                        Err(e) => results[i] = Some(Err(e)),
-                    }
-                }
-                QuerySpec::Reachable(q) => {
-                    results[i] = Some(self.answer_reachable(&q));
-                }
-            }
-        }
-        // Pure compute, in parallel, deterministic output order.
-        let modeler = &self.modeler;
-        let answers = pool::run_indexed(
-            &jobs,
-            pool::default_workers(jobs.len()),
-            |(_, job)| match job {
-                BatchJob::Graph { plan, hosts, selected, q } => modeler
-                    .annotate_graph(plan, hosts, selected, q.timeframe)
-                    .and_then(|mut g| {
-                        if let Some(required) = q.min_quality {
-                            let actual = g.worst_quality();
-                            if !actual.meets(required) {
-                                return Err(RemosError::QualityTooLow { required, actual });
-                            }
-                        }
-                        if !q.provenance {
-                            g.provenance = None;
-                        }
-                        Ok(QueryResult::Graph(g))
-                    }),
-                BatchJob::Flows { plan, selected, q } => modeler
-                    .flow_answer(plan, selected, &q.request, q.timeframe)
-                    .and_then(|mut resp| {
-                        if let Some(required) = q.min_quality {
-                            let actual = resp.worst_quality();
-                            if !actual.meets(required) {
-                                return Err(RemosError::QualityTooLow { required, actual });
-                            }
-                        }
-                        if !q.provenance {
-                            for g in resp
-                                .fixed
-                                .iter_mut()
-                                .chain(resp.variable.iter_mut())
-                                .chain(resp.independent.iter_mut())
-                            {
-                                g.provenance = None;
-                            }
-                        }
-                        Ok(QueryResult::Flows(resp))
-                    }),
-                BatchJob::WhatIf { plan, selected, q } => {
-                    // min_quality and provenance stripping live inside
-                    // `whatif_answer` — the replay's quality depends on
-                    // snapshot-wide data the answer does not carry.
-                    modeler.whatif_answer(plan, selected, q).map(QueryResult::Fcts)
-                }
-            },
-        );
-        for ((i, _), r) in jobs.iter().zip(answers) {
-            results[*i] = Some(r);
-        }
-        let source = self.collector.describe();
-        let mut out: Vec<CoreResult<QueryResult>> = results
-            .into_iter()
-            .map(|r| {
-                r.unwrap_or_else(|| {
-                    Err(RemosError::Internal("batch entry produced no result".into()))
-                })
-            })
-            .collect();
-        for r in out.iter_mut() {
-            match r {
-                Ok(res) => {
-                    if let QueryResult::Fcts(rep) = res {
-                        self.obs_metrics.whatif_flows_estimated.add(rep.flows.len() as u64);
-                        self.obs_metrics.whatif_replay_steps.add(rep.replay_steps);
-                    }
-                    mark_answer(res, &source, false);
-                }
-                Err(_) => self.obs_metrics.rejected_queries.inc(),
-            }
-        }
-        out
-    }
-
-    /// Canonical endpoint name set of a flow request, with the same
-    /// validation order as [`Modeler::flow_info`].
-    fn flow_plan_names(&self, req: &FlowInfoRequest) -> CoreResult<Vec<String>> {
-        for f in &req.fixed {
-            if f.requested <= 0.0 || !f.requested.is_finite() {
-                return Err(RemosError::InvalidQuery(InvalidQueryKind::BadFixedBandwidth {
-                    value: f.requested,
-                }));
-            }
-        }
-        for v in &req.variable {
-            if v.relative_bw <= 0.0 || !v.relative_bw.is_finite() {
-                return Err(RemosError::InvalidQuery(InvalidQueryKind::BadVariableWeight {
-                    value: v.relative_bw,
-                }));
-            }
-        }
-        let mut names: Vec<String> = req
-            .all_endpoints()
+        self.obs_metrics.batch_size.observe(specs.len() as u64);
+        // Validate; entries that fail make no measurement demand.
+        let mut results: Vec<Option<CoreResult<QueryResult>>> =
+            specs.iter().map(|s| s.validate().err().map(Err)).collect();
+        // Measure once, for the union of the valid entries' demands.
+        let demand = specs
             .iter()
-            .flat_map(|e| [e.src.clone(), e.dst.clone()])
-            .collect();
-        names.sort();
-        names.dedup();
-        for e in req.all_endpoints() {
-            if e.src == e.dst {
-                return Err(RemosError::InvalidQuery(InvalidQueryKind::IdenticalEndpoints {
-                    node: e.src.clone(),
-                }));
+            .zip(&results)
+            .filter(|(_, invalid)| invalid.is_none())
+            .filter_map(|(s, _)| s.timeframe())
+            .map(|tf| self.demand(tf))
+            .reduce(|(n1, f1), (n2, f2)| (n1.max(n2), f1 || f2));
+        if let Some(Err(e)) = demand.map(|d| self.pin_samples(d)) {
+            let failed = RemosError::Collector(format!("batch measurement failed: {e}"));
+            return specs.iter().map(|s| self.finish(s, Err(failed.clone()), false)).collect();
+        }
+        // Prepare each entry on this thread — plans, host tables and
+        // sample selections all read the collector, which is not
+        // thread-safe.
+        let mut selections: Vec<(Timeframe, SelectedSamples)> = Vec::new();
+        let mut entries: Vec<BatchEntry> = Vec::new();
+        let mut key = Vec::new();
+        for (index, spec) in specs.iter().enumerate() {
+            if results[index].is_some() {
+                continue;
+            }
+            if let QuerySpec::Reachable(q) = spec {
+                results[index] = Some(self.answer_reachable(q));
+                continue;
+            }
+            match self.prepare_entry(index, spec, &mut key, &mut selections) {
+                Ok(entry) => entries.push(entry),
+                Err(e) => results[index] = Some(Err(e)),
             }
         }
-        Ok(names)
+        // Answer: pure compute over shared immutable data, in parallel,
+        // deterministic output order.
+        let modeler = &self.modeler;
+        let answers = pool::run_indexed(&entries, pool::default_workers(entries.len()), |e| {
+            let (spec, selected) = (&specs[e.index], &selections[e.selection].1);
+            modeler.answer(&e.plan, &e.hosts, selected, spec, &mut AnswerScratch::default())
+        });
+        for (e, answer) in entries.iter().zip(answers) {
+            results[e.index] = Some(answer);
+        }
+        specs
+            .iter()
+            .zip(results)
+            .map(|(spec, r)| {
+                let r = r.unwrap_or_else(|| {
+                    Err(RemosError::Internal("batch entry produced no result".into()))
+                });
+                self.finish(spec, r, false)
+            })
+            .collect()
     }
 
-    /// Canonical endpoint name set of a what-if flow set, with the same
-    /// validation order as [`Remos::flow_plan_names`]: degenerate flows
-    /// are rejected before any measurement time is spent.
-    fn whatif_plan_names(flows: &[HypotheticalFlow]) -> CoreResult<Vec<String>> {
-        for f in flows {
-            if f.src == f.dst {
-                return Err(RemosError::InvalidQuery(InvalidQueryKind::IdenticalEndpoints {
-                    node: f.src.clone(),
-                }));
+    /// Stage three for one batch entry: its plan and host table, plus the
+    /// batch's shared sample selection for its timeframe (selected from
+    /// the pinned history on first use).
+    fn prepare_entry(
+        &self,
+        index: usize,
+        spec: &QuerySpec,
+        key: &mut Vec<String>,
+        selections: &mut Vec<(Timeframe, SelectedSamples)>,
+    ) -> CoreResult<BatchEntry> {
+        let (modeler, col) = (&self.modeler, &*self.collector);
+        let mut hosts = Vec::new();
+        let (plan, tf) = modeler.plan_and_hosts(col, spec, key, &mut hosts)?;
+        let selection = match selections.iter().position(|(t, _)| *t == tf) {
+            Some(i) => i,
+            None => {
+                let mut s = SelectedSamples::default();
+                modeler.select_samples(col, plan.topo.dir_link_count(), tf, &mut s)?;
+                selections.push((tf, s));
+                selections.len() - 1
             }
-        }
-        let mut names: Vec<String> =
-            flows.iter().flat_map(|f| [f.src.clone(), f.dst.clone()]).collect();
-        names.sort();
-        names.dedup();
-        Ok(names)
-    }
-
-    /// Reject what-if endpoints that name switches before planning: the
-    /// replay routes host-to-host, so a router endpoint would otherwise
-    /// surface as a confusing [`RemosError::Disconnected`] from the
-    /// planner instead of the typed [`InvalidQueryKind::NotAHost`].
-    fn check_whatif_hosts(&self, names: &[String]) -> CoreResult<()> {
-        let topo = self.collector.topology()?;
-        for n in names {
-            let id = topo.lookup(n).map_err(|_| RemosError::UnknownNode(n.clone()))?;
-            if topo.node(id).kind != remos_net::topology::NodeKind::Compute {
-                return Err(RemosError::InvalidQuery(InvalidQueryKind::NotAHost {
-                    node: n.clone(),
-                }));
-            }
-        }
-        Ok(())
+        };
+        Ok(BatchEntry { index, plan, hosts, selection })
     }
 
     /// The simple host compute/memory interface (§2).
     pub fn host_info(&mut self, name: &str) -> CoreResult<HostInfo> {
-        if self.collector.topology().is_err() {
-            self.collector.refresh_topology()?;
-        }
+        self.ensure_topology()?;
         self.collector.host_info(name)
     }
 }
@@ -800,7 +516,10 @@ mod tests {
     use super::*;
     use crate::collector::snmp::{SnmpCollector, SnmpCollectorConfig};
     use crate::collector::SimClock;
+    use crate::error::InvalidQueryKind;
+    use crate::flows::FlowInfoRequest;
     use crate::query::Query;
+    use crate::whatif::HypotheticalFlow;
     use remos_net::flow::FlowParams;
     use remos_net::{mbps, SimDuration, Simulator, TopologyBuilder};
     use remos_snmp::sim::{register_all_agents, share, SharedSim};
@@ -1131,18 +850,68 @@ mod tests {
 
     #[test]
     fn malformed_queries_fail_fast() {
+        use InvalidQueryKind::*;
+        let flows = |r: FlowInfoRequest| -> QuerySpec { Query::flows(r).into() };
+        let whatif = |src: &str, dst: &str| -> QuerySpec {
+            Query::estimate_fcts([HypotheticalFlow::new(src, dst, 10)]).into()
+        };
+        let invalid = RemosError::InvalidQuery;
+        let unknown = |n: &str| RemosError::UnknownNode(n.to_string());
+        let req = FlowInfoRequest::new;
+        // (spec, the one error every entry point returns for it, whether
+        // `validate` catches it — i.e. before any measured time is spent).
+        let table: Vec<(QuerySpec, RemosError, bool)> = vec![
+            (Query::graph(Vec::<String>::new()).into(), invalid(EmptyNodeSet), true),
+            (flows(req()), invalid(EmptyFlowRequest), true),
+            (
+                flows(req().fixed("m-1", "m-3", -1.0)),
+                invalid(BadFixedBandwidth { value: -1.0 }),
+                true,
+            ),
+            (
+                flows(req().variable("m-1", "m-3", f64::INFINITY)),
+                invalid(BadVariableWeight { value: f64::INFINITY }),
+                true,
+            ),
+            (
+                flows(req().fixed("m-1", "m-3", 1e6).independent("m-2", "m-2")),
+                invalid(IdenticalEndpoints { node: "m-2".into() }),
+                true,
+            ),
+            (
+                Query::estimate_fcts(Vec::<HypotheticalFlow>::new()).into(),
+                invalid(EmptyFlowSet),
+                true,
+            ),
+            (whatif("m-1", "m-1"), invalid(IdenticalEndpoints { node: "m-1".into() }), true),
+            // These need the topology: the plan lookup rejects them,
+            // after measurement.
+            (whatif("m-1", "aspen"), invalid(NotAHost { node: "aspen".into() }), false),
+            (whatif("m-1", "nope"), unknown("nope"), false),
+            (Query::graph(["m-1", "nope"]).into(), unknown("nope"), false),
+            (flows(req().independent("zz", "m-3")), unknown("zz"), false),
+        ];
         let (mut remos, sim) = full_stack();
-        let t0 = sim.lock().now();
-        assert!(matches!(
-            remos.run(Query::graph(Vec::<String>::new())),
-            Err(RemosError::InvalidQuery(k)) if k.is_empty_set()
-        ));
-        assert!(matches!(
-            remos.run(Query::flows(FlowInfoRequest::new())),
-            Err(RemosError::InvalidQuery(k)) if k.is_empty_set()
-        ));
-        // Rejected before sampling: no measurement time consumed.
-        assert_eq!(sim.lock().now(), t0);
+        // Prime one sample so `run_from_history` gets past its own
+        // precondition and reports the query's error.
+        remos.run(Query::graph(["m-1", "m-3"])).unwrap();
+        for (spec, want, pure) in table {
+            let t0 = sim.lock().now();
+            assert_eq!(remos.run(spec.clone()).unwrap_err(), want);
+            let batch = remos.run_batch(vec![spec.clone()]);
+            assert_eq!(batch.into_iter().next().unwrap().unwrap_err(), want);
+            if pure {
+                assert_eq!(sim.lock().now(), t0, "{want}: rejected before sampling");
+            }
+            let t1 = sim.lock().now();
+            assert_eq!(remos.run_from_history(spec.clone()).unwrap_err(), want);
+            if let QuerySpec::Flows(q) = &spec {
+                let direct =
+                    Modeler::default().flow_info(remos.collector(), &q.request, q.timeframe);
+                assert_eq!(direct.unwrap_err(), want);
+            }
+            assert_eq!(sim.lock().now(), t1);
+        }
     }
 
     #[test]
@@ -1196,15 +965,42 @@ mod tests {
         let (mut remos, _sim) = full_stack();
         let obs = Obs::new();
         remos.set_obs(obs.clone());
+        // (graph, flow, rejected) query counters.
+        let counts = || {
+            let c = |k: &str| obs.counter(k).get();
+            (
+                c("remos_graph_queries_total"),
+                c("remos_flow_queries_total"),
+                c("remos_rejected_queries_total"),
+            )
+        };
         remos.run(Query::graph(["m-1", "m-3"])).unwrap();
         assert!(remos.run(Query::graph(Vec::<String>::new())).is_err());
         let req = FlowInfoRequest::new().independent("m-1", "m-3");
-        remos.run(Query::flows(req)).unwrap();
-        assert_eq!(obs.counter("remos_graph_queries_total").get(), 2);
-        assert_eq!(obs.counter("remos_flow_queries_total").get(), 1);
-        assert_eq!(obs.counter("remos_rejected_queries_total").get(), 1);
+        remos.run(Query::flows(req.clone())).unwrap();
+        assert_eq!(counts(), (2, 1, 1));
         // The shared handle also carries the collector's poll counter.
         assert!(obs.counter("collector_polls_total").get() >= 2);
+        // A shed query counts like any other failure: once in its kind,
+        // once as rejected.
+        let shed =
+            remos.run_within(Query::flows(req.clone()), QueryBudget::until(SimTime::ZERO));
+        assert!(matches!(shed, Err(RemosError::DeadlineExceeded { .. })));
+        assert_eq!(counts(), (2, 2, 2));
+        // So does every batch entry.
+        let out = remos.run_batch(vec![
+            Query::graph(["m-1", "m-3"]).into(),
+            Query::graph(Vec::<String>::new()).into(),
+            Query::flows(req).into(),
+            Query::graph(["m-1", "nope"]).into(),
+        ]);
+        assert_eq!(out.iter().filter(|r| r.is_err()).count(), 2);
+        assert_eq!(counts(), (5, 3, 4));
+        // And the topology-only rung, errors included.
+        assert!(remos.topology_only(&[]).is_err());
+        assert!(remos.topology_only(&["nope".into()]).is_err());
+        remos.topology_only(&["m-1".into(), "m-3".into()]).unwrap();
+        assert_eq!(counts(), (8, 3, 6));
     }
 
     #[test]
@@ -1529,25 +1325,5 @@ mod tests {
         let out = remos.run_batch(vec![Query::graph(["m-1", "m-3"]).into()]);
         let g = out.into_iter().next().unwrap().unwrap().into_graph().unwrap();
         assert!(g.provenance.as_ref().unwrap().source.is_some());
-    }
-
-    #[test]
-    fn run_batch_within_sheds_expired_entries() {
-        use remos_net::SimTime;
-        let (mut remos, sim) = full_stack();
-        remos.run(Query::graph(["m-1", "m-3"])).unwrap();
-        let now = sim.lock().now();
-        let out = remos.run_batch_within(vec![
-            (Query::graph(["m-1", "m-3"]).into(), QueryBudget::UNLIMITED),
-            (Query::graph(["m-2", "m-4"]).into(), QueryBudget::until(SimTime::ZERO)),
-            (
-                Query::graph(["m-1", "m-4"]).into(),
-                QueryBudget::starting(now, SimDuration::from_secs(60)),
-            ),
-        ]);
-        assert_eq!(out.len(), 3);
-        assert!(matches!(out[0], Ok(QueryResult::Graph(_))));
-        assert!(matches!(out[1], Err(RemosError::DeadlineExceeded { .. })));
-        assert!(matches!(out[2], Ok(QueryResult::Graph(_))));
     }
 }

@@ -11,6 +11,7 @@
 //! as "particularly important for parallel applications that use
 //! collective communication".
 
+use crate::error::{CoreResult, InvalidQueryKind};
 use crate::provenance::Provenance;
 use crate::quality::DataQuality;
 use crate::stats::Quartiles;
@@ -106,6 +107,31 @@ impl FlowInfoRequest {
             .chain(self.independent.iter())
             .collect()
     }
+
+    /// Reject a malformed request: no flows at all, a non-positive or
+    /// non-finite fixed bandwidth or variable weight, or a flow whose
+    /// endpoints coincide — checked in that order, naming the first
+    /// offender of each class in solve order. Pure: every entry point
+    /// runs this before any measurement time is spent.
+    pub(crate) fn validate(&self) -> CoreResult<()> {
+        if self.flow_count() == 0 {
+            return Err(InvalidQueryKind::EmptyFlowRequest.into());
+        }
+        for f in &self.fixed {
+            if f.requested <= 0.0 || !f.requested.is_finite() {
+                return Err(InvalidQueryKind::BadFixedBandwidth { value: f.requested }.into());
+            }
+        }
+        for v in &self.variable {
+            if v.relative_bw <= 0.0 || !v.relative_bw.is_finite() {
+                return Err(InvalidQueryKind::BadVariableWeight { value: v.relative_bw }.into());
+            }
+        }
+        match self.all_endpoints().into_iter().find(|e| e.src == e.dst) {
+            Some(e) => Err(InvalidQueryKind::IdenticalEndpoints { node: e.src.clone() }.into()),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Per-flow answer: granted bandwidth statistics plus path latency.
@@ -149,6 +175,14 @@ impl FlowInfoResponse {
             .iter()
             .chain(self.variable.iter())
             .chain(self.independent.iter())
+    }
+
+    /// Mutable twin of [`FlowInfoResponse::all_grants`].
+    pub(crate) fn all_grants_mut(&mut self) -> impl Iterator<Item = &mut FlowGrant> {
+        self.fixed
+            .iter_mut()
+            .chain(self.variable.iter_mut())
+            .chain(self.independent.iter_mut())
     }
 
     /// Worst measurement quality behind any grant in this response.

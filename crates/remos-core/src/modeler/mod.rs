@@ -7,16 +7,28 @@
 //! information with each of the network components, and satisfying flow
 //! requests based on the logical topology."
 //!
-//! Queries are served in two halves: a structural [`plan::QueryPlan`]
-//! (routing + logicalization, cached per `(topology_epoch, target set)`)
-//! and a cheap per-query annotation pass over the selected samples. See
-//! `docs/PERFORMANCE.md` ("Query-path caching") for the invalidation
-//! rules and the bit-equality argument.
+//! Every query, whichever entry point it arrives through, passes the
+//! same four stages:
+//!
+//! 1. **validate** — `QuerySpec::validate`: pure, on the spec alone.
+//! 2. **measure** — the caller's business: [`crate::Remos`] drives its
+//!    collector and clock; the `Modeler::{get_graph, get_graph_in,
+//!    flow_info}` wrappers take the collector's samples as they are.
+//! 3. **prepare** — `Modeler::prepare`: every collector *read*. One
+//!    lookup of the structural [`plan::QueryPlan`] (routing +
+//!    logicalization, cached per `(topology_epoch, target set)`), the
+//!    host table, and the sample selection for the timeframe.
+//! 4. **answer** — `Modeler::answer`: `&self`, pure over what stage 3
+//!    produced. Annotation, flow solving, what-if replay, the
+//!    `min_quality` floor and provenance stripping all live here and
+//!    nowhere else.
+//!
+//! See `docs/PERFORMANCE.md` ("Cache configuration") for the plan-cache
+//! invalidation rules and the bit-equality argument.
 
 pub mod flowsolve;
 pub mod logical;
 pub mod plan;
-pub(crate) mod pool;
 pub mod predict;
 pub mod sharing;
 
@@ -26,12 +38,13 @@ use crate::flows::{FlowGrant, FlowInfoRequest, FlowInfoResponse};
 use crate::graph::{HostInfo, RemosGraph, RemosLink, RemosNode};
 use crate::provenance::Provenance;
 use crate::quality::DataQuality;
+use crate::query::{GraphQuery, Query, QueryResult, QuerySpec, WhatIfQuery};
 use crate::stats::Quartiles;
 use crate::timeframe::Timeframe;
 use flowsolve::{ResourceModel, SampleSolver, StageFlow};
 use plan::{PlanCache, QueryPlan};
 use predict::{predict, PredictorKind};
-use remos_net::topology::Topology;
+use remos_net::topology::{NodeKind, Topology};
 use remos_net::{Bps, SimTime};
 use remos_obs::{Counter, Obs};
 use sharing::SharingPolicy;
@@ -50,13 +63,8 @@ pub struct ModelerConfig {
     pub sharing: SharingPolicy,
     /// Bounded plan-cache capacity, in plans. `0` disables caching
     /// entirely: every query rebuilds routing and logicalization cold —
-    /// the reference behavior the cache is audited against.
+    /// the reference the equivalence suites compare cached answers to.
     pub plan_cache_capacity: usize,
-    /// Shadow-uncached audit mode: on every cache hit, rebuild the plan
-    /// cold and fail the query with [`RemosError::Internal`] unless the
-    /// cached and cold plans are structurally bit-identical. Intended
-    /// for tests and CI, not production query serving.
-    pub audit_cache: bool,
 }
 
 impl Default for ModelerConfig {
@@ -65,7 +73,6 @@ impl Default for ModelerConfig {
             predictor: PredictorKind::WindowMean,
             sharing: SharingPolicy::default(),
             plan_cache_capacity: DEFAULT_PLAN_CACHE_CAPACITY,
-            audit_cache: false,
         }
     }
 }
@@ -131,25 +138,38 @@ impl SelectedSamples {
     }
 }
 
-/// Reusable buffers for [`Modeler::get_graph_in`]. One workspace per
-/// serving thread makes the warm cached-query path (plan-cache hit,
-/// `Timeframe::Current`/`Window`, unchanged topology) allocation-free:
-/// every `Vec` and `String` below settles at its high-water capacity
-/// after the first few queries and is overwritten in place from then on.
+/// Buffers [`Modeler::answer`] works in, reused across queries.
 #[derive(Default)]
-pub struct QueryWorkspace {
-    /// Canonical (sorted, deduped) target-name cache key.
-    key: Vec<String>,
-    /// Host table, node-slot order.
-    hosts: Vec<Option<HostInfo>>,
-    /// Selected utilization samples.
-    selected: SelectedSamples,
+pub(crate) struct AnswerScratch {
     /// Per-(link, direction) availability values.
     vals: Vec<Bps>,
     /// Quartile selection scratch.
     sort_buf: Vec<f64>,
-    /// The annotated graph, rebuilt in place each query.
+    /// The annotated graph, rebuilt in place. A graph answer moves it
+    /// out; a caller that puts it back (as [`Modeler::get_graph_in`]
+    /// does) keeps every node name and link slot for the next query.
     graph: RemosGraph,
+}
+
+/// Reusable buffers for the query path: what `Modeler::prepare` reads
+/// from the collector, plus the scratch `Modeler::answer` works in.
+/// One workspace per serving thread makes the warm cached-query path
+/// (plan-cache hit, `Timeframe::Current`/`Window`, unchanged topology)
+/// allocation-free: every `Vec` and `String` below settles at its
+/// high-water capacity after the first few queries and is overwritten
+/// in place from then on.
+#[derive(Default)]
+pub struct QueryWorkspace {
+    /// Node list of the spec [`Modeler::get_graph_in`] builds.
+    nodes: Vec<String>,
+    /// Canonical (sorted, deduped) target-name cache key.
+    key: Vec<String>,
+    /// Host table, node-slot order.
+    pub(crate) hosts: Vec<Option<HostInfo>>,
+    /// Selected utilization samples.
+    pub(crate) selected: SelectedSamples,
+    /// Stage-four scratch.
+    pub(crate) scratch: AnswerScratch,
 }
 
 impl QueryWorkspace {
@@ -161,7 +181,31 @@ impl QueryWorkspace {
     /// The graph produced by the most recent successful
     /// [`Modeler::get_graph_in`] call through this workspace.
     pub fn graph(&self) -> &RemosGraph {
-        &self.graph
+        &self.scratch.graph
+    }
+}
+
+/// Why a reachability query has no business in the prepare or answer stage.
+const UNPLANNED: &str = "reachability is answered from the topology alone";
+
+/// Overwrite `dst` with `src`, reusing each slot's `String` buffer.
+fn copy_names(dst: &mut Vec<String>, src: &[String]) {
+    dst.truncate(src.len());
+    for (i, n) in src.iter().enumerate() {
+        match dst.get_mut(i) {
+            Some(slot) => slot.clone_from(n),
+            None => dst.push(n.clone()),
+        }
+    }
+}
+
+/// Enforce a query's `min_quality` floor.
+fn check_floor(floor: Option<DataQuality>, actual: DataQuality) -> CoreResult<()> {
+    match floor {
+        Some(required) if !actual.meets(required) => {
+            Err(RemosError::QualityTooLow { required, actual })
+        }
+        _ => Ok(()),
     }
 }
 
@@ -224,20 +268,11 @@ impl Modeler {
 
     /// Obtain the structural plan for `names`: cache hit when the
     /// collector's topology epoch and the canonical target set match a
-    /// resident plan, cold build otherwise.
+    /// resident plan, cold build otherwise. On a hit with a stable
+    /// query set the only work is name validation and rebuilding the
+    /// canonical key in the caller's buffer, so the warm path allocates
+    /// nothing.
     pub(crate) fn plan_for(
-        &self,
-        col: &dyn Collector,
-        names: &[String],
-    ) -> CoreResult<Arc<QueryPlan>> {
-        self.plan_for_in(col, names, &mut Vec::new())
-    }
-
-    /// [`Modeler::plan_for`] with a caller-owned key buffer. On a cache
-    /// hit with a stable query set, the only work is name validation and
-    /// rebuilding the canonical key in place (`clone_from` reuses each
-    /// slot's `String` buffer), so the warm path allocates nothing.
-    pub(crate) fn plan_for_in(
         &self,
         col: &dyn Collector,
         names: &[String],
@@ -249,14 +284,7 @@ impl Modeler {
         for n in names {
             topo.lookup(n).map_err(|_| RemosError::UnknownNode(n.clone()))?;
         }
-        key.truncate(names.len());
-        for (i, n) in names.iter().enumerate() {
-            if i < key.len() {
-                key[i].clone_from(n);
-            } else {
-                key.push(n.clone());
-            }
-        }
+        copy_names(key, names);
         key.sort_unstable();
         key.dedup();
         let epoch = col.topology_epoch();
@@ -274,15 +302,6 @@ impl Modeler {
             // epoch — treat as a miss rather than serve a stale plan.
             if Arc::ptr_eq(&cached.topo, &topo) {
                 self.metrics.plan_cache_hits.inc();
-                if self.cfg.audit_cache {
-                    let targets = Self::resolve_names(&topo, key)?;
-                    let cold = QueryPlan::build(epoch, topo, targets)?;
-                    if cold.digest() != cached.digest() {
-                        return Err(RemosError::Internal(
-                            "plan cache audit: cached plan diverged from a cold rebuild".into(),
-                        ));
-                    }
-                }
                 return Ok(cached);
             }
         }
@@ -295,18 +314,6 @@ impl Modeler {
         Ok(built)
     }
 
-    /// Pick (or synthesize) the utilization samples a timeframe refers to.
-    pub(crate) fn select_samples(
-        &self,
-        col: &dyn Collector,
-        n_phys_dirlinks: usize,
-        tf: Timeframe,
-    ) -> CoreResult<SelectedSamples> {
-        let mut out = SelectedSamples::default();
-        self.select_samples_in(col, n_phys_dirlinks, tf, &mut out)?;
-        Ok(out)
-    }
-
     /// Overwrite `slot` with `(t, util padded/truncated to n)`, reusing
     /// the slot's utilization buffer.
     fn write_sample(slot: &mut (SimTime, Vec<Bps>), t: SimTime, util: &[Bps], n: usize) {
@@ -316,12 +323,12 @@ impl Modeler {
         slot.1.resize(n, 0.0);
     }
 
-    /// [`Modeler::select_samples`] writing into a caller-owned buffer.
-    /// For `Current` and `Window` timeframes the steady state (stable
-    /// history depth) reuses every sample vector in place and allocates
-    /// nothing; `Future` still allocates its per-dirlink prediction
-    /// series.
-    pub(crate) fn select_samples_in(
+    /// Pick (or synthesize) the utilization samples a timeframe refers
+    /// to, into the caller's buffer. For `Current` and `Window`
+    /// timeframes the steady state (stable history depth) reuses every
+    /// sample vector in place and allocates nothing; `Future` still
+    /// allocates its per-dirlink prediction series.
+    pub(crate) fn select_samples(
         &self,
         col: &dyn Collector,
         n_phys_dirlinks: usize,
@@ -344,16 +351,13 @@ impl Modeler {
                 out.quality.clear();
                 out.quality.extend_from_slice(&latest.quality);
                 out.quality.resize(n, DataQuality::Missing);
-                out.quality.truncate(n);
                 Ok(())
             }
             Timeframe::Window(w) => {
-                let latest_t = match history.latest() {
-                    Some(s) => s.t,
-                    None => {
-                        return Err(RemosError::InsufficientHistory { needed: 1, available: 0 })
-                    }
-                };
+                let latest_t = history
+                    .latest()
+                    .ok_or(RemosError::InsufficientHistory { needed: 1, available: 0 })?
+                    .t;
                 // An estimate over a window is only as good as its worst
                 // constituent sample, per dir-link.
                 out.quality.clear();
@@ -363,14 +367,10 @@ impl Modeler {
                     for (d, q) in out.quality.iter_mut().enumerate() {
                         *q = q.worst(s.quality.get(d).copied().unwrap_or(DataQuality::Missing));
                     }
-                    if count < out.samples.len() {
-                        Self::write_sample(&mut out.samples[count], s.t, &s.util, n);
-                    } else {
-                        let mut v = Vec::new();
-                        v.extend_from_slice(&s.util);
-                        v.resize(n, 0.0);
-                        out.samples.push((s.t, v));
+                    if count == out.samples.len() {
+                        out.samples.push((s.t, Vec::new()));
                     }
+                    Self::write_sample(&mut out.samples[count], s.t, &s.util, n);
                     count += 1;
                 }
                 out.samples.truncate(count);
@@ -380,9 +380,6 @@ impl Modeler {
                 Ok(())
             }
             Timeframe::Future(h) => {
-                if history.is_empty() {
-                    return Err(RemosError::InsufficientHistory { needed: 2, available: 0 });
-                }
                 let latest = history.latest().ok_or(RemosError::InsufficientHistory {
                     needed: 2,
                     available: 0,
@@ -393,7 +390,6 @@ impl Modeler {
                 out.quality.clear();
                 out.quality.extend_from_slice(&latest.quality);
                 out.quality.resize(n, DataQuality::Missing);
-                out.quality.truncate(n);
                 out.samples.truncate(1);
                 if out.samples.is_empty() {
                     out.samples.push((t_last + h, Vec::new()));
@@ -441,19 +437,12 @@ impl Modeler {
 
     /// Host info for each retained node of a plan, in node-table order.
     /// Collector access happens here, on the caller's thread, so the
-    /// annotation pass itself is pure and parallelizable.
-    pub(crate) fn host_table(col: &dyn Collector, plan: &QueryPlan) -> Vec<Option<HostInfo>> {
-        let mut out = Vec::new();
-        Self::host_table_in(col, plan, &mut out);
-        out
-    }
-
-    /// [`Modeler::host_table`] into a caller-owned buffer. Non-compute
+    /// annotation pass itself is pure and parallelizable. Non-compute
     /// nodes are `None` without consulting the collector — `host_info`
     /// is only defined for hosts (its switch answer is an error by
     /// contract), and skipping the call keeps the warm query path free
     /// of per-switch error-construction allocations.
-    pub(crate) fn host_table_in(
+    pub(crate) fn host_table(
         col: &dyn Collector,
         plan: &QueryPlan,
         out: &mut Vec<Option<HostInfo>>,
@@ -461,12 +450,108 @@ impl Modeler {
         out.clear();
         out.extend(plan.structure.nodes.iter().map(|&nid| {
             let n = plan.topo.node(nid);
-            if n.kind == remos_net::topology::NodeKind::Compute {
+            if n.kind == NodeKind::Compute {
                 col.host_info(&n.name).ok()
             } else {
                 None
             }
         }));
+    }
+
+    /// Stage three of a query: every collector read it needs, into `ws`.
+    /// One plan lookup over the spec's node names (what-if endpoints are
+    /// first required to be hosts: the replay routes host-to-host, and a
+    /// switch would otherwise surface as a confusing
+    /// [`RemosError::Disconnected`] from the planner), the host table
+    /// for graph answers, and the timeframe's sample selection.
+    pub(crate) fn prepare(
+        &self,
+        col: &dyn Collector,
+        spec: &QuerySpec,
+        ws: &mut QueryWorkspace,
+    ) -> CoreResult<Arc<QueryPlan>> {
+        let (plan, tf) = self.plan_and_hosts(col, spec, &mut ws.key, &mut ws.hosts)?;
+        self.select_samples(col, plan.topo.dir_link_count(), tf, &mut ws.selected)?;
+        Ok(plan)
+    }
+
+    /// The per-query part of [`Modeler::prepare`], returning the plan and
+    /// the timeframe whose samples the answer needs; a batch calls it per
+    /// entry and shares one sample selection per distinct timeframe.
+    pub(crate) fn plan_and_hosts(
+        &self,
+        col: &dyn Collector,
+        spec: &QuerySpec,
+        key: &mut Vec<String>,
+        hosts: &mut Vec<Option<HostInfo>>,
+    ) -> CoreResult<(Arc<QueryPlan>, Timeframe)> {
+        let tf = spec.timeframe().ok_or_else(|| RemosError::Internal(UNPLANNED.into()))?;
+        let names = spec.plan_names();
+        if let QuerySpec::WhatIf(_) = spec {
+            let topo = col.topology()?;
+            for n in names.iter() {
+                let id = topo.lookup(n).map_err(|_| RemosError::UnknownNode(n.clone()))?;
+                if topo.node(id).kind != NodeKind::Compute {
+                    return Err(InvalidQueryKind::NotAHost { node: n.clone() }.into());
+                }
+            }
+        }
+        let plan = self.plan_for(col, &names, key)?;
+        if let QuerySpec::Graph(_) = spec {
+            Self::host_table(col, &plan, hosts);
+        }
+        Ok((plan, tf))
+    }
+
+    /// Stage four of a query: the answer, from what [`Modeler::prepare`]
+    /// read. Pure — no collector or clock access — so a batch runs it on
+    /// pool workers, and the one place the `min_quality` floor and the
+    /// provenance opt-out are applied. `spec` must have passed
+    /// `QuerySpec::validate`.
+    pub(crate) fn answer(
+        &self,
+        plan: &QueryPlan,
+        hosts: &[Option<HostInfo>],
+        selected: &SelectedSamples,
+        spec: &QuerySpec,
+        scratch: &mut AnswerScratch,
+    ) -> CoreResult<QueryResult> {
+        match spec {
+            QuerySpec::Graph(q) => {
+                self.annotate_graph(plan, hosts, selected, q.timeframe, scratch)?;
+                check_floor(q.min_quality, scratch.graph.worst_quality())?;
+                let mut g = std::mem::take(&mut scratch.graph);
+                if !q.provenance {
+                    g.provenance = None;
+                }
+                Ok(QueryResult::Graph(g))
+            }
+            QuerySpec::Flows(q) => {
+                let mut resp = self.flow_answer(plan, selected, &q.request, q.timeframe)?;
+                check_floor(q.min_quality, resp.worst_quality())?;
+                if !q.provenance {
+                    for g in resp.all_grants_mut() {
+                        g.provenance = None;
+                    }
+                }
+                Ok(QueryResult::Flows(resp))
+            }
+            QuerySpec::WhatIf(q) => self.whatif_answer(plan, selected, q).map(QueryResult::Fcts),
+            QuerySpec::Reachable(_) => Err(RemosError::Internal(UNPLANNED.into())),
+        }
+    }
+
+    /// validate → prepare → answer over whatever samples the collector
+    /// already holds: the stages behind the three public wrappers below.
+    fn query(
+        &self,
+        col: &dyn Collector,
+        spec: &QuerySpec,
+        ws: &mut QueryWorkspace,
+    ) -> CoreResult<QueryResult> {
+        spec.validate()?;
+        let plan = self.prepare(col, spec, ws)?;
+        self.answer(&plan, &ws.hosts, &ws.selected, spec, &mut ws.scratch)
     }
 
     /// Build the annotated logical topology for `names` — the
@@ -479,16 +564,16 @@ impl Modeler {
     ) -> CoreResult<RemosGraph> {
         let mut ws = QueryWorkspace::new();
         self.get_graph_in(col, names, tf, &mut ws)?;
-        Ok(ws.graph)
+        Ok(ws.scratch.graph)
     }
 
     /// [`Modeler::get_graph`] through a caller-owned [`QueryWorkspace`].
-    /// Identical answer, but every buffer (cache key, host table, sample
-    /// selection, and the output graph itself) is reused in place, so a
-    /// warm cached query — plan-cache hit, `Current`/`Window` timeframe,
-    /// unchanged topology and target set — performs zero heap
-    /// allocations. The returned reference borrows the workspace's
-    /// resident graph.
+    /// Identical answer, but every buffer (node list, cache key, host
+    /// table, sample selection, and the output graph itself) is reused
+    /// in place, so a warm cached query — plan-cache hit,
+    /// `Current`/`Window` timeframe, unchanged topology and target set —
+    /// performs zero heap allocations. The returned reference borrows
+    /// the workspace's resident graph.
     pub fn get_graph_in<'ws>(
         &self,
         col: &dyn Collector,
@@ -496,55 +581,34 @@ impl Modeler {
         tf: Timeframe,
         ws: &'ws mut QueryWorkspace,
     ) -> CoreResult<&'ws RemosGraph> {
-        let plan = self.plan_for_in(col, names, &mut ws.key)?;
-        Self::host_table_in(col, &plan, &mut ws.hosts);
-        self.select_samples_in(col, plan.topo.dir_link_count(), tf, &mut ws.selected)?;
-        self.annotate_graph_into(
-            &plan,
-            &ws.hosts,
-            &ws.selected,
-            tf,
-            &mut ws.vals,
-            &mut ws.sort_buf,
-            &mut ws.graph,
-        )?;
-        Ok(&ws.graph)
+        let mut nodes = std::mem::take(&mut ws.nodes);
+        copy_names(&mut nodes, names);
+        let q = GraphQuery { nodes, timeframe: tf, min_quality: None, provenance: true };
+        let spec = QuerySpec::Graph(q);
+        let answered = self.query(col, &spec, ws);
+        if let QuerySpec::Graph(q) = spec {
+            ws.nodes = q.nodes;
+        }
+        ws.scratch.graph = answered?.into_graph()?;
+        Ok(&ws.scratch.graph)
     }
 
-    /// The cheap half of a graph query: annotate a plan's logical
-    /// structure with the selected samples. Pure — no collector or clock
-    /// access — and allocation-light: the two scratch buffers below are
-    /// reused across every (link, direction) pair, so the steady path
-    /// allocates nothing proportional to link count.
-    pub(crate) fn annotate_graph(
+    /// Annotate a plan's logical structure with the selected samples,
+    /// into `scratch.graph`. Node and link tables are overwritten
+    /// element-wise (`clone_from` reuses each node-name `String` buffer;
+    /// `RemosLink` owns no heap), the value buffers are shared by every
+    /// (link, direction) pair, and the name/adjacency indices are
+    /// rebuilt only when the logical structure actually changed — so
+    /// re-annotating the same plan is allocation-free.
+    fn annotate_graph(
         &self,
         plan: &QueryPlan,
         hosts: &[Option<HostInfo>],
         selected: &SelectedSamples,
         tf: Timeframe,
-    ) -> CoreResult<RemosGraph> {
-        let mut g = RemosGraph::default();
-        self.annotate_graph_into(plan, hosts, selected, tf, &mut Vec::new(), &mut Vec::new(), &mut g)?;
-        Ok(g)
-    }
-
-    /// [`Modeler::annotate_graph`] writing into a caller-owned graph.
-    /// Node and link tables are overwritten element-wise (`clone_from`
-    /// reuses each node-name `String` buffer; `RemosLink` owns no heap),
-    /// and the name/adjacency indices are rebuilt only when the logical
-    /// structure actually changed — so re-annotating the same plan is
-    /// allocation-free.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn annotate_graph_into(
-        &self,
-        plan: &QueryPlan,
-        hosts: &[Option<HostInfo>],
-        selected: &SelectedSamples,
-        tf: Timeframe,
-        vals: &mut Vec<Bps>,
-        sort_buf: &mut Vec<f64>,
-        out: &mut RemosGraph,
+        scratch: &mut AnswerScratch,
     ) -> CoreResult<()> {
+        let AnswerScratch { vals, sort_buf, graph: out } = scratch;
         let topo: &Topology = &plan.topo;
         let structure = &plan.structure;
 
@@ -616,38 +680,24 @@ impl Modeler {
         if structure_changed {
             out.rebuild_indices();
         }
-        let scope = out.links.len();
-        let worst_quality = out.worst_quality();
-        match &mut out.provenance {
-            Some(p) => {
-                p.timeframe = tf;
-                p.snapshots = selected.samples.len();
-                p.newest_sample = selected.newest();
-                p.oldest_sample = selected.oldest();
-                p.worst_quality = worst_quality;
-                p.solver.clear();
-                let _ = fmt::Write::write_fmt(
-                    &mut p.solver,
-                    format_args!("logical-annotate/{:?}", self.cfg.predictor),
-                );
-                p.scope = scope;
-                p.degraded = false;
-                p.source = None;
-            }
-            None => {
-                out.provenance = Some(Provenance {
-                    timeframe: tf,
-                    snapshots: selected.samples.len(),
-                    newest_sample: selected.newest(),
-                    oldest_sample: selected.oldest(),
-                    worst_quality,
-                    solver: format!("logical-annotate/{:?}", self.cfg.predictor),
-                    scope,
-                    degraded: false,
-                    source: None,
-                });
-            }
-        }
+        // Keep the resident record's solver `String` buffer.
+        let mut solver = out.provenance.take().map(|p| p.solver).unwrap_or_default();
+        solver.clear();
+        let _ = fmt::Write::write_fmt(
+            &mut solver,
+            format_args!("logical-annotate/{:?}", self.cfg.predictor),
+        );
+        out.provenance = Some(Provenance {
+            timeframe: tf,
+            snapshots: selected.samples.len(),
+            newest_sample: selected.newest(),
+            oldest_sample: selected.oldest(),
+            worst_quality: out.worst_quality(),
+            solver,
+            scope: out.links.len(),
+            degraded: false,
+            source: None,
+        });
         Ok(())
     }
 
@@ -660,58 +710,19 @@ impl Modeler {
         req: &FlowInfoRequest,
         tf: Timeframe,
     ) -> CoreResult<FlowInfoResponse> {
-        if req.flow_count() == 0 {
-            return Ok(FlowInfoResponse { fixed: Vec::new(), variable: Vec::new(), independent: None });
-        }
-        for f in &req.fixed {
-            if f.requested <= 0.0 || !f.requested.is_finite() {
-                return Err(RemosError::InvalidQuery(InvalidQueryKind::BadFixedBandwidth {
-                    value: f.requested,
-                }));
-            }
-        }
-        for v in &req.variable {
-            if v.relative_bw <= 0.0 || !v.relative_bw.is_finite() {
-                return Err(RemosError::InvalidQuery(InvalidQueryKind::BadVariableWeight {
-                    value: v.relative_bw,
-                }));
-            }
-        }
-        // The relevant node set is every endpoint mentioned.
-        let mut names: Vec<String> = req
-            .all_endpoints()
-            .iter()
-            .flat_map(|e| [e.src.clone(), e.dst.clone()])
-            .collect();
-        names.sort();
-        names.dedup();
-        for e in req.all_endpoints() {
-            if e.src == e.dst {
-                return Err(RemosError::InvalidQuery(InvalidQueryKind::IdenticalEndpoints {
-                    node: e.src.clone(),
-                }));
-            }
-        }
-
-        let plan = self.plan_for(col, &names)?;
-        let selected = self.select_samples(col, plan.topo.dir_link_count(), tf)?;
-        self.flow_answer(&plan, &selected, req, tf)
+        let spec = Query::flows(req.clone()).timeframe(tf).into();
+        self.query(col, &spec, &mut QueryWorkspace::new())?.into_flows()
     }
 
-    /// The cheap half of a flow query: solve the staged max-min problem
-    /// over a plan's resource space for one sample selection. Pure — no
-    /// collector or clock access. The request must already be validated
-    /// (see [`Modeler::flow_info`]).
-    pub(crate) fn flow_answer(
+    /// Solve the staged max-min problem over a plan's resource space for
+    /// one sample selection.
+    fn flow_answer(
         &self,
         plan: &QueryPlan,
         selected: &SelectedSamples,
         req: &FlowInfoRequest,
         tf: Timeframe,
     ) -> CoreResult<FlowInfoResponse> {
-        if req.flow_count() == 0 {
-            return Ok(FlowInfoResponse { fixed: Vec::new(), variable: Vec::new(), independent: None });
-        }
         let topo: &Topology = &plan.topo;
         let structure = &plan.structure;
         let logical_graph: &RemosGraph = &plan.static_graph;
@@ -872,41 +883,36 @@ impl Modeler {
         Ok(FlowInfoResponse { fixed, variable, independent })
     }
 
-    /// Answer a what-if query over one sample selection. Pure — no
-    /// collector or clock access. Endpoint names resolve against the
-    /// plan's frozen topology (a plan-cache hit therefore skips routing
-    /// entirely), the newest selected snapshot supplies per-interface
-    /// background utilization, and `remos_net::whatif` replays the fluid
-    /// max-min schedule on a scratch arena.
-    pub(crate) fn whatif_answer(
+    /// Answer a what-if query over one sample selection. Endpoint names
+    /// resolve against the plan's frozen topology (a plan-cache hit
+    /// therefore skips routing entirely), the newest selected snapshot
+    /// supplies per-interface background utilization, and
+    /// `remos_net::whatif` replays the fluid max-min schedule on a
+    /// scratch arena.
+    fn whatif_answer(
         &self,
         plan: &QueryPlan,
         selected: &SelectedSamples,
-        q: &crate::query::WhatIfQuery,
+        q: &WhatIfQuery,
     ) -> CoreResult<crate::whatif::FctReport> {
         use crate::whatif::{FctReport, FlowFct};
-        use remos_net::topology::NodeKind;
         use remos_net::whatif::{WhatIfEngine, WhatIfFlow};
 
         let topo: &Topology = &plan.topo;
-        // Resolve and validate endpoints up front: typed errors beat the
-        // kernel's stringly NetError.
-        let mut net_flows = Vec::with_capacity(q.flows.len());
-        for f in &q.flows {
-            if f.src == f.dst {
-                return Err(InvalidQueryKind::IdenticalEndpoints { node: f.src.clone() }.into());
-            }
-            let src =
-                topo.lookup(&f.src).map_err(|_| RemosError::UnknownNode(f.src.clone()))?;
-            let dst =
-                topo.lookup(&f.dst).map_err(|_| RemosError::UnknownNode(f.dst.clone()))?;
-            for (id, name) in [(src, &f.src), (dst, &f.dst)] {
-                if topo.node(id).kind != NodeKind::Compute {
-                    return Err(InvalidQueryKind::NotAHost { node: name.clone() }.into());
-                }
-            }
-            net_flows.push(WhatIfFlow { src, dst, size_bytes: f.size_bytes, arrival: f.arrival });
-        }
+        let lookup =
+            |n: &String| topo.lookup(n).map_err(|_| RemosError::UnknownNode(n.clone()));
+        let net_flows = q
+            .flows
+            .iter()
+            .map(|f| {
+                Ok(WhatIfFlow {
+                    src: lookup(&f.src)?,
+                    dst: lookup(&f.dst)?,
+                    size_bytes: f.size_bytes,
+                    arrival: f.arrival,
+                })
+            })
+            .collect::<CoreResult<Vec<_>>>()?;
 
         // The replay's contention structure depends on every link's
         // background load, not just the queried paths — so the answer is
@@ -917,11 +923,7 @@ impl Modeler {
             .iter()
             .copied()
             .fold(DataQuality::Fresh, DataQuality::worst);
-        if let Some(floor) = q.min_quality {
-            if !worst_quality.meets(floor) {
-                return Err(RemosError::QualityTooLow { required: floor, actual: worst_quality });
-            }
-        }
+        check_floor(q.min_quality, worst_quality)?;
 
         let mut engine = WhatIfEngine::new(Arc::clone(&plan.topo), Arc::clone(&plan.routing));
         let background = selected

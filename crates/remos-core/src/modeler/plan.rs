@@ -104,45 +104,6 @@ impl QueryPlan {
     pub fn node_slot(&self, nid: NodeId) -> CoreResult<usize> {
         slot_of(&self.index_of, nid)
     }
-
-    /// Structural digest: covers targets, logical structure (including
-    /// the physical support chains that drive annotation), and the
-    /// static graph. Two plans with equal digests produce bit-identical
-    /// answers for any sample selection.
-    pub fn digest(&self) -> u64 {
-        // FNV-1a, matching the style of `RemosGraph::digest`.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut fold = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        fold(self.epoch);
-        fold(self.targets.len() as u64);
-        for t in &self.targets {
-            fold(t.0 as u64);
-        }
-        fold(self.structure.nodes.len() as u64);
-        for n in &self.structure.nodes {
-            fold(n.0 as u64);
-        }
-        fold(self.structure.links.len() as u64);
-        for l in &self.structure.links {
-            fold(l.a.0 as u64);
-            fold(l.b.0 as u64);
-            fold(l.capacity.to_bits());
-            fold(l.latency.as_nanos());
-            for side in &l.phys {
-                fold(side.len() as u64);
-                for d in side {
-                    fold(d.index() as u64);
-                }
-            }
-        }
-        fold(self.static_graph.digest());
-        h
-    }
 }
 
 fn slot_of(index_of: &BTreeMap<NodeId, usize>, nid: NodeId) -> CoreResult<usize> {
@@ -280,14 +241,5 @@ mod tests {
         assert!(!c.insert(0, key(&["a"]), p));
         assert!(c.get(0, &key(&["a"])).is_none());
         assert!(c.is_empty());
-    }
-
-    #[test]
-    fn rebuilt_plan_digest_is_stable() {
-        let a = tiny_plan(3);
-        let b = tiny_plan(3);
-        assert_eq!(a.digest(), b.digest());
-        let other_epoch = tiny_plan(4);
-        assert_ne!(a.digest(), other_epoch.digest());
     }
 }

@@ -18,13 +18,14 @@
 //! provenance attached; each knob is an explicit named method rather than
 //! a positional slot.
 
-use crate::error::{CoreResult, RemosError};
+use crate::error::{CoreResult, InvalidQueryKind, RemosError};
 use crate::flows::{FlowInfoRequest, FlowInfoResponse};
 use crate::graph::RemosGraph;
 use crate::quality::DataQuality;
 use crate::timeframe::Timeframe;
 use crate::whatif::{FctReport, HypotheticalFlow};
 use remos_net::SimTime;
+use std::borrow::Cow;
 
 /// Entry points for building query specs.
 ///
@@ -247,6 +248,75 @@ pub enum QuerySpec {
     Reachable(ReachableQuery),
     /// A what-if flow-completion-time query.
     WhatIf(WhatIfQuery),
+}
+
+/// A graph query must name at least one node.
+pub(crate) fn require_nodes(nodes: &[String]) -> CoreResult<()> {
+    if nodes.is_empty() {
+        return Err(InvalidQueryKind::EmptyNodeSet.into());
+    }
+    Ok(())
+}
+
+/// Sorted, deduplicated endpoint names of a flow set.
+fn endpoint_names<'a>(pairs: impl Iterator<Item = (&'a String, &'a String)>) -> Vec<String> {
+    let mut names: Vec<String> = pairs.flat_map(|(s, d)| [s.clone(), d.clone()]).collect();
+    names.sort();
+    names.dedup();
+    names
+}
+
+impl QuerySpec {
+    /// Stage one of every query: reject a malformed spec. Pure — it looks
+    /// at the spec alone, so a rejected query costs no measured time and
+    /// fails identically through every entry point. Checks that need the
+    /// topology (unknown nodes, switches named as what-if endpoints)
+    /// happen later, when the plan is looked up.
+    pub(crate) fn validate(&self) -> CoreResult<()> {
+        match self {
+            QuerySpec::Graph(q) => require_nodes(&q.nodes),
+            QuerySpec::Flows(q) => q.request.validate(),
+            QuerySpec::WhatIf(q) => {
+                if q.flows.is_empty() {
+                    return Err(InvalidQueryKind::EmptyFlowSet.into());
+                }
+                match q.flows.iter().find(|f| f.src == f.dst) {
+                    Some(f) => {
+                        Err(InvalidQueryKind::IdenticalEndpoints { node: f.src.clone() }.into())
+                    }
+                    None => Ok(()),
+                }
+            }
+            QuerySpec::Reachable(_) => Ok(()),
+        }
+    }
+
+    /// The timeframe whose samples answer this query; `None` for
+    /// reachability, which reads the topology alone.
+    pub(crate) fn timeframe(&self) -> Option<Timeframe> {
+        match self {
+            QuerySpec::Graph(q) => Some(q.timeframe),
+            QuerySpec::Flows(q) => Some(q.timeframe),
+            QuerySpec::WhatIf(q) => Some(q.timeframe),
+            QuerySpec::Reachable(_) => None,
+        }
+    }
+
+    /// The node names the query's structural plan must cover: a graph
+    /// query's nodes as written, a flow set's endpoints in canonical
+    /// (sorted, deduplicated) order.
+    pub(crate) fn plan_names(&self) -> Cow<'_, [String]> {
+        match self {
+            QuerySpec::Graph(q) => Cow::Borrowed(&q.nodes),
+            QuerySpec::Flows(q) => Cow::Owned(endpoint_names(
+                q.request.all_endpoints().into_iter().map(|e| (&e.src, &e.dst)),
+            )),
+            QuerySpec::WhatIf(q) => {
+                Cow::Owned(endpoint_names(q.flows.iter().map(|f| (&f.src, &f.dst))))
+            }
+            QuerySpec::Reachable(q) => Cow::Borrowed(std::slice::from_ref(&q.anchor)),
+        }
+    }
 }
 
 impl From<GraphQuery> for QuerySpec {

@@ -9,11 +9,11 @@
 //! 1. **Engine**: the same seeded churn schedule replayed in `Full` and
 //!    `Incremental` mode agrees on `rates_digest` at every checkpoint
 //!    and on the final `event_digest`.
-//! 2. **Graph layer**: a cold query (plan cache disabled — routing and
-//!    logicalization rebuilt from scratch), a cached query, and a warm
-//!    workspace query (`get_graph_in`, the allocation-free path) all
-//!    produce bit-identical `RemosGraph::digest` values — and repeat
-//!    queries through a reused workspace never drift.
+//! 2. **Graph layer**: a query through a reused workspace against the
+//!    plan cache (`get_graph_in`, the allocation-free shape of the one
+//!    query path) produces the same `RemosGraph::digest` as a capacity-0
+//!    modeler that rebuilds routing and logicalization from scratch —
+//!    and repeat queries through the workspace never drift.
 
 use proptest::prelude::*;
 use remos_core::collector::oracle::OracleCollector;
@@ -63,8 +63,8 @@ proptest! {
         prop_assert_eq!(full, inc);
     }
 
-    /// Property 2: graph-query equivalence — cold rebuild, plan-cache
-    /// hit, and the reused-workspace path answer identically.
+    /// Property 2: graph-query equivalence — the cached, reused-workspace
+    /// query answers exactly as a capacity-0 cold rebuild does.
     #[test]
     fn csr_graph_digests_match_across_query_paths(
         k in prop_oneof![Just(4usize), Just(8usize)],
@@ -106,8 +106,6 @@ proptest! {
         let cold = Modeler::new(ModelerConfig { plan_cache_capacity: 0, ..Default::default() });
         let cached = Modeler::new(ModelerConfig::default());
         let cold_digest = cold.get_graph(&col, &names, tf).expect("cold query").digest();
-        let cached_digest = cached.get_graph(&col, &names, tf).expect("cached query").digest();
-        prop_assert_eq!(cold_digest, cached_digest, "plan-cache hit diverged from cold rebuild");
 
         let mut ws = QueryWorkspace::new();
         for round in 0..3 {

@@ -2,9 +2,9 @@
 //! cache must answer every query **bit-identically** to a modeler that
 //! rebuilds routing + logicalization cold on every call — across
 //! interleaved polls, topology rediscoveries (epoch bumps), LRU
-//! evictions, and degraded sample quality. The warm modeler runs with
-//! `audit_cache` on, so a stale or divergent cached plan fails the
-//! query outright instead of silently skewing an answer.
+//! evictions, and degraded sample quality. Both run the same code; the
+//! cache capacity is the only difference, so the capacity-0 modeler is
+//! the reference every cached answer is compared against.
 
 use proptest::prelude::*;
 use remos_core::collector::{Collector, SampleHistory, Snapshot};
@@ -155,8 +155,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Interleave polls, rediscoveries, graph queries, and flow queries;
-    /// after every query the warm (cached, audited, eviction-prone)
-    /// modeler and the cold (capacity-0) modeler must agree bit for bit.
+    /// after every query the warm (cached, eviction-prone) modeler and
+    /// the cold (capacity-0) modeler must agree bit for bit.
     #[test]
     fn cached_answers_are_bit_identical_to_cold(
         seed in 0u64..200,
@@ -166,7 +166,6 @@ proptest! {
         col.poll().unwrap();
         let warm = Modeler::new(ModelerConfig {
             plan_cache_capacity: 2,
-            audit_cache: true,
             ..ModelerConfig::default()
         });
         let cold = Modeler::new(ModelerConfig {
@@ -212,17 +211,22 @@ fn stale_plan_is_never_served_across_epochs() {
     let obs = Obs::new();
     let mut col = StubCollector::new(7);
     col.poll().unwrap();
-    let mut modeler = Modeler::new(ModelerConfig { audit_cache: true, ..ModelerConfig::default() });
+    let mut modeler = Modeler::new(ModelerConfig::default());
     modeler.set_obs(&obs);
+    let cold = Modeler::new(ModelerConfig { plan_cache_capacity: 0, ..ModelerConfig::default() });
     let targets: Vec<String> = vec!["h0".into(), "h3".into()];
 
     let before = modeler.get_graph(&col, &targets, Timeframe::Current).unwrap();
     let hit = modeler.get_graph(&col, &targets, Timeframe::Current).unwrap();
     assert_eq!(before.digest(), hit.digest(), "idle repeat must be a pure cache hit");
+    let reference = cold.get_graph(&col, &targets, Timeframe::Current).unwrap();
+    assert_eq!(hit.digest(), reference.digest(), "cache hit diverged from a cold rebuild");
 
     col.refresh_topology().unwrap();
     col.poll().unwrap();
     let after = modeler.get_graph(&col, &targets, Timeframe::Current).unwrap();
+    let reference = cold.get_graph(&col, &targets, Timeframe::Current).unwrap();
+    assert_eq!(after.digest(), reference.digest(), "post-rediscovery answer is not the cold one");
 
     // Topology A's h0..h3 bottleneck is the 40 Mbps h3 uplink; topology
     // B's is the 35 Mbps r1-r2 hop. A served stale plan could not show

@@ -6,9 +6,9 @@
 //! the output order is deterministic (it matches the input order) no
 //! matter how the OS schedules the workers.
 //!
-//! Lives in `remos-net` so both the engine (parallel independent
-//! connected-component solves) and the modeler (batch query serving,
-//! which re-exports it as `modeler::pool`) share one implementation.
+//! Lives in `remos-net` so the engine (parallel independent
+//! connected-component solves) and `remos-core` (batch query answers,
+//! sharded collector polls) share one implementation.
 //!
 //! The `std::thread` use here is sanctioned: this module is the one
 //! scoped exemption from the remos-audit `thread-spawn` rule, because

@@ -172,9 +172,9 @@ fn chaos_run(seed: u64) {
 }
 
 /// Query-path caching must not leak into answers: the same query
-/// schedule replayed under the cached (default), shadow-audited, and
-/// cache-disabled modeler configurations must produce bit-identical
-/// per-query graph digests — in both solver modes. The schedule mixes
+/// schedule replayed under the cached (default) and cache-disabled
+/// modeler configurations must produce bit-identical per-query graph
+/// digests — in both solver modes. The schedule mixes
 /// repeats (cache hits), a second target set (cache fills), and
 /// measurement time passing between rounds.
 #[test]
@@ -210,15 +210,9 @@ fn plan_cache_configs_agree_in_both_solver_modes() {
 
     for mode in [SolverMode::Incremental, SolverMode::Full] {
         let cached = run(mode, ModelerConfig::default());
-        let audited =
-            run(mode, ModelerConfig { audit_cache: true, ..ModelerConfig::default() });
         let uncached = run(
             mode,
             ModelerConfig { plan_cache_capacity: 0, ..ModelerConfig::default() },
-        );
-        assert_eq!(
-            cached, audited,
-            "{mode:?}: audited cache diverged from plain cached serving"
         );
         assert_eq!(
             cached, uncached,
