@@ -106,7 +106,7 @@ fn epoch_vector_digest_is_a_sink_and_pool_fan_out_is_sanctioned() {
         "finding must be in the HashMap path, not the pool fan-out: {}",
         coord[0].message
     );
-    // `sanctioned_fan_out` (pool::run_indexed_mut over a Vec) stays
+    // `sanctioned_fan_out` (pool::run_indexed over a Vec) stays
     // clean — checked implicitly by the exact count above and the
     // byte-exact golden.
 }

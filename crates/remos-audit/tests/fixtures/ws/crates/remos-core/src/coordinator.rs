@@ -9,8 +9,8 @@
 /// CLEAN: shards live in a `Vec` and the pool's fan-out preserves
 /// input-index order, so the epoch vector fed to the digest is
 /// identical across runs regardless of worker interleaving.
-pub fn sanctioned_fan_out(shards: &mut Vec<Shard>, workers: usize) -> u64 {
-    let epochs = pool::run_indexed_mut(shards, workers, |_, s| s.poll_epoch());
+pub fn sanctioned_fan_out(shards: &Vec<Shard>, workers: usize) -> u64 {
+    let epochs = pool::run_indexed(shards, workers, |s| s.epoch());
     epoch_digest(&epochs)
 }
 

@@ -16,13 +16,16 @@
 //! *is* that topology and the remap is the identity — graph digests stay
 //! bit-identical to a monolithic collector.
 //!
-//! Three scaling properties distinguish the coordinator from a naive
-//! fan-out:
+//! Three properties keep the coordinator cheap:
 //!
-//! * **Concurrent polling** — children are polled on the shared scoped
-//!   pool (`remos_net::pool::run_indexed_mut`), results slotted in input
-//!   order, so an 8-shard fabric pays roughly its slowest shard per
-//!   poll, not the sum.
+//! * **Polling on the caller** — children are polled one after another
+//!   on the calling thread, with no allocation. Every child this
+//!   repository federates reads one in-process source behind one lock
+//!   (a `SimCell` for fabric shards, a `SimTransport` for SNMP
+//!   children), so a thread per child buys contention, not overlap:
+//!   spawning scoped threads costs ≈300 µs per poll against ≈5 µs per
+//!   shard read, and polls a 4–8-way SNMP federation 20–60% *slower*
+//!   than this loop (measured in docs/PERFORMANCE.md).
 //! * **Dirty-shard merge** — the merged `util`/`quality` vectors are
 //!   persistent; a poll re-applies only children whose sample
 //!   `generation()` advanced (or whose lag behind the merge time
@@ -45,7 +48,6 @@ use crate::collector::{Collector, SampleHistory, Snapshot};
 use crate::error::{CoreResult, RemosError};
 use crate::graph::HostInfo;
 use crate::quality::DataQuality;
-use remos_net::pool;
 use remos_net::topology::{DirLink, NodeKind, Topology, TopologyBuilder};
 use remos_net::{SimDuration, SimTime};
 use remos_obs::{Counter, Histogram, Obs};
@@ -58,10 +60,6 @@ pub struct MultiCollectorConfig {
     /// Child samples older than this (relative to the newest child sample)
     /// are reported as [`DataQuality::Missing`] instead of `Stale`.
     pub missing_after: SimDuration,
-    /// Worker threads for the concurrent child fan-out: `0` picks
-    /// automatically from the hardware, `1` polls serially on the caller
-    /// (the allocation-free path the zero-alloc contract measures).
-    pub poll_workers: usize,
     /// Bound of the merged sample history.
     pub history_len: usize,
     /// Reference mode for equivalence tests: every merge re-applies
@@ -74,7 +72,6 @@ impl Default for MultiCollectorConfig {
     fn default() -> Self {
         MultiCollectorConfig {
             missing_after: SimDuration::from_secs(30),
-            poll_workers: 0,
             history_len: crate::collector::DEFAULT_HISTORY_LEN,
             force_full_merge: false,
         }
@@ -519,36 +516,12 @@ impl Collector for MultiCollector {
         let mut any = false;
         let mut errors = 0usize;
         let mut first_err = None;
-        let workers = match self.cfg.poll_workers {
-            0 => pool::default_workers(self.children.len()),
-            w => w,
-        };
-        if workers == 1 {
-            // Serial fan-out: the allocation-free steady-state path.
-            for c in &mut self.children {
-                match c.poll() {
-                    Ok(produced) => any |= produced,
-                    Err(e) => {
-                        errors += 1;
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                    }
-                }
-            }
-        } else {
-            // Concurrent fan-out on the shared scoped pool; results come
-            // back in input order, so error selection is deterministic.
-            let results = pool::run_indexed_mut(&mut self.children, workers, |_, c| c.poll());
-            for r in results {
-                match r {
-                    Ok(produced) => any |= produced,
-                    Err(e) => {
-                        errors += 1;
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                    }
+        for c in &mut self.children {
+            match c.poll() {
+                Ok(produced) => any |= produced,
+                Err(e) => {
+                    errors += 1;
+                    first_err.get_or_insert(e);
                 }
             }
         }

@@ -46,11 +46,11 @@ impl Collector for OracleCollector {
     }
 
     fn topology(&self) -> CoreResult<Arc<Topology>> {
-        Ok(self.sim.lock().topology_arc())
+        Ok(self.sim.read().topology_arc())
     }
 
     fn host_info(&self, name: &str) -> CoreResult<HostInfo> {
-        let sim = self.sim.lock();
+        let sim = self.sim.read();
         let topo = sim.topology();
         let id = topo.lookup(name).map_err(RemosError::from)?;
         let node = topo.node(id);
@@ -82,7 +82,7 @@ impl Collector for OracleCollector {
     }
 
     fn now(&self) -> CoreResult<SimTime> {
-        Ok(self.sim.lock().now())
+        Ok(self.sim.read().now())
     }
 }
 

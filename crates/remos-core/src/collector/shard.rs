@@ -3,11 +3,12 @@
 //! The paper's §5 anticipates "multiple cooperating Collectors" for
 //! large networks. [`ShardCollector`] is the sharded-back-end half of
 //! that story: each shard owns a disjoint *region* (a set of directed
-//! interfaces) of one shared fabric and measures only those, so a
-//! [`MultiCollector`](crate::collector::multi::MultiCollector) can poll
-//! all shards concurrently — readers share the simulator through
-//! `SimCell::read` and only pay an exclusive lock when the rates still
-//! need settling.
+//! interfaces) of one shared fabric and measures only those, reading the
+//! simulator through `SimCell::read` and paying for an exclusive lock
+//! only when the rates still need settling. A shard is a sensor, not a
+//! store: it holds exactly its latest sample, and the
+//! [`MultiCollector`](crate::collector::multi::MultiCollector) that
+//! federates the shards owns the time series.
 //!
 //! Because every shard reports the *same* full-fabric topology (its
 //! region is declared through [`Collector::coverage`], not by cutting
@@ -31,11 +32,18 @@ use remos_snmp::sim::SharedSim;
 use std::sync::Arc;
 
 /// Collector measuring one region of a shared simulated fabric.
+///
+/// Only meaningful as a child of a
+/// [`MultiCollector`](crate::collector::multi::MultiCollector): its
+/// history holds one sample, so a `Window` or history query asked of a
+/// bare shard sees that one sample, and entries outside the region read
+/// zero/`Missing`.
 pub struct ShardCollector {
     sim: SharedSim,
     label: String,
     /// Directed-interface indices this shard measures, sorted ascending.
     region: Vec<u32>,
+    /// The latest sample only (depth 1), recycled in place on every poll.
     history: SampleHistory,
     last_rates: Option<SimTime>,
     topology_epoch: u64,
@@ -59,18 +67,11 @@ impl ShardCollector {
             sim,
             label: label.to_string(),
             region,
-            history: SampleHistory::default(),
+            history: SampleHistory::new(1),
             last_rates: None,
             topology_epoch: 0,
             polls: Obs::new().counter("shard_polls_total"),
         })
-    }
-
-    /// Replace the history bound (the zero-alloc tests use a short one
-    /// so the recycling steady state is reached quickly).
-    pub fn with_history_len(mut self, max_len: usize) -> ShardCollector {
-        self.history = SampleHistory::new(max_len);
-        self
     }
 
     /// The measured region (sorted directed-interface indices).
@@ -90,8 +91,8 @@ impl ShardCollector {
                 self.label
             )));
         }
-        // Steady state recycles the snapshot the push below would evict:
-        // its non-region entries are already zero/Missing (regions never
+        // From the second poll on this recycles the previous sample: its
+        // non-region entries are already zero/Missing (regions never
         // change), so only the measured entries need rewriting.
         let (mut util, mut quality) = match self.history.recycle_oldest() {
             Some(s) if s.util.len() == n && s.quality.len() == n => (s.util, s.quality),
@@ -100,12 +101,12 @@ impl ShardCollector {
                 vec![DataQuality::Missing; n].into_boxed_slice(),
             ),
         };
-        // One pass over the flow table for the whole region (bit-identical
-        // to per-index `dirlink_rate_settled` reads, which scan the flow
-        // table once *per link*).
-        sim.dirlink_rates_settled_into(&self.region, &mut util);
+        // Each entry is the engine's membership sum for that interface,
+        // the same bits a monolithic `dirlink_rate` read returns.
         for &i in &self.region {
-            quality[i as usize] = DataQuality::Fresh;
+            let i = i as usize;
+            util[i] = sim.dirlink_rate_settled(DirLink::from_index(i));
+            quality[i] = DataQuality::Fresh;
         }
         let interval = match self.last_rates {
             Some(prev) => t.saturating_since(prev),
@@ -161,6 +162,7 @@ impl Collector for ShardCollector {
         self.sample(&s)
     }
 
+    /// The latest sample alone; the federation keeps the time series.
     fn history(&self) -> &SampleHistory {
         &self.history
     }
@@ -254,24 +256,49 @@ mod tests {
     #[test]
     fn shard_reads_match_the_oracle_in_its_region() {
         let tree = FatTree::build(4).unwrap();
-        let src = tree.host(0, 0);
-        let dst = tree.host(0, 1);
         let sim = share(Simulator::new(FatTree::build(4).unwrap().into_parts().0).unwrap());
-        sim.lock().start_flow(FlowParams::greedy(src, dst)).unwrap();
+        // Flows that share links (two senders into one host, one of them
+        // cross-pod) so the per-link sums have more than one term.
+        let flows: Vec<_> = [
+            FlowParams::greedy(tree.host(0, 0), tree.host(0, 1)),
+            FlowParams::greedy(tree.host(2, 1), tree.host(0, 1)),
+            FlowParams::cbr(tree.host(0, 1), tree.host(3, 0), remos_net::mbps(30.0)),
+        ]
+        .into_iter()
+        .map(|p| {
+            let mut s = sim.lock();
+            let path = s.routing().path(s.topology(), p.src, p.dst).unwrap();
+            (s.start_flow(p).unwrap(), path)
+        })
+        .collect();
         sim.lock().run_for(SimDuration::from_millis(1)).unwrap();
         let mut shards = shard_fabric(&tree, &sim, 2).unwrap();
         for s in &mut shards {
             assert!(s.poll().unwrap());
         }
         // Every dirlink's rate, reassembled from the shard snapshots,
-        // equals the simulator's own (exclusive-lock) answer bitwise.
+        // equals bitwise both the simulator's own (exclusive-lock) answer
+        // and the reference both now derive from one index: a scan of the
+        // flow table in id order, rebuilt here from routed paths.
         let n = tree.topology().dir_link_count();
         for i in 0..n {
-            let want = sim.lock().dirlink_rate(DirLink::from_index(i));
+            let d = DirLink::from_index(i);
+            let mut s = sim.lock();
+            let scanned: f64 = flows
+                .iter()
+                .filter(|(_, path)| path.hops.contains(&d))
+                .map(|&(h, _)| s.flow_rate(h).unwrap())
+                .sum();
             let owner = shards.iter().find(|s| s.region().contains(&(i as u32))).unwrap();
             let snap = owner.history().latest().unwrap();
-            assert_eq!(snap.util[i], want);
+            assert_eq!(snap.util[i].to_bits(), scanned.to_bits(), "dirlink {i}");
+            assert_eq!(snap.util[i].to_bits(), s.dirlink_rate(d).to_bits(), "dirlink {i}");
             assert_eq!(snap.quality[i], DataQuality::Fresh);
+        }
+        // A shard is a sensor: it keeps its latest sample and nothing else.
+        for s in &mut shards {
+            assert!(s.poll().unwrap());
+            assert_eq!(s.history().len(), 1);
         }
         // Host info and time answer like any full-view collector.
         assert!(shards[0].host_info("p0e0h0").is_ok());

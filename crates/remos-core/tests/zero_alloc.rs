@@ -107,17 +107,17 @@ fn steady_state_churn_events_are_allocation_free() {
     assert_ne!(churn.sim.rates_digest(), 0);
 }
 
-/// Sharded poll + dirty-shard merge at steady state: once every shard's
-/// sample history and the federation's merged history are full (so each
-/// poll recycles the snapshot it would evict) and the merge buffers have
-/// reached their terminal shape, a serial-path federation poll — child
-/// reads through the shared `SimCell`, per-child dirty apply into the
-/// persistent merged vectors, snapshot publish — touches the heap zero
-/// times.
+/// Sharded poll + dirty-shard merge at steady state: once the
+/// federation's merged history is full (so each poll recycles the
+/// snapshot it would evict; a shard recycles its single sample from its
+/// second poll on) and the merge buffers have reached their terminal
+/// shape, a federation poll — child reads through the shared `SimCell`,
+/// per-child dirty apply into the persistent merged vectors, snapshot
+/// publish — touches the heap zero times.
 ///
-/// The serial path (`poll_workers: 1`) is measured deliberately: the
-/// concurrent fan-out ships results back through scoped threads and is
-/// allocating by design, like the engine's parallel solver branch.
+/// This is the configuration that is served: plain `shard_fabric` shards
+/// under the default federation config. Only the merged history is
+/// shortened, so the warmup fills it.
 #[test]
 fn steady_state_sharded_merge_is_allocation_free() {
     let tree = FatTree::build(4).expect("fat tree builds");
@@ -136,14 +136,14 @@ fn steady_state_sharded_merge_is_allocation_free() {
     let children: Vec<Box<dyn Collector>> = shard_fabric(&tree, &sim, 3)
         .expect("shard fabric")
         .into_iter()
-        .map(|s| Box::new(s.with_history_len(4)) as Box<dyn Collector>)
+        .map(|s| Box::new(s) as Box<dyn Collector>)
         .collect();
     let mut fed = MultiCollector::with_config(
         children,
-        MultiCollectorConfig { poll_workers: 1, history_len: 4, ..Default::default() },
+        MultiCollectorConfig { history_len: 4, ..Default::default() },
     );
     fed.refresh_topology().expect("discover");
-    // Warmup: advance and poll until every history is full and recycling.
+    // Warmup: advance and poll until the merged history is full and recycling.
     for _ in 0..8 {
         sim.lock().run_for(SimDuration::from_millis(100)).expect("advance sim");
         assert!(fed.poll().expect("warm poll"));

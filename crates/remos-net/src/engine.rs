@@ -78,8 +78,8 @@ pub struct ProcessId(usize);
 /// time it wants to fire (or `None` to finish).
 /// `Send + Sync` because processes live inside the [`Simulator`], which
 /// sits behind a reader-writer cell (shard collectors read settled state
-/// concurrently); `fire` still requires `&mut self` through the write
-/// guard, so `Sync` is only the marker that lets `&Simulator` travel.
+/// through shared guards); `fire` still requires `&mut self` through the
+/// write guard, so `Sync` is only the marker that lets `&Simulator` travel.
 pub trait TrafficProcess: Send + Sync {
     /// React to the scheduled instant `now`, returning the next fire time.
     fn fire(&mut self, now: SimTime, ctx: &mut ProcessCtx<'_>) -> Option<SimTime>;
@@ -865,25 +865,29 @@ impl Simulator {
         self.dirlink_octets(DirLink { link, dir })
     }
 
+    /// Sum of the solved rates of the flows crossing directed interface
+    /// `idx`, read from the membership index the engine maintains on
+    /// every start, retire and re-path: each flow once, in ascending id
+    /// order, from the empty-sum identity `-0.0` — the same terms in the
+    /// same order as a scan of the flow table, hence the same bits.
+    fn link_rate_sum(&self, idx: usize) -> Bps {
+        self.members[idx].iter().map(|&(_, s)| self.slots[s as usize].rate).sum()
+    }
+
     /// Instantaneous aggregate rate over a directed interface, bits/s.
     pub fn dirlink_rate(&mut self, d: DirLink) -> Bps {
         self.recompute_rates_if_dirty();
-        self.order_slots
-            .iter()
-            .map(|&s| &self.slots[s as usize])
-            .filter(|f| f.path.hops.contains(&d))
-            .map(|f| f.rate)
-            .sum()
+        self.link_rate_sum(d.index())
     }
 
     /// Instantaneous aggregate rate of flows with a given tag over a
     /// directed interface (oracle view used by tests and ablations).
     pub fn dirlink_rate_by_tag(&mut self, d: DirLink, tag: FlowTag) -> Bps {
         self.recompute_rates_if_dirty();
-        self.order_slots
+        self.members[d.index()]
             .iter()
-            .map(|&s| &self.slots[s as usize])
-            .filter(|f| f.params.tag == tag && f.path.hops.contains(&d))
+            .map(|&(_, s)| &self.slots[s as usize])
+            .filter(|f| f.params.tag == tag)
             .map(|f| f.rate)
             .sum()
     }
@@ -895,7 +899,7 @@ impl Simulator {
     }
 
     /// Solve any pending rate changes now, so that shared-read consumers
-    /// (shard collectors polling disjoint regions concurrently) can use
+    /// (shard collectors holding only a `SimCell::read` guard) can use
     /// [`Simulator::dirlink_rate_settled`] without exclusive access.
     pub fn settle_rates(&mut self) {
         self.recompute_rates_if_dirty();
@@ -903,45 +907,11 @@ impl Simulator {
 
     /// Instantaneous aggregate rate over a directed interface, bits/s,
     /// without re-solving. Valid only while [`Simulator::rates_settled`]
-    /// holds; the sum visits flows in id order, exactly like
-    /// [`Simulator::dirlink_rate`], so the two read bit-identical values.
+    /// holds; it is the same membership sum [`Simulator::dirlink_rate`]
+    /// returns, so the two read bit-identical values.
     pub fn dirlink_rate_settled(&self, d: DirLink) -> Bps {
         debug_assert!(self.rates_settled(), "dirlink_rate_settled read on unsettled rates");
-        self.order_slots
-            .iter()
-            .map(|&s| &self.slots[s as usize])
-            .filter(|f| f.path.hops.contains(&d))
-            .map(|f| f.rate)
-            .sum()
-    }
-
-    /// Batched [`Simulator::dirlink_rate_settled`]: write the settled
-    /// rate of every directed interface in `region` (sorted ascending
-    /// indices) into the matching slots of `out`, in one pass over the
-    /// flow table — O(flows · hops · log |region|) instead of
-    /// O(|region| · flows · hops). This is the region-scoped read a
-    /// shard collector issues per poll.
-    ///
-    /// Bit-identical to the per-link sums: each slot starts from the
-    /// empty-sum identity (`-0.0`, matching `Iterator::sum`) and flow
-    /// contributions are added in flow-id order — the same order and
-    /// grouping the per-link sum uses, so every partial result rounds
-    /// identically.
-    pub fn dirlink_rates_settled_into(&self, region: &[u32], out: &mut [f64]) {
-        debug_assert!(self.rates_settled(), "dirlink_rates_settled_into on unsettled rates");
-        debug_assert!(region.windows(2).all(|w| w[0] < w[1]), "region must be sorted/deduped");
-        for &i in region {
-            out[i as usize] = -0.0;
-        }
-        for &s in &self.order_slots {
-            let f = &self.slots[s as usize];
-            for h in &f.path.hops {
-                let idx = h.index();
-                if region.binary_search(&(idx as u32)).is_ok() {
-                    out[idx] += f.rate;
-                }
-            }
-        }
+        self.link_rate_sum(d.index())
     }
 
     fn recompute_rates_if_dirty(&mut self) {
@@ -1933,36 +1903,129 @@ mod tests {
         assert_eq!(run(SolverMode::Full), run(SolverMode::Incremental));
     }
 
-    #[test]
-    fn batched_region_rates_match_per_link_sums() {
-        // The batched read must be bit-identical to the per-link settled
-        // sums (and those to the exclusive-access reads) over every
-        // directed interface, with mixed flow kinds sharing links.
-        let (mut sim, h1, h2, h3) = star();
-        sim.start_flow(FlowParams::greedy(h1, h2)).unwrap();
-        sim.start_flow(FlowParams::cbr(h3, h2, mbps(30.0))).unwrap();
-        sim.start_flow(FlowParams::greedy(h2, h1)).unwrap();
-        sim.run_for(SimDuration::from_millis(100)).unwrap();
-        sim.settle_rates();
-        let n = sim.topology().dir_link_count();
-        let region: Vec<u32> = (0..n as u32).collect();
-        let mut batched = vec![1.0f64; n]; // poisoned: every slot must be rewritten
-        sim.dirlink_rates_settled_into(&region, &mut batched);
-        for (i, &b) in batched.iter().enumerate() {
-            let d = DirLink::from_index(i);
-            assert_eq!(b.to_bits(), sim.dirlink_rate_settled(d).to_bits(), "index {i}");
-            assert_eq!(b.to_bits(), sim.dirlink_rate(d).to_bits(), "index {i}");
-        }
-        // A partial region only touches its own slots.
-        let some: Vec<u32> = (0..n as u32).filter(|i| i % 2 == 0).collect();
-        let mut partial = vec![-1.0f64; n];
-        sim.dirlink_rates_settled_into(&some, &mut partial);
-        for i in 0..n {
-            if i % 2 == 0 {
-                assert_eq!(partial[i].to_bits(), batched[i].to_bits(), "index {i}");
-            } else {
-                assert_eq!(partial[i], -1.0, "index {i} written outside region");
+    /// The flow-table scan the membership reads replaced, kept as their
+    /// reference: every active flow in id order, counted once if its path
+    /// crosses `d` (and carries `tag`, when one is given).
+    fn scanned_rate(sim: &Simulator, d: DirLink, tag: Option<FlowTag>) -> Bps {
+        sim.order_slots
+            .iter()
+            .map(|&s| &sim.slots[s as usize])
+            .filter(|f| f.path.hops.contains(&d) && tag.is_none_or(|t| f.params.tag == t))
+            .map(|f| f.rate)
+            .sum()
+    }
+
+    /// Three edge routers (one capped) with two hosts each, dual-homed to
+    /// two cores (one capped): every edge-core link has a detour, so a
+    /// link going down re-paths the flows on it instead of killing them.
+    fn dual_homed() -> (Simulator, Vec<NodeId>) {
+        let mut b = TopologyBuilder::new();
+        let lat = SimDuration::from_micros(10);
+        let cores = [b.network_with_internal_bw("c0", mbps(120.0)), b.network("c1")];
+        let mut hosts = Vec::new();
+        for e in 0..3 {
+            let edge = match e {
+                1 => b.network_with_internal_bw("e1", mbps(150.0)),
+                _ => b.network(&format!("e{e}")),
+            };
+            for (c, &core) in cores.iter().enumerate() {
+                b.link(edge, core, mbps(60.0 + 20.0 * (e + c) as f64), lat).unwrap();
             }
+            for h in 0..2 {
+                let host = b.compute(&format!("e{e}h{h}"));
+                b.link(host, edge, mbps(100.0), lat).unwrap();
+                hosts.push(host);
+            }
+        }
+        (Simulator::new(b.build().unwrap()).unwrap(), hosts)
+    }
+
+    const TAGS: [FlowTag; 3] = [FlowTag::APP, FlowTag::BACKGROUND, FlowTag::PROBE];
+
+    /// Hold every membership read to [`scanned_rate`], bit for bit, on
+    /// every directed interface. Returns how many were idle (`-0.0`).
+    fn assert_reads_match_scan(sim: &mut Simulator, what: &str) -> u64 {
+        let mut idle = 0;
+        for i in 0..sim.topology().dir_link_count() {
+            let d = DirLink::from_index(i);
+            // The `&mut` read goes first: it is the one that settles.
+            let got = sim.dirlink_rate(d).to_bits();
+            let want = scanned_rate(sim, d, None).to_bits();
+            assert_eq!(got, want, "{what} link {i}");
+            assert_eq!(sim.dirlink_rate_settled(d).to_bits(), want, "{what} link {i} settled");
+            for tag in TAGS {
+                let got = sim.dirlink_rate_by_tag(d, tag).to_bits();
+                let want = scanned_rate(sim, d, Some(tag)).to_bits();
+                assert_eq!(got, want, "{what} link {i} {tag:?}");
+            }
+            idle += u64::from(want == (-0.0f64).to_bits());
+        }
+        idle
+    }
+
+    /// Every live flow's id with the hops it currently takes.
+    fn live_paths(sim: &Simulator) -> Vec<(u64, Vec<DirLink>)> {
+        let hops = |&s: &u32| sim.slots[s as usize].path.hops.clone();
+        sim.order_ids.iter().copied().zip(sim.order_slots.iter().map(hops)).collect()
+    }
+
+    #[test]
+    fn membership_reads_match_the_flow_table_scan() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for mode in [SolverMode::Full, SolverMode::Incremental] {
+            let (mut idle_reads, mut repaths, mut completions) = (0u64, 0usize, 0usize);
+            for seed in 0..24u64 {
+                let mut rng = StdRng::seed_from_u64(0x5EED_0017 ^ seed);
+                let (mut sim, hosts) = dual_homed();
+                sim.set_solver_mode(mode);
+                let links: Vec<_> = sim.topology().link_ids().collect();
+                let mut live: Vec<FlowHandle> = Vec::new();
+                for step in 0..60 {
+                    match rng.gen_range(0..10u32) {
+                        0..=4 => {
+                            let src = hosts[rng.gen_range(0..hosts.len())];
+                            let dst = hosts[rng.gen_range(0..hosts.len())];
+                            let p = match rng.gen_range(0..3u32) {
+                                0 => FlowParams::greedy(src, dst),
+                                1 => FlowParams::cbr(src, dst, mbps(rng.gen_range(1.0..90.0))),
+                                _ => FlowParams::bulk(src, dst, rng.gen_range(10_000..4_000_000)),
+                            };
+                            // src == dst and cut-off hosts are rejected.
+                            let tag = TAGS[rng.gen_range(0..TAGS.len())];
+                            live.extend(sim.start_flow(p.with_tag(tag)).ok());
+                        }
+                        5 if !live.is_empty() => {
+                            let h = live.swap_remove(rng.gen_range(0..live.len()));
+                            if sim.flow_is_active(h) {
+                                sim.stop_flow(h).unwrap();
+                            }
+                        }
+                        6 | 7 => {
+                            let l = links[rng.gen_range(0..links.len())];
+                            let before = live_paths(&sim);
+                            sim.set_link_state(l, !sim.link_is_up(l)).unwrap();
+                            // Flows that survived the flip on other hops:
+                            // the membership move is what they exercise.
+                            let after = live_paths(&sim);
+                            let moved = |(id, old): &(u64, Vec<DirLink>)| {
+                                after.iter().any(|(a, new)| a == id && new != old)
+                            };
+                            repaths += before.iter().filter(|f| moved(f)).count();
+                        }
+                        _ => {
+                            let ms = rng.gen_range(1..200u64);
+                            sim.run_for(SimDuration::from_millis(ms)).unwrap();
+                            let done = sim.take_finished();
+                            completions += done.iter().filter(|r| r.completed).count();
+                        }
+                    }
+                    let what = format!("{mode:?} seed {seed} step {step}");
+                    idle_reads += assert_reads_match_scan(&mut sim, &what);
+                }
+            }
+            // The generator reached the cases the claim is about.
+            assert!(idle_reads > 0 && repaths > 0 && completions > 0, "{mode:?}");
         }
     }
 

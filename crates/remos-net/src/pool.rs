@@ -7,8 +7,8 @@
 //! matter how the OS schedules the workers.
 //!
 //! Lives in `remos-net` so the engine (parallel independent
-//! connected-component solves) and `remos-core` (batch query answers,
-//! sharded collector polls) share one implementation.
+//! connected-component solves) and `remos-core` (batch query answers)
+//! share one implementation.
 //!
 //! The `std::thread` use here is sanctioned: this module is the one
 //! scoped exemption from the remos-audit `thread-spawn` rule, because
@@ -81,84 +81,9 @@ where
     out
 }
 
-/// Run `f` over every job *by mutable reference* on `workers` scoped
-/// threads, returning the results in input order. Jobs are dealt out by
-/// striding (worker `w` takes jobs `w`, `w + workers`, …), so the claim
-/// schedule — unlike [`run_indexed`]'s atomic cursor — is deterministic
-/// too, not just the result order. A panic in any job is resumed on the
-/// caller. The federated collector fans its child polls out through
-/// this.
-pub fn run_indexed_mut<J, R, F>(jobs: &mut [J], workers: usize, f: F) -> Vec<R>
-where
-    J: Send,
-    R: Send,
-    F: Fn(usize, &mut J) -> R + Sync,
-{
-    if jobs.is_empty() {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, jobs.len());
-    if workers == 1 {
-        return jobs.iter_mut().enumerate().map(|(i, j)| f(i, j)).collect();
-    }
-    let n = jobs.len();
-    // Strided hand-out: split the slice into per-worker (index, &mut J)
-    // lists up front so no synchronization is needed while running.
-    let mut parts: Vec<Vec<(usize, &mut J)>> =
-        (0..workers).map(|_| Vec::with_capacity(n / workers + 1)).collect();
-    for (i, j) in jobs.iter_mut().enumerate() {
-        parts[i % workers].push((i, j));
-    }
-    let per_worker: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = parts
-            .into_iter()
-            .map(|part| {
-                let f = &f;
-                s.spawn(move || {
-                    part.into_iter().map(|(i, j)| (i, f(i, j))).collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for chunk in per_worker {
-        for (i, r) in chunk {
-            slots[i] = Some(r);
-        }
-    }
-    let out: Vec<R> = slots.into_iter().flatten().collect();
-    debug_assert_eq!(out.len(), n, "worker pool lost a job result");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mut_results_come_back_in_input_order() {
-        let mut jobs: Vec<u64> = (0..101).collect();
-        let got = run_indexed_mut(&mut jobs, 4, |i, j| {
-            *j += 1;
-            *j * 10 + i as u64 % 2
-        });
-        for (i, &j) in jobs.iter().enumerate() {
-            assert_eq!(j, i as u64 + 1, "job {i} mutated in place");
-        }
-        let want: Vec<u64> = (0..101u64).map(|i| (i + 1) * 10 + i % 2).collect();
-        assert_eq!(got, want);
-        let mut empty: Vec<u64> = Vec::new();
-        assert!(run_indexed_mut(&mut empty, 8, |_, j| *j).is_empty());
-        let single = run_indexed_mut(&mut jobs[..3], 1, |_, j| *j);
-        assert_eq!(single, vec![1, 2, 3]);
-    }
 
     #[test]
     fn results_come_back_in_input_order() {

@@ -21,8 +21,8 @@ use std::sync::Arc;
 /// Reader-writer cell around the simulator. [`SimCell::lock`] keeps the
 /// historical exclusive-access spelling every call site uses; the
 /// [`SimCell::read`] path lets shard collectors sample *settled* rates
-/// concurrently (`Simulator::dirlink_rate_settled`) without serializing
-/// on a single mutex.
+/// (`Simulator::dirlink_rate_settled`) through a shared guard, without
+/// queueing behind other readers for the exclusive lock.
 pub struct SimCell(RwLock<Simulator>);
 
 impl SimCell {

@@ -92,14 +92,20 @@ fn fabric_sim(k: usize, mode: SolverMode) -> (FatTree, SharedSim) {
     (tree, share(sim))
 }
 
+/// The seeded draw both flow generators below share: the next value of
+/// a 64-bit LCG, reduced below `bound`.
+fn lcg(seed: u64) -> impl FnMut(u64) -> u64 {
+    let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
+    move |bound| {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 33) % bound
+    }
+}
+
 /// Cross-pod traffic: a mix of greedy and fixed-rate flows derived from
 /// the seed, so utilization differs per link and per run.
 fn seed_flows(tree: &FatTree, sim: &SharedSim, seed: u64, n: usize) -> Vec<remos::net::FlowHandle> {
-    let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
-    let mut next = move |bound: u64| {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        (state >> 33) % bound
-    };
+    let mut next = lcg(seed);
     let pods = tree.pods() as u64;
     let per_pod = (tree.topology().compute_nodes().len() / tree.pods()) as u64;
     let mut handles = Vec::new();
@@ -119,6 +125,58 @@ fn seed_flows(tree: &FatTree, sim: &SharedSim, seed: u64, n: usize) -> Vec<remos
         handles.push(s.start_flow(params).unwrap());
     }
     handles
+}
+
+/// The persistent cross-section the retired sharded-poll benchmark
+/// seeded, draw for draw (its quick-scale graph digest is pinned below):
+/// `locality_pct`% of flows stay inside their pod, the rest cross the
+/// spine; a mix of greedy and fixed-rate.
+fn seed_local_flows(tree: &FatTree, sim: &SharedSim, seed: u64, n: usize, locality_pct: u64) {
+    let mut next = lcg(seed);
+    let pods = tree.pods() as u64;
+    let per_pod = (tree.topology().compute_nodes().len() / tree.pods()) as u64;
+    let mut s = sim.lock();
+    for _ in 0..n {
+        let (sp, si) = (next(pods) as usize, next(per_pod) as usize);
+        let mut di = next(per_pod) as usize;
+        let dp = if next(100) < locality_pct {
+            sp
+        } else {
+            (sp + 1 + next(pods - 1) as usize) % tree.pods()
+        };
+        if dp == sp && di == si {
+            di = (di + 1) % per_pod as usize;
+        }
+        let (src, dst) = (tree.host(sp, si), tree.host(dp, di));
+        let params = if next(2) == 0 {
+            FlowParams::greedy(src, dst)
+        } else {
+            FlowParams::cbr(src, dst, mbps(5.0 + next(45) as f64))
+        };
+        s.start_flow(params).unwrap();
+    }
+}
+
+/// A monolithic oracle and a default-configured 8-way (7 pod groups +
+/// spine) shard federation over the same simulator.
+fn mono_and_sharded(tree: &FatTree, sim: &SharedSim) -> (OracleCollector, MultiCollector) {
+    let children: Vec<Box<dyn Collector>> = shard_fabric(tree, sim, 7)
+        .unwrap()
+        .into_iter()
+        .map(|s| Box::new(s) as Box<dyn Collector>)
+        .collect();
+    assert_eq!(children.len(), 8, "7 pod groups + spine");
+    let mut fed = MultiCollector::new(children);
+    fed.refresh_topology().unwrap();
+    (OracleCollector::new(Arc::clone(sim)), fed)
+}
+
+/// Two hosts of every pod, by name: the target set of the graph queries.
+fn two_hosts_per_pod(tree: &FatTree) -> Vec<String> {
+    (0..tree.pods())
+        .flat_map(|p| (0..2).map(move |i| (p, i)))
+        .map(|(p, i)| tree.topology().node(tree.host(p, i)).name.clone())
+        .collect()
 }
 
 fn snapshots_bit_identical(a: &Snapshot, b: &Snapshot, what: &str) {
@@ -142,15 +200,7 @@ fn sharded_view_is_bit_identical_to_monolithic() {
         seed_flows(&tree, &sim, 0xC0FFEE, 24);
         sim.lock().run_for(SimDuration::from_millis(500)).unwrap();
 
-        let mut mono = OracleCollector::new(Arc::clone(&sim));
-        let children: Vec<Box<dyn Collector>> = shard_fabric(&tree, &sim, 7)
-            .unwrap()
-            .into_iter()
-            .map(|s| Box::new(s) as Box<dyn Collector>)
-            .collect();
-        assert_eq!(children.len(), 8, "7 pod groups + spine");
-        let mut fed = MultiCollector::new(children);
-        fed.refresh_topology().unwrap();
+        let (mut mono, mut fed) = mono_and_sharded(&tree, &sim);
 
         // The merged topology IS the fabric's (same allocation), so node
         // ids, routing, and digests cannot drift.
@@ -169,10 +219,7 @@ fn sharded_view_is_bit_identical_to_monolithic() {
         assert!(fs.quality.iter().all(|q| q.is_fresh()));
 
         // Graph digest and flow grants through the modeler agree.
-        let names: Vec<String> = (0..tree.pods())
-            .flat_map(|p| (0..2).map(move |i| (p, i)))
-            .map(|(p, i)| tree.topology().node(tree.host(p, i)).name.clone())
-            .collect();
+        let names = two_hosts_per_pod(&tree);
         let modeler = Modeler::default();
         let gm = modeler.get_graph(&mono, &names, Timeframe::Current).unwrap();
         let gf = modeler.get_graph(&fed, &names, Timeframe::Current).unwrap();
@@ -187,6 +234,39 @@ fn sharded_view_is_bit_identical_to_monolithic() {
             assert_eq!(a.bandwidth, b.bandwidth, "{mode:?}: grant bandwidth");
             assert_eq!(a.fully_satisfied, b.fully_satisfied);
             assert_eq!(a.estimate_quality, b.estimate_quality);
+        }
+    }
+}
+
+/// `RemosGraph::digest` of the quick-scale scenario the retired
+/// sharded-poll benchmark pinned (k=8, 256 flows seeded from
+/// `0x5AAD_5EED`, 80% intra-pod). Machine-independent: any change to how
+/// rates are read, merged or annotated that moves a bit moves this.
+const QUICK_GOLDEN_GRAPH_DIGEST: u64 = 0x9c50_b06c_3cf1_7ebb;
+
+/// The same equivalence at a scale where links carry many flows, against
+/// a recorded value rather than only against each other: monolithic and
+/// sharded, in both solver modes, all answer the golden digest.
+#[test]
+fn quick_scale_graph_digest_matches_the_golden() {
+    for mode in [SolverMode::Full, SolverMode::Incremental] {
+        let (tree, sim) = fabric_sim(8, mode);
+        seed_local_flows(&tree, &sim, 0x5AAD_5EED, 256, 80);
+        sim.lock().run_for(SimDuration::from_millis(500)).unwrap();
+        let (mut mono, mut fed) = mono_and_sharded(&tree, &sim);
+        assert!(mono.poll().unwrap());
+        assert!(fed.poll().unwrap());
+        let what = format!("{mode:?}");
+        snapshots_bit_identical(
+            mono.history().latest().unwrap(),
+            fed.history().latest().unwrap(),
+            &what,
+        );
+        let names = two_hosts_per_pod(&tree);
+        let modeler = Modeler::default();
+        for col in [&mono as &dyn Collector, &fed] {
+            let g = modeler.get_graph(col, &names, Timeframe::Current).unwrap();
+            assert_eq!(g.digest(), QUICK_GOLDEN_GRAPH_DIGEST, "{what}: {}", col.describe());
         }
     }
 }
@@ -214,7 +294,6 @@ fn flaky_federation(
         children,
         MultiCollectorConfig {
             missing_after: SimDuration::from_secs(4),
-            poll_workers: 1,
             force_full_merge,
             ..Default::default()
         },
