@@ -14,6 +14,7 @@
 
 use remos_bench::churn::ChurnBench;
 use remos_net::SolverMode;
+use remos_obs::json::Value;
 use std::time::Instant;
 
 struct Config {
@@ -114,31 +115,31 @@ fn main() {
     println!("  speedup (median ns/event, full / incremental): {speedup:.2}x");
 
     let mode_json = |s: &ModeStats| {
-        serde_json::json!({
-            "events": s.events,
-            "live_flows": s.live_flows,
-            "wall_ns": s.wall_ns,
-            "median_ns_per_event": s.median_ns_per_event,
-            "p90_ns_per_event": s.p90_ns_per_event,
-            "events_per_sec": s.events_per_sec,
-            "full_recomputes": s.full_recomputes,
-            "scoped_recomputes": s.scoped_recomputes,
-        })
+        Value::object([
+            ("events", Value::from(s.events)),
+            ("live_flows", Value::from(s.live_flows)),
+            ("wall_ns", Value::from(s.wall_ns)),
+            ("median_ns_per_event", Value::from(s.median_ns_per_event)),
+            ("p90_ns_per_event", Value::from(s.p90_ns_per_event)),
+            ("events_per_sec", Value::from(s.events_per_sec)),
+            ("full_recomputes", Value::from(s.full_recomputes)),
+            ("scoped_recomputes", Value::from(s.scoped_recomputes)),
+        ])
     };
-    let doc = serde_json::json!({
-        "benchmark": "engine_churn",
-        "quick": quick,
-        "scenario": {
-            "pods": cfg.pods,
-            "hosts_per_pod": cfg.hosts_per_pod,
-            "flows_per_pod": cfg.flows_per_pod,
-            "concurrent_flows": flows,
-            "events": cfg.events,
-        },
-        "modes": { "full": mode_json(&full), "incremental": mode_json(&inc) },
-        "speedup_median": speedup,
-        "digests_match": true,
-    });
+    let doc = Value::object([
+        ("benchmark", Value::from("engine_churn")),
+        ("quick", Value::from(quick)),
+        ("scenario", Value::object([
+            ("pods", Value::from(cfg.pods)),
+            ("hosts_per_pod", Value::from(cfg.hosts_per_pod)),
+            ("flows_per_pod", Value::from(cfg.flows_per_pod)),
+            ("concurrent_flows", Value::from(flows)),
+            ("events", Value::from(cfg.events)),
+        ])),
+        ("modes", Value::object([("full", mode_json(&full)), ("incremental", mode_json(&inc))])),
+        ("speedup_median", Value::from(speedup)),
+        ("digests_match", Value::from(true)),
+    ]);
     std::fs::write(out, format!("{:#}\n", doc)).expect("write BENCH_engine.json");
     println!("wrote {out}");
 

@@ -27,6 +27,7 @@ use remos_core::collector::Collector;
 use remos_core::modeler::{Modeler, ModelerConfig, QueryWorkspace};
 use remos_core::prelude::*;
 use remos_net::{FabricChurn, FatTree, SimDuration, Simulator, SolverMode};
+use remos_obs::json::Value;
 use remos_snmp::sim::{share, SharedSim};
 use std::sync::Arc;
 use std::time::Instant;
@@ -258,49 +259,49 @@ fn main() {
     println!("  speedup vs pre-rewrite (median ns/query): {query_speedup:.2}x");
 
     let mode_json = |s: &ModeStats| {
-        serde_json::json!({
-            "events": s.events,
-            "live_flows": s.live_flows,
-            "wall_ns": s.wall_ns,
-            "median_ns_per_event": s.median_ns_per_event,
-            "p90_ns_per_event": s.p90_ns_per_event,
-            "events_per_sec": s.events_per_sec,
-            "full_recomputes": s.full_recomputes,
-            "scoped_recomputes": s.scoped_recomputes,
-            "rates_digest": s.rates_digest,
-            "event_digest": s.event_digest,
-        })
+        Value::object([
+            ("events", Value::from(s.events)),
+            ("live_flows", Value::from(s.live_flows)),
+            ("wall_ns", Value::from(s.wall_ns)),
+            ("median_ns_per_event", Value::from(s.median_ns_per_event)),
+            ("p90_ns_per_event", Value::from(s.p90_ns_per_event)),
+            ("events_per_sec", Value::from(s.events_per_sec)),
+            ("full_recomputes", Value::from(s.full_recomputes)),
+            ("scoped_recomputes", Value::from(s.scoped_recomputes)),
+            ("rates_digest", Value::from(s.rates_digest)),
+            ("event_digest", Value::from(s.event_digest)),
+        ])
     };
-    let doc = serde_json::json!({
-        "benchmark": "fabric_churn",
-        "quick": quick,
-        "scenario": {
-            "k": cfg.k,
-            "nodes": nodes,
-            "flows": cfg.flows,
-            "seed": cfg.seed,
-            "locality_pct": cfg.locality_pct,
-            "events": cfg.events,
-        },
-        "modes": { "full": mode_json(&full), "incremental": mode_json(&inc) },
-        "warm_query": {
-            "targets": queries.targets,
-            "repeats": queries.repeats,
-            "median_ns": queries.median_ns,
-            "p90_ns": queries.p90_ns,
-            "digest": fold_digests(&[queries.digest]),
-        },
-        "baseline": {
-            "pre_rewrite_median_ns_per_event": PRE_REWRITE_MEDIAN_NS_PER_EVENT,
-            "pre_rewrite_median_ns_per_query": PRE_REWRITE_MEDIAN_NS_PER_QUERY,
-            "commit": "89f5e74",
-        },
-        "budget_ns_per_event": BUDGET_NS_PER_EVENT,
-        "budget_ns_per_query": BUDGET_NS_PER_QUERY,
-        "speedup_vs_prerewrite": speedup,
-        "query_speedup_vs_prerewrite": query_speedup,
-        "digests_match": true,
-    });
+    let doc = Value::object([
+        ("benchmark", Value::from("fabric_churn")),
+        ("quick", Value::from(quick)),
+        ("scenario", Value::object([
+            ("k", Value::from(cfg.k)),
+            ("nodes", Value::from(nodes)),
+            ("flows", Value::from(cfg.flows)),
+            ("seed", Value::from(cfg.seed)),
+            ("locality_pct", Value::from(cfg.locality_pct)),
+            ("events", Value::from(cfg.events)),
+        ])),
+        ("modes", Value::object([("full", mode_json(&full)), ("incremental", mode_json(&inc))])),
+        ("warm_query", Value::object([
+            ("targets", Value::from(queries.targets)),
+            ("repeats", Value::from(queries.repeats)),
+            ("median_ns", Value::from(queries.median_ns)),
+            ("p90_ns", Value::from(queries.p90_ns)),
+            ("digest", Value::from(fold_digests(&[queries.digest]))),
+        ])),
+        ("baseline", Value::object([
+            ("pre_rewrite_median_ns_per_event", Value::from(PRE_REWRITE_MEDIAN_NS_PER_EVENT)),
+            ("pre_rewrite_median_ns_per_query", Value::from(PRE_REWRITE_MEDIAN_NS_PER_QUERY)),
+            ("commit", Value::from("89f5e74")),
+        ])),
+        ("budget_ns_per_event", Value::from(BUDGET_NS_PER_EVENT)),
+        ("budget_ns_per_query", Value::from(BUDGET_NS_PER_QUERY)),
+        ("speedup_vs_prerewrite", Value::from(speedup)),
+        ("query_speedup_vs_prerewrite", Value::from(query_speedup)),
+        ("digests_match", Value::from(true)),
+    ]);
     std::fs::write(out, format!("{:#}\n", doc)).expect("write BENCH_fabric.json");
     println!("wrote {out}");
 

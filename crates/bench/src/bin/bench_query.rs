@@ -27,6 +27,7 @@ use remos_core::modeler::{Modeler, ModelerConfig};
 use remos_core::prelude::*;
 use remos_core::{Remos, RemosConfig};
 use remos_net::{SimDuration, Simulator};
+use remos_obs::json::Value;
 use remos_snmp::sim::{share, SharedSim};
 use std::sync::Arc;
 use std::time::Instant;
@@ -254,38 +255,38 @@ fn main() {
     println!("  batch speedup (sequential / batched median): {batch_speedup:.2}x");
 
     let mode_json = |s: &ModeStats| {
-        serde_json::json!({
-            "iterations": s.iterations,
-            "wall_ns": s.wall_ns,
-            "median_ns": s.median_ns,
-            "p90_ns": s.p90_ns,
-        })
+        Value::object([
+            ("iterations", Value::from(s.iterations)),
+            ("wall_ns", Value::from(s.wall_ns)),
+            ("median_ns", Value::from(s.median_ns)),
+            ("p90_ns", Value::from(s.p90_ns)),
+        ])
     };
-    let doc = serde_json::json!({
-        "benchmark": "query_path",
-        "quick": quick,
-        "scenario": {
-            "pods": cfg.pods,
-            "hosts_per_pod": cfg.hosts_per_pod,
-            "targets": cfg.pods * cfg.hosts_per_pod,
-            "repeats": cfg.repeats,
-            "batch_rounds": cfg.rounds,
-            "batch_size": cfg.batch,
-            "window_secs": 2,
-            "prime_polls": PRIME_POLLS,
-        },
-        "repeated_query": {
-            "cold": mode_json(&cold),
-            "warm": mode_json(&warm),
-            "speedup_median": warm_speedup,
-        },
-        "batch64": {
-            "sequential": mode_json(&sequential),
-            "batched": mode_json(&batched),
-            "speedup_median": batch_speedup,
-        },
-        "digests_match": true,
-    });
+    let doc = Value::object([
+        ("benchmark", Value::from("query_path")),
+        ("quick", Value::from(quick)),
+        ("scenario", Value::object([
+            ("pods", Value::from(cfg.pods)),
+            ("hosts_per_pod", Value::from(cfg.hosts_per_pod)),
+            ("targets", Value::from(cfg.pods * cfg.hosts_per_pod)),
+            ("repeats", Value::from(cfg.repeats)),
+            ("batch_rounds", Value::from(cfg.rounds)),
+            ("batch_size", Value::from(cfg.batch)),
+            ("window_secs", Value::from(2u32)),
+            ("prime_polls", Value::from(PRIME_POLLS)),
+        ])),
+        ("repeated_query", Value::object([
+            ("cold", mode_json(&cold)),
+            ("warm", mode_json(&warm)),
+            ("speedup_median", Value::from(warm_speedup)),
+        ])),
+        ("batch64", Value::object([
+            ("sequential", mode_json(&sequential)),
+            ("batched", mode_json(&batched)),
+            ("speedup_median", Value::from(batch_speedup)),
+        ])),
+        ("digests_match", Value::from(true)),
+    ]);
     std::fs::write(out, format!("{:#}\n", doc)).expect("write BENCH_query.json");
     println!("wrote {out}");
 

@@ -24,6 +24,7 @@ use remos_core::collector::snmp::{SnmpCollector, SnmpCollectorConfig};
 use remos_core::collector::SimClock;
 use remos_core::{Query, Remos, RemosConfig, RemosError};
 use remos_net::{SimDuration, Simulator};
+use remos_obs::json::Value;
 use remos_serve::{
     BreakerCollector, BreakerConfig, CircuitBreaker, Rung, ServeRequest, Server, ServerConfig,
 };
@@ -249,42 +250,42 @@ fn main() {
     println!("  goodput vs 1x: 4x overload {:.2}, chaos {:.2}", x4_ratio, chaos_ratio);
 
     let load_json = |s: &LoadStats, rounds: usize| {
-        serde_json::json!({
-            "offered": s.offered,
-            "admitted": s.admitted,
-            "answered": s.answered,
-            "shed_admission": s.shed_admission,
-            "deadline_shed": s.deadline_shed,
-            "rejected": s.rejected,
-            "shed_rate": s.shed_rate(),
-            "goodput_per_round": s.goodput_per_round(rounds),
-            "latency_p50_us": s.quantile_us(0.5),
-            "latency_p99_us": s.quantile_us(0.99),
-            "max_queue_depth": s.max_depth,
-        })
+        Value::object([
+            ("offered", Value::from(s.offered)),
+            ("admitted", Value::from(s.admitted)),
+            ("answered", Value::from(s.answered)),
+            ("shed_admission", Value::from(s.shed_admission)),
+            ("deadline_shed", Value::from(s.deadline_shed)),
+            ("rejected", Value::from(s.rejected)),
+            ("shed_rate", Value::from(s.shed_rate())),
+            ("goodput_per_round", Value::from(s.goodput_per_round(rounds))),
+            ("latency_p50_us", Value::from(s.quantile_us(0.5))),
+            ("latency_p99_us", Value::from(s.quantile_us(0.99))),
+            ("max_queue_depth", Value::from(s.max_depth)),
+        ])
     };
-    let doc = serde_json::json!({
-        "benchmark": "serve_front_end",
-        "quick": quick,
-        "scenario": {
-            "pods": cfg.pods,
-            "hosts_per_pod": cfg.hosts_per_pod,
-            "rounds": cfg.rounds,
-            "capacity_per_round": cfg.base,
-            "tenants": cfg.tenants,
-            "queue_depth": QUEUE_DEPTH,
-            "allowance_secs": 2,
-            "gap_ms": 250,
-        },
-        "load_1x": load_json(&x1, cfg.rounds),
-        "load_2x": load_json(&x2, cfg.rounds),
-        "load_4x": load_json(&x4, cfg.rounds),
-        "chaos": load_json(&chaos, cfg.rounds),
-        "goodput_ratio_4x": x4_ratio,
-        "goodput_ratio_chaos": chaos_ratio,
-        "decision_digest_4x": format!("{:016x}", x4.digest),
-        "digests_match": true,
-    });
+    let doc = Value::object([
+        ("benchmark", Value::from("serve_front_end")),
+        ("quick", Value::from(quick)),
+        ("scenario", Value::object([
+            ("pods", Value::from(cfg.pods)),
+            ("hosts_per_pod", Value::from(cfg.hosts_per_pod)),
+            ("rounds", Value::from(cfg.rounds)),
+            ("capacity_per_round", Value::from(cfg.base)),
+            ("tenants", Value::from(cfg.tenants)),
+            ("queue_depth", Value::from(QUEUE_DEPTH)),
+            ("allowance_secs", Value::from(2u32)),
+            ("gap_ms", Value::from(250u32)),
+        ])),
+        ("load_1x", load_json(&x1, cfg.rounds)),
+        ("load_2x", load_json(&x2, cfg.rounds)),
+        ("load_4x", load_json(&x4, cfg.rounds)),
+        ("chaos", load_json(&chaos, cfg.rounds)),
+        ("goodput_ratio_4x", Value::from(x4_ratio)),
+        ("goodput_ratio_chaos", Value::from(chaos_ratio)),
+        ("decision_digest_4x", Value::from(format!("{:016x}", x4.digest))),
+        ("digests_match", Value::from(true)),
+    ]);
     std::fs::write(out, format!("{:#}\n", doc)).expect("write BENCH_serve.json");
     println!("wrote {out}");
 

@@ -7,7 +7,7 @@
 //! lognormal inter-arrivals calibrated to a target access-link load,
 //! skewed ToR-to-ToR spatial matrix) over a k=16 fat-tree (1024 hosts,
 //! 320 switches). The same flow set is estimated four ways — the
-//! [`WhatIfEngine`] kernel and a ground-truth [`Simulator`] replay, each
+//! [`WhatIfEngine`] kernel and a ground-truth [`remos_net::Simulator`] replay, each
 //! in both [`SolverMode`]s — and all four FCT digests must agree
 //! bit-for-bit, plus match the golden digests pinned below. That is the
 //! machine-independent proof that the fluid kernel is exactly as right
@@ -25,6 +25,7 @@
 use remos_net::fabric::{synth_fabric_workload, FatTree, FlowSizeEcdf, WorkloadSpec};
 use remos_net::whatif::{replay_ground_truth, WhatIfEngine, WhatIfFlow, WhatIfReport};
 use remos_net::SolverMode;
+use remos_obs::json::Value;
 use std::time::Instant;
 
 struct Config {
@@ -183,47 +184,47 @@ fn main() {
     println!("  speedup vs ground-truth replay (flows/s): {speedup:.1}x full, {speedup_vs_inc:.1}x incremental");
 
     let kernel_json = |s: &KernelStats| {
-        serde_json::json!({
-            "wall_ns_per_batch": s.wall_ns,
-            "flows_per_sec": s.flows_per_sec,
-            "replay_steps": s.replay_steps,
-            "solves": s.solves,
-            "fct_digest": format!("{:#018x}", s.fct_digest),
-        })
+        Value::object([
+            ("wall_ns_per_batch", Value::from(s.wall_ns)),
+            ("flows_per_sec", Value::from(s.flows_per_sec)),
+            ("replay_steps", Value::from(s.replay_steps)),
+            ("solves", Value::from(s.solves)),
+            ("fct_digest", Value::from(format!("{:#018x}", s.fct_digest))),
+        ])
     };
     let truth_json = |s: &TruthStats| {
-        serde_json::json!({
-            "wall_ns_per_batch": s.wall_ns,
-            "flows_per_sec": s.flows_per_sec,
-            "fct_digest": format!("{:#018x}", s.fct_digest),
-        })
+        Value::object([
+            ("wall_ns_per_batch", Value::from(s.wall_ns)),
+            ("flows_per_sec", Value::from(s.flows_per_sec)),
+            ("fct_digest", Value::from(format!("{:#018x}", s.fct_digest))),
+        ])
     };
-    let doc = serde_json::json!({
-        "benchmark": "whatif_fct",
-        "quick": quick,
-        "scenario": {
-            "k": cfg.k,
-            "nodes": nodes,
-            "flows": flows.len(),
-            "seed": cfg.seed,
-            "target_load": cfg.target_load,
-            "ecdf": "web_search",
-            "kernel_repeats": cfg.kernel_repeats,
-        },
-        "kernel": {
-            "incremental": kernel_json(&kern_inc),
-            "full": kernel_json(&kern_full),
-        },
-        "ground_truth": {
-            "incremental": truth_json(&truth_inc),
-            "full": truth_json(&truth_full),
-        },
-        "speedup_vs_ground_truth": speedup,
-        "speedup_vs_incremental_ground_truth": speedup_vs_inc,
-        "speedup_bar": SPEEDUP_BAR,
-        "golden_fct_digest": format!("{golden:#018x}"),
-        "digests_match": true,
-    });
+    let doc = Value::object([
+        ("benchmark", Value::from("whatif_fct")),
+        ("quick", Value::from(quick)),
+        ("scenario", Value::object([
+            ("k", Value::from(cfg.k)),
+            ("nodes", Value::from(nodes)),
+            ("flows", Value::from(flows.len())),
+            ("seed", Value::from(cfg.seed)),
+            ("target_load", Value::from(cfg.target_load)),
+            ("ecdf", Value::from("web_search")),
+            ("kernel_repeats", Value::from(cfg.kernel_repeats)),
+        ])),
+        ("kernel", Value::object([
+            ("incremental", kernel_json(&kern_inc)),
+            ("full", kernel_json(&kern_full)),
+        ])),
+        ("ground_truth", Value::object([
+            ("incremental", truth_json(&truth_inc)),
+            ("full", truth_json(&truth_full)),
+        ])),
+        ("speedup_vs_ground_truth", Value::from(speedup)),
+        ("speedup_vs_incremental_ground_truth", Value::from(speedup_vs_inc)),
+        ("speedup_bar", Value::from(SPEEDUP_BAR)),
+        ("golden_fct_digest", Value::from(format!("{golden:#018x}"))),
+        ("digests_match", Value::from(true)),
+    ]);
     std::fs::write(out, format!("{:#}\n", doc)).expect("write BENCH_whatif.json");
     println!("wrote {out}");
 

@@ -8,9 +8,8 @@
 //! still re-solve every flow on every event, which is exactly the
 //! before/after contrast `BENCH_engine.json` records.
 //!
-//! Used by both the `bench_engine` binary (wall-clock measurement lives
-//! there; library code is lint-banned from `std::time`) and the criterion
-//! `engine` bench.
+//! Used by the `bench_engine` binary (wall-clock measurement lives
+//! there; library code is lint-banned from `std::time`).
 
 use remos_net::flow::FlowParams;
 use remos_net::{gbps, mbps, FlowHandle, SimDuration, Simulator, SolverMode, Topology,

@@ -8,7 +8,6 @@ use remos_apps::synthetic::{install_scenario, TrafficScenario};
 use remos_apps::testbed::TESTBED_HOSTS;
 use remos_fx::Program;
 use remos_net::SimDuration;
-use serde::Serialize;
 
 /// The six program/size rows shared by Tables 1 and 2.
 pub struct ProgramRow {
@@ -85,7 +84,7 @@ pub fn program_rows() -> Vec<ProgramRow> {
 }
 
 /// One measured Table 1 row.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct Table1Result {
     /// Row label.
     pub label: String,
@@ -150,7 +149,7 @@ pub fn run_table1() -> Vec<Table1Result> {
 }
 
 /// One measured Table 2 row.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct Table2Result {
     /// Row label.
     pub label: String,
@@ -191,7 +190,7 @@ pub fn run_table2() -> Vec<Table2Result> {
 }
 
 /// One measured Table 3 cell.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct Table3Cell {
     /// Scenario label.
     pub scenario: &'static str,

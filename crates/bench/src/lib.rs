@@ -11,10 +11,10 @@ pub mod experiments;
 
 use remos_apps::TestbedHarness;
 use remos_fx::runtime::ExecutionReport;
-use serde::Serialize;
+use remos_obs::json::Value;
 
 /// One experiment cell in machine-readable form.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct Cell {
     /// Experiment id (e.g. "table1").
     pub experiment: &'static str,
@@ -58,7 +58,15 @@ pub fn json_mode() -> bool {
 /// Emit a cell as a JSON line if in JSON mode.
 pub fn emit(cell: &Cell) {
     if json_mode() {
-        println!("{}", serde_json::to_string(cell).expect("cell serializes"));
+        let doc = Value::object([
+            ("experiment", cell.experiment.into()),
+            ("row", cell.row.as_str().into()),
+            ("column", cell.column.as_str().into()),
+            ("nodes", cell.nodes.iter().map(String::as_str).collect()),
+            ("seconds", cell.seconds.into()),
+            ("migrations", cell.migrations.into()),
+        ]);
+        println!("{doc}");
     }
 }
 

@@ -29,7 +29,7 @@ pub(crate) fn load_scenario(p: &Parsed) -> Result<Scenario, String> {
         path => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read scenario {path:?}: {e}"))?;
-            serde_json::from_str(&text).map_err(|e| format!("bad scenario {path:?}: {e}"))
+            Scenario::from_json(&text).map_err(|e| format!("bad scenario {path:?}: {e}"))
         }
     }
 }
@@ -108,8 +108,7 @@ pub fn graph(p: &Parsed, out: &mut dyn Write) -> CmdResult {
         return Ok(());
     }
     if p.flag("--json") {
-        let json = serde_json::to_string_pretty(&g).map_err(|e| e.to_string())?;
-        writeln!(out, "{json}").map_err(io_err)?;
+        writeln!(out, "{:#}", g.to_json()).map_err(io_err)?;
         return Ok(());
     }
     writeln!(out, "logical topology ({} nodes, {} links):", g.nodes.len(), g.links.len())
@@ -392,7 +391,8 @@ pub fn whatif(p: &Parsed, out: &mut dyn Write) -> CmdResult {
         (Some(path), None) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read flows {path:?}: {e}"))?;
-            serde_json::from_str(&text).map_err(|e| format!("bad flow file {path:?}: {e}"))?
+            HypotheticalFlow::list_from_json(&text)
+                .map_err(|e| format!("bad flow file {path:?}: {e}"))?
         }
         (None, Some(spec)) => {
             let (seed, n, load) = parse_synth(spec)?;
@@ -439,8 +439,7 @@ pub fn whatif(p: &Parsed, out: &mut dyn Write) -> CmdResult {
         .map_err(|e| e.to_string())?;
 
     if p.flag("--json") {
-        let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-        writeln!(out, "{json}").map_err(io_err)?;
+        writeln!(out, "{:#}", report.to_json()).map_err(io_err)?;
         return Ok(());
     }
     writeln!(
@@ -697,7 +696,6 @@ pub fn example(out: &mut dyn Write) -> CmdResult {
             restore_s: Some(260.0),
         },
     ]);
-    let json = serde_json::to_string_pretty(&sc).map_err(|e| e.to_string())?;
-    writeln!(out, "{json}").map_err(io_err)?;
+    writeln!(out, "{:#}", sc.to_json()).map_err(io_err)?;
     Ok(())
 }

@@ -104,6 +104,8 @@ COMMAND OPTIONS:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use remos_apps::scenario::Scenario;
+    use remos_obs::json::Value;
 
     fn call(args: &[&str]) -> Result<String, String> {
         let argv: Vec<String> = args.iter().map(|s| s.to_string()).collect();
@@ -158,7 +160,7 @@ mod tests {
             "graph", "--scenario", "cmu", "--nodes", "m-1,m-2", "--json",
         ])
         .unwrap();
-        let v: serde_json::Value = serde_json::from_str(&out).expect("valid json");
+        let v = Value::parse(&out).expect("valid json");
         assert!(v.get("nodes").is_some());
         assert!(v.get("links").is_some());
     }
@@ -284,6 +286,77 @@ mod tests {
         assert!(call(&["whatif", "--scenario", "cmu", "--synth", "1,0,0.5"]).is_err());
         assert!(call(&["whatif", "--scenario", "cmu", "--synth", "1,2,-1"]).is_err());
         assert!(call(&["whatif", "--scenario", "cmu", "--synth", "a,b,c"]).is_err());
+    }
+
+    #[test]
+    fn whatif_flow_file_json_end_to_end() {
+        // One flow with an explicit arrival (in ns), one without.
+        let path = std::env::temp_dir().join("remos_cli_test_flows.json");
+        std::fs::write(
+            &path,
+            r#"[{"src": "m-1", "dst": "m-8", "size_bytes": 2500000, "arrival": 1500000},
+                {"src": "m-4", "dst": "m-2", "size_bytes": 40000}]"#,
+        )
+        .unwrap();
+        let args = ["whatif", "--scenario", "cmu", "--flows", path.to_str().unwrap()];
+        let text = call(&args).unwrap();
+        let json = call(&[&args[..], &["--json"]].concat()).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert!(text.contains("what-if: 2 flow(s), 2 completed"), "{text}");
+
+        // The JSON report carries the text run's digest exactly (a u64
+        // does not fit a double) and echoes every input flow in order.
+        let report = Value::parse(&json).expect("valid json");
+        let digest = report.field("fct_digest", Value::as_u64).unwrap();
+        assert!(text.contains(&format!("fct digest: {digest:016x}")), "{digest:016x} vs {text}");
+        let flows = report.field("flows", |f| f.list(Ok)).unwrap();
+        let echoed: Vec<(&str, &str, u64, u64)> = flows
+            .iter()
+            .map(|f| {
+                (
+                    f.field("src", Value::as_str).unwrap(),
+                    f.field("dst", Value::as_str).unwrap(),
+                    f.field("size_bytes", Value::as_u64).unwrap(),
+                    f.field("started", Value::as_u64).unwrap(),
+                )
+            })
+            .collect();
+        assert_eq!(echoed, [("m-1", "m-8", 2_500_000, 1_500_000), ("m-4", "m-2", 40_000, 0)]);
+        assert!(flows.iter().all(|f| f.get("completed") == Some(&Value::Bool(true))));
+        assert_eq!(
+            report.field("provenance", |p| p.field("timeframe", Value::as_str)).unwrap(),
+            "Current"
+        );
+    }
+
+    #[test]
+    fn bad_input_files_name_the_field() {
+        let write = |name: &str, text: &str| {
+            let path = std::env::temp_dir().join(name);
+            std::fs::write(&path, text).unwrap();
+            path.to_str().unwrap().to_string()
+        };
+        let flows = write(
+            "remos_cli_test_bad_flows.json",
+            r#"[{"src": "m-1", "dst": "m-8", "size_bytes": 1}, {"src": "m-1", "dst": "m-8", "size_bytes": -5}]"#,
+        );
+        let err = call(&["whatif", "--scenario", "cmu", "--flows", &flows]).unwrap_err();
+        assert!(
+            err.ends_with("flows[1].size_bytes: expected a non-negative integer, found -5"),
+            "{err}"
+        );
+        std::fs::write(&flows, r#"[{"src": "m-1", "dst""#).unwrap();
+        let err = call(&["whatif", "--scenario", "cmu", "--flows", &flows]).unwrap_err();
+        assert!(err.ends_with("expected ':' at byte 21"), "{err}");
+        let _ = std::fs::remove_file(&flows);
+
+        let scenario = write(
+            "remos_cli_test_bad_scenario.json",
+            r#"{"nodes": [{"name": "a", "kind": "host"}, {"name": 7, "kind": "host"}], "links": []}"#,
+        );
+        let err = call(&["topology", "--scenario", &scenario]).unwrap_err();
+        assert!(err.ends_with("nodes[1].name: expected a string, found 7"), "{err}");
+        let _ = std::fs::remove_file(&scenario);
     }
 
     #[test]
@@ -499,8 +572,7 @@ mod tests {
     #[test]
     fn example_roundtrips_as_scenario() {
         let out = call(&["example"]).unwrap();
-        let sc: remos_apps::scenario::Scenario =
-            serde_json::from_str(&out).expect("example is a valid scenario");
+        let sc = Scenario::from_json(&out).expect("example is a valid scenario");
         sc.build_topology().expect("example topology builds");
     }
 

@@ -13,8 +13,7 @@
 //! one faulty region trips one breaker instead of the whole stack.
 
 use crate::args::Parsed;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use remos_net::rng::Rng;
 use remos_core::collector::multi::MultiCollector;
 use remos_core::collector::snmp::{SnmpCollector, SnmpCollectorConfig};
 use remos_core::collector::{Collector, SimClock};
@@ -329,7 +328,7 @@ pub fn loadgen(p: &Parsed, out: &mut dyn Write) -> CmdResult {
         return Err("scenario has fewer than two hosts".into());
     }
 
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut submitted = 0usize;
     let mut quota_shed = 0usize;
     let mut overload_shed = 0usize;

@@ -14,7 +14,6 @@
 //!   unloaded 3- and 5-node runs land near the paper's 908 s / 650 s.
 
 use crate::calib;
-use rayon::prelude::*;
 use remos_fx::{CommPattern, Phase, Program};
 
 /// A 2-D concentration grid with a wind field, advanced by
@@ -61,7 +60,7 @@ impl AirshedGrid {
             }
         };
         self.conc
-            .par_iter_mut()
+            .iter_mut()
             .enumerate()
             .for_each(|(i, v)| {
                 let (r, c) = ((i / n) as isize, (i % n) as isize);

@@ -18,10 +18,9 @@ use remos_core::{CoreResult, RemosGraph};
 use remos_net::flow::FlowParams;
 use remos_net::{NetError, NodeId, SimTime};
 use remos_snmp::sim::SharedSim;
-use serde::{Deserialize, Serialize};
 
 /// A broadcast algorithm.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BroadcastStrategy {
     /// The root sends a separate copy to every receiver, all at once.
     /// One round, but the root's uplink carries (P-1) copies.

@@ -1,9 +1,8 @@
 //! Fast Fourier transforms.
 //!
 //! Two layers:
-//! * a **real kernel** — an iterative radix-2 complex FFT and a 2-D FFT
-//!   (sequential and rayon-row-parallel), used by the examples and to
-//!   justify the flop model;
+//! * a **real kernel** — an iterative radix-2 complex FFT and a 2-D FFT,
+//!   used by the examples and to justify the flop model;
 //! * the **program model** [`fft_program`] — the phase structure of the
 //!   paper's parallel 2-D FFT: "a set of independent 1 dimensional row
 //!   FFTs, followed by a transpose, and a set of independent 1
@@ -11,7 +10,6 @@
 //!   the row-major distribution.
 
 use crate::calib;
-use rayon::prelude::*;
 use remos_fx::{CommPattern, Phase, Program};
 use std::f64::consts::PI;
 use std::ops::{Add, Mul, Sub};
@@ -129,16 +127,6 @@ pub fn fft2d(data: &mut Vec<Complex>, n: usize, inverse: bool) {
     *data = transpose(data, n);
 }
 
-/// Rayon-parallel 2-D FFT (rows in parallel) — the shared-memory analogue
-/// of the distributed program, used by examples and benches.
-pub fn fft2d_parallel(data: &mut Vec<Complex>, n: usize, inverse: bool) {
-    assert_eq!(data.len(), n * n);
-    data.par_chunks_mut(n).for_each(|row| fft(row, inverse));
-    *data = transpose(data, n);
-    data.par_chunks_mut(n).for_each(|row| fft(row, inverse));
-    *data = transpose(data, n);
-}
-
 /// The parallel 2-D FFT program model for an n×n transform on `p` ranks.
 ///
 /// Per run: row FFTs (n/p rows per rank), transpose (all-to-all of
@@ -230,21 +218,6 @@ mod tests {
         assert_eq!(tt, data);
         let t = transpose(&data, n);
         assert_eq!(t[n + 2], data[2 * n + 1]);
-    }
-
-    #[test]
-    fn fft2d_parallel_matches_sequential() {
-        let n = 32;
-        let input: Vec<Complex> = (0..n * n)
-            .map(|i| Complex::new((i as f64 * 0.37).sin(), (i as f64 * 0.11).cos()))
-            .collect();
-        let mut seq = input.clone();
-        fft2d(&mut seq, n, false);
-        let mut par = input;
-        fft2d_parallel(&mut par, n, false);
-        for (a, b) in seq.iter().zip(&par) {
-            assert!((*a - *b).abs() < 1e-9);
-        }
     }
 
     #[test]

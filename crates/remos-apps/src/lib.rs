@@ -5,9 +5,9 @@
 //! modelling", executed on a dedicated IP testbed (Fig 3). This crate
 //! provides:
 //!
-//! * [`fft`] — a real radix-2 complex FFT (sequential and rayon-parallel)
-//!   plus [`fft::fft_program`], the 2-D FFT phase model (row FFTs,
-//!   transpose, column FFTs, transpose back);
+//! * [`fft`] — a real radix-2 complex FFT plus [`fft::fft_program`],
+//!   the 2-D FFT phase model (row FFTs, transpose, column FFTs,
+//!   transpose back);
 //! * [`airshed`] — a simplified advection–reaction kernel plus
 //!   [`airshed::airshed_program`], the iterated mixed compute/communication
 //!   phase model calibrated against the paper's execution times;

@@ -1,48 +1,44 @@
 //! Declarative experiment scenarios.
 //!
 //! A [`Scenario`] describes a topology plus background traffic in plain
-//! data (JSON-serializable), so experiments can be written as files and
-//! replayed through the CLI or the harness without code changes.
+//! data, so experiments can be written as JSON files
+//! ([`Scenario::to_json`] / [`Scenario::from_json`]) and replayed
+//! through the CLI or the harness without code changes.
 
 use crate::calib;
 use remos_net::{mbps, NetError, SimDuration, SimTime, Topology, TopologyBuilder};
+use remos_obs::json::{self, Value};
 use remos_snmp::sim::SharedSim;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A node in a scenario topology.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct NodeSpec {
     /// Unique name.
     pub name: String,
     /// "host" or "router".
     pub kind: String,
     /// Host compute rate, Mflops (default 50).
-    #[serde(default)]
     pub mflops: Option<f64>,
     /// Router internal bandwidth cap, Mbps (Fig 1 semantics).
-    #[serde(default)]
     pub internal_mbps: Option<f64>,
 }
 
 /// A link in a scenario topology.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LinkSpec {
     /// One endpoint name.
     pub a: String,
     /// Other endpoint name.
     pub b: String,
     /// Capacity in Mbps (default 100).
-    #[serde(default)]
     pub mbps: Option<f64>,
     /// One-way latency in microseconds (default 100).
-    #[serde(default)]
     pub latency_us: Option<u64>,
 }
 
 /// Background traffic in a scenario.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
+#[derive(Clone, Debug)]
 pub enum TrafficSpec {
     /// Constant-bit-rate stream.
     Cbr {
@@ -53,10 +49,8 @@ pub enum TrafficSpec {
         /// Rate, Mbps.
         mbps: f64,
         /// Start time, seconds (default 0).
-        #[serde(default)]
         start_s: f64,
         /// Stop time, seconds (default: never).
-        #[serde(default)]
         stop_s: Option<f64>,
     },
     /// `streams` parallel greedy bulk flows.
@@ -68,10 +62,8 @@ pub enum TrafficSpec {
         /// Parallel stream count.
         streams: usize,
         /// Start time, seconds (default 0).
-        #[serde(default)]
         start_s: f64,
         /// Stop time, seconds (default: never).
-        #[serde(default)]
         stop_s: Option<f64>,
     },
     /// Exponential on/off bursts.
@@ -96,23 +88,20 @@ pub enum TrafficSpec {
         /// Failure time, seconds.
         at_s: f64,
         /// Repair time, seconds (default: never).
-        #[serde(default)]
         restore_s: Option<f64>,
     },
 }
 
 /// A complete scenario.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Scenario {
     /// Display name.
-    #[serde(default)]
     pub name: String,
     /// Nodes.
     pub nodes: Vec<NodeSpec>,
     /// Links.
     pub links: Vec<LinkSpec>,
     /// Background traffic and events.
-    #[serde(default)]
     pub traffic: Vec<TrafficSpec>,
 }
 
@@ -142,7 +131,151 @@ impl From<NetError> for ScenarioError {
     }
 }
 
+/// The string member `key` of `v`.
+fn string(v: &Value, key: &str) -> Result<String, json::Error> {
+    v.field(key, Value::as_str).map(str::to_string)
+}
+
+impl TrafficSpec {
+    /// An object tagged with `"kind"`: `cbr`, `greedy`, `bursty` or
+    /// `link_down`.
+    fn to_json(&self) -> Value {
+        match self {
+            TrafficSpec::Cbr { src, dst, mbps, start_s, stop_s } => Value::object([
+                ("kind", "cbr".into()),
+                ("src", src.into()),
+                ("dst", dst.into()),
+                ("mbps", (*mbps).into()),
+                ("start_s", (*start_s).into()),
+                ("stop_s", (*stop_s).into()),
+            ]),
+            TrafficSpec::Greedy { src, dst, streams, start_s, stop_s } => Value::object([
+                ("kind", "greedy".into()),
+                ("src", src.into()),
+                ("dst", dst.into()),
+                ("streams", (*streams).into()),
+                ("start_s", (*start_s).into()),
+                ("stop_s", (*stop_s).into()),
+            ]),
+            TrafficSpec::Bursty { src, dst, mean_on_s, mean_off_s, seed } => Value::object([
+                ("kind", "bursty".into()),
+                ("src", src.into()),
+                ("dst", dst.into()),
+                ("mean_on_s", (*mean_on_s).into()),
+                ("mean_off_s", (*mean_off_s).into()),
+                ("seed", (*seed).into()),
+            ]),
+            TrafficSpec::LinkDown { a, b, at_s, restore_s } => Value::object([
+                ("kind", "link_down".into()),
+                ("a", a.into()),
+                ("b", b.into()),
+                ("at_s", (*at_s).into()),
+                ("restore_s", (*restore_s).into()),
+            ]),
+        }
+    }
+
+    fn from_json(v: &Value) -> Result<TrafficSpec, json::Error> {
+        let secs = |key| v.field(key, Value::as_f64);
+        let opt_secs = |key| v.opt_field(key, Value::as_f64);
+        let start_s = || Ok(opt_secs("start_s")?.unwrap_or(0.0));
+        match v.field("kind", Value::as_str)? {
+            "cbr" => Ok(TrafficSpec::Cbr {
+                src: string(v, "src")?,
+                dst: string(v, "dst")?,
+                mbps: secs("mbps")?,
+                start_s: start_s()?,
+                stop_s: opt_secs("stop_s")?,
+            }),
+            "greedy" => Ok(TrafficSpec::Greedy {
+                src: string(v, "src")?,
+                dst: string(v, "dst")?,
+                streams: v.field("streams", |n| {
+                    usize::try_from(n.as_u64()?).map_err(|_| n.expected("a stream count"))
+                })?,
+                start_s: start_s()?,
+                stop_s: opt_secs("stop_s")?,
+            }),
+            "bursty" => Ok(TrafficSpec::Bursty {
+                src: string(v, "src")?,
+                dst: string(v, "dst")?,
+                mean_on_s: secs("mean_on_s")?,
+                mean_off_s: secs("mean_off_s")?,
+                seed: v.field("seed", Value::as_u64)?,
+            }),
+            "link_down" => Ok(TrafficSpec::LinkDown {
+                a: string(v, "a")?,
+                b: string(v, "b")?,
+                at_s: secs("at_s")?,
+                restore_s: opt_secs("restore_s")?,
+            }),
+            _ => v.field("kind", |kind| {
+                Err(kind.expected("\"cbr\", \"greedy\", \"bursty\" or \"link_down\""))
+            }),
+        }
+    }
+}
+
 impl Scenario {
+    /// The scenario as a JSON document; [`Scenario::from_json`] reads
+    /// it back.
+    pub fn to_json(&self) -> Value {
+        let node = |n: &NodeSpec| {
+            Value::object([
+                ("name", (&n.name).into()),
+                ("kind", (&n.kind).into()),
+                ("mflops", n.mflops.into()),
+                ("internal_mbps", n.internal_mbps.into()),
+            ])
+        };
+        let link = |l: &LinkSpec| {
+            Value::object([
+                ("a", (&l.a).into()),
+                ("b", (&l.b).into()),
+                ("mbps", l.mbps.into()),
+                ("latency_us", l.latency_us.into()),
+            ])
+        };
+        Value::object([
+            ("name", (&self.name).into()),
+            ("nodes", self.nodes.iter().map(node).collect()),
+            ("links", self.links.iter().map(link).collect()),
+            ("traffic", self.traffic.iter().map(TrafficSpec::to_json).collect()),
+        ])
+    }
+
+    /// Read a scenario file. `nodes` and `links` are required; `name`,
+    /// `traffic` and the optional per-item fields may be absent or
+    /// `null`. Errors name the offending field, e.g. `links[2].mbps:
+    /// expected a number, found "fast"`.
+    pub fn from_json(text: &str) -> Result<Scenario, json::Error> {
+        let node = |v: &Value| {
+            Ok(NodeSpec {
+                name: string(v, "name")?,
+                kind: string(v, "kind")?,
+                mflops: v.opt_field("mflops", Value::as_f64)?,
+                internal_mbps: v.opt_field("internal_mbps", Value::as_f64)?,
+            })
+        };
+        let link = |v: &Value| {
+            Ok(LinkSpec {
+                a: string(v, "a")?,
+                b: string(v, "b")?,
+                mbps: v.opt_field("mbps", Value::as_f64)?,
+                latency_us: v.opt_field("latency_us", Value::as_u64)?,
+            })
+        };
+        let doc = Value::parse(text)?;
+        Ok(Scenario {
+            name: doc.opt_field("name", Value::as_str)?.unwrap_or("").to_string(),
+            nodes: doc.field("nodes", |n| n.list(node))?,
+            links: doc.field("links", |l| l.list(link))?,
+            traffic: doc
+                .opt_field("traffic", |t| t.list(TrafficSpec::from_json))?
+                .unwrap_or_default(),
+        })
+    }
+
     /// The Fig 3 testbed with a chosen traffic pattern, as data.
     pub fn cmu(traffic: Vec<TrafficSpec>) -> Scenario {
         let mut nodes: Vec<NodeSpec> = crate::testbed::TESTBED_HOSTS
@@ -373,12 +506,63 @@ mod tests {
             start_s: 0.0,
             stop_s: None,
         }]);
-        let json = serde_json::to_string_pretty(&sc).unwrap();
-        let back: Scenario = serde_json::from_str(&json).unwrap();
+        let json = format!("{:#}", sc.to_json());
+        let back = Scenario::from_json(&json).unwrap();
         assert_eq!(back.nodes.len(), 11);
         assert_eq!(back.links.len(), 10);
         assert_eq!(back.traffic.len(), 1);
         back.build_topology().unwrap();
+        // Every field survives, not just the counts.
+        assert_eq!(back.to_json(), sc.to_json());
+    }
+
+    #[test]
+    fn hand_written_files_load_and_bad_ones_name_the_field() {
+        // Optional fields left out, integers where floats are meant, a
+        // seed above 2^53, and one of every traffic kind.
+        let sc = Scenario::from_json(
+            r#"{"nodes": [{"name": "a", "kind": "host"},
+                          {"name": "r", "kind": "router", "internal_mbps": 50, "mflops": null}],
+                "links": [{"a": "a", "b": "r", "latency_us": 250}],
+                "traffic": [
+                  {"kind": "cbr", "src": "a", "dst": "r", "mbps": 30},
+                  {"kind": "greedy", "src": "a", "dst": "r", "streams": 2, "stop_s": 9.5},
+                  {"kind": "bursty", "src": "a", "dst": "r", "mean_on_s": 1, "mean_off_s": 0.5,
+                   "seed": 18446744073709551615},
+                  {"kind": "link_down", "a": "a", "b": "r", "at_s": 1}]}"#,
+        )
+        .unwrap();
+        assert_eq!(sc.name, "");
+        assert_eq!(sc.nodes[1].internal_mbps, Some(50.0));
+        assert_eq!((sc.links[0].mbps, sc.links[0].latency_us), (None, Some(250)));
+        assert!(matches!(
+            &sc.traffic[..],
+            [
+                TrafficSpec::Cbr { start_s: 0.0, stop_s: None, .. },
+                TrafficSpec::Greedy { streams: 2, start_s: 0.0, stop_s: Some(9.5), .. },
+                TrafficSpec::Bursty { seed: u64::MAX, .. },
+                TrafficSpec::LinkDown { at_s: 1.0, restore_s: None, .. },
+            ]
+        ));
+        sc.build_harness().unwrap();
+        assert!(Scenario::from_json(r#"{"nodes": [], "links": []}"#).unwrap().traffic.is_empty());
+
+        let err = |text| Scenario::from_json(text).unwrap_err().to_string();
+        assert_eq!(
+            err(r#"{"nodes": [], "links": [{"a": "a", "b": "r", "mbps": "fast"}]}"#),
+            r#"links[0].mbps: expected a number, found "fast""#
+        );
+        assert_eq!(
+            err(r#"{"nodes": [], "links": [], "traffic": [{"kind": "flood"}]}"#),
+            r#"traffic[0].kind: expected "cbr", "greedy", "bursty" or "link_down", found "flood""#
+        );
+        assert_eq!(
+            err(r#"{"nodes": [], "links": [], "traffic": [{"kind": "greedy", "src": "a", "dst": "b", "streams": -1}]}"#),
+            "traffic[0].streams: expected a non-negative integer, found -1"
+        );
+        assert_eq!(err(r#"{"links": []}"#), "nodes: expected an array, found null");
+        assert_eq!(err("[]"), "expected an object, found an array");
+        assert_eq!(err(r#"{"nodes": ["#), "unexpected end of input at byte 11");
     }
 
     #[test]

@@ -15,10 +15,9 @@ use remos_core::prelude::*;
 use remos_core::Remos;
 use remos_net::flow::FlowParams;
 use remos_snmp::sim::SharedSim;
-use serde::{Deserialize, Serialize};
 
 /// A shippable job.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Job {
     /// Computation size, flops.
     pub work_flops: f64,
@@ -29,7 +28,7 @@ pub struct Job {
 }
 
 /// Where to run, with predicted costs.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ShippingDecision {
     /// True to ship to the server, false to run locally.
     pub ship: bool,

@@ -22,10 +22,9 @@ use remos_core::Remos;
 use remos_net::flow::FlowParams;
 use remos_net::{NodeId, SimDuration};
 use remos_snmp::sim::SharedSim;
-use serde::{Deserialize, Serialize};
 
 /// SOR pipeline parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SorConfig {
     /// Per-stage compute work for a whole sweep, flops.
     pub stage_flops: f64,

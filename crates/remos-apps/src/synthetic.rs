@@ -8,7 +8,6 @@
 use remos_net::traffic::{GreedyTraffic, OnOffTraffic};
 use remos_net::{NetError, SimDuration, SimTime};
 use remos_snmp::sim::SharedSim;
-use serde::{Deserialize, Serialize};
 
 /// How many parallel greedy streams the synthetic traffic program opens.
 /// With `n` streams, a competing application flow's max-min share of a
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 pub const DEFAULT_TRAFFIC_STREAMS: usize = 8;
 
 /// A named background-traffic scenario.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TrafficScenario {
     /// No background traffic.
     None,

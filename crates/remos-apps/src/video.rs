@@ -19,7 +19,6 @@ use remos_core::Remos;
 use remos_net::flow::{FlowParams, FlowTag};
 use remos_net::{Bps, SimDuration};
 use remos_snmp::sim::SharedSim;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of an adaptive stream.
 #[derive(Clone, Debug)]
@@ -48,7 +47,7 @@ impl Default for VideoConfig {
 }
 
 /// Result of a streaming session.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StreamReport {
     /// Frames actually delivered.
     pub frames_delivered: f64,

@@ -5,8 +5,8 @@
 use crate::model::Workspace;
 use crate::report;
 use crate::{
-    apply_allowlist, check_tokens, hygiene, lex, lockorder, parse_allowlist, rust_files, scope_for,
-    taint, AllowEntry, Filtered, Violation,
+    apply_allowlist, check_tokens, files_under, hygiene, lex, lockorder, manifest, parse_allowlist,
+    rust_files, scope_for, taint, AllowEntry, Filtered, Violation,
 };
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -89,6 +89,21 @@ pub fn run(root: &Path) -> Result<RunResult, String> {
         if in_analysis {
             ws_sources.push((rel, src));
         }
+    }
+
+    // Every manifest of the checkout except the fixture tree's own
+    // (which exists to seed a violation for the fixture run).
+    let manifests = files_under(root, |p| p.file_name().is_some_and(|n| n == "Cargo.toml"))
+        .map_err(|e| format!("cannot walk {}: {e}", root.display()))?;
+    for path in &manifests {
+        let rel = path.strip_prefix(root).unwrap_or(path).to_path_buf();
+        if rel.to_string_lossy().replace('\\', "/").contains("/fixtures/") {
+            continue;
+        }
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        violations.extend(manifest::check(&rel, &text));
+        sources.insert(rel, text.lines().map(str::to_string).collect());
     }
 
     // Cross-file analyses over the workspace model.

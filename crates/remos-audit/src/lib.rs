@@ -25,6 +25,7 @@
 //! | `deprecated-shim` | every library source | `.get_graph(` / `.flow_info(` / `.reachable_peers(` — the positional Remos API was removed; build a `Query` and call `Remos::run` |
 //! | `unbounded-queue` | `remos-serve` (except `src/queue.rs`, the bounded queue's sanctioned home) | `VecDeque` — ad-hoc buffering in the serving path defeats admission control; route backlog through `FairQueue` |
 //! | `blocking-in-handler` | `remos-serve` | `.recv(` / `.park(` / `.sleep(` / `.wait(` (and `_timeout` variants) — the server is a cooperative loop on simulated time; a blocking call stalls every tenant |
+//! | `external-dep` | every `Cargo.toml` under the root (see [`manifest`]) | a dependency that is neither a `path = …` crate nor inherited with `workspace = true` — the workspace builds with an empty registry |
 //!
 //! Violations inside `#[cfg(test)]` modules, doc comments, strings, and
 //! `src/bin` / `main.rs` targets are not reported (`examples/` is the one
@@ -36,6 +37,7 @@
 pub mod driver;
 pub mod hygiene;
 pub mod lockorder;
+pub mod manifest;
 pub mod model;
 pub mod parse;
 pub mod report;
@@ -795,6 +797,12 @@ pub fn apply_allowlist(
 
 /// Recursively collect `.rs` files under `dir`, sorted for determinism.
 pub fn rust_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+    files_under(dir, |p| p.extension().is_some_and(|e| e == "rs"))
+}
+
+/// Recursively collect the files under `dir` that `keep` accepts, sorted
+/// for determinism. `target` and dot-directories are not entered.
+pub fn files_under(dir: &Path, keep: impl Fn(&Path) -> bool) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut stack = vec![dir.to_path_buf()];
     while let Some(d) = stack.pop() {
@@ -808,7 +816,7 @@ pub fn rust_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
                 if name != "target" && !name.starts_with('.') {
                     stack.push(p);
                 }
-            } else if p.extension().is_some_and(|e| e == "rs") {
+            } else if keep(&p) {
                 out.push(p);
             }
         }

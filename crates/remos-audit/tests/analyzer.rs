@@ -13,17 +13,9 @@ use remos_audit::driver::{fix_allowlist, run, RunResult};
 use remos_audit::report::{to_json, to_sarif};
 use std::path::{Path, PathBuf};
 
-/// Walk up from the build-time manifest dir to the checkout root (the
-/// directory containing `crates/remos-audit/tests/fixtures/ws`). Works
-/// from both the real package and the offline-harness mirror.
+/// The checkout root: two levels above this package's manifest.
 fn repo_root() -> PathBuf {
-    let mut dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    loop {
-        if dir.join("crates/remos-audit/tests/fixtures/ws").is_dir() {
-            return dir;
-        }
-        assert!(dir.pop(), "could not locate the repo root from CARGO_MANIFEST_DIR");
-    }
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 fn fixture_result() -> RunResult {
@@ -131,6 +123,16 @@ fn hot_path_unwrap_fires_with_location() {
 }
 
 #[test]
+fn external_dep_fires_on_the_registry_entry_only() {
+    let r = fixture_result();
+    let v = find(&r, "external-dep");
+    assert_eq!(v.len(), 1, "exactly one seeded registry dependency: {:?}", r.rejected);
+    assert_eq!(v[0].file, Path::new("crates/remos-net/Cargo.toml"));
+    assert_eq!(v[0].line, 11, "`rand = \"0.8\"`, not the path or workspace entries above it");
+    assert_eq!(v[0].token, "rand");
+}
+
+#[test]
 fn sarif_report_covers_every_fixture_rule() {
     let r = fixture_result();
     let sarif = to_sarif(&r.rejected);
@@ -141,6 +143,7 @@ fn sarif_report_covers_every_fixture_rule() {
         "dropped-result",
         "hot-path-unwrap",
         "panic-site",
+        "external-dep",
     ] {
         assert!(sarif.contains(&format!("\"id\": \"{rule}\"")), "missing rule {rule}");
         assert!(sarif.contains(&format!("\"ruleId\": \"{rule}\"")), "missing result {rule}");

@@ -16,10 +16,9 @@ use crate::provenance::Provenance;
 use crate::quality::DataQuality;
 use crate::stats::Quartiles;
 use remos_net::{Bps, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// An application-level connection between two named compute nodes.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct FlowEndpoints {
     /// Sending node name.
     pub src: String,
@@ -36,7 +35,7 @@ impl FlowEndpoints {
 
 /// A fixed flow: needs `requested` bits/s, no more ("fixed and inherently
 /// low bandwidth needs (e.g. audio)").
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FixedFlowReq {
     /// Endpoints.
     pub endpoints: FlowEndpoints,
@@ -47,7 +46,7 @@ pub struct FixedFlowReq {
 /// A variable flow: scales with available bandwidth, proportionally to its
 /// `relative_bw` weight ("the bandwidths of the flows are linked in the
 /// sense that they will share available bandwidth proportionally").
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct VariableFlowReq {
     /// Endpoints.
     pub endpoints: FlowEndpoints,
@@ -58,7 +57,7 @@ pub struct VariableFlowReq {
 
 /// The complete query: fixed flows, then variable flows, then one optional
 /// independent flow absorbing whatever is left.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct FlowInfoRequest {
     /// Satisfied first, in order.
     pub fixed: Vec<FixedFlowReq>,
@@ -135,7 +134,7 @@ impl FlowInfoRequest {
 }
 
 /// Per-flow answer: granted bandwidth statistics plus path latency.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FlowGrant {
     /// Endpoints echoed from the request.
     pub endpoints: FlowEndpoints,
@@ -149,16 +148,14 @@ pub struct FlowGrant {
     /// Quality of the measurements this estimate is derived from: the
     /// worst quality of any directed link on the flow's path. Non-`Fresh`
     /// grants have their `bandwidth` spread widened accordingly.
-    #[serde(default)]
     pub estimate_quality: DataQuality,
     /// How this grant was derived (snapshots consumed, solver, path
     /// scope). `None` when the query opted out with `without_provenance()`.
-    #[serde(default)]
     pub provenance: Option<Provenance>,
 }
 
 /// The complete answer to a [`FlowInfoRequest`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FlowInfoResponse {
     /// Grants for the fixed flows, in request order.
     pub fixed: Vec<FlowGrant>,

@@ -14,7 +14,6 @@ use crate::quality::DataQuality;
 use crate::stats::Quartiles;
 use remos_net::topology::NodeKind;
 use remos_net::{Bps, SimDuration};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// FNV-1a fold used by [`RemosGraph::digest`]. Floats are folded by bit
@@ -89,7 +88,7 @@ impl Fnv {
 
 /// Host compute/memory attributes (§2: Remos "does include a simple
 /// interface to computation and memory resources").
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HostInfo {
     /// Peak floating-point rate, flops.
     pub compute_flops: f64,
@@ -98,7 +97,7 @@ pub struct HostInfo {
 }
 
 /// A node of the logical topology.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RemosNode {
     /// Unique name (the API's lingua franca; applications name nodes, not
     /// ids, exactly like the paper's `nodes = m1,m2,…`).
@@ -112,7 +111,7 @@ pub struct RemosNode {
 }
 
 /// A logical link, annotated per direction.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RemosLink {
     /// Endpoint index into the node table.
     pub a: usize,
@@ -128,12 +127,7 @@ pub struct RemosLink {
     /// whose underlying counters could not be read recently is `Stale` or
     /// `Missing`; its `avail` is then a carried-forward (and widened)
     /// estimate rather than a current observation.
-    #[serde(default = "fresh_pair")]
     pub quality: [DataQuality; 2],
-}
-
-fn fresh_pair() -> [DataQuality; 2] {
-    [DataQuality::Fresh; 2]
 }
 
 impl RemosLink {
@@ -161,7 +155,7 @@ impl RemosLink {
 }
 
 /// The logical topology graph.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct RemosGraph {
     /// Nodes (hosts and switches).
     pub nodes: Vec<RemosNode>,
@@ -170,11 +164,8 @@ pub struct RemosGraph {
     /// How this annotated view was derived (snapshots consumed, their
     /// quality, solver, scope). `None` when the producing query opted out
     /// with `without_provenance()`.
-    #[serde(default)]
     pub provenance: Option<Provenance>,
-    #[serde(skip)]
     name_index: HashMap<String, usize>,
-    #[serde(skip)]
     adj: Vec<Vec<(usize, usize)>>, // per node: (link index, neighbor index)
 }
 
@@ -506,6 +497,7 @@ impl RemosGraph {
 mod tests {
     use super::*;
     use remos_net::mbps;
+    use remos_obs::json::Value;
 
     /// Fig-1-shaped helper: hosts h0..h3 on switch A, h4..h7 on switch B,
     /// A—B backbone. `avail` sets every link's available bandwidth.
@@ -667,20 +659,37 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip_and_reindex() {
-        let g = two_switch_graph(None, mbps(10.0));
-        let json = serde_json::to_string(&g).unwrap();
-        let mut back: RemosGraph = serde_json::from_str(&json).unwrap();
-        // Indices are skipped by serde; rebuild and verify behaviour.
-        back.rebuild_indices();
-        let a = back.index_of("h0").unwrap();
-        let b = back.index_of("h5").unwrap();
+    fn json_dump_has_the_documented_shape() {
+        let mut g = two_switch_graph(None, mbps(10.0));
+        let backbone = g.links.len() - 1;
+        g.links[backbone].quality =
+            [DataQuality::Stale { age: SimDuration::from_secs(7) }, DataQuality::Missing];
+        let doc = Value::parse(&g.to_json().to_string()).unwrap();
+        // Exactly the three public fields; the indices are not dumped.
+        let keys: Vec<&str> = doc.as_object().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["nodes", "links", "provenance"]);
+        assert_eq!(doc.get("provenance"), Some(&Value::Null));
+        let nodes = doc.field("nodes", |n| n.list(Ok)).unwrap();
+        let links = doc.field("links", |l| l.list(Ok)).unwrap();
+        assert_eq!((nodes.len(), links.len()), (g.nodes.len(), g.links.len()));
+        for (dumped, node) in nodes.iter().zip(&g.nodes) {
+            assert_eq!(dumped.field("name", Value::as_str).unwrap(), node.name);
+        }
+        let a = g.index_of("A").unwrap();
+        assert_eq!(nodes[a].field("kind", Value::as_str).unwrap(), "Network");
+        assert_eq!(nodes[a].get("host"), Some(&Value::Null));
+        let h0 = &nodes[g.index_of("h0").unwrap()];
+        assert_eq!(h0.field("kind", Value::as_str).unwrap(), "Compute");
+        let link = links[backbone];
+        assert_eq!(link.field("a", Value::as_u64).unwrap() as usize, g.links[backbone].a);
+        assert_eq!(link.field("capacity", Value::as_f64).unwrap(), g.links[backbone].capacity);
         assert_eq!(
-            back.path_avail_bw(a, b).unwrap(),
-            g.path_avail_bw(g.index_of("h0").unwrap(), g.index_of("h5").unwrap()).unwrap()
+            link.get("quality").unwrap().to_string(),
+            r#"[{"Stale":{"age":7000000000}},"Missing"]"#
         );
-        assert_eq!(back.nodes.len(), g.nodes.len());
-        assert!(back.node_by_name("A").unwrap().kind == NodeKind::Network);
+        assert_eq!(links[0].get("quality").unwrap().to_string(), r#"["Fresh","Fresh"]"#);
+        let avail = link.field("avail", |q| q.list(|d| d.field("median", Value::as_f64))).unwrap();
+        assert_eq!(avail, g.links[backbone].avail.map(|q| q.median));
     }
 
     #[test]
@@ -696,11 +705,6 @@ mod tests {
         g.rebuild_indices();
         assert_eq!(g.path_quality(h0, h5).unwrap(), stale);
         assert_eq!(g.path_quality(h5, h0).unwrap(), DataQuality::Fresh);
-        // Old serialized graphs (no quality field) deserialize as Fresh.
-        let mut v = serde_json::to_value(&g.links[backbone]).unwrap();
-        v.as_object_mut().unwrap().remove("quality");
-        let back: RemosLink = serde_json::from_value(v).unwrap();
-        assert_eq!(back.quality, [DataQuality::Fresh; 2]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! Remos lets network-aware applications obtain information about their
 //! execution environment through two queries, built with
-//! [`Query`](query::Query) and executed by [`Remos::run`]:
+//! [`Query`] and executed by [`Remos::run`]:
 //!
 //! * [`Query::graph`](query::Query::graph) — the **logical network
 //!   topology** connecting a set of nodes, annotated with static
@@ -71,6 +71,7 @@ pub mod collector;
 pub mod error;
 pub mod flows;
 pub mod graph;
+mod json;
 pub mod modeler;
 pub mod provenance;
 pub mod quality;

@@ -46,10 +46,11 @@ use plan::{PlanCache, QueryPlan};
 use predict::{predict, PredictorKind};
 use remos_net::topology::{NodeKind, Topology};
 use remos_net::{Bps, SimTime};
+use remos_obs::sync::Mutex;
 use remos_obs::{Counter, Obs};
 use sharing::SharingPolicy;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 /// Default number of query plans the modeler keeps cached.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 32;
@@ -81,7 +82,9 @@ impl Default for ModelerConfig {
 pub struct Modeler {
     /// Configuration.
     pub cfg: ModelerConfig,
-    /// Epoch-keyed LRU of structural query plans.
+    /// Epoch-keyed LRU of structural query plans. The entries are
+    /// immutable `Arc`s, so a panicking holder cannot leave the cache
+    /// inconsistent and the poison-ignoring lock is sound.
     cache: Mutex<PlanCache>,
     /// Plan-cache counters (hit/miss/evict), re-wired by [`Modeler::set_obs`].
     metrics: ModelerMetrics,
@@ -235,15 +238,6 @@ pub(crate) fn degrade(q: &Quartiles, quality: DataQuality, ceiling: Bps) -> Quar
     }
 }
 
-/// Lock a mutex, tolerating poisoning (the protected state is a cache of
-/// immutable `Arc`s; a panicking holder cannot leave it inconsistent).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 impl Modeler {
     /// Modeler with explicit configuration.
     pub fn new(cfg: ModelerConfig) -> Modeler {
@@ -296,7 +290,7 @@ impl Modeler {
             let targets = Self::resolve_names(&topo, key)?;
             return Ok(Arc::new(QueryPlan::build(epoch, topo, targets)?));
         }
-        if let Some(cached) = lock(&self.cache).get(epoch, key) {
+        if let Some(cached) = self.cache.lock().get(epoch, key) {
             // Defense in depth: an epoch match with a different topology
             // Arc means a collector swapped its view without bumping the
             // epoch — treat as a miss rather than serve a stale plan.
@@ -308,7 +302,7 @@ impl Modeler {
         self.metrics.plan_cache_misses.inc();
         let targets = Self::resolve_names(&topo, key)?;
         let built = Arc::new(QueryPlan::build(epoch, topo, targets)?);
-        if lock(&self.cache).insert(epoch, key.clone(), Arc::clone(&built)) {
+        if self.cache.lock().insert(epoch, key.clone(), Arc::clone(&built)) {
             self.metrics.plan_cache_evictions.inc();
         }
         Ok(built)

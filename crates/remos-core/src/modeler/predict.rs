@@ -8,10 +8,9 @@
 //! the oracle.
 
 use remos_net::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Which prediction model to use.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum PredictorKind {
     /// The last observed value persists.
     LastValue,

@@ -20,10 +20,8 @@
 //!   TCP-like cross-traffic; this is the "shared equally by all flows"
 //!   default reading.
 
-use serde::{Deserialize, Serialize};
-
 /// How measured external utilization competes with queried flows.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[derive(Default)]
 pub enum SharingPolicy {
     /// External traffic is pinned at its measured rate.

@@ -12,10 +12,9 @@
 use crate::quality::DataQuality;
 use crate::timeframe::Timeframe;
 use remos_net::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// How an estimate was derived.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Provenance {
     /// The timeframe the query asked for.
     pub timeframe: Timeframe,
@@ -39,13 +38,11 @@ pub struct Provenance {
     /// True when the answer was produced by a degraded serving mode
     /// (stale-snapshot or topology-only rung of a serving front end's
     /// degradation ladder) rather than a freshly measured query.
-    #[serde(default)]
     pub degraded: bool,
     /// Which collector the measurements came from (see
     /// [`crate::collector::Collector::describe`]); a federated collector
     /// reports how many of its children contributed current data, so a
     /// failover is visible in the answer itself.
-    #[serde(default)]
     pub source: Option<String>,
 }
 

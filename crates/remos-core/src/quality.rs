@@ -11,14 +11,13 @@
 //! by the adaptation layer before acting.
 
 use remos_net::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// How trustworthy one measurement (or an estimate derived from it) is.
 ///
 /// Ordered from best to worst: `Fresh` < `Stale` (older is worse) <
 /// `Missing`. Use [`DataQuality::worst`] to combine qualities along a
 /// path — an estimate is only as good as its weakest input.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum DataQuality {
     /// Measured in the most recent poll interval.
     #[default]

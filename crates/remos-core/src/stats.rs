@@ -8,12 +8,11 @@
 //! asymmetric. Quartiles are "the best choice for an unknown data
 //! distribution" [Jain 91].
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A five-number quartile summary with mean, sample count and an
 /// estimation-accuracy measure.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Quartiles {
     /// Minimum observed value.
     pub min: f64,
@@ -358,7 +357,7 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use remos_prop::prelude::*;
 
         proptest! {
             #[test]

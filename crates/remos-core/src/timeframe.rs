@@ -7,10 +7,9 @@
 //! availability.
 
 use remos_net::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// The timescale a query refers to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Timeframe {
     /// Most recent measurements only ("current traffic conditions" — what
     /// the paper's experiments use: `timeframe = current`).

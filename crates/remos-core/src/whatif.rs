@@ -11,13 +11,12 @@
 
 use crate::provenance::Provenance;
 use remos_net::{Bps, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// One hypothetical flow in an `estimate_fcts` query: named endpoints
 /// (resolved against the query plan's topology), a transfer size, and an
 /// arrival offset on the replay clock (`SimTime::ZERO` = "launched
 /// immediately").
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct HypotheticalFlow {
     /// Source host name.
     pub src: String,
@@ -26,7 +25,6 @@ pub struct HypotheticalFlow {
     /// Bytes the flow would transfer.
     pub size_bytes: u64,
     /// When the flow would start, on the replay's virtual clock.
-    #[serde(default)]
     pub arrival: SimTime,
 }
 
@@ -49,7 +47,7 @@ impl HypotheticalFlow {
 }
 
 /// The estimated fate of one hypothetical flow, in input order.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FlowFct {
     /// Source host name, echoed from the query.
     pub src: String,
@@ -77,7 +75,7 @@ pub struct FlowFct {
 
 /// The typed answer to an `estimate_fcts` query: per-flow completion
 /// estimates plus the replay's determinism digest and work counters.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FctReport {
     /// Per-flow estimates, in the order the query listed the flows.
     pub flows: Vec<FlowFct>,

@@ -15,7 +15,7 @@
 //!    modeler that rebuilds routing and logicalization from scratch —
 //!    and repeat queries through the workspace never drift.
 
-use proptest::prelude::*;
+use remos_prop::prelude::*;
 use remos_core::collector::oracle::OracleCollector;
 use remos_core::collector::Collector;
 use remos_core::modeler::{Modeler, ModelerConfig, QueryWorkspace};

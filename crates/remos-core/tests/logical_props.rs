@@ -3,7 +3,7 @@
 //! "the graph presented to the user is intended only to represent how the
 //! network behaves as seen by the user").
 
-use proptest::prelude::*;
+use remos_prop::prelude::*;
 use remos_core::collector::oracle::OracleCollector;
 use remos_core::collector::Collector;
 use remos_core::modeler::Modeler;

@@ -6,7 +6,7 @@
 //! cache capacity is the only difference, so the capacity-0 modeler is
 //! the reference every cached answer is compared against.
 
-use proptest::prelude::*;
+use remos_prop::prelude::*;
 use remos_core::collector::{Collector, SampleHistory, Snapshot};
 use remos_core::error::CoreResult;
 use remos_core::graph::HostInfo;

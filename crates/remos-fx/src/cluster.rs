@@ -202,7 +202,7 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use remos_prop::prelude::*;
 
         #[allow(clippy::needless_range_loop)]
         fn arb_dist(n: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {

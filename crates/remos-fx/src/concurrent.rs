@@ -14,13 +14,12 @@
 
 use crate::program::{CommPattern, Phase, Program};
 use crate::runtime::{FxError, FxResult, Mapping, RuntimeConfig, TimeBreakdown};
-use parking_lot::Mutex;
+use remos_obs::sync::Mutex;
 use remos_net::engine::{FlowHandle, ProcessCtx, TrafficProcess};
 use remos_net::flow::FlowParams;
 use remos_net::topology::NodeId;
 use remos_net::{SimDuration, SimTime};
 use remos_snmp::sim::SharedSim;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -36,7 +35,7 @@ pub struct TaskSpec {
 }
 
 /// Outcome of one concurrent task.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TaskReport {
     /// Program name.
     pub program: String,
@@ -466,7 +465,7 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use remos_prop::prelude::*;
 
         fn arb_program() -> impl Strategy<Value = Program> {
             let phase = prop_oneof![
@@ -497,53 +496,73 @@ mod tests {
                 })
         }
 
+        /// The event-driven task machine and the sequential runtime
+        /// are two implementations of the same semantics: on any
+        /// single program they must agree (up to the sequential
+        /// runtime's extra per-phase tail-latency charge).
+        fn agrees_with_sequential(prog: &Program) -> Result<(), String> {
+            let nodes: Vec<String> = (0..prog.ranks.min(4)).map(|i| format!("l{i}")).collect();
+            let refs: Vec<&str> = nodes.iter().map(String::as_str).collect();
+            let mapping = Mapping::of(&refs).unwrap();
+
+            let seq = {
+                let sim = testnet();
+                let mut rt = crate::runtime::FxRuntime::new(sim, RuntimeConfig::default());
+                rt.run(prog, &mapping).unwrap()
+            };
+            let conc = {
+                let sim = testnet();
+                run_concurrent(
+                    &sim,
+                    RuntimeConfig::default(),
+                    vec![TaskSpec { program: prog.clone(), mapping, start: SimTime::ZERO }],
+                )
+                .unwrap()
+            };
+            // Tail-latency differences: at most 40 µs per phase here.
+            let phases = (prog.startup.len() + prog.body.len() * prog.iterations) as f64;
+            let slack = phases * 60e-6 + 1e-6;
+            prop_assert!(
+                (conc[0].elapsed - seq.elapsed).abs() <= slack,
+                "conc {} vs seq {} (slack {slack})",
+                conc[0].elapsed,
+                seq.elapsed
+            );
+            prop_assert_eq!(conc[0].bytes_sent, seq.bytes_sent);
+            // The two paths round compute spans to nanoseconds at
+            // different points: tolerate a few ns per phase.
+            prop_assert!(
+                (conc[0].breakdown.compute - seq.breakdown.compute).abs() < phases * 1e-8 + 1e-9
+            );
+            Ok(())
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(24))]
 
-            /// The event-driven task machine and the sequential runtime
-            /// are two implementations of the same semantics: on any
-            /// single program they must agree (up to the sequential
-            /// runtime's extra per-phase tail-latency charge).
             #[test]
             fn concurrent_matches_sequential(prog in arb_program()) {
-                let nodes: Vec<String> =
-                    (0..prog.ranks.min(4)).map(|i| format!("l{i}")).collect();
-                let refs: Vec<&str> = nodes.iter().map(String::as_str).collect();
-                let mapping = Mapping::of(&refs).unwrap();
-
-                let seq = {
-                    let sim = testnet();
-                    let mut rt =
-                        crate::runtime::FxRuntime::new(sim, RuntimeConfig::default());
-                    rt.run(&prog, &mapping).unwrap()
-                };
-                let conc = {
-                    let sim = testnet();
-                    run_concurrent(
-                        &sim,
-                        RuntimeConfig::default(),
-                        vec![TaskSpec { program: prog.clone(), mapping, start: SimTime::ZERO }],
-                    )
-                    .unwrap()
-                };
-                // Tail-latency differences: at most 40 µs per phase here.
-                let phases =
-                    (prog.startup.len() + prog.body.len() * prog.iterations) as f64;
-                let slack = phases * 60e-6 + 1e-6;
-                prop_assert!(
-                    (conc[0].elapsed - seq.elapsed).abs() <= slack,
-                    "conc {} vs seq {} (slack {slack})",
-                    conc[0].elapsed,
-                    seq.elapsed
-                );
-                prop_assert_eq!(conc[0].bytes_sent, seq.bytes_sent);
-                // The two paths round compute spans to nanoseconds at
-                // different points: tolerate a few ns per phase.
-                prop_assert!(
-                    (conc[0].breakdown.compute - seq.breakdown.compute).abs()
-                        < phases * 1e-8 + 1e-9
-                );
+                agrees_with_sequential(&prog)?;
             }
+        }
+
+        /// A shrunk input that once failed the property above (recorded
+        /// by proptest, formerly `proptest-regressions/concurrent.txt`):
+        /// two iterations of one compute phase, no communication, on
+        /// three ranks.
+        #[test]
+        fn regression_compute_only_program_on_three_ranks() {
+            let prog = Program {
+                name: "prop".into(),
+                ranks: 3,
+                startup: vec![],
+                body: vec![Phase::Compute {
+                    parallel_flops: 9474366.37343712,
+                    replicated_flops: 0.0,
+                }],
+                iterations: 2,
+            };
+            agrees_with_sequential(&prog).unwrap();
         }
     }
 

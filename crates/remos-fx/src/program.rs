@@ -7,13 +7,11 @@
 //! all communication has completed there, matching the paper's
 //! replicated-data migration model.
 
-use serde::{Deserialize, Serialize};
-
 /// A collective communication pattern over the program's ranks.
 ///
 /// Byte counts are *per logical transfer* as seen by the pattern; the
 /// runtime turns them into point-to-point flows.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum CommPattern {
     /// Every rank sends `bytes_per_pair` to every other rank (matrix
     /// transpose / redistribution).
@@ -79,7 +77,7 @@ impl CommPattern {
 }
 
 /// One synchronous phase.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Phase {
     /// Computation: `parallel_flops` split evenly over the ranks, plus
     /// `replicated_flops` performed identically by every rank (the
@@ -95,7 +93,7 @@ pub enum Phase {
 }
 
 /// An iterated data-parallel program.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Program {
     /// Display name.
     pub name: String,

@@ -16,7 +16,6 @@ use remos_net::flow::{FlowParams, FlowTag};
 use remos_net::topology::NodeId;
 use remos_net::{NetError, SimDuration, SimTime};
 use remos_snmp::sim::SharedSim;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -60,7 +59,7 @@ pub type FxResult<T> = Result<T, FxError>;
 
 /// Assignment of a program's ranks to named nodes (rank `r` runs on
 /// `nodes[r % nodes.len()]`, i.e. cyclic distribution).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Mapping {
     /// Active node names, rank-major.
     pub nodes: Vec<String>,
@@ -124,7 +123,7 @@ impl Default for RuntimeConfig {
 }
 
 /// Where the time of a run went.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TimeBreakdown {
     /// Computation (barrier-synchronized max over nodes).
     pub compute: f64,
@@ -146,7 +145,7 @@ impl TimeBreakdown {
 }
 
 /// Result of executing a program.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ExecutionReport {
     /// Program name.
     pub program: String,

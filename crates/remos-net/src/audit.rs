@@ -419,7 +419,7 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use remos_prop::prelude::*;
 
         /// Random problem: up to 8 resources, up to 12 flows (mirrors the
         /// solver's own property-test generator).

@@ -14,7 +14,7 @@
 //! population of persistent greedy flows where every step retires the
 //! oldest flow and admits a fresh one, with seeded src/dst draws and a
 //! configurable intra-pod locality. All randomness comes from one
-//! `StdRng`, so a `(k, flows, seed, locality)` tuple names a
+//! seeded [`Rng`], so a `(k, flows, seed, locality)` tuple names a
 //! reproducible scenario — the digest-gated contract `BENCH_fabric.json`
 //! relies on.
 
@@ -25,8 +25,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, Topology, TopologyBuilder};
 use crate::units::{gbps, Bps};
 use crate::whatif::WhatIfFlow;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::rng::Rng;
 use std::collections::VecDeque;
 
 /// A built fat-tree plus the dense host-id table needed to drive
@@ -178,7 +177,7 @@ pub struct FabricChurn {
     pods: usize,
     hosts_per_pod: usize,
     live: VecDeque<FlowHandle>,
-    rng: StdRng,
+    rng: Rng,
     locality_pct: u32,
 }
 
@@ -206,7 +205,7 @@ impl FabricChurn {
             pods,
             hosts_per_pod,
             live: VecDeque::with_capacity(flows + 1),
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::seed_from_u64(seed),
             locality_pct: locality_pct.min(100),
         };
         for _ in 0..flows {
@@ -335,8 +334,8 @@ impl FlowSizeEcdf {
     }
 
     /// Inverse-transform sample one flow size.
-    pub fn sample(&self, rng: &mut StdRng) -> u64 {
-        let u: f64 = rng.gen();
+    pub fn sample(&self, rng: &mut Rng) -> u64 {
+        let u: f64 = rng.unit();
         // Segment whose upper cumulative probability covers `u`.
         let hi = self
             .points
@@ -387,20 +386,20 @@ impl WorkloadSpec {
 
 /// Draw lognormal inter-arrival gaps with mean `mean_gap_secs` (sigma of
 /// the underlying normal fixed at 1), via Box–Muller on the shared RNG.
-fn lognormal_gap(rng: &mut StdRng, mean_gap_secs: f64) -> f64 {
+fn lognormal_gap(rng: &mut Rng, mean_gap_secs: f64) -> f64 {
     const SIGMA: f64 = 1.0;
     let mu = mean_gap_secs.ln() - SIGMA * SIGMA / 2.0;
     // Box–Muller; clamp u1 away from zero so ln stays finite.
-    let u1: f64 = rng.gen::<f64>().max(1e-12);
-    let u2: f64 = rng.gen();
+    let u1: f64 = rng.unit().max(1e-12);
+    let u2: f64 = rng.unit();
     let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
     (mu + SIGMA * z).exp()
 }
 
 /// Pick an index from cumulative weights via one uniform draw.
-fn pick_weighted(rng: &mut StdRng, cum: &[f64]) -> usize {
+fn pick_weighted(rng: &mut Rng, cum: &[f64]) -> usize {
     let total = *cum.last().expect("non-empty weight table");
-    let u: f64 = rng.gen::<f64>() * total;
+    let u: f64 = rng.unit() * total;
     cum.partition_point(|&c| c <= u).min(cum.len() - 1)
 }
 
@@ -496,7 +495,7 @@ pub fn synth_workload_over(
     let lambda = spec.target_load * access_capacity / (8.0 * mean_bytes * p_max);
     let mean_gap = 1.0 / lambda;
 
-    let mut rng = StdRng::seed_from_u64(spec.seed);
+    let mut rng = Rng::seed_from_u64(spec.seed);
     let mut out = Vec::with_capacity(spec.flows);
     let mut at = 0.0f64;
     // Scratch cumulative table for the per-source dst-ToR draw.
@@ -614,7 +613,7 @@ mod tests {
         assert!(FlowSizeEcdf::new(&[(0.0, 10), (0.5, 5), (1.0, 20)]).is_err());
         let e = FlowSizeEcdf::uniform(1_000, 9_000).unwrap();
         assert!((e.mean_bytes() - 5_000.0).abs() < 1e-9);
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Rng::seed_from_u64(7);
         for _ in 0..200 {
             let s = e.sample(&mut rng);
             assert!((1_000..=9_000).contains(&s), "{s}");

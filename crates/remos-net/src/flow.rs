@@ -15,7 +15,6 @@
 use crate::time::SimTime;
 use crate::topology::NodeId;
 use crate::units::Bps;
-use serde::{Deserialize, Serialize};
 
 /// Application-defined classification label carried by a flow.
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// which is exactly what plain Remos *cannot* do ("Remos does not
 /// distinguish between different types or sources of traffic", §8.3), so
 /// tags are only used by tests, oracles, and the self-traffic ablation.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct FlowTag(pub u32);
 
 impl FlowTag {

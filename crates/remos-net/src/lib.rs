@@ -39,6 +39,7 @@ pub mod fabric;
 pub mod flow;
 pub mod maxmin;
 pub mod pool;
+pub mod rng;
 pub mod routing;
 pub mod time;
 pub mod topology;

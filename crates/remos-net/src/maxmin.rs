@@ -886,7 +886,7 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use remos_prop::prelude::*;
 
         /// Random problem: up to 8 resources, up to 12 flows.
         fn arb_problem() -> impl Strategy<Value = (Vec<f64>, Vec<FlowSpec>)> {
@@ -982,36 +982,116 @@ mod tests {
             (flows2, prev, touched)
         }
 
+        // The four properties of a `(caps, flows)` problem, as plain
+        // functions so a recorded input can be replayed by name.
+
+        fn output_is_valid(caps: &[f64], flows: &[FlowSpec]) -> Result<(), String> {
+            let a = solve(caps, flows);
+            prop_assert!(validate(caps, flows, &a).is_none(), "{:?}", validate(caps, flows, &a));
+            Ok(())
+        }
+
+        fn is_homogeneous(caps: &[f64], flows: &[FlowSpec]) -> Result<(), String> {
+            // Scaling every capacity *and* every cap by k scales the
+            // whole allocation by k. (Note: scaling capacities alone is
+            // NOT monotone for capped flows — freezing order changes —
+            // which is why the stronger property is not asserted.)
+            let k = 3.0;
+            let a1 = solve(caps, flows);
+            let caps2: Vec<f64> = caps.iter().map(|c| c * k).collect();
+            let flows2: Vec<FlowSpec> = flows
+                .iter()
+                .map(|f| FlowSpec {
+                    weight: f.weight,
+                    cap: f.cap.map(|c| c * k),
+                    resources: f.resources.clone(),
+                })
+                .collect();
+            let a2 = solve(&caps2, &flows2);
+            for (r1, r2) in a1.rates.iter().zip(&a2.rates) {
+                prop_assert!((r2 - k * r1).abs() <= (k * r1).abs().max(1.0) * 1e-6,
+                    "not homogeneous: {r1} vs {r2}");
+            }
+            Ok(())
+        }
+
+        fn is_deterministic(caps: &[f64], flows: &[FlowSpec]) -> Result<(), String> {
+            let a1 = solve(caps, flows);
+            let a2 = solve(caps, flows);
+            prop_assert_eq!(a1.rates, a2.rates);
+            prop_assert_eq!(a1.residual, a2.residual);
+            Ok(())
+        }
+
+        fn solver_reuse_is_bit_stable(caps: &[f64], flows: &[FlowSpec]) -> Result<(), String> {
+            // The same Solver instance re-used across problems must not
+            // leak state between solves: scratch reuse is invisible.
+            let refs: Vec<FlowRef<'_>> = flows.iter().map(FlowSpec::as_ref).collect();
+            let mut solver = Solver::new();
+            let a1 = solver.solve_refs(caps, &refs);
+            let a2 = solver.solve_refs(caps, &refs);
+            for (x, y) in a1.rates.iter().zip(&a2.rates) {
+                prop_assert_eq!(x.to_bits(), y.to_bits());
+            }
+            for (x, y) in a1.residual.iter().zip(&a2.residual) {
+                prop_assert_eq!(x.to_bits(), y.to_bits());
+            }
+            Ok(())
+        }
+
+        fn replay(caps: &[f64], flows: &[FlowSpec]) {
+            let properties =
+                [output_is_valid, is_homogeneous, is_deterministic, solver_reuse_is_bit_stable];
+            for property in properties {
+                property(caps, flows).unwrap();
+            }
+        }
+
+        fn spec(weight: f64, cap: Option<f64>, resources: &[usize]) -> FlowSpec {
+            FlowSpec { weight, cap, resources: resources.to_vec() }
+        }
+
+        /// A shrunk input that once failed a property in this module
+        /// (recorded by proptest, formerly `proptest-regressions/maxmin.txt`):
+        /// seven weighted flows, four of them capped, over four resources.
+        #[test]
+        fn regression_capped_weighted_flows_over_four_resources() {
+            let caps = [544249058.651596, 472289995.6732468, 826993774.208398, 274859428.16449946];
+            let flows = [
+                spec(5.8165865652732, None, &[0]),
+                spec(0.44370643696738143, None, &[2, 3]),
+                spec(0.4963109065368166, Some(721662988.5189196), &[0, 2, 3]),
+                spec(7.569136992797882, None, &[0, 1, 2]),
+                spec(9.308936893227544, Some(233913359.45130593), &[1, 2]),
+                spec(3.83369562785346, Some(1452498258.13858), &[0, 3]),
+                spec(3.0028372238976258, Some(940907044.5417429), &[1, 3]),
+            ];
+            replay(&caps, &flows);
+        }
+
+        /// The second recorded input: four equal light flows over two
+        /// equal links, one of them crossing both.
+        #[test]
+        fn regression_equal_light_flows_over_two_links() {
+            let caps = [1000000.0, 1000000.0];
+            let flows = [
+                spec(0.1, None, &[0]),
+                spec(0.1, None, &[0]),
+                spec(0.1, None, &[0, 1]),
+                spec(0.1, None, &[1]),
+            ];
+            replay(&caps, &flows);
+        }
+
         proptest! {
             #[test]
             fn solver_output_is_valid((caps, flows) in arb_problem()) {
-                let a = solve(&caps, &flows);
-                prop_assert!(validate(&caps, &flows, &a).is_none(),
-                    "{:?}", validate(&caps, &flows, &a));
+                output_is_valid(&caps, &flows)?;
             }
 
             #[test]
             fn allocation_is_homogeneous((caps, flows) in arb_problem()) {
-                // Scaling every capacity *and* every cap by k scales the
-                // whole allocation by k. (Note: scaling capacities alone is
-                // NOT monotone for capped flows — freezing order changes —
-                // which is why the stronger property is not asserted.)
-                let k = 3.0;
-                let a1 = solve(&caps, &flows);
-                let caps2: Vec<f64> = caps.iter().map(|c| c * k).collect();
-                let flows2: Vec<FlowSpec> = flows
-                    .iter()
-                    .map(|f| FlowSpec {
-                        weight: f.weight,
-                        cap: f.cap.map(|c| c * k),
-                        resources: f.resources.clone(),
-                    })
-                    .collect();
-                let a2 = solve(&caps2, &flows2);
-                for (r1, r2) in a1.rates.iter().zip(&a2.rates) {
-                    prop_assert!((r2 - k * r1).abs() <= (k * r1).abs().max(1.0) * 1e-6,
-                        "not homogeneous: {r1} vs {r2}");
-                }
+                is_homogeneous(&caps, &flows)?;
             }
 
             #[test]
@@ -1038,26 +1118,12 @@ mod tests {
 
             #[test]
             fn solver_is_deterministic((caps, flows) in arb_problem()) {
-                let a1 = solve(&caps, &flows);
-                let a2 = solve(&caps, &flows);
-                prop_assert_eq!(a1.rates, a2.rates);
-                prop_assert_eq!(a1.residual, a2.residual);
+                is_deterministic(&caps, &flows)?;
             }
 
             #[test]
             fn reusing_a_solver_is_bit_stable((caps, flows) in arb_problem()) {
-                // The same Solver instance re-used across problems must not
-                // leak state between solves: scratch reuse is invisible.
-                let refs: Vec<FlowRef<'_>> = flows.iter().map(FlowSpec::as_ref).collect();
-                let mut solver = Solver::new();
-                let a1 = solver.solve_refs(&caps, &refs);
-                let a2 = solver.solve_refs(&caps, &refs);
-                for (x, y) in a1.rates.iter().zip(&a2.rates) {
-                    prop_assert_eq!(x.to_bits(), y.to_bits());
-                }
-                for (x, y) in a1.residual.iter().zip(&a2.residual) {
-                    prop_assert_eq!(x.to_bits(), y.to_bits());
-                }
+                solver_reuse_is_bit_stable(&caps, &flows)?;
             }
 
             #[test]

@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 const MAX_WORKERS: usize = 8;
 
 /// Worker count for `jobs` jobs: hardware parallelism, capped at
-/// [`MAX_WORKERS`] and at the job count (never zero).
+/// `MAX_WORKERS` (8) and at the job count (never zero).
 pub fn default_workers(jobs: usize) -> usize {
     let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     hw.min(MAX_WORKERS).clamp(1, jobs.max(1))

@@ -13,16 +13,15 @@
 use crate::error::{NetError, Result};
 use crate::time::SimDuration;
 use crate::units::Bps;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifies a node within one [`Topology`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 /// Identifies a duplex link within one [`Topology`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub u32);
 
 impl fmt::Debug for NodeId {
@@ -54,7 +53,7 @@ impl LinkId {
 }
 
 /// What a node is (the paper's host/switch distinction).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum NodeKind {
     /// A host: runs applications, sends and receives messages.
     Compute,
@@ -63,7 +62,7 @@ pub enum NodeKind {
 }
 
 /// Traffic direction over a duplex link, relative to its endpoint order.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Direction {
     /// From endpoint `a` to endpoint `b`.
     AtoB,
@@ -93,7 +92,7 @@ impl Direction {
 
 /// One directed half of a duplex link — the unit of capacity in the
 /// simulator and the unit reported by SNMP interface counters.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct DirLink {
     /// The underlying duplex link.
     pub link: LinkId,
@@ -119,7 +118,7 @@ impl DirLink {
 }
 
 /// Node attributes.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Node {
     /// Human-readable unique name (e.g. `"m-4"`, `"timberline"`).
     pub name: String,
@@ -137,7 +136,7 @@ pub struct Node {
 }
 
 /// Duplex link attributes.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Link {
     /// One endpoint.
     pub a: NodeId,
@@ -195,7 +194,7 @@ impl Link {
 ///
 /// Construct with [`TopologyBuilder`]. All simulator state (routing, flows,
 /// counters) is derived from this structure.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Topology {
     nodes: Vec<Node>,
     links: Vec<Link>,

@@ -20,8 +20,7 @@ use crate::flow::{FlowParams, FlowTag};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::NodeId;
 use crate::units::Bps;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::rng::Rng;
 
 /// A single CBR flow from `start` until `stop`.
 pub struct CbrTraffic {
@@ -115,7 +114,7 @@ pub struct OnOffTraffic {
     mean_on: SimDuration,
     mean_off: SimDuration,
     stop: Option<SimTime>,
-    rng: StdRng,
+    rng: Rng,
     active: Option<FlowHandle>,
 }
 
@@ -135,7 +134,7 @@ impl OnOffTraffic {
             mean_on,
             mean_off,
             stop,
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::seed_from_u64(seed),
             active: None,
         }
     }
@@ -186,7 +185,7 @@ pub struct PoissonTransfers {
     /// Mean transfer size, bytes.
     mean_bytes: f64,
     stop: Option<SimTime>,
-    rng: StdRng,
+    rng: Rng,
 }
 
 impl PoissonTransfers {
@@ -199,7 +198,7 @@ impl PoissonTransfers {
         stop: Option<SimTime>,
         seed: u64,
     ) -> Self {
-        PoissonTransfers { src, dst, mean_gap, mean_bytes, stop, rng: StdRng::seed_from_u64(seed) }
+        PoissonTransfers { src, dst, mean_gap, mean_bytes, stop, rng: Rng::seed_from_u64(seed) }
     }
 }
 

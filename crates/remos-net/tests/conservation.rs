@@ -2,7 +2,7 @@
 //! every byte a flow delivers is accounted on every directed interface of
 //! its path — the foundation the whole SNMP measurement chain rests on.
 
-use proptest::prelude::*;
+use remos_prop::prelude::*;
 use remos_net::flow::FlowParams;
 use remos_net::topology::DirLink;
 use remos_net::{mbps, SimDuration, SimTime, Simulator, Topology, TopologyBuilder};

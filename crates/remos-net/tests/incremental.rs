@@ -8,7 +8,7 @@
 //! audit outcome must match bit-for-bit: the incremental solver is not
 //! allowed to be *approximately* right.
 
-use proptest::prelude::*;
+use remos_prop::prelude::*;
 use remos_net::flow::FlowParams;
 use remos_net::{mbps, SimDuration, SimTime, Simulator, SolverMode, Topology, TopologyBuilder};
 

@@ -8,7 +8,7 @@
 //! per-flow start/finish instants and its FCT digest must match a
 //! ground-truth simulator replay bit-for-bit, in both [`SolverMode`]s.
 
-use proptest::prelude::*;
+use remos_prop::prelude::*;
 use remos_net::fabric::{synth_fabric_workload, FatTree, FlowSizeEcdf, WorkloadSpec};
 use remos_net::whatif::{replay_ground_truth, WhatIfEngine, WhatIfFlow};
 use remos_net::SolverMode;

@@ -22,14 +22,17 @@
 //! layer — producing a single unified snapshot.
 
 pub mod clock;
+pub mod json;
 pub mod metrics;
+pub mod sync;
 pub mod trace;
 
 pub use clock::{ClockSource, ManualClock, WallClock};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use trace::{TraceKind, TraceRecord, TraceRecorder, DEFAULT_TRACE_CAPACITY};
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+use sync::Mutex;
 
 /// Shared observability handle: metrics + traces + optional clock.
 #[derive(Clone)]
@@ -42,14 +45,6 @@ pub struct Obs {
 impl Default for Obs {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Lock tolerating poisoning (observability must not amplify a panic).
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
     }
 }
 
@@ -90,7 +85,7 @@ impl Obs {
 
     /// Record an instantaneous event at injected time `t_nanos`.
     pub fn event(&self, name: &'static str, t_nanos: u64, attrs: &[(&'static str, u64)]) {
-        lock(&self.trace).record(TraceKind::Event, name, t_nanos, attrs);
+        self.trace.lock().record(TraceKind::Event, name, t_nanos, attrs);
     }
 
     /// Open a span at injected time `t_nanos`. Close it with
@@ -98,35 +93,35 @@ impl Obs {
     /// (spans are not RAII on purpose — ends carry attributes and an
     /// explicit timestamp).
     pub fn span(&self, name: &'static str, t_nanos: u64) -> Span {
-        lock(&self.trace).record(TraceKind::SpanStart, name, t_nanos, &[]);
+        self.trace.lock().record(TraceKind::SpanStart, name, t_nanos, &[]);
         Span { obs: self.clone(), name }
     }
 
     /// Order-sensitive digest over every trace record so far.
     pub fn trace_digest(&self) -> u64 {
-        lock(&self.trace).digest()
+        self.trace.lock().digest()
     }
 
     /// Total trace records ever appended (including evicted ones).
     pub fn trace_recorded(&self) -> u64 {
-        lock(&self.trace).recorded()
+        self.trace.lock().recorded()
     }
 
     /// Copy of the records currently held by the ring buffer.
     pub fn trace_records(&self) -> Vec<TraceRecord> {
-        lock(&self.trace).records().cloned().collect()
+        self.trace.lock().records().cloned().collect()
     }
 
     /// Install a latency clock. Until one is installed,
     /// [`Obs::clock_nanos`] returns `None` and latency histograms stay
     /// empty — the deterministic default.
     pub fn set_clock(&self, clock: Box<dyn ClockSource>) {
-        *lock(&self.clock) = Some(clock);
+        *self.clock.lock() = Some(clock);
     }
 
     /// Read the injected clock, if any.
     pub fn clock_nanos(&self) -> Option<u64> {
-        lock(&self.clock).as_ref().map(|c| c.nanos())
+        self.clock.lock().as_ref().map(|c| c.nanos())
     }
 }
 
@@ -139,7 +134,7 @@ pub struct Span {
 impl Span {
     /// Close the span at injected time `t_nanos` with attributes.
     pub fn end(self, t_nanos: u64, attrs: &[(&'static str, u64)]) {
-        lock(&self.obs.trace).record(TraceKind::SpanEnd, self.name, t_nanos, attrs);
+        self.obs.trace.lock().record(TraceKind::SpanEnd, self.name, t_nanos, attrs);
     }
 }
 

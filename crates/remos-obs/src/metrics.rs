@@ -10,9 +10,11 @@
 //! (machine consumption; round-trips through [`MetricsSnapshot::from_json`])
 //! and to Prometheus-style exposition text (the CLI's `obs` dump).
 
+use crate::json::{self, Value};
+use crate::sync::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A monotonically increasing counter.
 #[derive(Clone, Debug, Default)]
@@ -157,43 +159,29 @@ pub struct MetricsRegistry {
     histograms: Mutex<BTreeMap<String, Histogram>>,
 }
 
-/// Lock a mutex, tolerating poisoning: metrics must never add a second
-/// failure to a panicking thread's unwinding.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 impl MetricsRegistry {
     /// Get or create the counter `name`.
     pub fn counter(&self, name: &str) -> Counter {
-        lock(&self.counters).entry(name.to_string()).or_default().clone()
+        self.counters.lock().entry(name.to_string()).or_default().clone()
     }
 
     /// Get or create the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        lock(&self.gauges).entry(name.to_string()).or_default().clone()
+        self.gauges.lock().entry(name.to_string()).or_default().clone()
     }
 
     /// Get or create the histogram `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
-        lock(&self.histograms).entry(name.to_string()).or_default().clone()
+        self.histograms.lock().entry(name.to_string()).or_default().clone()
     }
 
     /// Point-in-time copy of every registered metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: lock(&self.counters)
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            gauges: lock(&self.gauges)
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            histograms: lock(&self.histograms)
+            counters: self.counters.lock().iter().map(|(k, v)| (k.clone(), v.get())).collect(),
+            gauges: self.gauges.lock().iter().map(|(k, v)| (k.clone(), v.get())).collect(),
+            histograms: self.histograms
+                .lock()
                 .iter()
                 .map(|(k, v)| (k.clone(), v.snapshot()))
                 .collect(),
@@ -212,19 +200,6 @@ pub struct MetricsSnapshot {
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
-fn json_escape(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Sanitize a metric name for Prometheus exposition.
 fn prom_name(name: &str) -> String {
     name.chars()
@@ -236,65 +211,88 @@ impl MetricsSnapshot {
     /// Render as a single JSON object:
     /// `{"counters":{...},"gauges":{...},"histograms":{...}}`.
     pub fn to_json(&self) -> String {
+        /// `,"k":` (no comma before the first member of an object).
+        fn key(out: &mut String, first: bool, k: &str) {
+            if !first {
+                out.push(',');
+            }
+            // Writing to a `String` cannot fail.
+            let _ = json::write_string(out, k);
+            out.push(':');
+        }
+        fn u64_array(out: &mut String, values: &[u64]) {
+            let items: Vec<String> = values.iter().map(u64::to_string).collect();
+            out.push_str(&format!("[{}]", items.join(",")));
+        }
         let mut out = String::with_capacity(256);
         out.push_str("{\"counters\":{");
         for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            json_escape(&mut out, k);
-            out.push_str(&format!("\":{v}"));
+            key(&mut out, i == 0, k);
+            out.push_str(&v.to_string());
         }
         out.push_str("},\"gauges\":{");
         for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            json_escape(&mut out, k);
+            key(&mut out, i == 0, k);
             // `{}` on f64 prints the shortest representation that parses
             // back to the same bits, so the round-trip is exact (NaN and
             // infinities are not representable in JSON; clamp to 0).
             let v = if v.is_finite() { *v } else { 0.0 };
-            out.push_str(&format!("\":{v}"));
+            out.push_str(&v.to_string());
         }
         out.push_str("},\"histograms\":{");
         for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            json_escape(&mut out, k);
-            out.push_str("\":{\"bounds\":[");
-            for (j, b) in h.bounds.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&b.to_string());
-            }
-            out.push_str("],\"buckets\":[");
-            for (j, b) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&b.to_string());
-            }
-            out.push_str(&format!("],\"count\":{},\"sum\":{}}}", h.count, h.sum));
+            key(&mut out, i == 0, k);
+            out.push_str("{\"bounds\":");
+            u64_array(&mut out, &h.bounds);
+            out.push_str(",\"buckets\":");
+            u64_array(&mut out, &h.buckets);
+            out.push_str(&format!(",\"count\":{},\"sum\":{}}}", h.count, h.sum));
         }
         out.push_str("}}");
         out
     }
 
     /// Parse a snapshot back from [`MetricsSnapshot::to_json`] output.
+    /// A missing section reads as empty; an unknown one is an error.
     pub fn from_json(s: &str) -> Result<MetricsSnapshot, String> {
-        let mut p = JsonParser { bytes: s.as_bytes(), pos: 0 };
-        let snap = p.parse_snapshot()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
+        fn unknown(field: &str) -> json::Error {
+            json::Error::Shape { path: field.to_string(), message: "unknown field".into() }
         }
-        Ok(snap)
+        fn map_of<T>(
+            v: &Value,
+            read: impl Fn(&Value) -> Result<T, json::Error>,
+        ) -> Result<BTreeMap<String, T>, json::Error> {
+            v.as_object()?
+                .iter()
+                .map(|(k, v)| Ok((k.clone(), read(v).map_err(|e| e.under(k))?)))
+                .collect()
+        }
+        fn histogram(v: &Value) -> Result<HistogramSnapshot, json::Error> {
+            const FIELDS: [&str; 4] = ["bounds", "buckets", "count", "sum"];
+            if let Some((k, _)) = v.as_object()?.iter().find(|(k, _)| !FIELDS.contains(&k.as_str())) {
+                return Err(unknown(k));
+            }
+            Ok(HistogramSnapshot {
+                bounds: v.field("bounds", |b| b.list(Value::as_u64))?,
+                buckets: v.field("buckets", |b| b.list(Value::as_u64))?,
+                count: v.field("count", Value::as_u64)?,
+                sum: v.field("sum", Value::as_u64)?,
+            })
+        }
+        let read = |doc: &Value| {
+            let mut snap = MetricsSnapshot::default();
+            for (section, v) in doc.as_object()? {
+                match section.as_str() {
+                    "counters" => map_of(v, Value::as_u64).map(|m| snap.counters = m),
+                    "gauges" => map_of(v, Value::as_f64).map(|m| snap.gauges = m),
+                    "histograms" => map_of(v, histogram).map(|m| snap.histograms = m),
+                    other => Err(unknown(other)),
+                }
+                .map_err(|e| e.under(section))?;
+            }
+            Ok(snap)
+        };
+        Value::parse(s).and_then(|doc| read(&doc)).map_err(|e: json::Error| e.to_string())
     }
 
     /// Render in the Prometheus text exposition format.
@@ -321,222 +319,6 @@ impl MetricsSnapshot {
             out.push_str(&format!("{name}_sum {}\n{name}_count {}\n", h.sum, h.count));
         }
         out
-    }
-}
-
-/// Minimal recursive-descent parser for the exact JSON subset
-/// [`MetricsSnapshot::to_json`] emits (string keys, u64/f64 numbers,
-/// arrays of u64). Kept in-crate so the JSON round-trip contract has no
-/// external dependency.
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn skip_ws(&mut self) {
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_whitespace()) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", c as char, self.pos))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("bad \\u escape")?);
-                            self.pos += 4;
-                        }
-                        _ => return Err("unsupported escape".into()),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through unchanged.
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self
-                        .bytes
-                        .get(self.pos)
-                        .is_some_and(|b| b & 0xC0 == 0x80)
-                    {
-                        self.pos += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|e| e.to_string())?;
-                    out.push_str(chunk);
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<f64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| e.to_string())?
-            .parse::<f64>()
-            .map_err(|e| format!("bad number at byte {start}: {e}"))
-    }
-
-    fn parse_u64(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| e.to_string())?
-            .parse::<u64>()
-            .map_err(|e| format!("bad integer at byte {start}: {e}"))
-    }
-
-    fn parse_u64_array(&mut self) -> Result<Vec<u64>, String> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            out.push(self.parse_u64()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    /// Parse `{"k": V, ...}` with `V` supplied by `value`.
-    fn parse_map<T>(
-        &mut self,
-        mut value: impl FnMut(&mut Self) -> Result<T, String>,
-    ) -> Result<BTreeMap<String, T>, String> {
-        self.expect(b'{')?;
-        let mut out = BTreeMap::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            out.insert(key, value(self)?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn parse_histogram(&mut self) -> Result<HistogramSnapshot, String> {
-        let mut bounds = None;
-        let mut buckets = None;
-        let mut count = None;
-        let mut sum = None;
-        self.expect(b'{')?;
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            match key.as_str() {
-                "bounds" => bounds = Some(self.parse_u64_array()?),
-                "buckets" => buckets = Some(self.parse_u64_array()?),
-                "count" => count = Some(self.parse_u64()?),
-                "sum" => sum = Some(self.parse_u64()?),
-                other => return Err(format!("unknown histogram field {other:?}")),
-            }
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    break;
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-        Ok(HistogramSnapshot {
-            bounds: bounds.ok_or("histogram missing bounds")?,
-            buckets: buckets.ok_or("histogram missing buckets")?,
-            count: count.ok_or("histogram missing count")?,
-            sum: sum.ok_or("histogram missing sum")?,
-        })
-    }
-
-    fn parse_snapshot(&mut self) -> Result<MetricsSnapshot, String> {
-        let mut snap = MetricsSnapshot::default();
-        self.expect(b'{')?;
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            match key.as_str() {
-                "counters" => snap.counters = self.parse_map(|p| p.parse_u64())?,
-                "gauges" => snap.gauges = self.parse_map(|p| p.parse_number())?,
-                "histograms" => snap.histograms = self.parse_map(|p| p.parse_histogram())?,
-                other => return Err(format!("unknown snapshot field {other:?}")),
-            }
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(snap);
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
     }
 }
 

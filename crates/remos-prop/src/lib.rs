@@ -1,8 +1,12 @@
-//! Minimal proptest work-alike for the offline typecheck/test harness.
+//! The workspace's property-test runner: a dependency-free work-alike
+//! of the slice of the `proptest` crate's API the test suites use
+//! (`proptest!`, `prop_assert!`, `prop_oneof!`, strategies, collections).
 //!
 //! No shrinking, no persistence — just deterministic pseudo-random case
-//! generation with the same API surface the repo's property tests use,
-//! so `cargo test` can actually execute them in this sandbox.
+//! generation: every property runs the same 64 seeded cases (or the
+//! count its `proptest_config` names) on every machine, so a failure
+//! reproduces by rerunning the test. A failing input worth keeping is
+//! added next to the property as a named `#[test]`.
 
 pub mod test_runner {
     #[derive(Clone, Debug)]
@@ -389,7 +393,7 @@ pub mod sample {
     }
 }
 
-/// The `proptest::prop` path used via the prelude (`prop::collection::…`).
+/// The `prop` path used via the prelude (`prop::collection::…`).
 pub mod prop {
     pub use crate::collection;
     pub use crate::option;

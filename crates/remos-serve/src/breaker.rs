@@ -18,7 +18,7 @@
 //!   `SnmpCollector::set_retry_observer(breaker.clone())` so the breaker
 //!   sees failures as they happen rather than once per poll.
 
-use parking_lot::Mutex;
+use remos_obs::sync::Mutex;
 use remos_core::collector::{Collector, SampleHistory};
 use remos_core::{CoreResult, DataQuality, HostInfo, RemosError};
 use remos_net::topology::Topology;

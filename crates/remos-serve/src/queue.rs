@@ -11,8 +11,7 @@
 //! [`FairQueue::push`], which refuses work past the configured bounds
 //! instead of growing.
 
-use rand::rngs::StdRng;
-use rand::Rng;
+use remos_net::rng::Rng;
 use remos_core::QuerySpec;
 use remos_net::SimTime;
 use std::collections::{BTreeMap, VecDeque};
@@ -116,7 +115,7 @@ impl FairQueue {
     /// given RNG state and queue content.
     pub fn pop_weighted(
         &mut self,
-        rng: &mut StdRng,
+        rng: &mut Rng,
         weight_of: impl Fn(&str) -> u64,
     ) -> Option<Queued> {
         let total: u64 = self
@@ -156,7 +155,6 @@ impl FairQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
     use remos_core::Query;
 
     fn req(id: u64, tenant: &str, cost: u64) -> Queued {
@@ -194,7 +192,7 @@ mod tests {
         let mut q = FairQueue::new();
         q.push(req(0, "a", 2), &LIMITS).unwrap();
         q.push(req(1, "a", 3), &LIMITS).unwrap();
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Rng::seed_from_u64(7);
         let first = q.pop_weighted(&mut rng, |_| 1).unwrap();
         assert_eq!(first.id, 0);
         assert_eq!(q.len(), 1);
@@ -214,7 +212,7 @@ mod tests {
             let limits = QueueLimits { max_depth: 8, max_tenant_depth: 4, max_cost: 100 };
             q.push(req(0, "heavy", 1), &limits).unwrap();
             q.push(req(1, "light", 1), &limits).unwrap();
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = Rng::seed_from_u64(seed);
             let first = q
                 .pop_weighted(&mut rng, |t| if t == "heavy" { 9 } else { 1 })
                 .unwrap();
@@ -233,7 +231,7 @@ mod tests {
             q.push(req(i, "a", 1), &limits).unwrap();
             q.push(req(100 + i, "b", 1), &limits).unwrap();
         }
-        let mut rng = StdRng::seed_from_u64(42);
+        let mut rng = Rng::seed_from_u64(42);
         let mut first_b_position = None;
         for pos in 0.. {
             let Some(item) = q.pop_weighted(&mut rng, |_| 1) else { break };
@@ -253,7 +251,7 @@ mod tests {
             for i in 0..8 {
                 q.push(req(i, ["a", "b", "c"][i as usize % 3], 1), &limits).unwrap();
             }
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = Rng::seed_from_u64(seed);
             let mut ids = Vec::new();
             while let Some(item) = q.pop_weighted(&mut rng, |_| 1) {
                 ids.push(item.id);

@@ -27,8 +27,7 @@
 
 use crate::quota::{QuotaConfig, TokenBuckets};
 use crate::queue::{FairQueue, Queued, QueueLimits};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use remos_net::rng::Rng;
 use remos_core::{
     CoreResult, DataQuality, QueryBudget, QueryResult, QuerySpec, Remos, RemosError,
 };
@@ -193,7 +192,7 @@ pub struct Server {
     cfg: ServerConfig,
     queue: FairQueue,
     quotas: TokenBuckets,
-    rng: StdRng,
+    rng: Rng,
     next_id: u64,
     digest: u64,
     metrics: ServeMetrics,
@@ -205,7 +204,7 @@ impl Server {
     /// `serve_latency_nanos`, `serve_request` spans).
     pub fn new(remos: Remos, cfg: ServerConfig) -> Server {
         let metrics = ServeMetrics::new(remos.obs());
-        let rng = StdRng::seed_from_u64(cfg.fair_seed);
+        let rng = Rng::seed_from_u64(cfg.fair_seed);
         let quotas = TokenBuckets::new(cfg.quota);
         Server {
             remos,

@@ -17,8 +17,7 @@
 //! that one is also the target of the nightly TSan job in
 //! `.github/workflows/sanitizers.yml`.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use remos_net::rng::Rng;
 use remos_core::Query;
 use remos_net::{SimDuration, SimTime};
 use remos_serve::{
@@ -183,7 +182,7 @@ fn fair_queue_bounds_hold_in_every_interleaving() {
         let mut m = MirrorQueue::default();
         // The lottery RNG varies per order; fairness is statistical, the
         // invariants must hold for any draw sequence.
-        let mut rng = StdRng::seed_from_u64(n as u64);
+        let mut rng = Rng::seed_from_u64(n as u64);
         for (step, op) in order.iter().enumerate() {
             let ctx = format!("order {n} step {step} ({op:?})");
             match *op {

@@ -18,7 +18,6 @@ use crate::error::{SnmpError, SnmpResult};
 use crate::oid::Oid;
 use crate::pdu::{ErrorStatus, Pdu, PduType, VarBind};
 use crate::value::Value;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Magic byte opening every message.
 pub const MAGIC: u8 = 0x53; // 'S'
@@ -37,172 +36,175 @@ const TAG_TIMETICKS: u8 = 0x43;
 const TAG_NO_SUCH_OBJECT: u8 = 0x80;
 const TAG_END_OF_MIB_VIEW: u8 = 0x82;
 
-fn put_bytes(buf: &mut BytesMut, b: &[u8]) {
-    buf.put_u32(b.len() as u32);
-    buf.put_slice(b);
+/// Append the big-endian bytes of an integer (`put(buf, v.to_be_bytes())`).
+fn put<const N: usize>(buf: &mut Vec<u8>, be: [u8; N]) {
+    buf.extend_from_slice(&be);
 }
 
-fn put_oid(buf: &mut BytesMut, oid: &Oid) {
-    buf.put_u16(oid.len() as u16);
+fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
+    put(buf, (b.len() as u32).to_be_bytes());
+    buf.extend_from_slice(b);
+}
+
+fn put_oid(buf: &mut Vec<u8>, oid: &Oid) {
+    put(buf, (oid.len() as u16).to_be_bytes());
     for &p in oid.parts() {
-        buf.put_u32(p);
+        put(buf, p.to_be_bytes());
     }
 }
 
-fn put_value(buf: &mut BytesMut, v: &Value) {
+fn put_value(buf: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Integer(i) => {
-            buf.put_u8(TAG_INTEGER);
-            buf.put_i64(*i);
+            buf.push(TAG_INTEGER);
+            put(buf, i.to_be_bytes());
         }
         Value::OctetString(b) => {
-            buf.put_u8(TAG_OCTET_STRING);
+            buf.push(TAG_OCTET_STRING);
             put_bytes(buf, b);
         }
         Value::ObjectId(o) => {
-            buf.put_u8(TAG_OID);
+            buf.push(TAG_OID);
             put_oid(buf, o);
         }
         Value::Counter32(c) => {
-            buf.put_u8(TAG_COUNTER32);
-            buf.put_u32(*c);
+            buf.push(TAG_COUNTER32);
+            put(buf, c.to_be_bytes());
         }
         Value::Gauge32(g) => {
-            buf.put_u8(TAG_GAUGE32);
-            buf.put_u32(*g);
+            buf.push(TAG_GAUGE32);
+            put(buf, g.to_be_bytes());
         }
         Value::TimeTicks(t) => {
-            buf.put_u8(TAG_TIMETICKS);
-            buf.put_u32(*t);
+            buf.push(TAG_TIMETICKS);
+            put(buf, t.to_be_bytes());
         }
         Value::IpAddress(ip) => {
-            buf.put_u8(TAG_IP_ADDRESS);
-            buf.put_slice(ip);
+            buf.push(TAG_IP_ADDRESS);
+            put(buf, *ip);
         }
-        Value::Null => buf.put_u8(TAG_NULL),
-        Value::NoSuchObject => buf.put_u8(TAG_NO_SUCH_OBJECT),
-        Value::EndOfMibView => buf.put_u8(TAG_END_OF_MIB_VIEW),
+        Value::Null => buf.push(TAG_NULL),
+        Value::NoSuchObject => buf.push(TAG_NO_SUCH_OBJECT),
+        Value::EndOfMibView => buf.push(TAG_END_OF_MIB_VIEW),
     }
 }
 
 /// Encode a message to wire bytes.
-pub fn encode(pdu: &Pdu) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + pdu.bindings.len() * 32);
-    buf.put_u8(MAGIC);
-    buf.put_u8(VERSION);
+pub fn encode(pdu: &Pdu) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64 + pdu.bindings.len() * 32);
+    buf.push(MAGIC);
+    buf.push(VERSION);
     put_bytes(&mut buf, pdu.community.as_bytes());
-    buf.put_u8(pdu.pdu_type.code());
-    buf.put_u32(pdu.request_id);
-    buf.put_u8(pdu.error_status.code());
-    buf.put_u32(pdu.error_index);
-    buf.put_u32(pdu.max_repetitions);
-    buf.put_u16(pdu.bindings.len() as u16);
+    buf.push(pdu.pdu_type.code());
+    put(&mut buf, pdu.request_id.to_be_bytes());
+    buf.push(pdu.error_status.code());
+    put(&mut buf, pdu.error_index.to_be_bytes());
+    put(&mut buf, pdu.max_repetitions.to_be_bytes());
+    put(&mut buf, (pdu.bindings.len() as u16).to_be_bytes());
     for b in &pdu.bindings {
         put_oid(&mut buf, &b.oid);
         put_value(&mut buf, &b.value);
     }
-    buf.freeze()
+    buf
 }
 
-fn need(buf: &Bytes, n: usize) -> SnmpResult<()> {
-    if buf.remaining() < n {
-        Err(SnmpError::Decode(format!("truncated: need {n} more bytes")))
-    } else {
-        Ok(())
+/// The unread rest of a received message. [`Reader::take`] is the only
+/// way forward, so a message that ends early is a `Decode` error at
+/// whichever field it ends in — never an out-of-bounds read.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> SnmpResult<&'a [u8]> {
+        let (head, rest) = self
+            .0
+            .split_at_checked(n)
+            .ok_or_else(|| SnmpError::Decode(format!("truncated: need {n} more bytes")))?;
+        self.0 = rest;
+        Ok(head)
     }
-}
 
-fn take_bytes(buf: &mut Bytes) -> SnmpResult<Vec<u8>> {
-    need(buf, 4)?;
-    let len = buf.get_u32() as usize;
-    if len > 1 << 24 {
-        return Err(SnmpError::Decode(format!("unreasonable length {len}")));
+    fn array<const N: usize>(&mut self) -> SnmpResult<[u8; N]> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
     }
-    need(buf, len)?;
-    let mut v = vec![0u8; len];
-    buf.copy_to_slice(&mut v);
-    Ok(v)
-}
 
-fn take_oid(buf: &mut Bytes) -> SnmpResult<Oid> {
-    need(buf, 2)?;
-    let n = buf.get_u16() as usize;
-    need(buf, n * 4)?;
-    let mut parts = Vec::with_capacity(n);
-    for _ in 0..n {
-        parts.push(buf.get_u32());
+    fn u8(&mut self) -> SnmpResult<u8> {
+        Ok(self.take(1)?[0])
     }
-    Ok(Oid::new(parts))
-}
 
-fn take_value(buf: &mut Bytes) -> SnmpResult<Value> {
-    need(buf, 1)?;
-    let tag = buf.get_u8();
-    Ok(match tag {
-        TAG_INTEGER => {
-            need(buf, 8)?;
-            Value::Integer(buf.get_i64())
+    fn u16(&mut self) -> SnmpResult<u16> {
+        self.array().map(u16::from_be_bytes)
+    }
+
+    fn u32(&mut self) -> SnmpResult<u32> {
+        self.array().map(u32::from_be_bytes)
+    }
+
+    fn bytes(&mut self) -> SnmpResult<Vec<u8>> {
+        let len = self.u32()? as usize;
+        if len > 1 << 24 {
+            return Err(SnmpError::Decode(format!("unreasonable length {len}")));
         }
-        TAG_OCTET_STRING => Value::OctetString(take_bytes(buf)?),
-        TAG_OID => Value::ObjectId(take_oid(buf)?),
-        TAG_COUNTER32 => {
-            need(buf, 4)?;
-            Value::Counter32(buf.get_u32())
-        }
-        TAG_GAUGE32 => {
-            need(buf, 4)?;
-            Value::Gauge32(buf.get_u32())
-        }
-        TAG_TIMETICKS => {
-            need(buf, 4)?;
-            Value::TimeTicks(buf.get_u32())
-        }
-        TAG_IP_ADDRESS => {
-            need(buf, 4)?;
-            let mut ip = [0u8; 4];
-            buf.copy_to_slice(&mut ip);
-            Value::IpAddress(ip)
-        }
-        TAG_NULL => Value::Null,
-        TAG_NO_SUCH_OBJECT => Value::NoSuchObject,
-        TAG_END_OF_MIB_VIEW => Value::EndOfMibView,
-        other => return Err(SnmpError::Decode(format!("unknown value tag {other:#x}"))),
-    })
+        Ok(self.take(len)?.to_vec())
+    }
+
+    fn oid(&mut self) -> SnmpResult<Oid> {
+        let n = self.u16()? as usize;
+        let parts: Vec<u32> = self
+            .take(n * 4)?
+            .chunks_exact(4)
+            .map(|c| u32::from_be_bytes([c[0], c[1], c[2], c[3]]))
+            .collect();
+        Ok(Oid::new(parts))
+    }
+
+    fn value(&mut self) -> SnmpResult<Value> {
+        Ok(match self.u8()? {
+            TAG_INTEGER => Value::Integer(i64::from_be_bytes(self.array()?)),
+            TAG_OCTET_STRING => Value::OctetString(self.bytes()?),
+            TAG_OID => Value::ObjectId(self.oid()?),
+            TAG_COUNTER32 => Value::Counter32(self.u32()?),
+            TAG_GAUGE32 => Value::Gauge32(self.u32()?),
+            TAG_TIMETICKS => Value::TimeTicks(self.u32()?),
+            TAG_IP_ADDRESS => Value::IpAddress(self.array()?),
+            TAG_NULL => Value::Null,
+            TAG_NO_SUCH_OBJECT => Value::NoSuchObject,
+            TAG_END_OF_MIB_VIEW => Value::EndOfMibView,
+            other => return Err(SnmpError::Decode(format!("unknown value tag {other:#x}"))),
+        })
+    }
 }
 
 /// Decode a message from wire bytes.
-pub fn decode(mut buf: Bytes) -> SnmpResult<Pdu> {
-    need(&buf, 2)?;
-    let magic = buf.get_u8();
+pub fn decode(wire: impl AsRef<[u8]>) -> SnmpResult<Pdu> {
+    let mut r = Reader(wire.as_ref());
+    let magic = r.u8()?;
     if magic != MAGIC {
         return Err(SnmpError::Decode(format!("bad magic {magic:#x}")));
     }
-    let version = buf.get_u8();
+    let version = r.u8()?;
     if version != VERSION {
         return Err(SnmpError::Decode(format!("unsupported version {version}")));
     }
-    let community = String::from_utf8(take_bytes(&mut buf)?)
+    let community = String::from_utf8(r.bytes()?)
         .map_err(|_| SnmpError::Decode("community not UTF-8".into()))?;
-    need(&buf, 1 + 4 + 1 + 4 + 4 + 2)?;
-    let pdu_type = PduType::from_code(buf.get_u8())
+    let pdu_type = PduType::from_code(r.u8()?)
         .ok_or_else(|| SnmpError::Decode("unknown pdu type".into()))?;
-    let request_id = buf.get_u32();
-    let error_status = ErrorStatus::from_code(buf.get_u8())
+    let request_id = r.u32()?;
+    let error_status = ErrorStatus::from_code(r.u8()?)
         .ok_or_else(|| SnmpError::Decode("unknown error status".into()))?;
-    let error_index = buf.get_u32();
-    let max_repetitions = buf.get_u32();
-    let n = buf.get_u16() as usize;
+    let error_index = r.u32()?;
+    let max_repetitions = r.u32()?;
+    let n = r.u16()? as usize;
     let mut bindings = Vec::with_capacity(n);
     for _ in 0..n {
-        let oid = take_oid(&mut buf)?;
-        let value = take_value(&mut buf)?;
+        let oid = r.oid()?;
+        let value = r.value()?;
         bindings.push(VarBind { oid, value });
     }
-    if buf.has_remaining() {
-        return Err(SnmpError::Decode(format!(
-            "{} trailing bytes after message",
-            buf.remaining()
-        )));
+    if !r.0.is_empty() {
+        return Err(SnmpError::Decode(format!("{} trailing bytes after message", r.0.len())));
     }
     Ok(Pdu {
         community,
@@ -259,30 +261,29 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic() {
-        let mut b = encode(&sample_pdu()).to_vec();
+        let mut b = encode(&sample_pdu());
         b[0] = 0x00;
-        assert!(matches!(decode(Bytes::from(b)), Err(SnmpError::Decode(_))));
+        assert!(matches!(decode(b), Err(SnmpError::Decode(_))));
     }
 
     #[test]
     fn rejects_truncation_at_every_length() {
-        let full = encode(&sample_pdu()).to_vec();
+        let full = encode(&sample_pdu());
         for cut in 0..full.len() {
-            let b = Bytes::copy_from_slice(&full[..cut]);
-            assert!(decode(b).is_err(), "decode succeeded on {cut}-byte prefix");
+            assert!(decode(&full[..cut]).is_err(), "decode succeeded on {cut}-byte prefix");
         }
     }
 
     #[test]
     fn rejects_trailing_garbage() {
-        let mut b = encode(&sample_pdu()).to_vec();
+        let mut b = encode(&sample_pdu());
         b.push(0xaa);
-        assert!(decode(Bytes::from(b)).is_err());
+        assert!(decode(b).is_err());
     }
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use remos_prop::prelude::*;
 
         fn arb_oid() -> impl Strategy<Value = Oid> {
             prop::collection::vec(0u32..1 << 16, 0..12).prop_map(Oid::new)
@@ -347,7 +348,7 @@ mod tests {
 
             #[test]
             fn decode_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-                let _ = decode(Bytes::from(bytes));
+                let _ = decode(bytes);
             }
 
             #[test]
@@ -356,12 +357,12 @@ mod tests {
                 frac in 0.0f64..1.0,
             ) {
                 // Every strict prefix of a valid message must fail cleanly:
-                // the parse runs out of bytes mid-field and the `need` guards
-                // turn that into a Decode error, never a panic or over-read.
+                // the parse runs out of bytes mid-field and `Reader::take`
+                // turns that into a Decode error, never a panic or over-read.
                 let full = encode(&pdu);
                 let cut = ((full.len() as f64) * frac) as usize;
                 prop_assert!(cut < full.len());
-                prop_assert!(decode(full.slice(..cut)).is_err());
+                prop_assert!(decode(&full[..cut]).is_err());
             }
 
             #[test]
@@ -374,10 +375,10 @@ mod tests {
                 // payload byte. Decoding may legitimately succeed (payload
                 // flip) or fail, but must never panic or read past the
                 // buffer.
-                let mut bytes = encode(&pdu).to_vec();
+                let mut bytes = encode(&pdu);
                 let i = pos.index(bytes.len());
                 bytes[i] ^= 1 << bit;
-                let _ = decode(Bytes::from(bytes));
+                let _ = decode(bytes);
             }
         }
     }

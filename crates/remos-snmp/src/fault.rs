@@ -11,9 +11,8 @@
 //! so the whole manager → collector → modeler pipeline sees exactly what a
 //! real deployment would.
 
-use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use remos_obs::sync::Mutex;
+use remos_net::rng::Rng;
 use remos_net::{SimDuration, SimTime};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -138,7 +137,7 @@ impl FaultPlan {
 
 struct NodeFaults {
     plan: FaultPlan,
-    rng: StdRng,
+    rng: Rng,
     /// Restart the current counter baselines belong to.
     restart: Option<SimTime>,
     /// Raw octet totals captured at first read after `restart`, keyed by
@@ -168,7 +167,7 @@ impl FaultDirector {
             agent.to_string(),
             NodeFaults {
                 plan,
-                rng: StdRng::seed_from_u64(seed),
+                rng: Rng::seed_from_u64(seed),
                 restart: None,
                 baselines: HashMap::new(),
             },

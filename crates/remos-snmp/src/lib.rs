@@ -9,7 +9,7 @@
 //! * [`mib`] — a MIB tree plus builders for the `system`, `interfaces`
 //!   (ifTable) and neighbor (LLDP-style) groups;
 //! * [`pdu`] / [`codec`] — GET / GETNEXT / GETBULK / RESPONSE protocol data
-//!   units and a compact binary TLV encoding over [`bytes`];
+//!   units and a compact binary TLV encoding over `Vec<u8>`;
 //! * [`agent`] — request handling over a MIB view, with community-string
 //!   authentication; [`sim`] materializes agents from a shared
 //!   [`remos_net::Simulator`] (interface speeds and wrapped Counter32

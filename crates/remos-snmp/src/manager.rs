@@ -11,9 +11,8 @@ use crate::oid::Oid;
 use crate::pdu::{ErrorStatus, Pdu, VarBind};
 use crate::transport::Transport;
 use crate::value::Value;
-use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use remos_obs::sync::Mutex;
+use remos_net::rng::Rng;
 use remos_obs::{Counter, Obs};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -105,7 +104,7 @@ pub struct Manager<T: Transport> {
     next_request_id: AtomicU32,
     /// Retry/backoff policy for lost datagrams.
     pub policy: RetryPolicy,
-    jitter: Mutex<StdRng>,
+    jitter: Mutex<Rng>,
     obs_metrics: ManagerMetrics,
     retry_observer: Option<Arc<dyn RetryObserver>>,
 }
@@ -118,7 +117,7 @@ impl<T: Transport> Manager<T> {
 
     /// New manager with an explicit retry policy.
     pub fn with_policy(transport: Arc<T>, community: &str, policy: RetryPolicy) -> Self {
-        let jitter = Mutex::new(StdRng::seed_from_u64(policy.jitter_seed));
+        let jitter = Mutex::new(Rng::seed_from_u64(policy.jitter_seed));
         Manager {
             transport,
             community: community.to_string(),
@@ -158,7 +157,7 @@ impl<T: Transport> Manager<T> {
         if cap.is_zero() {
             return Duration::ZERO;
         }
-        cap.mul_f64(self.jitter.lock().gen::<f64>())
+        cap.mul_f64(self.jitter.lock().unit())
     }
 
     /// Notify the registered observer (if any) of a request outcome.

@@ -12,7 +12,7 @@ use crate::agent::{Agent, MibProvider};
 use crate::fault::FaultDirector;
 use crate::mib::{Mib, SERVICES_HOST, SERVICES_ROUTER};
 use crate::transport::SimTransport;
-use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use remos_obs::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use remos_net::counters::to_counter32;
 use remos_net::topology::{DirLink, NodeId, NodeKind};
 use remos_net::{SimTime, Simulator};

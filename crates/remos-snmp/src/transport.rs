@@ -14,9 +14,8 @@ use crate::codec;
 use crate::error::{SnmpError, SnmpResult};
 use crate::fault::FaultDirector;
 use crate::pdu::Pdu;
-use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use remos_obs::sync::Mutex;
+use remos_net::rng::Rng;
 use remos_net::SimTime;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -73,7 +72,7 @@ pub struct SimTransport {
 
 struct LossModel {
     probability: f64,
-    rng: StdRng,
+    rng: Rng,
 }
 
 impl Default for SimTransport {
@@ -114,7 +113,7 @@ impl SimTransport {
         *self.loss.lock() = if probability <= 0.0 {
             None
         } else {
-            Some(LossModel { probability, rng: StdRng::seed_from_u64(seed) })
+            Some(LossModel { probability, rng: Rng::seed_from_u64(seed) })
         };
     }
 
@@ -192,7 +191,7 @@ impl Transport for SimTransport {
             self.stats.lock().response_drops += 1;
             return Err(SnmpError::Timeout);
         }
-        let resp = codec::decode(wire.clone())?;
+        let resp = codec::decode(&wire)?;
         {
             let mut s = self.stats.lock();
             s.responses += 1;

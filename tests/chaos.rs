@@ -10,8 +10,7 @@
 //! fabricate utilization spikes, and a federation fails over between
 //! collectors when one region goes dark.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use remos::net::rng::Rng;
 use remos::apps::airshed::airshed_program_iters;
 use remos::apps::harness::TestbedHarness;
 use remos::apps::synthetic::{install_scenario, TrafficScenario};
@@ -49,7 +48,7 @@ fn dirs_between(topo: &Topology, x: &str, y: &str) -> [DirLink; 2] {
 /// Deterministic in `seed`. Faults start no earlier than t = 2 s so the
 /// initial (strict, all-agents) discovery at t ≈ 1 s stays clean.
 fn random_fault_schedule(director: &Arc<FaultDirector>, seed: u64) -> Vec<String> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut pool: Vec<&str> = TESTBED_HOSTS
         .iter()
         .chain(TESTBED_ROUTERS.iter())

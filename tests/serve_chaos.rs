@@ -14,8 +14,7 @@
 //! answering bit-identically run-to-run, and every answer's
 //! `Provenance` names the surviving federation state.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use remos::net::rng::Rng;
 use remos::apps::testbed::{cmu_testbed, TESTBED_HOSTS, TESTBED_ROUTERS};
 use remos::core::collector::multi::MultiCollector;
 use remos::core::collector::snmp::{SnmpCollector, SnmpCollectorConfig};
@@ -43,7 +42,7 @@ fn chaos_stack(seed: u64) -> (Server, SharedSim) {
     let director = FaultDirector::new();
     let agents = register_all_agents_with_faults(&transport, &sim, "public", &director);
 
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut pool: Vec<&str> =
         TESTBED_HOSTS.iter().chain(TESTBED_ROUTERS.iter()).copied().collect();
     let crash_victim = pool.swap_remove(rng.gen_range(0..pool.len()));
@@ -252,7 +251,7 @@ fn failover_batch_run(seed: u64) -> (u64, u64) {
 
     // Chaos, pinned by seed: a flaky window on one east agent, then the
     // whole east region crashes for good.
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let now = sim.lock().now();
     let until = now + SimDuration::from_millis(rng.gen_range(500..1_500));
     director.set_plan(

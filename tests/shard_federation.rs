@@ -9,7 +9,7 @@
 //! (`force_full_merge`) under any interleaving of shard faults, and a
 //! crashed shard must degrade only its own region.
 
-use proptest::prelude::*;
+use remos_prop::prelude::*;
 use remos::core::collector::multi::{MultiCollector, MultiCollectorConfig};
 use remos::core::collector::oracle::OracleCollector;
 use remos::core::collector::shard::{shard_fabric, ShardCollector};
