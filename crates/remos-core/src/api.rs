@@ -29,6 +29,7 @@ use crate::provenance::Provenance;
 use crate::quality::DataQuality;
 use crate::query::{require_nodes, QueryResult, QuerySpec, ReachableQuery};
 use crate::timeframe::Timeframe;
+use remos_net::topology::NodeKind;
 use remos_net::{pool, SimDuration, SimTime};
 use remos_obs::{Counter, Histogram, Obs};
 use std::sync::Arc;
@@ -384,21 +385,25 @@ impl Remos {
     }
 
     /// Reachability reads the topology alone — no samples, no plan — so
-    /// it skips the measure, prepare and answer stages.
+    /// it skips the measure, prepare and answer stages: one row of the
+    /// modeler's routing table for the current epoch answers every
+    /// candidate. Only hosts send or receive, so a switch reaches, and is
+    /// reached by, nothing but itself.
     fn answer_reachable(&mut self, q: &ReachableQuery) -> CoreResult<QueryResult> {
         self.ensure_topology()?;
         let topo = self.collector.topology()?;
         let a = topo
             .lookup(&q.anchor)
             .map_err(|_| RemosError::UnknownNode(q.anchor.clone()))?;
-        let routing = remos_net::routing::Routing::new(&topo);
+        let routing = self.modeler.routing_for(self.collector.topology_epoch(), &topo);
+        let host = |id| topo.node(id).kind == NodeKind::Compute;
         Ok(QueryResult::Peers(
             q.candidates
                 .iter()
                 .filter(|c| {
-                    topo.lookup(c)
-                        .map(|id| id == a || routing.path(&topo, a, id).is_ok())
-                        .unwrap_or(false)
+                    topo.lookup(c).is_ok_and(|id| {
+                        id == a || (host(a) && host(id) && routing.reachable(&topo, a, id))
+                    })
                 })
                 .cloned()
                 .collect(),
@@ -1188,6 +1193,61 @@ mod tests {
         match &out[4] {
             Ok(QueryResult::Peers(p)) => assert_eq!(p, &vec!["m-3".to_string()]),
             other => panic!("unexpected reachable result: {other:?}"),
+        }
+    }
+
+    /// Reachability from one routing row equals routing a path to every
+    /// candidate, for every anchor of a topology with an unlinked host
+    /// (`d`), a host behind another host (`c`, which `b` reaches and `a`
+    /// cannot: hosts do not forward) and switches among the candidates —
+    /// with the epoch's shared table and with capacity-0 private ones.
+    #[test]
+    fn reachable_matches_per_candidate_paths() {
+        let mut b = TopologyBuilder::new();
+        let [ha, hb, hc] = ["a", "b", "c"].map(|n| b.compute(n));
+        b.compute("d");
+        let [s, t] = ["s", "t"].map(|n| b.network(n));
+        let lat = SimDuration::from_micros(100);
+        for (x, y) in [(ha, s), (s, t), (t, hb), (hb, hc)] {
+            b.link(x, y, mbps(100.0), lat).unwrap();
+        }
+        let sim = share(Simulator::new(b.build().unwrap()).unwrap());
+        let candidates = ["a", "b", "c", "d", "s", "t", "zz"].map(String::from);
+        for plan_cache_capacity in [crate::modeler::DEFAULT_PLAN_CACHE_CAPACITY, 0] {
+            let modeler = ModelerConfig { plan_cache_capacity, ..ModelerConfig::default() };
+            let mut remos = Remos::new(
+                Box::new(crate::collector::oracle::OracleCollector::new(Arc::clone(&sim))),
+                Box::new(SimClock(Arc::clone(&sim))),
+                RemosConfig { modeler, ..RemosConfig::default() },
+            );
+            // A resident plan, so there is a table for the epoch to share.
+            remos.run(Query::graph(["a", "b"])).unwrap();
+            for anchor in &candidates[..6] {
+                let got = remos
+                    .run(Query::reachable(anchor, candidates.clone()))
+                    .and_then(|r| r.into_peers())
+                    .unwrap();
+                let topo = remos.collector.topology().unwrap();
+                let routing = remos_net::routing::Routing::new(&topo);
+                let from = topo.lookup(anchor).unwrap();
+                let want: Vec<String> = candidates
+                    .iter()
+                    .filter(|c| {
+                        topo.lookup(c)
+                            .is_ok_and(|id| id == from || routing.path(&topo, from, id).is_ok())
+                    })
+                    .cloned()
+                    .collect();
+                assert_eq!(got, want, "anchor {anchor}, capacity {plan_cache_capacity}");
+            }
+            assert_eq!(
+                remos.run(Query::reachable("a", candidates.clone())).unwrap().into_peers().unwrap(),
+                ["a", "b"]
+            );
+            // Only host anchors route, and the epoch's table keeps their rows.
+            let topo = remos.collector.topology().unwrap();
+            let table = remos.modeler.routing_for(remos.collector.topology_epoch(), &topo);
+            assert_eq!(table.rows_built(), if plan_cache_capacity == 0 { 0 } else { 4 });
         }
     }
 

@@ -20,10 +20,9 @@ use crate::error::{CoreResult, RemosError};
 use remos_net::routing::Routing;
 use remos_net::topology::{DirLink, LinkId, NodeId, NodeKind, Topology};
 use remos_net::{Bps, SimDuration};
-use std::collections::BTreeSet;
 
 /// A logical link between two retained nodes, with its physical support.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LogicalLinkSpec {
     /// Retained endpoint (physical node id).
     pub a: NodeId,
@@ -38,7 +37,7 @@ pub struct LogicalLinkSpec {
 }
 
 /// The structure of a logical topology, before dynamic annotation.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LogicalStructure {
     /// Retained physical node ids, sorted.
     pub nodes: Vec<NodeId>,
@@ -60,59 +59,65 @@ pub fn logicalize(
             crate::error::InvalidQueryKind::EmptyNodeSet,
         ));
     }
-    let mut target_set = BTreeSet::new();
     for &t in targets {
         if topo.try_node(t).is_err() {
             return Err(RemosError::Net(format!("node {t:?} out of range")));
         }
-        target_set.insert(t);
     }
+    let mut sorted = targets.to_vec();
+    sorted.sort_unstable();
+    sorted.dedup();
+    let host = |n: NodeId| topo.node(n).kind == NodeKind::Compute;
 
-    // 1. Union of links used by routed paths between all target pairs.
-    let mut used_links: BTreeSet<LinkId> = BTreeSet::new();
-    let mut used_nodes: BTreeSet<NodeId> = target_set.clone();
-    for &s in &target_set {
-        for &d in &target_set {
-            if s >= d {
-                continue;
-            }
-            let path = routing.path(topo, s, d).map_err(|_| {
+    // 1. Union of links used by routed paths between all target pairs
+    //    `s < d`. The paths out of one source form a tree, so each is
+    //    walked from `d` back toward `s` only as far as the first node an
+    //    earlier walk from this source already covered.
+    let mut used_link = vec![false; topo.link_count()];
+    let mut walked_from = vec![u32::MAX; topo.node_count()];
+    for (i, &s) in sorted.iter().enumerate().take(sorted.len() - 1) {
+        let tree = routing.tree(topo, s)?;
+        for &d in &sorted[i + 1..] {
+            let unrouted = || {
                 RemosError::Disconnected(topo.node(s).name.clone(), topo.node(d).name.clone())
-            })?;
-            for h in &path.hops {
-                used_links.insert(h.link);
+            };
+            if !host(s) || !host(d) {
+                return Err(unrouted());
             }
-            for n in &path.nodes {
-                used_nodes.insert(*n);
+            let mut cur = d;
+            while cur != s && walked_from[cur.index()] != s.0 {
+                // No predecessor at `d` itself: `s` does not reach it.
+                let link = tree.prev(cur).ok_or_else(unrouted)?;
+                walked_from[cur.index()] = s.0;
+                used_link[link.index()] = true;
+                cur = topo.link(link).opposite(cur);
             }
         }
     }
 
-    // Induced adjacency over used links.
+    // Induced adjacency over used links, in link-id order.
     let mut adj: Vec<Vec<LinkId>> = vec![Vec::new(); topo.node_count()];
-    for &l in &used_links {
+    for l in topo.link_ids().filter(|l| used_link[l.index()]) {
         let link = topo.link(l);
         adj[link.a.index()].push(l);
         adj[link.b.index()].push(l);
     }
 
-    // 2. Retained nodes: targets, compute nodes, or network nodes of
-    //    induced degree != 2 (junctions). Degree-2 non-target network
-    //    nodes are pure forwarders and get collapsed.
-    let keep = |n: NodeId| -> bool {
-        target_set.contains(&n)
-            || topo.node(n).kind == NodeKind::Compute
-            || adj[n.index()].len() != 2
-    };
-    let kept: Vec<NodeId> = used_nodes.iter().copied().filter(|&n| keep(n)).collect();
+    // 2. Retained nodes, of those a used link touches (and the lone
+    //    target of a one-target query, which none does): compute nodes,
+    //    and network nodes of induced degree != 2 (junctions). Degree-2
+    //    network nodes are pure forwarders and get collapsed.
+    let keep = |n: NodeId| -> bool { host(n) || adj[n.index()].len() != 2 };
+    let used = |n: NodeId| n == sorted[0] || !adj[n.index()].is_empty();
+    let kept: Vec<NodeId> = topo.node_ids().filter(|&n| used(n) && keep(n)).collect();
 
-    // Walk chains from each kept node; each chain is emitted once (from
-    // its lexicographically smaller traversal signature).
+    // Walk chains from each kept node. A used link lies on exactly one
+    // chain, so un-marking links as they are walked emits each chain
+    // once, from its end that comes first in (node, link) order.
     let mut links = Vec::new();
-    let mut visited_first_hop: BTreeSet<(NodeId, LinkId)> = BTreeSet::new();
     for &start in &kept {
         for &first in &adj[start.index()] {
-            if visited_first_hop.contains(&(start, first)) {
+            if !used_link[first.index()] {
                 continue;
             }
             // Traverse to the next kept node.
@@ -122,6 +127,7 @@ pub fn logicalize(
             let mut at = start;
             let mut via = first;
             loop {
+                used_link[via.index()] = false;
                 let link = topo.link(via);
                 let dir = link.direction_from(at);
                 fwd.push(DirLink { link: via, dir });
@@ -129,10 +135,6 @@ pub fn logicalize(
                 latency += link.latency;
                 let next = link.opposite(at);
                 if keep(next) {
-                    // Mark both traversal entries so the chain is not
-                    // emitted again from the far side.
-                    visited_first_hop.insert((start, first));
-                    visited_first_hop.insert((next, via));
                     let rev: Vec<DirLink> = fwd
                         .iter()
                         .rev()

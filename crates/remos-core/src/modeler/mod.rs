@@ -15,9 +15,10 @@
 //!    collector and clock; the `Modeler::{get_graph, get_graph_in,
 //!    flow_info}` wrappers take the collector's samples as they are.
 //! 3. **prepare** — `Modeler::prepare`: every collector *read*. One
-//!    lookup of the structural [`plan::QueryPlan`] (routing +
-//!    logicalization, cached per `(topology_epoch, target set)`), the
-//!    host table, and the sample selection for the timeframe.
+//!    lookup of the structural [`plan::QueryPlan`] (logicalization of
+//!    the target set, cached per `(topology_epoch, target set)`, over
+//!    routes memoised per `topology_epoch`), the host table, and the
+//!    sample selection for the timeframe.
 //! 4. **answer** — `Modeler::answer`: `&self`, pure over what stage 3
 //!    produced. Annotation, flow solving, what-if replay, the
 //!    `min_quality` floor and provenance stripping all live here and
@@ -44,6 +45,7 @@ use crate::timeframe::Timeframe;
 use flowsolve::{ResourceModel, SampleSolver, StageFlow};
 use plan::{PlanCache, QueryPlan};
 use predict::{predict, PredictorKind};
+use remos_net::routing::Routing;
 use remos_net::topology::{NodeKind, Topology};
 use remos_net::{Bps, SimTime};
 use remos_obs::sync::Mutex;
@@ -63,8 +65,9 @@ pub struct ModelerConfig {
     /// How external traffic competes with queried flows.
     pub sharing: SharingPolicy,
     /// Bounded plan-cache capacity, in plans. `0` disables caching
-    /// entirely: every query rebuilds routing and logicalization cold —
-    /// the reference the equivalence suites compare cached answers to.
+    /// entirely: every query routes and logicalizes from scratch, over a
+    /// routing table no other query sees — the reference the equivalence
+    /// suites compare cached answers to.
     pub plan_cache_capacity: usize,
 }
 
@@ -260,13 +263,21 @@ impl Modeler {
             .collect()
     }
 
+    /// The routing table for the collector's topology `topo` at `epoch`:
+    /// the one the cached plans of that epoch share, or a private one
+    /// when there are none (see [`PlanCache::routing_for`]).
+    pub(crate) fn routing_for(&self, epoch: u64, topo: &Arc<Topology>) -> Arc<Routing> {
+        self.cache.lock().routing_for(epoch, topo)
+    }
+
     /// Obtain the structural plan for `names`: cache hit when the
     /// collector's topology epoch and the canonical target set match a
-    /// resident plan, cold build otherwise. On a hit with a stable
-    /// query set the only work is name validation and rebuilding the
-    /// canonical key in the caller's buffer, so the warm path allocates
-    /// nothing.
-    pub(crate) fn plan_for(
+    /// resident plan, a build over the epoch's routing table otherwise
+    /// (capacity 0: always a build, over a table of its own). On a hit
+    /// with a stable query set the only work is name validation and
+    /// rebuilding the canonical key in the caller's buffer, so the warm
+    /// path allocates nothing.
+    pub fn plan_for(
         &self,
         col: &dyn Collector,
         names: &[String],
@@ -282,14 +293,6 @@ impl Modeler {
         key.sort_unstable();
         key.dedup();
         let epoch = col.topology_epoch();
-        // Plans are built from the canonical ordering (logicalization is
-        // order-insensitive), so a cold rebuild reproduces a cached plan
-        // bit for bit.
-        if self.cfg.plan_cache_capacity == 0 {
-            self.metrics.plan_cache_misses.inc();
-            let targets = Self::resolve_names(&topo, key)?;
-            return Ok(Arc::new(QueryPlan::build(epoch, topo, targets)?));
-        }
         if let Some(cached) = self.cache.lock().get(epoch, key) {
             // Defense in depth: an epoch match with a different topology
             // Arc means a collector swapped its view without bumping the
@@ -300,8 +303,12 @@ impl Modeler {
             }
         }
         self.metrics.plan_cache_misses.inc();
+        // Plans are built from the canonical ordering (logicalization is
+        // order-insensitive), so a cold rebuild reproduces a cached plan
+        // bit for bit.
         let targets = Self::resolve_names(&topo, key)?;
-        let built = Arc::new(QueryPlan::build(epoch, topo, targets)?);
+        let routing = self.routing_for(epoch, &topo);
+        let built = Arc::new(QueryPlan::build(epoch, topo, routing, &targets)?);
         if self.cache.lock().insert(epoch, key.clone(), Arc::clone(&built)) {
             self.metrics.plan_cache_evictions.inc();
         }
@@ -878,8 +885,8 @@ impl Modeler {
     }
 
     /// Answer a what-if query over one sample selection. Endpoint names
-    /// resolve against the plan's frozen topology (a plan-cache hit
-    /// therefore skips routing entirely), the newest selected snapshot
+    /// resolve against the plan's frozen topology, flows route through
+    /// the plan's (per-epoch) routing table, the newest selected snapshot
     /// supplies per-interface background utilization, and
     /// `remos_net::whatif` replays the fluid max-min schedule on a
     /// scratch arena.

@@ -1,14 +1,16 @@
 //! Epoch-keyed query-plan cache.
 //!
-//! Answering a graph or flow query splits into a slow, structural half —
-//! all-pairs routing over the discovered topology plus logicalization of
-//! the target set (§4.3) — and a cheap per-query half that annotates the
-//! structure with the currently selected utilization samples. The
-//! structural half is a pure function of `(topology, target set)`, so it
-//! is computed once into a [`QueryPlan`] and shared behind `Arc`s; a
-//! small bounded LRU ([`PlanCache`]) keyed by `(topology_epoch,
-//! canonical target set)` lets repeated queries skip Dijkstra and
-//! logicalization entirely.
+//! Answering a graph or flow query splits into a structural half —
+//! routing between the targets plus logicalization of the target set
+//! (§4.3) — and a cheap per-query half that annotates the structure with
+//! the currently selected utilization samples. The structural half is a
+//! pure function of `(topology, target set)`, so it is computed once into
+//! a [`QueryPlan`] and shared behind `Arc`s; a small bounded LRU
+//! ([`PlanCache`]) keyed by `(topology_epoch, canonical target set)` lets
+//! repeated queries skip it entirely. Routing depends on the topology
+//! alone, so a plan is built over the [`Routing`] of the resident plans
+//! of its epoch: a miss runs Dijkstra only from targets none of them
+//! routed from.
 //!
 //! Invalidation is epoch-based: every collector bumps its
 //! `topology_epoch` on rediscovery, so a plan built under an older epoch
@@ -29,7 +31,6 @@ use crate::quality::DataQuality;
 use crate::stats::Quartiles;
 use remos_net::routing::Routing;
 use remos_net::topology::{NodeId, Topology};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The reusable structural product of a query: everything about an
@@ -39,28 +40,25 @@ pub struct QueryPlan {
     pub epoch: u64,
     /// The physical topology the plan was derived from.
     pub topo: Arc<Topology>,
-    /// Resolved target node ids (canonical order).
-    pub targets: Vec<NodeId>,
-    /// All-pairs routes over `topo` — the Dijkstra product.
+    /// Routes over `topo`, a row per source routed from so far; shared
+    /// with the other resident plans of the same epoch.
     pub routing: Arc<Routing>,
     /// Logical structure connecting the targets.
     pub structure: Arc<LogicalStructure>,
-    /// Retained physical node id -> node-table slot.
-    index_of: BTreeMap<NodeId, usize>,
     /// Statically annotated logical graph (no host info, availability =
     /// capacity): the flow solver's resource space.
     pub static_graph: Arc<RemosGraph>,
 }
 
 impl QueryPlan {
-    /// Build a plan cold: routing + logicalization + static graph.
-    pub fn build(epoch: u64, topo: Arc<Topology>, targets: Vec<NodeId>) -> CoreResult<QueryPlan> {
-        let routing = Routing::new(&topo);
-        let structure = logical::logicalize(&topo, &routing, &targets)?;
-        let mut index_of = BTreeMap::new();
-        for (i, &nid) in structure.nodes.iter().enumerate() {
-            index_of.insert(nid, i);
-        }
+    /// Build a plan over `routing`, a table for `topo`: logicalization + static graph.
+    pub fn build(
+        epoch: u64,
+        topo: Arc<Topology>,
+        routing: Arc<Routing>,
+        targets: &[NodeId],
+    ) -> CoreResult<QueryPlan> {
+        let structure = logical::logicalize(&topo, &routing, targets)?;
         let nodes = structure
             .nodes
             .iter()
@@ -79,8 +77,8 @@ impl QueryPlan {
             .iter()
             .map(|spec| {
                 Ok(RemosLink {
-                    a: slot_of(&index_of, spec.a)?,
-                    b: slot_of(&index_of, spec.b)?,
+                    a: slot_of(&structure.nodes, spec.a)?,
+                    b: slot_of(&structure.nodes, spec.b)?,
                     capacity: spec.capacity,
                     latency: spec.latency,
                     avail: [Quartiles::exact(spec.capacity), Quartiles::exact(spec.capacity)],
@@ -92,22 +90,21 @@ impl QueryPlan {
         Ok(QueryPlan {
             epoch,
             topo,
-            targets,
-            routing: Arc::new(routing),
+            routing,
             structure: Arc::new(structure),
-            index_of,
             static_graph,
         })
     }
 
     /// Node-table slot of a retained physical node.
     pub fn node_slot(&self, nid: NodeId) -> CoreResult<usize> {
-        slot_of(&self.index_of, nid)
+        slot_of(&self.structure.nodes, nid)
     }
 }
 
-fn slot_of(index_of: &BTreeMap<NodeId, usize>, nid: NodeId) -> CoreResult<usize> {
-    index_of.get(&nid).copied().ok_or_else(|| {
+/// Slot of `nid` in a structure's retained-node list, which is sorted.
+fn slot_of(retained: &[NodeId], nid: NodeId) -> CoreResult<usize> {
+    retained.binary_search(&nid).map_err(|_| {
         RemosError::Internal(format!("logical structure references unretained node {nid:?}"))
     })
 }
@@ -133,6 +130,17 @@ impl PlanCache {
     /// Cache holding at most `cap` plans (`0` disables storage).
     pub fn new(cap: usize) -> PlanCache {
         PlanCache { cap, tick: 0, entries: Vec::new() }
+    }
+
+    /// The routing table to build a plan under `(epoch, topo)` over: the
+    /// one resident plans of that epoch and topology `Arc` (the hit path's
+    /// `Arc::ptr_eq` rule) share, else a fresh one — always, at capacity
+    /// 0, so the reference modeler shares no memo with the path under test.
+    pub fn routing_for(&self, epoch: u64, topo: &Arc<Topology>) -> Arc<Routing> {
+        self.entries
+            .iter()
+            .find(|e| e.epoch == epoch && Arc::ptr_eq(&e.plan.topo, topo))
+            .map_or_else(|| Arc::new(Routing::new(topo)), |e| Arc::clone(&e.plan.routing))
     }
 
     /// Look up a plan; refreshes its recency on hit.
@@ -176,11 +184,6 @@ impl PlanCache {
         evicted
     }
 
-    /// Drop every cached plan.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
     /// Number of resident plans.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -203,7 +206,8 @@ mod tests {
         let h2 = b.compute("h2");
         b.link(h1, h2, mbps(10.0), SimDuration::from_micros(5)).unwrap();
         let topo = Arc::new(b.build().unwrap());
-        Arc::new(QueryPlan::build(epoch, topo, vec![h1, h2]).unwrap())
+        let routing = Arc::new(Routing::new(&topo));
+        Arc::new(QueryPlan::build(epoch, topo, routing, &[h1, h2]).unwrap())
     }
 
     fn key(names: &[&str]) -> Vec<String> {

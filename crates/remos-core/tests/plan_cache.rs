@@ -81,6 +81,13 @@ impl StubCollector {
             self.state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         (self.state >> 33) % bound
     }
+
+    /// The misbehaviour the modeler's `Arc::ptr_eq` check defends
+    /// against: a new topology under the old epoch.
+    fn swap_topology_without_bumping_the_epoch(&mut self) {
+        self.current = 1 - self.current;
+        self.history.clear();
+    }
 }
 
 impl Collector for StubCollector {
@@ -267,4 +274,54 @@ fn lru_evictions_are_counted() {
     assert_eq!(c("modeler_plan_cache_misses_total"), 6);
     // The first insert fills the empty slot; every later insert evicts.
     assert_eq!(c("modeler_plan_cache_evictions_total"), 5);
+}
+
+/// Routing depends on the topology alone, so every plan built under one
+/// `(epoch, topology Arc)` routes through one shared table — across LRU
+/// evictions too — and the table is replaced when either half of that
+/// key changes. The capacity-0 reference modeler shares nothing.
+#[test]
+fn plans_of_one_epoch_share_one_routing_table() {
+    let mut col = StubCollector::new(3);
+    col.poll().unwrap();
+    let cached = Modeler::new(ModelerConfig { plan_cache_capacity: 2, ..ModelerConfig::default() });
+    let cold = Modeler::new(ModelerConfig { plan_cache_capacity: 0, ..ModelerConfig::default() });
+    let plan = |m: &Modeler, col: &StubCollector, set: usize| {
+        m.plan_for(col, &target_set(set), &mut Vec::new()).unwrap()
+    };
+
+    let first = plan(&cached, &col, 0);
+    assert_eq!(first.routing.rows_built(), 1, "{{h0, h3}} routes from h0 alone");
+    let second = plan(&cached, &col, 1);
+    assert!(Arc::ptr_eq(&first.routing, &second.routing), "two misses, one epoch, two tables");
+    assert_eq!(first.routing.rows_built(), 3, "h1 and h2 joined h0; h3 is only ever a destination");
+    // A third set evicts the first; rebuilding it is a miss that still
+    // lands on the shared table and finds its row there.
+    plan(&cached, &col, 2);
+    let rebuilt = plan(&cached, &col, 0);
+    assert!(!Arc::ptr_eq(&first, &rebuilt), "capacity 2 kept three plans");
+    assert!(Arc::ptr_eq(&first.routing, &rebuilt.routing));
+    assert_eq!(rebuilt.routing.rows_built(), 3);
+
+    col.refresh_topology().unwrap();
+    col.poll().unwrap();
+    let bumped = plan(&cached, &col, 0);
+    assert!(!Arc::ptr_eq(&first.routing, &bumped.routing), "an epoch bump kept the old table");
+    assert!(Arc::ptr_eq(&bumped.topo, &col.topology().unwrap()));
+
+    col.swap_topology_without_bumping_the_epoch();
+    col.poll().unwrap();
+    let swapped = plan(&cached, &col, 0);
+    assert_eq!(swapped.epoch, bumped.epoch);
+    assert!(Arc::ptr_eq(&swapped.topo, &col.topology().unwrap()), "stale plan served");
+    assert!(!Arc::ptr_eq(&bumped.routing, &swapped.routing), "routes of the swapped-out topology");
+    for set in 0..3 {
+        let a = cached.get_graph(&col, &target_set(set), Timeframe::Current).unwrap();
+        let b = cold.get_graph(&col, &target_set(set), Timeframe::Current).unwrap();
+        assert_eq!(a.digest(), b.digest(), "set {set} after the silent swap");
+    }
+
+    let (x, y) = (plan(&cold, &col, 1), plan(&cold, &col, 1));
+    assert!(!Arc::ptr_eq(&x.routing, &y.routing), "capacity 0 shared a table");
+    assert_eq!(y.routing.rows_built(), 2, "a private table holds this query's rows only");
 }

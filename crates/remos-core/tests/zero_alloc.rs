@@ -19,8 +19,8 @@ use remos_core::timeframe::Timeframe;
 use remos_net::{FabricChurn, FatTree, SimDuration, Simulator, SolverMode};
 use remos_snmp::sim::{share, SharedSim};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Pass-through system allocator that counts every acquisition path
@@ -30,21 +30,32 @@ use std::sync::Arc;
 /// the warmup era being dropped, which shrink-free reuse never does.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Acquisitions made by this thread. Const-initialised and without a
+    /// destructor, so touching it from inside the allocator neither
+    /// allocates nor registers anything.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one acquisition against the calling thread (nothing, for a
+/// thread already past its thread-local teardown).
+fn count() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -56,8 +67,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Acquisitions the calling thread has made so far.
 fn alloc_count() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// Assert in release; report in debug (see module docs).
@@ -81,7 +93,9 @@ fn expect_zero(delta: u64, what: &str) {
 /// walks, solver arrays) only stop growing once the seeded schedule has
 /// set its last component-size record, which a long probe put shortly
 /// after event 3300; from there 2600+ consecutive events ran with zero
-/// allocations.
+/// allocations. A routing row is allocated the first time a flow starts
+/// at its host, so the warmup must also have started a flow at every one
+/// of the 128 hosts.
 #[test]
 fn steady_state_churn_events_are_allocation_free() {
     let mut churn = FabricChurn::new(8, 120, 0xFA_B51C, 80, SolverMode::Incremental)
@@ -92,6 +106,8 @@ fn steady_state_churn_events_are_allocation_free() {
         drained.clear();
         churn.sim.drain_finished_into(&mut drained);
     }
+    let hosts = churn.sim.topology().compute_nodes().len();
+    assert_eq!(churn.sim.routing().rows_built(), hosts, "warmup left a host unrouted");
     let before = alloc_count();
     for _ in 0..128 {
         churn.step().expect("measured churn event");

@@ -419,7 +419,8 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Build a simulator over a topology. Routing is computed eagerly.
+    /// Build a simulator over a topology. Routes are computed per source,
+    /// the first time a flow starts there.
     pub fn new(topo: Topology) -> Result<Simulator> {
         let routing = Routing::new(&topo);
         // Resource vector layout: the stable dir-link prefix (indexed by
@@ -747,9 +748,10 @@ impl Simulator {
         std::mem::take(&mut self.link_events)
     }
 
-    /// Change a link's state *now*: routing is recomputed, every active
-    /// flow is re-pathed onto its new best route (flows left with no route
-    /// terminate with `completed = false`), and the transition is logged.
+    /// Change a link's state *now*: the routing table is replaced, every
+    /// active flow is re-pathed onto its new best route (flows left with no
+    /// route terminate with `completed = false`), and the transition is
+    /// logged.
     pub fn set_link_state(&mut self, link: crate::topology::LinkId, up: bool) -> Result<()> {
         self.apply_link_transitions(&[(link, up)])
     }

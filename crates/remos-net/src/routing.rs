@@ -7,13 +7,17 @@
 //! (§4.3: network nodes are responsible for forwarding), so interior path
 //! nodes must be network nodes.
 //!
-//! The routing table is deterministic, which keeps whole-simulation runs
-//! reproducible.
+//! A source's routes are computed the first time something routes from
+//! it, so the engine, the what-if kernel, the SNMP `ipRouteTable` walk
+//! and the modeler each pay for the sources they use. The table is
+//! deterministic, which keeps whole-simulation runs reproducible.
 
 use crate::error::{NetError, Result};
 use crate::topology::{DirLink, LinkId, NodeId, NodeKind, Topology};
-use std::cmp::Ordering;
+use std::cell::RefCell;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::OnceLock;
 
 /// A routed path between two compute nodes.
 #[derive(Clone, Debug, PartialEq)]
@@ -70,148 +74,145 @@ impl Path {
     }
 }
 
-#[derive(PartialEq, Eq)]
-struct HeapEntry {
-    hops: u32,
-    latency_ns: u64,
-    node: NodeId,
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap: invert so the smallest cost pops first.
-        (other.hops, other.latency_ns, other.node)
-            .cmp(&(self.hops, self.latency_ns, self.node))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Sentinel in the flat predecessor table: no predecessor link.
+/// Sentinel in a predecessor row: the node is the source itself or is
+/// unreachable from it.
 const NO_PREV: u32 = u32::MAX;
 
-/// All-sources routing table over one topology.
+/// Rows allocated at a time. The engine walks every flow's path buffers
+/// each step: a 5 KB row on the heap between each two of them slowed
+/// that walk by a quarter on the k=16 fabric, a batch every 32 does not.
+const ROW_BATCH: usize = 32;
+
+/// Dijkstra working state, reused by every row a thread fills.
+#[derive(Default)]
+struct Scratch {
+    /// Best `(hops, latency ns)` found so far, per node.
+    dist: Vec<(u32, u64)>,
+    /// Min-heap on `(hops, latency ns, node)`.
+    heap: BinaryHeap<Reverse<(u32, u64, NodeId)>>,
+    /// Rows of [`NO_PREV`] allocated ahead, all of one length.
+    blank: Vec<Box<[u32]>>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// Routing table over one topology and link state, one row per source,
+/// each filled on first use.
 ///
-/// Stored as two flat arrays indexed `src * n + node` (no per-source boxed
-/// rows): one cache-friendly predecessor table (`u32::MAX` = none) and one
-/// reachability bitmap. The per-source Dijkstra scratch (dist, done, heap)
-/// is reused across sources during construction.
+/// A row is a pure function of `(topology, link state, source)`, so
+/// which caller fills it, in what order and on which thread cannot show
+/// in any route; sharing a table only shares the work.
 #[derive(Clone, Debug)]
 pub struct Routing {
-    /// Node count (row stride of the flat tables).
-    n: usize,
-    /// `prev[src * n + node]` = id of the link taken to reach `node` from
-    /// its predecessor on the best path from `src`; [`NO_PREV`] if none.
-    prev: Vec<u32>,
-    /// `reachable[src * n + node]`.
-    reachable: Vec<bool>,
+    /// `rows[src][node]` = id of the link taken to reach `node` from its
+    /// predecessor on the best path from `src`; [`NO_PREV`] if none.
+    rows: Vec<OnceLock<Box<[u32]>>>,
+    /// `up[l]` false: link `l` is down. `None`: everything is up.
+    up: Option<Box<[bool]>>,
+}
+
+/// One source's shortest-path tree, borrowed from its [`Routing`].
+#[derive(Clone, Copy, Debug)]
+pub struct Tree<'a>(&'a [u32]);
+
+impl Tree<'_> {
+    /// The link `node` is reached over on the best path from the source:
+    /// `None` for the source itself and for nodes it cannot reach
+    /// (respecting the no-forwarding rule for hosts).
+    #[inline]
+    pub fn prev(self, node: NodeId) -> Option<LinkId> {
+        self.0.get(node.index()).filter(|&&raw| raw != NO_PREV).map(|&raw| LinkId(raw))
+    }
 }
 
 impl Routing {
-    /// Compute routes for every source node, all links up.
+    /// Route over `topo` with all links up. Computes nothing yet.
     pub fn new(topo: &Topology) -> Routing {
         Self::with_link_state(topo, None)
     }
 
-    /// Compute routes honoring link state: `up[l]` false means link `l`
-    /// is down and carries no routes. `None` means everything is up.
+    /// Route honoring link state: `up[l]` false means link `l` is down
+    /// and carries no routes. `None` means everything is up.
     pub fn with_link_state(topo: &Topology, up: Option<&[bool]>) -> Routing {
-        if let Some(up) = up {
-            debug_assert_eq!(up.len(), topo.link_count());
-        }
-        let n = topo.node_count();
-        let mut table = Routing {
-            n,
-            prev: vec![NO_PREV; n * n],
-            reachable: vec![false; n * n],
-        };
-        let mut dist = vec![(u32::MAX, u64::MAX); n];
-        let mut done = vec![false; n];
-        let mut heap = BinaryHeap::new();
-        for src in topo.node_ids() {
-            table.single_source(topo, src, up, &mut dist, &mut done, &mut heap);
-        }
-        table
+        debug_assert!(up.is_none_or(|up| up.len() == topo.link_count()));
+        Routing { rows: vec![OnceLock::new(); topo.node_count()], up: up.map(Box::from) }
     }
 
-    fn single_source(
-        &mut self,
-        topo: &Topology,
-        src: NodeId,
-        up: Option<&[bool]>,
-        dist: &mut [(u32, u64)],
-        done: &mut [bool],
-        heap: &mut BinaryHeap<HeapEntry>,
-    ) {
-        let row = src.index() * self.n;
-        let prev = &mut self.prev[row..row + self.n];
-        dist.fill((u32::MAX, u64::MAX));
-        done.fill(false);
+    /// Number of sources routed from so far.
+    pub fn rows_built(&self) -> usize {
+        self.rows.iter().filter(|r| r.get().is_some()).count()
+    }
+
+    /// The shortest-path tree rooted at `src` (any node, routers
+    /// included), computed on first use. `topo` must be the topology the
+    /// table was built over.
+    pub fn tree(&self, topo: &Topology, src: NodeId) -> Result<Tree<'_>> {
+        match self.rows.get(src.index()) {
+            Some(row) if topo.node_count() == self.rows.len() => {
+                Ok(Tree(row.get_or_init(|| SCRATCH.with_borrow_mut(|s| self.fill(topo, src, s)))))
+            }
+            _ => Err(NetError::Internal(format!("no routing row for {src:?}"))),
+        }
+    }
+
+    /// Dijkstra from `src`: its predecessor row.
+    fn fill(&self, topo: &Topology, src: NodeId, scratch: &mut Scratch) -> Box<[u32]> {
+        let Scratch { dist, heap, blank } = scratch;
+        let n = topo.node_count();
+        let mut prev = match blank.pop() {
+            Some(row) if row.len() == n => row,
+            _ => {
+                blank.clear();
+                blank.resize(ROW_BATCH - 1, vec![NO_PREV; n].into_boxed_slice());
+                vec![NO_PREV; n].into_boxed_slice()
+            }
+        };
+        dist.clear();
+        dist.resize(n, (u32::MAX, u64::MAX));
         heap.clear();
         dist[src.index()] = (0, 0);
-        heap.push(HeapEntry { hops: 0, latency_ns: 0, node: src });
+        heap.push(Reverse((0, 0, src)));
 
-        while let Some(HeapEntry { hops, latency_ns, node }) = heap.pop() {
-            if done[node.index()] {
-                continue;
-            }
-            done[node.index()] = true;
-            // Hosts terminate paths: only the source host and network nodes
-            // may forward.
-            if node != src && topo.node(node).kind == NodeKind::Compute {
+        while let Some(Reverse((hops, latency_ns, node))) = heap.pop() {
+            // An entry a later, better one has superseded.
+            if (hops, latency_ns) > dist[node.index()] {
                 continue;
             }
             for &(link, next) in topo.neighbors(node) {
-                if done[next.index()] {
+                if self.up.as_ref().is_some_and(|up| !up[link.index()]) {
                     continue;
                 }
-                if let Some(up) = up {
-                    if !up[link.index()] {
-                        continue;
-                    }
-                }
-                let l = topo.link(link);
-                let cand = (hops + 1, latency_ns + l.latency.as_nanos());
+                let cand = (hops + 1, latency_ns + topo.link(link).latency.as_nanos());
                 if cand < dist[next.index()] {
                     dist[next.index()] = cand;
                     prev[next.index()] = link.index() as u32;
-                    heap.push(HeapEntry { hops: cand.0, latency_ns: cand.1, node: next });
+                    // Hosts terminate paths: only the source host and
+                    // network nodes forward, so no other host is expanded.
+                    if topo.node(next).kind != NodeKind::Compute {
+                        heap.push(Reverse((cand.0, cand.1, next)));
+                    }
                 }
             }
         }
-        for (i, &(h, _)) in dist.iter().enumerate() {
-            self.reachable[row + i] = h != u32::MAX;
-        }
-    }
-
-    #[inline]
-    fn prev_link(&self, src: NodeId, node: NodeId) -> Option<LinkId> {
-        match self.prev[src.index() * self.n + node.index()] {
-            NO_PREV => None,
-            raw => Some(LinkId(raw)),
-        }
+        prev
     }
 
     /// True if `dst` is reachable from `src` (respecting the no-forwarding
     /// rule for hosts).
-    pub fn reachable(&self, src: NodeId, dst: NodeId) -> bool {
-        self.reachable[src.index() * self.n + dst.index()]
+    pub fn reachable(&self, topo: &Topology, src: NodeId, dst: NodeId) -> bool {
+        src == dst || self.tree(topo, src).is_ok_and(|t| t.prev(dst).is_some())
     }
 
     /// First hop out of `src` toward `dst`: `(link, next node)`. `None`
     /// when unreachable or `src == dst`. Works for *any* source node
     /// (including routers) — the data behind `ipRouteTable` entries.
     pub fn next_hop(&self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<(LinkId, NodeId)> {
-        if src == dst || !self.reachable(src, dst) {
-            return None;
-        }
+        let tree = self.tree(topo, src).ok()?;
         let mut cur = dst;
         loop {
-            let link = self.prev_link(src, cur)?;
+            let link = tree.prev(cur)?;
             let from = topo.link(link).opposite(cur);
             if from == src {
                 return Some((link, cur));
@@ -232,8 +233,8 @@ impl Routing {
 
     /// Write the routed path from `src` to `dst` into `out`, reusing its
     /// hop and node buffers (the allocation-free variant of
-    /// [`path`](Self::path) the engine's steady-state flow admission uses).
-    /// On error `out` is left cleared.
+    /// [`path`](Self::path) the engine's steady-state flow admission uses
+    /// once `src`'s row exists). On error `out` is left cleared.
     pub fn path_into(
         &self,
         topo: &Topology,
@@ -257,15 +258,16 @@ impl Routing {
             out.nodes.push(src);
             return Ok(());
         }
-        if !self.reachable(src, dst) {
+        let tree = self.tree(topo, src)?;
+        if tree.prev(dst).is_none() {
             return Err(NetError::NoRoute { src, dst });
         }
         // Walk predecessors dst -> src, then reverse in place.
         out.nodes.push(dst);
         let mut cur = dst;
         while cur != src {
-            let link = self.prev_link(src, cur)
-                .ok_or_else(|| NetError::Internal(format!("routing table corrupt at {cur:?}")))?;
+            let link = tree.prev(cur)
+                .ok_or_else(|| NetError::Internal(format!("routing row broken at {cur:?}")))?;
             let l = topo.link(link);
             let from = l.opposite(cur);
             out.hops.push(DirLink { link, dir: l.direction_from(from) });
@@ -281,9 +283,12 @@ impl Routing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Rng;
     use crate::time::SimDuration;
     use crate::topology::TopologyBuilder;
     use crate::units::mbps;
+    use remos_prop::prelude::*;
+    use std::sync::Barrier;
 
     /// Line: h1 - r1 - r2 - h2, plus a slow shortcut h1 - r2.
     fn line_with_shortcut() -> (Topology, NodeId, NodeId) {
@@ -470,5 +475,261 @@ mod tests {
         let mut rn = rev.nodes.clone();
         rn.reverse();
         assert_eq!(fwd.nodes, rn);
+    }
+
+    /// The eager all-sources table this module built before rows became
+    /// lazy — two flat `src * n + node` arrays filled by a Dijkstra that
+    /// pushes every relaxed node and skips hosts when popped — with its
+    /// builder and ordering kept verbatim: the reference the lazy rows
+    /// are compared against.
+    struct Eager {
+        n: usize,
+        prev: Vec<u32>,
+        reachable: Vec<bool>,
+    }
+
+    #[derive(PartialEq, Eq)]
+    struct HeapEntry {
+        hops: u32,
+        latency_ns: u64,
+        node: NodeId,
+    }
+
+    impl Ord for HeapEntry {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            // BinaryHeap is a max-heap: invert so the smallest cost pops first.
+            (other.hops, other.latency_ns, other.node)
+                .cmp(&(self.hops, self.latency_ns, self.node))
+        }
+    }
+
+    impl PartialOrd for HeapEntry {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Eager {
+        fn build(topo: &Topology, up: Option<&[bool]>) -> Eager {
+            let n = topo.node_count();
+            let mut table =
+                Eager { n, prev: vec![NO_PREV; n * n], reachable: vec![false; n * n] };
+            let mut dist = vec![(u32::MAX, u64::MAX); n];
+            let mut done = vec![false; n];
+            let mut heap = BinaryHeap::new();
+            for src in topo.node_ids() {
+                let row = src.index() * n;
+                let prev = &mut table.prev[row..row + n];
+                dist.fill((u32::MAX, u64::MAX));
+                done.fill(false);
+                heap.clear();
+                dist[src.index()] = (0, 0);
+                heap.push(HeapEntry { hops: 0, latency_ns: 0, node: src });
+                while let Some(HeapEntry { hops, latency_ns, node }) = heap.pop() {
+                    if done[node.index()] {
+                        continue;
+                    }
+                    done[node.index()] = true;
+                    if node != src && topo.node(node).kind == NodeKind::Compute {
+                        continue;
+                    }
+                    for &(link, next) in topo.neighbors(node) {
+                        if done[next.index()] {
+                            continue;
+                        }
+                        if let Some(up) = up {
+                            if !up[link.index()] {
+                                continue;
+                            }
+                        }
+                        let l = topo.link(link);
+                        let cand = (hops + 1, latency_ns + l.latency.as_nanos());
+                        if cand < dist[next.index()] {
+                            dist[next.index()] = cand;
+                            prev[next.index()] = link.index() as u32;
+                            heap.push(HeapEntry { hops: cand.0, latency_ns: cand.1, node: next });
+                        }
+                    }
+                }
+                for (i, &(h, _)) in dist.iter().enumerate() {
+                    table.reachable[row + i] = h != u32::MAX;
+                }
+            }
+            table
+        }
+
+        fn reachable(&self, src: NodeId, dst: NodeId) -> bool {
+            self.reachable[src.index() * self.n + dst.index()]
+        }
+
+        /// The route `src -> dst` read off the flat table: every
+        /// `(link, node it leaves)` hop, in travel order.
+        fn hops(&self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<Vec<(LinkId, NodeId)>> {
+            let mut hops = Vec::new();
+            let mut cur = dst;
+            while self.reachable(src, dst) && cur != src {
+                let link = LinkId(self.prev[src.index() * self.n + cur.index()]);
+                cur = topo.link(link).opposite(cur);
+                hops.push((link, cur));
+            }
+            hops.reverse();
+            self.reachable(src, dst).then_some(hops)
+        }
+
+        fn next_hop(&self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<(LinkId, NodeId)> {
+            let (link, _) = *self.hops(topo, src, dst)?.first()?;
+            Some((link, topo.link(link).opposite(src)))
+        }
+
+        fn path(&self, topo: &Topology, src: NodeId, dst: NodeId) -> Result<Path> {
+            if let Some(&n) = [src, dst].iter().find(|&&n| topo.node(n).kind != NodeKind::Compute) {
+                return Err(NetError::NotComputeNode(n));
+            }
+            let hops = self.hops(topo, src, dst).ok_or(NetError::NoRoute { src, dst })?;
+            let mut path = empty_path(src, dst);
+            for &(link, from) in &hops {
+                path.hops.push(DirLink { link, dir: topo.link(link).direction_from(from) });
+                path.nodes.push(from);
+            }
+            path.nodes.push(dst);
+            Ok(path)
+        }
+    }
+
+    fn empty_path(src: NodeId, dst: NodeId) -> Path {
+        Path { src, dst, hops: Vec::new(), nodes: Vec::new() }
+    }
+
+    /// A random network of routers and hosts in interleaved id order:
+    /// a sparse router mesh with parallel links, hosts with zero to three
+    /// uplinks, the odd host-to-host link, three latency classes (so hop
+    /// ties and latency ties both occur) — and, half the time, a link
+    /// mask that takes a fifth of the links down, which disconnects some
+    /// pairs.
+    fn random_net(seed: u64) -> (Topology, Option<Vec<bool>>) {
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut b = TopologyBuilder::new();
+        let (mut routers, mut hosts) = (Vec::new(), Vec::new());
+        for i in 0..rng.gen_range(3..20usize) {
+            if i == 0 || rng.gen_bool(0.4) {
+                routers.push(b.network(&format!("r{i}")));
+            } else {
+                hosts.push(b.compute(&format!("h{i}")));
+            }
+        }
+        let link = |b: &mut TopologyBuilder, rng: &mut Rng, x: NodeId, y: NodeId| {
+            let lat = SimDuration::from_micros([10, 10, 25][rng.gen_range(0..3usize)]);
+            b.link(x, y, mbps(100.0), lat).unwrap();
+        };
+        for i in 0..routers.len() {
+            for j in 0..i {
+                for _ in 0..2 {
+                    if rng.gen_bool(0.35) {
+                        link(&mut b, &mut rng, routers[i], routers[j]);
+                    }
+                }
+            }
+        }
+        for (i, &h) in hosts.iter().enumerate() {
+            for _ in 0..rng.gen_range(0..4usize) {
+                let r = routers[rng.gen_range(0..routers.len())];
+                link(&mut b, &mut rng, h, r);
+            }
+            if i > 0 && rng.gen_bool(0.2) {
+                let peer = hosts[rng.gen_range(0..i)];
+                link(&mut b, &mut rng, h, peer);
+            }
+        }
+        let topo = b.build().unwrap();
+        let up = rng
+            .gen_bool(0.5)
+            .then(|| (0..topo.link_count()).map(|_| rng.gen_bool(0.8)).collect());
+        (topo, up)
+    }
+
+    /// Every answer `lazy` gives about each of `pairs` equals the eager
+    /// table's; one path buffer is reused, dirty, from pair to pair.
+    fn agree<'a>(
+        topo: &Topology,
+        eager: &Eager,
+        lazy: &Routing,
+        pairs: impl Iterator<Item = &'a (NodeId, NodeId)>,
+    ) -> std::result::Result<(), String> {
+        let mut buf = empty_path(NodeId(0), NodeId(0));
+        for &(src, dst) in pairs {
+            prop_assert_eq!(lazy.reachable(topo, src, dst), eager.reachable(src, dst));
+            prop_assert_eq!(lazy.next_hop(topo, src, dst), eager.next_hop(topo, src, dst));
+            let want = eager.path(topo, src, dst);
+            prop_assert_eq!(&lazy.path(topo, src, dst), &want, "{src:?}->{dst:?}");
+            let got = lazy.path_into(topo, src, dst, &mut buf).map(|()| buf.clone());
+            prop_assert_eq!(&got, &want, "path_into {src:?}->{dst:?}");
+            prop_assert!(got.is_ok() || buf == empty_path(src, dst), "error left a path behind");
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Rows first touched in a random pair order, rows first touched
+        /// by four threads racing from a barrier, and a clone of a filled
+        /// table all answer exactly like the eager table: routes, next
+        /// hops (from routers too), reachability and the `NoRoute` /
+        /// `NotComputeNode` errors.
+        #[test]
+        fn lazy_rows_match_the_eager_table(seed in 0u64..1_000_000) {
+            let (topo, up) = random_net(seed);
+            let eager = Eager::build(&topo, up.as_deref());
+            let mut pairs: Vec<(NodeId, NodeId)> = topo
+                .node_ids()
+                .flat_map(|s| topo.node_ids().map(move |d| (s, d)))
+                .collect();
+            let mut rng = Rng::seed_from_u64(seed ^ 0xfeed);
+            for i in (1..pairs.len()).rev() {
+                pairs.swap(i, rng.gen_range(0..i + 1));
+            }
+
+            let lazy = Routing::with_link_state(&topo, up.as_deref());
+            prop_assert_eq!(lazy.rows_built(), 0);
+            agree(&topo, &eager, &lazy, pairs.iter())?;
+            prop_assert_eq!(lazy.rows_built(), topo.node_count());
+
+            let raced = Routing::with_link_state(&topo, up.as_deref());
+            let start = Barrier::new(4);
+            let (pairs, n) = (&pairs, pairs.len());
+            let outcomes: Vec<std::result::Result<(), String>> = std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..4)
+                    .map(|quarter| {
+                        let (topo, eager, raced, start) = (&topo, &eager, &raced, &start);
+                        scope.spawn(move || {
+                            start.wait();
+                            // Each thread starts a quarter further into `pairs`.
+                            let from = pairs.iter().cycle().skip(quarter * n / 4);
+                            agree(topo, eager, raced, from.take(n))
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|w| w.join().expect("worker panicked")).collect()
+            });
+            for outcome in outcomes {
+                outcome?;
+            }
+            prop_assert_eq!(raced.rows_built(), topo.node_count());
+            agree(&topo, &eager, &raced.clone(), pairs.iter())?;
+        }
+    }
+
+    #[test]
+    fn a_table_asked_about_another_topology_answers_with_a_typed_error() {
+        let (t, h1, h2) = line_with_shortcut();
+        let mut b = TopologyBuilder::new();
+        let lone = b.compute("lone");
+        let small = b.build().unwrap();
+        let r = Routing::new(&small);
+        assert!(matches!(r.path(&t, h1, h2), Err(NetError::Internal(_))));
+        assert!(r.next_hop(&t, h1, h2).is_none());
+        assert!(!r.reachable(&t, h1, h2));
+        assert!(r.path(&small, lone, lone).is_ok());
+        assert_eq!(r.rows_built(), 0);
     }
 }

@@ -186,8 +186,9 @@ impl ScratchFlow {
 /// The reusable what-if replay kernel over one frozen topology snapshot.
 ///
 /// Construction routes nothing; paths are resolved per flow from the
-/// shared [`Routing`] (all-pairs product, typically the modeler's cached
-/// plan). All per-run state lives in arenas that are reused across
+/// shared [`Routing`] (typically the modeler's per-epoch table), which
+/// fills a source's row the first time a flow starts there. All per-run
+/// state lives in arenas that are reused across
 /// [`estimate`](WhatIfEngine::estimate) calls, so batch callers pay the
 /// allocation cost once.
 pub struct WhatIfEngine {
@@ -227,7 +228,7 @@ pub struct WhatIfEngine {
 }
 
 impl WhatIfEngine {
-    /// Build a kernel over a topology snapshot and its all-pairs routing.
+    /// Build a kernel over a topology snapshot and a routing table for it.
     pub fn new(topo: Arc<Topology>, routing: Arc<Routing>) -> WhatIfEngine {
         let (capacities, backplane) = resource_layout(&topo);
         let n_res = capacities.len();

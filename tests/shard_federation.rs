@@ -13,10 +13,11 @@ use remos_prop::prelude::*;
 use remos::core::collector::multi::{MultiCollector, MultiCollectorConfig};
 use remos::core::collector::oracle::OracleCollector;
 use remos::core::collector::shard::{shard_fabric, ShardCollector};
-use remos::core::collector::{Collector, SampleHistory, Snapshot};
+use remos::core::collector::{Collector, SampleHistory, SimClock, Snapshot};
 use remos::core::graph::HostInfo;
 use remos::core::{
-    CoreResult, DataQuality, FlowInfoRequest, Modeler, RemosError, Timeframe,
+    CoreResult, DataQuality, FlowInfoRequest, Modeler, ModelerConfig, Query, Remos, RemosConfig,
+    RemosError, Timeframe,
 };
 use remos::net::flow::FlowParams;
 use remos::net::topology::Topology;
@@ -269,6 +270,57 @@ fn quick_scale_graph_digest_matches_the_golden() {
             assert_eq!(g.digest(), QUICK_GOLDEN_GRAPH_DIGEST, "{what}: {}", col.describe());
         }
     }
+}
+
+/// The served miss path end to end: `Remos::run` over the shard
+/// federation with a 4-plan cache, cycling six 16-host sets so every
+/// lookup misses, evicts, and builds its plan over the epoch's shared
+/// routing table (rows left there by earlier, overlapping sets). Every
+/// answer must digest equal to a capacity-0 modeler — private routing
+/// table, nothing cached — reading a fresh monolithic oracle.
+#[test]
+fn served_plan_misses_match_the_cold_oracle_answer() {
+    let (tree, sim) = fabric_sim(8, SolverMode::Incremental);
+    seed_local_flows(&tree, &sim, 0xC01D_5E75, 128, 70);
+    sim.lock().run_for(SimDuration::from_millis(500)).unwrap();
+    let (_, fed) = mono_and_sharded(&tree, &sim);
+    let cached = ModelerConfig { plan_cache_capacity: 4, ..ModelerConfig::default() };
+    let mut remos = Remos::new(
+        Box::new(fed),
+        Box::new(SimClock(Arc::clone(&sim))),
+        RemosConfig { modeler: cached, ..RemosConfig::default() },
+    );
+    let cold = Modeler::new(ModelerConfig { plan_cache_capacity: 0, ..ModelerConfig::default() });
+
+    let hosts = tree.topology().compute_nodes();
+    let mut next = lcg(0x5E75);
+    let sets: Vec<Vec<String>> = (0..6)
+        .map(|_| {
+            let mut picked = std::collections::BTreeSet::new();
+            while picked.len() < 16 {
+                picked.insert(hosts[next(hosts.len() as u64) as usize]);
+            }
+            picked.into_iter().map(|h| tree.topology().node(h).name.clone()).collect()
+        })
+        .collect();
+
+    for round in 0..3 {
+        for (i, set) in sets.iter().enumerate() {
+            let served = remos
+                .run(Query::graph(set.iter()).without_provenance())
+                .and_then(|r| r.into_graph())
+                .unwrap();
+            let mut oracle = OracleCollector::new(Arc::clone(&sim));
+            assert!(oracle.poll().unwrap());
+            let mut reference = cold.get_graph(&oracle, set, Timeframe::Current).unwrap();
+            reference.provenance = None;
+            assert_eq!(served.digest(), reference.digest(), "round {round}, set {i}");
+            assert!(served.links.iter().any(|l| l.avail[0].median < l.capacity), "idle answer");
+        }
+    }
+    let counters = remos.obs().metrics_snapshot().counters;
+    assert_eq!(counters.get("modeler_plan_cache_hits_total").copied().unwrap_or(0), 0);
+    assert_eq!(counters.get("modeler_plan_cache_misses_total").copied(), Some(18));
 }
 
 /// Builds a 4-shard flaky federation over `sim`, returning the
