@@ -70,17 +70,6 @@ pub fn emit(cell: &Cell) {
     }
 }
 
-/// Order-sensitive FNV-style fold of a digest list into one u64, shared
-/// by the bench binaries that fingerprint multi-answer runs.
-pub fn fold_digests(ds: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for d in ds {
-        h ^= d;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 /// Percent increase of `b` over `a`.
 pub fn pct_increase(a: f64, b: f64) -> f64 {
     (b / a - 1.0) * 100.0

@@ -86,10 +86,7 @@ fn expect_zero(delta: u64, what: &str) {
 /// and the finished-flow log must have reached terminal capacity, so N
 /// further retire/admit/solve cycles touch the heap zero times.
 ///
-/// The population stays below the engine's `PAR_MIN_FLOWS` threshold so
-/// every scoped solve takes the serial path — the parallel branch ships
-/// fresh solvers to the worker pool and is allocating by design. The
-/// warmup length is tuned to this seed: scratch capacities (component
+/// The warmup length is tuned to this seed: scratch capacities (component
 /// walks, solver arrays) only stop growing once the seeded schedule has
 /// set its last component-size record, which a long probe put shortly
 /// after event 3300; from there 2600+ consecutive events ran with zero

@@ -270,10 +270,6 @@ fn members_remove(members: &mut [Vec<(u64, u32)>], id: u64, resources: &[usize])
     }
 }
 
-/// One parallel component solve: the flow rates (in component push order)
-/// plus the sparse `(resource, residual)` updates that component produced.
-type ComponentSolve = (Vec<f64>, Vec<(usize, f64)>);
-
 /// Install a freshly solved rate on a flow. The ETA is re-derived **only
 /// when the rate actually changed** (bitwise): an unchanged rate means the
 /// flow's linear trajectory is unchanged, so recomputing the ETA from
@@ -286,11 +282,20 @@ fn apply_rate(f: &mut ActiveFlow, rate: Bps, now: SimTime) {
         return;
     }
     f.rate = rate;
-    f.eta = if f.remaining.is_finite() && f.rate > 0.0 {
-        now + SimDuration::from_secs_f64(f.remaining * 8.0 / f.rate)
+    f.eta = completion_eta(now, f.remaining, rate);
+}
+
+/// When `remaining` bytes finish at `rate` bits/s from `now`:
+/// [`SimTime::MAX`] (never) for a persistent or starved flow, and also
+/// when the span is not finite or runs past the end of the clock — a
+/// near-zero rate is a starved flow, not a clock overflow.
+pub(crate) fn completion_eta(now: SimTime, remaining: f64, rate: Bps) -> SimTime {
+    let secs = remaining * 8.0 / rate;
+    if rate > 0.0 && secs.is_finite() {
+        now.checked_add(SimDuration::from_secs_f64(secs)).unwrap_or(SimTime::MAX)
     } else {
         SimTime::MAX
-    };
+    }
 }
 
 /// Per-interface counters; indexed by [`DirLink::index`].
@@ -370,19 +375,13 @@ pub struct Simulator {
     solver: maxmin::Solver,
     /// Scratch marks for component discovery, cleared after each use.
     res_seen: Vec<bool>,
-    /// Scoped-solve scratch: resources in the affected closure.
+    /// Scoped-solve scratch: every resource reached this recomputation
+    /// (also the search queue of the component being collected).
     comp_res: Vec<usize>,
-    /// Scoped-solve scratch: `(flow id, slot)` pairs in the affected
-    /// closure.
+    /// Scoped-solve scratch: `(flow id, slot)` pairs of the component
+    /// being collected.
     comp: Vec<(u64, u32)>,
-    /// Scoped-solve scratch: `(flow id, slot)` pairs of all disjoint
-    /// sub-components, concatenated; each sub-component sorted ascending.
-    subs: Vec<(u64, u32)>,
-    /// Scoped-solve scratch: end offset of each sub-component in `subs`.
-    sub_ends: Vec<usize>,
-    /// Scoped-solve scratch: BFS stack of slot indices.
-    fstack: Vec<u32>,
-    /// Scoped-solve scratch: per-slot "claimed by closure" marks.
+    /// Scoped-solve scratch: per-slot "already collected" marks.
     flow_seen: Vec<bool>,
     /// Completion-scan scratch: ids due to finish this instant.
     due: Vec<u64>,
@@ -466,9 +465,6 @@ impl Simulator {
             res_seen,
             comp_res: Vec::new(),
             comp: Vec::new(),
-            subs: Vec::new(),
-            sub_ends: Vec::new(),
-            fstack: Vec::new(),
             flow_seen: Vec::new(),
             due: Vec::new(),
             full_recomputes: 0,
@@ -977,182 +973,78 @@ impl Simulator {
     /// resources keep their residuals. Bit-identical to
     /// [`recompute_full`](Self::recompute_full) because the solver fills
     /// each component in isolation anyway, always iterating its flows in
-    /// ascending id order.
+    /// ascending id order — and components are disjoint in flows and
+    /// resources, so the order they are filled in changes nothing.
     ///
-    /// Allocation-free at steady state: the closure walk, the partition
-    /// into disjoint components, and the per-component fills all run in
-    /// persistent scratch buffers. When the closure splits into several
-    /// independent components and is large enough to pay for it, the
-    /// components are solved in parallel on the shared scoped pool and
-    /// merged in component order — deterministic because components are
-    /// disjoint in both flows and resources, and bit-identical because
-    /// each component's fill arithmetic is unchanged.
+    /// One walk, allocation-free at steady state: each touched resource
+    /// not yet reached seeds a search through the membership lists that
+    /// collects exactly one component, which is filled on the spot; every
+    /// member list is expanded once.
     fn recompute_scoped(&mut self, touched: &[usize]) {
         self.scoped_recomputes += 1;
         self.obs_metrics.scoped_recomputes.inc();
         let span = self.obs.span("engine.solve.scoped", self.now.as_nanos());
         let t0 = self.obs.clock_nanos();
-        // Closure: every resource and flow reachable from the touched set
-        // through the membership lists. `res_seen` marks stay set for the
-        // partition pass below, which consumes them.
-        self.comp_res.clear();
-        self.comp.clear();
         if self.flow_seen.len() < self.slots.len() {
             self.flow_seen.resize(self.slots.len(), false);
         }
-        for &r in touched {
-            if !self.res_seen[r] {
-                self.res_seen[r] = true;
-                self.comp_res.push(r);
+        let now = self.now;
+        let mut scope_flows = 0;
+        self.comp_res.clear();
+        for &seed in touched {
+            if self.res_seen[seed] {
+                continue; // part of a component already filled
             }
-        }
-        let mut head = 0;
-        while head < self.comp_res.len() {
-            let r = self.comp_res[head];
-            head += 1;
-            for &(fid, slot) in &self.members[r] {
-                let s = slot as usize;
-                if self.flow_seen[s] {
-                    continue;
-                }
-                self.flow_seen[s] = true;
-                self.comp.push((fid, slot));
-                for &r2 in &self.slots[s].resources {
-                    if !self.res_seen[r2] {
-                        self.res_seen[r2] = true;
-                        self.comp_res.push(r2);
+            self.res_seen[seed] = true;
+            let mut head = self.comp_res.len();
+            self.comp_res.push(seed);
+            self.comp.clear();
+            while head < self.comp_res.len() {
+                let r = self.comp_res[head];
+                head += 1;
+                for &(fid, slot) in &self.members[r] {
+                    let s = slot as usize;
+                    if self.flow_seen[s] {
+                        continue;
                     }
-                }
-            }
-        }
-        for i in 0..self.comp_res.len() {
-            let r = self.comp_res[i];
-            if self.members[r].is_empty() {
-                // Vacated resource (its last flow departed): the residual
-                // reverts to full capacity, clamped exactly as the full
-                // solver clamps its output.
-                let mut v = self.capacities[r];
-                if v < 0.0 {
-                    v = 0.0;
-                }
-                self.residual[r] = v;
-            }
-        }
-        let scope_flows = self.comp.len();
-        self.obs_metrics.solve_scope_flows.observe(scope_flows as u64);
-        // The closure may span several *disjoint* components (e.g. a
-        // departed flow used to bridge them). Partition it, lowest flow id
-        // first, so the arithmetic matches the full solver's canonical
-        // per-component fills. Each resource's member list is expanded at
-        // most once (its closure `res_seen` mark is consumed here), so the
-        // partition is linear in the membership size.
-        self.comp.sort_unstable();
-        self.subs.clear();
-        self.sub_ends.clear();
-        for ci in 0..self.comp.len() {
-            let (first, s0) = self.comp[ci];
-            if !self.flow_seen[s0 as usize] {
-                continue; // already claimed by an earlier component
-            }
-            self.flow_seen[s0 as usize] = false;
-            let start = self.subs.len();
-            self.subs.push((first, s0));
-            self.fstack.clear();
-            self.fstack.push(s0);
-            while let Some(s) = self.fstack.pop() {
-                for ri in 0..self.slots[s as usize].resources.len() {
-                    let r = self.slots[s as usize].resources[ri];
-                    if !self.res_seen[r] {
-                        continue; // this resource was expanded already
-                    }
-                    self.res_seen[r] = false;
-                    for &(other, os) in &self.members[r] {
-                        if self.flow_seen[os as usize] {
-                            self.flow_seen[os as usize] = false;
-                            self.subs.push((other, os));
-                            self.fstack.push(os);
+                    self.flow_seen[s] = true;
+                    self.comp.push((fid, slot));
+                    for &r2 in &self.slots[s].resources {
+                        if !self.res_seen[r2] {
+                            self.res_seen[r2] = true;
+                            self.comp_res.push(r2);
                         }
                     }
                 }
             }
-            self.subs[start..].sort_unstable();
-            self.sub_ends.push(self.subs.len());
+            if self.comp.is_empty() {
+                // Vacated resource (its last flow departed): the residual
+                // reverts to full capacity, clamped exactly as the full
+                // solver clamps its output.
+                let c = self.capacities[seed];
+                self.residual[seed] = if c < 0.0 { 0.0 } else { c };
+                continue;
+            }
+            scope_flows += self.comp.len();
+            self.comp.sort_unstable();
+            self.solver.begin_component(self.capacities.len());
+            for &(_, slot) in &self.comp {
+                let f = &self.slots[slot as usize];
+                self.solver.push_flow(f.params.weight, f.params.rate_cap, &f.resources, &self.capacities);
+            }
+            self.solver.run_fill();
+            for (&(_, slot), &rate) in self.comp.iter().zip(self.solver.component_rates()) {
+                self.flow_seen[slot as usize] = false;
+                apply_rate(&mut self.slots[slot as usize], rate, now);
+            }
+            for (r, resid) in self.solver.component_residuals() {
+                self.residual[r] = resid;
+            }
         }
-        debug_assert_eq!(self.subs.len(), self.comp.len(), "flow membership out of sync");
-        // Clear the marks of vacated touched resources the partition never
-        // reached (every resource with members was consumed above).
-        for i in 0..self.comp_res.len() {
-            let r = self.comp_res[i];
+        for &r in &self.comp_res {
             self.res_seen[r] = false;
         }
-        let now = self.now;
-        // Threshold for shipping disjoint components to the worker pool:
-        // below this, thread spawn and teardown dwarf the fills. The
-        // common steady-state case (one component) always stays serial
-        // and allocation-free.
-        const PAR_MIN_FLOWS: usize = 128;
-        if self.sub_ends.len() >= 2 && scope_flows >= PAR_MIN_FLOWS {
-            // Parallel: one fresh solver per component (the persistent
-            // scratch solver is single-threaded). `run_indexed` re-slots
-            // results by input index, so rates and residuals merge in
-            // component order no matter how the OS schedules workers.
-            let jobs: Vec<(usize, usize)> = self
-                .sub_ends
-                .iter()
-                .scan(0, |start, &end| {
-                    let j = (*start, end);
-                    *start = end;
-                    Some(j)
-                })
-                .collect();
-            let slots = &self.slots;
-            let subs = &self.subs;
-            let caps = &self.capacities;
-            let results: Vec<ComponentSolve> =
-                crate::pool::run_indexed(&jobs, crate::pool::default_workers(jobs.len()), |&(a, b)| {
-                    let mut solver = maxmin::Solver::new();
-                    solver.begin_component(caps.len());
-                    for &(_, s) in &subs[a..b] {
-                        let f = &slots[s as usize];
-                        solver.push_flow(f.params.weight, f.params.rate_cap, &f.resources, caps);
-                    }
-                    solver.run_fill();
-                    (solver.component_rates().to_vec(), solver.component_residuals().collect())
-                });
-            for (&(a, _), (rates, resids)) in jobs.iter().zip(&results) {
-                for (k, &rate) in rates.iter().enumerate() {
-                    let s = self.subs[a + k].1 as usize;
-                    apply_rate(&mut self.slots[s], rate, now);
-                }
-                for &(r, resid) in resids {
-                    self.residual[r] = resid;
-                }
-            }
-        } else {
-            let mut start = 0;
-            for si in 0..self.sub_ends.len() {
-                let end = self.sub_ends[si];
-                self.solver.begin_component(self.capacities.len());
-                for k in start..end {
-                    let f = &self.slots[self.subs[k].1 as usize];
-                    self.solver.push_flow(
-                        f.params.weight,
-                        f.params.rate_cap,
-                        &f.resources,
-                        &self.capacities,
-                    );
-                }
-                self.solver.run_fill();
-                for k in start..end {
-                    let rate = self.solver.component_rates()[k - start];
-                    apply_rate(&mut self.slots[self.subs[k].1 as usize], rate, now);
-                }
-                for (r, resid) in self.solver.component_residuals() {
-                    self.residual[r] = resid;
-                }
-                start = end;
-            }
-        }
+        self.obs_metrics.solve_scope_flows.observe(scope_flows as u64);
         if let (Some(t0), Some(t1)) = (t0, self.obs.clock_nanos()) {
             self.obs_metrics.solve_latency_nanos.observe(t1.saturating_sub(t0));
         }

@@ -15,8 +15,8 @@
 //! oldest flow and admits a fresh one, with seeded src/dst draws and a
 //! configurable intra-pod locality. All randomness comes from one
 //! seeded [`Rng`], so a `(k, flows, seed, locality)` tuple names a
-//! reproducible scenario — the digest-gated contract `BENCH_fabric.json`
-//! relies on.
+//! reproducible scenario — the contract the pinned digests in
+//! `tests/determinism.rs` rely on.
 
 use crate::engine::{FlowHandle, Simulator, SolverMode};
 use crate::error::{NetError, Result};

@@ -6,17 +6,24 @@
 //! i.e. the max-min fair share policy of Jaffe \[14\], the basis of ATM ABR
 //! flow control \[16\].
 //!
-//! The solver is the classic *progressive filling* (water-filling)
-//! algorithm generalised with per-flow weights (for the paper's *variable*
-//! flows, whose "bandwidths … will share available bandwidth
-//! proportionally") and per-flow rate caps (for *fixed* flows and
-//! application-limited sources):
+//! The solver computes the *progressive filling* (water-filling) allocation
+//! generalised with per-flow weights (for the paper's *variable* flows,
+//! whose "bandwidths … will share available bandwidth proportionally") and
+//! per-flow rate caps (for *fixed* flows and application-limited sources),
+//! in **bottleneck order**: a resource's *share* is its residual capacity
+//! divided by the weight of the unfrozen flows crossing it, and
 //!
-//! 1. All flows' rates rise together, each at speed proportional to its
-//!    weight.
-//! 2. When a resource saturates, every flow crossing it freezes.
-//! 3. When a flow reaches its cap, it freezes.
-//! 4. Repeat with the remaining flows until all are frozen.
+//! 1. the resource with the lowest share is the next bottleneck: every
+//!    unfrozen flow crossing it freezes at `weight × share`;
+//! 2. unless a flow's `cap / weight` is lower still, in which case that
+//!    flow freezes at exactly its cap;
+//! 3. a frozen flow's rate leaves the residual of every resource on its
+//!    path, which can only raise the shares that remain; repeat until all
+//!    flows are frozen.
+//!
+//! A flow's rate is therefore computed once, from its own bottleneck and
+//! from the flows that froze below it; nothing that happens at a higher
+//! level can reach it.
 //!
 //! "Resources" are abstract capacities: the engine maps every directed link
 //! interface and every capped switch backplane to one resource, so Fig 1's
@@ -44,8 +51,11 @@
 //!   property tests below pin down with [`f64::to_bits`].
 //!
 //! [`Solver`] owns reusable scratch buffers (CSR resource lists, interning
-//! marks, active-flow worklists) so steady-state re-solves allocate
-//! nothing; the engine keeps one `Solver` alive for the whole simulation.
+//! marks, the share heap) so steady-state re-solves allocate nothing; the
+//! engine keeps one `Solver` alive for the whole simulation.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A flow to be allocated.
 #[derive(Clone, Debug)]
@@ -102,6 +112,18 @@ pub struct Allocation {
 /// Relative tolerance used when checking saturation / feasibility.
 pub const EPS: f64 = 1e-9;
 
+/// Order-preserving map from `f64` to `u64` (`a < b` ⇒ `key(a) < key(b)`,
+/// `-0.0` below `0.0`, NaN above infinity), so shares can sit in an
+/// integer-keyed heap.
+fn share_key(x: f64) -> u64 {
+    let b = x.to_bits();
+    if b >> 63 == 0 {
+        b | (1 << 63)
+    } else {
+        !b
+    }
+}
+
 /// Solve the weighted max-min fair allocation problem.
 ///
 /// `capacities[r]` is the capacity of resource `r` in bits/s; flows index
@@ -143,8 +165,8 @@ pub fn solve_scoped(
 
 /// Reusable water-filling solver.
 ///
-/// Holds every scratch buffer the fill loop needs (CSR flow→resource lists,
-/// resource interning marks, active worklists), so repeated solves against
+/// Holds every scratch buffer the fill needs (CSR flow→resource lists,
+/// resource interning marks, the share heap), so repeated solves against
 /// the same `Solver` stop allocating once the buffers have grown to the
 /// working-set size. The low-level component API
 /// ([`begin_component`](Solver::begin_component) /
@@ -165,17 +187,18 @@ pub struct Solver {
     ridx: Vec<usize>,
     /// Global resource id of each local resource, in first-touch order.
     lres: Vec<usize>,
-    /// Capacity of each local resource.
-    lcap: Vec<f64>,
     /// Residual capacity of each local resource (output).
     lresid: Vec<f64>,
     /// Allocated rate of each local flow (output).
     lrates: Vec<f64>,
     // --- fill scratch ---
+    /// Per-local-resource weight of the unfrozen flows crossing it.
     weight_on: Vec<f64>,
+    /// Per-local-resource count of unfrozen flows crossing it.
+    rcount: Vec<u32>,
     is_active: Vec<bool>,
-    active: Vec<usize>,
-    capped: Vec<usize>,
+    /// Capped flows as `(cap / weight, flow)`, ascending.
+    capped: Vec<(f64, usize)>,
     /// CSR offsets into `mmemb`, length `lres + 1`: local resource → flows.
     moff: Vec<usize>,
     /// Concatenated local flow indices crossing each local resource,
@@ -183,22 +206,9 @@ pub struct Solver {
     mmemb: Vec<usize>,
     /// Cursor scratch for building `mmemb`.
     mcur: Vec<usize>,
-    /// Per-local-resource saturation threshold, precomputed once per fill
-    /// (`|cap|.max(1.0) * EPS` — the exact expression the per-round scan
-    /// used to evaluate inline, so the comparison bits are unchanged).
-    sthr: Vec<f64>,
-    /// Local resources that crossed their saturation threshold this round.
-    newly_sat: Vec<usize>,
-    /// Per-local-resource count of still-active flows crossing it.
-    rcount: Vec<u32>,
-    /// Local resources with at least one active flow (`rcount > 0`),
-    /// pruned as flows freeze. Only these can change residual or weight,
-    /// so the per-round min/saturation scans are restricted to them.
-    live: Vec<usize>,
-    /// Flows to freeze this round, sorted ascending before processing so
-    /// the `weight_on` subtraction order matches the historical
-    /// all-active-flows `retain` scan bit for bit.
-    freeze: Vec<usize>,
+    /// Lazy min-heap of `(share_key(resid / weight_on), global resource)`.
+    /// A stored key is a lower bound on the resource's current share.
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
     // --- resource interning (global index space) ---
     res_mark: Vec<u64>,
     res_local: Vec<usize>,
@@ -225,7 +235,6 @@ impl Solver {
         self.roff.push(0);
         self.ridx.clear();
         self.lres.clear();
-        self.lcap.clear();
         self.lresid.clear();
         self.lrates.clear();
     }
@@ -253,7 +262,6 @@ impl Solver {
                 self.res_mark[r] = self.generation;
                 self.res_local[r] = l;
                 self.lres.push(r);
-                self.lcap.push(capacities[r]);
                 self.lresid.push(capacities[r]);
                 l
             };
@@ -262,21 +270,24 @@ impl Solver {
         self.roff.push(self.ridx.len());
     }
 
-    /// Run progressive filling on the current component. Results are read
+    /// Fill the current component in bottleneck order. Results are read
     /// back through [`component_rates`](Solver::component_rates) and
     /// [`component_residuals`](Solver::component_residuals).
     ///
-    /// Each round scans the component's resources and the still-active
-    /// flows, then freezes flows through a resource→flow membership index:
-    /// only the members of resources that saturated *this* round are
-    /// examined, instead of re-scanning every active flow's whole path.
-    /// This is exact, not approximate — once a resource saturates, every
-    /// active flow crossing it freezes in that same round, so an active
-    /// flow can never cross a previously saturated resource. The freeze
-    /// list is sorted ascending before weights are retired, so the
-    /// floating-point subtraction order on `weight_on` (and hence every
-    /// dlevel and every rate) is bit-identical to the historical
-    /// scan-all-active-flows formulation.
+    /// Every flow is frozen once and every (flow, hop) subtracted once.
+    /// The heap is lazy: freezing a flow at or below a resource's share
+    /// can only raise that share, so a stored key is a lower bound and is
+    /// re-derived when it surfaces instead of on every change.
+    ///
+    /// A rate is `weight × share` of the flow's own bottleneck (or its
+    /// cap) and nothing else: there is no running water level shared by
+    /// the whole component, so the arithmetic behind a rate involves only
+    /// the resources the flow crosses and the flows that froze on them
+    /// before it. Ties go to the cap, then to the lower *global* resource
+    /// index (so they do not depend on which other flows were pushed), and
+    /// a bottleneck's flows freeze in push order: the fill is a function
+    /// of the problem and of the order flows were pushed in, which is what
+    /// makes full and scoped solves agree bit for bit.
     pub fn run_fill(&mut self) {
         let nf = self.weights.len();
         let nr = self.lres.len();
@@ -284,30 +295,28 @@ impl Solver {
         self.lrates.resize(nf, 0.0);
         self.is_active.clear();
         self.is_active.resize(nf, true);
-        self.active.clear();
         self.capped.clear();
-        for i in 0..nf {
-            self.active.push(i);
-            if self.caps[i].is_finite() {
-                self.capped.push(i);
-            }
-        }
         self.weight_on.clear();
         self.weight_on.resize(nr, 0.0);
+        self.rcount.clear();
+        self.rcount.resize(nr, 0);
         for i in 0..nf {
+            if self.caps[i].is_finite() {
+                self.capped.push((self.caps[i] / self.weights[i], i));
+            }
             for k in self.roff[i]..self.roff[i + 1] {
-                self.weight_on[self.ridx[k]] += self.weights[i];
+                let r = self.ridx[k];
+                self.weight_on[r] += self.weights[i];
+                self.rcount[r] += 1;
             }
         }
+        self.capped.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         // Local resource→flow membership (CSR), ascending flow order within
         // each resource because flows are visited in push order.
         self.moff.clear();
         self.moff.resize(nr + 1, 0);
-        for &r in &self.ridx {
-            self.moff[r + 1] += 1;
-        }
         for r in 0..nr {
-            self.moff[r + 1] += self.moff[r];
+            self.moff[r + 1] = self.moff[r] + self.rcount[r] as usize;
         }
         self.mmemb.clear();
         self.mmemb.resize(self.ridx.len(), 0);
@@ -320,136 +329,88 @@ impl Solver {
                 self.mcur[r] += 1;
             }
         }
-        self.sthr.clear();
-        self.sthr.extend(self.lcap.iter().map(|c| c.abs().max(1.0) * EPS));
-        // Active-flow occupancy per local resource: once a resource's last
-        // active flow freezes, its residual and weight can never change, so
-        // it drops out of the per-round scans. (Its leftover `weight_on` is
-        // cancellation dust far below `EPS` for any realistic weights, so
-        // the historical full scan skipped it too.)
-        self.rcount.clear();
-        self.rcount.resize(nr, 0);
-        for &r in &self.ridx {
-            self.rcount[r] += 1;
-        }
-        self.live.clear();
-        self.live.extend(0..nr);
+        // Heapify in place: the buffer is the previous fill's.
+        let mut keys = std::mem::take(&mut self.heap).into_vec();
+        keys.clear();
+        keys.extend(
+            (0..nr).filter_map(|r| self.share(r).map(|q| Reverse((share_key(q), self.lres[r])))),
+        );
+        self.heap = BinaryHeap::from(keys);
 
-        while !self.active.is_empty() {
-            // Largest increment before some resource saturates. The exact
-            // division — the scan's dominant cost — only runs for genuine
-            // candidates: whenever `resid > bound * w` the quotient
-            // provably rounds to at least the running minimum (`bound`
-            // carries a relative margin of 1e-12, orders of magnitude
-            // above the 2^-53 product/quotient rounding), so skipping it
-            // cannot change the min and the result is bit-identical to
-            // dividing everywhere. `bound` stays infinite (screen off)
-            // until the running minimum is comfortably normal, keeping
-            // the margin argument valid for zero/negative/subnormal
-            // minima.
-            let mut max_dlevel = f64::INFINITY;
-            let mut bound = f64::INFINITY;
-            for &r in &self.live {
-                let w = self.weight_on[r];
-                if w > EPS && self.lresid[r] <= bound * w {
-                    let q = self.lresid[r] / w;
-                    if q < max_dlevel {
-                        max_dlevel = q;
-                        bound = if q > 1e-300 { q * (1.0 + 1e-12) } else { f64::INFINITY };
-                    }
-                }
+        let mut next_cap = 0;
+        let mut unfrozen = nf;
+        while unfrozen > 0 {
+            while next_cap < self.capped.len() && !self.is_active[self.capped[next_cap].1] {
+                next_cap += 1;
             }
-            // ... or some still-active capped flow reaches its cap.
-            for &i in &self.capped {
-                max_dlevel = max_dlevel.min((self.caps[i] - self.lrates[i]) / self.weights[i]);
-            }
-            if !max_dlevel.is_finite() {
-                // No resource constrains the remaining flows and none has a
-                // cap: they are unbounded.
-                for &i in &self.active {
-                    self.lrates[i] = f64::INFINITY;
-                    self.is_active[i] = false;
+            let cap_level = self.capped.get(next_cap).map_or(f64::INFINITY, |c| c.0);
+            let top = self.heap.peek().map_or(share_key(f64::INFINITY), |t| t.0 .0);
+            if share_key(cap_level) <= top {
+                if !cap_level.is_finite() {
+                    break;
                 }
-                self.active.clear();
+                let i = self.capped[next_cap].1;
+                self.freeze(i, self.caps[i]);
+                unfrozen -= 1;
+                continue;
+            }
+            let Some(Reverse((stale, global))) = self.heap.pop() else { break };
+            let r = self.res_local[global];
+            let Some(q) = self.share(r) else { continue };
+            if share_key(q) > stale {
+                self.heap.push(Reverse((share_key(q), global)));
+                continue;
+            }
+            if !q.is_finite() {
                 break;
             }
-            let dlevel = max_dlevel.max(0.0);
-
-            // Apply the increment to every active flow, in ascending order.
-            // `w * dlevel` is hoisted per flow — the identical product the
-            // per-occurrence form computed, so every subtraction's bits
-            // are unchanged.
-            for &i in &self.active {
-                let wd = self.weights[i] * dlevel;
-                self.lrates[i] += wd;
-                for k in self.roff[i]..self.roff[i + 1] {
-                    self.lresid[self.ridx[k]] -= wd;
+            // Only a zero or negative capacity gives a share below zero;
+            // `min` keeps a share that rounding put an ulp past a flow's
+            // `cap / weight` from lifting the flow past its cap.
+            let level = if q > 0.0 { q } else { 0.0 };
+            for m in self.moff[r]..self.moff[r + 1] {
+                let i = self.mmemb[m];
+                if self.is_active[i] {
+                    self.freeze(i, (self.weights[i] * level).min(self.caps[i]));
+                    unfrozen -= 1;
                 }
-            }
-
-            // Resources that crossed their saturation threshold this round.
-            // Saturation is permanent, and a saturated resource's active
-            // flows all freeze below, emptying its occupancy — so it drops
-            // out of `live` this same round and can never be re-detected;
-            // no per-resource "already saturated" flag is needed.
-            self.newly_sat.clear();
-            for k in 0..self.live.len() {
-                let r = self.live[k];
-                if self.lresid[r] <= self.sthr[r] {
-                    self.newly_sat.push(r);
-                }
-            }
-
-            // Freeze flows at their cap or on a newly saturated resource,
-            // in ascending flow order.
-            self.freeze.clear();
-            for &i in &self.capped {
-                let c = self.caps[i];
-                if self.lrates[i] >= c - c.abs().max(1.0) * EPS {
-                    self.freeze.push(i);
-                }
-            }
-            for k in 0..self.newly_sat.len() {
-                let r = self.newly_sat[k];
-                for m in self.moff[r]..self.moff[r + 1] {
-                    let i = self.mmemb[m];
-                    if self.is_active[i] {
-                        self.freeze.push(i);
-                    }
-                }
-            }
-            self.freeze.sort_unstable();
-            self.freeze.dedup();
-            for k in 0..self.freeze.len() {
-                let i = self.freeze[k];
-                if !self.is_active[i] {
-                    continue;
-                }
-                self.is_active[i] = false;
-                for j in self.roff[i]..self.roff[i + 1] {
-                    let r = self.ridx[j];
-                    self.weight_on[r] -= self.weights[i];
-                    self.rcount[r] -= 1;
-                }
-            }
-            if !self.freeze.is_empty() {
-                let mut active = std::mem::take(&mut self.active);
-                active.retain(|&i| self.is_active[i]);
-                self.active = active;
-                let mut capped = std::mem::take(&mut self.capped);
-                capped.retain(|&i| self.is_active[i]);
-                self.capped = capped;
-                let mut live = std::mem::take(&mut self.live);
-                live.retain(|&r| self.rcount[r] > 0);
-                self.live = live;
             }
         }
 
+        if unfrozen > 0 {
+            // No resource constrains the remaining flows and none has a
+            // cap: they are unbounded.
+            for i in 0..nf {
+                if self.is_active[i] {
+                    self.lrates[i] = f64::INFINITY;
+                }
+            }
+        }
         // Clamp numerical dust.
         for r in self.lresid.iter_mut() {
             if *r < 0.0 {
                 *r = 0.0;
             }
+        }
+    }
+
+    /// Current share of local resource `r`, or `None` once no flow that
+    /// could be limited by it is left (weights at or below [`EPS`] are
+    /// treated as exerting no demand).
+    fn share(&self, r: usize) -> Option<f64> {
+        (self.rcount[r] > 0 && self.weight_on[r] > EPS).then(|| self.lresid[r] / self.weight_on[r])
+    }
+
+    /// Freeze flow `i` at `rate`, releasing it from every resource on its
+    /// path.
+    fn freeze(&mut self, i: usize, rate: f64) {
+        self.is_active[i] = false;
+        self.lrates[i] = rate;
+        for k in self.roff[i]..self.roff[i + 1] {
+            let r = self.ridx[k];
+            self.lresid[r] -= rate;
+            self.weight_on[r] -= self.weights[i];
+            self.rcount[r] -= 1;
         }
     }
 
@@ -982,6 +943,33 @@ mod tests {
             (flows2, prev, touched)
         }
 
+        /// Below every share and every `cap / weight` the generators above
+        /// can produce (capacities ≥ 1e6 under at most ~140 units of
+        /// weight; caps ≥ 1e5 at weight ≤ 10): a unit-weight flow capped
+        /// here is the first thing any fill freezes.
+        const BRIDGE_CAP: f64 = 1.0e3;
+
+        /// Problems `a` and `b` side by side — `b`'s resources renumbered
+        /// past `a`'s — joined by `bridge` over the first resource of
+        /// each. Flows are `a`'s, the bridge, then `b`'s; returns the
+        /// joint problem, `b`'s first resource and `b`'s first flow.
+        fn side_by_side(
+            a: (Vec<f64>, Vec<FlowSpec>),
+            b: (Vec<f64>, Vec<FlowSpec>),
+            bridge: FlowSpec,
+        ) -> (Vec<f64>, Vec<FlowSpec>, usize, usize) {
+            let (mut caps, mut flows) = a;
+            let b_res = caps.len();
+            caps.extend(b.0);
+            flows.push(FlowSpec { resources: vec![0, b_res], ..bridge });
+            let b_flows = flows.len();
+            flows.extend(b.1.into_iter().map(|f| FlowSpec {
+                resources: f.resources.iter().map(|r| r + b_res).collect(),
+                ..f
+            }));
+            (caps, flows, b_res, b_flows)
+        }
+
         // The four properties of a `(caps, flows)` problem, as plain
         // functions so a recorded input can be replayed by name.
 
@@ -1124,6 +1112,110 @@ mod tests {
             #[test]
             fn reusing_a_solver_is_bit_stable((caps, flows) in arb_problem()) {
                 solver_reuse_is_bit_stable(&caps, &flows)?;
+            }
+
+            #[test]
+            fn edits_behind_a_capped_bridge_leave_the_far_side_bit_identical(
+                (caps_a, flows_a, delta) in arb_mutated(),
+                b in arb_problem(),
+            ) {
+                // Bridge locality: A and B joined only by a flow that
+                // freezes at its cap. Whatever happens inside A, B sees
+                // the bridge take exactly its cap and nothing else, so
+                // every bit of B stays — there is no component-wide level
+                // for A's arithmetic to travel through.
+                let n_b = b.1.len();
+                let (caps, flows, b_res, b_flows) =
+                    side_by_side((caps_a, flows_a), b, FlowSpec::capped(vec![], BRIDGE_CAP));
+                let base = solve(&caps, &flows);
+                prop_assert_eq!(base.rates[b_flows - 1].to_bits(), BRIDGE_CAP.to_bits());
+                let (flows2, _, _) = apply_delta(&flows, &base, &delta);
+                let after = solve(&caps, &flows2);
+                let b_flows2 = if matches!(delta, Delta::Remove(_)) { b_flows - 1 } else { b_flows };
+                for k in 0..n_b {
+                    prop_assert_eq!(
+                        base.rates[b_flows + k].to_bits(), after.rates[b_flows2 + k].to_bits(),
+                        "rate of B's flow {} moved under {:?}", k, delta);
+                }
+                for r in b_res..caps.len() {
+                    prop_assert_eq!(base.residual[r].to_bits(), after.residual[r].to_bits(),
+                        "residual {} moved under {:?}", r, delta);
+                }
+            }
+
+            #[test]
+            fn removing_a_flow_leaves_lower_levels_bit_identical(
+                (caps, flows, gone) in arb_problem().prop_flat_map(|(caps, flows)| {
+                    let nf = flows.len();
+                    (Just(caps), Just(flows), 0..nf)
+                })
+            ) {
+                // A flow that froze strictly below the removed one froze
+                // before anything the removed flow crosses became a
+                // bottleneck, so its rate cannot depend on it.
+                let base = solve(&caps, &flows);
+                let level = |a: &Allocation, fs: &[FlowSpec], i: usize| a.rates[i] / fs[i].weight;
+                let gone_level = level(&base, &flows, gone);
+                let mut rest = flows.clone();
+                rest.remove(gone);
+                let after = solve(&caps, &rest);
+                for i in (0..flows.len()).filter(|&i| i != gone) {
+                    if level(&base, &flows, i) < gone_level * (1.0 - EPS) {
+                        let j = if i < gone { i } else { i - 1 };
+                        prop_assert_eq!(base.rates[i].to_bits(), after.rates[j].to_bits(),
+                            "flow {} (level {}) moved when flow {} (level {}) left",
+                            i, level(&base, &flows, i), gone, gone_level);
+                    }
+                }
+            }
+
+            #[test]
+            fn capped_flows_get_exactly_their_cap((caps, flows) in arb_problem()) {
+                // No capped flow is a bit above its cap, and one that no
+                // saturated resource holds back is not a bit below it.
+                let a = solve(&caps, &flows);
+                for (i, f) in flows.iter().enumerate() {
+                    let Some(cap) = f.cap else { continue };
+                    prop_assert!(a.rates[i] <= cap, "flow {} at {} above cap {}", i, a.rates[i], cap);
+                    let held = f.resources.iter().any(|&r| a.residual[r] <= caps[r] * EPS);
+                    if !held {
+                        prop_assert_eq!(a.rates[i].to_bits(), cap.to_bits(),
+                            "flow {} at {} short of cap {}", i, a.rates[i], cap);
+                    }
+                }
+            }
+
+            #[test]
+            fn scoped_solve_follows_a_split_and_a_merge(
+                a in arb_problem(),
+                b in arb_problem(),
+                weight in 0.1..10.0f64,
+            ) {
+                // The one flow joining A and B leaves (one component
+                // becomes two) or arrives (two become one): each touched
+                // resource seeds the walk of its own component, and the
+                // result is a full solve's, bit for bit.
+                let bridge = FlowSpec { weight, cap: None, resources: vec![] };
+                let (caps, joined, _, b_flows) = side_by_side(a, b, bridge);
+                let at = b_flows - 1;
+                let mut apart = joined.clone();
+                let bridge = apart.remove(at);
+                let (with, without) = (solve(&caps, &joined), solve(&caps, &apart));
+
+                let mut prev = with.clone();
+                prev.rates.remove(at);
+                let split = solve_scoped(&caps, &apart, &bridge.resources, &prev);
+                let mut prev = without.clone();
+                prev.rates.insert(at, 0.0);
+                let merged = solve_scoped(&caps, &joined, &bridge.resources, &prev);
+                for (got, want) in [(&split, &without), (&merged, &with)] {
+                    for (x, y) in got.rates.iter().zip(&want.rates) {
+                        prop_assert_eq!(x.to_bits(), y.to_bits());
+                    }
+                    for (x, y) in got.residual.iter().zip(&want.residual) {
+                        prop_assert_eq!(x.to_bits(), y.to_bits());
+                    }
+                }
             }
 
             #[test]

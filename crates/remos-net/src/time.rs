@@ -78,6 +78,13 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
+
+    /// `self + d`, or `None` if that is past the end of the clock — for
+    /// callers whose span comes from data (the `+` operator panics).
+    #[inline]
+    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
+        self.0.checked_add(d.0).map(SimTime)
+    }
 }
 
 impl SimDuration {

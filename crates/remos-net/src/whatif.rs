@@ -21,11 +21,10 @@
 //! watches — which is where its speedup over the ground-truth replay
 //! comes from. The [`fct_digest`](WhatIfReport::fct_digest) (FNV-1a over
 //! per-flow start/finish nanos in input order) is the machine-independent
-//! proof of that equivalence, gated by `BENCH_whatif.json` and the
-//! `whatif_equivalence` proptests.
+//! proof of that equivalence, asserted by the `whatif_equivalence` tests.
 
 use crate::digest::EventDigest;
-use crate::engine::{ProcessCtx, Simulator, SolverMode, TrafficProcess};
+use crate::engine::{completion_eta, ProcessCtx, Simulator, SolverMode, TrafficProcess};
 use crate::error::{NetError, Result};
 use crate::flow::FlowParams;
 use crate::maxmin::{self, FlowSpec};
@@ -128,11 +127,7 @@ fn apply_rate(f: &mut ScratchFlow, rate: f64, now: SimTime) {
         return;
     }
     f.rate = rate;
-    f.eta = if f.remaining.is_finite() && f.rate > 0.0 {
-        now + SimDuration::from_secs_f64(f.remaining * 8.0 / f.rate)
-    } else {
-        SimTime::MAX
-    };
+    f.eta = completion_eta(now, f.remaining, rate);
 }
 
 /// Insert flow `(id, slot)` into each resource's membership list (sorted
@@ -218,9 +213,6 @@ pub struct WhatIfEngine {
     flow_seen: Vec<bool>,
     comp_res: Vec<usize>,
     comp: Vec<(u64, u32)>,
-    subs: Vec<(u64, u32)>,
-    sub_ends: Vec<usize>,
-    fstack: Vec<u32>,
     due: Vec<u64>,
     /// Input indices sorted by `(arrival, input index)` — the replay id
     /// assignment order.
@@ -252,9 +244,6 @@ impl WhatIfEngine {
             flow_seen: Vec::new(),
             comp_res: Vec::new(),
             comp: Vec::new(),
-            subs: Vec::new(),
-            sub_ends: Vec::new(),
-            fstack: Vec::new(),
             due: Vec::new(),
             sorted: Vec::new(),
         }
@@ -556,106 +545,60 @@ impl WhatIfEngine {
         }
     }
 
+    /// The engine's scoped solve on the scratch arena: each touched
+    /// resource not yet reached seeds one search that collects one
+    /// component, filled on the spot with its flows in ascending id order.
     fn recompute_scoped(&mut self, touched: &[usize], now: SimTime) {
-        // Closure walk from the touched resources through the membership
-        // lists; `res_seen` marks stay set for the partition pass below.
         self.comp_res.clear();
-        self.comp.clear();
-        for &r in touched {
-            if !self.res_seen[r] {
-                self.res_seen[r] = true;
-                self.comp_res.push(r);
-            }
-        }
-        let mut head = 0;
-        while head < self.comp_res.len() {
-            let r = self.comp_res[head];
-            head += 1;
-            for &(fid, slot) in &self.members[r] {
-                let s = slot as usize;
-                if self.flow_seen[s] {
-                    continue;
-                }
-                self.flow_seen[s] = true;
-                self.comp.push((fid, slot));
-                for &r2 in &self.flows[s].resources {
-                    if !self.res_seen[r2] {
-                        self.res_seen[r2] = true;
-                        self.comp_res.push(r2);
-                    }
-                }
-            }
-        }
-        for i in 0..self.comp_res.len() {
-            let r = self.comp_res[i];
-            if self.members[r].is_empty() {
-                // Vacated resource: residual reverts to full capacity,
-                // clamped exactly as the full solver clamps its output.
-                let mut v = self.capacities[r];
-                if v < 0.0 {
-                    v = 0.0;
-                }
-                self.residual[r] = v;
-            }
-        }
-        // Partition the closure into disjoint components, lowest flow id
-        // first, matching the full solver's canonical per-component fills.
-        self.comp.sort_unstable();
-        self.subs.clear();
-        self.sub_ends.clear();
-        for ci in 0..self.comp.len() {
-            let (first, s0) = self.comp[ci];
-            if !self.flow_seen[s0 as usize] {
+        for &seed in touched {
+            if self.res_seen[seed] {
                 continue;
             }
-            self.flow_seen[s0 as usize] = false;
-            let start = self.subs.len();
-            self.subs.push((first, s0));
-            self.fstack.clear();
-            self.fstack.push(s0);
-            while let Some(s) = self.fstack.pop() {
-                for ri in 0..self.flows[s as usize].resources.len() {
-                    let r = self.flows[s as usize].resources[ri];
-                    if !self.res_seen[r] {
+            self.res_seen[seed] = true;
+            let mut head = self.comp_res.len();
+            self.comp_res.push(seed);
+            self.comp.clear();
+            while head < self.comp_res.len() {
+                let r = self.comp_res[head];
+                head += 1;
+                for &(fid, slot) in &self.members[r] {
+                    let s = slot as usize;
+                    if self.flow_seen[s] {
                         continue;
                     }
-                    self.res_seen[r] = false;
-                    for &(other, os) in &self.members[r] {
-                        if self.flow_seen[os as usize] {
-                            self.flow_seen[os as usize] = false;
-                            self.subs.push((other, os));
-                            self.fstack.push(os);
+                    self.flow_seen[s] = true;
+                    self.comp.push((fid, slot));
+                    for &r2 in &self.flows[s].resources {
+                        if !self.res_seen[r2] {
+                            self.res_seen[r2] = true;
+                            self.comp_res.push(r2);
                         }
                     }
                 }
             }
-            self.subs[start..].sort_unstable();
-            self.sub_ends.push(self.subs.len());
-        }
-        debug_assert_eq!(self.subs.len(), self.comp.len(), "what-if membership out of sync");
-        for i in 0..self.comp_res.len() {
-            let r = self.comp_res[i];
-            self.res_seen[r] = false;
-        }
-        // Serial per-component fills: flows pushed in ascending id order,
-        // exactly the engine's (bit-identical) arithmetic.
-        let mut start = 0;
-        for si in 0..self.sub_ends.len() {
-            let end = self.sub_ends[si];
+            if self.comp.is_empty() {
+                // Vacated resource: residual reverts to full capacity,
+                // clamped exactly as the full solver clamps its output.
+                let c = self.capacities[seed];
+                self.residual[seed] = if c < 0.0 { 0.0 } else { c };
+                continue;
+            }
+            self.comp.sort_unstable();
             self.solver.begin_component(self.capacities.len());
-            for k in start..end {
-                let f = &self.flows[self.subs[k].1 as usize];
-                self.solver.push_flow(1.0, None, &f.resources, &self.capacities);
+            for &(_, slot) in &self.comp {
+                self.solver.push_flow(1.0, None, &self.flows[slot as usize].resources, &self.capacities);
             }
             self.solver.run_fill();
-            for k in start..end {
-                let rate = self.solver.component_rates()[k - start];
-                apply_rate(&mut self.flows[self.subs[k].1 as usize], rate, now);
+            for (&(_, slot), &rate) in self.comp.iter().zip(self.solver.component_rates()) {
+                self.flow_seen[slot as usize] = false;
+                apply_rate(&mut self.flows[slot as usize], rate, now);
             }
             for (r, resid) in self.solver.component_residuals() {
                 self.residual[r] = resid;
             }
-            start = end;
+        }
+        for &r in &self.comp_res {
+            self.res_seen[r] = false;
         }
     }
 }

@@ -177,3 +177,66 @@ fn mode_switch_mid_run_converges() {
     };
     assert_eq!(run(false), run(true));
 }
+
+/// Two stars joined by one trunk: flows inside a star share only that
+/// star's links, so the sharing graph has (at least) one component per
+/// star until a flow crosses the trunk.
+fn two_stars(n: usize) -> Topology {
+    let mut b = TopologyBuilder::new();
+    let sa = b.network("sa");
+    let sb = b.network("sb");
+    for (side, hub) in [("a", sa), ("b", sb)] {
+        for i in 0..n {
+            let h = b.compute(&format!("{side}{i}"));
+            b.link(h, hub, mbps(100.0), SimDuration::from_micros(10)).unwrap();
+        }
+    }
+    b.link(sa, sb, mbps(60.0), SimDuration::from_micros(10)).unwrap();
+    b.build().unwrap()
+}
+
+/// The scoped solve walks each component once, from whichever touched
+/// resource reaches it first. A trunk flow's arrival merges the two
+/// stars' components and its departure splits them again, so one
+/// recomputation's touched set spans several components; every step
+/// must leave the rates a full solve leaves (the audit's shadow solve
+/// compares each one bit for bit) and the digests of a `Full`-mode run.
+#[test]
+fn trunk_flow_arrival_merges_and_departure_splits_components() {
+    let run = |mode: SolverMode| {
+        let mut sim = Simulator::new(two_stars(4)).unwrap();
+        sim.set_solver_mode(mode);
+        sim.enable_audit();
+        let t = sim.topology_arc();
+        let host = |name: &str| t.lookup(name).unwrap();
+        let mut digests = Vec::new();
+        // Two components per star: {x0→x1, x0→x2} share x0's uplink,
+        // {x3→x2} shares x2's downlink with the first — one component —
+        // while b's star gets the same shape with other weights.
+        for (side, w) in [("a", 1.0), ("b", 2.5)] {
+            for (s, d) in [(0, 1), (0, 2), (3, 2)] {
+                let mut p = FlowParams::greedy(host(&format!("{side}{s}")), host(&format!("{side}{d}")));
+                p.weight = w + d as f64;
+                sim.start_flow(p).unwrap();
+            }
+            digests.push(sim.rates_digest());
+        }
+        for round in 0..3 {
+            sim.run_for(SimDuration::from_millis(10)).unwrap();
+            let mut p = FlowParams::greedy(host("a0"), host(&format!("b{round}")));
+            p.rate_cap = (round == 1).then(|| mbps(7.0));
+            let trunk = sim.start_flow(p).unwrap();
+            digests.push(sim.rates_digest());
+            sim.run_for(SimDuration::from_millis(10)).unwrap();
+            sim.stop_flow(trunk).unwrap();
+            digests.push(sim.rates_digest());
+        }
+        assert!(sim.audit_violations().is_empty(), "{mode:?}: {:?}", sim.audit_violations());
+        (digests, sim.event_digest(), sim.scoped_recomputes())
+    };
+    let (full, full_events, _) = run(SolverMode::Full);
+    let (inc, inc_events, scoped) = run(SolverMode::Incremental);
+    assert_eq!(full, inc);
+    assert_eq!(full_events, inc_events);
+    assert!(scoped >= 8, "incremental mode solved scoped only {scoped} times");
+}

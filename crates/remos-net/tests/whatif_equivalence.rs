@@ -96,3 +96,45 @@ fn engine_reuse_across_batches_is_clean() {
         assert_eq!(got.fct_digest, truth.fct_digest, "seed {seed}");
     }
 }
+
+/// `fct_digest` of the quick-scale batch (k=8 fat-tree, 1,000 web-search
+/// flows seeded from `0x0FC7` at 30% load). Machine-independent.
+const QUICK_FCT_DIGEST: u64 = 0x97a0_76b9_de24_548b;
+
+/// At a scale where hundreds of hypothetical flows overlap, the kernel
+/// and the ground-truth replay, each in both solver modes, all answer the
+/// recorded digest, not only each other.
+#[test]
+fn quick_scale_fct_digest_matches_the_golden() {
+    let (tree, flows) = workload(8, 0x0FC7, 1_000, 0.3, true);
+    let mut engine = WhatIfEngine::from_topology(tree.topology().clone());
+    for mode in [SolverMode::Incremental, SolverMode::Full] {
+        engine.set_mode(mode);
+        let kernel = engine.estimate(&flows).unwrap().fct_digest;
+        assert_eq!(kernel, QUICK_FCT_DIGEST, "kernel {mode:?}: got {kernel:#x}");
+        let truth = replay_ground_truth(tree.topology().clone(), &flows, mode).unwrap().fct_digest;
+        assert_eq!(truth, QUICK_FCT_DIGEST, "ground truth {mode:?}: got {truth:#x}");
+    }
+}
+
+/// A background that greedy flows have saturated leaves each link its
+/// capacity's last few bits — not zero, so rates are positive and ETAs
+/// lie centuries past the end of the clock. Such a flow is starved, not
+/// an overflow: without a horizon the replay reports `Stalled`, under one
+/// it reports the flows incomplete, and it never panics.
+#[test]
+fn saturated_background_stalls_or_cuts_off_instead_of_overflowing() {
+    let (tree, flows) = workload(4, 7, 16, 0.3, true);
+    assert!(flows.iter().any(|f| f.arrival > remos_net::SimTime::ZERO));
+    let background: Vec<f64> =
+        tree.topology().dir_link_capacities().iter().map(|c| c * (1.0 - f64::EPSILON)).collect();
+    for mode in [SolverMode::Incremental, SolverMode::Full] {
+        let mut engine = WhatIfEngine::from_topology(tree.topology().clone());
+        engine.set_mode(mode);
+        let stalled = engine.estimate_with(&flows, Some(&background), None);
+        assert!(matches!(stalled, Err(remos_net::NetError::Stalled)), "{mode:?}: {stalled:?}");
+        let horizon = remos_net::SimTime::from_secs(3_600);
+        let cut = engine.estimate_with(&flows, Some(&background), Some(horizon)).unwrap();
+        assert!(cut.estimates.iter().all(|e| !e.completed && e.finished <= horizon), "{mode:?}");
+    }
+}

@@ -221,6 +221,28 @@ fn plan_cache_configs_agree_in_both_solver_modes() {
     }
 }
 
+/// `(rates_digest, event_digest)` of the quick-scale fabric churn (k=8
+/// fat-tree, 256 persistent flows seeded from `0xFAB51C`, 80% intra-pod,
+/// 100 retire-and-admit events). Machine-independent: a change to the
+/// fill arithmetic, the event order or an ETA moves it.
+const QUICK_FABRIC_DIGESTS: (u64, u64) = (0x0642_9d4e_0cc8_31b9, 0xb9e8_fe50_5f2d_5355);
+
+/// At a scale where one component spans most of the fabric, both solver
+/// modes answer the recorded digests, not only each other.
+#[test]
+fn quick_fabric_churn_digests_match_the_golden_in_both_solver_modes() {
+    use remos::net::FabricChurn;
+
+    for mode in [SolverMode::Full, SolverMode::Incremental] {
+        let mut churn = FabricChurn::new(8, 256, 0xFA_B51C, 80, mode).unwrap();
+        for _ in 0..100 {
+            churn.step().unwrap();
+        }
+        let got = (churn.sim.rates_digest(), churn.sim.event_digest());
+        assert_eq!(got, QUICK_FABRIC_DIGESTS, "{mode:?}: got {:#x} {:#x}", got.0, got.1);
+    }
+}
+
 #[test]
 fn chaos_seed_c0ffee_is_deterministic() {
     chaos_run(0xC0FFEE);
