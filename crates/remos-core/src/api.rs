@@ -254,9 +254,18 @@ impl Remos {
         spec: impl Into<QuerySpec>,
         budget: QueryBudget,
     ) -> CoreResult<QueryResult> {
-        let spec = spec.into();
-        let res = self.serve(&spec, budget, false);
-        self.finish(&spec, res, false)
+        self.run_spec_within(&spec.into(), budget)
+    }
+
+    /// [`Remos::run_within`] for a caller that keeps its spec — a serving
+    /// front end re-answers the same spec from its degradation ladder.
+    pub fn run_spec_within(
+        &mut self,
+        spec: &QuerySpec,
+        budget: QueryBudget,
+    ) -> CoreResult<QueryResult> {
+        let res = self.serve(spec, budget, false);
+        self.finish(spec, res, false)
     }
 
     /// Answer a query from the measurement history already on hand,

@@ -70,6 +70,10 @@ impl Snapshot {
 #[derive(Clone, Debug)]
 pub struct SampleHistory {
     samples: VecDeque<Snapshot>,
+    /// Parallel to `samples`: the producer's *values* tag of each entry
+    /// (`0` = untagged). Equal non-zero tags mean bit-equal `util` and
+    /// `quality`, whatever `t` and `interval` say.
+    tags: VecDeque<u64>,
     max_len: usize,
     /// Monotone counter bumped whenever the sample set changes (a snapshot
     /// appended, or the history cleared on rediscovery). Consumers use it
@@ -90,16 +94,34 @@ impl SampleHistory {
     /// History bounded to `max_len` samples.
     pub fn new(max_len: usize) -> Self {
         assert!(max_len > 0);
-        SampleHistory { samples: VecDeque::new(), max_len, generation: 0 }
+        SampleHistory { samples: VecDeque::new(), tags: VecDeque::new(), max_len, generation: 0 }
     }
 
     /// Append a snapshot, evicting the oldest if full.
     pub fn push(&mut self, s: Snapshot) {
+        self.push_tagged(s, 0);
+    }
+
+    /// [`push`](SampleHistory::push), recording `tag` as the entry's values
+    /// tag for a later [`recycle_oldest`](SampleHistory::recycle_oldest).
+    pub fn push_tagged(&mut self, s: Snapshot, tag: u64) {
         if self.samples.len() == self.max_len {
             self.samples.pop_front();
+            self.tags.pop_front();
         }
         self.samples.push_back(s);
+        self.tags.push_back(tag);
         self.generation += 1;
+    }
+
+    /// Move the latest sample's `t`/`interval` in place: what a re-read
+    /// of unchanged values would have pushed. Counts as a change of the
+    /// sample set. `false` when there is no sample to restamp.
+    pub fn restamp_latest(&mut self, t: SimTime, interval: SimDuration) -> bool {
+        let Some(s) = self.samples.back_mut() else { return false };
+        (s.t, s.interval) = (t, interval);
+        self.generation += 1;
+        true
     }
 
     /// All samples, oldest first.
@@ -136,6 +158,7 @@ impl SampleHistory {
     /// interface indices change meaning).
     pub fn clear(&mut self) {
         self.samples.clear();
+        self.tags.clear();
         self.generation += 1;
     }
 
@@ -143,22 +166,22 @@ impl SampleHistory {
     /// is full, i.e. exactly the snapshot the next [`push`] would evict
     /// anyway. Steady-state collectors recycle the returned `util` /
     /// `quality` boxes in place of fresh allocations (the zero-alloc
-    /// contract). Bumps the generation: the sample set changed.
+    /// contract), and skip rewriting them when the values tag returned
+    /// with the snapshot is the one they are about to publish. Bumps the
+    /// generation: the sample set changed.
     ///
     /// [`push`]: SampleHistory::push
-    pub fn recycle_oldest(&mut self) -> Option<Snapshot> {
+    pub fn recycle_oldest(&mut self) -> Option<(Snapshot, u64)> {
         if self.samples.len() < self.max_len {
             return None;
         }
         self.generation += 1;
-        self.samples.pop_front()
+        self.samples.pop_front().zip(self.tags.pop_front())
     }
 
-    /// Monotone snapshot-generation counter: bumped on every [`push`]
-    /// and [`clear`]. Equal generations guarantee equal sample sets.
-    ///
-    /// [`push`]: SampleHistory::push
-    /// [`clear`]: SampleHistory::clear
+    /// Monotone snapshot-generation counter: bumped on every push,
+    /// restamp, recycle and clear. Equal generations guarantee equal
+    /// sample sets.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -360,6 +383,31 @@ mod tests {
         let recent = h.within(SimDuration::from_secs(3));
         assert_eq!(recent.len(), 4); // t=6,7,8,9
         assert!(h.within(SimDuration::from_secs(100)).len() == 10);
+    }
+
+    #[test]
+    fn tags_travel_with_their_entries_and_die_with_clear() {
+        let mut h = SampleHistory::new(2);
+        assert!(h.recycle_oldest().is_none(), "nothing to recycle until full");
+        h.push_tagged(snap(0, &[1.0]), 7);
+        h.push(snap(1, &[2.0]));
+        let g = h.generation();
+        assert!(h.restamp_latest(SimTime::from_secs(5), SimDuration::from_secs(4)));
+        assert!(h.generation() > g, "a restamp changes the sample set");
+        let latest = h.latest().unwrap();
+        assert_eq!((latest.t, latest.interval), (SimTime::from_secs(5), SimDuration::from_secs(4)));
+        assert_eq!(latest.util[0], 2.0);
+        assert_eq!(h.recycle_oldest().map(|(s, tag)| (s.util[0], tag)), Some((1.0, 7)));
+        h.push_tagged(snap(6, &[3.0]), 8);
+        assert_eq!(h.recycle_oldest().map(|(_, tag)| tag), Some(0), "plain push is untagged");
+        // Rediscovery: interface indices change meaning, so no tag may
+        // vouch for a buffer across it.
+        h.push_tagged(snap(7, &[4.0]), 8);
+        h.clear();
+        assert!(!h.restamp_latest(SimTime::from_secs(9), SimDuration::ZERO));
+        h.push(snap(8, &[5.0]));
+        h.push(snap(9, &[6.0]));
+        assert_eq!(h.recycle_oldest().map(|(_, tag)| tag), Some(0));
     }
 
     #[test]

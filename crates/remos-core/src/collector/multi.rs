@@ -27,11 +27,14 @@
 //!   shard read, and polls a 4–8-way SNMP federation 20–60% *slower*
 //!   than this loop (measured in docs/PERFORMANCE.md).
 //! * **Dirty-shard merge** — the merged `util`/`quality` vectors are
-//!   persistent; a poll re-applies only children whose sample
-//!   `generation()` advanced (or whose lag behind the merge time
-//!   changed, which re-ages their quality), writing in place with zero
-//!   steady-state allocation. Border entries observed by several
-//!   children are the only part recomputed every merge.
+//!   persistent. A child whose `generation()` and lag behind the merge
+//!   time both stand where the last merge applied them is skipped: same
+//!   generation means same values (a shard that only restamped its
+//!   sample keeps its generation), same lag means same aged quality.
+//!   Border entries observed by several children are recomputed every
+//!   merge. A merge that wrote nothing publishes the buffer it recycles
+//!   without copying: each history entry carries the merged values
+//!   generation it was copied at, and an equal tag means equal bits.
 //! * **Epoch vector** — [`Collector::topology_epoch`] is an FNV-1a
 //!   digest over the children's *structural* digests, not a counter. A
 //!   child re-discovering an unchanged region keeps the digest (and the
@@ -121,6 +124,7 @@ struct MultiMetrics {
     shard_polls: Counter,
     dirty_shards: Histogram,
     merge_ns: Histogram,
+    publish_reused: Counter,
 }
 
 impl MultiMetrics {
@@ -129,6 +133,7 @@ impl MultiMetrics {
             shard_polls: obs.counter("multi_shard_polls_total"),
             dirty_shards: obs.histogram("multi_dirty_shards"),
             merge_ns: obs.histogram("multi_merge_ns"),
+            publish_reused: obs.counter("multi_publish_reused_total"),
         }
     }
 }
@@ -186,6 +191,10 @@ pub struct MultiCollector {
     cfg: MultiCollectorConfig,
     merged: Option<Merged>,
     history: SampleHistory,
+    /// Values generation of the merged buffers: bumped by every merge
+    /// that wrote to them, never reset, and published as each history
+    /// entry's tag.
+    values_gen: u64,
     epoch: u64,
     obs: Obs,
     metrics: MultiMetrics,
@@ -202,7 +211,8 @@ impl MultiCollector {
         let obs = Obs::new();
         let metrics = MultiMetrics::new(&obs);
         let history = SampleHistory::new(cfg.history_len);
-        MultiCollector { children, cfg, merged: None, history, epoch: 0, obs, metrics }
+        let (merged, values_gen, epoch) = (None, 0, 0);
+        MultiCollector { children, cfg, merged, history, values_gen, epoch, obs, metrics }
     }
 
     /// Rebuild the merged view if any child's structure changed; keep
@@ -536,7 +546,7 @@ impl Collector for MultiCollector {
         }
         // Disjoint field borrows: the merge mutates `merged`/`history`
         // while reading the children's sample histories.
-        let MultiCollector { children, cfg, merged, history, obs, metrics, .. } = self;
+        let MultiCollector { children, cfg, merged, history, values_gen, obs, metrics, .. } = self;
         let Some(merged) = merged.as_mut() else {
             return Err(RemosError::Collector("topology not discovered yet".into()));
         };
@@ -550,6 +560,8 @@ impl Collector for MultiCollector {
         let Some(t) = t else { return Ok(false) };
         let mut interval = SimDuration::ZERO;
         let mut dirty = 0u64;
+        // Border entries are recomputed, so rewritten, on every merge.
+        let mut wrote = !merged.shared.is_empty();
         for (ci, c) in children.iter().enumerate() {
             let latest = c.history().latest();
             let gen = c.generation();
@@ -567,6 +579,7 @@ impl Collector for MultiCollector {
             if !quality_dirty {
                 continue;
             }
+            wrote = true;
             match latest {
                 None => {
                     // No sample: this child's entries read zero/Missing,
@@ -624,20 +637,27 @@ impl Collector for MultiCollector {
             merged.quality[e.merged_idx as usize] = q;
         }
         metrics.dirty_shards.observe(dirty);
+        *values_gen += u64::from(wrote);
         // Publish: recycle the snapshot the push would evict so the
         // steady state copies into existing buffers instead of
-        // allocating.
+        // allocating — and not even that when those buffers were
+        // published from the merged values as they still stand.
         let n = merged.util.len();
-        let (mut util, mut quality) = match history.recycle_oldest() {
-            Some(s) if s.util.len() == n && s.quality.len() == n => (s.util, s.quality),
+        let (mut util, mut quality, tag) = match history.recycle_oldest() {
+            Some((s, tag)) if s.util.len() == n && s.quality.len() == n => (s.util, s.quality, tag),
             _ => (
                 vec![0.0f64; n].into_boxed_slice(),
                 vec![DataQuality::Missing; n].into_boxed_slice(),
+                0,
             ),
         };
-        util.copy_from_slice(&merged.util);
-        quality.copy_from_slice(&merged.quality);
-        history.push(Snapshot { t, interval, util, quality });
+        if tag == *values_gen {
+            metrics.publish_reused.inc();
+        } else {
+            util.copy_from_slice(&merged.util);
+            quality.copy_from_slice(&merged.quality);
+        }
+        history.push_tagged(Snapshot { t, interval, util, quality }, *values_gen);
         if let (Some(t0), Some(t1)) = (t0, obs.clock_nanos()) {
             metrics.merge_ns.observe(t1.saturating_sub(t0));
         }

@@ -10,6 +10,14 @@
 //! [`MultiCollector`](crate::collector::multi::MultiCollector) that
 //! federates the shards owns the time series.
 //!
+//! A poll re-sums the region only if the engine has solved since the
+//! held sample was read ([`Simulator::rates_epoch`] moved). Otherwise it
+//! is a *repeat*: the sample's `t`/`interval` move in place and
+//! [`Collector::generation`] — a values generation here — stands still,
+//! which is how the federation knows to skip the shard. Sound because
+//! an interface's rate is a sum over its members' solved rates, both
+//! change only through a solve, and polls read settled rates.
+//!
 //! Because every shard reports the *same* full-fabric topology (its
 //! region is declared through [`Collector::coverage`], not by cutting
 //! the graph), the federation's merged view is the fabric's own
@@ -46,8 +54,14 @@ pub struct ShardCollector {
     /// The latest sample only (depth 1), recycled in place on every poll.
     history: SampleHistory,
     last_rates: Option<SimTime>,
+    /// [`Simulator::rates_epoch`] the held sample's values were read at.
+    read_epoch: u64,
+    /// Values generation: bumped by a re-read or a rediscovery, not by a
+    /// repeat. This is the shard's [`Collector::generation`].
+    values_gen: u64,
     topology_epoch: u64,
     polls: Counter,
+    repeats: Counter,
 }
 
 impl ShardCollector {
@@ -69,8 +83,11 @@ impl ShardCollector {
             region,
             history: SampleHistory::new(1),
             last_rates: None,
+            read_epoch: 0,
+            values_gen: 0,
             topology_epoch: 0,
-            polls: Obs::new().counter("shard_polls_total"),
+            polls: Counter::default(),
+            repeats: Counter::default(),
         })
     }
 
@@ -91,11 +108,25 @@ impl ShardCollector {
                 self.label
             )));
         }
+        let interval = match self.last_rates {
+            Some(prev) => t.saturating_since(prev),
+            None => SimDuration::ZERO,
+        };
+        self.last_rates = Some(t);
+        self.polls.inc();
+        // No solve since the held sample was read: re-summing the region
+        // would reproduce its values bit for bit, so only its stamp moves.
+        let epoch = sim.rates_epoch();
+        if epoch == self.read_epoch && self.history.restamp_latest(t, interval) {
+            self.repeats.inc();
+            return Ok(true);
+        }
+        (self.read_epoch, self.values_gen) = (epoch, self.values_gen + 1);
         // From the second poll on this recycles the previous sample: its
         // non-region entries are already zero/Missing (regions never
         // change), so only the measured entries need rewriting.
         let (mut util, mut quality) = match self.history.recycle_oldest() {
-            Some(s) if s.util.len() == n && s.quality.len() == n => (s.util, s.quality),
+            Some((s, _)) if s.util.len() == n && s.quality.len() == n => (s.util, s.quality),
             _ => (
                 vec![0.0f64; n].into_boxed_slice(),
                 vec![DataQuality::Missing; n].into_boxed_slice(),
@@ -108,12 +139,6 @@ impl ShardCollector {
             util[i] = sim.dirlink_rate_settled(DirLink::from_index(i));
             quality[i] = DataQuality::Fresh;
         }
-        let interval = match self.last_rates {
-            Some(prev) => t.saturating_since(prev),
-            None => SimDuration::ZERO,
-        };
-        self.last_rates = Some(t);
-        self.polls.inc();
         self.history.push(Snapshot { t, interval, util, quality });
         Ok(true)
     }
@@ -122,6 +147,7 @@ impl ShardCollector {
 impl Collector for ShardCollector {
     fn refresh_topology(&mut self) -> CoreResult<()> {
         self.topology_epoch += 1;
+        self.values_gen += 1;
         self.history.clear();
         Ok(())
     }
@@ -167,12 +193,18 @@ impl Collector for ShardCollector {
         &self.history
     }
 
+    /// Moves only when the held sample's values may have: see `sample`.
+    fn generation(&self) -> u64 {
+        self.values_gen
+    }
+
     fn now(&self) -> CoreResult<SimTime> {
         Ok(self.sim.read().now())
     }
 
     fn set_obs(&mut self, obs: &Obs) {
         self.polls = obs.counter("shard_polls_total");
+        self.repeats = obs.counter("shard_repeats_total");
     }
 
     fn describe(&self) -> String {
@@ -304,6 +336,53 @@ mod tests {
         assert!(shards[0].host_info("p0e0h0").is_ok());
         assert!(shards[0].host_info("c0x0").is_err());
         assert!(shards[0].now().is_ok());
+    }
+
+    fn bits(s: &Snapshot) -> (SimTime, SimDuration, Vec<u64>, Vec<DataQuality>) {
+        (s.t, s.interval, s.util.iter().map(|u| u.to_bits()).collect(), s.quality.to_vec())
+    }
+
+    #[test]
+    fn a_repeat_restamps_and_an_epoch_move_rereads() {
+        let tree = FatTree::build(4).unwrap();
+        let sim = share(Simulator::new(FatTree::build(4).unwrap().into_parts().0).unwrap());
+        sim.lock().start_flow(FlowParams::greedy(tree.host(0, 0), tree.host(1, 0))).unwrap();
+        let all: Vec<u32> = (0..tree.topology().dir_link_count() as u32).collect();
+        let obs = Obs::new();
+        let mut held = ShardCollector::new(Arc::clone(&sim), "held", all.clone()).unwrap();
+        // The reference forgets its sample before every poll, so it always re-reads.
+        let mut reread = ShardCollector::new(Arc::clone(&sim), "reread", all).unwrap();
+        held.set_obs(&obs);
+        let repeats = || obs.counter("shard_repeats_total").get();
+        let step = |held: &mut ShardCollector, reread: &mut ShardCollector| {
+            sim.lock().run_for(SimDuration::from_millis(250)).unwrap();
+            reread.refresh_topology().unwrap();
+            assert!(held.poll().unwrap() && reread.poll().unwrap());
+            let (h, r) = (held.history().latest().unwrap(), reread.history().latest().unwrap());
+            assert_eq!(bits(h), bits(r), "held sample differs from a re-read one");
+            (held.generation(), held.history().generation())
+        };
+
+        let (gen0, hist0) = step(&mut held, &mut reread);
+        assert_eq!(repeats(), 0, "the first poll has nothing to repeat");
+        // Time passes, no solve runs: same values, new stamp. The values
+        // generation stands still; the history's own counter (what a
+        // decorator that does not forward `generation()` sees) moves.
+        let (gen1, hist1) = step(&mut held, &mut reread);
+        assert_eq!((repeats(), gen1), (1, gen0));
+        assert!(hist1 > hist0);
+        assert!(held.history().latest().unwrap().interval > SimDuration::ZERO);
+        // A flow starts: the next settle solves, the epoch moves, the shard re-reads.
+        sim.lock().start_flow(FlowParams::greedy(tree.host(2, 0), tree.host(1, 0))).unwrap();
+        let (gen2, _) = step(&mut held, &mut reread);
+        assert_eq!(repeats(), 1);
+        assert!(gen2 > gen1);
+        // Rediscovery drops the held sample: nothing to restamp, whatever the epoch.
+        held.refresh_topology().unwrap();
+        let (gen3, _) = step(&mut held, &mut reread);
+        assert_eq!(repeats(), 1);
+        assert!(gen3 > gen2);
+        assert_eq!(obs.counter("shard_polls_total").get(), 4, "a repeat is still a poll");
     }
 
     #[test]

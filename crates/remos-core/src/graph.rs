@@ -15,6 +15,7 @@ use crate::stats::Quartiles;
 use remos_net::topology::NodeKind;
 use remos_net::{Bps, SimDuration};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// FNV-1a fold used by [`RemosGraph::digest`]. Floats are folded by bit
 /// pattern so the digest is exactly as strict as bit equality.
@@ -165,6 +166,15 @@ pub struct RemosGraph {
     /// quality, solver, scope). `None` when the producing query opted out
     /// with `without_provenance()`.
     pub provenance: Option<Provenance>,
+    /// Shared by every clone, so an answer annotated from a plan's static
+    /// graph borrows the plan's indices. `None` only for the empty
+    /// default graph, which must not allocate.
+    indices: Option<Arc<Indices>>,
+}
+
+/// Name lookup and adjacency derived from `nodes`/`links`.
+#[derive(Debug)]
+struct Indices {
     name_index: HashMap<String, usize>,
     adj: Vec<Vec<(usize, usize)>>, // per node: (link index, neighbor index)
 }
@@ -172,13 +182,7 @@ pub struct RemosGraph {
 impl RemosGraph {
     /// Assemble a graph; builds the indices.
     pub fn new(nodes: Vec<RemosNode>, links: Vec<RemosLink>) -> RemosGraph {
-        let mut g = RemosGraph {
-            nodes,
-            links,
-            provenance: None,
-            name_index: HashMap::new(),
-            adj: Vec::new(),
-        };
+        let mut g = RemosGraph { nodes, links, provenance: None, indices: None };
         g.rebuild_indices();
         g
     }
@@ -267,20 +271,19 @@ impl RemosGraph {
     /// Rebuild the name index and adjacency (after deserialization or
     /// mutation of `nodes`/`links`).
     pub fn rebuild_indices(&mut self) {
-        self.name_index =
-            self.nodes.iter().enumerate().map(|(i, n)| (n.name.clone(), i)).collect();
-        self.adj = vec![Vec::new(); self.nodes.len()];
+        let name_index = self.nodes.iter().enumerate().map(|(i, n)| (n.name.clone(), i)).collect();
+        let mut adj = vec![Vec::new(); self.nodes.len()];
         for (li, l) in self.links.iter().enumerate() {
-            self.adj[l.a].push((li, l.b));
-            self.adj[l.b].push((li, l.a));
+            adj[l.a].push((li, l.b));
+            adj[l.b].push((li, l.a));
         }
+        self.indices = Some(Arc::new(Indices { name_index, adj }));
     }
 
     /// Node index by name.
     pub fn index_of(&self, name: &str) -> CoreResult<usize> {
-        self.name_index
-            .get(name)
-            .copied()
+        (self.indices.as_ref())
+            .and_then(|ix| ix.name_index.get(name).copied())
             .ok_or_else(|| RemosError::UnknownNode(name.to_string()))
     }
 
@@ -291,7 +294,7 @@ impl RemosGraph {
 
     /// `(link index, neighbor index)` pairs incident to node `i`.
     pub fn neighbors(&self, i: usize) -> &[(usize, usize)] {
-        &self.adj[i]
+        self.indices.as_ref().map_or(&[], |ix| &ix.adj[i])
     }
 
     /// All compute-node names, in node order.
@@ -331,7 +334,7 @@ impl RemosGraph {
             if u != src && self.nodes[u].kind == NodeKind::Compute {
                 continue; // hosts terminate paths
             }
-            for &(li, v) in &self.adj[u] {
+            for &(li, v) in self.neighbors(u) {
                 if done[v] {
                     continue;
                 }

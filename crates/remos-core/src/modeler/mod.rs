@@ -93,6 +93,7 @@ pub struct Modeler {
     metrics: ModelerMetrics,
 }
 
+#[derive(Default)]
 struct ModelerMetrics {
     plan_cache_hits: Counter,
     plan_cache_misses: Counter,
@@ -247,7 +248,7 @@ impl Modeler {
         Modeler {
             cfg,
             cache: Mutex::new(PlanCache::new(cfg.plan_cache_capacity)),
-            metrics: ModelerMetrics::new(&Obs::new()),
+            metrics: ModelerMetrics::default(),
         }
     }
 
@@ -600,7 +601,10 @@ impl Modeler {
     /// `RemosLink` owns no heap), the value buffers are shared by every
     /// (link, direction) pair, and the name/adjacency indices are
     /// rebuilt only when the logical structure actually changed — so
-    /// re-annotating the same plan is allocation-free.
+    /// re-annotating the same plan is allocation-free. When the resident
+    /// graph was moved out into an answer, annotation starts from a clone
+    /// of the plan's static graph (same node and link order), which
+    /// shares the plan's indices instead of building a set per answer.
     fn annotate_graph(
         &self,
         plan: &QueryPlan,
@@ -612,6 +616,9 @@ impl Modeler {
         let AnswerScratch { vals, sort_buf, graph: out } = scratch;
         let topo: &Topology = &plan.topo;
         let structure = &plan.structure;
+        if out.nodes.is_empty() {
+            out.clone_from(&plan.static_graph);
+        }
 
         let mut structure_changed = out.nodes.len() != structure.nodes.len()
             || out.links.len() != structure.links.len();

@@ -18,59 +18,12 @@ use remos_core::modeler::{Modeler, ModelerConfig, QueryWorkspace};
 use remos_core::timeframe::Timeframe;
 use remos_net::{FabricChurn, FatTree, SimDuration, Simulator, SolverMode};
 use remos_snmp::sim::{share, SharedSim};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::hint::black_box;
 use std::sync::Arc;
 
-/// Pass-through system allocator that counts every acquisition path
-/// (fresh, zeroed, and growth). Frees are deliberately not counted: the
-/// contract under test is "no heap traffic at steady state", and any
-/// dealloc without a matching counted alloc would imply a buffer from
-/// the warmup era being dropped, which shrink-free reuse never does.
-struct CountingAlloc;
-
-thread_local! {
-    /// Acquisitions made by this thread. Const-initialised and without a
-    /// destructor, so touching it from inside the allocator neither
-    /// allocates nor registers anything.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Count one acquisition against the calling thread (nothing, for a
-/// thread already past its thread-local teardown).
-fn count() {
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Acquisitions the calling thread has made so far.
-fn alloc_count() -> u64 {
-    ALLOCS.with(Cell::get)
-}
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::alloc_count;
 
 /// Assert in release; report in debug (see module docs).
 fn expect_zero(delta: u64, what: &str) {
@@ -155,7 +108,16 @@ fn steady_state_sharded_merge_is_allocation_free() {
         children,
         MultiCollectorConfig { history_len: 4, ..Default::default() },
     );
+    let obs = remos_obs::Obs::new();
+    fed.set_obs(&obs);
     fed.refresh_topology().expect("discover");
+    // Shards re-applied, shard polls answered by a restamp, merges
+    // published from a recycled buffer without copying: so far.
+    let work = || {
+        let reapplied = obs.histogram("multi_dirty_shards").snapshot().sum;
+        let repeats = obs.counter("shard_repeats_total").get();
+        (reapplied, repeats, obs.counter("multi_publish_reused_total").get())
+    };
     // Warmup: advance and poll until the merged history is full and recycling.
     for _ in 0..8 {
         sim.lock().run_for(SimDuration::from_millis(100)).expect("advance sim");
@@ -166,13 +128,20 @@ fn steady_state_sharded_merge_is_allocation_free() {
         assert!(snap.util.iter().any(|&u| u > 0.0), "scenario produced no traffic");
         snap.util.iter().map(|u| u.to_bits()).fold(0u64, |a, b| a.rotate_left(7) ^ b)
     };
-    let before = alloc_count();
+    let (work_before, before) = (work(), alloc_count());
     for _ in 0..64 {
         assert!(fed.poll().expect("measured poll"));
         black_box(fed.history().latest());
     }
     let delta = alloc_count() - before;
     expect_zero(delta, "sharded poll+merge");
+    // Nothing moved, so nothing was redone: every one of the 4 x 64 shard
+    // polls repeated, no shard was re-applied, no buffer was copied.
+    let (reapplied, repeats, reused) = work();
+    assert_eq!(
+        (reapplied - work_before.0, repeats - work_before.1, reused - work_before.2),
+        (0, 256, 64)
+    );
     // The measured polls re-published the same settled state.
     let snap = fed.history().latest().expect("measured snapshot");
     let after = snap.util.iter().map(|u| u.to_bits()).fold(0u64, |a, b| a.rotate_left(7) ^ b);

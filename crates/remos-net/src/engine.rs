@@ -541,6 +541,14 @@ impl Simulator {
         self.scoped_recomputes
     }
 
+    /// Monotone count of solver runs of either kind. Rates move only
+    /// inside a run, and every start, retire and re-path leaves the rates
+    /// unsettled until the next one, so two *settled* reads at the same
+    /// epoch see bit-identical interface rates.
+    pub fn rates_epoch(&self) -> u64 {
+        self.full_recomputes + self.scoped_recomputes
+    }
+
     /// Number of times routing was rebuilt after link transitions. All
     /// transitions due at one instant are coalesced into a single rebuild.
     pub fn routing_rebuilds(&self) -> u64 {

@@ -16,7 +16,9 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A monotonically increasing counter.
+/// A monotonically increasing counter. `Counter::default()` is detached —
+/// in no registry — which is what instrumented types hold until their
+/// `set_obs` wires them to one.
 #[derive(Clone, Debug, Default)]
 pub struct Counter(Arc<AtomicU64>);
 
@@ -81,7 +83,8 @@ impl Default for HistogramCore {
     }
 }
 
-/// A fixed-bucket histogram of `u64` observations.
+/// A fixed-bucket histogram of `u64` observations; `Histogram::default()`
+/// is detached like [`Counter`]'s.
 #[derive(Clone, Default)]
 pub struct Histogram(Arc<HistogramCore>);
 

@@ -383,7 +383,7 @@ impl Server {
         if let Err(e) = budget.check(self.now()) {
             return (Rung::Rejected, Err(e));
         }
-        match self.remos.run_within(q.spec.clone(), budget) {
+        match self.remos.run_spec_within(&q.spec, budget) {
             Ok(r) => (Rung::Full, Ok(r)),
             // A blown deadline is final: a degraded answer would still be
             // late, and late answers teach callers to distrust deadlines.

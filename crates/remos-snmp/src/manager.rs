@@ -20,6 +20,7 @@ use std::time::Duration;
 
 /// Cached fault-path counters (see `remos-obs`): how often requests were
 /// retried, gave up on timeout, or failed hard (non-retryable).
+#[derive(Default)]
 struct ManagerMetrics {
     requests: Counter,
     retries: Counter,
@@ -124,7 +125,7 @@ impl<T: Transport> Manager<T> {
             next_request_id: AtomicU32::new(1),
             policy,
             jitter,
-            obs_metrics: ManagerMetrics::new(&Obs::new()),
+            obs_metrics: ManagerMetrics::default(),
             retry_observer: None,
         }
     }

@@ -2,7 +2,7 @@
 //! datagram loss, partial agent coverage, and wrong communities.
 
 use remos::apps::testbed::cmu_testbed;
-use remos::core::collector::multi::MultiCollector;
+use remos::core::collector::multi::{MultiCollector, MultiCollectorConfig};
 use remos::core::collector::snmp::{SnmpCollector, SnmpCollectorConfig};
 use remos::core::collector::{Collector, SimClock};
 use remos::core::{Query, Remos, RemosConfig, RemosError};
@@ -73,6 +73,55 @@ fn federated_collectors_match_single_collector() {
     // Host info resolves through the federation.
     assert!(multi.host_info("m-1").is_ok());
     assert!(multi.host_info("aspen").is_err());
+}
+
+/// A federation with border entries recomputes them on every merge, so it
+/// never publishes from a recycled buffer without copying: over idle
+/// polls on a two-sample history (every publish recycles) it is
+/// bit-identical to a from-scratch re-merge and reuses nothing.
+#[test]
+fn snmp_federation_with_border_links_never_reuses_a_published_buffer() {
+    let (transport, sim, agents) = base();
+    let side = |names: &[&str]| -> Vec<String> {
+        agents.iter().filter(|a| names.contains(&a.as_str())).cloned().collect()
+    };
+    let federation = |force_full_merge: bool| {
+        let mk = |set: Vec<String>| {
+            let cfg = SnmpCollectorConfig::default();
+            Box::new(SnmpCollector::new(Arc::clone(&transport), set, cfg)) as Box<dyn Collector>
+        };
+        let children = vec![
+            mk(side(&["m-1", "m-2", "m-3", "aspen", "timberline"])),
+            mk(side(&["m-4", "m-5", "m-6", "m-7", "m-8", "timberline", "whiteface", "aspen"])),
+        ];
+        let cfg = MultiCollectorConfig { history_len: 2, force_full_merge, ..Default::default() };
+        let mut multi = MultiCollector::with_config(children, cfg);
+        multi.refresh_topology().unwrap();
+        multi
+    };
+    let (mut inc, mut full) = (federation(false), federation(true));
+    let obs = remos::obs::Obs::new();
+    inc.set_obs(&obs);
+    {
+        let mut s = sim.lock();
+        let topo = s.topology_arc();
+        let (m1, m8) = (topo.lookup("m-1").unwrap(), topo.lookup("m-8").unwrap());
+        s.start_flow(FlowParams::cbr(m1, m8, mbps(40.0))).unwrap();
+    }
+    for round in 0..6 {
+        assert_eq!(inc.poll().unwrap(), full.poll().unwrap(), "round {round}");
+        sim.lock().run_for(SimDuration::from_secs(1)).unwrap();
+        let (Some(a), Some(b)) = (inc.history().latest(), full.history().latest()) else {
+            assert_eq!(round, 0, "only the baseline poll publishes nothing");
+            continue;
+        };
+        assert_eq!((a.t, a.interval, &a.quality), (b.t, b.interval, &b.quality), "round {round}");
+        let bits = |s: &[f64]| s.iter().map(|u| u.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.util), bits(&b.util), "round {round}");
+        assert!(a.util.iter().any(|&u| u > mbps(39.0)), "round {round}: border traffic unseen");
+    }
+    assert_eq!(inc.history().len(), 2);
+    assert_eq!(obs.counter("multi_publish_reused_total").get(), 0);
 }
 
 #[test]

@@ -22,6 +22,7 @@ use remos::core::{
 use remos::net::flow::FlowParams;
 use remos::net::topology::Topology;
 use remos::net::{mbps, FatTree, SimDuration, SimTime, Simulator, SolverMode};
+use remos::obs::Obs;
 use remos::snmp::sim::{share, SharedSim};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -32,6 +33,11 @@ use std::sync::Arc;
 struct FlakyShard {
     inner: ShardCollector,
     down: Arc<AtomicBool>,
+    /// Forward the shard's values `generation()`. A decorator that does
+    /// not (the trait's default reads the history's own counter, which a
+    /// repeat moves too) makes the federation re-apply the child on every
+    /// poll: slower, never stale.
+    forward_generation: bool,
 }
 
 impl FlakyShard {
@@ -70,6 +76,18 @@ impl Collector for FlakyShard {
 
     fn topology_epoch(&self) -> u64 {
         self.inner.topology_epoch()
+    }
+
+    fn generation(&self) -> u64 {
+        if self.forward_generation {
+            self.inner.generation()
+        } else {
+            self.inner.history().generation()
+        }
+    }
+
+    fn set_obs(&mut self, obs: &Obs) {
+        self.inner.set_obs(obs)
     }
 
     fn now(&self) -> CoreResult<SimTime> {
@@ -198,26 +216,44 @@ fn snapshots_bit_identical(a: &Snapshot, b: &Snapshot, what: &str) {
 fn sharded_view_is_bit_identical_to_monolithic() {
     for mode in [SolverMode::Incremental, SolverMode::Full] {
         let (tree, sim) = fabric_sim(8, mode);
-        seed_flows(&tree, &sim, 0xC0FFEE, 24);
+        let mut handles = seed_flows(&tree, &sim, 0xC0FFEE, 24);
         sim.lock().run_for(SimDuration::from_millis(500)).unwrap();
 
         let (mut mono, mut fed) = mono_and_sharded(&tree, &sim);
+        let obs = Obs::new();
+        fed.set_obs(&obs);
 
         // The merged topology IS the fabric's (same allocation), so node
         // ids, routing, and digests cannot drift.
         assert!(Arc::ptr_eq(&mono.topology().unwrap(), &fed.topology().unwrap()));
 
-        // Two polls with traffic movement in between: util and interval
-        // both become non-trivial.
-        for _ in 0..2 {
+        // Every published snapshot matches, through idle polls (the clock
+        // advances, nothing else: the shards repeat) interleaved with
+        // everything that must end a repeat.
+        let core = tree.topology().link_ids().find(|&l| tree.pod_of_link(l).is_none()).unwrap();
+        for step in 0..12 {
+            match step {
+                2 => drop(sim.lock().stop_flow(handles.swap_remove(0)).unwrap()),
+                5 => handles.extend(seed_flows(&tree, &sim, 0xFACADE, 2)),
+                7 | 9 => sim.lock().set_link_state(core, step == 9).unwrap(),
+                10 => {
+                    mono.refresh_topology().unwrap();
+                    fed.refresh_topology().unwrap();
+                }
+                _ => {}
+            }
+            sim.lock().run_for(SimDuration::from_millis(250)).unwrap();
             assert!(mono.poll().unwrap());
             assert!(fed.poll().unwrap());
-            sim.lock().run_for(SimDuration::from_millis(250)).unwrap();
+            let (ms, fs) = (mono.history().latest().unwrap(), fed.history().latest().unwrap());
+            snapshots_bit_identical(ms, fs, &format!("{mode:?}, step {step}"));
         }
         let (ms, fs) = (mono.history().latest().unwrap(), fed.history().latest().unwrap());
         assert!(ms.util.iter().any(|&u| u > 0.0), "scenario produced no traffic");
-        snapshots_bit_identical(ms, fs, &format!("{mode:?}"));
         assert!(fs.quality.iter().all(|q| q.is_fresh()));
+        assert!(fs.interval > SimDuration::ZERO);
+        let repeats = obs.counter("shard_repeats_total").get();
+        assert!((8..96).contains(&repeats), "{mode:?}: {repeats} of 96 shard polls repeated");
 
         // Graph digest and flow grants through the modeler agree.
         let names = two_hosts_per_pod(&tree);
@@ -325,10 +361,13 @@ fn served_plan_misses_match_the_cold_oracle_answer() {
 
 /// Builds a 4-shard flaky federation over `sim`, returning the
 /// federation, the per-shard kill switches, and the per-shard regions.
+/// The merged history holds two samples, so every publish from the third
+/// on recycles a buffer.
 fn flaky_federation(
     tree: &FatTree,
     sim: &SharedSim,
     force_full_merge: bool,
+    forward_generation: bool,
 ) -> (MultiCollector, Vec<Arc<AtomicBool>>, Vec<Vec<u32>>) {
     let shards = shard_fabric(tree, sim, 3).unwrap();
     let mut flags = Vec::new();
@@ -339,98 +378,141 @@ fn flaky_federation(
             let down = Arc::new(AtomicBool::new(false));
             flags.push(Arc::clone(&down));
             regions.push(s.region().to_vec());
-            Box::new(FlakyShard { inner: s, down }) as Box<dyn Collector>
+            Box::new(FlakyShard { inner: s, down, forward_generation }) as Box<dyn Collector>
         })
         .collect();
     let fed = MultiCollector::with_config(
         children,
         MultiCollectorConfig {
             missing_after: SimDuration::from_secs(4),
+            history_len: 2,
             force_full_merge,
-            ..Default::default()
         },
     );
     (fed, flags, regions)
 }
 
+/// Rounds of the interleaving below; the last `QUIET` are idle with every
+/// shard up, so the fast path has a settled fabric to show itself on.
+const ROUNDS: u64 = 20;
+const QUIET: u64 = 4;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The incremental dirty-shard merge is bit-identical to a
-    /// from-scratch re-merge under interleaved shard faults: two
-    /// federations over the same simulator — one incremental, one
-    /// `force_full_merge` — see the same fault schedule and must publish
-    /// identical snapshots, graph digests, and flow grants every round.
+    /// The incremental merge — unchanged shards restamped, unchanged
+    /// merges published without copying — is bit-identical to a
+    /// from-scratch re-merge and to a monolithic oracle under interleaved
+    /// idle polls, flow starts and stops, link flaps, shard crashes and
+    /// recoveries, and rediscoveries. Three federations over one simulator
+    /// see the same schedule: `inc` (shards forward their values
+    /// generation: the fast path), `legacy` (they do not: every poll
+    /// re-applies) and `full` (`force_full_merge`: the reference).
     #[test]
     fn incremental_merge_matches_full_remerge(seed in 0u64..200) {
         let tree = FatTree::build(4).unwrap();
         let sim = share(Simulator::new(FatTree::build(4).unwrap().into_parts().0).unwrap());
         let mut handles = seed_flows(&tree, &sim, seed, 6);
-        let (mut inc, inc_flags, _) = flaky_federation(&tree, &sim, false);
-        let (mut full, full_flags, _) = flaky_federation(&tree, &sim, true);
-        inc.refresh_topology().unwrap();
-        full.refresh_topology().unwrap();
-        prop_assert_eq!(inc.topology_epoch(), full.topology_epoch());
+        let (inc, inc_flags, _) = flaky_federation(&tree, &sim, false, true);
+        let (legacy, legacy_flags, _) = flaky_federation(&tree, &sim, false, false);
+        let (full, full_flags, _) = flaky_federation(&tree, &sim, true, true);
+        let mut feds = [inc, legacy, full];
+        let obs = [Obs::new(), Obs::new(), Obs::new()];
+        for (fed, obs) in feds.iter_mut().zip(&obs) {
+            fed.set_obs(obs);
+            fed.refresh_topology().unwrap();
+        }
+        prop_assert_eq!(feds[0].topology_epoch(), feds[2].topology_epoch());
+        let mut oracle = OracleCollector::new(Arc::clone(&sim));
+        // Flaps take one core link at a time, so every host stays routable.
+        let core: Vec<_> =
+            tree.topology().link_ids().filter(|&l| tree.pod_of_link(l).is_none()).collect();
+        let mut down_link = None;
 
-        let mut state = seed ^ 0x5DEE_CE66;
-        let mut next = move |bound: u64| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 33) % bound
-        };
-        for round in 0..8 {
+        let mut next = lcg(seed ^ 0x5DEE_CE66);
+        // Rounds since any shard was down (the oracle's `interval` matches
+        // the federation's only once every shard has polled twice running).
+        let mut all_up_for = 0u64;
+        for round in 0..ROUNDS {
+            let quiet = round >= ROUNDS - QUIET;
             // Interleaved faults: each shard is independently down ~1/4
-            // of the rounds; the schedule is identical for both
-            // federations.
-            for (a, b) in inc_flags.iter().zip(full_flags.iter()) {
-                let down = next(4) == 0;
-                a.store(down, Ordering::Relaxed);
-                b.store(down, Ordering::Relaxed);
+            // of the rounds; the schedule is identical for all three.
+            let mut all_up = true;
+            for shard in 0..inc_flags.len() {
+                let down = !quiet && next(4) == 0;
+                all_up &= !down;
+                for flags in [&inc_flags, &legacy_flags, &full_flags] {
+                    flags[shard].store(down, Ordering::Relaxed);
+                }
             }
-            // Churn: traffic moves between rounds so stale regions carry
-            // visibly old utilization.
-            if !handles.is_empty() && next(3) == 0 {
-                let h = handles.swap_remove(next(handles.len() as u64) as usize);
-                sim.lock().stop_flow(h).unwrap();
-            }
-            if next(3) == 0 {
-                handles.extend(seed_flows(&tree, &sim, seed ^ round, 1));
+            all_up_for = if all_up { all_up_for + 1 } else { 0 };
+            match if quiet { 0 } else { next(6) } {
+                // Idle: the clock advances and nothing else happens.
+                0 | 1 => {}
+                2 if !handles.is_empty() => {
+                    let h = handles.swap_remove(next(handles.len() as u64) as usize);
+                    sim.lock().stop_flow(h).unwrap();
+                }
+                2 | 3 => handles.extend(seed_flows(&tree, &sim, seed ^ round, 1)),
+                4 => match down_link.take() {
+                    Some(link) => sim.lock().set_link_state(link, true).unwrap(),
+                    None => {
+                        let link = core[next(core.len() as u64) as usize];
+                        sim.lock().set_link_state(link, false).unwrap();
+                        down_link = Some(link);
+                    }
+                },
+                _ => {
+                    let outcomes = feds.each_mut().map(|f| f.refresh_topology().is_ok());
+                    prop_assert_eq!(outcomes, [outcomes[2]; 3], "round {}: rediscovery", round);
+                }
             }
             sim.lock().run_for(SimDuration::from_millis(500)).unwrap();
 
-            let ri = inc.poll();
-            let rf = full.poll();
-            prop_assert_eq!(ri.is_ok(), rf.is_ok(), "round {}: poll outcome diverged", round);
-            if ri.is_err() {
+            prop_assert!(oracle.poll().unwrap());
+            let outcomes = feds.each_mut().map(|f| f.poll().ok());
+            prop_assert_eq!(outcomes, [outcomes[2]; 3], "round {}: poll outcome diverged", round);
+            if outcomes[2].is_none() {
                 continue; // every shard down this round
             }
-            prop_assert_eq!(
-                inc.history().latest().is_some(),
-                full.history().latest().is_some(),
-                "round {}: one federation published, the other did not", round
-            );
-            let (a, b) = match (inc.history().latest(), full.history().latest()) {
-                (Some(a), Some(b)) => (a, b),
-                _ => continue,
-            };
-            snapshots_bit_identical(a, b, &format!("round {round}"));
+            let [inc, legacy, full] = feds.each_ref().map(|f| f.history().latest());
+            prop_assert_eq!(inc.is_some(), full.is_some(), "round {}: inc published?", round);
+            prop_assert_eq!(legacy.is_some(), full.is_some(), "round {}: legacy published?", round);
+            let (Some(inc), Some(legacy), Some(full)) = (inc, legacy, full) else { continue };
+            snapshots_bit_identical(inc, full, &format!("round {round}, inc vs full"));
+            snapshots_bit_identical(legacy, full, &format!("round {round}, legacy vs full"));
+            if all_up {
+                let mut truth = oracle.history().latest().unwrap().clone();
+                if all_up_for < 2 {
+                    truth.interval = inc.interval;
+                }
+                snapshots_bit_identical(inc, &truth, &format!("round {round}, inc vs oracle"));
+            }
         }
 
+        // The quiet tail was served from repeats: `inc` republished a
+        // recycled buffer untouched; `legacy`, whose shards repeated just
+        // the same, re-applied every child every time and copied.
+        let count = |o: &Obs, name: &str| o.counter(name).get();
+        let repeats = obs.each_ref().map(|o| count(o, "shard_repeats_total"));
+        prop_assert!(repeats[0] > 0 && repeats[0] == repeats[1], "repeats: {:?}", repeats);
+        prop_assert!(count(&obs[0], "multi_publish_reused_total") > 0);
+        prop_assert_eq!(count(&obs[1], "multi_publish_reused_total"), 0);
+        prop_assert_eq!(count(&obs[2], "multi_publish_reused_total"), 0);
+
         // Everything a consumer can observe agrees at the end too.
-        for f in inc_flags.iter().chain(full_flags.iter()) {
-            f.store(false, Ordering::Relaxed);
-        }
         let names: Vec<String> = (0..4)
             .map(|p| tree.topology().node(tree.host(p, 0)).name.clone())
             .collect();
         let modeler = Modeler::default();
-        let gi = modeler.get_graph(&inc, &names, Timeframe::Current).unwrap();
-        let gf = modeler.get_graph(&full, &names, Timeframe::Current).unwrap();
-        prop_assert_eq!(gi.digest(), gf.digest());
         let req = FlowInfoRequest::new().fixed(&names[0], &names[2], mbps(8.0));
-        let ri = modeler.flow_info(&inc, &req, Timeframe::Current).unwrap();
-        let rf = modeler.flow_info(&full, &req, Timeframe::Current).unwrap();
-        prop_assert_eq!(&ri.fixed[0].bandwidth, &rf.fixed[0].bandwidth);
-        prop_assert_eq!(ri.fixed[0].estimate_quality, rf.fixed[0].estimate_quality);
+        let answers = feds.each_ref().map(|fed| {
+            let g = modeler.get_graph(fed, &names, Timeframe::Current).unwrap();
+            let r = modeler.flow_info(fed, &req, Timeframe::Current).unwrap();
+            (g.digest(), r.fixed[0].bandwidth, r.fixed[0].estimate_quality)
+        });
+        prop_assert_eq!(&answers[0], &answers[2]);
+        prop_assert_eq!(&answers[1], &answers[2]);
     }
 }
 
@@ -441,7 +523,7 @@ fn crashed_shard_degrades_only_its_region() {
     let tree = FatTree::build(4).unwrap();
     let sim = share(Simulator::new(FatTree::build(4).unwrap().into_parts().0).unwrap());
     seed_flows(&tree, &sim, 0x1998, 10);
-    let (mut fed, flags, regions) = flaky_federation(&tree, &sim, false);
+    let (mut fed, flags, regions) = flaky_federation(&tree, &sim, false, true);
     fed.refresh_topology().unwrap();
     sim.lock().run_for(SimDuration::from_millis(500)).unwrap();
     assert!(fed.poll().unwrap());
@@ -489,4 +571,52 @@ fn crashed_shard_degrades_only_its_region() {
     assert!(fed.poll().unwrap());
     let snap = fed.history().latest().unwrap();
     assert!(snap.quality.iter().all(|q| q.is_fresh()), "recovery did not restore freshness");
+}
+
+/// The same degradation on a settled fabric, where the surviving shards
+/// only ever repeat: the crashed region still ages Fresh → Stale (by the
+/// measured lag) → Missing, because a child's lag behind the merge time
+/// is re-applied whether or not any values moved.
+#[test]
+fn crashed_shard_ages_while_its_siblings_repeat() {
+    let tree = FatTree::build(4).unwrap();
+    let sim = share(Simulator::new(FatTree::build(4).unwrap().into_parts().0).unwrap());
+    seed_flows(&tree, &sim, 0x1998, 10);
+    let (mut fed, flags, regions) = flaky_federation(&tree, &sim, false, true);
+    let obs = Obs::new();
+    fed.set_obs(&obs);
+    fed.refresh_topology().unwrap();
+    sim.lock().run_for(SimDuration::from_millis(500)).unwrap();
+    assert!(fed.poll().unwrap());
+    let healthy = fed.history().latest().unwrap().clone();
+    assert!(healthy.quality.iter().all(|q| q.is_fresh()));
+
+    flags[0].store(true, Ordering::Relaxed);
+    for secs in 1..=6 {
+        sim.lock().run_for(SimDuration::from_secs(1)).unwrap();
+        assert!(fed.poll().unwrap(), "federation must keep publishing");
+        let snap = fed.history().latest().unwrap();
+        let expected = if secs <= 4 {
+            DataQuality::Stale { age: SimDuration::from_secs(secs) }
+        } else {
+            DataQuality::Missing
+        };
+        for (i, q) in snap.quality.iter().enumerate() {
+            let want = if regions[0].contains(&(i as u32)) { expected } else { DataQuality::Fresh };
+            assert_eq!(*q, want, "{secs} s after the crash, entry {i}");
+            assert_eq!(snap.util[i].to_bits(), healthy.util[i].to_bits(), "entry {i} moved");
+        }
+    }
+    // 3 surviving shards x 6 polls, none of which re-read anything; the
+    // merge re-aged the dead child every time, so no publish went uncopied.
+    assert_eq!(obs.counter("shard_repeats_total").get(), 18);
+    assert_eq!(obs.counter("multi_publish_reused_total").get(), 0);
+
+    // Recovery with nothing changed in between is a repeat too, and still
+    // restores freshness: the lag, not the values generation, says so.
+    flags[0].store(false, Ordering::Relaxed);
+    sim.lock().run_for(SimDuration::from_millis(100)).unwrap();
+    assert!(fed.poll().unwrap());
+    assert_eq!(obs.counter("shard_repeats_total").get(), 22);
+    assert!(fed.history().latest().unwrap().quality.iter().all(|q| q.is_fresh()));
 }
