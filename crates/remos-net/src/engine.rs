@@ -12,7 +12,8 @@ use crate::audit::{AuditViolation, MaxMinAudit};
 use crate::digest::EventDigest;
 use crate::error::{NetError, Result};
 use crate::flow::{FlowParams, FlowRecord, FlowTag};
-use crate::maxmin::{self, FlowSpec};
+use crate::fluid::{Core, Dirty, Flow};
+use crate::maxmin::{self, FlowRef, FlowSpec};
 use crate::routing::{Path, Routing};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{DirLink, NodeId, Topology};
@@ -155,6 +156,20 @@ impl ActiveFlow {
     }
 }
 
+impl Flow for ActiveFlow {
+    fn spec(&self) -> FlowRef<'_> {
+        FlowRef { weight: self.params.weight, cap: self.params.rate_cap, resources: &self.resources }
+    }
+
+    fn rate(&self) -> f64 {
+        self.rate
+    }
+
+    fn set_rate(&mut self, rate: f64, now: SimTime) {
+        apply_rate(self, rate, now);
+    }
+}
+
 /// Which rate-recomputation strategy the engine uses.
 ///
 /// Both modes produce **bit-identical** allocations, event digests, and
@@ -174,98 +189,16 @@ pub enum SolverMode {
     Incremental,
 }
 
-/// What changed since the last rate recomputation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum DirtyKind {
-    /// Nothing: the cached rates are valid.
-    Clean,
-    /// Only flows transitively sharing the listed resources may change.
-    Touched,
-    /// Everything must be recomputed (mode switches).
-    All,
-}
-
-/// Allocation-free dirty-resource tracker: a generation-marked membership
-/// test plus a dense list of touched resource indices. `touch` is
-/// O(|resources|) with no heap traffic at steady state — the list and the
-/// mark array are reused across recomputations — replacing the `BTreeSet`
-/// the engine used to rebuild on every event.
-struct DirtyTracker {
-    kind: DirtyKind,
-    /// `marks[r] == gen` means resource `r` is already in `list`.
-    marks: Vec<u64>,
-    /// Current generation; bumping it invalidates every mark at once.
-    gen: u64,
-    /// Touched resource indices since the last reset, deduped via `marks`
-    /// but in touch order (the consumer sorts its own copy).
-    list: Vec<usize>,
-}
-
-impl DirtyTracker {
-    fn new(n_resources: usize) -> DirtyTracker {
-        DirtyTracker { kind: DirtyKind::Clean, marks: vec![0; n_resources], gen: 1, list: Vec::new() }
-    }
-
-    /// Record `resources` as touched since the last recomputation.
-    fn touch(&mut self, resources: &[usize]) {
-        if self.kind == DirtyKind::All {
-            return;
-        }
-        self.kind = DirtyKind::Touched;
-        for &r in resources {
-            if self.marks[r] != self.gen {
-                self.marks[r] = self.gen;
-                self.list.push(r);
-            }
-        }
-    }
-
-    /// Force a full recomputation on the next query.
-    fn mark_all(&mut self) {
-        self.kind = DirtyKind::All;
-    }
-
-    /// Return to clean, invalidating all marks in O(1).
-    fn reset(&mut self) {
-        self.kind = DirtyKind::Clean;
-        self.gen += 1;
-        self.list.clear();
-    }
-}
-
 /// Collect the resource indices (dir-links, then the capped backplanes of
 /// interior nodes) a routed path loads, into a reusable buffer.
 /// `backplane[node]` is the backplane resource index or `usize::MAX`.
-fn resources_into(backplane: &[usize], path: &Path, out: &mut Vec<usize>) {
+pub(crate) fn resources_into(backplane: &[usize], path: &Path, out: &mut Vec<usize>) {
     out.clear();
     out.extend(path.dirlink_indices());
     for n in path.interior_nodes() {
         let b = backplane[n.index()];
         if b != usize::MAX {
             out.push(b);
-        }
-    }
-}
-
-/// Insert flow `(id, slot)` into the membership list of each resource
-/// (sorted by id, deduped; a flow crossing a resource twice is listed
-/// once). Carrying the slot alongside the id lets the scoped-solve walk
-/// resolve members without an id → slot binary search per occurrence.
-fn members_insert(members: &mut [Vec<(u64, u32)>], id: u64, slot: u32, resources: &[usize]) {
-    for &r in resources {
-        let v = &mut members[r];
-        if let Err(pos) = v.binary_search_by_key(&id, |e| e.0) {
-            v.insert(pos, (id, slot));
-        }
-    }
-}
-
-/// Remove `id` from the membership list of each resource.
-fn members_remove(members: &mut [Vec<(u64, u32)>], id: u64, resources: &[usize]) {
-    for &r in resources {
-        let v = &mut members[r];
-        if let Ok(pos) = v.binary_search_by_key(&id, |e| e.0) {
-            v.remove(pos);
         }
     }
 }
@@ -359,30 +292,14 @@ pub struct Simulator {
     /// node index -> backplane resource index (`usize::MAX` if uncapped).
     backplane: Vec<usize>,
     counters: IfaceCounters,
-    /// What changed since the last rate recomputation.
-    dirty: DirtyTracker,
+    /// Membership index, what changed since the last rate recomputation,
+    /// and the scoped solve over both (shared with the what-if kernel).
+    core: Core,
     /// Recomputation strategy; see [`SolverMode`].
     mode: SolverMode,
     /// Residual capacity per resource, maintained across recomputations
-    /// (scoped solves only overwrite the affected components' entries).
+    /// (scoped solves only overwrite the entries whose load moved).
     residual: Vec<f64>,
-    /// Per-resource list of the active `(flow id, slot)` pairs crossing
-    /// it, sorted by id — the adjacency the scoped solver walks to find
-    /// affected components.
-    members: Vec<Vec<(u64, u32)>>,
-    /// Persistent solver scratch (CSR buffers, interning marks) so
-    /// steady-state recomputations allocate nothing.
-    solver: maxmin::Solver,
-    /// Scratch marks for component discovery, cleared after each use.
-    res_seen: Vec<bool>,
-    /// Scoped-solve scratch: every resource reached this recomputation
-    /// (also the search queue of the component being collected).
-    comp_res: Vec<usize>,
-    /// Scoped-solve scratch: `(flow id, slot)` pairs of the component
-    /// being collected.
-    comp: Vec<(u64, u32)>,
-    /// Scoped-solve scratch: per-slot "already collected" marks.
-    flow_seen: Vec<bool>,
     /// Completion-scan scratch: ids due to finish this instant.
     due: Vec<u64>,
     /// Statistics: full / scoped solver invocations and routing rebuilds.
@@ -434,17 +351,9 @@ impl Simulator {
         let counters = IfaceCounters { octets: vec![0.0; topo.dir_link_count()] };
         let link_up = vec![true; topo.link_count()];
         let residual = capacities.clone();
-        // Member lists get a head start so moderate per-resource load
-        // never grows them: without it, every placement that pushes a
-        // resource past its historical peak reallocates, a probabilistic
-        // tail that keeps steady-state churn from ever becoming
-        // allocation-free. (`vec![...; n]` clones would drop the reserved
-        // capacity, hence the explicit map.)
-        let members = (0..capacities.len()).map(|_| Vec::with_capacity(16)).collect();
-        let res_seen = vec![false; capacities.len()];
+        let core = Core::new(capacities.len());
         let obs = Obs::new();
         let obs_metrics = EngineMetrics::new(&obs);
-        let dirty = DirtyTracker::new(capacities.len());
         Ok(Simulator {
             topo: Arc::new(topo),
             routing: Arc::new(routing),
@@ -457,15 +366,9 @@ impl Simulator {
             capacities,
             backplane,
             counters,
-            dirty,
+            core,
             mode: SolverMode::default(),
             residual,
-            members,
-            solver: maxmin::Solver::new(),
-            res_seen,
-            comp_res: Vec::new(),
-            comp: Vec::new(),
-            flow_seen: Vec::new(),
             due: Vec::new(),
             full_recomputes: 0,
             scoped_recomputes: 0,
@@ -521,7 +424,7 @@ impl Simulator {
         if self.mode != mode {
             self.mode = mode;
             if !self.order_ids.is_empty() {
-                self.dirty.mark_all();
+                self.core.mark_all();
             }
         }
     }
@@ -653,8 +556,7 @@ impl Simulator {
         slot.started = self.now;
         slot.eta = SimTime::MAX;
         slot.params = params;
-        members_insert(&mut self.members, id, slot_idx as u32, &slot.resources);
-        self.dirty.touch(&slot.resources);
+        self.core.insert(&self.capacities, id, slot_idx as u32, slot.params.rate_cap, &slot.resources);
         // Ids are handed out monotonically, so pushing keeps `order_ids`
         // sorted without a search.
         self.order_ids.push(id);
@@ -673,8 +575,7 @@ impl Simulator {
         self.order_ids.remove(pos);
         self.order_slots.remove(pos);
         let f = &self.slots[slot_idx];
-        members_remove(&mut self.members, id, &f.resources);
-        self.dirty.touch(&f.resources);
+        self.core.remove(&self.capacities, id, slot_idx as u32, &f.resources);
         let rec = FlowRecord {
             id,
             src: f.params.src,
@@ -805,11 +706,9 @@ impl Simulator {
                     let f = &mut self.slots[s];
                     f.path = path;
                     let old = std::mem::replace(&mut f.resources, resources);
-                    members_remove(&mut self.members, id, &old);
-                    self.dirty.touch(&old);
+                    self.core.remove(&self.capacities, id, s as u32, &old);
                     let f = &self.slots[s];
-                    members_insert(&mut self.members, id, s as u32, &f.resources);
-                    self.dirty.touch(&f.resources);
+                    self.core.insert(&self.capacities, id, s as u32, f.params.rate_cap, &f.resources);
                 }
                 Err(_) => {
                     // Disconnected: the connection breaks.
@@ -877,7 +776,7 @@ impl Simulator {
     /// order, from the empty-sum identity `-0.0` — the same terms in the
     /// same order as a scan of the flow table, hence the same bits.
     fn link_rate_sum(&self, idx: usize) -> Bps {
-        self.members[idx].iter().map(|&(_, s)| self.slots[s as usize].rate).sum()
+        self.core.members(idx).iter().map(|&(_, s)| self.slots[s as usize].rate).sum()
     }
 
     /// Instantaneous aggregate rate over a directed interface, bits/s.
@@ -890,7 +789,8 @@ impl Simulator {
     /// directed interface (oracle view used by tests and ablations).
     pub fn dirlink_rate_by_tag(&mut self, d: DirLink, tag: FlowTag) -> Bps {
         self.recompute_rates_if_dirty();
-        self.members[d.index()]
+        self.core
+            .members(d.index())
             .iter()
             .map(|&(_, s)| &self.slots[s as usize])
             .filter(|f| f.params.tag == tag)
@@ -901,7 +801,7 @@ impl Simulator {
     /// True when no pending flow or link change could alter the solved
     /// rates: [`Simulator::dirlink_rate_settled`] reads are valid.
     pub fn rates_settled(&self) -> bool {
-        self.dirty.kind == DirtyKind::Clean
+        self.core.dirty() == Dirty::Clean
     }
 
     /// Solve any pending rate changes now, so that shared-read consumers
@@ -921,23 +821,13 @@ impl Simulator {
     }
 
     fn recompute_rates_if_dirty(&mut self) {
-        match (self.mode, self.dirty.kind) {
-            (_, DirtyKind::Clean) => {}
-            (SolverMode::Full, _) | (_, DirtyKind::All) => {
-                self.dirty.reset();
+        match (self.mode, self.core.dirty()) {
+            (_, Dirty::Clean) => {}
+            (SolverMode::Full, _) | (_, Dirty::All) => {
+                self.core.settle_all();
                 self.recompute_full();
             }
-            (SolverMode::Incremental, DirtyKind::Touched) => {
-                // Move the touched list out (an alloc-free swap), sort it
-                // for a deterministic closure walk, and hand the buffer
-                // back afterwards so steady state reuses its capacity.
-                let mut touched = std::mem::take(&mut self.dirty.list);
-                self.dirty.reset();
-                touched.sort_unstable();
-                self.recompute_scoped(&touched);
-                touched.clear();
-                self.dirty.list = touched;
-            }
+            (SolverMode::Incremental, Dirty::Touched) => self.recompute_scoped(),
         }
     }
 
@@ -975,83 +865,21 @@ impl Simulator {
         self.check_allocation();
     }
 
-    /// Re-solve only the connected components of flows transitively
-    /// sharing a resource with the `touched` set (sorted ascending); all
-    /// other flows keep their frozen rates and ETAs, and untouched
-    /// resources keep their residuals. Bit-identical to
-    /// [`recompute_full`](Self::recompute_full) because the solver fills
-    /// each component in isolation anyway, always iterating its flows in
-    /// ascending id order — and components are disjoint in flows and
-    /// resources, so the order they are filled in changes nothing.
-    ///
-    /// One walk, allocation-free at steady state: each touched resource
-    /// not yet reached seeds a search through the membership lists that
-    /// collects exactly one component, which is filled on the spot; every
-    /// member list is expanded once.
-    fn recompute_scoped(&mut self, touched: &[usize]) {
+    /// Re-solve only what the resources touched since the last
+    /// recomputation can reach through resources that can bind
+    /// ([`Core::resolve`]); all other flows keep their frozen rates and
+    /// ETAs, and resources whose load did not move keep their residuals.
+    /// Bit-identical to [`recompute_full`](Self::recompute_full): the
+    /// solver fills each component in isolation anyway, always iterating
+    /// its flows in ascending id order, and a slack resource never sets a
+    /// rate — see docs/PERFORMANCE.md.
+    fn recompute_scoped(&mut self) {
         self.scoped_recomputes += 1;
         self.obs_metrics.scoped_recomputes.inc();
         let span = self.obs.span("engine.solve.scoped", self.now.as_nanos());
         let t0 = self.obs.clock_nanos();
-        if self.flow_seen.len() < self.slots.len() {
-            self.flow_seen.resize(self.slots.len(), false);
-        }
-        let now = self.now;
-        let mut scope_flows = 0;
-        self.comp_res.clear();
-        for &seed in touched {
-            if self.res_seen[seed] {
-                continue; // part of a component already filled
-            }
-            self.res_seen[seed] = true;
-            let mut head = self.comp_res.len();
-            self.comp_res.push(seed);
-            self.comp.clear();
-            while head < self.comp_res.len() {
-                let r = self.comp_res[head];
-                head += 1;
-                for &(fid, slot) in &self.members[r] {
-                    let s = slot as usize;
-                    if self.flow_seen[s] {
-                        continue;
-                    }
-                    self.flow_seen[s] = true;
-                    self.comp.push((fid, slot));
-                    for &r2 in &self.slots[s].resources {
-                        if !self.res_seen[r2] {
-                            self.res_seen[r2] = true;
-                            self.comp_res.push(r2);
-                        }
-                    }
-                }
-            }
-            if self.comp.is_empty() {
-                // Vacated resource (its last flow departed): the residual
-                // reverts to full capacity, clamped exactly as the full
-                // solver clamps its output.
-                let c = self.capacities[seed];
-                self.residual[seed] = if c < 0.0 { 0.0 } else { c };
-                continue;
-            }
-            scope_flows += self.comp.len();
-            self.comp.sort_unstable();
-            self.solver.begin_component(self.capacities.len());
-            for &(_, slot) in &self.comp {
-                let f = &self.slots[slot as usize];
-                self.solver.push_flow(f.params.weight, f.params.rate_cap, &f.resources, &self.capacities);
-            }
-            self.solver.run_fill();
-            for (&(_, slot), &rate) in self.comp.iter().zip(self.solver.component_rates()) {
-                self.flow_seen[slot as usize] = false;
-                apply_rate(&mut self.slots[slot as usize], rate, now);
-            }
-            for (r, resid) in self.solver.component_residuals() {
-                self.residual[r] = resid;
-            }
-        }
-        for &r in &self.comp_res {
-            self.res_seen[r] = false;
-        }
+        let residual = Some(&mut self.residual[..]);
+        let scope_flows = self.core.resolve(&self.capacities, &mut self.slots, self.now, residual);
         self.obs_metrics.solve_scope_flows.observe(scope_flows as u64);
         if let (Some(t0), Some(t1)) = (t0, self.obs.clock_nanos()) {
             self.obs_metrics.solve_latency_nanos.observe(t1.saturating_sub(t0));

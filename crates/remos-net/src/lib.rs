@@ -37,6 +37,7 @@ pub mod engine;
 pub mod error;
 pub mod fabric;
 pub mod flow;
+mod fluid;
 pub mod maxmin;
 pub mod pool;
 pub mod rng;

@@ -34,8 +34,13 @@
 //! The max-min problem decomposes exactly over the *connected components*
 //! of the flow/resource sharing graph: two flows interact only if they
 //! transitively share a resource, so filling each component in isolation
-//! yields the same allocation as filling the whole problem at once. The
-//! solver exploits this in two ways:
+//! yields the same allocation as filling the whole problem at once. And
+//! only a resource that can bind connects: one whose members' rate
+//! bounds (`min(cap, least capacity on the path)`) sum below its capacity
+//! never pops with an active flow, so dropping it — which may split a
+//! component — changes no rate (`slack_resources_set_no_rate` below; the
+//! engine's scoped solve in `fluid.rs` is built on it). The solver
+//! exploits the decomposition in two ways:
 //!
 //! * [`solve`] (and [`Solver::solve_refs`]) fills each component
 //!   independently, always iterating a component's flows in ascending
@@ -152,7 +157,7 @@ pub fn solve(capacities: &[f64], flows: &[FlowSpec]) -> Allocation {
 /// This entry point rebuilds the resource-membership index from scratch
 /// (O(total path length)), so it is the *reference* incremental solver used
 /// by tests and one-shot callers; the engine maintains its membership
-/// incrementally and drives [`Solver`] directly on the affected component.
+/// incrementally, splits at slack resources, and drives [`Solver`] itself.
 pub fn solve_scoped(
     capacities: &[f64],
     flows: &[FlowSpec],
@@ -247,13 +252,13 @@ impl Solver {
         &mut self,
         weight: f64,
         cap: Option<f64>,
-        resources: &[usize],
+        resources: impl IntoIterator<Item = usize>,
         capacities: &[f64],
     ) {
         debug_assert!(weight > 0.0, "flow weight must be positive");
         self.weights.push(weight);
         self.caps.push(cap.unwrap_or(f64::INFINITY));
-        for &r in resources {
+        for r in resources {
             debug_assert!(r < capacities.len(), "resource index out of range");
             let local = if self.res_mark[r] == self.generation {
                 self.res_local[r]
@@ -542,7 +547,7 @@ impl Solver {
         self.begin_component(capacities.len());
         for &i in comp {
             let f = flows[i];
-            self.push_flow(f.weight, f.cap, f.resources, capacities);
+            self.push_flow(f.weight, f.cap, f.resources.iter().copied(), capacities);
         }
         self.run_fill();
     }
@@ -970,6 +975,37 @@ mod tests {
             (caps, flows, b_res, b_flows)
         }
 
+        /// Each flow's rate bound — its cap or the least capacity on its
+        /// path — and which resources that makes slack: the inputs of the
+        /// lemma `fluid::Core` splits scoped solves on.
+        fn bounds_and_slack(caps: &[f64], flows: &[FlowSpec]) -> (Vec<f64>, Vec<bool>) {
+            let ub = |f: &FlowSpec| {
+                f.resources.iter().map(|&r| caps[r]).fold(f.cap.unwrap_or(f64::INFINITY), f64::min)
+            };
+            let ubs: Vec<f64> = flows.iter().map(ub).collect();
+            let mut sums = vec![0.0; caps.len()];
+            for (f, ub) in flows.iter().zip(&ubs) {
+                for &r in &f.resources {
+                    sums[r] += ub;
+                }
+            }
+            let slack = sums.iter().zip(caps).map(|(&s, &c)| crate::fluid::is_slack(s, c)).collect();
+            (ubs, slack)
+        }
+
+        #[test]
+        fn a_bound_sum_equal_to_capacity_is_not_slack() {
+            // One flow alone on its tightest link saturates it; the wider
+            // link behind it can never bind.
+            let caps = [mbps(100.0), mbps(1000.0)];
+            let (ubs, slack) = bounds_and_slack(&caps, &[FlowSpec::greedy(vec![0, 1])]);
+            assert_eq!(ubs[0].to_bits(), mbps(100.0).to_bits());
+            assert_eq!(slack, [false, true]);
+            // A zero-capacity link holds its flow at zero: it binds.
+            let (ubs, slack) = bounds_and_slack(&[0.0], &[FlowSpec::greedy(vec![0])]);
+            assert_eq!((ubs[0], slack[0]), (0.0, false));
+        }
+
         // The four properties of a `(caps, flows)` problem, as plain
         // functions so a recorded input can be replayed by name.
 
@@ -1181,6 +1217,32 @@ mod tests {
                     if !held {
                         prop_assert_eq!(a.rates[i].to_bits(), cap.to_bits(),
                             "flow {} at {} short of cap {}", i, a.rates[i], cap);
+                    }
+                }
+            }
+
+            #[test]
+            fn slack_resources_set_no_rate((caps, flows) in arb_problem()) {
+                // The lemma: a resource whose members' bounds sum below
+                // its capacity never pops with an active flow, so the
+                // problem without it has the same rates, bit for bit —
+                // and a flow left with no resource at all sits at its cap.
+                let (ubs, slack) = bounds_and_slack(&caps, &flows);
+                let binding_only: Vec<FlowSpec> = flows
+                    .iter()
+                    .map(|f| FlowSpec {
+                        resources: f.resources.iter().copied().filter(|&r| !slack[r]).collect(),
+                        ..f.clone()
+                    })
+                    .collect();
+                let (all, binding) = (solve(&caps, &flows), solve(&caps, &binding_only));
+                for (i, f) in binding_only.iter().enumerate() {
+                    prop_assert_eq!(all.rates[i].to_bits(), binding.rates[i].to_bits(),
+                        "flow {} moved when slack resources {:?} were dropped", i, slack);
+                    prop_assert!(all.rates[i] <= ubs[i] * (1.0 + EPS), "flow {} above its bound", i);
+                    if f.resources.is_empty() {
+                        prop_assert_eq!(Some(all.rates[i].to_bits()), flows[i].cap.map(f64::to_bits),
+                            "flow {} crosses only slack resources", i);
                     }
                 }
             }

@@ -24,10 +24,13 @@
 //! proof of that equivalence, asserted by the `whatif_equivalence` tests.
 
 use crate::digest::EventDigest;
-use crate::engine::{completion_eta, ProcessCtx, Simulator, SolverMode, TrafficProcess};
+use crate::engine::{
+    completion_eta, resources_into, ProcessCtx, Simulator, SolverMode, TrafficProcess,
+};
 use crate::error::{NetError, Result};
 use crate::flow::FlowParams;
-use crate::maxmin::{self, FlowSpec};
+use crate::fluid::{Core, Dirty, Flow};
+use crate::maxmin::{self, FlowRef, FlowSpec};
 use crate::routing::{Path, Routing};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, Topology};
@@ -106,19 +109,6 @@ fn resource_layout(topo: &Topology) -> (Vec<f64>, Vec<usize>) {
     (capacities, backplane)
 }
 
-/// Collect the resource indices a routed path loads (mirror of the
-/// engine's layout: dir-links, then capped backplanes of interior nodes).
-fn resources_into(backplane: &[usize], path: &Path, out: &mut Vec<usize>) {
-    out.clear();
-    out.extend(path.dirlink_indices());
-    for n in path.interior_nodes() {
-        let b = backplane[n.index()];
-        if b != usize::MAX {
-            out.push(b);
-        }
-    }
-}
-
 /// Install a solved rate; the ETA is re-derived **only when the rate
 /// changed bitwise** — the rule that keeps completion timestamps
 /// identical between solver modes and between this kernel and the engine.
@@ -128,27 +118,6 @@ fn apply_rate(f: &mut ScratchFlow, rate: f64, now: SimTime) {
     }
     f.rate = rate;
     f.eta = completion_eta(now, f.remaining, rate);
-}
-
-/// Insert flow `(id, slot)` into each resource's membership list (sorted
-/// by id, deduped).
-fn members_insert(members: &mut [Vec<(u64, u32)>], id: u64, slot: u32, resources: &[usize]) {
-    for &r in resources {
-        let v = &mut members[r];
-        if let Err(pos) = v.binary_search_by_key(&id, |e| e.0) {
-            v.insert(pos, (id, slot));
-        }
-    }
-}
-
-/// Remove `id` from each resource's membership list.
-fn members_remove(members: &mut [Vec<(u64, u32)>], id: u64, resources: &[usize]) {
-    for &r in resources {
-        let v = &mut members[r];
-        if let Ok(pos) = v.binary_search_by_key(&id, |e| e.0) {
-            v.remove(pos);
-        }
-    }
 }
 
 /// Per-flow scratch state in the replay arena. Slot index == replay id.
@@ -178,6 +147,20 @@ impl ScratchFlow {
     }
 }
 
+impl Flow for ScratchFlow {
+    fn spec(&self) -> FlowRef<'_> {
+        FlowRef { weight: 1.0, cap: None, resources: &self.resources }
+    }
+
+    fn rate(&self) -> f64 {
+        self.rate
+    }
+
+    fn set_rate(&mut self, rate: f64, now: SimTime) {
+        apply_rate(self, rate, now);
+    }
+}
+
 /// The reusable what-if replay kernel over one frozen topology snapshot.
 ///
 /// Construction routes nothing; paths are resolved per flow from the
@@ -200,19 +183,8 @@ pub struct WhatIfEngine {
     /// Active replay ids, ascending (ids are assigned in arrival order,
     /// so starts push and completions binary-search-remove).
     order: Vec<u32>,
-    members: Vec<Vec<(u64, u32)>>,
-    residual: Vec<f64>,
-    solver: maxmin::Solver,
-    // Dirty tracking (generation-marked, mirror of the engine's).
-    dirty: bool,
-    dirty_marks: Vec<u64>,
-    dirty_gen: u64,
-    dirty_list: Vec<usize>,
-    // Scoped-solve scratch.
-    res_seen: Vec<bool>,
-    flow_seen: Vec<bool>,
-    comp_res: Vec<usize>,
-    comp: Vec<(u64, u32)>,
+    /// Membership index, dirty tracker and scoped solve (the engine's).
+    core: Core,
     due: Vec<u64>,
     /// Input indices sorted by `(arrival, input index)` — the replay id
     /// assignment order.
@@ -223,7 +195,7 @@ impl WhatIfEngine {
     /// Build a kernel over a topology snapshot and a routing table for it.
     pub fn new(topo: Arc<Topology>, routing: Arc<Routing>) -> WhatIfEngine {
         let (capacities, backplane) = resource_layout(&topo);
-        let n_res = capacities.len();
+        let core = Core::new(capacities.len());
         WhatIfEngine {
             topo,
             routing,
@@ -233,17 +205,7 @@ impl WhatIfEngine {
             backplane,
             flows: Vec::new(),
             order: Vec::new(),
-            members: (0..n_res).map(|_| Vec::with_capacity(16)).collect(),
-            residual: Vec::new(),
-            solver: maxmin::Solver::new(),
-            dirty: false,
-            dirty_marks: vec![0; n_res],
-            dirty_gen: 1,
-            dirty_list: Vec::new(),
-            res_seen: vec![false; n_res],
-            flow_seen: Vec::new(),
-            comp_res: Vec::new(),
-            comp: Vec::new(),
+            core,
             due: Vec::new(),
             sorted: Vec::new(),
         }
@@ -269,6 +231,12 @@ impl WhatIfEngine {
     /// The frozen topology the kernel replays against.
     pub fn topology(&self) -> &Topology {
         &self.topo
+    }
+
+    /// Flows the last estimate's scoped solves re-solved, summed over its
+    /// solves (`Full` mode re-solves every live flow and counts none).
+    pub fn flows_resolved(&self) -> u64 {
+        self.core.resolved()
     }
 
     /// Estimate completion times for a batch of hypothetical flows on the
@@ -338,17 +306,7 @@ impl WhatIfEngine {
 
         // Reset the arenas.
         self.order.clear();
-        for m in &mut self.members {
-            m.clear();
-        }
-        self.residual.clear();
-        self.residual.extend_from_slice(&self.capacities);
-        self.dirty = false;
-        self.dirty_gen += 1;
-        self.dirty_list.clear();
-        if self.flow_seen.len() < flows.len() {
-            self.flow_seen.resize(flows.len(), false);
-        }
+        self.core.clear();
 
         let mut finished: Vec<(SimTime, bool)> = vec![(SimTime::MAX, false); flows.len()];
         let mut now = SimTime::ZERO;
@@ -368,8 +326,7 @@ impl WhatIfEngine {
                 let f = &mut self.flows[input];
                 f.id = id;
                 f.started = now;
-                members_insert(&mut self.members, id, slot, &f.resources);
-                self.touch_resources(input);
+                self.core.insert(&self.capacities, id, slot, None, &f.resources);
                 self.order.push(slot);
                 next_arrival += 1;
             }
@@ -381,7 +338,7 @@ impl WhatIfEngine {
                     break;
                 }
             }
-            if self.dirty {
+            if self.core.dirty() != Dirty::Clean {
                 solves += 1;
                 self.recompute(now);
             }
@@ -411,11 +368,6 @@ impl WhatIfEngine {
         for input in self.sorted[next_arrival..].iter().map(|&i| i as usize) {
             finished[input] = (arrivals[input].arrival, false);
         }
-        // Membership lists of cut-off flows must not leak into the next
-        // estimate.
-        for m in &mut self.members {
-            m.clear();
-        }
 
         let mut estimates = Vec::with_capacity(flows.len());
         for (i, w) in flows.iter().enumerate() {
@@ -443,18 +395,6 @@ impl WhatIfEngine {
         }
         let fct_digest = fct_digest(flows, &estimates);
         Ok(WhatIfReport { estimates, fct_digest, replay_steps, solves })
-    }
-
-    /// Mark a flow's resources dirty (generation-marked dedup, touch
-    /// order preserved; the recompute sorts its own copy).
-    fn touch_resources(&mut self, input: usize) {
-        self.dirty = true;
-        for &r in &self.flows[input].resources {
-            if self.dirty_marks[r] != self.dirty_gen {
-                self.dirty_marks[r] = self.dirty_gen;
-                self.dirty_list.push(r);
-            }
-        }
     }
 
     fn next_completion(&self) -> SimTime {
@@ -498,9 +438,8 @@ impl WhatIfEngine {
             let slot = (packed & 0xffff_ffff) as u32;
             let input = slot as usize;
             self.order.remove(pos);
-            let id = self.flows[input].id;
-            members_remove(&mut self.members, id, &self.flows[input].resources);
-            self.touch_resources(input);
+            let f = &self.flows[input];
+            self.core.remove(&self.capacities, f.id, slot, &f.resources);
             finished[input] = (now, true);
         }
         due.clear();
@@ -508,23 +447,16 @@ impl WhatIfEngine {
     }
 
     /// Recompute rates for the dirty scope, mirroring the engine:
-    /// full-mode rebuilds everything; incremental mode re-solves only the
-    /// components transitively sharing a resource with the touched set.
+    /// full-mode rebuilds everything; incremental mode re-solves only what
+    /// the touched resources reach through resources that can bind.
     fn recompute(&mut self, now: SimTime) {
-        self.dirty = false;
-        self.dirty_gen += 1;
-        let mut touched = std::mem::take(&mut self.dirty_list);
         match self.mode {
             SolverMode::Full => {
-                touched.clear();
-                self.dirty_list = touched;
+                self.core.settle_all();
                 self.recompute_full(now);
             }
             SolverMode::Incremental => {
-                touched.sort_unstable();
-                self.recompute_scoped(&touched, now);
-                touched.clear();
-                self.dirty_list = touched;
+                self.core.resolve(&self.capacities, &mut self.flows, now, None);
             }
         }
     }
@@ -539,66 +471,8 @@ impl WhatIfEngine {
             })
             .collect();
         let alloc = maxmin::solve(&self.capacities, &specs);
-        self.residual = alloc.residual;
         for (&s, &rate) in self.order.iter().zip(alloc.rates.iter()) {
             apply_rate(&mut self.flows[s as usize], rate, now);
-        }
-    }
-
-    /// The engine's scoped solve on the scratch arena: each touched
-    /// resource not yet reached seeds one search that collects one
-    /// component, filled on the spot with its flows in ascending id order.
-    fn recompute_scoped(&mut self, touched: &[usize], now: SimTime) {
-        self.comp_res.clear();
-        for &seed in touched {
-            if self.res_seen[seed] {
-                continue;
-            }
-            self.res_seen[seed] = true;
-            let mut head = self.comp_res.len();
-            self.comp_res.push(seed);
-            self.comp.clear();
-            while head < self.comp_res.len() {
-                let r = self.comp_res[head];
-                head += 1;
-                for &(fid, slot) in &self.members[r] {
-                    let s = slot as usize;
-                    if self.flow_seen[s] {
-                        continue;
-                    }
-                    self.flow_seen[s] = true;
-                    self.comp.push((fid, slot));
-                    for &r2 in &self.flows[s].resources {
-                        if !self.res_seen[r2] {
-                            self.res_seen[r2] = true;
-                            self.comp_res.push(r2);
-                        }
-                    }
-                }
-            }
-            if self.comp.is_empty() {
-                // Vacated resource: residual reverts to full capacity,
-                // clamped exactly as the full solver clamps its output.
-                let c = self.capacities[seed];
-                self.residual[seed] = if c < 0.0 { 0.0 } else { c };
-                continue;
-            }
-            self.comp.sort_unstable();
-            self.solver.begin_component(self.capacities.len());
-            for &(_, slot) in &self.comp {
-                self.solver.push_flow(1.0, None, &self.flows[slot as usize].resources, &self.capacities);
-            }
-            self.solver.run_fill();
-            for (&(_, slot), &rate) in self.comp.iter().zip(self.solver.component_rates()) {
-                self.flow_seen[slot as usize] = false;
-                apply_rate(&mut self.flows[slot as usize], rate, now);
-            }
-            for (r, resid) in self.solver.component_residuals() {
-                self.residual[r] = resid;
-            }
-        }
-        for &r in &self.comp_res {
-            self.res_seen[r] = false;
         }
     }
 }

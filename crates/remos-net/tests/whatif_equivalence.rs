@@ -138,3 +138,41 @@ fn saturated_background_stalls_or_cuts_off_instead_of_overflowing() {
         assert!(cut.estimates.iter().all(|e| !e.completed && e.finished <= horizon), "{mode:?}");
     }
 }
+
+/// On a k=8 fat-tree only the 1 Gb/s host links can bind, so what an
+/// event re-solves is the flows sharing a host link with it — not every
+/// flow its path meets on a 10 or 40 Gb/s tier. 32 transfers between
+/// disjoint host pairs overlap: each arrival re-solves itself alone and
+/// each completion nobody. One more transfer, from the first pair's
+/// source to the second pair's destination, joins those two: its arrival
+/// re-solves the three, the first pair's completion the two left, the
+/// second pair's the one left.
+#[test]
+fn an_event_re_solves_only_the_flows_sharing_a_host_link() {
+    const PAIRS: usize = 32;
+    let tree = FatTree::build(8).unwrap();
+    let (hosts, half) = (tree.hosts(), tree.hosts().len() / 2);
+    let transfer = |src: usize, dst: usize, at_ms: u64| WhatIfFlow {
+        src: hosts[src],
+        dst: hosts[half + dst],
+        size_bytes: 125_000_000, // one second alone on a host link
+        arrival: remos_net::SimTime::from_millis(at_ms),
+    };
+    let mut flows: Vec<WhatIfFlow> = (0..PAIRS).map(|i| transfer(i, i, i as u64)).collect();
+    flows.push(transfer(0, 1, PAIRS as u64));
+
+    let mut engine = WhatIfEngine::from_topology(tree.topology().clone());
+    let inc = engine.estimate(&flows).unwrap();
+    assert_eq!(engine.flows_resolved(), PAIRS as u64 + 3 + 2 + 1);
+    assert!(inc.estimates[2..PAIRS].iter().all(|e| e.slowdown == 1.0), "a disjoint pair shared");
+    assert!(inc.estimates[PAIRS].slowdown > 1.9, "{}", inc.estimates[PAIRS].slowdown);
+
+    // The same replay, step for step, as a full solve per event.
+    engine.set_mode(SolverMode::Full);
+    let full = engine.estimate(&flows).unwrap();
+    assert_eq!(engine.flows_resolved(), 0);
+    assert_eq!(trace_of(&full), trace_of(&inc));
+    assert_eq!((full.replay_steps, full.solves), (inc.replay_steps, inc.solves));
+    let truth = replay_ground_truth(tree.topology().clone(), &flows, SolverMode::Full).unwrap();
+    assert_eq!(truth.fct_digest, inc.fct_digest);
+}
