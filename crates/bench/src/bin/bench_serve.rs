@@ -19,7 +19,7 @@
 //! Flags: `--quick` shrinks the round count for CI smoke runs (warn-only
 //! gate); `--out <path>` overrides the JSON destination.
 
-use remos_bench::churn::pod_network;
+use remos_bench::pods::pod_network;
 use remos_core::collector::snmp::{SnmpCollector, SnmpCollectorConfig};
 use remos_core::collector::SimClock;
 use remos_core::{Query, Remos, RemosConfig, RemosError};

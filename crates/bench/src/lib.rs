@@ -6,7 +6,7 @@
 //! definitions (rows, node sets, paper values) used by both the table
 //! binaries and the `report` generator.
 
-pub mod churn;
+pub mod pods;
 pub mod experiments;
 
 use remos_apps::TestbedHarness;
