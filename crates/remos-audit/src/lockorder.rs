@@ -57,8 +57,6 @@ const BLOCKING_NAMES: &[&str] = &[
     "refresh_topology",
     "solve",
     "solve_refs",
-    "solve_scoped",
-    "solve_scoped_refs",
     "recv",
     "recv_timeout",
     "park",

@@ -69,8 +69,7 @@ const SANITIZER_METHODS: &[&str] = &[
 /// Callee names that are order-sensitive sinks when given a tainted
 /// argument. `fold` is the server digest accumulator (free call only —
 /// `Iterator::fold` method calls are not matched).
-const SINK_EXACT: &[&str] =
-    &["fold", "record", "solve", "solve_refs", "solve_scoped", "solve_scoped_refs", "solve_stage"];
+const SINK_EXACT: &[&str] = &["fold", "record", "solve", "solve_refs", "solve_stage"];
 
 /// The one sanctioned wall-clock source.
 const SANCTIONED_CLOCK: &str = "crates/remos-obs/src/clock.rs";

@@ -34,7 +34,7 @@ struct EngineMetrics {
     full_recomputes: Counter,
     scoped_recomputes: Counter,
     routing_rebuilds: Counter,
-    /// Flows touched per solve (full: all flows; scoped: component closure).
+    /// Flows touched per solve (full: all flows; scoped: flows the sweep froze).
     solve_scope_flows: Histogram,
     /// Link transitions coalesced into one routing rebuild.
     link_batch_size: Histogram,
@@ -182,9 +182,9 @@ pub enum SolverMode {
     /// recomputation (the historical behaviour; kept as the oracle the
     /// audit's shadow solve compares against).
     Full,
-    /// Re-solve only the connected components of flows transitively
-    /// sharing a resource with whatever changed since the last
-    /// recomputation; every other flow keeps its frozen rate. The default.
+    /// Re-solve only what changed since the last recomputation reaches: a
+    /// sweep over the dirty resources, in which every other flow's freeze
+    /// replays from its stored key. The default.
     #[default]
     Incremental,
 }
@@ -209,7 +209,7 @@ pub(crate) fn resources_into(backplane: &[usize], path: &Path, out: &mut Vec<usi
 /// `now + remaining/rate` would only inject float round-off. Both solver
 /// modes share this rule — it is what keeps completion timestamps (and so
 /// event digests) bit-identical between them, since the incremental mode
-/// never even visits flows outside the affected components.
+/// never even visits flows a change does not reach.
 fn apply_rate(f: &mut ActiveFlow, rate: Bps, now: SimTime) {
     if rate.to_bits() == f.rate.to_bits() {
         return;
@@ -293,13 +293,10 @@ pub struct Simulator {
     backplane: Vec<usize>,
     counters: IfaceCounters,
     /// Membership index, what changed since the last rate recomputation,
-    /// and the scoped solve over both (shared with the what-if kernel).
+    /// and the sweep over both (shared with the what-if kernel).
     core: Core,
     /// Recomputation strategy; see [`SolverMode`].
     mode: SolverMode,
-    /// Residual capacity per resource, maintained across recomputations
-    /// (scoped solves only overwrite the entries whose load moved).
-    residual: Vec<f64>,
     /// Completion-scan scratch: ids due to finish this instant.
     due: Vec<u64>,
     /// Statistics: full / scoped solver invocations and routing rebuilds.
@@ -350,7 +347,6 @@ impl Simulator {
         }
         let counters = IfaceCounters { octets: vec![0.0; topo.dir_link_count()] };
         let link_up = vec![true; topo.link_count()];
-        let residual = capacities.clone();
         let core = Core::new(capacities.len());
         let obs = Obs::new();
         let obs_metrics = EngineMetrics::new(&obs);
@@ -368,7 +364,6 @@ impl Simulator {
             counters,
             core,
             mode: SolverMode::default(),
-            residual,
             due: Vec::new(),
             full_recomputes: 0,
             scoped_recomputes: 0,
@@ -439,9 +434,15 @@ impl Simulator {
         self.full_recomputes
     }
 
-    /// Number of scoped (affected-component-only) solver runs so far.
+    /// Number of scoped (dirty-resources-only) solver runs so far.
     pub fn scoped_recomputes(&self) -> u64 {
         self.scoped_recomputes
+    }
+
+    /// Flows the sweeps so far have frozen, summed over the solves (`Full`
+    /// mode re-solves every live flow and counts none).
+    pub fn flows_resolved(&self) -> u64 {
+        self.core.resolved()
     }
 
     /// Monotone count of solver runs of either kind. Rates move only
@@ -575,7 +576,7 @@ impl Simulator {
         self.order_ids.remove(pos);
         self.order_slots.remove(pos);
         let f = &self.slots[slot_idx];
-        self.core.remove(&self.capacities, id, slot_idx as u32, &f.resources);
+        self.core.remove(id, slot_idx as u32, &f.resources);
         let rec = FlowRecord {
             id,
             src: f.params.src,
@@ -706,7 +707,7 @@ impl Simulator {
                     let f = &mut self.slots[s];
                     f.path = path;
                     let old = std::mem::replace(&mut f.resources, resources);
-                    self.core.remove(&self.capacities, id, s as u32, &old);
+                    self.core.remove(id, s as u32, &old);
                     let f = &self.slots[s];
                     self.core.insert(&self.capacities, id, s as u32, f.params.rate_cap, &f.resources);
                 }
@@ -770,8 +771,8 @@ impl Simulator {
         self.dirlink_octets(DirLink { link, dir })
     }
 
-    /// Sum of the solved rates of the flows crossing directed interface
-    /// `idx`, read from the membership index the engine maintains on
+    /// Sum of the solved rates of the flows crossing resource `idx` (an
+    /// interface or a backplane), read from the membership index kept on
     /// every start, retire and re-path: each flow once, in ascending id
     /// order, from the empty-sum identity `-0.0` — the same terms in the
     /// same order as a scan of the flow table, hence the same bits.
@@ -823,11 +824,11 @@ impl Simulator {
     fn recompute_rates_if_dirty(&mut self) {
         match (self.mode, self.core.dirty()) {
             (_, Dirty::Clean) => {}
-            (SolverMode::Full, _) | (_, Dirty::All) => {
+            (SolverMode::Full, _) => {
                 self.core.settle_all();
                 self.recompute_full();
             }
-            (SolverMode::Incremental, Dirty::Touched) => self.recompute_scoped(),
+            (SolverMode::Incremental, _) => self.recompute_scoped(),
         }
     }
 
@@ -853,7 +854,6 @@ impl Simulator {
             })
             .collect();
         let alloc = maxmin::solve(&self.capacities, &specs);
-        self.residual = alloc.residual;
         let now = self.now;
         for (&s, &rate) in self.order_slots.iter().zip(alloc.rates.iter()) {
             apply_rate(&mut self.slots[s as usize], rate, now);
@@ -865,21 +865,17 @@ impl Simulator {
         self.check_allocation();
     }
 
-    /// Re-solve only what the resources touched since the last
-    /// recomputation can reach through resources that can bind
-    /// ([`Core::resolve`]); all other flows keep their frozen rates and
-    /// ETAs, and resources whose load did not move keep their residuals.
-    /// Bit-identical to [`recompute_full`](Self::recompute_full): the
-    /// solver fills each component in isolation anyway, always iterating
-    /// its flows in ascending id order, and a slack resource never sets a
-    /// rate — see docs/PERFORMANCE.md.
+    /// Re-solve what changed since the last recomputation by a sweep over
+    /// the dirty resources ([`Core::resolve`]); every other flow keeps its
+    /// rate, key and ETA. Bit-identical to
+    /// [`recompute_full`](Self::recompute_full): freezes the change does
+    /// not reach replay from their keys — see docs/PERFORMANCE.md.
     fn recompute_scoped(&mut self) {
         self.scoped_recomputes += 1;
         self.obs_metrics.scoped_recomputes.inc();
         let span = self.obs.span("engine.solve.scoped", self.now.as_nanos());
         let t0 = self.obs.clock_nanos();
-        let residual = Some(&mut self.residual[..]);
-        let scope_flows = self.core.resolve(&self.capacities, &mut self.slots, self.now, residual);
+        let scope_flows = self.core.resolve(&self.capacities, &mut self.slots, self.now);
         self.obs_metrics.solve_scope_flows.observe(scope_flows as u64);
         if let (Some(t0), Some(t1)) = (t0, self.obs.clock_nanos()) {
             self.obs_metrics.solve_latency_nanos.observe(t1.saturating_sub(t0));
@@ -889,7 +885,8 @@ impl Simulator {
     }
 
     /// Debug/audit hook run after every recomputation. In debug builds the
-    /// current allocation (rates + maintained residuals) is asserted
+    /// current allocation (rates, and each resource's capacity minus its
+    /// members' rates, clamped, as the residual) is asserted
     /// against the max-min invariants; with the audit enabled, violations
     /// are collected instead, and in incremental mode a shadow full solve
     /// cross-checks every rate bit-for-bit (divergence is reported as
@@ -910,9 +907,11 @@ impl Simulator {
                 }
             })
             .collect();
+        let residual =
+            self.capacities.iter().enumerate().map(|(r, c)| (c - self.link_rate_sum(r)).max(0.0)).collect();
         let alloc = maxmin::Allocation {
             rates: self.order_slots.iter().map(|&s| self.slots[s as usize].rate).collect(),
-            residual: self.residual.clone(),
+            residual,
         };
         debug_assert!(
             maxmin::validate(&self.capacities, &specs, &alloc).is_none(),

@@ -6,8 +6,8 @@
 //! flows?* Given hypothetical flows `(size_bytes, arrival, src, dst)`,
 //! [`WhatIfEngine::estimate`] replays a fluid max-min schedule against a
 //! frozen topology snapshot — a discrete event loop over arrivals and
-//! completions in which every step re-solves only the affected components
-//! through the incremental [`maxmin::Solver`] on a scratch flow arena,
+//! completions in which every step re-solves only what the step changed,
+//! through the engine's own incremental sweep on a scratch flow arena,
 //! never touching live engine state.
 //!
 //! The replay is **bit-identical** to running the same flow set through a
@@ -183,7 +183,7 @@ pub struct WhatIfEngine {
     /// Active replay ids, ascending (ids are assigned in arrival order,
     /// so starts push and completions binary-search-remove).
     order: Vec<u32>,
-    /// Membership index, dirty tracker and scoped solve (the engine's).
+    /// Membership index, dirty tracker and sweep (the engine's).
     core: Core,
     due: Vec<u64>,
     /// Input indices sorted by `(arrival, input index)` — the replay id
@@ -233,8 +233,8 @@ impl WhatIfEngine {
         &self.topo
     }
 
-    /// Flows the last estimate's scoped solves re-solved, summed over its
-    /// solves (`Full` mode re-solves every live flow and counts none).
+    /// Flows the last estimate's sweeps froze, summed over its solves
+    /// (`Full` mode re-solves every live flow and counts none).
     pub fn flows_resolved(&self) -> u64 {
         self.core.resolved()
     }
@@ -439,7 +439,7 @@ impl WhatIfEngine {
             let input = slot as usize;
             self.order.remove(pos);
             let f = &self.flows[input];
-            self.core.remove(&self.capacities, f.id, slot, &f.resources);
+            self.core.remove(f.id, slot, &f.resources);
             finished[input] = (now, true);
         }
         due.clear();
@@ -447,8 +447,8 @@ impl WhatIfEngine {
     }
 
     /// Recompute rates for the dirty scope, mirroring the engine:
-    /// full-mode rebuilds everything; incremental mode re-solves only what
-    /// the touched resources reach through resources that can bind.
+    /// full-mode rebuilds everything; incremental mode sweeps what the
+    /// changes since the last solve reach.
     fn recompute(&mut self, now: SimTime) {
         match self.mode {
             SolverMode::Full => {
@@ -456,7 +456,7 @@ impl WhatIfEngine {
                 self.recompute_full(now);
             }
             SolverMode::Incremental => {
-                self.core.resolve(&self.capacities, &mut self.flows, now, None);
+                self.core.resolve(&self.capacities, &mut self.flows, now);
             }
         }
     }

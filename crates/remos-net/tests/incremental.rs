@@ -11,9 +11,10 @@
 use remos_prop::prelude::*;
 use remos_net::flow::FlowParams;
 use remos_net::{
-    mbps, FatTree, LinkId, NodeId, SimDuration, SimTime, Simulator, SolverMode, Topology,
-    TopologyBuilder,
+    gbps, mbps, FatTree, FlowHandle, LinkId, NodeId, SimDuration, SimTime, Simulator, SolverMode,
+    Topology, TopologyBuilder,
 };
+use std::collections::VecDeque;
 
 /// A dumbbell with `n` hosts per side.
 fn dumbbell(n: usize, backbone_mbps: f64) -> Topology {
@@ -84,6 +85,14 @@ fn arb_flow_among(hosts: usize, max_cap_mbps: f64) -> impl Strategy<Value = Flow
                 stop_after_ms,
             },
         )
+}
+
+/// A unit-weight flow between two of `hosts` compute nodes: greedy or CBR
+/// at a whole number of Mb/s, half and half — equal shares everywhere.
+fn arb_tied_flow_among(hosts: usize) -> impl Strategy<Value = FlowPlan> {
+    let cap = prop_oneof![Just(None), (1u32..1_000).prop_map(|m| Some(f64::from(m)))];
+    (arb_flow_among(hosts, 2.0), cap)
+        .prop_map(|(p, rate_cap_mbps)| FlowPlan { weight_tenths: 10, rate_cap_mbps, ..p })
 }
 
 /// A left-to-right flow across [`dumbbell`]`(4, _)`, whose compute nodes
@@ -200,6 +209,18 @@ proptest! {
         replays_agree(|| FatTree::build(4).unwrap().topology().clone(), plans.clone(), &flaps)?;
         replays_agree(capped_pods, plans, &flaps)?;
     }
+
+    /// The same on a k=4 fat-tree with ties everywhere: unit weights,
+    /// 1 Gb/s host links that greedy flows split into equal (and, by
+    /// thirds and sevenths, rounded) shares, caps at whole Mb/s that land
+    /// exactly on a share.
+    #[test]
+    fn replays_agree_on_a_tie_heavy_fat_tree(
+        plans in prop::collection::vec(arb_tied_flow_among(16), 1..32),
+        flaps in prop::collection::vec(arb_flap(), 0..3),
+    ) {
+        replays_agree(|| FatTree::build(4).unwrap().topology().clone(), plans, &flaps)?;
+    }
 }
 
 /// Drive `scenario` on an audited simulator over `topo` in each solver
@@ -248,8 +269,8 @@ fn trunk_binding_then_slack_then_binding() -> Vec<f64> {
 }
 
 /// The departure is the only thing that touches the trunk, and it leaves
-/// it slack: only the mark set *before* the removal tells the walk that
-/// the survivors' rates were set by it.
+/// it slack: a slack resource is not rebuilt, so the survivors it froze
+/// must find their new freezes elsewhere — here, at their caps.
 #[test]
 fn a_departure_turns_a_binding_trunk_slack_and_the_survivors_speed_up() {
     let seen = trunk_binding_then_slack_then_binding();
@@ -304,7 +325,7 @@ fn detour() -> (Topology, LinkId) {
 
 /// A flap re-paths the greedy flow onto the detour, where r2 → r3 starts
 /// to bind and squeezes the CBR flow; the flap back takes it away again —
-/// a re-path is a departure from the old path, so the same mark applies.
+/// a re-path is a departure from the old path and an arrival on the new.
 #[test]
 fn a_repath_across_a_link_flap_binds_and_releases_the_detour() {
     let seen = in_both_modes(
@@ -368,12 +389,11 @@ fn two_stars(n: usize) -> Topology {
     b.build().unwrap()
 }
 
-/// The scoped solve walks each component once, from whichever touched
-/// resource reaches it first. A trunk flow's arrival merges the two
-/// stars' components and its departure splits them again, so one
-/// recomputation's touched set spans several components; every step
-/// must leave the rates a full solve leaves (the audit's shadow solve
-/// compares each one bit for bit) and the digests of a `Full`-mode run.
+/// A trunk flow's arrival merges the two stars' components and its
+/// departure splits them again, so one recomputation's dirty set spans
+/// several components; every step must leave the rates a full solve
+/// leaves (the audit's shadow solve compares each one bit for bit) and
+/// the digests of a `Full`-mode run.
 #[test]
 fn trunk_flow_arrival_merges_and_departure_splits_components() {
     let run = |mode: SolverMode| {
@@ -412,4 +432,257 @@ fn trunk_flow_arrival_merges_and_departure_splits_components() {
     assert_eq!(full, inc);
     assert_eq!(full_events, inc_events);
     assert!(scoped >= 8, "incremental mode solved scoped only {scoped} times");
+}
+
+/// A star whose hub does not bind, with one host link per `(name, Mb/s)`.
+fn star_of(links: &[(&str, f64)]) -> Topology {
+    let mut b = TopologyBuilder::new();
+    let hub = b.network("s");
+    for &(name, bw) in links {
+        let h = b.compute(name);
+        b.link(h, hub, mbps(bw), SimDuration::from_micros(10)).unwrap();
+    }
+    b.build().unwrap()
+}
+
+/// Flows the incremental run's solves froze during `change`; nothing to
+/// count in `Full` mode.
+fn resolved_by(sim: &mut Simulator, change: impl FnOnce(&mut Simulator)) -> u64 {
+    let before = sim.flows_resolved();
+    change(sim);
+    sim.settle_rates();
+    sim.flows_resolved() - before
+}
+
+/// a's uplink (m, g, h) and b's downlink (m, n1, n2) both share 90 Mb/s
+/// three ways; a's pops first (lower index), then b's at the same 30.
+/// When g leaves, b's downlink pops first at 30 and refreezes m, n1 and
+/// n2 at the bits they had: n1 and n2 keep their keys, so e's and f's
+/// uplinks — where p1 and p2 take the 60 n1 and n2 leave — are never
+/// visited. The sweep freezes m, h, n1, n2; the closure walk it replaced
+/// re-filled all six, the whole binding component.
+#[test]
+fn a_departure_whose_neighbouring_pop_comes_out_bit_equal_stops_there() {
+    let links = [("a", 90.0), ("b", 90.0), ("e", 90.0), ("f", 90.0)];
+    let wide = ["c", "d", "x", "y"].map(|n| (n, 1_000.0));
+    let topo = || star_of(&[&links[..], &wide[..]].concat());
+    let seen = in_both_modes(topo, |sim, host| {
+        let go = |sim: &mut Simulator, s: &str, d: &str| {
+            sim.start_flow(FlowParams::greedy(host(s), host(d))).unwrap()
+        };
+        let m = go(sim, "a", "b");
+        let g = go(sim, "a", "c");
+        let h = go(sim, "a", "d");
+        let n = [go(sim, "e", "b"), go(sim, "f", "b")];
+        let p = [go(sim, "e", "x"), go(sim, "f", "y")];
+        let all = [m, h, n[0], n[1], p[0], p[1]];
+        let mut seen: Vec<f64> = all.iter().map(|&f| sim.flow_rate(f).unwrap()).collect();
+        let resolved = resolved_by(sim, |sim| {
+            sim.stop_flow(g).unwrap();
+        });
+        if sim.solver_mode() == SolverMode::Incremental {
+            assert_eq!(resolved, 4, "flows re-solved by the departure");
+        }
+        seen.extend(all.iter().map(|&f| sim.flow_rate(f).unwrap()));
+        seen
+    });
+    assert_eq!(seen[..6], [30.0, 30.0, 30.0, 30.0, 60.0, 60.0].map(mbps));
+    assert_eq!(seen[6..], [30.0, 60.0, 30.0, 30.0, 60.0, 60.0].map(mbps));
+}
+
+/// b's downlink (60 Mb/s: m, n) pops at 30 and sets m, while a's uplink
+/// (100 Mb/s) carries m alone. Four arrivals on a's uplink make it pop at
+/// 20 — below the clean downlink's stored pop — so m freezes there first,
+/// which dirties the downlink: rebuilt with m's 20 gone, it pops n at 40.
+#[test]
+fn an_arrival_makes_a_dirty_resource_pop_below_a_clean_one() {
+    let topo = || star_of(&[("a", 100.0), ("b", 60.0), ("c", 1_000.0), ("e", 1_000.0)]);
+    let seen = in_both_modes(topo, |sim, host| {
+        let m = sim.start_flow(FlowParams::greedy(host("a"), host("b"))).unwrap();
+        let n = sim.start_flow(FlowParams::greedy(host("e"), host("b"))).unwrap();
+        let mut seen = vec![sim.flow_rate(m).unwrap(), sim.flow_rate(n).unwrap()];
+        let x: Vec<_> =
+            (0..4).map(|_| sim.start_flow(FlowParams::greedy(host("a"), host("c"))).unwrap()).collect();
+        seen.extend([m, n, x[0]].iter().map(|&f| sim.flow_rate(f).unwrap()));
+        seen
+    });
+    assert_eq!(seen, [30.0, 30.0, 20.0, 40.0, 20.0].map(mbps));
+}
+
+/// f (weight 0.2, capped at 3 Mb/s) shares a's uplink with one unit
+/// flow. The uplink's share comes out one ulp under 15 Mb/s = cap ÷
+/// weight, so the link pops *before* f's cap event, and 0.2 × share
+/// rounds to exactly 3 Mb/s: f freezes at the pop with rate == cap. When
+/// its neighbour leaves, f freezes at its cap event instead — the same
+/// rate under another key, which the sweep must treat as a change.
+#[test]
+fn a_capped_flow_freezes_at_a_pop_with_rate_equal_to_its_cap() {
+    let uplink = 17_999_999.999_999_996 / 1e6;
+    let topo = move || star_of(&[("a", uplink), ("b", 1_000.0), ("c", 1_000.0)]);
+    let seen = in_both_modes(topo, |sim, host| {
+        let p = FlowParams::cbr(host("a"), host("b"), mbps(3.0)).with_weight(0.2);
+        let f = sim.start_flow(p).unwrap();
+        let other = sim.start_flow(FlowParams::greedy(host("a"), host("c"))).unwrap();
+        let mut seen = vec![sim.flow_rate(f).unwrap(), sim.flow_rate(other).unwrap()];
+        sim.run_for(SimDuration::from_millis(10)).unwrap();
+        sim.stop_flow(other).unwrap();
+        seen.push(sim.flow_rate(f).unwrap());
+        seen
+    });
+    assert_eq!([seen[0].to_bits(), seen[2].to_bits()], [mbps(3.0).to_bits(); 2]);
+    assert!(seen[1] < 15e6 && seen[1] > 15e6 * (1.0 - 1e-15), "{seen:?}");
+}
+
+/// The flow of the test above, m, now also crosses b's 33 Mb/s downlink
+/// with a (alone on d's uplink of exactly the pop share, one resource
+/// later) and greedy n. Alone on its uplink, m freezes at its cap event,
+/// after a; once a neighbour arrives on the uplink, m freezes at the
+/// uplink's pop — the same 3 Mb/s, but before a — so the downlink takes
+/// m's and a's rates off in the other order and n's share comes out an
+/// ulp apart. Only m's changed *key* says so: its rate bits did not move.
+#[test]
+fn a_flow_refrozen_at_its_old_rate_under_an_earlier_key_reorders_its_neighbour() {
+    let share = f64::from_bits((15e6f64).to_bits() - 1);
+    let uplink = 17_999_999.999_999_996 / 1e6;
+    let links = [("a", uplink), ("b", 33.0), ("c", 1_000.0), ("d", share / 1e6), ("e", 1_000.0)];
+    let seen = in_both_modes(|| star_of(&links), |sim, host| {
+        let p = FlowParams::cbr(host("a"), host("b"), mbps(3.0)).with_weight(0.2);
+        let m = sim.start_flow(p).unwrap();
+        let a = sim.start_flow(FlowParams::greedy(host("d"), host("b"))).unwrap();
+        let n = sim.start_flow(FlowParams::greedy(host("e"), host("b"))).unwrap();
+        let mut seen: Vec<f64> = [m, a, n].iter().map(|&f| sim.flow_rate(f).unwrap()).collect();
+        sim.run_for(SimDuration::from_millis(10)).unwrap();
+        sim.start_flow(FlowParams::greedy(host("a"), host("c"))).unwrap();
+        seen.extend([m, a, n].iter().map(|&f| sim.flow_rate(f).unwrap()));
+        seen
+    });
+    assert_eq!((seen[0], seen[3]), (mbps(3.0), mbps(3.0)));
+    assert_eq!((seen[1].to_bits(), seen[4].to_bits()), (share.to_bits(), share.to_bits()));
+    assert_ne!(seen[2].to_bits(), seen[5].to_bits(), "n's share should move by rounding: {seen:?}");
+}
+
+/// On b's 34 Mb/s downlink, m (3 Mb/s) freezes before a (the pop share)
+/// although a has the lower id, and the two orders of taking them off
+/// the capacity differ by an ulp. When y leaves z's uplink, z — frozen
+/// there at 2 Mb/s, after m and a — no longer freezes at its old key, so
+/// the downlink turns dirty with m and a behind it and is rebuilt: in key
+/// order, as the fill took them off, or n's rate is an ulp off.
+#[test]
+fn a_rebuilt_resource_takes_rates_off_in_key_order_not_id_order() {
+    let share = f64::from_bits((15e6f64).to_bits() - 1);
+    let uplink = 17_999_999.999_999_996 / 1e6;
+    let links = [
+        ("a", uplink),
+        ("b", 34.0),
+        ("c", 1_000.0),
+        ("d", share / 1e6),
+        ("e", 1_000.0),
+        ("z", 22.0),
+        ("x", 1_000.0),
+    ];
+    let seen = in_both_modes(|| star_of(&links), |sim, host| {
+        let go = |sim: &mut Simulator, s: &str, d: &str, w: f64| {
+            sim.start_flow(FlowParams::greedy(host(s), host(d)).with_weight(w)).unwrap()
+        };
+        let a = go(sim, "d", "b", 1.0);
+        let p = FlowParams::cbr(host("a"), host("b"), mbps(3.0)).with_weight(0.2);
+        let m = sim.start_flow(p).unwrap();
+        go(sim, "a", "c", 1.0);
+        let n = go(sim, "e", "b", 0.1);
+        let z = go(sim, "z", "b", 0.1);
+        let y = go(sim, "z", "x", 1.0);
+        let mut seen: Vec<f64> = [m, a, z, n].iter().map(|&f| sim.flow_rate(f).unwrap()).collect();
+        sim.run_for(SimDuration::from_millis(10)).unwrap();
+        sim.stop_flow(y).unwrap();
+        seen.extend([m, a, z, n].iter().map(|&f| sim.flow_rate(f).unwrap()));
+        seen
+    });
+    assert_eq!((seen[0], seen[4]), (mbps(3.0), mbps(3.0)));
+    assert_eq!((seen[1].to_bits(), seen[5].to_bits()), (share.to_bits(), share.to_bits()));
+    assert!((seen[2] - mbps(2.0)).abs() < 1.0 && (seen[6] - mbps(8.0)).abs() < 1.0, "{seen:?}");
+}
+
+/// A k=8 fat-tree where every host sends one greedy and one CBR flow, to
+/// two different hosts: every 1 Gb/s host link binds, and they chain into
+/// one component. One bulk transfer's departure re-solves only what its
+/// freezes reach: the sweep freezes at most a tenth of the live flows (4
+/// of 256), where the closure walk it replaced re-filled 128.
+#[test]
+fn one_bulk_departure_on_a_half_greedy_fabric_re_solves_a_few_flows() {
+    let tree = FatTree::build(8).unwrap();
+    let hosts = tree.hosts().to_vec();
+    let mut sim = Simulator::new(tree.topology().clone()).unwrap();
+    sim.enable_audit();
+    for h in 0..128usize {
+        let (src, to) = (hosts[h], |a: usize, b: usize| hosts[(h * a + b) % 128]);
+        sim.start_flow(FlowParams::greedy(src, to(37, 11))).unwrap();
+        sim.start_flow(FlowParams::cbr(src, to(53, 7), mbps(1.0 + (h % 97) as f64))).unwrap();
+    }
+    let bulk = sim.start_flow(FlowParams::bulk(hosts[3], hosts[77], 1_000_000_000)).unwrap();
+    sim.run_for(SimDuration::from_millis(1)).unwrap();
+    let live = sim.active_flow_count() as u64 - 1;
+    let resolved = resolved_by(&mut sim, |sim| {
+        sim.stop_flow(bulk).unwrap();
+    });
+    assert!(resolved * 10 <= live, "{resolved} of {live} live flows re-solved");
+    assert!(sim.audit_violations().is_empty(), "{:?}", sim.audit_violations());
+}
+
+/// The pod network retired churn benchmark ran on: 100 pods behind one
+/// core router, 4 hosts each on 100 Mb/s links, 10 Gb/s uplinks.
+fn pods(pods: usize, hosts_per_pod: usize) -> Topology {
+    let mut b = TopologyBuilder::new();
+    let core = b.network("core");
+    let lat = SimDuration::from_micros(10);
+    for p in 0..pods {
+        let s = b.network(&format!("s{p}"));
+        b.link(s, core, gbps(10.0), lat).unwrap();
+        for j in 0..hosts_per_pod {
+            let h = b.compute(&format!("h{p}x{j}"));
+            b.link(h, s, mbps(100.0), lat).unwrap();
+        }
+    }
+    b.build().unwrap()
+}
+
+/// Steady pod churn: 10 weighted (1–4) greedy flows in each of 100 pods
+/// of 4 hosts; each of 200 events retires one pod's oldest flow, admits a
+/// replacement and advances 100 µs. Both modes end on the same rates and
+/// the same event log, bit for bit.
+#[test]
+fn pod_churn_digests_agree_in_both_modes() {
+    const PODS: usize = 100;
+    const HOSTS: u64 = 4;
+    let run = |mode: SolverMode| {
+        let mut sim = Simulator::new(pods(PODS, HOSTS as usize)).unwrap();
+        sim.set_solver_mode(mode);
+        let t = sim.topology_arc();
+        let host = |p: usize, i: u64| t.lookup(&format!("h{p}x{i}")).unwrap();
+        let mut queues: Vec<VecDeque<FlowHandle>> = vec![VecDeque::new(); PODS];
+        let mut spawned = 0u64;
+        let mut spawn = |sim: &mut Simulator, queues: &mut Vec<VecDeque<FlowHandle>>, pod: usize| {
+            let k = spawned;
+            spawned += 1;
+            let src = k % HOSTS;
+            let dst = (src + 1 + k / HOSTS % (HOSTS - 1)) % HOSTS;
+            let p = FlowParams::greedy(host(pod, src), host(pod, dst)).with_weight(1.0 + (k % 4) as f64);
+            queues[pod].push_back(sim.start_flow(p).unwrap());
+        };
+        for _ in 0..10 {
+            for pod in 0..PODS {
+                spawn(&mut sim, &mut queues, pod);
+            }
+        }
+        sim.run_for(SimDuration::from_millis(1)).unwrap();
+        for i in 0..200 {
+            let pod = i % PODS;
+            let oldest = queues[pod].pop_front().unwrap();
+            sim.stop_flow(oldest).unwrap();
+            spawn(&mut sim, &mut queues, pod);
+            sim.run_for(SimDuration::from_micros(100)).unwrap();
+        }
+        assert_eq!(sim.active_flow_count(), PODS * 10);
+        (sim.rates_digest(), sim.event_digest())
+    };
+    assert_eq!(run(SolverMode::Full), run(SolverMode::Incremental));
 }
