@@ -34,7 +34,8 @@ fn churn_digests(
     events: usize,
     mode: SolverMode,
 ) -> (Vec<u64>, u64) {
-    let mut churn = FabricChurn::new(k, flows, seed, locality, mode).expect("churn builds");
+    let mut churn = FabricChurn::new(k, flows, seed, locality).expect("churn builds");
+    churn.sim.set_solver_mode(mode);
     let mut checkpoints = Vec::new();
     for i in 0..events {
         churn.step().expect("churn event");
@@ -76,7 +77,7 @@ proptest! {
     ) {
         // A churned fabric gives the collector non-trivial utilization.
         let mut churn =
-            FabricChurn::new(k, 24, seed, locality, SolverMode::Incremental).expect("churn builds");
+            FabricChurn::new(k, 24, seed, locality).expect("churn builds");
         for _ in 0..8 {
             churn.step().expect("churn event");
         }

@@ -2,13 +2,14 @@
 //! contract: once warm, fabric churn events (retire + admit + scoped
 //! resolve) and cached graph queries (plan-cache hit, `Window`
 //! timeframe, through a [`QueryWorkspace`]) perform **zero** heap
-//! allocations.
+//! allocations, and a warm what-if estimate allocates only the report it
+//! returns, whatever the batch size.
 //!
-//! The strict `delta == 0` asserts only run in release builds: debug
-//! builds route every recomputation through the engine's allocation
-//! audit (`check_allocation`), which clones flow specs onto the heap by
-//! design. Debug runs still exercise the full scenario and report the
-//! observed allocation count instead of asserting on it.
+//! The strict bounds are asserted only in release builds: debug builds
+//! route every recomputation through the engine's allocation audit
+//! (`check_allocation`), which clones flow specs onto the heap by design.
+//! Debug runs still exercise the full scenario and report the observed
+//! allocation count instead of asserting on it.
 
 use remos_core::collector::multi::{MultiCollector, MultiCollectorConfig};
 use remos_core::collector::oracle::OracleCollector;
@@ -16,7 +17,8 @@ use remos_core::collector::shard::shard_fabric;
 use remos_core::collector::Collector;
 use remos_core::modeler::{Modeler, ModelerConfig, QueryWorkspace};
 use remos_core::timeframe::Timeframe;
-use remos_net::{FabricChurn, FatTree, SimDuration, Simulator, SolverMode};
+use remos_net::fabric::{synth_fabric_workload, FlowSizeEcdf, WorkloadSpec};
+use remos_net::{FabricChurn, FatTree, SimDuration, Simulator, SolverMode, WhatIfEngine};
 use remos_snmp::sim::{share, SharedSim};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -25,13 +27,17 @@ use std::sync::Arc;
 mod counting_alloc;
 use counting_alloc::alloc_count;
 
-/// Assert in release; report in debug (see module docs).
-fn expect_zero(delta: u64, what: &str) {
+/// Assert `delta <= bound` in release; report in debug (see module docs).
+fn expect_at_most(delta: u64, bound: u64, what: &str) {
     if cfg!(debug_assertions) {
         eprintln!("zero_alloc[{what}]: {delta} allocations (strict assert skipped under debug_assertions)");
     } else {
-        assert_eq!(delta, 0, "{what}: expected zero steady-state heap allocations, observed {delta}");
+        assert!(delta <= bound, "{what}: expected at most {bound} steady-state heap allocations, observed {delta}");
     }
+}
+
+fn expect_zero(delta: u64, what: &str) {
+    expect_at_most(delta, 0, what);
 }
 
 /// Churn events on a k=8 fat-tree (208 nodes, 120 flows) after a long
@@ -48,8 +54,7 @@ fn expect_zero(delta: u64, what: &str) {
 /// of the 128 hosts.
 #[test]
 fn steady_state_churn_events_are_allocation_free() {
-    let mut churn = FabricChurn::new(8, 120, 0xFA_B51C, 80, SolverMode::Incremental)
-        .expect("fabric churn builds");
+    let mut churn = FabricChurn::new(8, 120, 0xFA_B51C, 80).expect("fabric churn builds");
     let mut drained = Vec::new();
     for _ in 0..3500 {
         churn.step().expect("warmup churn event");
@@ -191,4 +196,30 @@ fn warm_cached_queries_are_allocation_free() {
     let delta = alloc_count() - before;
     expect_zero(delta, "warm cached queries");
     assert_eq!(ws.graph().digest(), digest, "measured queries drifted");
+}
+
+/// A warm what-if kernel allocates only its report. One `Incremental`
+/// engine on a k=8 fat-tree estimates the same web-search batch (seeded
+/// `0x0FC7`, 30% load) three times; the third estimate may allocate the
+/// report's `estimates` plus the per-run `finished` and `bottleneck`
+/// vectors, with one to spare — a constant, so nothing is allocated per
+/// flow or per solve, at 100, 1,000 or 2,000 flows.
+#[test]
+fn warm_whatif_estimates_allocate_only_their_report() {
+    let tree = FatTree::build(8).expect("fat tree builds");
+    let ecdf = FlowSizeEcdf::web_search();
+    let mut engine = WhatIfEngine::from_topology(tree.topology().clone());
+    engine.set_mode(SolverMode::Incremental);
+    for flows in [100, 1_000, 2_000] {
+        let spec = WorkloadSpec::new(0x0FC7, flows, 0.3);
+        let batch = synth_fabric_workload(&tree, &ecdf, &spec).expect("what-if workload");
+        let first = engine.estimate(&batch).expect("cold estimate").fct_digest;
+        engine.estimate(&batch).expect("warm estimate");
+        let before = alloc_count();
+        let report = engine.estimate(&batch).expect("measured estimate");
+        let delta = alloc_count() - before;
+        expect_at_most(delta, 4, &format!("warm what-if estimate of {flows} flows"));
+        assert_eq!(report.fct_digest, first, "warm estimate drifted at {flows} flows");
+        assert!(report.estimates.iter().all(|e| e.completed));
+    }
 }

@@ -7,21 +7,29 @@
 //! counters (the SNMP agents' data source) advance analytically between
 //! events, so simulating 900 testbed-seconds of Airshed costs only as many
 //! rate recomputations as there are flow arrivals and departures.
+//!
+//! The flow table, the solve, the clock step and the completion scan are
+//! the fluid core's (`fluid::Core`, shared with the what-if kernel); the
+//! simulator adds routing and link state, octet counters, traffic
+//! processes, completion watches, the audit and the event digest.
 
 use crate::audit::{AuditViolation, MaxMinAudit};
 use crate::digest::EventDigest;
 use crate::error::{NetError, Result};
 use crate::flow::{FlowParams, FlowRecord, FlowTag};
-use crate::fluid::{Core, Dirty, Flow};
-use crate::maxmin::{self, FlowRef, FlowSpec};
+use crate::fluid::Core;
+pub use crate::fluid::SolverMode;
+use crate::maxmin;
 use crate::routing::{Path, Routing};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{DirLink, NodeId, Topology};
 use crate::units::Bps;
+use crate::whatif::resource_layout;
 use std::cmp::Reverse;
-// Result-affecting maps are BTreeMaps: the rate solver, the completion
-// scan, and the event log all iterate them, so ordering must be a
-// property of the data, not of a hash seed (audited by remos-audit).
+// The solver, the completion scan and the event log iterate the core's
+// live flows in ascending id order, and the remaining maps are BTreeMaps:
+// ordering is a property of the data, not of a hash seed (audited by
+// remos-audit).
 use remos_obs::{Counter, Histogram, Obs};
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -125,68 +133,27 @@ impl ProcessCtx<'_> {
     }
 }
 
+/// The simulator's side of a flow, by the core's slot; the core holds its
+/// rate, remaining bytes, ETA and resources.
 struct ActiveFlow {
     params: FlowParams,
-    /// Resource indices (dir-links, then backplanes) this flow loads.
-    resources: Vec<usize>,
     path: Path,
-    rate: Bps,
-    remaining: f64, // bytes; f64::INFINITY for persistent flows
     bytes_sent: f64,
     started: SimTime,
-    /// Predicted completion given the current rate.
-    eta: SimTime,
 }
 
 impl ActiveFlow {
     /// Placeholder for a freshly grown slab slot; every field is
     /// overwritten before first use, and a retired slot keeps its path
-    /// and resource buffers so the next flow through it allocates nothing.
+    /// buffers so the next flow through it allocates nothing.
     fn vacant() -> ActiveFlow {
         ActiveFlow {
             params: FlowParams::greedy(NodeId(0), NodeId(0)),
-            resources: Vec::new(),
             path: Path { src: NodeId(0), dst: NodeId(0), hops: Vec::new(), nodes: Vec::new() },
-            rate: 0.0,
-            remaining: 0.0,
             bytes_sent: 0.0,
             started: SimTime::ZERO,
-            eta: SimTime::MAX,
         }
     }
-}
-
-impl Flow for ActiveFlow {
-    fn spec(&self) -> FlowRef<'_> {
-        FlowRef { weight: self.params.weight, cap: self.params.rate_cap, resources: &self.resources }
-    }
-
-    fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    fn set_rate(&mut self, rate: f64, now: SimTime) {
-        apply_rate(self, rate, now);
-    }
-}
-
-/// Which rate-recomputation strategy the engine uses.
-///
-/// Both modes produce **bit-identical** allocations, event digests, and
-/// completion orders — the determinism tests assert it — so the choice is
-/// purely a performance knob. See `docs/PERFORMANCE.md` for the invariants
-/// that make the equivalence hold.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SolverMode {
-    /// Rebuild the whole flow set and re-solve every component on each
-    /// recomputation (the historical behaviour; kept as the oracle the
-    /// audit's shadow solve compares against).
-    Full,
-    /// Re-solve only what changed since the last recomputation reaches: a
-    /// sweep over the dirty resources, in which every other flow's freeze
-    /// replays from its stored key. The default.
-    #[default]
-    Incremental,
 }
 
 /// Collect the resource indices (dir-links, then the capped backplanes of
@@ -200,34 +167,6 @@ pub(crate) fn resources_into(backplane: &[usize], path: &Path, out: &mut Vec<usi
         if b != usize::MAX {
             out.push(b);
         }
-    }
-}
-
-/// Install a freshly solved rate on a flow. The ETA is re-derived **only
-/// when the rate actually changed** (bitwise): an unchanged rate means the
-/// flow's linear trajectory is unchanged, so recomputing the ETA from
-/// `now + remaining/rate` would only inject float round-off. Both solver
-/// modes share this rule — it is what keeps completion timestamps (and so
-/// event digests) bit-identical between them, since the incremental mode
-/// never even visits flows a change does not reach.
-fn apply_rate(f: &mut ActiveFlow, rate: Bps, now: SimTime) {
-    if rate.to_bits() == f.rate.to_bits() {
-        return;
-    }
-    f.rate = rate;
-    f.eta = completion_eta(now, f.remaining, rate);
-}
-
-/// When `remaining` bytes finish at `rate` bits/s from `now`:
-/// [`SimTime::MAX`] (never) for a persistent or starved flow, and also
-/// when the span is not finite or runs past the end of the clock — a
-/// near-zero rate is a starved flow, not a clock overflow.
-pub(crate) fn completion_eta(now: SimTime, remaining: f64, rate: Bps) -> SimTime {
-    let secs = remaining * 8.0 / rate;
-    if rate > 0.0 && secs.is_finite() {
-        now.checked_add(SimDuration::from_secs_f64(secs)).unwrap_or(SimTime::MAX)
-    } else {
-        SimTime::MAX
     }
 }
 
@@ -272,31 +211,19 @@ pub struct Simulator {
     topo: Arc<Topology>,
     routing: Arc<Routing>,
     now: SimTime,
-    /// Slab (arena) of flow state. Active slots are the ones referenced
-    /// by `order_slots`; retired slots sit on `free` keeping their path
-    /// and resource buffers for the next flow through them.
+    /// The flow table (live flows in id order), the capacities of all
+    /// resources — `dir_link_count()` interfaces, then one per capped
+    /// network node — the solve and the clock step.
+    core: Core,
+    /// The simulator's side of each core slot. Live slots are the core's;
+    /// retired slots sit on `free` keeping their buffers for the next flow.
     slots: Vec<ActiveFlow>,
     /// Recycled slot indices.
     free: Vec<u32>,
-    /// Active flow ids, ascending (ids are handed out monotonically, so a
-    /// start pushes at the end and order is maintained for free). This is
-    /// the engine's canonical iteration order — it matches the old
-    /// `BTreeMap` id order bit-for-bit, which the digests depend on.
-    order_ids: Vec<u64>,
-    /// Slot index of each flow in `order_ids` (parallel array).
-    order_slots: Vec<u32>,
     next_id: u64,
-    /// capacities of all resources: `dir_link_count()` interfaces followed
-    /// by one entry per capped network node.
-    capacities: Vec<f64>,
     /// node index -> backplane resource index (`usize::MAX` if uncapped).
     backplane: Vec<usize>,
     counters: IfaceCounters,
-    /// Membership index, what changed since the last rate recomputation,
-    /// and the sweep over both (shared with the what-if kernel).
-    core: Core,
-    /// Recomputation strategy; see [`SolverMode`].
-    mode: SolverMode,
     /// Completion-scan scratch: ids due to finish this instant.
     due: Vec<u64>,
     /// Statistics: full / scoped solver invocations and routing rebuilds.
@@ -336,34 +263,21 @@ impl Simulator {
     /// the first time a flow starts there.
     pub fn new(topo: Topology) -> Result<Simulator> {
         let routing = Routing::new(&topo);
-        // Resource vector layout: the stable dir-link prefix (indexed by
-        // `DirLink::index`), then one entry per capped backplane in node-id
-        // order. Indices never move, so dirty-tracking can key on them.
-        let mut capacities = topo.dir_link_capacities();
-        let mut backplane = vec![usize::MAX; topo.node_count()];
-        for (n, bw) in topo.capped_network_nodes() {
-            backplane[n.index()] = capacities.len();
-            capacities.push(bw);
-        }
+        let (capacities, backplane) = resource_layout(&topo);
         let counters = IfaceCounters { octets: vec![0.0; topo.dir_link_count()] };
         let link_up = vec![true; topo.link_count()];
-        let core = Core::new(capacities.len());
         let obs = Obs::new();
         let obs_metrics = EngineMetrics::new(&obs);
         Ok(Simulator {
             topo: Arc::new(topo),
             routing: Arc::new(routing),
             now: SimTime::ZERO,
+            core: Core::new(capacities),
             slots: Vec::new(),
             free: Vec::new(),
-            order_ids: Vec::new(),
-            order_slots: Vec::new(),
             next_id: 0,
-            capacities,
             backplane,
             counters,
-            core,
-            mode: SolverMode::default(),
             due: Vec::new(),
             full_recomputes: 0,
             scoped_recomputes: 0,
@@ -416,17 +330,12 @@ impl Simulator {
     /// fully dirty so the next recomputation resynchronises under the new
     /// mode (a no-op in practice: both modes are bit-identical).
     pub fn set_solver_mode(&mut self, mode: SolverMode) {
-        if self.mode != mode {
-            self.mode = mode;
-            if !self.order_ids.is_empty() {
-                self.core.mark_all();
-            }
-        }
+        self.core.set_mode(mode);
     }
 
     /// The active rate-recomputation strategy.
     pub fn solver_mode(&self) -> SolverMode {
-        self.mode
+        self.core.mode()
     }
 
     /// Number of full (all-component) solver runs so far.
@@ -466,8 +375,8 @@ impl Simulator {
     pub fn rates_digest(&mut self) -> u64 {
         self.recompute_rates_if_dirty();
         let mut d = EventDigest::new();
-        for (&id, &s) in self.order_ids.iter().zip(&self.order_slots) {
-            d.record_rate(id, self.slots[s as usize].rate);
+        for &(id, s) in self.core.order() {
+            d.record_rate(id, self.core.rate(s));
         }
         d.value()
     }
@@ -508,14 +417,7 @@ impl Simulator {
 
     /// Number of currently active flows.
     pub fn active_flow_count(&self) -> usize {
-        self.order_ids.len()
-    }
-
-    /// Slot index of an active flow, by binary search on the sorted id
-    /// order (the slab's replacement for the old `BTreeMap` lookup).
-    #[inline]
-    fn slot_of(&self, id: u64) -> Option<usize> {
-        self.order_ids.binary_search(&id).ok().map(|pos| self.order_slots[pos] as usize)
+        self.core.order().len()
     }
 
     /// Start a flow. Endpoints must be distinct compute nodes with a route.
@@ -547,21 +449,17 @@ impl Simulator {
             self.free.push(slot_idx as u32);
             return Err(e);
         }
-        resources_into(&self.backplane, &slot.path, &mut slot.resources);
+        resources_into(&self.backplane, &slot.path, self.core.resources_mut(slot_idx as u32));
         let (src, dst) = (params.src.0, params.dst.0);
+        // Ids are handed out monotonically, so the core's id order grows
+        // at its end.
         let id = self.next_id;
         self.next_id += 1;
-        slot.rate = 0.0;
-        slot.remaining = params.volume.map_or(f64::INFINITY, |v| v as f64);
+        let remaining = params.volume.map_or(f64::INFINITY, |v| v as f64);
+        self.core.start(id, slot_idx as u32, params.weight, params.rate_cap, remaining);
         slot.bytes_sent = 0.0;
         slot.started = self.now;
-        slot.eta = SimTime::MAX;
         slot.params = params;
-        self.core.insert(&self.capacities, id, slot_idx as u32, slot.params.rate_cap, &slot.resources);
-        // Ids are handed out monotonically, so pushing keeps `order_ids`
-        // sorted without a search.
-        self.order_ids.push(id);
-        self.order_slots.push(slot_idx as u32);
         self.digest.record_start(id, src, dst, self.now.as_nanos());
         Ok(FlowHandle(id))
     }
@@ -571,12 +469,8 @@ impl Simulator {
     /// and resource buffers) is recycled through the free list. Callers
     /// settle completion watches themselves.
     fn retire_flow(&mut self, id: u64, completed: bool) -> Option<FlowRecord> {
-        let pos = self.order_ids.binary_search(&id).ok()?;
-        let slot_idx = self.order_slots[pos] as usize;
-        self.order_ids.remove(pos);
-        self.order_slots.remove(pos);
-        let f = &self.slots[slot_idx];
-        self.core.remove(id, slot_idx as u32, &f.resources);
+        let slot = self.core.retire(id)?;
+        let f = &self.slots[slot as usize];
         let rec = FlowRecord {
             id,
             src: f.params.src,
@@ -587,7 +481,7 @@ impl Simulator {
             bytes: f.bytes_sent,
             completed,
         };
-        self.free.push(slot_idx as u32);
+        self.free.push(slot);
         self.digest.record_finish(&rec);
         self.finished.push(rec.clone());
         Some(rec)
@@ -619,17 +513,18 @@ impl Simulator {
     /// Current rate of an active flow, bits/s.
     pub fn flow_rate(&mut self, h: FlowHandle) -> Result<Bps> {
         self.recompute_rates_if_dirty();
-        self.slot_of(h.0).map(|s| self.slots[s].rate).ok_or(NetError::UnknownFlow(h.0))
+        self.core.slot_of(h.0).map(|s| self.core.rate(s)).ok_or(NetError::UnknownFlow(h.0))
     }
 
     /// Bytes delivered so far by an active flow.
     pub fn flow_bytes_sent(&self, h: FlowHandle) -> Result<f64> {
-        self.slot_of(h.0).map(|s| self.slots[s].bytes_sent).ok_or(NetError::UnknownFlow(h.0))
+        let slot = self.core.slot_of(h.0).ok_or(NetError::UnknownFlow(h.0))?;
+        Ok(self.slots[slot as usize].bytes_sent)
     }
 
     /// Whether the handle refers to a still-active flow.
     pub fn flow_is_active(&self, h: FlowHandle) -> bool {
-        self.order_ids.binary_search(&h.0).is_ok()
+        self.core.slot_of(h.0).is_some()
     }
 
     /// Drain the records of flows finished (completed or stopped) so far.
@@ -688,28 +583,23 @@ impl Simulator {
         self.obs_metrics.routing_rebuilds.inc();
         self.obs_metrics.link_batch_size.observe(flips);
         self.obs.event("engine.routing.rebuild", self.now.as_nanos(), &[("links", flips)]);
-        // Re-path every flow in id order (deterministic without a sort,
-        // since `order_ids` is kept ascending). Flows whose best path is
+        // Re-path every flow in id order (deterministic without a sort:
+        // the core's order is ascending). Flows whose best path is
         // unchanged are skipped entirely — they stay outside the dirty
         // set, so a faraway flap costs them nothing. This is a rare path;
         // the snapshot and per-flow path allocations are acceptable here.
-        let ids: Vec<u64> = self.order_ids.clone();
+        let ids: Vec<u64> = self.core.order().iter().map(|&(id, _)| id).collect();
         for id in ids {
-            let Some(s) = self.slot_of(id) else { continue };
-            let (src, dst) = (self.slots[s].params.src, self.slots[s].params.dst);
-            match self.routing.path(&self.topo, src, dst) {
+            let Some(s) = self.core.slot_of(id) else { continue };
+            let f = &mut self.slots[s as usize];
+            match self.routing.path(&self.topo, f.params.src, f.params.dst) {
                 Ok(path) => {
-                    if self.slots[s].path.hops == path.hops {
+                    if f.path.hops == path.hops {
                         continue;
                     }
-                    let mut resources = Vec::new();
-                    resources_into(&self.backplane, &path, &mut resources);
-                    let f = &mut self.slots[s];
                     f.path = path;
-                    let old = std::mem::replace(&mut f.resources, resources);
-                    self.core.remove(id, s as u32, &old);
-                    let f = &self.slots[s];
-                    self.core.insert(&self.capacities, id, s as u32, f.params.rate_cap, &f.resources);
+                    let backplane = &self.backplane;
+                    self.core.repath(s, |resources| resources_into(backplane, &f.path, resources));
                 }
                 Err(_) => {
                     // Disconnected: the connection breaks.
@@ -771,19 +661,11 @@ impl Simulator {
         self.dirlink_octets(DirLink { link, dir })
     }
 
-    /// Sum of the solved rates of the flows crossing resource `idx` (an
-    /// interface or a backplane), read from the membership index kept on
-    /// every start, retire and re-path: each flow once, in ascending id
-    /// order, from the empty-sum identity `-0.0` — the same terms in the
-    /// same order as a scan of the flow table, hence the same bits.
-    fn link_rate_sum(&self, idx: usize) -> Bps {
-        self.core.members(idx).iter().map(|&(_, s)| self.slots[s as usize].rate).sum()
-    }
-
-    /// Instantaneous aggregate rate over a directed interface, bits/s.
+    /// Instantaneous aggregate rate over a directed interface, bits/s:
+    /// the sum over the flows crossing it, in ascending id order.
     pub fn dirlink_rate(&mut self, d: DirLink) -> Bps {
         self.recompute_rates_if_dirty();
-        self.link_rate_sum(d.index())
+        self.core.rate_sum(d.index())
     }
 
     /// Instantaneous aggregate rate of flows with a given tag over a
@@ -793,16 +675,15 @@ impl Simulator {
         self.core
             .members(d.index())
             .iter()
-            .map(|&(_, s)| &self.slots[s as usize])
-            .filter(|f| f.params.tag == tag)
-            .map(|f| f.rate)
+            .filter(|&&(_, s)| self.slots[s as usize].params.tag == tag)
+            .map(|&(_, s)| self.core.rate(s))
             .sum()
     }
 
     /// True when no pending flow or link change could alter the solved
     /// rates: [`Simulator::dirlink_rate_settled`] reads are valid.
     pub fn rates_settled(&self) -> bool {
-        self.core.dirty() == Dirty::Clean
+        self.core.is_settled()
     }
 
     /// Solve any pending rate changes now, so that shared-read consumers
@@ -818,69 +699,31 @@ impl Simulator {
     /// returns, so the two read bit-identical values.
     pub fn dirlink_rate_settled(&self, d: DirLink) -> Bps {
         debug_assert!(self.rates_settled(), "dirlink_rate_settled read on unsettled rates");
-        self.link_rate_sum(d.index())
+        self.core.rate_sum(d.index())
     }
 
+    /// Solve what changed since the last solve (the core's `recompute`,
+    /// in the current [`SolverMode`]), tallied by mode.
     fn recompute_rates_if_dirty(&mut self) {
-        match (self.mode, self.core.dirty()) {
-            (_, Dirty::Clean) => {}
-            (SolverMode::Full, _) => {
-                self.core.settle_all();
-                self.recompute_full();
-            }
-            (SolverMode::Incremental, _) => self.recompute_scoped(),
+        if self.core.is_settled() {
+            return;
         }
-    }
-
-    /// Rebuild the whole problem and solve every component from scratch.
-    fn recompute_full(&mut self) {
-        self.full_recomputes += 1;
-        self.obs_metrics.full_recomputes.inc();
-        self.obs_metrics.solve_scope_flows.observe(self.order_ids.len() as u64);
-        let span = self.obs.span("engine.solve.full", self.now.as_nanos());
+        let (name, counter) = if self.core.mode() == SolverMode::Full {
+            self.full_recomputes += 1;
+            ("engine.solve.full", &self.obs_metrics.full_recomputes)
+        } else {
+            self.scoped_recomputes += 1;
+            ("engine.solve.scoped", &self.obs_metrics.scoped_recomputes)
+        };
+        counter.inc();
+        let span = self.obs.span(name, self.now.as_nanos());
         let t0 = self.obs.clock_nanos();
-        // `order_slots` iteration is id order, so the solver sees flows in
-        // a deterministic sequence without an explicit sort.
-        let specs: Vec<FlowSpec> = self
-            .order_slots
-            .iter()
-            .map(|&s| {
-                let f = &self.slots[s as usize];
-                FlowSpec {
-                    weight: f.params.weight,
-                    cap: f.params.rate_cap,
-                    resources: f.resources.clone(),
-                }
-            })
-            .collect();
-        let alloc = maxmin::solve(&self.capacities, &specs);
-        let now = self.now;
-        for (&s, &rate) in self.order_slots.iter().zip(alloc.rates.iter()) {
-            apply_rate(&mut self.slots[s as usize], rate, now);
-        }
+        let flows = self.core.recompute(self.now) as u64;
+        self.obs_metrics.solve_scope_flows.observe(flows);
         if let (Some(t0), Some(t1)) = (t0, self.obs.clock_nanos()) {
             self.obs_metrics.solve_latency_nanos.observe(t1.saturating_sub(t0));
         }
-        span.end(self.now.as_nanos(), &[("flows", self.order_ids.len() as u64)]);
-        self.check_allocation();
-    }
-
-    /// Re-solve what changed since the last recomputation by a sweep over
-    /// the dirty resources ([`Core::resolve`]); every other flow keeps its
-    /// rate, key and ETA. Bit-identical to
-    /// [`recompute_full`](Self::recompute_full): freezes the change does
-    /// not reach replay from their keys — see docs/PERFORMANCE.md.
-    fn recompute_scoped(&mut self) {
-        self.scoped_recomputes += 1;
-        self.obs_metrics.scoped_recomputes.inc();
-        let span = self.obs.span("engine.solve.scoped", self.now.as_nanos());
-        let t0 = self.obs.clock_nanos();
-        let scope_flows = self.core.resolve(&self.capacities, &mut self.slots, self.now);
-        self.obs_metrics.solve_scope_flows.observe(scope_flows as u64);
-        if let (Some(t0), Some(t1)) = (t0, self.obs.clock_nanos()) {
-            self.obs_metrics.solve_latency_nanos.observe(t1.saturating_sub(t0));
-        }
-        span.end(self.now.as_nanos(), &[("flows", scope_flows as u64)]);
+        span.end(self.now.as_nanos(), &[("flows", flows)]);
         self.check_allocation();
     }
 
@@ -888,79 +731,44 @@ impl Simulator {
     /// current allocation (rates, and each resource's capacity minus its
     /// members' rates, clamped, as the residual) is asserted
     /// against the max-min invariants; with the audit enabled, violations
-    /// are collected instead, and in incremental mode a shadow full solve
-    /// cross-checks every rate bit-for-bit (divergence is reported as
+    /// are collected instead, and a shadow [`maxmin::solve`] cross-checks
+    /// every rate bit-for-bit (divergence is reported as
     /// [`AuditViolation::SolverDivergence`]).
     fn check_allocation(&mut self) {
         if self.audit.is_none() && !cfg!(debug_assertions) {
             return;
         }
-        let specs: Vec<FlowSpec> = self
-            .order_slots
-            .iter()
-            .map(|&s| {
-                let f = &self.slots[s as usize];
-                FlowSpec {
-                    weight: f.params.weight,
-                    cap: f.params.rate_cap,
-                    resources: f.resources.clone(),
-                }
-            })
-            .collect();
-        let residual =
-            self.capacities.iter().enumerate().map(|(r, c)| (c - self.link_rate_sum(r)).max(0.0)).collect();
+        let (core, caps) = (&self.core, self.core.capacities());
+        let specs = core.live_specs();
         let alloc = maxmin::Allocation {
-            rates: self.order_slots.iter().map(|&s| self.slots[s as usize].rate).collect(),
-            residual,
+            rates: core.order().iter().map(|&(_, s)| core.rate(s)).collect(),
+            residual: (0..caps.len()).map(|r| (caps[r] - core.rate_sum(r)).max(0.0)).collect(),
         };
-        debug_assert!(
-            maxmin::validate(&self.capacities, &specs, &alloc).is_none(),
-            "engine produced invalid allocation: {:?}",
-            maxmin::validate(&self.capacities, &specs, &alloc)
-        );
-        if let Some(audit) = self.audit {
-            self.audit_violations
-                .extend(audit.check(&self.capacities, &specs, &alloc));
-            if self.mode == SolverMode::Incremental {
-                let full = maxmin::solve(&self.capacities, &specs);
-                for ((&id, &s), &want) in
-                    self.order_ids.iter().zip(&self.order_slots).zip(full.rates.iter())
-                {
-                    let got = self.slots[s as usize].rate;
-                    if got.to_bits() != want.to_bits() {
-                        self.audit_violations.push(AuditViolation::SolverDivergence {
-                            flow: id,
-                            incremental: got,
-                            full: want,
-                        });
-                    }
-                }
-            }
+        let violations = self.audit.unwrap_or_default().check(caps, &specs, &alloc);
+        debug_assert!(violations.is_empty(), "engine produced invalid allocation: {violations:?}");
+        if self.audit.is_some() {
+            self.audit_violations.extend(violations);
+            let full = maxmin::solve(caps, &specs);
+            let flows = core.order().iter().zip(&alloc.rates).zip(&full.rates);
+            let diverged = flows.filter(|&(got, want)| got.1.to_bits() != want.to_bits());
+            self.audit_violations.extend(diverged.map(|((&(flow, _), &incremental), &full)| {
+                AuditViolation::SolverDivergence { flow, incremental, full }
+            }));
         }
     }
 
-    /// Advance counters and flow progress by `dt` at current rates.
+    /// Step the clock by `dt`: the core integrates every flow's progress,
+    /// and each flow's bytes land in its `bytes_sent` and, hop by hop in
+    /// path order, in the octet counters.
     fn advance(&mut self, dt: SimDuration) {
-        if dt.is_zero() {
-            return;
-        }
-        let secs = dt.as_secs_f64();
-        // Id-order iteration keeps the octet accumulation order (and so
-        // the counter bits) identical to the old `BTreeMap` walk.
-        for &s in &self.order_slots {
-            let f = &mut self.slots[s as usize];
-            if f.rate <= 0.0 {
-                continue;
-            }
-            let bytes = f.rate * secs / 8.0;
+        let (flows, octets) = (&mut self.slots, &mut self.counters.octets);
+        self.core.advance(dt, |s, bytes| {
+            let f = &mut flows[s as usize];
             f.bytes_sent += bytes;
-            if f.remaining.is_finite() {
-                f.remaining = (f.remaining - bytes).max(0.0);
-            }
             for h in &f.path.hops {
-                self.counters.octets[h.index()] += bytes;
+                octets[h.index()] += bytes;
             }
-        }
+        });
         // DES monotonic-clock audit: `now` may only stand still or move
         // forward. Impossible to violate today (unsigned add), but the
         // tripwire survives refactors that change how time is stepped.
@@ -974,32 +782,21 @@ impl Simulator {
         }
     }
 
-    fn next_completion(&self) -> SimTime {
-        self.order_slots.iter().map(|&s| self.slots[s as usize].eta).min().unwrap_or(SimTime::MAX)
-    }
-
     fn next_process_fire(&self) -> SimTime {
         self.schedule.peek().map_or(SimTime::MAX, |Reverse((t, _))| *t)
     }
 
     fn complete_due_flows(&mut self) {
-        // `order_ids` iteration yields due flows in id order, so records
-        // of simultaneous completions land in the `finished` log (and the
-        // event digest) in a deterministic order. The scan reuses a
-        // persistent scratch list — steady state allocates nothing here.
+        // The core lists due flows in id order, so records of simultaneous
+        // completions land in the `finished` log (and the event digest) in
+        // a deterministic order. The scan reuses a persistent scratch list
+        // — steady state allocates nothing here.
         let mut due = std::mem::take(&mut self.due);
-        due.clear();
-        for (&id, &s) in self.order_ids.iter().zip(&self.order_slots) {
-            let f = &self.slots[s as usize];
-            if f.eta <= self.now || f.remaining <= 1e-6 {
-                due.push(id);
-            }
-        }
+        self.core.due(self.now, &mut due);
         for &id in &due {
             self.retire_flow(id, true);
         }
         self.settle_watches(&due);
-        due.clear();
         self.due = due;
     }
 
@@ -1064,7 +861,7 @@ impl Simulator {
                         let set: std::collections::BTreeSet<u64> = handles
                             .iter()
                             .map(|h| h.0)
-                            .filter(|id| self.order_ids.binary_search(id).is_ok())
+                            .filter(|&id| self.core.slot_of(id).is_some())
                             .collect();
                         if set.is_empty() {
                             // Everything already finished: fire right away.
@@ -1097,6 +894,7 @@ impl Simulator {
             self.fire_due_processes();
             self.recompute_rates_if_dirty();
             let t_next = self
+                .core
                 .next_completion()
                 .min(self.next_process_fire())
                 .min(self.next_link_change())
@@ -1130,16 +928,17 @@ impl Simulator {
     pub fn run_until_flows_complete(&mut self, handles: &[FlowHandle]) -> Result<Vec<FlowRecord>> {
         let pending: Vec<u64> = handles.iter().map(|h| h.0).collect();
         loop {
-            if pending.iter().all(|id| self.order_ids.binary_search(id).is_err()) {
+            if pending.iter().all(|&id| self.core.slot_of(id).is_none()) {
                 break;
             }
             self.apply_due_link_changes()?;
             self.fire_due_processes();
-            if pending.iter().all(|id| self.order_ids.binary_search(id).is_err()) {
+            if pending.iter().all(|&id| self.core.slot_of(id).is_none()) {
                 break; // a link failure may have terminated a waited flow
             }
             self.recompute_rates_if_dirty();
             let t_next = self
+                .core
                 .next_completion()
                 .min(self.next_process_fire())
                 .min(self.next_link_change());
@@ -1169,7 +968,7 @@ impl Simulator {
 
     /// Static capacity of a directed interface, bits/s.
     pub fn dirlink_capacity(&self, d: DirLink) -> Bps {
-        self.capacities[d.index()]
+        self.core.capacities()[d.index()]
     }
 }
 
@@ -1636,12 +1435,11 @@ mod tests {
     /// reference: every active flow in id order, counted once if its path
     /// crosses `d` (and carries `tag`, when one is given).
     fn scanned_rate(sim: &Simulator, d: DirLink, tag: Option<FlowTag>) -> Bps {
-        sim.order_slots
-            .iter()
-            .map(|&s| &sim.slots[s as usize])
-            .filter(|f| f.path.hops.contains(&d) && tag.is_none_or(|t| f.params.tag == t))
-            .map(|f| f.rate)
-            .sum()
+        let crosses = |s: u32| {
+            let f = &sim.slots[s as usize];
+            f.path.hops.contains(&d) && tag.is_none_or(|t| f.params.tag == t)
+        };
+        sim.core.order().iter().filter(|&&(_, s)| crosses(s)).map(|&(_, s)| sim.core.rate(s)).sum()
     }
 
     /// Three edge routers (one capped) with two hosts each, dual-homed to
@@ -1694,8 +1492,7 @@ mod tests {
 
     /// Every live flow's id with the hops it currently takes.
     fn live_paths(sim: &Simulator) -> Vec<(u64, Vec<DirLink>)> {
-        let hops = |&s: &u32| sim.slots[s as usize].path.hops.clone();
-        sim.order_ids.iter().copied().zip(sim.order_slots.iter().map(hops)).collect()
+        sim.core.order().iter().map(|&(id, s)| (id, sim.slots[s as usize].path.hops.clone())).collect()
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! reproducible scenario — the contract the pinned digests in
 //! `tests/determinism.rs` rely on.
 
-use crate::engine::{FlowHandle, Simulator, SolverMode};
+use crate::engine::{FlowHandle, Simulator};
 use crate::error::{NetError, Result};
 use crate::flow::FlowParams;
 use crate::time::{SimDuration, SimTime};
@@ -185,22 +185,15 @@ impl FabricChurn {
     /// Build a `k`-ary fabric, admit `flows` seeded flows, and settle the
     /// initial allocation outside any measured window. `locality_pct` of
     /// flows (0..=100) stay within their source pod; the rest cross the
-    /// core.
-    pub fn new(
-        k: usize,
-        flows: usize,
-        seed: u64,
-        locality_pct: u32,
-        mode: SolverMode,
-    ) -> Result<FabricChurn> {
+    /// core. The simulator runs in the default solver mode; a caller that
+    /// wants another sets it on [`FabricChurn::sim`].
+    pub fn new(k: usize, flows: usize, seed: u64, locality_pct: u32) -> Result<FabricChurn> {
         let tree = FatTree::build(k)?;
         let pods = tree.pods();
         let hosts_per_pod = tree.hosts_per_pod();
         let (topology, hosts) = tree.into_parts();
-        let mut sim = Simulator::new(topology)?;
-        sim.set_solver_mode(mode);
         let mut churn = FabricChurn {
-            sim,
+            sim: Simulator::new(topology)?,
             hosts,
             pods,
             hosts_per_pod,
@@ -594,8 +587,10 @@ mod tests {
 
     #[test]
     fn churn_replays_bit_identically_per_seed_and_mode() {
+        use crate::engine::SolverMode;
         let run = |mode| {
-            let mut c = FabricChurn::new(4, 24, 0xFAB, 75, mode).unwrap();
+            let mut c = FabricChurn::new(4, 24, 0xFAB, 75).unwrap();
+            c.sim.set_solver_mode(mode);
             for _ in 0..12 {
                 c.step().unwrap();
             }
@@ -685,7 +680,7 @@ mod tests {
 
     #[test]
     fn churn_audits_clean() {
-        let mut c = FabricChurn::new(4, 16, 7, 50, SolverMode::Incremental).unwrap();
+        let mut c = FabricChurn::new(4, 16, 7, 50).unwrap();
         c.sim.enable_audit();
         for _ in 0..8 {
             c.step().unwrap();

@@ -1,7 +1,21 @@
-//! The sharing state [`Simulator`](crate::Simulator) and
-//! [`WhatIfEngine`](crate::WhatIfEngine) both drive: which live flows
-//! cross which resource, what changed since the last solve, and the sweep
-//! that re-solves what the change reaches.
+//! The fluid model, once: what [`Simulator`](crate::Simulator) and
+//! [`WhatIfEngine`](crate::WhatIfEngine) both run. [`Core`] holds the flow
+//! table (per slot: id, weight, cap, resources, rate, remaining bytes, ETA
+//! and freeze key), the live flows in ascending id order, which of them
+//! cross which resource, and what changed since the last solve. On those
+//! it runs the model's event-loop primitives: the solve
+//! ([`SolverMode::Full`] fills every live flow with [`maxmin::solve`];
+//! [`SolverMode::Incremental`] sweeps what the change reaches), the rate
+//! install that re-derives an ETA only when a rate changes bitwise, the
+//! clock step, the next completion and the due scan.
+//!
+//! The callers keep what differs: the simulator its routing, link state,
+//! octet counters (which the clock step feeds, flow by flow, through a
+//! callback) and processes; the what-if kernel its arrivals and horizon.
+//! Every loop over flows goes in ascending flow id, over a flow's
+//! resources in ascending index and over its hops in path order. That
+//! order is the specification: it fixes every summation, so it fixes every
+//! bit the digests pin.
 //!
 //! ## A delta re-solves what it changes
 //!
@@ -29,31 +43,85 @@
 //! to freeze are swept, to find where they freeze now. The sweep with
 //! every flow dirty is a full solve. docs/PERFORMANCE.md has the argument.
 
-use crate::maxmin::{pop_key, share_key, Event, FlowRef, EPS, UNBOUNDED};
-use crate::time::SimTime;
+use crate::maxmin::{self, pop_key, share_key, Event, FlowSpec, EPS, UNBOUNDED};
+use crate::time::{SimDuration, SimTime};
+use crate::units::Bps;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// One slot of a caller's flow table, as the sweep sees it.
-pub(crate) trait Flow {
-    /// Weight, cap and resources, as handed to the solver.
-    fn spec(&self) -> FlowRef<'_>;
-    /// The rate last installed.
-    fn rate(&self) -> f64;
-    /// Install a freshly solved rate (callers re-derive the ETA only when
-    /// it changed bitwise).
-    fn set_rate(&mut self, rate: f64, now: SimTime);
+/// Which rate-recomputation strategy a [`Simulator`](crate::Simulator) or
+/// [`WhatIfEngine`](crate::WhatIfEngine) uses.
+///
+/// Both modes produce **bit-identical** allocations, event digests, and
+/// completion orders — the determinism tests assert it — so the choice is
+/// purely a performance knob. See `docs/PERFORMANCE.md` for the invariants
+/// that make the equivalence hold.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub enum SolverMode {
+    /// Solve every live flow from scratch with [`maxmin::solve`] on each
+    /// recomputation: the reference the sweep is held to.
+    Full,
+    /// Re-solve only what changed since the last recomputation reaches: a
+    /// sweep over the dirty resources, in which every other flow's freeze
+    /// replays from its stored key. The default.
+    #[default]
+    Incremental,
 }
 
 /// What changed since the last rate recomputation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Dirty {
+enum Dirty {
     /// Nothing: the cached rates are valid.
     Clean,
     /// Only what the touched resources reach may change.
     Touched,
     /// Everything must be recomputed (mode switches).
     All,
+}
+
+/// When `remaining` bytes finish at `rate` bits/s from `now`:
+/// [`SimTime::MAX`] (never) for a persistent or starved flow, and also
+/// when the span is not finite or runs past the end of the clock — a
+/// near-zero rate is a starved flow, not a clock overflow.
+fn completion_eta(now: SimTime, remaining: f64, rate: Bps) -> SimTime {
+    let secs = remaining * 8.0 / rate;
+    if rate > 0.0 && secs.is_finite() {
+        now.checked_add(SimDuration::from_secs_f64(secs)).unwrap_or(SimTime::MAX)
+    } else {
+        SimTime::MAX
+    }
+}
+
+/// One slot of the flow table.
+struct Slot {
+    id: u64,
+    weight: f64,
+    cap: Option<f64>,
+    /// Resource indices (dir-links, then backplanes) the flow loads. A
+    /// retired slot keeps the buffer, so the next flow through it
+    /// allocates nothing.
+    resources: Vec<usize>,
+    rate: Bps,
+    /// Bytes left; `f64::INFINITY` for a persistent flow.
+    remaining: f64,
+    /// Predicted completion at the current rate.
+    eta: SimTime,
+    /// The event that froze it in the last sweep (meaningless while fresh).
+    key: Event,
+}
+
+impl Slot {
+    /// Install a solved rate. The ETA is re-derived **only when the rate
+    /// changed** bitwise: an unchanged rate is an unchanged trajectory, so
+    /// recomputing `now + remaining/rate` would only inject round-off. The
+    /// sweep never visits a flow a change does not reach, so this rule is
+    /// what keeps completion instants identical between the solver modes.
+    fn apply_rate(&mut self, rate: Bps, now: SimTime) {
+        if rate.to_bits() != self.rate.to_bits() {
+            self.rate = rate;
+            self.eta = completion_eta(now, self.remaining, rate);
+        }
+    }
 }
 
 /// A point of the sweep: `(share key, event, sub, slot)`, `sub` being 0
@@ -76,18 +144,25 @@ pub(crate) fn is_slack(bound: f64, capacity: f64) -> bool {
     bound < capacity * (1.0 - EPS)
 }
 
-/// Membership index, dirty tracker, stored keys and the sweep;
-/// allocation-free at steady state (every list is reused across solves).
+/// Flow table, membership index, dirty tracker, stored keys, the solve and
+/// the clock step; allocation-free at steady state (every list is reused
+/// across solves). The caller assigns slots; flow ids ascend in start
+/// order.
 pub(crate) struct Core {
+    mode: SolverMode,
+    /// Per-resource capacity: dir-links, then capped backplanes.
+    capacities: Vec<f64>,
+    /// The flow table, by slot.
+    slots: Vec<Slot>,
+    /// The live flows' `(id, slot)`, ascending by id: the order of every
+    /// loop over flows.
+    order: Vec<(u64, u32)>,
     /// Per-resource `(flow id, slot)` of the live flows crossing it, sorted
     /// by id and deduped.
     members: Vec<Vec<(u64, u32)>>,
-    /// Per-slot flow id, rate upper bound, and the event that froze it in
-    /// the last solve (meaningless while `fresh`).
-    ids: Vec<u64>,
+    /// Per-slot rate upper bound; holds a live flow; started (or re-pathed)
+    /// and not yet solved.
     ub: Vec<f64>,
-    key: Vec<Event>,
-    /// Per-slot: holds a live flow; inserted and not yet solved.
     live: Vec<bool>,
     fresh: Vec<bool>,
     /// Slots inserted since the last solve (may repeat, or have left).
@@ -124,28 +199,31 @@ pub(crate) struct Core {
 }
 
 impl Core {
-    pub(crate) fn new(n_resources: usize) -> Core {
+    pub(crate) fn new(capacities: Vec<f64>) -> Core {
+        let n = capacities.len();
         Core {
+            mode: SolverMode::default(),
+            capacities,
+            slots: Vec::new(),
+            order: Vec::new(),
             // A head start so moderate per-resource load never grows a
             // list: steady-state churn must stay allocation-free.
-            members: (0..n_resources).map(|_| Vec::with_capacity(16)).collect(),
-            ids: Vec::new(),
+            members: (0..n).map(|_| Vec::with_capacity(16)).collect(),
             ub: Vec::new(),
-            key: Vec::new(),
             live: Vec::new(),
             fresh: Vec::new(),
             inserted: Vec::new(),
             dirty: Dirty::Clean,
-            marks: vec![0; n_resources],
+            marks: vec![0; n],
             gen: 1,
             touched: Vec::new(),
-            rgen: vec![0; n_resources],
-            tracked: vec![false; n_resources],
-            lresid: vec![0.0; n_resources],
-            weight_on: vec![0.0; n_resources],
-            rcount: vec![0; n_resources],
-            last: vec![(0, 0); n_resources],
-            hkey: vec![u64::MAX; n_resources],
+            rgen: vec![0; n],
+            tracked: vec![false; n],
+            lresid: vec![0.0; n],
+            weight_on: vec![0.0; n],
+            rcount: vec![0; n],
+            last: vec![(0, 0); n],
+            hkey: vec![u64::MAX; n],
             fgen: Vec::new(),
             done: Vec::new(),
             swept: Vec::new(),
@@ -155,18 +233,95 @@ impl Core {
         }
     }
 
+    pub(crate) fn mode(&self) -> SolverMode {
+        self.mode
+    }
+
+    /// Select the recomputation strategy. Switching with flows live marks
+    /// everything dirty, so the next solve resynchronises under the new
+    /// mode (a `Full` solve leaves the stored keys stale).
+    pub(crate) fn set_mode(&mut self, mode: SolverMode) {
+        if self.mode != mode {
+            self.mode = mode;
+            if !self.order.is_empty() {
+                self.mark_all();
+            }
+        }
+    }
+
+    pub(crate) fn capacities(&self) -> &[f64] {
+        &self.capacities
+    }
+
+    /// The capacities, to change while no flow is live: a flow's rate
+    /// bound is taken from them when it starts.
+    pub(crate) fn capacities_mut(&mut self) -> &mut [f64] {
+        debug_assert!(self.order.is_empty(), "capacities changed under live flows");
+        &mut self.capacities
+    }
+
+    /// The live flows' `(id, slot)`, ascending by id.
+    pub(crate) fn order(&self) -> &[(u64, u32)] {
+        &self.order
+    }
+
+    /// The slot of live flow `id`.
+    pub(crate) fn slot_of(&self, id: u64) -> Option<u32> {
+        self.order.binary_search_by_key(&id, |e| e.0).ok().map(|pos| self.order[pos].1)
+    }
+
     /// The live `(flow id, slot)` pairs crossing resource `r`, by id.
     pub(crate) fn members(&self, r: usize) -> &[(u64, u32)] {
         &self.members[r]
     }
 
-    pub(crate) fn dirty(&self) -> Dirty {
-        self.dirty
+    /// The rate last installed in `slot`.
+    pub(crate) fn rate(&self, slot: u32) -> Bps {
+        self.slots[slot as usize].rate
     }
 
-    /// Force a full recomputation on the next query.
-    pub(crate) fn mark_all(&mut self) {
-        self.dirty = Dirty::All;
+    /// Sum of the installed rates of the flows crossing resource `r`: each
+    /// flow once, in ascending id order, from the empty-sum identity
+    /// `-0.0` — the same terms in the same order as a scan of the flow
+    /// table, hence the same bits.
+    pub(crate) fn rate_sum(&self, r: usize) -> Bps {
+        self.members[r].iter().map(|&(_, s)| self.slots[s as usize].rate).sum()
+    }
+
+    /// The resources of `slot`.
+    pub(crate) fn resources(&self, slot: u32) -> &[usize] {
+        &self.slots[slot as usize].resources
+    }
+
+    /// The resource buffer of `slot`, which holds no live flow, to fill
+    /// before [`Core::start`]; grows the table to reach `slot`.
+    pub(crate) fn resources_mut(&mut self, slot: u32) -> &mut Vec<usize> {
+        let s = slot as usize;
+        if self.slots.len() <= s {
+            let n = s + 1;
+            self.slots.resize_with(n, || Slot {
+                id: 0,
+                weight: 1.0,
+                cap: None,
+                resources: Vec::new(),
+                rate: 0.0,
+                remaining: 0.0,
+                eta: SimTime::MAX,
+                key: UNBOUNDED,
+            });
+            self.ub.resize(n, 0.0);
+            self.live.resize(n, false);
+            self.fresh.resize(n, false);
+            self.fgen.resize(n, 0);
+            self.done.resize(n, false);
+        }
+        debug_assert!(!self.live[s], "resources of a live flow rewritten");
+        &mut self.slots[s].resources
+    }
+
+    /// Whether no start, retire or re-path is waiting for a solve.
+    pub(crate) fn is_settled(&self) -> bool {
+        self.dirty == Dirty::Clean
     }
 
     /// Flows frozen by sweeps since the last [`Core::clear`].
@@ -174,12 +329,17 @@ impl Core {
         self.resolved
     }
 
-    fn touch(&mut self, resources: &[usize]) {
+    fn mark_all(&mut self) {
+        self.dirty = Dirty::All;
+    }
+
+    /// Mark `slot`'s resources touched.
+    fn touch(&mut self, slot: u32) {
         if self.dirty == Dirty::All {
             return;
         }
         self.dirty = Dirty::Touched;
-        for &r in resources {
+        for &r in &self.slots[slot as usize].resources {
             if self.marks[r] != self.gen {
                 self.marks[r] = self.gen;
                 self.touched.push(r);
@@ -194,52 +354,65 @@ impl Core {
         self.touched.clear();
     }
 
-    /// A flow starts (or lands on a new path) in `slot`.
-    pub(crate) fn insert(
-        &mut self,
-        capacities: &[f64],
-        id: u64,
-        slot: u32,
-        cap: Option<f64>,
-        resources: &[usize],
-    ) {
+    /// Flow `id` starts in `slot` over the resources written through
+    /// [`Core::resources_mut`], at rate 0 with `remaining` bytes to send.
+    /// Ids ascend in start order.
+    pub(crate) fn start(&mut self, id: u64, slot: u32, weight: f64, cap: Option<f64>, remaining: f64) {
+        debug_assert!(self.order.last().is_none_or(|&(last, _)| last < id), "flow ids must ascend");
+        let f = &mut self.slots[slot as usize];
+        (f.id, f.weight, f.cap) = (id, weight, cap);
+        (f.rate, f.remaining, f.eta) = (0.0, remaining, SimTime::MAX);
+        self.order.push((id, slot));
+        self.join(slot);
+    }
+
+    /// The flow in `slot` moves to the resources `fill` writes; it keeps
+    /// its rate, remaining bytes and ETA until the next solve.
+    pub(crate) fn repath(&mut self, slot: u32, fill: impl FnOnce(&mut Vec<usize>)) {
+        self.leave(slot);
+        fill(&mut self.slots[slot as usize].resources);
+        self.join(slot);
+    }
+
+    /// Live flow `id` leaves the table (it finished, or was stopped);
+    /// returns its slot, which keeps its resource buffer.
+    pub(crate) fn retire(&mut self, id: u64) -> Option<u32> {
+        let pos = self.order.binary_search_by_key(&id, |e| e.0).ok()?;
+        let (_, slot) = self.order.remove(pos);
+        self.leave(slot);
+        Some(slot)
+    }
+
+    /// The flow in `slot` joins its resources' member lists.
+    fn join(&mut self, slot: u32) {
         let s = slot as usize;
-        if self.ids.len() <= s {
-            let n = s + 1;
-            self.ids.resize(n, 0);
-            self.ub.resize(n, 0.0);
-            self.key.resize(n, UNBOUNDED);
-            self.live.resize(n, false);
-            self.fresh.resize(n, false);
-            self.fgen.resize(n, 0);
-            self.done.resize(n, false);
+        let f = &self.slots[s];
+        self.ub[s] = f.resources.iter().map(|&r| self.capacities[r]).fold(f.cap.unwrap_or(f64::INFINITY), f64::min);
+        for &r in &f.resources {
+            let v = &mut self.members[r];
+            if let Err(pos) = v.binary_search_by_key(&f.id, |e| e.0) {
+                v.insert(pos, (f.id, slot));
+            }
         }
-        self.ids[s] = id;
-        self.ub[s] = resources.iter().map(|&r| capacities[r]).fold(cap.unwrap_or(f64::INFINITY), f64::min);
         self.live[s] = true;
         self.fresh[s] = true;
         self.inserted.push(slot);
-        for &r in resources {
-            let v = &mut self.members[r];
-            if let Err(pos) = v.binary_search_by_key(&id, |e| e.0) {
-                v.insert(pos, (id, slot));
-            }
-        }
-        self.touch(resources);
+        self.touch(slot);
     }
 
-    /// The flow in `slot` leaves `resources` (it finished, or is about to
-    /// be re-inserted on another path).
-    pub(crate) fn remove(&mut self, id: u64, slot: u32, resources: &[usize]) {
-        for &r in resources {
+    /// The flow in `slot` leaves its resources' member lists.
+    fn leave(&mut self, slot: u32) {
+        let s = slot as usize;
+        let f = &self.slots[s];
+        for &r in &f.resources {
             let v = &mut self.members[r];
-            if let Ok(pos) = v.binary_search_by_key(&id, |e| e.0) {
+            if let Ok(pos) = v.binary_search_by_key(&f.id, |e| e.0) {
                 v.remove(pos);
             }
         }
-        self.live[slot as usize] = false;
-        self.fresh[slot as usize] = false;
-        self.touch(resources);
+        self.live[s] = false;
+        self.fresh[s] = false;
+        self.touch(slot);
     }
 
     /// Forget every flow (the what-if kernel's per-run reset).
@@ -247,23 +420,92 @@ impl Core {
         for m in &mut self.members {
             m.clear();
         }
+        self.order.clear();
         self.live.fill(false);
         self.settle_all();
         self.resolved = 0;
     }
 
-    /// The caller solved everything itself: nothing is pending (and the
-    /// stored keys are stale until a sweep with everything dirty).
-    pub(crate) fn settle_all(&mut self) {
+    /// Nothing is pending (and the stored keys are stale until a sweep
+    /// with everything dirty).
+    fn settle_all(&mut self) {
         self.reset();
         self.fresh.fill(false);
         self.inserted.clear();
     }
 
-    /// Re-solve what changed since the last solve and return how many
-    /// flows the sweep froze; every other flow keeps its rate and key.
-    /// `flows` is the caller's table indexed by slot.
-    pub(crate) fn resolve<F: Flow>(&mut self, capacities: &[f64], flows: &mut [F], now: SimTime) -> usize {
+    /// The live flows as solver input, in id order. Allocates: it serves
+    /// the reference solve and the audit.
+    pub(crate) fn live_specs(&self) -> Vec<FlowSpec> {
+        let spec = |&(_, s): &(u64, u32)| {
+            let f = &self.slots[s as usize];
+            FlowSpec { weight: f.weight, cap: f.cap, resources: f.resources.clone() }
+        };
+        self.order.iter().map(spec).collect()
+    }
+
+    /// Step the clock by `dt` at the installed rates: each live flow with
+    /// a positive rate, in id order, sends `rate · dt` bytes, which leave
+    /// its remaining bytes (a persistent flow's stay infinite) and are
+    /// handed to `sent(slot, bytes)`.
+    pub(crate) fn advance(&mut self, dt: SimDuration, mut sent: impl FnMut(u32, f64)) {
+        if dt.is_zero() {
+            return;
+        }
+        let secs = dt.as_secs_f64();
+        for &(_, s) in &self.order {
+            let f = &mut self.slots[s as usize];
+            if f.rate <= 0.0 {
+                continue;
+            }
+            let bytes = f.rate * secs / 8.0;
+            if f.remaining.is_finite() {
+                f.remaining = (f.remaining - bytes).max(0.0);
+            }
+            sent(s, bytes);
+        }
+    }
+
+    /// The earliest ETA of a live flow ([`SimTime::MAX`] if none will
+    /// finish).
+    pub(crate) fn next_completion(&self) -> SimTime {
+        self.order.iter().map(|&(_, s)| self.slots[s as usize].eta).min().unwrap_or(SimTime::MAX)
+    }
+
+    /// Write to `due` the ids of the live flows that complete at `now` —
+    /// their ETA has come, or under a millionth of a byte is left — in id
+    /// order.
+    pub(crate) fn due(&self, now: SimTime, due: &mut Vec<u64>) {
+        due.clear();
+        for &(id, s) in &self.order {
+            let f = &self.slots[s as usize];
+            if f.eta <= now || f.remaining <= 1e-6 {
+                due.push(id);
+            }
+        }
+    }
+
+    /// Solve what changed since the last solve at `now`, and return how
+    /// many flows were solved: every live flow in `Full` mode, the flows
+    /// the sweep froze in `Incremental` mode. Every other flow keeps its
+    /// rate, key and ETA.
+    pub(crate) fn recompute(&mut self, now: SimTime) -> usize {
+        match self.mode {
+            SolverMode::Full => {
+                self.settle_all();
+                let alloc = maxmin::solve(&self.capacities, &self.live_specs());
+                for (&(_, s), &rate) in self.order.iter().zip(&alloc.rates) {
+                    self.slots[s as usize].apply_rate(rate, now);
+                }
+                self.order.len()
+            }
+            SolverMode::Incremental => self.sweep(now),
+        }
+    }
+
+    /// Re-solve what changed since the last solve by a sweep over the
+    /// dirty resources, and return how many flows it froze.
+    fn sweep(&mut self, now: SimTime) -> usize {
         if self.dirty == Dirty::All {
             for (s, fresh) in self.fresh.iter_mut().enumerate() {
                 *fresh = self.live[s];
@@ -279,24 +521,23 @@ impl Core {
         self.reset();
         self.heap.clear();
         self.swept.clear();
-        let mut sweep = Sweep { core: self, capacities, flows, now };
         for &r in &touched {
-            sweep.make_dirty(r, BOTTOM);
+            self.make_dirty(r, BOTTOM);
         }
         for &s in &inserted {
-            if sweep.core.fresh[s as usize] {
-                sweep.enter(s, BOTTOM);
+            if self.fresh[s as usize] {
+                self.enter(s, BOTTOM);
             }
         }
-        while let Some(Reverse(pos)) = sweep.core.heap.pop() {
-            sweep.step(pos);
+        while let Some(Reverse(pos)) = self.heap.pop() {
+            self.step(pos, now);
         }
         // What nothing froze is unbounded (and constrains nothing).
         for &s in &self.swept {
-            let i = s as usize;
+            let (i, f) = (s as usize, &mut self.slots[s as usize]);
             if !self.done[i] {
-                self.key[i] = UNBOUNDED;
-                flows[i].set_rate(f64::INFINITY, now);
+                f.key = UNBOUNDED;
+                f.apply_rate(f64::INFINITY, now);
                 self.resolved += 1;
             }
         }
@@ -309,59 +550,48 @@ impl Core {
         self.inserted.clear();
         (self.resolved - before) as usize
     }
-}
 
-/// One sweep: the core's scratch plus what the caller lent it.
-struct Sweep<'a, F> {
-    core: &'a mut Core,
-    capacities: &'a [f64],
-    flows: &'a mut [F],
-    now: SimTime,
-}
-
-impl<F: Flow> Sweep<'_, F> {
     /// Whether slot `s` has not frozen by `pos`.
     fn unfrozen(&self, s: u32, pos: Pos) -> bool {
-        let (c, i) = (&self.core, s as usize);
-        let pending = if c.fgen[i] == c.gen { !c.done[i] } else { c.fresh[i] };
-        pending || at(c.key[i], c.ids[i], s) >= pos
+        let i = s as usize;
+        let pending = if self.fgen[i] == self.gen { !self.done[i] } else { self.fresh[i] };
+        pending || at(self.slots[i].key, self.slots[i].id, s) >= pos
     }
 
     /// The key dirty resource `r` would pop at now, if it can pop.
     fn pop_at(&self, r: usize) -> Option<u64> {
-        let c = &self.core;
-        let q = c.lresid[r] / c.weight_on[r];
-        (c.rcount[r] > 0 && c.weight_on[r] > EPS && q.is_finite()).then(|| pop_key(q, r, c.last[r]))
+        let q = self.lresid[r] / self.weight_on[r];
+        (self.rcount[r] > 0 && self.weight_on[r] > EPS && q.is_finite()).then(|| pop_key(q, r, self.last[r]))
     }
 
     /// Queue flow `s` for the sweep from `pos` on, at its stored key if it
     /// has one (or just its cap, if it is fresh); a stored key before `pos`
     /// means it already froze there, unchanged.
     fn enter(&mut self, s: u32, pos: Pos) {
-        let c = &mut *self.core;
         let i = s as usize;
-        if c.fgen[i] == c.gen {
+        if self.fgen[i] == self.gen {
             return;
         }
-        c.fgen[i] = c.gen;
-        c.done[i] = false;
-        c.swept.push(s);
-        let stored = at(c.key[i], c.ids[i], s);
-        if c.fresh[i] || c.key[i] == UNBOUNDED {
+        self.fgen[i] = self.gen;
+        self.done[i] = false;
+        self.swept.push(s);
+        let f = &self.slots[i];
+        let stored = at(f.key, f.id, s);
+        if self.fresh[i] || f.key == UNBOUNDED {
             self.push_cap(s);
         } else if stored < pos {
-            c.done[i] = true;
+            self.done[i] = true;
         } else {
-            c.heap.push(Reverse(stored));
+            self.heap.push(Reverse(stored));
         }
     }
 
     /// Queue the cap event of flow `s`, if it has a cap.
     fn push_cap(&mut self, s: u32) {
-        let f = self.flows[s as usize].spec();
+        let f = &self.slots[s as usize];
         let level = f.cap.unwrap_or(f64::INFINITY) / f.weight;
         if level.is_finite() {
-            self.core.heap.push(Reverse(at((share_key(level), 0), self.core.ids[s as usize], s)));
+            self.heap.push(Reverse(at((share_key(level), 0), f.id, s)));
         }
     }
 
@@ -369,20 +599,19 @@ impl<F: Flow> Sweep<'_, F> {
     /// bind, rebuild its state from its members' keys and sweep them all;
     /// if it is slack it never pops, and only the flows it froze are swept.
     fn make_dirty(&mut self, r: usize, pos: Pos) {
-        let c = &mut *self.core;
-        if c.rgen[r] == c.gen {
+        if self.rgen[r] == self.gen {
             return;
         }
-        c.rgen[r] = c.gen;
-        let bound: f64 = c.members[r].iter().map(|&(_, s)| c.ub[s as usize]).sum();
+        self.rgen[r] = self.gen;
+        let bound: f64 = self.members[r].iter().map(|&(_, s)| self.ub[s as usize]).sum();
         let tracked = !is_slack(bound, self.capacities[r]);
-        c.tracked[r] = tracked;
+        self.tracked[r] = tracked;
         if tracked {
             self.rebuild(r, pos);
         }
-        for m in 0..self.core.members[r].len() {
-            let s = self.core.members[r][m].1;
-            if tracked || self.core.key[s as usize].1 == r as u64 + 1 {
+        for m in 0..self.members[r].len() {
+            let s = self.members[r][m].1;
+            if tracked || self.slots[s as usize].key.1 == r as u64 + 1 {
                 self.enter(s, pos);
             }
         }
@@ -390,17 +619,16 @@ impl<F: Flow> Sweep<'_, F> {
 
     /// Set dirty resource `r`'s state to the fill's at `pos`.
     fn rebuild(&mut self, r: usize, pos: Pos) {
-        let mut frozen = std::mem::take(&mut self.core.frozen);
+        let mut frozen = std::mem::take(&mut self.frozen);
         frozen.clear();
         let (mut weight, mut active) = (0.0, 0);
-        for &(id, s) in &self.core.members[r] {
-            let f = &self.flows[s as usize];
-            let w = f.spec().weight;
-            weight += w;
+        for &(id, s) in &self.members[r] {
+            let f = &self.slots[s as usize];
+            weight += f.weight;
             if self.unfrozen(s, pos) {
                 active += 1;
             } else {
-                frozen.push((at(self.core.key[s as usize], id, s), f.rate(), w));
+                frozen.push((at(f.key, id, s), f.rate, f.weight));
             }
         }
         frozen.sort_unstable_by_key(|e| e.0);
@@ -411,68 +639,66 @@ impl<F: Flow> Sweep<'_, F> {
             weight -= w;
             last = (p.0, p.1);
         }
-        let c = &mut *self.core;
-        c.frozen = frozen;
-        (c.lresid[r], c.weight_on[r], c.rcount[r], c.last[r]) = (resid, weight, active, last);
-        c.hkey[r] = u64::MAX;
+        self.frozen = frozen;
+        (self.lresid[r], self.weight_on[r], self.rcount[r], self.last[r]) = (resid, weight, active, last);
+        self.hkey[r] = u64::MAX;
         self.requeue(r);
     }
 
     /// Push dirty resource `r`'s pop if its key fell below its live entry.
     fn requeue(&mut self, r: usize) {
         if let Some(key) = self.pop_at(r) {
-            if key < self.core.hkey[r] {
-                self.core.hkey[r] = key;
-                self.core.heap.push(Reverse((key, r as u64 + 1, 0, 0)));
+            if key < self.hkey[r] {
+                self.hkey[r] = key;
+                self.heap.push(Reverse((key, r as u64 + 1, 0, 0)));
             }
         }
     }
 
     /// Process the least pending entry.
-    fn step(&mut self, pos: Pos) {
+    fn step(&mut self, pos: Pos, now: SimTime) {
         let (key, event, sub, s) = pos;
         if sub == 0 {
             // A dirty resource's pop, if it is still its live entry and
             // its key has not risen since.
             let r = (event - 1) as usize;
-            if key != self.core.hkey[r] {
+            if key != self.hkey[r] {
                 return;
             }
             if self.pop_at(r) != Some(key) {
-                self.core.hkey[r] = u64::MAX;
+                self.hkey[r] = u64::MAX;
                 self.requeue(r);
                 return;
             }
-            let c = &self.core;
-            let q = c.lresid[r] / c.weight_on[r];
+            let q = self.lresid[r] / self.weight_on[r];
             let level = if q > 0.0 { q } else { 0.0 };
-            for m in 0..self.core.members[r].len() {
-                let s = self.core.members[r][m].1;
+            for m in 0..self.members[r].len() {
+                let s = self.members[r][m].1;
                 let i = s as usize;
-                if self.core.fgen[i] == self.core.gen && !self.core.done[i] {
-                    let f = self.flows[i].spec();
+                if self.fgen[i] == self.gen && !self.done[i] {
+                    let f = &self.slots[i];
                     let rate = (f.weight * level).min(f.cap.unwrap_or(f64::INFINITY));
-                    self.freeze(s, rate, (key, event));
+                    self.freeze(s, rate, (key, event), now);
                 }
             }
             return;
         }
         let i = s as usize;
-        if self.core.done[i] {
+        if self.done[i] {
             return;
         }
         if event == 0 {
-            let cap = self.flows[i].spec().cap.unwrap_or(f64::INFINITY);
-            self.freeze(s, cap, (key, 0));
-        } else if self.core.rgen[(event - 1) as usize] != self.core.gen {
+            let cap = self.slots[i].cap.unwrap_or(f64::INFINITY);
+            self.freeze(s, cap, (key, 0), now);
+        } else if self.rgen[(event - 1) as usize] != self.gen {
             // Its bottleneck is clean, so that pop replays as it was.
-            let rate = self.flows[i].rate();
-            self.freeze(s, rate, (key, event));
+            let rate = self.slots[i].rate;
+            self.freeze(s, rate, (key, event), now);
         } else {
             // Its bottleneck's pop moved: it does not freeze here, which
             // its other resources must now account for.
-            for k in 0..self.flows[i].spec().resources.len() {
-                let r = self.flows[i].spec().resources[k];
+            for k in 0..self.slots[i].resources.len() {
+                let r = self.slots[i].resources[k];
                 self.make_dirty(r, pos);
             }
             self.push_cap(s);
@@ -482,27 +708,25 @@ impl<F: Flow> Sweep<'_, F> {
     /// Freeze flow `s` at `rate` by `event`. If that is not where it froze
     /// before, every resource it crosses is dirty from here on; every dirty
     /// one that can bind takes the freeze into its state.
-    fn freeze(&mut self, s: u32, rate: f64, event: Event) {
+    fn freeze(&mut self, s: u32, rate: f64, event: Event, now: SimTime) {
         let i = s as usize;
-        let c = &mut *self.core;
-        let changed = c.fresh[i] || c.key[i] != event || self.flows[i].rate().to_bits() != rate.to_bits();
-        c.done[i] = true;
-        c.key[i] = event;
-        c.resolved += 1;
-        self.flows[i].set_rate(rate, self.now);
-        let pos = at(event, c.ids[i], s);
-        let weight = self.flows[i].spec().weight;
-        for k in 0..self.flows[i].spec().resources.len() {
-            let r = self.flows[i].spec().resources[k];
+        let f = &mut self.slots[i];
+        let changed = self.fresh[i] || f.key != event || f.rate.to_bits() != rate.to_bits();
+        self.done[i] = true;
+        f.key = event;
+        self.resolved += 1;
+        f.apply_rate(rate, now);
+        let (pos, weight) = (at(event, f.id, s), f.weight);
+        for k in 0..self.slots[i].resources.len() {
+            let r = self.slots[i].resources[k];
             if changed {
                 self.make_dirty(r, pos);
             }
-            let c = &mut *self.core;
-            if c.rgen[r] == c.gen && c.tracked[r] {
-                c.lresid[r] -= rate;
-                c.weight_on[r] -= weight;
-                c.rcount[r] -= 1;
-                c.last[r] = event;
+            if self.rgen[r] == self.gen && self.tracked[r] {
+                self.lresid[r] -= rate;
+                self.weight_on[r] -= weight;
+                self.rcount[r] -= 1;
+                self.last[r] = event;
                 self.requeue(r);
             }
         }
@@ -512,25 +736,8 @@ impl<F: Flow> Sweep<'_, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::maxmin::{solve, FlowSpec};
+    use crate::maxmin::solve;
     use remos_prop::prelude::*;
-
-    struct Slot {
-        spec: FlowSpec,
-        rate: f64,
-    }
-
-    impl Flow for Slot {
-        fn spec(&self) -> FlowRef<'_> {
-            self.spec.as_ref()
-        }
-        fn rate(&self) -> f64 {
-            self.rate
-        }
-        fn set_rate(&mut self, rate: f64, _: SimTime) {
-            self.rate = rate;
-        }
-    }
 
     #[derive(Clone, Debug)]
     enum Op {
@@ -568,42 +775,37 @@ mod tests {
         /// no change reached from one sweep to the next.
         #[test]
         fn the_sweep_matches_a_full_solve_after_every_delta((caps, tape) in arb_tape()) {
-            let mut core = Core::new(caps.len());
-            let (mut slots, mut free, mut live) = (Vec::<Slot>::new(), Vec::new(), Vec::<(u64, u32)>::new());
+            let mut core = Core::new(caps.clone());
+            let (mut free, mut slots) = (Vec::new(), 0u32);
             let mut next_id = 0;
             for op in tape.iter().chain([Op::Solve(false)].iter()) {
+                let live = core.order().len();
                 match op.clone() {
                     Op::Add(spec) => {
                         let slot = free.pop().unwrap_or_else(|| {
-                            slots.push(Slot { spec: FlowSpec::greedy(vec![]), rate: 0.0 });
-                            slots.len() as u32 - 1
+                            slots += 1;
+                            slots - 1
                         });
-                        core.insert(&caps, next_id, slot, spec.cap, &spec.resources);
-                        slots[slot as usize] = Slot { spec, rate: 0.0 };
-                        live.push((next_id, slot));
+                        *core.resources_mut(slot) = spec.resources;
+                        core.start(next_id, slot, spec.weight, spec.cap, f64::INFINITY);
                         next_id += 1;
                     }
-                    Op::Remove(i) if !live.is_empty() => {
-                        let (id, slot) = live.remove(i % live.len());
-                        core.remove(id, slot, &slots[slot as usize].spec.resources);
-                        free.push(slot);
+                    Op::Remove(i) if live > 0 => {
+                        let id = core.order()[i % live].0;
+                        free.extend(core.retire(id));
                     }
-                    Op::Reroute(i, path) if !live.is_empty() => {
-                        let (id, slot) = live[i % live.len()];
-                        let f = &mut slots[slot as usize];
-                        core.remove(id, slot, &f.spec.resources);
-                        f.spec.resources = path;
-                        core.insert(&caps, id, slot, f.spec.cap, &f.spec.resources);
+                    Op::Reroute(i, path) if live > 0 => {
+                        let slot = core.order()[i % live].1;
+                        core.repath(slot, |r| *r = path);
                     }
                     Op::Solve(all) => {
                         if all {
                             core.mark_all();
                         }
-                        core.resolve(&caps, &mut slots, SimTime::ZERO);
-                        let specs: Vec<FlowSpec> = live.iter().map(|&(_, s)| slots[s as usize].spec.clone()).collect();
-                        let full = solve(&caps, &specs);
-                        for (&(id, s), want) in live.iter().zip(&full.rates) {
-                            prop_assert_eq!(slots[s as usize].rate.to_bits(), want.to_bits(),
+                        core.recompute(SimTime::ZERO);
+                        let full = solve(&caps, &core.live_specs());
+                        for (&(id, s), want) in core.order().iter().zip(&full.rates) {
+                            prop_assert_eq!(core.rate(s).to_bits(), want.to_bits(),
                                 "flow {} after {:?}", id, op);
                         }
                     }

@@ -6,16 +6,14 @@
 //! the output order is deterministic (it matches the input order) no
 //! matter how the OS schedules the workers.
 //!
-//! Lives in `remos-net` so the engine (parallel independent
-//! connected-component solves) and `remos-core` (batch query answers)
-//! share one implementation.
+//! Its one caller is `remos-core`'s `Remos::run_batch`, which fans a
+//! batch of query answers across it; the engine solves on the caller.
 //!
 //! The `std::thread` use here is sanctioned: this module is the one
 //! scoped exemption from the remos-audit `thread-spawn` rule, because
 //! the pool runs pure computation over already-collected, immutable data
-//! (disjoint solver components, shared query plans, pinned sample
-//! selections) and never touches the simulated clock, the collector, or
-//! the trace recorder.
+//! (shared query plans, pinned sample selections) and never touches the
+//! simulated clock, the collector, or the trace recorder.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -6,31 +6,29 @@
 //! flows?* Given hypothetical flows `(size_bytes, arrival, src, dst)`,
 //! [`WhatIfEngine::estimate`] replays a fluid max-min schedule against a
 //! frozen topology snapshot — a discrete event loop over arrivals and
-//! completions in which every step re-solves only what the step changed,
-//! through the engine's own incremental sweep on a scratch flow arena,
-//! never touching live engine state.
+//! completions on its own copy of the simulator's fluid core (`fluid.rs`:
+//! flow table, solve, clock step, completion scan), never touching live
+//! engine state.
 //!
 //! The replay is **bit-identical** to running the same flow set through a
-//! full [`Simulator`] (the ground truth [`replay_ground_truth`] builds):
-//! rates come from the same solver, ETAs are re-derived only when a rate
-//! changes bitwise, remaining bytes integrate in the same order with the
-//! same arithmetic, and completions use the same `eta <= now ||
-//! remaining <= 1e-6` rule scanned in id order. What the kernel *omits*
-//! is everything an estimate does not need: per-interface octet counters,
-//! SNMP-visible state, traffic processes, link schedules, and completion
-//! watches — which is where its speedup over the ground-truth replay
-//! comes from. The [`fct_digest`](WhatIfReport::fct_digest) (FNV-1a over
-//! per-flow start/finish nanos in input order) is the machine-independent
-//! proof of that equivalence, asserted by the `whatif_equivalence` tests.
+//! [`Simulator`] (the ground truth [`replay_ground_truth`] builds) because
+//! both run the same core code in the same order: flows started in
+//! `(arrival, input index)` order take ascending ids, and every solve,
+//! clock step and completion scan goes in id order. What the kernel *adds*
+//! is only the arrival list, the background subtraction and the horizon;
+//! what it *omits* is everything an estimate does not need — octet
+//! counters, SNMP-visible state, traffic processes, link schedules,
+//! completion watches — which is where its speedup over the ground-truth
+//! replay comes from. The [`fct_digest`](WhatIfReport::fct_digest)
+//! (FNV-1a over per-flow start/finish nanos in input order) is the
+//! machine-independent proof, asserted by the `whatif_equivalence` tests
+//! against the audited simulator.
 
 use crate::digest::EventDigest;
-use crate::engine::{
-    completion_eta, resources_into, ProcessCtx, Simulator, SolverMode, TrafficProcess,
-};
+use crate::engine::{resources_into, ProcessCtx, Simulator, SolverMode, TrafficProcess};
 use crate::error::{NetError, Result};
 use crate::flow::FlowParams;
-use crate::fluid::{Core, Dirty, Flow};
-use crate::maxmin::{self, FlowRef, FlowSpec};
+use crate::fluid::Core;
 use crate::routing::{Path, Routing};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, Topology};
@@ -78,6 +76,30 @@ impl FlowEstimate {
     }
 }
 
+/// The estimate of a `size_bytes` transfer that ran from `started` to
+/// `finished`, `completed` or cut off, with `(bottleneck, capacity)` the
+/// least effective capacity on its path. The kernel and the ground truth
+/// both report through here.
+fn estimate_of(
+    size_bytes: u64,
+    (started, finished, completed): (SimTime, SimTime, bool),
+    (bottleneck, bottleneck_capacity): (usize, Bps),
+) -> FlowEstimate {
+    let ideal_secs = if bottleneck_capacity > 0.0 {
+        size_bytes as f64 * 8.0 / bottleneck_capacity
+    } else {
+        f64::INFINITY
+    };
+    let slowdown = if !completed {
+        f64::INFINITY
+    } else if ideal_secs > 0.0 {
+        finished.saturating_since(started).as_secs_f64() / ideal_secs
+    } else {
+        1.0
+    };
+    FlowEstimate { started, finished, completed, slowdown, bottleneck, bottleneck_capacity }
+}
+
 /// The answer to a what-if batch: per-flow estimates in **input order**
 /// plus replay statistics and the determinism digest.
 #[derive(Clone, Debug)]
@@ -86,8 +108,9 @@ pub struct WhatIfReport {
     pub estimates: Vec<FlowEstimate>,
     /// FNV-1a digest over `(index, src, dst, size, started, finished,
     /// completed)` per flow in input order. Two replays of the same flow
-    /// set over the same snapshot must agree bit-for-bit — including a
-    /// ground-truth [`Simulator`] replay in either [`SolverMode`].
+    /// set over the same snapshot must agree bit-for-bit — including the
+    /// audited ground-truth [`Simulator`] replay, and the kernel in either
+    /// [`SolverMode`].
     pub fct_digest: u64,
     /// Discrete event-loop iterations the replay took.
     pub replay_steps: u64,
@@ -95,11 +118,12 @@ pub struct WhatIfReport {
     pub solves: u64,
 }
 
-/// Resource-vector layout shared with the engine: the dir-link prefix
-/// (indexed by `DirLink::index`), then one entry per capped backplane in
-/// node-id order. `backplane[node]` maps to the resource index or
+/// Resource-vector layout of the simulator and the kernel: the dir-link
+/// prefix (indexed by `DirLink::index`), then one entry per capped
+/// backplane in node-id order. Indices never move, so dirty tracking can
+/// key on them. `backplane[node]` maps to the resource index or
 /// `usize::MAX`.
-fn resource_layout(topo: &Topology) -> (Vec<f64>, Vec<usize>) {
+pub(crate) fn resource_layout(topo: &Topology) -> (Vec<f64>, Vec<usize>) {
     let mut capacities = topo.dir_link_capacities();
     let mut backplane = vec![usize::MAX; topo.node_count()];
     for (n, bw) in topo.capped_network_nodes() {
@@ -107,58 +131,6 @@ fn resource_layout(topo: &Topology) -> (Vec<f64>, Vec<usize>) {
         capacities.push(bw);
     }
     (capacities, backplane)
-}
-
-/// Install a solved rate; the ETA is re-derived **only when the rate
-/// changed bitwise** — the rule that keeps completion timestamps
-/// identical between solver modes and between this kernel and the engine.
-fn apply_rate(f: &mut ScratchFlow, rate: f64, now: SimTime) {
-    if rate.to_bits() == f.rate.to_bits() {
-        return;
-    }
-    f.rate = rate;
-    f.eta = completion_eta(now, f.remaining, rate);
-}
-
-/// Per-flow scratch state in the replay arena. Slot index == replay id.
-#[derive(Clone)]
-struct ScratchFlow {
-    resources: Vec<usize>,
-    path: Path,
-    /// Replay id (arrival rank), assigned when the flow starts.
-    id: u64,
-    rate: f64,
-    remaining: f64,
-    started: SimTime,
-    eta: SimTime,
-}
-
-impl ScratchFlow {
-    fn vacant() -> ScratchFlow {
-        ScratchFlow {
-            resources: Vec::new(),
-            path: Path { src: NodeId(0), dst: NodeId(0), hops: Vec::new(), nodes: Vec::new() },
-            id: 0,
-            rate: 0.0,
-            remaining: 0.0,
-            started: SimTime::ZERO,
-            eta: SimTime::MAX,
-        }
-    }
-}
-
-impl Flow for ScratchFlow {
-    fn spec(&self) -> FlowRef<'_> {
-        FlowRef { weight: 1.0, cap: None, resources: &self.resources }
-    }
-
-    fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    fn set_rate(&mut self, rate: f64, now: SimTime) {
-        apply_rate(self, rate, now);
-    }
 }
 
 /// The reusable what-if replay kernel over one frozen topology snapshot.
@@ -172,19 +144,15 @@ impl Flow for ScratchFlow {
 pub struct WhatIfEngine {
     topo: Arc<Topology>,
     routing: Arc<Routing>,
-    mode: SolverMode,
     /// Raw snapshot capacities (dir-links + capped backplanes).
     base_capacities: Vec<f64>,
-    /// Effective capacities for the current run (base minus background).
-    capacities: Vec<f64>,
     backplane: Vec<usize>,
-    // --- per-run arenas, reused across estimates ---
-    flows: Vec<ScratchFlow>,
-    /// Active replay ids, ascending (ids are assigned in arrival order,
-    /// so starts push and completions binary-search-remove).
-    order: Vec<u32>,
-    /// Membership index, dirty tracker and sweep (the engine's).
+    /// Flow table, solve and clock step over the run's effective
+    /// capacities (base minus background); a flow's slot is its input
+    /// index, its id its replay rank.
     core: Core,
+    // --- per-run arenas, reused across estimates ---
+    path: Path,
     due: Vec<u64>,
     /// Input indices sorted by `(arrival, input index)` — the replay id
     /// assignment order.
@@ -195,17 +163,13 @@ impl WhatIfEngine {
     /// Build a kernel over a topology snapshot and a routing table for it.
     pub fn new(topo: Arc<Topology>, routing: Arc<Routing>) -> WhatIfEngine {
         let (capacities, backplane) = resource_layout(&topo);
-        let core = Core::new(capacities.len());
         WhatIfEngine {
             topo,
             routing,
-            mode: SolverMode::default(),
             base_capacities: capacities.clone(),
-            capacities,
             backplane,
-            flows: Vec::new(),
-            order: Vec::new(),
-            core,
+            core: Core::new(capacities),
+            path: Path { src: NodeId(0), dst: NodeId(0), hops: Vec::new(), nodes: Vec::new() },
             due: Vec::new(),
             sorted: Vec::new(),
         }
@@ -220,12 +184,12 @@ impl WhatIfEngine {
     /// Select the rate-recomputation strategy (both are bit-identical;
     /// `Incremental` is the fast path).
     pub fn set_mode(&mut self, mode: SolverMode) {
-        self.mode = mode;
+        self.core.set_mode(mode);
     }
 
     /// The active rate-recomputation strategy.
     pub fn mode(&self) -> SolverMode {
-        self.mode
+        self.core.mode()
     }
 
     /// The frozen topology the kernel replays against.
@@ -245,6 +209,36 @@ impl WhatIfEngine {
         self.estimate_with(flows, None, None)
     }
 
+    /// Reset the core to the effective capacities under `background`, then
+    /// validate and route every flow into its slot and return each one's
+    /// bottleneck `(resource, capacity)`. The ground truth routes through
+    /// here too, so both sides reject the same inputs and report the same
+    /// ideals.
+    fn route(&mut self, flows: &[WhatIfFlow], background: Option<&[Bps]>) -> Result<Vec<(usize, Bps)>> {
+        assert!(flows.len() <= u32::MAX as usize, "what-if batch too large");
+        self.core.clear();
+        let n_dir = self.topo.dir_link_count();
+        let capacities = self.core.capacities_mut();
+        capacities.copy_from_slice(&self.base_capacities);
+        if let Some(util) = background {
+            for (i, c) in capacities.iter_mut().enumerate().take(n_dir) {
+                *c = (*c - util.get(i).copied().unwrap_or(0.0)).max(0.0);
+            }
+        }
+        let mut bottleneck = Vec::with_capacity(flows.len());
+        for (i, w) in flows.iter().enumerate() {
+            if w.src == w.dst {
+                return Err(NetError::Invalid(format!("what-if flow {i}: src == dst")));
+            }
+            self.routing.path_into(&self.topo, w.src, w.dst, &mut self.path)?;
+            resources_into(&self.backplane, &self.path, self.core.resources_mut(i as u32));
+            let capacities = self.core.capacities();
+            let least = |bn: (usize, Bps), &r: &usize| if capacities[r] < bn.1 { (r, capacities[r]) } else { bn };
+            bottleneck.push(self.core.resources(i as u32).iter().fold((usize::MAX, f64::INFINITY), least));
+        }
+        Ok(bottleneck)
+    }
+
     /// Estimate with options: `background` is per-directed-interface
     /// utilization (bits/s, indexed by `DirLink::index`) subtracted from
     /// the snapshot's link capacities (clamped at zero); `horizon` cuts
@@ -260,220 +254,73 @@ impl WhatIfEngine {
         background: Option<&[Bps]>,
         horizon: Option<SimTime>,
     ) -> Result<WhatIfReport> {
-        assert!(flows.len() <= u32::MAX as usize, "what-if batch too large");
-        // Effective capacities for this run.
-        let n_dir = self.topo.dir_link_count();
-        self.capacities.clear();
-        self.capacities.extend_from_slice(&self.base_capacities);
-        if let Some(util) = background {
-            for (i, c) in self.capacities.iter_mut().enumerate().take(n_dir) {
-                let u = util.get(i).copied().unwrap_or(0.0);
-                *c = (*c - u).max(0.0);
-            }
-        }
-
-        // Validate and route every flow up front, and pre-compute its
-        // path bottleneck on the effective capacities.
-        self.flows.resize_with(flows.len(), ScratchFlow::vacant);
-        let mut bottleneck = Vec::with_capacity(flows.len());
-        for (i, w) in flows.iter().enumerate() {
-            if w.src == w.dst {
-                return Err(NetError::Invalid(format!("what-if flow {i}: src == dst")));
-            }
-            let f = &mut self.flows[i];
-            self.routing.path_into(&self.topo, w.src, w.dst, &mut f.path)?;
-            resources_into(&self.backplane, &f.path, &mut f.resources);
-            let (mut bn, mut bn_cap) = (usize::MAX, f64::INFINITY);
-            for &r in &f.resources {
-                if self.capacities[r] < bn_cap {
-                    bn_cap = self.capacities[r];
-                    bn = r;
-                }
-            }
-            bottleneck.push((bn, bn_cap));
-            f.rate = 0.0;
-            f.remaining = w.size_bytes as f64;
-            f.started = w.arrival;
-            f.eta = SimTime::MAX;
-        }
-
+        let bottleneck = self.route(flows, background)?;
         // Replay ids follow (arrival, input index) order — exactly the
-        // order a ground-truth arrival process starts them in.
+        // order a ground-truth arrival process starts them in. The keys
+        // are distinct, so the unstable sort (no scratch buffer) agrees.
         self.sorted.clear();
         self.sorted.extend(0..flows.len() as u32);
-        let arrivals = flows;
-        self.sorted.sort_by_key(|&i| (arrivals[i as usize].arrival, i));
-
-        // Reset the arenas.
-        self.order.clear();
-        self.core.clear();
+        self.sorted.sort_unstable_by_key(|&i| (flows[i as usize].arrival, i));
+        let arrival = |next: usize| self.sorted.get(next).map(|&i| flows[i as usize].arrival);
 
         let mut finished: Vec<(SimTime, bool)> = vec![(SimTime::MAX, false); flows.len()];
         let mut now = SimTime::ZERO;
-        let mut next_arrival = 0usize;
-        let mut replay_steps = 0u64;
-        let mut solves = 0u64;
-
+        let mut next = 0usize;
+        let (mut replay_steps, mut solves) = (0u64, 0u64);
         loop {
             // Start every arrival due at `now`, in replay-id order.
-            while next_arrival < self.sorted.len() {
-                let input = self.sorted[next_arrival] as usize;
-                if arrivals[input].arrival > now {
-                    break;
-                }
-                let id = next_arrival as u64;
-                let slot = input as u32;
-                let f = &mut self.flows[input];
-                f.id = id;
-                f.started = now;
-                self.core.insert(&self.capacities, id, slot, None, &f.resources);
-                self.order.push(slot);
-                next_arrival += 1;
+            while arrival(next).is_some_and(|t| t <= now) {
+                let input = self.sorted[next];
+                let size = flows[input as usize].size_bytes as f64;
+                self.core.start(next as u64, input, 1.0, None, size);
+                next += 1;
             }
-            if self.order.is_empty() && next_arrival == self.sorted.len() {
+            if self.core.order().is_empty() && next == flows.len() {
                 break;
             }
-            if let Some(h) = horizon {
-                if now >= h {
-                    break;
-                }
+            if horizon.is_some_and(|h| now >= h) {
+                break;
             }
-            if self.core.dirty() != Dirty::Clean {
+            if !self.core.is_settled() {
                 solves += 1;
-                self.recompute(now);
+                self.core.recompute(now);
             }
-            let mut t_next = self.next_completion();
-            if next_arrival < self.sorted.len() {
-                t_next = t_next.min(arrivals[self.sorted[next_arrival] as usize].arrival);
-            }
+            let mut t_next = self.core.next_completion().min(arrival(next).unwrap_or(SimTime::MAX));
             if let Some(h) = horizon {
                 t_next = t_next.min(h);
             }
             if t_next == SimTime::MAX {
                 return Err(NetError::Stalled);
             }
-            self.advance(t_next.since(now));
+            self.core.advance(t_next.since(now), |_, _| {});
             now = t_next;
-            self.complete_due(now, &mut finished);
+            self.core.due(now, &mut self.due);
+            for &id in &self.due {
+                if let Some(input) = self.core.retire(id) {
+                    finished[input as usize] = (now, true);
+                }
+            }
             replay_steps += 1;
         }
 
-        // Horizon leftovers: active flows (and flows that never arrived)
-        // are reported as incomplete at the cut-off.
-        for pos in 0..self.order.len() {
-            let input = self.order[pos] as usize;
-            finished[input] = (now.max(self.flows[input].started), false);
+        // Horizon leftovers: running flows are cut off now, and flows that
+        // never arrived at their arrival.
+        for &(_, input) in self.core.order() {
+            finished[input as usize] = (now, false);
         }
-        self.order.clear();
-        for input in self.sorted[next_arrival..].iter().map(|&i| i as usize) {
-            finished[input] = (arrivals[input].arrival, false);
+        for &input in &self.sorted[next..] {
+            finished[input as usize] = (flows[input as usize].arrival, false);
         }
-
-        let mut estimates = Vec::with_capacity(flows.len());
-        for (i, w) in flows.iter().enumerate() {
-            let (finish, completed) = finished[i];
-            let started = if w.arrival <= finish { w.arrival } else { finish };
-            let fct_secs = finish.saturating_since(started).as_secs_f64();
-            let (bn, bn_cap) = bottleneck[i];
-            let ideal_secs =
-                if bn_cap > 0.0 { w.size_bytes as f64 * 8.0 / bn_cap } else { f64::INFINITY };
-            let slowdown = if !completed {
-                f64::INFINITY
-            } else if ideal_secs > 0.0 {
-                fct_secs / ideal_secs
-            } else {
-                1.0
-            };
-            estimates.push(FlowEstimate {
-                started,
-                finished: finish,
-                completed,
-                slowdown,
-                bottleneck: bn,
-                bottleneck_capacity: bn_cap,
-            });
-        }
-        let fct_digest = fct_digest(flows, &estimates);
-        Ok(WhatIfReport { estimates, fct_digest, replay_steps, solves })
-    }
-
-    fn next_completion(&self) -> SimTime {
-        self.order.iter().map(|&s| self.flows[s as usize].eta).min().unwrap_or(SimTime::MAX)
-    }
-
-    /// Integrate remaining bytes over `dt` at current rates, in id order,
-    /// with the engine's exact arithmetic (`bytes = rate * secs / 8.0`,
-    /// clamped subtraction per step).
-    fn advance(&mut self, dt: SimDuration) {
-        if dt.is_zero() {
-            return;
-        }
-        let secs = dt.as_secs_f64();
-        for &s in &self.order {
-            let f = &mut self.flows[s as usize];
-            if f.rate <= 0.0 {
-                continue;
-            }
-            let bytes = f.rate * secs / 8.0;
-            f.remaining = (f.remaining - bytes).max(0.0);
-        }
-    }
-
-    /// Retire every flow due at `now` (`eta <= now || remaining <= 1e-6`),
-    /// scanning and completing in id order.
-    fn complete_due(&mut self, now: SimTime, finished: &mut [(SimTime, bool)]) {
-        let mut due = std::mem::take(&mut self.due);
-        due.clear();
-        for (pos, &s) in self.order.iter().enumerate() {
-            let f = &self.flows[s as usize];
-            if f.eta <= now || f.remaining <= 1e-6 {
-                due.push(((pos as u64) << 32) | u64::from(s));
-            }
-        }
-        // Positions shift as we remove; walk back-to-front on positions
-        // (completion *order* is id order only for bookkeeping in
-        // `finished`, which is index-addressed, so order does not matter).
-        for &packed in due.iter().rev() {
-            let pos = (packed >> 32) as usize;
-            let slot = (packed & 0xffff_ffff) as u32;
-            let input = slot as usize;
-            self.order.remove(pos);
-            let f = &self.flows[input];
-            self.core.remove(f.id, slot, &f.resources);
-            finished[input] = (now, true);
-        }
-        due.clear();
-        self.due = due;
-    }
-
-    /// Recompute rates for the dirty scope, mirroring the engine:
-    /// full-mode rebuilds everything; incremental mode sweeps what the
-    /// changes since the last solve reach.
-    fn recompute(&mut self, now: SimTime) {
-        match self.mode {
-            SolverMode::Full => {
-                self.core.settle_all();
-                self.recompute_full(now);
-            }
-            SolverMode::Incremental => {
-                self.core.resolve(&self.capacities, &mut self.flows, now);
-            }
-        }
-    }
-
-    fn recompute_full(&mut self, now: SimTime) {
-        let specs: Vec<FlowSpec> = self
-            .order
+        let estimates: Vec<FlowEstimate> = flows
             .iter()
-            .map(|&s| {
-                let f = &self.flows[s as usize];
-                FlowSpec { weight: 1.0, cap: None, resources: f.resources.clone() }
+            .zip(&finished)
+            .zip(&bottleneck)
+            .map(|((w, &(finish, completed)), &bn)| {
+                estimate_of(w.size_bytes, (w.arrival.min(finish), finish, completed), bn)
             })
             .collect();
-        let alloc = maxmin::solve(&self.capacities, &specs);
-        for (&s, &rate) in self.order.iter().zip(alloc.rates.iter()) {
-            apply_rate(&mut self.flows[s as usize], rate, now);
-        }
+        let fct_digest = fct_digest(flows, &estimates);
+        Ok(WhatIfReport { estimates, fct_digest, replay_steps, solves })
     }
 }
 
@@ -514,40 +361,18 @@ impl TrafficProcess for ArrivalProcess {
     }
 }
 
-/// Ground-truth replay: run the same hypothetical flow set through a full
-/// [`Simulator`] over `topo` (bulk flows scheduled by a traffic process)
-/// and report it in the same shape as [`WhatIfEngine::estimate`]. The
-/// digests must match bit-for-bit in either [`SolverMode`] — this is the
-/// oracle the what-if kernel is benchmarked and proptested against.
-/// `replay_steps` is reported as the simulator's solve count.
-pub fn replay_ground_truth(
-    topo: Topology,
-    flows: &[WhatIfFlow],
-    mode: SolverMode,
-) -> Result<WhatIfReport> {
-    let (capacities, backplane) = resource_layout(&topo);
-    let routing = Routing::new(&topo);
-    // Validate and pre-compute bottlenecks exactly like the kernel, so
-    // both sides reject the same inputs and report the same ideals.
-    let mut bottleneck = Vec::with_capacity(flows.len());
-    let mut path = Path { src: NodeId(0), dst: NodeId(0), hops: Vec::new(), nodes: Vec::new() };
-    let mut resources = Vec::new();
-    for (i, w) in flows.iter().enumerate() {
-        if w.src == w.dst {
-            return Err(NetError::Invalid(format!("what-if flow {i}: src == dst")));
-        }
-        routing.path_into(&topo, w.src, w.dst, &mut path)?;
-        resources_into(&backplane, &path, &mut resources);
-        let (mut bn, mut bn_cap) = (usize::MAX, f64::INFINITY);
-        for &r in &resources {
-            if capacities[r] < bn_cap {
-                bn_cap = capacities[r];
-                bn = r;
-            }
-        }
-        bottleneck.push((bn, bn_cap));
-    }
-
+/// Ground-truth replay: run the same hypothetical flow set through a
+/// [`Simulator`] over `topo` (bulk flows scheduled by a traffic process,
+/// with [`Simulator::enable_audit`] on) and report it in the same shape as
+/// [`WhatIfEngine::estimate`]. Its digest must match the kernel's
+/// bit-for-bit — this is the oracle the kernel is proptested against.
+/// Any audit violation — including a
+/// [`SolverDivergence`](crate::AuditViolation::SolverDivergence) from the
+/// shadow full solve — fails the replay with [`NetError::Internal`]
+/// naming the first one. `replay_steps` is reported as the simulator's
+/// solve count.
+pub fn replay_ground_truth(topo: Topology, flows: &[WhatIfFlow]) -> Result<WhatIfReport> {
+    let bottleneck = WhatIfEngine::from_topology(topo.clone()).route(flows, None)?;
     let mut order: Vec<u32> = (0..flows.len() as u32).collect();
     order.sort_by_key(|&i| (flows[i as usize].arrival, i));
     let entries: Vec<(SimTime, FlowParams)> = order
@@ -559,7 +384,7 @@ pub fn replay_ground_truth(
         .collect();
 
     let mut sim = Simulator::new(topo)?;
-    sim.set_solver_mode(mode);
+    sim.enable_audit();
     if let Some(&(first, _)) = entries.first() {
         sim.add_process(first, Box::new(ArrivalProcess { entries, next: 0 }));
         // Drive to completion: with every flow a finite bulk transfer the
@@ -567,53 +392,25 @@ pub fn replay_ground_truth(
         // the loop exits.
         sim.run_until(SimTime::MAX)?;
     }
+    if let Some(v) = sim.audit_violations().first() {
+        return Err(NetError::Internal(format!("ground-truth replay failed its audit: {v}")));
+    }
 
     // Engine flow ids are handed out monotonically from zero on a fresh
     // simulator, so record id k is the k-th started flow = `order[k]`.
-    let mut finished: Vec<(SimTime, SimTime, bool)> =
-        vec![(SimTime::ZERO, SimTime::MAX, false); flows.len()];
+    let mut ran = vec![(SimTime::ZERO, SimTime::MAX, false); flows.len()];
     let records = sim.take_finished();
     if records.len() != flows.len() {
         return Err(NetError::Stalled);
     }
     for rec in records {
-        let input = order
-            .get(rec.id as usize)
-            .map(|&i| i as usize)
-            .ok_or(NetError::UnknownFlow(rec.id))?;
-        finished[input] = (rec.started, rec.finished, rec.completed);
+        let input = order.get(rec.id as usize).ok_or(NetError::UnknownFlow(rec.id))?;
+        ran[*input as usize] = (rec.started, rec.finished, rec.completed);
     }
-
-    let mut estimates = Vec::with_capacity(flows.len());
-    for (i, w) in flows.iter().enumerate() {
-        let (started, finish, completed) = finished[i];
-        let fct_secs = finish.saturating_since(started).as_secs_f64();
-        let (bn, bn_cap) = bottleneck[i];
-        let ideal_secs =
-            if bn_cap > 0.0 { w.size_bytes as f64 * 8.0 / bn_cap } else { f64::INFINITY };
-        let slowdown = if !completed {
-            f64::INFINITY
-        } else if ideal_secs > 0.0 {
-            fct_secs / ideal_secs
-        } else {
-            1.0
-        };
-        estimates.push(FlowEstimate {
-            started,
-            finished: finish,
-            completed,
-            slowdown,
-            bottleneck: bn,
-            bottleneck_capacity: bn_cap,
-        });
-    }
-    let digest = fct_digest(flows, &estimates);
-    Ok(WhatIfReport {
-        estimates,
-        fct_digest: digest,
-        replay_steps: sim.full_recomputes() + sim.scoped_recomputes(),
-        solves: sim.full_recomputes() + sim.scoped_recomputes(),
-    })
+    let estimates: Vec<FlowEstimate> =
+        flows.iter().zip(ran).zip(bottleneck).map(|((w, ran), bn)| estimate_of(w.size_bytes, ran, bn)).collect();
+    let solves = sim.rates_epoch();
+    Ok(WhatIfReport { fct_digest: fct_digest(flows, &estimates), estimates, replay_steps: solves, solves })
 }
 
 #[cfg(test)]
@@ -677,22 +474,13 @@ mod tests {
     #[test]
     fn matches_ground_truth_in_both_modes() {
         let flows = star_flows();
-        let truth_full =
-            replay_ground_truth(star(), &flows, SolverMode::Full).unwrap();
-        let truth_inc =
-            replay_ground_truth(star(), &flows, SolverMode::Incremental).unwrap();
-        assert_eq!(truth_full.fct_digest, truth_inc.fct_digest);
+        let truth = replay_ground_truth(star(), &flows).unwrap();
         for mode in [SolverMode::Full, SolverMode::Incremental] {
             let mut eng = WhatIfEngine::from_topology(star());
             eng.set_mode(mode);
             let rep = eng.estimate(&flows).unwrap();
-            assert_eq!(
-                rep.fct_digest, truth_full.fct_digest,
-                "what-if {mode:?} diverged from ground truth"
-            );
-            for (a, b) in rep.estimates.iter().zip(truth_full.estimates.iter()) {
-                assert_eq!(a, b);
-            }
+            assert_eq!(rep.fct_digest, truth.fct_digest, "what-if {mode:?} diverged from ground truth");
+            assert_eq!(rep.estimates, truth.estimates);
         }
     }
 
@@ -794,7 +582,7 @@ mod tests {
             WhatIfFlow { src: h3, dst: h2, size_bytes: 2_000_000, arrival: SimTime::ZERO },
             WhatIfFlow { src: h1, dst: h2, size_bytes: 2_000_000, arrival: SimTime::ZERO },
         ];
-        let truth = replay_ground_truth(star(), &flows, SolverMode::Incremental).unwrap();
+        let truth = replay_ground_truth(star(), &flows).unwrap();
         let mut eng = WhatIfEngine::from_topology(star());
         let rep = eng.estimate(&flows).unwrap();
         assert_eq!(rep.fct_digest, truth.fct_digest);

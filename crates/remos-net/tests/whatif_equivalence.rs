@@ -6,7 +6,9 @@
 //! if it is *exactly* as right. For seeded fabric workloads across
 //! fat-tree arities, flow counts, and offered loads, the kernel's
 //! per-flow start/finish instants and its FCT digest must match a
-//! ground-truth simulator replay bit-for-bit, in both [`SolverMode`]s.
+//! ground-truth simulator replay, run with the max-min audit and its
+//! shadow full solve on, bit-for-bit — in both of the kernel's
+//! [`SolverMode`]s.
 
 use remos_prop::prelude::*;
 use remos_net::fabric::{synth_fabric_workload, FatTree, FlowSizeEcdf, WorkloadSpec};
@@ -37,8 +39,8 @@ fn trace_of(report: &remos_net::whatif::WhatIfReport) -> Trace {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Kernel estimates in both solver modes agree with ground-truth
-    /// simulator replays in both solver modes, bit-for-bit.
+    /// Kernel estimates in both solver modes agree with the audited
+    /// ground-truth simulator replay, bit-for-bit.
     #[test]
     fn whatif_matches_ground_truth_replay(
         k in prop_oneof![Just(4usize), Just(6), Just(8)],
@@ -57,14 +59,9 @@ proptest! {
         engine.set_mode(SolverMode::Full);
         let full = engine.estimate(&flows).unwrap();
 
-        let truth_inc =
-            replay_ground_truth(tree.topology().clone(), &flows, SolverMode::Incremental)
-                .unwrap();
-        let truth_full =
-            replay_ground_truth(tree.topology().clone(), &flows, SolverMode::Full).unwrap();
+        let truth = replay_ground_truth(tree.topology().clone(), &flows).unwrap();
 
-        let expected = trace_of(&truth_inc);
-        prop_assert_eq!(&trace_of(&truth_full), &expected, "ground truth modes diverge");
+        let expected = trace_of(&truth);
         prop_assert_eq!(&trace_of(&inc), &expected, "incremental kernel != ground truth");
         prop_assert_eq!(&trace_of(&full), &expected, "full kernel != ground truth");
 
@@ -90,9 +87,7 @@ fn engine_reuse_across_batches_is_clean() {
         let spec = WorkloadSpec::new(seed, 24, 0.3);
         let flows = synth_fabric_workload(&tree, &ecdf, &spec).unwrap();
         let got = engine.estimate(&flows).unwrap();
-        let truth =
-            replay_ground_truth(tree.topology().clone(), &flows, SolverMode::Incremental)
-                .unwrap();
+        let truth = replay_ground_truth(tree.topology().clone(), &flows).unwrap();
         assert_eq!(got.fct_digest, truth.fct_digest, "seed {seed}");
     }
 }
@@ -101,8 +96,8 @@ fn engine_reuse_across_batches_is_clean() {
 /// flows seeded from `0x0FC7` at 30% load). Machine-independent.
 const QUICK_FCT_DIGEST: u64 = 0x97a0_76b9_de24_548b;
 
-/// At a scale where hundreds of hypothetical flows overlap, the kernel
-/// and the ground-truth replay, each in both solver modes, all answer the
+/// At a scale where hundreds of hypothetical flows overlap, the kernel in
+/// both solver modes and the audited ground-truth replay all answer the
 /// recorded digest, not only each other.
 #[test]
 fn quick_scale_fct_digest_matches_the_golden() {
@@ -112,9 +107,9 @@ fn quick_scale_fct_digest_matches_the_golden() {
         engine.set_mode(mode);
         let kernel = engine.estimate(&flows).unwrap().fct_digest;
         assert_eq!(kernel, QUICK_FCT_DIGEST, "kernel {mode:?}: got {kernel:#x}");
-        let truth = replay_ground_truth(tree.topology().clone(), &flows, mode).unwrap().fct_digest;
-        assert_eq!(truth, QUICK_FCT_DIGEST, "ground truth {mode:?}: got {truth:#x}");
     }
+    let truth = replay_ground_truth(tree.topology().clone(), &flows).unwrap().fct_digest;
+    assert_eq!(truth, QUICK_FCT_DIGEST, "ground truth: got {truth:#x}");
 }
 
 /// A background that greedy flows have saturated leaves each link its
@@ -173,6 +168,6 @@ fn an_event_re_solves_only_the_flows_sharing_a_host_link() {
     assert_eq!(engine.flows_resolved(), 0);
     assert_eq!(trace_of(&full), trace_of(&inc));
     assert_eq!((full.replay_steps, full.solves), (inc.replay_steps, inc.solves));
-    let truth = replay_ground_truth(tree.topology().clone(), &flows, SolverMode::Full).unwrap();
+    let truth = replay_ground_truth(tree.topology().clone(), &flows).unwrap();
     assert_eq!(truth.fct_digest, inc.fct_digest);
 }

@@ -234,7 +234,8 @@ fn quick_fabric_churn_digests_match_the_golden_in_both_solver_modes() {
     use remos::net::FabricChurn;
 
     for mode in [SolverMode::Full, SolverMode::Incremental] {
-        let mut churn = FabricChurn::new(8, 256, 0xFA_B51C, 80, mode).unwrap();
+        let mut churn = FabricChurn::new(8, 256, 0xFA_B51C, 80).unwrap();
+        churn.sim.set_solver_mode(mode);
         for _ in 0..100 {
             churn.step().unwrap();
         }
