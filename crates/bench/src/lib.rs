@@ -6,7 +6,6 @@
 //! definitions (rows, node sets, paper values) used by both the table
 //! binaries and the `report` generator.
 
-pub mod pods;
 pub mod experiments;
 
 use remos_apps::TestbedHarness;

@@ -171,6 +171,12 @@ impl Remos {
         &self.obs
     }
 
+    /// The gap this facade lets pass between counter reads
+    /// ([`RemosConfig::poll_gap`]): what one poll costs in measured time.
+    pub fn poll_gap(&self) -> SimDuration {
+        self.cfg.poll_gap
+    }
+
     /// Re-discover the network topology (clears measurement history).
     pub fn refresh_topology(&mut self) -> CoreResult<()> {
         self.collector.refresh_topology()

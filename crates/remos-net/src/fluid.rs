@@ -19,12 +19,12 @@
 //!
 //! ## A delta re-solves what it changes
 //!
-//! The fill ([`Solver::run_fill`](crate::maxmin::Solver::run_fill)) freezes
-//! flows in the order of their keys — `(share key, cap-before-pop, bottleneck
-//! resource, flow id)` — and a resource's pop key is a function of its
-//! state, which is a function of which of its members froze before it, at
-//! what rate and in what order. So every solved flow keeps its key, and a
-//! solve is a **sweep in key order over the dirty resources** only:
+//! The fill ([`maxmin::solve`]) freezes flows in the order of their keys
+//! — `(share key, cap-before-pop, bottleneck resource, flow id)` — and a
+//! resource's pop key is a function of its state, which is a function of
+//! which of its members froze before it, at what rate and in what order.
+//! So every solved flow keeps its key, and a solve is a **sweep in key
+//! order over the dirty resources** only:
 //!
 //! - a resource is dirty when a member joined or left it, or when one of
 //!   its members froze at a (rate, key) other than its stored one (or did

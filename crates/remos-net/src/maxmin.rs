@@ -29,7 +29,7 @@
 //! interface and every capped switch backplane to one resource, so Fig 1's
 //! internal-bandwidth semantics fall out naturally.
 //!
-//! ## Keys, components and incremental solving
+//! ## Keys and incremental solving
 //!
 //! Every freeze has a key — `(share key, cap-before-pop, resource, flow
 //! id)` — and the fill takes the exact least one each time, so freezes
@@ -39,11 +39,12 @@
 //! re-solves the resources whose state it changes, and every other freeze
 //! replays from its stored key. Two more facts make that cheap and exact:
 //!
-//! * the problem decomposes over the *connected components* of the
-//!   flow/resource sharing graph, and [`solve`] (and
-//!   [`Solver::solve_refs`]) fills each one independently, iterating its
-//!   flows in ascending input order — a component's result is
-//!   **bit-identical** whichever other components exist;
+//! * flows that share no resource do not interact: a freeze touches only
+//!   the resources on its flow's path, and ties break on the resource
+//!   index and then on input order, never on what else is in the problem.
+//!   One fill over every flow therefore gives each connected component of
+//!   the sharing graph the rates it would get alone, **bit-identical**
+//!   (`independent_components_solve_independently` below);
 //! * a resource whose members' rate bounds (`min(cap, least capacity on
 //!   the path)`) sum below its capacity never pops with an active flow,
 //!   so it sets no rate (`slack_resources_set_no_rate` below).
@@ -51,9 +52,9 @@
 //! [`solve`] stays the reference every incremental result is compared
 //! with, bit for bit ([`f64::to_bits`]).
 //!
-//! [`Solver`] owns reusable scratch buffers (CSR resource lists, interning
-//! marks, the key heap) so repeated solves against one `Solver` allocate
-//! nothing once the buffers have grown.
+//! [`Solver`] owns reusable scratch buffers (CSR resource lists, share
+//! state, the key heap), so repeated solves against one `Solver` allocate
+//! only their result once the buffers have grown.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -126,9 +127,9 @@ pub(crate) fn share_key(x: f64) -> u64 {
 }
 
 /// Where a freeze sits in the fill's order: `(share key, event)`, where
-/// event `0` is the flow's own cap and `r + 1` the pop of global resource
-/// `r`. With the flow id appended it orders every freeze of a fill: caps
-/// before pops at one level, pops by resource, a pop's flows by id.
+/// event `0` is the flow's own cap and `r + 1` the pop of resource `r`.
+/// With the flow id appended it orders every freeze of a fill: caps before
+/// pops at one level, pops by resource, a pop's flows by id.
 pub(crate) type Event = (u64, u64);
 
 /// The key of a flow no event froze (it is unbounded).
@@ -164,61 +165,54 @@ pub fn solve(capacities: &[f64], flows: &[FlowSpec]) -> Allocation {
 
 /// Reusable water-filling solver.
 ///
-/// Holds every scratch buffer the fill needs (CSR flow→resource lists,
-/// resource interning marks, the share heap), so repeated solves against
-/// the same `Solver` stop allocating once the buffers have grown to the
-/// working-set size. [`solve_refs`](Solver::solve_refs) is the batch entry
-/// point, layered on the component API
-/// ([`begin_component`](Solver::begin_component) /
-/// [`push_flow`](Solver::push_flow) / [`run_fill`](Solver::run_fill)).
+/// Holds every scratch buffer the fill needs (CSR flow→resource and
+/// resource→flow lists, per-resource share state, the key heap), so
+/// repeated solves against one `Solver` stop allocating scratch once the
+/// buffers have grown to the working-set size; only the returned
+/// [`Allocation`] is new each time.
 #[derive(Debug, Default)]
 pub struct Solver {
-    // --- current component (local index space) ---
     /// Per-flow weight.
     weights: Vec<f64>,
     /// Per-flow cap; `f64::INFINITY` encodes "uncapped".
     caps: Vec<f64>,
     /// CSR offsets into `ridx`, length `flows + 1`.
     roff: Vec<usize>,
-    /// Concatenated local resource indices of every flow's path.
+    /// Concatenated resource indices of every flow's path.
     ridx: Vec<usize>,
-    /// Global resource id of each local resource, in first-touch order.
-    lres: Vec<usize>,
-    /// Residual capacity of each local resource (output).
-    lresid: Vec<f64>,
-    /// Allocated rate of each local flow (output).
-    lrates: Vec<f64>,
-    // --- fill scratch ---
-    /// Per-local-resource weight of the unfrozen flows crossing it.
+    /// Residual capacity of each resource (output).
+    resid: Vec<f64>,
+    /// Allocated rate of each flow (output).
+    rates: Vec<f64>,
+    /// Per-resource weight of the unfrozen flows crossing it.
     weight_on: Vec<f64>,
-    /// Per-local-resource count of unfrozen flows crossing it.
+    /// Per-resource count of unfrozen flows crossing it.
     rcount: Vec<u32>,
     is_active: Vec<bool>,
     /// Capped flows as `(cap / weight, flow)`, ascending.
     capped: Vec<(f64, usize)>,
-    /// CSR offsets into `mmemb`, length `lres + 1`: local resource → flows.
+    /// CSR offsets into `mmemb`, length `resources + 1`: resource → flows.
     moff: Vec<usize>,
-    /// Concatenated local flow indices crossing each local resource,
+    /// Concatenated indices of the flows crossing each resource,
     /// ascending within each resource.
     mmemb: Vec<usize>,
     /// Cursor scratch for building `mmemb`.
     mcur: Vec<usize>,
-    /// Min-heap of `(pop key, global resource)`; `hkey` holds each local
-    /// resource's live entry, a lower bound on its current pop key, and an
-    /// entry that is not a resource's live one is dropped when it surfaces.
+    /// Min-heap of `(pop key, resource)`; `hkey` holds each resource's
+    /// live entry, a lower bound on its current pop key, and an entry that
+    /// is not a resource's live one is dropped when it surfaces.
     heap: BinaryHeap<Reverse<(u64, usize)>>,
     hkey: Vec<u64>,
-    /// Per-local-resource: the last event that froze one of its flows.
+    /// Per-resource: the last event that froze one of its flows.
     last: Vec<Event>,
-    /// Per-local-flow: the event that froze it (output).
-    lkeys: Vec<Event>,
-    /// Local flows in the order they froze.
+    /// Per-flow: the event that froze it ([`UNBOUNDED`] for a flow nothing
+    /// froze). Sorting the flows by `(key, index)` gives the order they
+    /// froze in.
+    #[cfg(test)]
+    keys: Vec<Event>,
+    /// Flows in the order they froze.
     #[cfg(test)]
     order: Vec<usize>,
-    // --- resource interning (global index space) ---
-    res_mark: Vec<u64>,
-    res_local: Vec<usize>,
-    generation: u64,
 }
 
 impl Solver {
@@ -227,84 +221,60 @@ impl Solver {
         Self::default()
     }
 
-    /// Start a new component. `n_resources` is the size of the *global*
-    /// capacity vector (used to size the interning marks).
-    pub fn begin_component(&mut self, n_resources: usize) {
-        self.generation += 1;
-        if self.res_mark.len() < n_resources {
-            self.res_mark.resize(n_resources, 0);
-            self.res_local.resize(n_resources, 0);
-        }
+    /// Full solve over borrowed flows; see [`solve`].
+    pub fn solve_refs(&mut self, capacities: &[f64], flows: &[FlowRef<'_>]) -> Allocation {
         self.weights.clear();
         self.caps.clear();
         self.roff.clear();
         self.roff.push(0);
         self.ridx.clear();
-        self.lres.clear();
-        self.lresid.clear();
-        self.lrates.clear();
-    }
-
-    /// Add one flow to the current component. Callers must push a
-    /// component's flows in **ascending global order** — the fill's
-    /// floating-point accumulation order (and hence bit-exact
-    /// reproducibility between full and incremental solves) depends on it.
-    pub fn push_flow(
-        &mut self,
-        weight: f64,
-        cap: Option<f64>,
-        resources: impl IntoIterator<Item = usize>,
-        capacities: &[f64],
-    ) {
-        debug_assert!(weight > 0.0, "flow weight must be positive");
-        self.weights.push(weight);
-        self.caps.push(cap.unwrap_or(f64::INFINITY));
-        for r in resources {
-            debug_assert!(r < capacities.len(), "resource index out of range");
-            let local = if self.res_mark[r] == self.generation {
-                self.res_local[r]
-            } else {
-                let l = self.lres.len();
-                self.res_mark[r] = self.generation;
-                self.res_local[r] = l;
-                self.lres.push(r);
-                self.lresid.push(capacities[r]);
-                l
-            };
-            self.ridx.push(local);
+        for f in flows {
+            debug_assert!(f.weight > 0.0, "flow weight must be positive");
+            debug_assert!(
+                f.resources.iter().all(|&r| r < capacities.len()),
+                "resource index out of range"
+            );
+            self.weights.push(f.weight);
+            self.caps.push(f.cap.unwrap_or(f64::INFINITY));
+            self.ridx.extend_from_slice(f.resources);
+            self.roff.push(self.ridx.len());
         }
-        self.roff.push(self.ridx.len());
+        self.resid.clear();
+        self.resid.extend_from_slice(capacities);
+        self.run_fill();
+        let mut residual = std::mem::take(&mut self.resid);
+        // Clamp numerical dust (and a negative capacity no flow crosses).
+        for r in residual.iter_mut() {
+            if *r < 0.0 {
+                *r = 0.0;
+            }
+        }
+        Allocation { rates: std::mem::take(&mut self.rates), residual }
     }
 
-    /// Fill the current component in bottleneck order. Results are read
-    /// back through [`component_rates`](Solver::component_rates) and
-    /// [`component_residuals`](Solver::component_residuals).
+    /// Fill the loaded problem in bottleneck order.
     ///
     /// Every flow is frozen once and every (flow, hop) subtracted once.
     /// The next event is the least of the next cap and the *exact* least
     /// pop key over the resources: freezing a flow at or below a
     /// resource's share mathematically raises that share, so a heap entry
     /// is usually a lower bound, re-derived when it surfaces; when
-    /// rounding lowers a share instead, the freeze pushes a fresh entry. The order is therefore a function of the current state, not
-    /// of the heap's history, and events come in key order — what lets a
-    /// caller replay the freezes a change does not reach from their keys.
+    /// rounding lowers a share instead, the freeze pushes a fresh entry.
+    /// The order is therefore a function of the current state, not of the
+    /// heap's history, and events come in key order — what lets a caller
+    /// replay the freezes a change does not reach from their keys.
     ///
     /// A rate is `weight × share` of the flow's own bottleneck (or its
     /// cap) and nothing else: there is no running water level shared by
-    /// the whole component, so the arithmetic behind a rate involves only
+    /// the whole problem, so the arithmetic behind a rate involves only
     /// the resources the flow crosses and the flows that froze on them
-    /// before it. Ties go to the cap, then to the lower *global* resource
-    /// index (so they do not depend on which other flows were pushed), and
-    /// a bottleneck's flows freeze in push order: the fill is a function
-    /// of the problem and of the order flows were pushed in, which is what
-    /// makes full and incremental solves agree bit for bit.
-    pub fn run_fill(&mut self) {
+    /// before it. Ties go to the cap, then to the lower resource index,
+    /// and a bottleneck's flows freeze in input order.
+    fn run_fill(&mut self) {
         let nf = self.weights.len();
-        let nr = self.lres.len();
-        self.lrates.clear();
-        self.lrates.resize(nf, f64::INFINITY);
-        self.lkeys.clear();
-        self.lkeys.resize(nf, UNBOUNDED);
+        let nr = self.resid.len();
+        self.rates.clear();
+        self.rates.resize(nf, f64::INFINITY);
         self.is_active.clear();
         self.is_active.resize(nf, true);
         self.capped.clear();
@@ -315,7 +285,11 @@ impl Solver {
         self.last.clear();
         self.last.resize(nr, (0, 0));
         #[cfg(test)]
-        self.order.clear();
+        {
+            self.keys.clear();
+            self.keys.resize(nf, UNBOUNDED);
+            self.order.clear();
+        }
         for i in 0..nf {
             let level = self.caps[i] / self.weights[i];
             if level.is_finite() {
@@ -328,8 +302,8 @@ impl Solver {
             }
         }
         self.capped.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        // Local resource→flow membership (CSR), ascending flow order within
-        // each resource because flows are visited in push order.
+        // Resource→flow membership (CSR), ascending flow order within each
+        // resource because flows are visited in input order.
         self.moff.clear();
         self.moff.resize(nr + 1, 0);
         for r in 0..nr {
@@ -353,7 +327,7 @@ impl Solver {
         for r in 0..nr {
             let key = self.pop_at(r);
             self.hkey.push(key.unwrap_or(u64::MAX));
-            keys.extend(key.map(|k| Reverse((k, self.lres[r]))));
+            keys.extend(key.map(|k| Reverse((k, r))));
         }
         self.heap = BinaryHeap::from(keys);
 
@@ -371,13 +345,13 @@ impl Solver {
                 }
                 (_, Some((key, r))) => {
                     self.heap.pop();
-                    let q = self.lresid[r] / self.weight_on[r];
+                    let q = self.resid[r] / self.weight_on[r];
                     // Only a zero or negative capacity gives a share below
                     // zero; `min` keeps a share that rounding put an ulp
                     // past a flow's `cap / weight` from lifting the flow
                     // past its cap.
                     let level = if q > 0.0 { q } else { 0.0 };
-                    let event = (key, self.lres[r] as u64 + 1);
+                    let event = (key, r as u64 + 1);
                     for m in self.moff[r]..self.moff[r + 1] {
                         let i = self.mmemb[m];
                         if self.is_active[i] {
@@ -391,35 +365,28 @@ impl Solver {
                 _ => break,
             }
         }
-        // Clamp numerical dust.
-        for r in self.lresid.iter_mut() {
-            if *r < 0.0 {
-                *r = 0.0;
-            }
-        }
     }
 
-    /// Current share of local resource `r`, or `None` once no flow that
-    /// could be limited by it is left (weights at or below [`EPS`] are
-    /// treated as exerting no demand).
+    /// Current share of resource `r`, or `None` once no flow that could be
+    /// limited by it is left (weights at or below [`EPS`] are treated as
+    /// exerting no demand).
     fn share(&self, r: usize) -> Option<f64> {
-        (self.rcount[r] > 0 && self.weight_on[r] > EPS).then(|| self.lresid[r] / self.weight_on[r])
+        (self.rcount[r] > 0 && self.weight_on[r] > EPS).then(|| self.resid[r] / self.weight_on[r])
     }
 
-    /// The key local resource `r` would pop at now, if it can pop: a
-    /// non-finite share never does.
+    /// The key resource `r` would pop at now, if it can pop: a non-finite
+    /// share never does.
     fn pop_at(&self, r: usize) -> Option<u64> {
         let q = self.share(r).filter(|q| q.is_finite())?;
-        Some(pop_key(q, self.lres[r], self.last[r]))
+        Some(pop_key(q, r, self.last[r]))
     }
 
-    /// Peek the exact least `(pop key, local resource)`: entries that are
-    /// not a resource's live one are dropped, and a live one whose
-    /// resource's key has risen since is re-pushed at the new key.
+    /// Peek the exact least `(pop key, resource)`: entries that are not a
+    /// resource's live one are dropped, and a live one whose resource's
+    /// key has risen since is re-pushed at the new key.
     fn least_pop(&mut self) -> Option<(u64, usize)> {
         loop {
-            let &Reverse((key, global)) = self.heap.peek()?;
-            let r = self.res_local[global];
+            let &Reverse((key, r)) = self.heap.peek()?;
             if key != self.hkey[r] {
                 self.heap.pop();
                 continue;
@@ -430,7 +397,7 @@ impl Solver {
                     self.heap.pop();
                     self.hkey[r] = now.unwrap_or(u64::MAX);
                     if let Some(now) = now {
-                        self.heap.push(Reverse((now, global)));
+                        self.heap.push(Reverse((now, r)));
                     }
                 }
             }
@@ -442,167 +409,26 @@ impl Solver {
     /// rounding can) gets a fresh heap entry.
     fn freeze(&mut self, i: usize, rate: f64, event: Event) {
         self.is_active[i] = false;
-        self.lrates[i] = rate;
-        self.lkeys[i] = event;
+        self.rates[i] = rate;
         #[cfg(test)]
-        self.order.push(i);
+        {
+            self.keys[i] = event;
+            self.order.push(i);
+        }
         for k in self.roff[i]..self.roff[i + 1] {
             let r = self.ridx[k];
-            self.lresid[r] -= rate;
+            self.resid[r] -= rate;
             self.weight_on[r] -= self.weights[i];
             self.rcount[r] -= 1;
             self.last[r] = event;
             if let Some(key) = self.pop_at(r) {
                 if key < self.hkey[r] {
                     self.hkey[r] = key;
-                    self.heap.push(Reverse((key, self.lres[r])));
+                    self.heap.push(Reverse((key, r)));
                 }
             }
         }
     }
-
-    /// The event that froze each of the current component's flows, in push
-    /// order ([`UNBOUNDED`] for a flow nothing froze). Sorting the flows by
-    /// `(key, push index)` gives the order they froze in.
-    #[cfg(test)]
-    fn component_keys(&self) -> &[Event] {
-        &self.lkeys
-    }
-
-    /// Rates of the current component's flows, in push order.
-    pub fn component_rates(&self) -> &[f64] {
-        &self.lrates
-    }
-
-    /// `(global resource id, residual capacity)` of every resource the
-    /// current component touches.
-    pub fn component_residuals(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.lres.iter().copied().zip(self.lresid.iter().copied())
-    }
-
-    /// Full solve over borrowed flows; see [`solve`].
-    pub fn solve_refs(&mut self, capacities: &[f64], flows: &[FlowRef<'_>]) -> Allocation {
-        let mut rates = vec![0.0_f64; flows.len()];
-        let mut residual: Vec<f64> = capacities.to_vec();
-        for f in flows {
-            debug_assert!(f.weight > 0.0, "flow weight must be positive");
-        }
-        // Pathless flows never interact with anything: an uncapped one is
-        // unbounded, a capped one sits exactly at its cap.
-        for (i, f) in flows.iter().enumerate() {
-            if f.resources.is_empty() {
-                rates[i] = f.cap.unwrap_or(f64::INFINITY);
-            }
-        }
-        if !flows.is_empty() {
-            let (off, memb) = resource_members(capacities.len(), flows);
-            let mut seen = vec![false; flows.len()];
-            let mut res_seen = vec![false; capacities.len()];
-            let mut stack = Vec::new();
-            let mut comp = Vec::new();
-            for i0 in 0..flows.len() {
-                if seen[i0] || flows[i0].resources.is_empty() {
-                    continue;
-                }
-                collect_component(
-                    i0, flows, &off, &memb, &mut seen, &mut res_seen, &mut stack, &mut comp,
-                );
-                self.fill_sorted_component(capacities, flows, &comp);
-                for (k, &i) in comp.iter().enumerate() {
-                    rates[i] = self.lrates[k];
-                }
-                for (r, resid) in self.component_residuals() {
-                    residual[r] = resid;
-                }
-            }
-        }
-        // Clamp numerical dust (matches the per-component clamp; also
-        // normalises untouched negative capacities, as the historical
-        // solver did).
-        for r in residual.iter_mut() {
-            if *r < 0.0 {
-                *r = 0.0;
-            }
-        }
-        Allocation { rates, residual }
-    }
-
-    /// Fill one already-collected component (flow indices sorted ascending).
-    fn fill_sorted_component(
-        &mut self,
-        capacities: &[f64],
-        flows: &[FlowRef<'_>],
-        comp: &[usize],
-    ) {
-        self.begin_component(capacities.len());
-        for &i in comp {
-            let f = flows[i];
-            self.push_flow(f.weight, f.cap, f.resources.iter().copied(), capacities);
-        }
-        self.run_fill();
-    }
-}
-
-/// Build a CSR resource→flows membership index: `off` has length
-/// `n_resources + 1`, and `memb[off[r]..off[r+1]]` lists the (ascending)
-/// indices of the flows crossing resource `r`.
-fn resource_members(n_resources: usize, flows: &[FlowRef<'_>]) -> (Vec<usize>, Vec<usize>) {
-    let mut off = vec![0usize; n_resources + 1];
-    for f in flows {
-        for &r in f.resources {
-            off[r + 1] += 1;
-        }
-    }
-    for r in 0..n_resources {
-        off[r + 1] += off[r];
-    }
-    let mut memb = vec![0usize; off[n_resources]];
-    let mut cur = off.clone();
-    for (i, f) in flows.iter().enumerate() {
-        for &r in f.resources {
-            memb[cur[r]] = i;
-            cur[r] += 1;
-        }
-    }
-    (off, memb)
-}
-
-/// Collect into `comp` the connected component containing flow `start`
-/// (flows transitively linked through shared resources), marking `seen` /
-/// `res_seen` along the way. The component is sorted ascending so callers
-/// can feed it to [`Solver::push_flow`] in the canonical order.
-#[allow(clippy::too_many_arguments)]
-fn collect_component(
-    start: usize,
-    flows: &[FlowRef<'_>],
-    off: &[usize],
-    memb: &[usize],
-    seen: &mut [bool],
-    res_seen: &mut [bool],
-    stack: &mut Vec<usize>,
-    comp: &mut Vec<usize>,
-) {
-    comp.clear();
-    stack.clear();
-    seen[start] = true;
-    stack.push(start);
-    comp.push(start);
-    while let Some(i) = stack.pop() {
-        for &r in flows[i].resources {
-            if res_seen[r] {
-                continue;
-            }
-            res_seen[r] = true;
-            for &j in &memb[off[r]..off[r + 1]] {
-                if !seen[j] {
-                    seen[j] = true;
-                    stack.push(j);
-                    comp.push(j);
-                }
-            }
-        }
-    }
-    comp.sort_unstable();
 }
 
 /// Check the max-min invariants of an allocation; returns a human-readable
@@ -1014,25 +840,20 @@ mod tests {
             })
         }
 
-        /// Fill `flows` as one component and check that the freezes came in
-        /// the order of the keys the fill reports, and that the rates are a
-        /// per-component [`solve`]'s, bit for bit.
-        fn freezes_in_key_order(caps: &[f64], flows: &[FlowSpec]) -> Result<Solver, String> {
+        /// Solve `flows` and check that the freezes came in the order of the
+        /// keys the fill reports.
+        fn freezes_in_key_order(
+            caps: &[f64],
+            flows: &[FlowSpec],
+        ) -> Result<(Solver, Allocation), String> {
+            let refs: Vec<FlowRef<'_>> = flows.iter().map(FlowSpec::as_ref).collect();
             let mut solver = Solver::new();
-            solver.begin_component(caps.len());
-            for f in flows {
-                solver.push_flow(f.weight, f.cap, f.resources.iter().copied(), caps);
-            }
-            solver.run_fill();
-            let keys = solver.component_keys();
+            let alloc = solver.solve_refs(caps, &refs);
+            let keys = &solver.keys;
             let mut by_key: Vec<usize> = (0..flows.len()).filter(|&i| keys[i] != UNBOUNDED).collect();
             by_key.sort_by_key(|&i| (keys[i], i));
             prop_assert_eq!(&solver.order, &by_key, "keys {:?}", keys);
-            let full = solve(caps, flows);
-            for (i, (a, b)) in solver.component_rates().iter().zip(&full.rates).enumerate() {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "flow {} ({:?})", i, keys[i]);
-            }
-            Ok(solver)
+            Ok((solver, alloc))
         }
 
         /// Eleven flows share 100 Mb/s (share `s` = 1e8/11); one of them is
@@ -1052,11 +873,10 @@ mod tests {
             flows.extend((0..9).map(|_| FlowSpec::greedy(vec![1])));
             let lowered = (1.0e8 - narrow) / 10.0;
             assert_eq!(lowered.to_bits(), s.to_bits() - 1, "the freeze must round the share down");
-            let solver = freezes_in_key_order(&caps, &flows).unwrap();
-            let keys = solver.component_keys();
-            assert_eq!(keys[0], (share_key(narrow), 1));
-            assert_eq!(keys[1], (share_key(lowered), 2), "the capped flow froze at its cap");
-            assert_eq!(solver.component_rates()[1].to_bits(), lowered.to_bits());
+            let (solver, alloc) = freezes_in_key_order(&caps, &flows).unwrap();
+            assert_eq!(solver.keys[0], (share_key(narrow), 1));
+            assert_eq!(solver.keys[1], (share_key(lowered), 2), "the capped flow froze at its cap");
+            assert_eq!(alloc.rates[1].to_bits(), lowered.to_bits());
         }
 
         /// A shrunk input that once failed a property in this module

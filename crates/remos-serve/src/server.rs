@@ -47,9 +47,6 @@ pub struct ServerConfig {
     /// Deadline allowance granted to requests that do not bring their
     /// own; `None` means such requests run unlimited.
     pub default_allowance: Option<SimDuration>,
-    /// Poll gap used to price a request's measurement cost. Keep in sync
-    /// with the facade's `RemosConfig::poll_gap`.
-    pub poll_gap: SimDuration,
     /// Per-tenant token-bucket quota.
     pub quota: QuotaConfig,
     /// Dequeue lottery weights per tenant.
@@ -67,7 +64,6 @@ impl Default for ServerConfig {
             max_tenant_depth: 16,
             max_queued_cost: 256,
             default_allowance: Some(SimDuration::from_secs(10)),
-            poll_gap: SimDuration::from_millis(250),
             quota: QuotaConfig::default(),
             weights: BTreeMap::new(),
             default_weight: 1,
@@ -269,19 +265,18 @@ impl Server {
             self.fold(DECISION_SHED_QUOTA, id);
             return Err(RemosError::Overloaded { retry_after: wait });
         }
-        let cost = cost_of(&req.spec, self.cfg.poll_gap);
+        let poll_gap = self.remos.poll_gap();
+        let cost = cost_of(&req.spec, poll_gap);
         let limits = QueueLimits {
             max_depth: self.cfg.max_queue_depth,
             max_tenant_depth: self.cfg.max_tenant_depth,
             max_cost: self.cfg.max_queued_cost,
         };
         // Computed before the push so a refusal can still hint at how
-        // long the backlog ahead will take to drain (one poll gap per
-        // queued cost unit).
-        let backlog_drain = self
-            .cfg
-            .poll_gap
-            .mul_u64(self.queue.queued_cost().saturating_add(cost).max(1));
+        // long the backlog ahead will take to drain (one of the facade's
+        // poll gaps per queued cost unit).
+        let backlog_drain =
+            poll_gap.mul_u64(self.queue.queued_cost().saturating_add(cost).max(1));
         let id = self.next_id;
         let deadline = req
             .allowance
@@ -513,10 +508,11 @@ mod tests {
     /// m-1, m-2 — aspen === timberline — m-3, m-4, with SNMP agents on
     /// every node and a transport we can kill for fault injection.
     fn stack() -> (Server, SharedSim, Arc<FaultDirector>, Arc<CircuitBreaker>) {
-        stack_with(ServerConfig::default())
+        stack_with(RemosConfig::default(), ServerConfig::default())
     }
 
     fn stack_with(
+        remos_cfg: RemosConfig,
         cfg: ServerConfig,
     ) -> (Server, SharedSim, Arc<FaultDirector>, Arc<CircuitBreaker>) {
         let mut b = TopologyBuilder::new();
@@ -543,11 +539,8 @@ mod tests {
         let breaker = CircuitBreaker::new(BreakerConfig::default());
         collector.set_retry_observer(Arc::clone(&breaker) as _);
         let collector = BreakerCollector::wrap(collector, Arc::clone(&breaker));
-        let remos = Remos::new(
-            Box::new(collector),
-            Box::new(SimClock(Arc::clone(&sim))),
-            RemosConfig::default(),
-        );
+        let remos =
+            Remos::new(Box::new(collector), Box::new(SimClock(Arc::clone(&sim))), remos_cfg);
         let server = Server::new(remos, cfg);
         (server, sim, director, breaker)
     }
@@ -606,7 +599,7 @@ mod tests {
     fn queue_bounds_shed_past_burst() {
         let mut cfg = ServerConfig { max_queue_depth: 3, ..ServerConfig::default() };
         cfg.quota.rate_milli_per_sec = 0; // isolate the queue bound
-        let (mut server, _sim, _d, _b) = stack_with(cfg);
+        let (mut server, _sim, _d, _b) = stack_with(RemosConfig::default(), cfg);
         for i in 0..3 {
             assert!(server.submit(graph_req(&format!("t{i}"))).is_ok());
         }
@@ -617,6 +610,23 @@ mod tests {
             other => panic!("expected Overloaded, got {other:?}"),
         }
         assert_eq!(server.queue_depth(), 3);
+    }
+
+    #[test]
+    fn queue_sheds_price_the_backlog_at_the_facades_poll_gap() {
+        // One request queued, one more refused: the hint is the two polls
+        // of backlog, priced at the wrapped facade's 1 s gap.
+        let remos_cfg =
+            RemosConfig { poll_gap: SimDuration::from_secs(1), ..RemosConfig::default() };
+        let cfg = ServerConfig { max_queue_depth: 1, ..ServerConfig::default() };
+        let (mut server, _sim, _d, _b) = stack_with(remos_cfg, cfg);
+        server.submit(graph_req("a")).unwrap();
+        match server.submit(graph_req("b")) {
+            Err(RemosError::Overloaded { retry_after }) => {
+                assert_eq!(retry_after, SimDuration::from_secs(2))
+            }
+            other => panic!("expected Overloaded, got {other:?}"),
+        }
     }
 
     #[test]

@@ -13,9 +13,7 @@
 //! a breaker that can re-close without a probe, a non-monotone trip
 //! counter) has nowhere to hide in an exhaustive enumeration.
 //!
-//! A final test hammers the breaker from real threads as a smoke check —
-//! that one is also the target of the nightly TSan job in
-//! `.github/workflows/sanitizers.yml`.
+//! A final test hammers the breaker from real threads as a smoke check.
 
 use remos_net::rng::Rng;
 use remos_core::Query;
@@ -402,7 +400,6 @@ fn breaker_half_open_probe_races_hold_in_every_interleaving() {
 
 // ---------------------------------------------------------------------------
 // Real threads: the breaker is Sync; hammer it and check global bounds.
-// This is the test the nightly TSan job runs under -Zsanitizer=thread.
 // ---------------------------------------------------------------------------
 
 #[test]
