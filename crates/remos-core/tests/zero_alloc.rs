@@ -78,6 +78,42 @@ fn steady_state_churn_events_are_allocation_free() {
     assert_ne!(churn.sim.rates_digest(), 0);
 }
 
+/// The same churn with three 250-byte transfers started before every event,
+/// each finishing inside it: a start pushes an ETA onto the completion
+/// heap, and the completion pops it and retires the flow. Once the heap
+/// and the finished-flow log have reached their terminal capacity, those
+/// cost no allocation either.
+#[test]
+fn steady_state_churn_with_completing_transfers_is_allocation_free() {
+    let mut churn = FabricChurn::new(8, 120, 0xFA_B51C, 80).expect("fabric churn builds");
+    let hosts = churn.sim.topology().compute_nodes();
+    let mut drained = Vec::new();
+    // One event; returns how many transfers completed in it.
+    let mut event = |churn: &mut FabricChurn, i: usize| {
+        for b in 0..3 {
+            let src = (i * 7 + b * 41) % hosts.len();
+            let dst = (src + 1 + (i * 13 + b) % (hosts.len() - 1)) % hosts.len();
+            let bulk = remos_net::flow::FlowParams::bulk(hosts[src], hosts[dst], 250);
+            churn.sim.start_flow(bulk).expect("bulk transfer starts");
+        }
+        churn.step().expect("churn event");
+        drained.clear();
+        churn.sim.drain_finished_into(&mut drained);
+        black_box(&drained);
+        drained.iter().filter(|r| r.completed).count()
+    };
+    for i in 0..3500 {
+        assert_eq!(event(&mut churn, i), 3, "warmup event {i}: a transfer outlived its event");
+    }
+    assert_eq!(churn.sim.routing().rows_built(), hosts.len(), "warmup left a host unrouted");
+    let before = alloc_count();
+    let completed: usize = (3500..3628).map(|i| event(&mut churn, i)).sum();
+    let delta = alloc_count() - before;
+    expect_zero(delta, "churn events with completing transfers");
+    assert_eq!(completed, 3 * 128);
+    assert_eq!(churn.live_flows(), 120);
+}
+
 /// Sharded poll + dirty-shard merge at steady state: once the
 /// federation's merged history is full (so each poll recycles the
 /// snapshot it would evict; a shard recycles its single sample from its

@@ -8,10 +8,11 @@
 //! events, so simulating 900 testbed-seconds of Airshed costs only as many
 //! rate recomputations as there are flow arrivals and departures.
 //!
-//! The flow table, the solve, the clock step and the completion scan are
-//! the fluid core's (`fluid::Core`, shared with the what-if kernel); the
-//! simulator adds routing and link state, octet counters, traffic
-//! processes, completion watches, the audit and the event digest.
+//! The flow table, the solve, the octet counters and the completion heap
+//! are the fluid core's (`fluid::Core`, shared with the what-if kernel);
+//! stepping the clock does no per-flow work. The simulator adds routing
+//! and link state, traffic processes, completion watches, the audit and
+//! the event digest.
 
 use crate::audit::{AuditViolation, MaxMinAudit};
 use crate::digest::EventDigest;
@@ -26,7 +27,7 @@ use crate::topology::{DirLink, NodeId, Topology};
 use crate::units::Bps;
 use crate::whatif::resource_layout;
 use std::cmp::Reverse;
-// The solver, the completion scan and the event log iterate the core's
+// The solver, the completion pop and the event log take the core's
 // live flows in ascending id order, and the remaining maps are BTreeMaps:
 // ordering is a property of the data, not of a hash seed (audited by
 // remos-audit).
@@ -134,11 +135,10 @@ impl ProcessCtx<'_> {
 }
 
 /// The simulator's side of a flow, by the core's slot; the core holds its
-/// rate, remaining bytes, ETA and resources.
+/// rate, progress, ETA and resources.
 struct ActiveFlow {
     params: FlowParams,
     path: Path,
-    bytes_sent: f64,
     started: SimTime,
 }
 
@@ -150,7 +150,6 @@ impl ActiveFlow {
         ActiveFlow {
             params: FlowParams::greedy(NodeId(0), NodeId(0)),
             path: Path { src: NodeId(0), dst: NodeId(0), hops: Vec::new(), nodes: Vec::new() },
-            bytes_sent: 0.0,
             started: SimTime::ZERO,
         }
     }
@@ -168,13 +167,6 @@ pub(crate) fn resources_into(backplane: &[usize], path: &Path, out: &mut Vec<usi
             out.push(b);
         }
     }
-}
-
-/// Per-interface counters; indexed by [`DirLink::index`].
-#[derive(Clone, Debug, Default)]
-pub struct IfaceCounters {
-    /// Exact delivered octets per directed interface.
-    pub octets: Vec<f64>,
 }
 
 /// A link state transition that occurred in the simulation — the source
@@ -211,9 +203,9 @@ pub struct Simulator {
     topo: Arc<Topology>,
     routing: Arc<Routing>,
     now: SimTime,
-    /// The flow table (live flows in id order), the capacities of all
-    /// resources — `dir_link_count()` interfaces, then one per capped
-    /// network node — the solve and the clock step.
+    /// The flow table (live flows in id order), the capacities and octet
+    /// counters of all resources — `dir_link_count()` interfaces, then one
+    /// per capped network node — the completion heap and the solve.
     core: Core,
     /// The simulator's side of each core slot. Live slots are the core's;
     /// retired slots sit on `free` keeping their buffers for the next flow.
@@ -223,9 +215,6 @@ pub struct Simulator {
     next_id: u64,
     /// node index -> backplane resource index (`usize::MAX` if uncapped).
     backplane: Vec<usize>,
-    counters: IfaceCounters,
-    /// Completion-scan scratch: ids due to finish this instant.
-    due: Vec<u64>,
     /// Statistics: full / scoped solver invocations and routing rebuilds.
     full_recomputes: u64,
     scoped_recomputes: u64,
@@ -264,7 +253,6 @@ impl Simulator {
     pub fn new(topo: Topology) -> Result<Simulator> {
         let routing = Routing::new(&topo);
         let (capacities, backplane) = resource_layout(&topo);
-        let counters = IfaceCounters { octets: vec![0.0; topo.dir_link_count()] };
         let link_up = vec![true; topo.link_count()];
         let obs = Obs::new();
         let obs_metrics = EngineMetrics::new(&obs);
@@ -277,8 +265,6 @@ impl Simulator {
             free: Vec::new(),
             next_id: 0,
             backplane,
-            counters,
-            due: Vec::new(),
             full_recomputes: 0,
             scoped_recomputes: 0,
             routing_rebuilds: 0,
@@ -389,8 +375,8 @@ impl Simulator {
     pub fn event_digest(&self) -> u64 {
         let mut d = self.digest;
         d.write_u64(self.now.as_nanos());
-        for &o in &self.counters.octets {
-            d.write_f64(o);
+        for r in 0..self.topo.dir_link_count() {
+            d.write_f64(self.core.octets(r, self.now));
         }
         d.value()
     }
@@ -456,8 +442,7 @@ impl Simulator {
         let id = self.next_id;
         self.next_id += 1;
         let remaining = params.volume.map_or(f64::INFINITY, |v| v as f64);
-        self.core.start(id, slot_idx as u32, params.weight, params.rate_cap, remaining);
-        slot.bytes_sent = 0.0;
+        self.core.start(id, slot_idx as u32, params.weight, params.rate_cap, remaining, self.now);
         slot.started = self.now;
         slot.params = params;
         self.digest.record_start(id, src, dst, self.now.as_nanos());
@@ -469,7 +454,7 @@ impl Simulator {
     /// and resource buffers) is recycled through the free list. Callers
     /// settle completion watches themselves.
     fn retire_flow(&mut self, id: u64, completed: bool) -> Option<FlowRecord> {
-        let slot = self.core.retire(id)?;
+        let slot = self.core.retire(id, self.now)?;
         let f = &self.slots[slot as usize];
         let rec = FlowRecord {
             id,
@@ -478,7 +463,7 @@ impl Simulator {
             tag: f.params.tag,
             started: f.started,
             finished: self.now,
-            bytes: f.bytes_sent,
+            bytes: self.core.sent(slot, self.now),
             completed,
         };
         self.free.push(slot);
@@ -519,7 +504,7 @@ impl Simulator {
     /// Bytes delivered so far by an active flow.
     pub fn flow_bytes_sent(&self, h: FlowHandle) -> Result<f64> {
         let slot = self.core.slot_of(h.0).ok_or(NetError::UnknownFlow(h.0))?;
-        Ok(self.slots[slot as usize].bytes_sent)
+        Ok(self.core.sent(slot, self.now))
     }
 
     /// Whether the handle refers to a still-active flow.
@@ -599,7 +584,7 @@ impl Simulator {
                     }
                     f.path = path;
                     let backplane = &self.backplane;
-                    self.core.repath(s, |resources| resources_into(backplane, &f.path, resources));
+                    self.core.repath(s, self.now, |resources| resources_into(backplane, &f.path, resources));
                 }
                 Err(_) => {
                     // Disconnected: the connection breaks.
@@ -649,9 +634,10 @@ impl Simulator {
         self.apply_link_transitions(&batch)
     }
 
-    /// Exact octets delivered over a directed interface since t=0.
+    /// Exact octets delivered over a directed interface since t=0: the
+    /// integral of its rate, derived at [`Simulator::now`].
     pub fn dirlink_octets(&self, d: DirLink) -> f64 {
-        self.counters.octets[d.index()]
+        self.core.octets(d.index(), self.now)
     }
 
     /// Octets sent *by* `node` onto `link` (the `ifOutOctets` of that
@@ -757,18 +743,9 @@ impl Simulator {
         }
     }
 
-    /// Step the clock by `dt`: the core integrates every flow's progress,
-    /// and each flow's bytes land in its `bytes_sent` and, hop by hop in
-    /// path order, in the octet counters.
+    /// Step the clock by `dt`. Progress and octet counters are derived
+    /// from `now` when read, so no flow is touched.
     fn advance(&mut self, dt: SimDuration) {
-        let (flows, octets) = (&mut self.slots, &mut self.counters.octets);
-        self.core.advance(dt, |s, bytes| {
-            let f = &mut flows[s as usize];
-            f.bytes_sent += bytes;
-            for h in &f.path.hops {
-                octets[h.index()] += bytes;
-            }
-        });
         // DES monotonic-clock audit: `now` may only stand still or move
         // forward. Impossible to violate today (unsigned add), but the
         // tripwire survives refactors that change how time is stepped.
@@ -787,17 +764,13 @@ impl Simulator {
     }
 
     fn complete_due_flows(&mut self) {
-        // The core lists due flows in id order, so records of simultaneous
+        // The core pops due flows in id order, so records of simultaneous
         // completions land in the `finished` log (and the event digest) in
-        // a deterministic order. The scan reuses a persistent scratch list
-        // — steady state allocates nothing here.
-        let mut due = std::mem::take(&mut self.due);
-        self.core.due(self.now, &mut due);
-        for &id in &due {
+        // a deterministic order.
+        while let Some(id) = self.core.pop_due(self.now) {
             self.retire_flow(id, true);
+            self.settle_watches(&[id]);
         }
-        self.settle_watches(&due);
-        self.due = due;
     }
 
     /// Remove finished flow ids from completion watches; empty watches

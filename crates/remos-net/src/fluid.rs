@@ -1,21 +1,32 @@
 //! The fluid model, once: what [`Simulator`](crate::Simulator) and
 //! [`WhatIfEngine`](crate::WhatIfEngine) both run. [`Core`] holds the flow
-//! table (per slot: id, weight, cap, resources, rate, remaining bytes, ETA
-//! and freeze key), the live flows in ascending id order, which of them
-//! cross which resource, and what changed since the last solve. On those
-//! it runs the model's event-loop primitives: the solve
-//! ([`SolverMode::Full`] fills every live flow with [`maxmin::solve`];
-//! [`SolverMode::Incremental`] sweeps what the change reaches), the rate
-//! install that re-derives an ETA only when a rate changes bitwise, the
-//! clock step, the next completion and the due scan.
+//! table (per slot: id, weight, cap, resources, rate, progress and freeze
+//! key), the live flows in ascending id order, which of them cross which
+//! resource, each resource's octet counter, the completion heap and what
+//! changed since the last solve. On those it runs the model's event-loop
+//! primitives: the solve ([`SolverMode::Full`] fills every live flow with
+//! [`maxmin::solve`]; [`SolverMode::Incremental`] sweeps what the change
+//! reaches), the rate install, the next completion and the due pop.
 //!
 //! The callers keep what differs: the simulator its routing, link state,
-//! octet counters (which the clock step feeds, flow by flow, through a
-//! callback) and processes; the what-if kernel its arrivals and horizon.
-//! Every loop over flows goes in ascending flow id, over a flow's
-//! resources in ascending index and over its hops in path order. That
-//! order is the specification: it fixes every summation, so it fixes every
-//! bit the digests pin.
+//! processes and audit; the what-if kernel its arrivals and horizon. Every
+//! loop over flows goes in ascending flow id, over a flow's resources in
+//! ascending index. That order is the specification: it fixes every
+//! summation, so it fixes every bit the digests pin.
+//!
+//! ## Time costs what changed
+//!
+//! There is no clock step: between events rates are constant, so a slot
+//! keeps its progress as `(remaining_at, sent_at, t_at)` and a resource
+//! its counter as `(octets_at, t_at, sum_at)`, `sum_at` being its members'
+//! rates summed in id order; both are derived at `now` when read. A rate
+//! install that changes the rate bitwise, or a start, retire or re-path,
+//! first folds the old rate (and sum) up to `now`; sums are summed again
+//! once the event is over. The flows with a finite ETA sit once each in a
+//! min-heap keyed `(eta, id)`: its top is the next completion, and the
+//! flows due pop off it in id order. An event costs the flows it re-solves
+//! × their hops × `log n`. docs/PERFORMANCE.md argues why that is the
+//! stepwise integral within rounding.
 //!
 //! ## A delta re-solves what it changes
 //!
@@ -79,11 +90,15 @@ enum Dirty {
     All,
 }
 
-/// When `remaining` bytes finish at `rate` bits/s from `now`:
+/// When `remaining` bytes finish at `rate` bits/s from `now`: `now` once
+/// at most a millionth of a byte is left, whatever the rate;
 /// [`SimTime::MAX`] (never) for a persistent or starved flow, and also
 /// when the span is not finite or runs past the end of the clock — a
 /// near-zero rate is a starved flow, not a clock overflow.
 fn completion_eta(now: SimTime, remaining: f64, rate: Bps) -> SimTime {
+    if remaining <= 1e-6 {
+        return now;
+    }
     let secs = remaining * 8.0 / rate;
     if rate > 0.0 && secs.is_finite() {
         now.checked_add(SimDuration::from_secs_f64(secs)).unwrap_or(SimTime::MAX)
@@ -102,24 +117,147 @@ struct Slot {
     /// allocates nothing.
     resources: Vec<usize>,
     rate: Bps,
-    /// Bytes left; `f64::INFINITY` for a persistent flow.
-    remaining: f64,
-    /// Predicted completion at the current rate.
-    eta: SimTime,
+    /// Progress at `t_at`, when the rate last changed (or the flow
+    /// started): bytes left (`f64::INFINITY` for a persistent flow) and
+    /// bytes sent.
+    remaining_at: f64,
+    sent_at: f64,
+    t_at: SimTime,
     /// The event that froze it in the last sweep (meaningless while fresh).
     key: Event,
 }
 
 impl Slot {
-    /// Install a solved rate. The ETA is re-derived **only when the rate
-    /// changed** bitwise: an unchanged rate is an unchanged trajectory, so
-    /// recomputing `now + remaining/rate` would only inject round-off. The
-    /// sweep never visits a flow a change does not reach, so this rule is
-    /// what keeps completion instants identical between the solver modes.
-    fn apply_rate(&mut self, rate: Bps, now: SimTime) {
-        if rate.to_bits() != self.rate.to_bits() {
-            self.rate = rate;
-            self.eta = completion_eta(now, self.remaining, rate);
+    /// `(bytes sent, bytes left)` at `now`: the progress at `t_at` plus
+    /// what the installed rate has carried since.
+    fn progress(&self, now: SimTime) -> (f64, f64) {
+        let dt = now.saturating_since(self.t_at);
+        if dt.is_zero() {
+            return (self.sent_at, self.remaining_at);
+        }
+        let bytes = self.rate * dt.as_secs_f64() / 8.0;
+        let left = if self.remaining_at.is_finite() { (self.remaining_at - bytes).max(0.0) } else { f64::INFINITY };
+        (self.sent_at + bytes, left)
+    }
+
+    /// Make `now` the instant the progress is kept at.
+    fn fold(&mut self, now: SimTime) {
+        (self.sent_at, self.remaining_at) = self.progress(now);
+        self.t_at = now;
+    }
+}
+
+/// A resource's octet counter, kept as of `t_at`: the octets carried by
+/// then, and `sum_at`, the id-order sum of its members' rates since.
+#[derive(Clone, Copy)]
+struct Counter {
+    octets_at: f64,
+    t_at: SimTime,
+    sum_at: Bps,
+    /// Queued for `sum_at` to be summed again.
+    stale: bool,
+}
+
+/// A resource nothing has crossed: `sum_at` is the empty sum, `-0.0`.
+const IDLE: Counter = Counter { octets_at: 0.0, t_at: SimTime::ZERO, sum_at: -0.0, stale: false };
+
+impl Counter {
+    fn octets(&self, now: SimTime) -> f64 {
+        let dt = now.saturating_since(self.t_at);
+        if dt.is_zero() { self.octets_at } else { self.octets_at + self.sum_at * dt.as_secs_f64() / 8.0 }
+    }
+}
+
+/// The octet counters, and the resources whose `sum_at` is stale.
+struct Counters {
+    at: Vec<Counter>,
+    stale: Vec<usize>,
+}
+
+impl Counters {
+    /// Fold each of `resources` to `now` at its current sum, and queue the
+    /// sum to be summed again: a member's rate or the membership changes.
+    fn fold(&mut self, resources: &[usize], now: SimTime) {
+        for &r in resources {
+            let c = &mut self.at[r];
+            (c.octets_at, c.t_at) = (c.octets(now), now);
+            if !c.stale {
+                c.stale = true;
+                self.stale.push(r);
+            }
+        }
+    }
+}
+
+/// Where a slot sits in no heap.
+const ABSENT: u32 = u32::MAX;
+
+/// The flows with a finite ETA: a binary min-heap on `(eta, id, slot)`,
+/// with each slot's index in it, so an ETA moves instead of going stale.
+#[derive(Default)]
+struct Etas {
+    heap: Vec<(SimTime, u64, u32)>,
+    /// Per slot: its index in `heap`, or [`ABSENT`].
+    place: Vec<u32>,
+}
+
+impl Etas {
+    /// The earliest ETA ([`SimTime::MAX`] if none).
+    fn next(&self) -> SimTime {
+        self.heap.first().map_or(SimTime::MAX, |e| e.0)
+    }
+
+    /// Set flow `id`'s ETA (it sits in `slot`); [`SimTime::MAX`] takes it
+    /// out.
+    fn set(&mut self, slot: u32, id: u64, eta: SimTime) {
+        let at = self.place[slot as usize];
+        if eta == SimTime::MAX {
+            if at != ABSENT {
+                self.remove(at as usize);
+            }
+        } else {
+            let i = if at == ABSENT {
+                self.heap.push((eta, id, slot));
+                self.heap.len() - 1
+            } else {
+                at as usize
+            };
+            (self.heap[i].0, self.place[slot as usize]) = (eta, i as u32);
+            self.sift(i);
+        }
+    }
+
+    /// Take out the entry at `i`.
+    fn remove(&mut self, i: usize) {
+        let last = self.heap.len() - 1;
+        self.swap(i, last);
+        self.place[self.heap[last].2 as usize] = ABSENT;
+        self.heap.pop();
+        if i < last {
+            self.sift(i);
+        }
+    }
+
+    fn swap(&mut self, a: usize, b: usize) {
+        self.heap.swap(a, b);
+        self.place[self.heap[a].2 as usize] = a as u32;
+        self.place[self.heap[b].2 as usize] = b as u32;
+    }
+
+    /// Move the entry at `i` up or down to where the heap order holds.
+    fn sift(&mut self, mut i: usize) {
+        while i > 0 && self.heap[i] < self.heap[(i - 1) / 2] {
+            self.swap(i, (i - 1) / 2);
+            i = (i - 1) / 2;
+        }
+        loop {
+            let l = 2 * i + 1;
+            let c = if l + 1 < self.heap.len() && self.heap[l + 1] < self.heap[l] { l + 1 } else { l };
+            if c >= self.heap.len() || self.heap[i] <= self.heap[c] {
+                return;
+            }
+            self.swap(i, c);
+            i = c;
         }
     }
 }
@@ -144,16 +282,21 @@ pub(crate) fn is_slack(bound: f64, capacity: f64) -> bool {
     bound < capacity * (1.0 - EPS)
 }
 
-/// Flow table, membership index, dirty tracker, stored keys, the solve and
-/// the clock step; allocation-free at steady state (every list is reused
-/// across solves). The caller assigns slots; flow ids ascend in start
-/// order.
+/// Flow table, membership index, octet counters, completion heap, dirty
+/// tracker, stored keys and the solve; allocation-free at steady state
+/// (every list is reused across solves). The caller assigns slots and
+/// keeps the clock; flow ids ascend in start order, and the instants it
+/// passes never go back.
 pub(crate) struct Core {
     mode: SolverMode,
     /// Per-resource capacity: dir-links, then capped backplanes.
     capacities: Vec<f64>,
     /// The flow table, by slot.
     slots: Vec<Slot>,
+    /// Per-resource octet counters.
+    counters: Counters,
+    /// The live flows with a finite ETA.
+    etas: Etas,
     /// The live flows' `(id, slot)`, ascending by id: the order of every
     /// loop over flows.
     order: Vec<(u64, u32)>,
@@ -205,6 +348,8 @@ impl Core {
             mode: SolverMode::default(),
             capacities,
             slots: Vec::new(),
+            counters: Counters { at: vec![IDLE; n], stale: Vec::new() },
+            etas: Etas::default(),
             order: Vec::new(),
             // A head start so moderate per-resource load never grows a
             // list: steady-state churn must stay allocation-free.
@@ -283,9 +428,21 @@ impl Core {
     /// Sum of the installed rates of the flows crossing resource `r`: each
     /// flow once, in ascending id order, from the empty-sum identity
     /// `-0.0` — the same terms in the same order as a scan of the flow
-    /// table, hence the same bits.
+    /// table, hence the same bits. It is the counter's `sum_at`, summed
+    /// again after every event that changed a term.
     pub(crate) fn rate_sum(&self, r: usize) -> Bps {
-        self.members[r].iter().map(|&(_, s)| self.slots[s as usize].rate).sum()
+        self.counters.at[r].sum_at
+    }
+
+    /// Octets resource `r` has carried by `now`.
+    pub(crate) fn octets(&self, r: usize, now: SimTime) -> f64 {
+        self.counters.at[r].octets(now)
+    }
+
+    /// Bytes the flow in `slot` has sent by `now` (a retired slot keeps
+    /// what it had sent when it retired).
+    pub(crate) fn sent(&self, slot: u32, now: SimTime) -> f64 {
+        self.slots[slot as usize].progress(now).0
     }
 
     /// The resources of `slot`.
@@ -305,10 +462,12 @@ impl Core {
                 cap: None,
                 resources: Vec::new(),
                 rate: 0.0,
-                remaining: 0.0,
-                eta: SimTime::MAX,
+                remaining_at: 0.0,
+                sent_at: 0.0,
+                t_at: SimTime::ZERO,
                 key: UNBOUNDED,
             });
+            self.etas.place.resize(n, ABSENT);
             self.ub.resize(n, 0.0);
             self.live.resize(n, false);
             self.fresh.resize(n, false);
@@ -354,39 +513,59 @@ impl Core {
         self.touched.clear();
     }
 
-    /// Flow `id` starts in `slot` over the resources written through
-    /// [`Core::resources_mut`], at rate 0 with `remaining` bytes to send.
-    /// Ids ascend in start order.
-    pub(crate) fn start(&mut self, id: u64, slot: u32, weight: f64, cap: Option<f64>, remaining: f64) {
+    /// Flow `id` starts in `slot` at `now` over the resources written
+    /// through [`Core::resources_mut`], at rate 0 with `remaining` bytes to
+    /// send (due at once if there are none). Ids ascend in start order.
+    pub(crate) fn start(&mut self, id: u64, slot: u32, weight: f64, cap: Option<f64>, remaining: f64, now: SimTime) {
         debug_assert!(self.order.last().is_none_or(|&(last, _)| last < id), "flow ids must ascend");
         let f = &mut self.slots[slot as usize];
         (f.id, f.weight, f.cap) = (id, weight, cap);
-        (f.rate, f.remaining, f.eta) = (0.0, remaining, SimTime::MAX);
+        (f.rate, f.remaining_at, f.sent_at, f.t_at) = (0.0, remaining, 0.0, now);
+        self.etas.set(slot, id, completion_eta(now, remaining, 0.0));
         self.order.push((id, slot));
-        self.join(slot);
+        self.join(slot, now);
+        self.sum_stale();
     }
 
-    /// The flow in `slot` moves to the resources `fill` writes; it keeps
-    /// its rate, remaining bytes and ETA until the next solve.
-    pub(crate) fn repath(&mut self, slot: u32, fill: impl FnOnce(&mut Vec<usize>)) {
-        self.leave(slot);
+    /// The flow in `slot` moves at `now` to the resources `fill` writes; it
+    /// keeps its rate, progress and ETA until the next solve.
+    pub(crate) fn repath(&mut self, slot: u32, now: SimTime, fill: impl FnOnce(&mut Vec<usize>)) {
+        self.leave(slot, now);
         fill(&mut self.slots[slot as usize].resources);
-        self.join(slot);
+        self.join(slot, now);
+        self.sum_stale();
     }
 
-    /// Live flow `id` leaves the table (it finished, or was stopped);
-    /// returns its slot, which keeps its resource buffer.
-    pub(crate) fn retire(&mut self, id: u64) -> Option<u32> {
+    /// Live flow `id` leaves the table at `now` (it finished, or was
+    /// stopped); returns its slot, which keeps its resource buffer and
+    /// what it sent.
+    pub(crate) fn retire(&mut self, id: u64, now: SimTime) -> Option<u32> {
         let pos = self.order.binary_search_by_key(&id, |e| e.0).ok()?;
         let (_, slot) = self.order.remove(pos);
-        self.leave(slot);
+        let f = &mut self.slots[slot as usize];
+        f.fold(now);
+        f.rate = 0.0;
+        self.etas.set(slot, id, SimTime::MAX);
+        self.leave(slot, now);
+        self.sum_stale();
         Some(slot)
     }
 
-    /// The flow in `slot` joins its resources' member lists.
-    fn join(&mut self, slot: u32) {
+    /// Sum the stale counters' members' rates again, in id order.
+    fn sum_stale(&mut self) {
+        for &r in &self.counters.stale {
+            let c = &mut self.counters.at[r];
+            c.sum_at = self.members[r].iter().map(|&(_, s)| self.slots[s as usize].rate).sum();
+            c.stale = false;
+        }
+        self.counters.stale.clear();
+    }
+
+    /// The flow in `slot` joins its resources' member lists at `now`.
+    fn join(&mut self, slot: u32, now: SimTime) {
         let s = slot as usize;
         let f = &self.slots[s];
+        self.counters.fold(&f.resources, now);
         self.ub[s] = f.resources.iter().map(|&r| self.capacities[r]).fold(f.cap.unwrap_or(f64::INFINITY), f64::min);
         for &r in &f.resources {
             let v = &mut self.members[r];
@@ -400,10 +579,11 @@ impl Core {
         self.touch(slot);
     }
 
-    /// The flow in `slot` leaves its resources' member lists.
-    fn leave(&mut self, slot: u32) {
+    /// The flow in `slot` leaves its resources' member lists at `now`.
+    fn leave(&mut self, slot: u32, now: SimTime) {
         let s = slot as usize;
         let f = &self.slots[s];
+        self.counters.fold(&f.resources, now);
         for &r in &f.resources {
             let v = &mut self.members[r];
             if let Ok(pos) = v.binary_search_by_key(&f.id, |e| e.0) {
@@ -415,11 +595,16 @@ impl Core {
         self.touch(slot);
     }
 
-    /// Forget every flow (the what-if kernel's per-run reset).
+    /// Forget every flow and every octet (the what-if kernel's per-run
+    /// reset).
     pub(crate) fn clear(&mut self) {
         for m in &mut self.members {
             m.clear();
         }
+        self.counters.at.fill(IDLE);
+        self.counters.stale.clear();
+        self.etas.heap.clear();
+        self.etas.place.fill(ABSENT);
         self.order.clear();
         self.live.fill(false);
         self.settle_all();
@@ -444,45 +629,37 @@ impl Core {
         self.order.iter().map(spec).collect()
     }
 
-    /// Step the clock by `dt` at the installed rates: each live flow with
-    /// a positive rate, in id order, sends `rate · dt` bytes, which leave
-    /// its remaining bytes (a persistent flow's stay infinite) and are
-    /// handed to `sent(slot, bytes)`.
-    pub(crate) fn advance(&mut self, dt: SimDuration, mut sent: impl FnMut(u32, f64)) {
-        if dt.is_zero() {
-            return;
-        }
-        let secs = dt.as_secs_f64();
-        for &(_, s) in &self.order {
-            let f = &mut self.slots[s as usize];
-            if f.rate <= 0.0 {
-                continue;
-            }
-            let bytes = f.rate * secs / 8.0;
-            if f.remaining.is_finite() {
-                f.remaining = (f.remaining - bytes).max(0.0);
-            }
-            sent(s, bytes);
-        }
-    }
-
     /// The earliest ETA of a live flow ([`SimTime::MAX`] if none will
     /// finish).
     pub(crate) fn next_completion(&self) -> SimTime {
-        self.order.iter().map(|&(_, s)| self.slots[s as usize].eta).min().unwrap_or(SimTime::MAX)
+        self.etas.next()
     }
 
-    /// Write to `due` the ids of the live flows that complete at `now` —
-    /// their ETA has come, or under a millionth of a byte is left — in id
-    /// order.
-    pub(crate) fn due(&self, now: SimTime, due: &mut Vec<u64>) {
-        due.clear();
-        for &(id, s) in &self.order {
-            let f = &self.slots[s as usize];
-            if f.eta <= now || f.remaining <= 1e-6 {
-                due.push(id);
-            }
+    /// Take the next live flow whose ETA has come by `now` off the heap
+    /// and return its id; the caller retires it. Flows come in `(eta, id)`
+    /// order: id order for the flows due at one instant.
+    pub(crate) fn pop_due(&mut self, now: SimTime) -> Option<u64> {
+        let &(eta, id, _) = self.etas.heap.first()?;
+        (eta <= now).then(|| {
+            self.etas.remove(0);
+            id
+        })
+    }
+
+    /// Install a solved rate at `now`. Only a rate that changed **bitwise**
+    /// does anything: it folds the old rate into the flow's progress and
+    /// its resources' counters, then re-derives the ETA. The sweep never
+    /// visits a flow a change does not reach, so this rule is what keeps
+    /// progress, counters and completions identical between the modes.
+    fn apply_rate(&mut self, slot: u32, rate: Bps, now: SimTime) {
+        let f = &mut self.slots[slot as usize];
+        if rate.to_bits() == f.rate.to_bits() {
+            return;
         }
+        f.fold(now);
+        f.rate = rate;
+        self.counters.fold(&f.resources, now);
+        self.etas.set(slot, f.id, completion_eta(now, f.remaining_at, rate));
     }
 
     /// Solve what changed since the last solve at `now`, and return how
@@ -490,17 +667,19 @@ impl Core {
     /// the sweep froze in `Incremental` mode. Every other flow keeps its
     /// rate, key and ETA.
     pub(crate) fn recompute(&mut self, now: SimTime) -> usize {
-        match self.mode {
+        let solved = match self.mode {
             SolverMode::Full => {
                 self.settle_all();
                 let alloc = maxmin::solve(&self.capacities, &self.live_specs());
-                for (&(_, s), &rate) in self.order.iter().zip(&alloc.rates) {
-                    self.slots[s as usize].apply_rate(rate, now);
+                for (k, &rate) in alloc.rates.iter().enumerate() {
+                    self.apply_rate(self.order[k].1, rate, now);
                 }
                 self.order.len()
             }
             SolverMode::Incremental => self.sweep(now),
-        }
+        };
+        self.sum_stale();
+        solved
     }
 
     /// Re-solve what changed since the last solve by a sweep over the
@@ -533,11 +712,11 @@ impl Core {
             self.step(pos, now);
         }
         // What nothing froze is unbounded (and constrains nothing).
-        for &s in &self.swept {
-            let (i, f) = (s as usize, &mut self.slots[s as usize]);
-            if !self.done[i] {
-                f.key = UNBOUNDED;
-                f.apply_rate(f64::INFINITY, now);
+        for k in 0..self.swept.len() {
+            let s = self.swept[k];
+            if !self.done[s as usize] {
+                self.slots[s as usize].key = UNBOUNDED;
+                self.apply_rate(s, f64::INFINITY, now);
                 self.resolved += 1;
             }
         }
@@ -714,9 +893,9 @@ impl Core {
         let changed = self.fresh[i] || f.key != event || f.rate.to_bits() != rate.to_bits();
         self.done[i] = true;
         f.key = event;
-        self.resolved += 1;
-        f.apply_rate(rate, now);
         let (pos, weight) = (at(event, f.id, s), f.weight);
+        self.resolved += 1;
+        self.apply_rate(s, rate, now);
         for k in 0..self.slots[i].resources.len() {
             let r = self.slots[i].resources[k];
             if changed {
@@ -787,16 +966,16 @@ mod tests {
                             slots - 1
                         });
                         *core.resources_mut(slot) = spec.resources;
-                        core.start(next_id, slot, spec.weight, spec.cap, f64::INFINITY);
+                        core.start(next_id, slot, spec.weight, spec.cap, f64::INFINITY, SimTime::ZERO);
                         next_id += 1;
                     }
                     Op::Remove(i) if live > 0 => {
                         let id = core.order()[i % live].0;
-                        free.extend(core.retire(id));
+                        free.extend(core.retire(id, SimTime::ZERO));
                     }
                     Op::Reroute(i, path) if live > 0 => {
                         let slot = core.order()[i % live].1;
-                        core.repath(slot, |r| *r = path);
+                        core.repath(slot, SimTime::ZERO, |r| *r = path);
                     }
                     Op::Solve(all) => {
                         if all {

@@ -7,22 +7,23 @@
 //! [`WhatIfEngine::estimate`] replays a fluid max-min schedule against a
 //! frozen topology snapshot — a discrete event loop over arrivals and
 //! completions on its own copy of the simulator's fluid core (`fluid.rs`:
-//! flow table, solve, clock step, completion scan), never touching live
+//! flow table, solve, lazy progress, completion heap), never touching live
 //! engine state.
 //!
 //! The replay is **bit-identical** to running the same flow set through a
 //! [`Simulator`] (the ground truth [`replay_ground_truth`] builds) because
 //! both run the same core code in the same order: flows started in
-//! `(arrival, input index)` order take ascending ids, and every solve,
-//! clock step and completion scan goes in id order. What the kernel *adds*
-//! is only the arrival list, the background subtraction and the horizon;
-//! what it *omits* is everything an estimate does not need — octet
-//! counters, SNMP-visible state, traffic processes, link schedules,
-//! completion watches — which is where its speedup over the ground-truth
-//! replay comes from. The [`fct_digest`](WhatIfReport::fct_digest)
-//! (FNV-1a over per-flow start/finish nanos in input order) is the
-//! machine-independent proof, asserted by the `whatif_equivalence` tests
-//! against the audited simulator.
+//! `(arrival, input index)` order take ascending ids, every solve goes in
+//! id order, and progress is folded only where a rate changes, which both
+//! do at the same instants. What the kernel *adds* is only the arrival
+//! list, the background subtraction and the horizon; what it *omits* is
+//! everything an estimate does not need — SNMP-visible state, traffic
+//! processes, link schedules, completion watches, the audit — which is
+//! where its speedup over the ground-truth replay comes from. The
+//! [`fct_digest`](WhatIfReport::fct_digest) (FNV-1a over per-flow
+//! start/finish nanos in input order) is the machine-independent proof,
+//! asserted by the `whatif_equivalence` tests against the audited
+//! simulator.
 
 use crate::digest::EventDigest;
 use crate::engine::{resources_into, ProcessCtx, Simulator, SolverMode, TrafficProcess};
@@ -147,13 +148,12 @@ pub struct WhatIfEngine {
     /// Raw snapshot capacities (dir-links + capped backplanes).
     base_capacities: Vec<f64>,
     backplane: Vec<usize>,
-    /// Flow table, solve and clock step over the run's effective
+    /// Flow table, solve and completion heap over the run's effective
     /// capacities (base minus background); a flow's slot is its input
     /// index, its id its replay rank.
     core: Core,
     // --- per-run arenas, reused across estimates ---
     path: Path,
-    due: Vec<u64>,
     /// Input indices sorted by `(arrival, input index)` — the replay id
     /// assignment order.
     sorted: Vec<u32>,
@@ -170,7 +170,6 @@ impl WhatIfEngine {
             backplane,
             core: Core::new(capacities),
             path: Path { src: NodeId(0), dst: NodeId(0), hops: Vec::new(), nodes: Vec::new() },
-            due: Vec::new(),
             sorted: Vec::new(),
         }
     }
@@ -272,7 +271,7 @@ impl WhatIfEngine {
             while arrival(next).is_some_and(|t| t <= now) {
                 let input = self.sorted[next];
                 let size = flows[input as usize].size_bytes as f64;
-                self.core.start(next as u64, input, 1.0, None, size);
+                self.core.start(next as u64, input, 1.0, None, size, now);
                 next += 1;
             }
             if self.core.order().is_empty() && next == flows.len() {
@@ -292,11 +291,9 @@ impl WhatIfEngine {
             if t_next == SimTime::MAX {
                 return Err(NetError::Stalled);
             }
-            self.core.advance(t_next.since(now), |_, _| {});
             now = t_next;
-            self.core.due(now, &mut self.due);
-            for &id in &self.due {
-                if let Some(input) = self.core.retire(id) {
+            while let Some(id) = self.core.pop_due(now) {
+                if let Some(input) = self.core.retire(id, now) {
                     finished[input as usize] = (now, true);
                 }
             }
@@ -568,6 +565,28 @@ mod tests {
         let rep = eng.estimate(&[]).unwrap();
         assert!(rep.estimates.is_empty());
         assert_eq!(rep.replay_steps, 0);
+    }
+
+    /// A zero-byte flow is done the instant it arrives, even on a path the
+    /// background starves, which gives it rate 0 and so no ETA from its
+    /// rate: alone (where the replay used to report `Stalled`) and with an
+    /// unrelated flow arriving later (whose arrival it used to wait for).
+    #[test]
+    fn a_zero_byte_flow_on_a_starved_path_finishes_at_its_arrival() {
+        let topo = star();
+        let (h1, h2, h3) = (NodeId(0), NodeId(1), NodeId(2));
+        let link = topo.neighbors(h1)[0].0;
+        let egress = crate::topology::DirLink { link, dir: topo.link(link).direction_from(h1) };
+        let mut background = vec![0.0; topo.dir_link_count()];
+        background[egress.index()] = mbps(100.0);
+        let empty = WhatIfFlow { src: h1, dst: h2, size_bytes: 0, arrival: SimTime::ZERO };
+        let other = WhatIfFlow { src: h3, dst: h2, size_bytes: 1_250_000, arrival: SimTime::from_millis(500) };
+        let mut eng = WhatIfEngine::from_topology(topo);
+        for flows in [vec![empty], vec![empty, other]] {
+            let rep = eng.estimate_with(&flows, Some(&background), None).unwrap();
+            let e = &rep.estimates[0];
+            assert_eq!((e.finished, e.completed), (empty.arrival, true), "with {} flows", flows.len());
+        }
     }
 
     #[test]

@@ -154,6 +154,53 @@ impl CloneRouting for remos_net::routing::Routing {
     }
 }
 
+/// h1 reaches h2 over r1 (100 Mb/s) or, one hop longer, over r2–r3
+/// (50 Mb/s); h3 hangs off r1. Bulk flow a (h1 → h2) shares r1 → h2 with
+/// bulk flow b (h3 → h2) at 50 Mb/s each until h1–r1 goes down at 0.5 s,
+/// which re-paths a onto the detour at 50 Mb/s and leaves b alone at 100
+/// Mb/s until it is stopped at 0.8 s. Each counter must read rate ×
+/// interval over exactly those intervals: the old path stops counting at
+/// the flap instant, the new path starts there, b's links stop at its stop.
+#[test]
+fn counters_follow_a_repath_and_a_stop_to_the_instant() {
+    let mut b = TopologyBuilder::new();
+    let lat = SimDuration::from_micros(10);
+    let [h1, h2, h3] = ["h1", "h2", "h3"].map(|n| b.compute(n));
+    let [r1, r2, r3] = ["r1", "r2", "r3"].map(|n| b.network(n));
+    let primary = b.link(h1, r1, mbps(100.0), lat).unwrap();
+    for (x, y, bw) in [(r1, h2, 100.0), (h3, r1, 100.0), (h1, r2, 50.0), (r2, r3, 50.0), (r3, h2, 50.0)] {
+        b.link(x, y, mbps(bw), lat).unwrap();
+    }
+    let mut sim = Simulator::new(b.build().unwrap()).unwrap();
+    let t = sim.topology_arc();
+    let dir = |x, y| {
+        let link = t.neighbors(x).iter().find(|&&(_, n)| n == y).unwrap().0;
+        DirLink { link, dir: t.link(link).direction_from(x) }
+    };
+    let (old, shared, new, b_only) = (dir(h1, r1), dir(r1, h2), dir(r2, r3), dir(h3, r1));
+    let a = sim.start_flow(FlowParams::bulk(h1, h2, 100_000_000)).unwrap();
+    let bf = sim.start_flow(FlowParams::bulk(h3, h2, 100_000_000)).unwrap();
+    sim.schedule_link_state(SimTime::from_millis(500), primary, false).unwrap();
+    // rate × interval in bytes, for `mbps` Mb/s over `ms` milliseconds.
+    let bytes = |mbps: f64, ms: f64| mbps * 1e6 * ms / 1e3 / 8.0;
+    let near = |got: f64, want: f64, what: &str| assert!((got - want).abs() <= 1.0, "{what}: {got} vs {want}");
+
+    sim.run_until(SimTime::from_millis(500)).unwrap();
+    assert!(!sim.link_is_up(primary), "the flap is applied by 0.5 s");
+    near(sim.dirlink_octets(old), bytes(50.0, 500.0), "old path at the flap");
+    near(sim.dirlink_octets(new), 0.0, "new path at the flap");
+    sim.run_until(SimTime::from_millis(800)).unwrap();
+    let rec = sim.stop_flow(bf).unwrap();
+    near(rec.bytes, bytes(50.0, 500.0) + bytes(100.0, 300.0), "b's record");
+    sim.run_until(SimTime::from_secs(1)).unwrap();
+
+    near(sim.dirlink_octets(old), bytes(50.0, 500.0), "old path after the flap");
+    near(sim.dirlink_octets(new), bytes(50.0, 500.0), "new path");
+    near(sim.dirlink_octets(b_only), rec.bytes, "b's own link after its stop");
+    near(sim.dirlink_octets(shared), bytes(50.0, 500.0) + rec.bytes, "shared link");
+    near(sim.flow_bytes_sent(a).unwrap(), bytes(50.0, 1000.0), "a's bytes");
+}
+
 #[test]
 fn counters_idle_network_stays_zero() {
     let topo = dumbbell(2, 100.0);

@@ -94,7 +94,7 @@ fn engine_reuse_across_batches_is_clean() {
 
 /// `fct_digest` of the quick-scale batch (k=8 fat-tree, 1,000 web-search
 /// flows seeded from `0x0FC7` at 30% load). Machine-independent.
-const QUICK_FCT_DIGEST: u64 = 0x97a0_76b9_de24_548b;
+const QUICK_FCT_DIGEST: u64 = 0x764c_fb8a_0662_089a;
 
 /// At a scale where hundreds of hypothetical flows overlap, the kernel in
 /// both solver modes and the audited ground-truth replay all answer the
