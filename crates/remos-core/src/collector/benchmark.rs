@@ -207,11 +207,7 @@ impl Collector for BenchmarkCollector {
             util[li * 2 + 1] = (self.cfg.assumed_capacity - rev).max(0.0);
         }
         let end = self.sim.lock().now();
-        self.history.push(Snapshot::fresh(
-            end,
-            end.saturating_since(start),
-            util.into_boxed_slice(),
-        ));
+        self.history.push(Snapshot::fresh(end, end.saturating_since(start), util));
         Ok(true)
     }
 

@@ -33,6 +33,12 @@ use std::sync::Arc;
 /// over the interval ending at `t`, each tagged with the [`DataQuality`]
 /// of its measurement (fresh, carried forward from an earlier interval, or
 /// missing entirely).
+///
+/// The two planes are shared, immutable buffers: history entries whose
+/// values did not change hold the same `Arc`, and a producer writes a
+/// plane only through `Arc::get_mut` (or `make_mut`), i.e. only while no
+/// one else holds it. So while a plane is held, an equal pointer means
+/// equal bits.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     /// End of the measurement interval.
@@ -41,16 +47,17 @@ pub struct Snapshot {
     pub interval: SimDuration,
     /// Utilization in bits/s, indexed by [`DirLink::index`] of the
     /// collector's topology.
-    pub util: Box<[Bps]>,
+    pub util: Arc<[Bps]>,
     /// Per-directed-interface measurement quality, parallel to `util`.
-    pub quality: Box<[DataQuality]>,
+    pub quality: Arc<[DataQuality]>,
 }
 
 impl Snapshot {
     /// A snapshot whose every entry was freshly measured (the common case
     /// for fault-free collectors).
-    pub fn fresh(t: SimTime, interval: SimDuration, util: Box<[Bps]>) -> Snapshot {
-        let quality = vec![DataQuality::Fresh; util.len()].into_boxed_slice();
+    pub fn fresh(t: SimTime, interval: SimDuration, util: impl Into<Arc<[Bps]>>) -> Snapshot {
+        let util = util.into();
+        let quality = std::iter::repeat_n(DataQuality::Fresh, util.len()).collect();
         Snapshot { t, interval, util, quality }
     }
 
@@ -70,10 +77,6 @@ impl Snapshot {
 #[derive(Clone, Debug)]
 pub struct SampleHistory {
     samples: VecDeque<Snapshot>,
-    /// Parallel to `samples`: the producer's *values* tag of each entry
-    /// (`0` = untagged). Equal non-zero tags mean bit-equal `util` and
-    /// `quality`, whatever `t` and `interval` say.
-    tags: VecDeque<u64>,
     max_len: usize,
     /// Monotone counter bumped whenever the sample set changes (a snapshot
     /// appended, or the history cleared on rediscovery). Consumers use it
@@ -94,23 +97,15 @@ impl SampleHistory {
     /// History bounded to `max_len` samples.
     pub fn new(max_len: usize) -> Self {
         assert!(max_len > 0);
-        SampleHistory { samples: VecDeque::new(), tags: VecDeque::new(), max_len, generation: 0 }
+        SampleHistory { samples: VecDeque::new(), max_len, generation: 0 }
     }
 
     /// Append a snapshot, evicting the oldest if full.
     pub fn push(&mut self, s: Snapshot) {
-        self.push_tagged(s, 0);
-    }
-
-    /// [`push`](SampleHistory::push), recording `tag` as the entry's values
-    /// tag for a later [`recycle_oldest`](SampleHistory::recycle_oldest).
-    pub fn push_tagged(&mut self, s: Snapshot, tag: u64) {
         if self.samples.len() == self.max_len {
             self.samples.pop_front();
-            self.tags.pop_front();
         }
         self.samples.push_back(s);
-        self.tags.push_back(tag);
         self.generation += 1;
     }
 
@@ -158,25 +153,23 @@ impl SampleHistory {
     /// interface indices change meaning).
     pub fn clear(&mut self) {
         self.samples.clear();
-        self.tags.clear();
         self.generation += 1;
     }
 
     /// Pop the oldest snapshot *for buffer reuse* — only when the history
     /// is full, i.e. exactly the snapshot the next [`push`] would evict
-    /// anyway. Steady-state collectors recycle the returned `util` /
-    /// `quality` boxes in place of fresh allocations (the zero-alloc
-    /// contract), and skip rewriting them when the values tag returned
-    /// with the snapshot is the one they are about to publish. Bumps the
+    /// anyway. Steady-state collectors write into its planes in place of
+    /// fresh allocations (the zero-alloc contract) when `Arc::get_mut`
+    /// grants them, i.e. when no later entry shares them. Bumps the
     /// generation: the sample set changed.
     ///
     /// [`push`]: SampleHistory::push
-    pub fn recycle_oldest(&mut self) -> Option<(Snapshot, u64)> {
+    pub fn recycle_oldest(&mut self) -> Option<Snapshot> {
         if self.samples.len() < self.max_len {
             return None;
         }
         self.generation += 1;
-        self.samples.pop_front().zip(self.tags.pop_front())
+        self.samples.pop_front()
     }
 
     /// Monotone snapshot-generation counter: bumped on every push,
@@ -355,11 +348,7 @@ mod tests {
     use super::*;
 
     fn snap(t_secs: u64, util: &[f64]) -> Snapshot {
-        Snapshot::fresh(
-            SimTime::from_secs(t_secs),
-            SimDuration::from_secs(1),
-            util.to_vec().into_boxed_slice(),
-        )
+        Snapshot::fresh(SimTime::from_secs(t_secs), SimDuration::from_secs(1), util)
     }
 
     #[test]
@@ -386,28 +375,35 @@ mod tests {
     }
 
     #[test]
-    fn tags_travel_with_their_entries_and_die_with_clear() {
+    fn evicted_planes_are_writable_only_while_no_entry_shares_them() {
         let mut h = SampleHistory::new(2);
         assert!(h.recycle_oldest().is_none(), "nothing to recycle until full");
-        h.push_tagged(snap(0, &[1.0]), 7);
-        h.push(snap(1, &[2.0]));
-        let g = h.generation();
+        let first = snap(0, &[1.0]);
+        // The second entry shares the first one's quality plane only.
+        let second = Snapshot { t: SimTime::from_secs(1), util: Arc::from([2.0]), ..first.clone() };
+        h.push(first);
+        h.push(second);
+        // A restamp moves the stamp and keeps both planes.
+        let planes = |s: &Snapshot| (Arc::as_ptr(&s.util), Arc::as_ptr(&s.quality));
+        let (before, g) = (planes(h.latest().unwrap()), h.generation());
         assert!(h.restamp_latest(SimTime::from_secs(5), SimDuration::from_secs(4)));
         assert!(h.generation() > g, "a restamp changes the sample set");
         let latest = h.latest().unwrap();
         assert_eq!((latest.t, latest.interval), (SimTime::from_secs(5), SimDuration::from_secs(4)));
-        assert_eq!(latest.util[0], 2.0);
-        assert_eq!(h.recycle_oldest().map(|(s, tag)| (s.util[0], tag)), Some((1.0, 7)));
-        h.push_tagged(snap(6, &[3.0]), 8);
-        assert_eq!(h.recycle_oldest().map(|(_, tag)| tag), Some(0), "plain push is untagged");
-        // Rediscovery: interface indices change meaning, so no tag may
-        // vouch for a buffer across it.
-        h.push_tagged(snap(7, &[4.0]), 8);
+        assert_eq!(planes(latest), before);
+        // The evicted entry's own util plane is writable; the quality
+        // plane the surviving entry still reads is not.
+        let mut evicted = h.recycle_oldest().unwrap();
+        assert_eq!(Arc::get_mut(&mut evicted.util).map(|u| u[0]), Some(1.0));
+        assert!(Arc::get_mut(&mut evicted.quality).is_none(), "a later entry shares it");
+        // Rediscovery: interface indices change meaning, so no buffer
+        // survives it to be recycled.
+        h.push(snap(6, &[3.0]));
         h.clear();
         assert!(!h.restamp_latest(SimTime::from_secs(9), SimDuration::ZERO));
+        assert!(h.recycle_oldest().is_none(), "clear leaves nothing to recycle");
         h.push(snap(8, &[5.0]));
-        h.push(snap(9, &[6.0]));
-        assert_eq!(h.recycle_oldest().map(|(_, tag)| tag), Some(0));
+        assert!(h.recycle_oldest().is_none());
     }
 
     #[test]

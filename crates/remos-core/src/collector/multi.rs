@@ -16,7 +16,7 @@
 //! *is* that topology and the remap is the identity — graph digests stay
 //! bit-identical to a monolithic collector.
 //!
-//! Three properties keep the coordinator cheap:
+//! Four properties keep the coordinator cheap:
 //!
 //! * **Polling on the caller** — children are polled one after another
 //!   on the calling thread, with no allocation. Every child this
@@ -27,14 +27,19 @@
 //!   shard read, and polls a 4–8-way SNMP federation 20–60% *slower*
 //!   than this loop (measured in docs/PERFORMANCE.md).
 //! * **Dirty-shard merge** — the merged `util`/`quality` vectors are
-//!   persistent. A child whose `generation()` and lag behind the merge
-//!   time both stand where the last merge applied them is skipped: same
-//!   generation means same values (a shard that only restamped its
-//!   sample keeps its generation), same lag means same aged quality.
-//!   Border entries observed by several children are recomputed every
-//!   merge. A merge that wrote nothing publishes the buffer it recycles
-//!   without copying: each history entry carries the merged values
-//!   generation it was copied at, and an equal tag means equal bits.
+//!   persistent. A child's util is re-applied only when its
+//!   `generation()` moved (a shard that only restamped its sample keeps
+//!   it), as one copy per run of entries only it observes. Its quality
+//!   is re-aged only when its latest quality plane is not the one the
+//!   last apply read (the federation holds that `Arc`, so the pointer
+//!   cannot be reused) or its lag behind the merge time moved. Border
+//!   entries observed by several children are recomputed every merge.
+//! * **Publish by identity** — [`Snapshot`]'s planes are shared `Arc`s.
+//!   A plane the merge did not write is the previous entry's, shared; a
+//!   written one goes into the evicted entry's plane when `Arc::get_mut`
+//!   grants it, else into a new allocation. Settled entries share one
+//!   pair of planes, and no plane is written while another entry holds
+//!   it.
 //! * **Epoch vector** — [`Collector::topology_epoch`] is an FNV-1a
 //!   digest over the children's *structural* digests, not a counter. A
 //!   child re-discovering an unchanged region keeps the digest (and the
@@ -95,24 +100,35 @@ struct SharedEntry {
     contributors: Vec<Contributor>,
 }
 
+/// A run of entries only one child observes: its entries
+/// `child..child + len` land at merged `merged..merged + len`.
+struct Run {
+    child: u32,
+    merged: u32,
+    len: u32,
+}
+
 /// Persistent merge state: topology, remap, contributor split, and the
 /// in-place merged sample buffers.
 struct Merged {
     topo: Arc<Topology>,
     /// Host name -> child that first reported it, for O(1) `host_info`.
     host_child: HashMap<String, usize>,
-    /// Per child: `(child_idx, merged_idx)` entries only it observes.
-    exclusive: Vec<Vec<(u32, u32)>>,
+    /// Per child: the entries only it observes, coalesced into runs.
+    exclusive: Vec<Vec<Run>>,
     /// Entries observed by several children.
     shared: Vec<SharedEntry>,
     /// Persistent merged buffers, re-applied in place per dirty child.
     util: Vec<f64>,
     quality: Vec<DataQuality>,
-    /// Child sample generation at the last full (util + quality) apply.
+    /// Child sample generation at the last util apply.
     applied_gen: Vec<Option<u64>>,
     /// Child lag behind the merge time at the last quality apply
     /// (`None` = child had no sample).
     applied_age: Vec<Option<SimDuration>>,
+    /// The child quality plane the last quality apply read, held so its
+    /// pointer cannot be freed and reused (`None` = not vouched for).
+    applied_quality: Vec<Option<Arc<[DataQuality]>>>,
     /// Per-child structural digests the epoch vector is built from.
     child_struct: Vec<u64>,
     /// The child topology `Arc`s behind those digests (pointer-equality
@@ -191,10 +207,6 @@ pub struct MultiCollector {
     cfg: MultiCollectorConfig,
     merged: Option<Merged>,
     history: SampleHistory,
-    /// Values generation of the merged buffers: bumped by every merge
-    /// that wrote to them, never reset, and published as each history
-    /// entry's tag.
-    values_gen: u64,
     epoch: u64,
     obs: Obs,
     metrics: MultiMetrics,
@@ -211,8 +223,7 @@ impl MultiCollector {
         let obs = Obs::new();
         let metrics = MultiMetrics::new(&obs);
         let history = SampleHistory::new(cfg.history_len);
-        let (merged, values_gen, epoch) = (None, 0, 0);
-        MultiCollector { children, cfg, merged, history, values_gen, epoch, obs, metrics }
+        MultiCollector { children, cfg, merged: None, history, epoch: 0, obs, metrics }
     }
 
     /// Rebuild the merged view if any child's structure changed; keep
@@ -323,12 +334,20 @@ impl MultiCollector {
                 Some(list) => list.iter().for_each(|&i| note(i as usize)),
             }
         }
-        let mut exclusive: Vec<Vec<(u32, u32)>> = (0..topos.len()).map(|_| Vec::new()).collect();
+        let mut exclusive: Vec<Vec<Run>> = (0..topos.len()).map(|_| Vec::new()).collect();
         let mut shared = Vec::new();
         for (m, list) in contrib.into_iter().enumerate() {
-            match list.len() {
-                0 => {}
-                1 => exclusive[list[0].child as usize].push((list[0].child_idx, m as u32)),
+            match &list[..] {
+                [] => {}
+                [c] => {
+                    let runs = &mut exclusive[c.child as usize];
+                    match runs.last_mut() {
+                        Some(r) if (r.child + r.len, r.merged + r.len) == (c.child_idx, m as u32) => {
+                            r.len += 1
+                        }
+                        _ => runs.push(Run { child: c.child_idx, merged: m as u32, len: 1 }),
+                    }
+                }
                 _ => shared.push(SharedEntry { merged_idx: m as u32, contributors: list }),
             }
         }
@@ -341,6 +360,7 @@ impl MultiCollector {
             quality: vec![DataQuality::Missing; n],
             applied_gen: vec![None; topos.len()],
             applied_age: vec![None; topos.len()],
+            applied_quality: vec![None; topos.len()],
             child_struct,
             child_topos: topos.to_vec(),
         })
@@ -455,6 +475,18 @@ fn aged_quality(
     q
 }
 
+/// `src` as a published plane: written into `old` when `Arc::get_mut`
+/// grants it (no other entry shares it), else copied into a new one.
+fn refill<T: Copy>(old: Option<Arc<[T]>>, src: &[T]) -> Arc<[T]> {
+    if let Some(mut plane) = old {
+        if let Some(buf) = Arc::get_mut(&mut plane).filter(|b| b.len() == src.len()) {
+            buf.copy_from_slice(src);
+            return plane;
+        }
+    }
+    Arc::from(src)
+}
+
 impl Collector for MultiCollector {
     fn set_obs(&mut self, obs: &remos_obs::Obs) {
         self.obs = obs.clone();
@@ -546,7 +578,7 @@ impl Collector for MultiCollector {
         }
         // Disjoint field borrows: the merge mutates `merged`/`history`
         // while reading the children's sample histories.
-        let MultiCollector { children, cfg, merged, history, values_gen, obs, metrics, .. } = self;
+        let MultiCollector { children, cfg, merged, history, obs, metrics, .. } = self;
         let Some(merged) = merged.as_mut() else {
             return Err(RemosError::Collector("topology not discovered yet".into()));
         };
@@ -561,7 +593,8 @@ impl Collector for MultiCollector {
         let mut interval = SimDuration::ZERO;
         let mut dirty = 0u64;
         // Border entries are recomputed, so rewritten, on every merge.
-        let mut wrote = !merged.shared.is_empty();
+        let border = !merged.shared.is_empty();
+        let (mut wrote_util, mut wrote_quality) = (border, border);
         for (ci, c) in children.iter().enumerate() {
             let latest = c.history().latest();
             let gen = c.generation();
@@ -569,46 +602,56 @@ impl Collector for MultiCollector {
             if let Some(s) = latest {
                 interval = interval.max(s.interval);
             }
-            // A child is dirty when it produced (or dropped) samples;
-            // it needs re-aging when the merge time moved past it.
+            // Util needs re-applying when the child produced (or dropped)
+            // samples. Quality moves only with the child's quality plane
+            // or its lag behind the merge time: the held plane cannot be
+            // freed and reused, so an equal pointer means equal bits. A
+            // plane not as wide as its util plane (topology drift) is
+            // never vouched for.
             let util_dirty = cfg.force_full_merge || merged.applied_gen[ci] != Some(gen);
-            let quality_dirty = util_dirty || merged.applied_age[ci] != age;
-            if util_dirty {
-                dirty += 1;
-            }
-            if !quality_dirty {
-                continue;
-            }
-            wrote = true;
+            let plane = latest.filter(|s| s.quality.len() == s.util.len()).map(|s| &s.quality);
+            let same_plane = match (plane, &merged.applied_quality[ci]) {
+                (Some(p), Some(held)) => Arc::ptr_eq(p, held),
+                _ => latest.is_none(),
+            };
+            let quality_dirty =
+                cfg.force_full_merge || merged.applied_age[ci] != age || !same_plane;
+            dirty += u64::from(util_dirty);
+            let runs = &merged.exclusive[ci];
             match latest {
-                None => {
-                    // No sample: this child's entries read zero/Missing,
-                    // exactly as a from-scratch merge would leave them.
-                    for &(_, m) in &merged.exclusive[ci] {
-                        merged.util[m as usize] = 0.0;
-                        merged.quality[m as usize] = DataQuality::Missing;
+                _ if !util_dirty && !quality_dirty => continue,
+                // Values only: one copy per run. A single contributor's
+                // sample goes through bit-exactly (a max against the 0.0
+                // base would rewrite -0.0 and break bit-identity with a
+                // monolithic collector).
+                Some(snap)
+                    if !quality_dirty
+                        && runs.iter().all(|r| (r.child + r.len) as usize <= snap.util.len()) =>
+                {
+                    for r in runs {
+                        let (c, m, len) = (r.child as usize, r.merged as usize, r.len as usize);
+                        merged.util[m..m + len].copy_from_slice(&snap.util[c..c + len]);
                     }
+                    wrote_util = true;
                 }
-                Some(snap) => {
-                    let age = t.saturating_since(snap.t);
-                    for &(child_idx, m) in &merged.exclusive[ci] {
-                        let (child_idx, m) = (child_idx as usize, m as usize);
-                        if child_idx >= snap.util.len() {
-                            // Topology drift: reads as unmeasured.
-                            merged.util[m] = 0.0;
-                            merged.quality[m] = DataQuality::Missing;
-                            continue;
+                _ => {
+                    for r in runs {
+                        for k in 0..r.len {
+                            let (c, m) = ((r.child + k) as usize, (r.merged + k) as usize);
+                            (merged.util[m], merged.quality[m]) = match latest {
+                                Some(s) if c < s.util.len() => {
+                                    let age = t.saturating_since(s.t);
+                                    (s.util[c], aged_quality(s, c, age, cfg.missing_after))
+                                }
+                                // No sample, or topology drift: reads as
+                                // unmeasured, as a from-scratch merge
+                                // leaves it.
+                                _ => (0.0, DataQuality::Missing),
+                            };
                         }
-                        if util_dirty {
-                            // Single contributor: copy the sample through
-                            // bit-exactly (a max against the 0.0 base
-                            // would rewrite -0.0 and break bit-identity
-                            // with a monolithic collector).
-                            merged.util[m] = snap.util[child_idx];
-                        }
-                        merged.quality[m] =
-                            aged_quality(snap, child_idx, age, cfg.missing_after);
                     }
+                    merged.applied_quality[ci] = plane.cloned();
+                    (wrote_util, wrote_quality) = (true, true);
                 }
             }
             merged.applied_gen[ci] = Some(gen);
@@ -637,27 +680,22 @@ impl Collector for MultiCollector {
             merged.quality[e.merged_idx as usize] = q;
         }
         metrics.dirty_shards.observe(dirty);
-        *values_gen += u64::from(wrote);
-        // Publish: recycle the snapshot the push would evict so the
-        // steady state copies into existing buffers instead of
-        // allocating — and not even that when those buffers were
-        // published from the merged values as they still stand.
+        // Publish by identity: a plane the merge did not write is the
+        // previous entry's, shared (that entry was published from the
+        // merged buffers as they still stand). A written plane goes into
+        // the evicted entry's plane when no later entry shares it, else
+        // into a new allocation.
         let n = merged.util.len();
-        let (mut util, mut quality, tag) = match history.recycle_oldest() {
-            Some((s, tag)) if s.util.len() == n && s.quality.len() == n => (s.util, s.quality, tag),
-            _ => (
-                vec![0.0f64; n].into_boxed_slice(),
-                vec![DataQuality::Missing; n].into_boxed_slice(),
-                0,
-            ),
-        };
-        if tag == *values_gen {
+        let prev = history.latest().filter(|s| s.util.len() == n && s.quality.len() == n);
+        let kept_util = prev.filter(|_| !wrote_util).map(|s| Arc::clone(&s.util));
+        let kept_quality = prev.filter(|_| !wrote_quality).map(|s| Arc::clone(&s.quality));
+        if kept_util.is_some() && kept_quality.is_some() {
             metrics.publish_reused.inc();
-        } else {
-            util.copy_from_slice(&merged.util);
-            quality.copy_from_slice(&merged.quality);
         }
-        history.push_tagged(Snapshot { t, interval, util, quality }, *values_gen);
+        let (old_util, old_quality) = history.recycle_oldest().map(|s| (s.util, s.quality)).unzip();
+        let util = kept_util.unwrap_or_else(|| refill(old_util, &merged.util));
+        let quality = kept_quality.unwrap_or_else(|| refill(old_quality, &merged.quality));
+        history.push(Snapshot { t, interval, util, quality });
         if let (Some(t0), Some(t1)) = (t0, obs.clock_nanos()) {
             metrics.merge_ns.observe(t1.saturating_sub(t0));
         }

@@ -64,16 +64,13 @@ impl Collector for OracleCollector {
         let mut sim = self.sim.lock();
         let t = sim.now();
         let n = sim.topology().dir_link_count();
-        let mut util = Vec::with_capacity(n);
-        for i in 0..n {
-            util.push(sim.dirlink_rate(DirLink::from_index(i)));
-        }
+        let util: Arc<[f64]> = (0..n).map(|i| sim.dirlink_rate(DirLink::from_index(i))).collect();
         let interval = match self.last_rates {
             Some(prev) => t.saturating_since(prev),
             None => remos_net::SimDuration::ZERO,
         };
         self.last_rates = Some(t);
-        self.history.push(Snapshot::fresh(t, interval, util.into_boxed_slice()));
+        self.history.push(Snapshot::fresh(t, interval, util));
         Ok(true)
     }
 

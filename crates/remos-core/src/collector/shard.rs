@@ -18,6 +18,12 @@
 //! an interface's rate is a sum over its members' solved rates, both
 //! change only through a solve, and polls read settled rates.
 //!
+//! A re-read writes the held sample's util plane in place. Its quality
+//! plane (region `Fresh`, the rest `Missing`) is built once per
+//! discovered topology and never rewritten, so the federation, which
+//! re-ages a child's quality only when that plane's pointer or the
+//! child's lag moves, re-ages a live shard never.
+//!
 //! Because every shard reports the *same* full-fabric topology (its
 //! region is declared through [`Collector::coverage`], not by cutting
 //! the graph), the federation's merged view is the fabric's own
@@ -51,7 +57,8 @@ pub struct ShardCollector {
     label: String,
     /// Directed-interface indices this shard measures, sorted ascending.
     region: Vec<u32>,
-    /// The latest sample only (depth 1), recycled in place on every poll.
+    /// The latest sample only (depth 1), its util plane recycled in place
+    /// on every re-read.
     history: SampleHistory,
     last_rates: Option<SimTime>,
     /// [`Simulator::rates_epoch`] the held sample's values were read at.
@@ -123,21 +130,26 @@ impl ShardCollector {
         }
         (self.read_epoch, self.values_gen) = (epoch, self.values_gen + 1);
         // From the second poll on this recycles the previous sample: its
-        // non-region entries are already zero/Missing (regions never
-        // change), so only the measured entries need rewriting.
-        let (mut util, mut quality) = match self.history.recycle_oldest() {
-            Some((s, _)) if s.util.len() == n && s.quality.len() == n => (s.util, s.quality),
-            _ => (
-                vec![0.0f64; n].into_boxed_slice(),
-                vec![DataQuality::Missing; n].into_boxed_slice(),
-            ),
+        // non-region entries are already zero (regions never change), so
+        // only the measured entries need rewriting, and its quality plane
+        // is kept as it is.
+        let (mut util, quality) = match self.history.recycle_oldest() {
+            Some(s) if s.util.len() == n && s.quality.len() == n => (s.util, s.quality),
+            _ => {
+                let q = |i: usize| match self.region.binary_search(&(i as u32)) {
+                    Ok(_) => DataQuality::Fresh,
+                    Err(_) => DataQuality::Missing,
+                };
+                (std::iter::repeat_n(0.0, n).collect(), (0..n).map(q).collect())
+            }
         };
         // Each entry is the engine's membership sum for that interface,
-        // the same bits a monolithic `dirlink_rate` read returns.
+        // the same bits a monolithic `dirlink_rate` read returns. The
+        // federation copies a shard's util and never holds it, so this
+        // writes in place.
+        let buf = Arc::make_mut(&mut util);
         for &i in &self.region {
-            let i = i as usize;
-            util[i] = sim.dirlink_rate_settled(DirLink::from_index(i));
-            quality[i] = DataQuality::Fresh;
+            buf[i as usize] = sim.dirlink_rate_settled(DirLink::from_index(i as usize));
         }
         self.history.push(Snapshot { t, interval, util, quality });
         Ok(true)

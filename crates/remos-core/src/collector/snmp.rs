@@ -851,12 +851,7 @@ impl<T: Transport + Sync> Collector for SnmpCollector<T> {
         if interval == SimDuration::ZERO {
             interval = t.saturating_since(self.last_t.unwrap_or(t));
         }
-        self.history.push(Snapshot {
-            t,
-            interval,
-            util: util.into_boxed_slice(),
-            quality: quality.into_boxed_slice(),
-        });
+        self.history.push(Snapshot { t, interval, util: util.into(), quality: quality.into() });
         self.last_t = Some(t);
         Ok(true)
     }

@@ -119,9 +119,8 @@ impl Collector for StubCollector {
                 _ => remos_core::DataQuality::Fresh,
             });
         }
-        let mut snap =
-            Snapshot::fresh(self.t, SimDuration::from_millis(250), util.into_boxed_slice());
-        snap.quality = quality.into_boxed_slice();
+        let mut snap = Snapshot::fresh(self.t, SimDuration::from_millis(250), util);
+        snap.quality = quality.into();
         self.history.push(snap);
         Ok(true)
     }

@@ -114,19 +114,11 @@ fn steady_state_churn_with_completing_transfers_is_allocation_free() {
     assert_eq!(churn.live_flows(), 120);
 }
 
-/// Sharded poll + dirty-shard merge at steady state: once the
-/// federation's merged history is full (so each poll recycles the
-/// snapshot it would evict; a shard recycles its single sample from its
-/// second poll on) and the merge buffers have reached their terminal
-/// shape, a federation poll — child reads through the shared `SimCell`,
-/// per-child dirty apply into the persistent merged vectors, snapshot
-/// publish — touches the heap zero times.
-///
-/// This is the configuration that is served: plain `shard_fabric` shards
-/// under the default federation config. Only the merged history is
-/// shortened, so the warmup fills it.
-#[test]
-fn steady_state_sharded_merge_is_allocation_free() {
+/// A k=4 fabric carrying three greedy flows, and the configuration that
+/// is served over it: plain `shard_fabric` shards (3 pod groups + spine)
+/// under the default federation config, only with a 4-entry merged
+/// history so a warmup fills it. `fed` reports into `obs`.
+fn sharded_fabric(obs: &remos_obs::Obs) -> (FatTree, SharedSim, MultiCollector) {
     let tree = FatTree::build(4).expect("fat tree builds");
     let sim: SharedSim =
         share(Simulator::new(FatTree::build(4).expect("fat tree builds").into_parts().0)
@@ -149,11 +141,22 @@ fn steady_state_sharded_merge_is_allocation_free() {
         children,
         MultiCollectorConfig { history_len: 4, ..Default::default() },
     );
-    let obs = remos_obs::Obs::new();
-    fed.set_obs(&obs);
+    fed.set_obs(obs);
     fed.refresh_topology().expect("discover");
+    (tree, sim, fed)
+}
+
+/// Sharded poll + dirty-shard merge at steady state: once the
+/// federation's merged history is full and the merge buffers have
+/// reached their terminal shape, a federation poll — child reads through
+/// the shared `SimCell`, per-child dirty apply into the persistent
+/// merged vectors, snapshot publish — touches the heap zero times.
+#[test]
+fn steady_state_sharded_merge_is_allocation_free() {
+    let obs = remos_obs::Obs::new();
+    let (_tree, sim, mut fed) = sharded_fabric(&obs);
     // Shards re-applied, shard polls answered by a restamp, merges
-    // published from a recycled buffer without copying: so far.
+    // that shared both planes with the previous entry: so far.
     let work = || {
         let reapplied = obs.histogram("multi_dirty_shards").snapshot().sum;
         let repeats = obs.counter("shard_repeats_total").get();
@@ -177,7 +180,7 @@ fn steady_state_sharded_merge_is_allocation_free() {
     let delta = alloc_count() - before;
     expect_zero(delta, "sharded poll+merge");
     // Nothing moved, so nothing was redone: every one of the 4 x 64 shard
-    // polls repeated, no shard was re-applied, no buffer was copied.
+    // polls repeated, no shard was re-applied, no plane was written.
     let (reapplied, repeats, reused) = work();
     assert_eq!(
         (reapplied - work_before.0, repeats - work_before.1, reused - work_before.2),
@@ -187,6 +190,54 @@ fn steady_state_sharded_merge_is_allocation_free() {
     let snap = fed.history().latest().expect("measured snapshot");
     let after = snap.util.iter().map(|u| u.to_bits()).fold(0u64, |a, b| a.rotate_left(7) ^ b);
     assert_eq!(after, digest, "steady-state merge drifted");
+}
+
+/// The same federation while the fabric churns: a flow starts or stops
+/// between polls, so every poll re-reads every shard and changes util.
+/// Once warm, a poll still touches the heap zero times. Each shard
+/// writes its util plane in place, the merge copies each shard's region
+/// run by run, and the publish writes into the evicted entry's util plane
+/// (no later entry shares it). The quality plane is never rewritten:
+/// every publish shares the one `Arc`.
+#[test]
+fn churning_sharded_merge_is_allocation_free() {
+    let obs = remos_obs::Obs::new();
+    let (tree, sim, mut fed) = sharded_fabric(&obs);
+    let toggled = remos_net::flow::FlowParams::greedy(tree.host(0, 1), tree.host(3, 0));
+    let mut held = None;
+    let mut churn = || {
+        let mut s = sim.lock();
+        match held.take() {
+            Some(h) => drop(s.stop_flow(h).expect("stop flow")),
+            None => held = Some(s.start_flow(toggled.clone()).expect("start flow")),
+        }
+        s.run_for(SimDuration::from_millis(100)).expect("advance sim");
+    };
+    for _ in 0..16 {
+        churn();
+        assert!(fed.poll().expect("warm poll"));
+    }
+    let (quality, reapplied_before) = {
+        let snap = fed.history().latest().expect("warm snapshot");
+        (Arc::clone(&snap.quality), obs.histogram("multi_dirty_shards").snapshot().sum)
+    };
+    let mut prev_util = fed.history().latest().map(|s| Arc::as_ptr(&s.util));
+    let mut delta = 0;
+    for _ in 0..64 {
+        churn();
+        let before = alloc_count();
+        let published = fed.poll().expect("measured poll");
+        delta += alloc_count() - before;
+        assert!(published);
+        let snap = fed.history().latest().expect("measured snapshot");
+        assert!(Arc::ptr_eq(&snap.quality, &quality), "a quality plane was rewritten");
+        assert_ne!(Some(Arc::as_ptr(&snap.util)), prev_util, "a churn poll shared its util");
+        prev_util = Some(Arc::as_ptr(&snap.util));
+    }
+    expect_zero(delta, "churning sharded poll+merge");
+    // Every poll re-read and re-applied all 4 shards and shared no util.
+    let reapplied = obs.histogram("multi_dirty_shards").snapshot().sum - reapplied_before;
+    assert_eq!((reapplied, obs.counter("multi_publish_reused_total").get()), (256, 0));
 }
 
 /// Warm cached graph queries through a reused [`QueryWorkspace`]: after

@@ -76,7 +76,7 @@ fn federated_collectors_match_single_collector() {
 }
 
 /// A federation with border entries recomputes them on every merge, so it
-/// never publishes from a recycled buffer without copying: over idle
+/// never publishes a plane shared with the previous entry: over idle
 /// polls on a two-sample history (every publish recycles) it is
 /// bit-identical to a from-scratch re-merge and reuses nothing.
 #[test]

@@ -397,11 +397,23 @@ fn flaky_federation(
 const ROUNDS: u64 = 20;
 const QUIET: u64 = 4;
 
+/// Whether the latest merged entry holds the same `[util, quality]`
+/// planes as the entry before it (`[false; 2]` without one).
+fn shares_planes(fed: &MultiCollector) -> [bool; 2] {
+    let all: Vec<&Snapshot> = fed.history().all().collect();
+    match all[..] {
+        [.., prev, last] => {
+            [Arc::ptr_eq(&prev.util, &last.util), Arc::ptr_eq(&prev.quality, &last.quality)]
+        }
+        _ => [false; 2],
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The incremental merge — unchanged shards restamped, unchanged
-    /// merges published without copying — is bit-identical to a
+    /// planes published by sharing them — is bit-identical to a
     /// from-scratch re-merge and to a monolithic oracle under interleaved
     /// idle polls, flow starts and stops, link flaps, shard crashes and
     /// recoveries, and rediscoveries. Three federations over one simulator
@@ -481,6 +493,12 @@ proptest! {
             let (Some(inc), Some(legacy), Some(full)) = (inc, legacy, full) else { continue };
             snapshots_bit_identical(inc, full, &format!("round {round}, inc vs full"));
             snapshots_bit_identical(legacy, full, &format!("round {round}, legacy vs full"));
+            // Once the quiet tail has settled, `inc` publishes the previous
+            // entry's planes as they are; `full` rewrites both every merge.
+            if round > ROUNDS - QUIET {
+                prop_assert_eq!(shares_planes(&feds[0]), [true; 2], "round {}: inc", round);
+            }
+            prop_assert_eq!(shares_planes(&feds[2]), [false; 2], "round {}: full", round);
             if all_up {
                 let mut truth = oracle.history().latest().unwrap().clone();
                 if all_up_for < 2 {
@@ -490,9 +508,9 @@ proptest! {
             }
         }
 
-        // The quiet tail was served from repeats: `inc` republished a
-        // recycled buffer untouched; `legacy`, whose shards repeated just
-        // the same, re-applied every child every time and copied.
+        // The quiet tail was served from repeats: `inc` republished the
+        // previous entry's planes; `legacy`, whose shards repeated just
+        // the same, re-applied every child's util every time and copied.
         let count = |o: &Obs, name: &str| o.counter(name).get();
         let repeats = obs.each_ref().map(|o| count(o, "shard_repeats_total"));
         prop_assert!(repeats[0] > 0 && repeats[0] == repeats[1], "repeats: {:?}", repeats);
@@ -514,6 +532,61 @@ proptest! {
         prop_assert_eq!(&answers[0], &answers[2]);
         prop_assert_eq!(&answers[1], &answers[2]);
     }
+}
+
+/// Publishing by identity is invisible to history queries. Idle polls
+/// share their predecessor's planes and churn polls write new ones, so
+/// evictions find their planes shared or not; throughout, a `Window`
+/// graph over every host and a `Window` flow query answer bit-identically
+/// on `inc` and on `full`, which shares nothing.
+#[test]
+fn window_answers_agree_when_entries_share_planes() {
+    let tree = FatTree::build(4).unwrap();
+    let sim = share(Simulator::new(FatTree::build(4).unwrap().into_parts().0).unwrap());
+    let mut handles = seed_flows(&tree, &sim, 0x51DE, 6);
+    let (mut inc, _, _) = flaky_federation(&tree, &sim, false, true);
+    let (mut full, _, _) = flaky_federation(&tree, &sim, true, true);
+    inc.refresh_topology().unwrap();
+    full.refresh_topology().unwrap();
+    let names: Vec<String> = tree
+        .topology()
+        .compute_nodes()
+        .iter()
+        .map(|&h| tree.topology().node(h).name.clone())
+        .collect();
+    let req = FlowInfoRequest::new()
+        .fixed(&names[0], &names[9], mbps(8.0))
+        .fixed(&names[5], &names[14], mbps(30.0));
+    let tf = Timeframe::Window(SimDuration::from_secs(10));
+    let modeler = Modeler::default();
+    let answer = |fed: &MultiCollector| {
+        let g = modeler.get_graph(fed, &names, tf).unwrap();
+        let r = modeler.flow_info(fed, &req, tf).unwrap();
+        // `{:?}` prints each f64 in its shortest round-trip form, -0.0 included.
+        let grants: Vec<_> =
+            r.fixed.iter().map(|f| (format!("{:?}", f.bandwidth), f.estimate_quality)).collect();
+        (g.digest(), grants)
+    };
+    let mut next = lcg(0x1D1E);
+    let mut shared = 0;
+    for round in 0..32u64 {
+        match next(4) {
+            0 if !handles.is_empty() => {
+                let h = handles.swap_remove(next(handles.len() as u64) as usize);
+                sim.lock().stop_flow(h).unwrap();
+            }
+            0 | 1 => handles.extend(seed_flows(&tree, &sim, round, 1)),
+            _ => {} // idle
+        }
+        sim.lock().run_for(SimDuration::from_millis(500)).unwrap();
+        assert!(inc.poll().unwrap() && full.poll().unwrap());
+        assert_eq!(answer(&inc), answer(&full), "round {round}: window answers");
+        for (a, b) in inc.history().all().zip(full.history().all()) {
+            snapshots_bit_identical(a, b, &format!("round {round}"));
+        }
+        shared += u32::from(shares_planes(&inc)[0]);
+    }
+    assert!(shared > 4, "only {shared} publishes shared their util plane");
 }
 
 /// One shard crashes mid-churn: its region ages Stale and then Missing
