@@ -434,12 +434,12 @@ pub fn whatif(p: &Parsed, out: &mut dyn Write) -> CmdResult {
     let report = h
         .adapter
         .remos_mut()
-        .run(q)
+        .run(q.clone())
         .and_then(QueryResult::into_fcts)
         .map_err(|e| e.to_string())?;
 
     if p.flag("--json") {
-        writeln!(out, "{:#}", report.to_json()).map_err(io_err)?;
+        writeln!(out, "{:#}", report.to_json(&q.flows)).map_err(io_err)?;
         return Ok(());
     }
     writeln!(

@@ -105,7 +105,8 @@ COMMAND OPTIONS:
 mod tests {
     use super::*;
     use remos_apps::scenario::Scenario;
-    use remos_obs::json::Value;
+    use remos_core::HypotheticalFlow;
+    use remos_obs::json::{Error, Value};
 
     fn call(args: &[&str]) -> Result<String, String> {
         let argv: Vec<String> = args.iter().map(|s| s.to_string()).collect();
@@ -327,6 +328,34 @@ mod tests {
             report.field("provenance", |p| p.field("timeframe", Value::as_str)).unwrap(),
             "Current"
         );
+    }
+
+    /// A flow file is outside input: every prefix of a valid 3-flow file
+    /// and every single-byte corruption of it reads as flows or as a typed
+    /// error (a syntax error, or a shape error under `flows`), never a
+    /// panic.
+    #[test]
+    fn whatif_flow_files_never_panic() {
+        const FILE: &str = r#"[{"src":"m-1","dst":"m-8","size_bytes":2500000,"arrival":1500000},
+            {"src":"m-4","dst":"m-2","size_bytes":40000},{"src":"m-3","dst":"m-6","size_bytes":0}]"#;
+        let read = HypotheticalFlow::list_from_json;
+        assert_eq!(read(FILE).map(|flows| flows.len()), Ok(3));
+        let typed = |r: Result<Vec<HypotheticalFlow>, Error>| match r {
+            Ok(_) | Err(Error::Syntax { .. }) => {}
+            Err(Error::Shape { path, .. }) => assert!(path.starts_with("flows"), "{path}"),
+        };
+        for end in 0..FILE.len() {
+            assert!(read(&FILE[..end]).is_err(), "a prefix of {end} bytes read as flows");
+        }
+        for at in 0..FILE.len() {
+            for with in [b'"', b'\\', b'{', b'}', b'[', b']', b',', b':', b'0', b'9', b'-', b'e', 0, 0x7f, 0xc3] {
+                let mut bytes = FILE.as_bytes().to_vec();
+                bytes[at] = with;
+                if let Ok(text) = std::str::from_utf8(&bytes) {
+                    typed(read(text));
+                }
+            }
+        }
     }
 
     #[test]

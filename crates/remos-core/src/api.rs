@@ -24,7 +24,9 @@ use crate::collector::{Clock, Collector};
 use crate::error::{CoreResult, RemosError};
 use crate::graph::{HostInfo, RemosGraph};
 use crate::modeler::plan::QueryPlan;
-use crate::modeler::{AnswerScratch, Modeler, ModelerConfig, QueryWorkspace, SelectedSamples};
+use crate::modeler::{
+    AnswerScratch, Modeler, ModelerConfig, Prepared, QueryWorkspace, SelectedSamples,
+};
 use crate::provenance::Provenance;
 use crate::quality::DataQuality;
 use crate::query::{require_nodes, QueryResult, QuerySpec, ReachableQuery};
@@ -131,7 +133,8 @@ struct BatchEntry {
     /// Index into the batch.
     index: usize,
     plan: Arc<QueryPlan>,
-    hosts: Vec<Option<HostInfo>>,
+    /// Its host table or resolved what-if flows.
+    prepared: Prepared,
     /// Index into the batch's per-timeframe sample selections.
     selection: usize,
 }
@@ -321,7 +324,7 @@ impl Remos {
         let plan = self.modeler.prepare(&*self.collector, spec, &mut self.ws)?;
         budget.check(self.measured_now())?;
         let ws = &mut self.ws;
-        self.modeler.answer(&plan, &ws.hosts, &ws.selected, spec, &mut ws.scratch)
+        self.modeler.answer(&plan, &ws.prepared, &ws.selected, spec, &mut ws.scratch)
     }
 
     /// The single exit of every entry point: count the query in its kind
@@ -482,7 +485,7 @@ impl Remos {
         let modeler = &self.modeler;
         let answers = pool::run_indexed(&entries, pool::default_workers(entries.len()), |e| {
             let (spec, selected) = (&specs[e.index], &selections[e.selection].1);
-            modeler.answer(&e.plan, &e.hosts, selected, spec, &mut AnswerScratch::default())
+            modeler.answer(&e.plan, &e.prepared, selected, spec, &mut AnswerScratch::default())
         });
         for (e, answer) in entries.iter().zip(answers) {
             results[e.index] = Some(answer);
@@ -499,9 +502,9 @@ impl Remos {
             .collect()
     }
 
-    /// Stage three for one batch entry: its plan and host table, plus the
-    /// batch's shared sample selection for its timeframe (selected from
-    /// the pinned history on first use).
+    /// Stage three for one batch entry: its plan and prepared inputs, plus
+    /// the batch's shared sample selection for its timeframe (selected
+    /// from the pinned history on first use).
     fn prepare_entry(
         &self,
         index: usize,
@@ -510,8 +513,8 @@ impl Remos {
         selections: &mut Vec<(Timeframe, SelectedSamples)>,
     ) -> CoreResult<BatchEntry> {
         let (modeler, col) = (&self.modeler, &*self.collector);
-        let mut hosts = Vec::new();
-        let (plan, tf) = modeler.plan_and_hosts(col, spec, key, &mut hosts)?;
+        let mut prepared = Prepared::default();
+        let (plan, tf) = modeler.plan_and_prepare(col, spec, key, &mut prepared)?;
         let selection = match selections.iter().position(|(t, _)| *t == tf) {
             Some(i) => i,
             None => {
@@ -521,7 +524,7 @@ impl Remos {
                 selections.len() - 1
             }
         };
-        Ok(BatchEntry { index, plan, hosts, selection })
+        Ok(BatchEntry { index, plan, prepared, selection })
     }
 
     /// The simple host compute/memory interface (§2).

@@ -107,6 +107,16 @@ impl FlowInfoRequest {
             .collect()
     }
 
+    /// The endpoints' node names, sorted and deduplicated: the node set
+    /// the request's plan covers.
+    pub(crate) fn endpoint_names(&self) -> Vec<String> {
+        let mut names: Vec<String> =
+            self.all_endpoints().into_iter().flat_map(|e| [e.src.clone(), e.dst.clone()]).collect();
+        names.sort();
+        names.dedup();
+        names
+    }
+
     /// Reject a malformed request: no flows at all, a non-positive or
     /// non-finite fixed bandwidth or variable weight, or a flow whose
     /// endpoints coincide — checked in that order, naming the first

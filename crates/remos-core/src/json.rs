@@ -1,7 +1,9 @@
 //! The JSON forms of the types that cross a file boundary: answers are
 //! written ([`RemosGraph::to_json`], [`FctReport::to_json`] — `remos-sim
 //! graph --json`, `whatif --json`) and inputs are read
-//! ([`HypotheticalFlow::list_from_json`] — `whatif --flows FILE`).
+//! ([`HypotheticalFlow::list_from_json`] — `whatif --flows FILE`). A
+//! what-if report is written beside the flows it answers: the caller owns
+//! the endpoint names, and each estimate is written with its flow's.
 //!
 //! Field names and enum shapes are fixed: structs are objects keyed by
 //! field name, unit variants are strings (`"Fresh"`), data-carrying
@@ -94,10 +96,12 @@ fn link(l: &RemosLink) -> Value {
     ])
 }
 
-fn flow_fct(f: &FlowFct) -> Value {
+/// One estimate, with the endpoint names of the query flow it answers
+/// (`null` when the caller supplied none).
+fn flow_fct(f: &FlowFct, query: Option<&HypotheticalFlow>) -> Value {
     Value::object([
-        ("src", (&f.src).into()),
-        ("dst", (&f.dst).into()),
+        ("src", query.map(|h| h.src.as_str()).into()),
+        ("dst", query.map(|h| h.dst.as_str()).into()),
         ("size_bytes", f.size_bytes.into()),
         ("started", f.started.as_nanos().into()),
         ("finished", f.finished.as_nanos().into()),
@@ -124,10 +128,13 @@ impl RemosGraph {
 
 impl FctReport {
     /// The report as a JSON document; `fct_digest` is written as an
-    /// exact integer.
-    pub fn to_json(&self) -> Value {
+    /// exact integer. A report does not hold its flows' endpoint names:
+    /// pass the flows of the query it answers, in the query's order, and
+    /// each estimate is written with its flow's `src` and `dst`.
+    pub fn to_json(&self, flows: &[HypotheticalFlow]) -> Value {
+        let answers = self.flows.iter().enumerate().map(|(i, f)| flow_fct(f, flows.get(i)));
         Value::object([
-            ("flows", self.flows.iter().map(flow_fct).collect()),
+            ("flows", answers.collect()),
             ("fct_digest", self.fct_digest.into()),
             ("replay_steps", self.replay_steps.into()),
             ("solves", self.solves.into()),

@@ -46,7 +46,8 @@ use flowsolve::{ResourceModel, SampleSolver, StageFlow};
 use plan::{PlanCache, QueryPlan};
 use predict::{predict, PredictorKind};
 use remos_net::routing::Routing;
-use remos_net::topology::{NodeKind, Topology};
+use remos_net::topology::{NodeId, NodeKind, Topology};
+use remos_net::whatif::{WhatIfEngine, WhatIfFlow};
 use remos_net::{Bps, SimTime};
 use remos_obs::sync::Mutex;
 use remos_obs::{Counter, Obs};
@@ -145,6 +146,19 @@ impl SelectedSamples {
     }
 }
 
+/// What stage three read for one query besides its plan and samples:
+/// what its kind of answer needs from the collector's topology.
+#[derive(Default)]
+pub(crate) struct Prepared {
+    /// A graph query's host table, node-slot order.
+    pub(crate) hosts: Vec<Option<HostInfo>>,
+    /// A what-if query's flows, endpoints resolved, in input order.
+    flows: Vec<WhatIfFlow>,
+    /// A what-if query's endpoints, sorted and deduplicated: its plan's
+    /// node set.
+    endpoints: Vec<NodeId>,
+}
+
 /// Buffers [`Modeler::answer`] works in, reused across queries.
 #[derive(Default)]
 pub(crate) struct AnswerScratch {
@@ -156,6 +170,10 @@ pub(crate) struct AnswerScratch {
     /// out; a caller that puts it back (as [`Modeler::get_graph_in`]
     /// does) keeps every node name and link slot for the next query.
     graph: RemosGraph,
+    /// The what-if kernel of the last what-if answer, reused while it
+    /// serves the plan's topology and routing table (`WhatIfEngine::serves`)
+    /// and rebuilt when it does not.
+    kernel: Option<WhatIfEngine>,
 }
 
 /// Reusable buffers for the query path: what `Modeler::prepare` reads
@@ -171,8 +189,8 @@ pub struct QueryWorkspace {
     nodes: Vec<String>,
     /// Canonical (sorted, deduped) target-name cache key.
     key: Vec<String>,
-    /// Host table, node-slot order.
-    pub(crate) hosts: Vec<Option<HostInfo>>,
+    /// Host table or resolved what-if flows.
+    pub(crate) prepared: Prepared,
     /// Selected utilization samples.
     pub(crate) selected: SelectedSamples,
     /// Stage-four scratch.
@@ -196,9 +214,9 @@ impl QueryWorkspace {
 const UNPLANNED: &str = "reachability is answered from the topology alone";
 
 /// Overwrite `dst` with `src`, reusing each slot's `String` buffer.
-fn copy_names(dst: &mut Vec<String>, src: &[String]) {
+fn copy_names<'a>(dst: &mut Vec<String>, src: impl ExactSizeIterator<Item = &'a String>) {
     dst.truncate(src.len());
-    for (i, n) in src.iter().enumerate() {
+    for (i, n) in src.enumerate() {
         match dst.get_mut(i) {
             Some(slot) => slot.clone_from(n),
             None => dst.push(n.clone()),
@@ -290,9 +308,20 @@ impl Modeler {
         for n in names {
             topo.lookup(n).map_err(|_| RemosError::UnknownNode(n.clone()))?;
         }
-        copy_names(key, names);
+        copy_names(key, names.iter());
         key.sort_unstable();
         key.dedup();
+        self.plan_for_key(col, topo, key)
+    }
+
+    /// The plan for the canonical (sorted, deduplicated) name set `key`,
+    /// every name known to `topo`, the collector's current topology.
+    fn plan_for_key(
+        &self,
+        col: &dyn Collector,
+        topo: Arc<Topology>,
+        key: &[String],
+    ) -> CoreResult<Arc<QueryPlan>> {
         let epoch = col.topology_epoch();
         if let Some(cached) = self.cache.lock().get(epoch, key) {
             // Defense in depth: an epoch match with a different topology
@@ -310,7 +339,7 @@ impl Modeler {
         let targets = Self::resolve_names(&topo, key)?;
         let routing = self.routing_for(epoch, &topo);
         let built = Arc::new(QueryPlan::build(epoch, topo, routing, &targets)?);
-        if self.cache.lock().insert(epoch, key.clone(), Arc::clone(&built)) {
+        if self.cache.lock().insert(epoch, key.to_vec(), Arc::clone(&built)) {
             self.metrics.plan_cache_evictions.inc();
         }
         Ok(built)
@@ -461,18 +490,16 @@ impl Modeler {
     }
 
     /// Stage three of a query: every collector read it needs, into `ws`.
-    /// One plan lookup over the spec's node names (what-if endpoints are
-    /// first required to be hosts: the replay routes host-to-host, and a
-    /// switch would otherwise surface as a confusing
-    /// [`RemosError::Disconnected`] from the planner), the host table
-    /// for graph answers, and the timeframe's sample selection.
+    /// One plan lookup over the spec's node names, the host table for
+    /// graph answers or the resolved flows for what-if answers, and the
+    /// timeframe's sample selection.
     pub(crate) fn prepare(
         &self,
         col: &dyn Collector,
         spec: &QuerySpec,
         ws: &mut QueryWorkspace,
     ) -> CoreResult<Arc<QueryPlan>> {
-        let (plan, tf) = self.plan_and_hosts(col, spec, &mut ws.key, &mut ws.hosts)?;
+        let (plan, tf) = self.plan_and_prepare(col, spec, &mut ws.key, &mut ws.prepared)?;
         self.select_samples(col, plan.topo.dir_link_count(), tf, &mut ws.selected)?;
         Ok(plan)
     }
@@ -480,29 +507,63 @@ impl Modeler {
     /// The per-query part of [`Modeler::prepare`], returning the plan and
     /// the timeframe whose samples the answer needs; a batch calls it per
     /// entry and shares one sample selection per distinct timeframe.
-    pub(crate) fn plan_and_hosts(
+    pub(crate) fn plan_and_prepare(
         &self,
         col: &dyn Collector,
         spec: &QuerySpec,
         key: &mut Vec<String>,
-        hosts: &mut Vec<Option<HostInfo>>,
+        prepared: &mut Prepared,
     ) -> CoreResult<(Arc<QueryPlan>, Timeframe)> {
         let tf = spec.timeframe().ok_or_else(|| RemosError::Internal(UNPLANNED.into()))?;
-        let names = spec.plan_names();
-        if let QuerySpec::WhatIf(_) = spec {
-            let topo = col.topology()?;
-            for n in names.iter() {
-                let id = topo.lookup(n).map_err(|_| RemosError::UnknownNode(n.clone()))?;
-                if topo.node(id).kind != NodeKind::Compute {
-                    return Err(InvalidQueryKind::NotAHost { node: n.clone() }.into());
-                }
+        let plan = match spec {
+            QuerySpec::Graph(q) => {
+                let plan = self.plan_for(col, &q.nodes, key)?;
+                Self::host_table(col, &plan, &mut prepared.hosts);
+                plan
             }
-        }
-        let plan = self.plan_for(col, &names, key)?;
-        if let QuerySpec::Graph(_) = spec {
-            Self::host_table(col, &plan, hosts);
-        }
+            QuerySpec::Flows(q) => self.plan_for(col, &q.request.endpoint_names(), key)?,
+            QuerySpec::WhatIf(q) => self.whatif_plan(col, q, key, prepared)?,
+            QuerySpec::Reachable(_) => return Err(RemosError::Internal(UNPLANNED.into())),
+        };
         Ok((plan, tf))
+    }
+
+    /// Resolve a what-if query's endpoints into `prepared`, once each, and
+    /// return the plan over the hosts they name. Every endpoint must be a
+    /// host — the replay routes host-to-host, and a switch would otherwise
+    /// surface as a confusing [`RemosError::Disconnected`] from the
+    /// planner; the first offending name in input order is reported.
+    fn whatif_plan(
+        &self,
+        col: &dyn Collector,
+        q: &WhatIfQuery,
+        key: &mut Vec<String>,
+        prepared: &mut Prepared,
+    ) -> CoreResult<Arc<QueryPlan>> {
+        let topo = col.topology()?;
+        let host = |name: &String| {
+            let id = topo.lookup(name).map_err(|_| RemosError::UnknownNode(name.clone()))?;
+            if topo.node(id).kind != NodeKind::Compute {
+                return Err(RemosError::from(InvalidQueryKind::NotAHost { node: name.clone() }));
+            }
+            Ok(id)
+        };
+        let Prepared { flows, endpoints, .. } = prepared;
+        flows.clear();
+        endpoints.clear();
+        for f in &q.flows {
+            let (src, dst) = (host(&f.src)?, host(&f.dst)?);
+            flows.push(WhatIfFlow { src, dst, size_bytes: f.size_bytes, arrival: f.arrival });
+            endpoints.extend([src, dst]);
+        }
+        endpoints.sort_unstable();
+        endpoints.dedup();
+        // The plan key is the names in name order, as for every other
+        // query, so a what-if and a graph query over one host set share a
+        // plan.
+        endpoints.sort_unstable_by(|&a, &b| topo.node(a).name.cmp(&topo.node(b).name));
+        copy_names(key, endpoints.iter().map(|&id| &topo.node(id).name));
+        self.plan_for_key(col, topo, key)
     }
 
     /// Stage four of a query: the answer, from what [`Modeler::prepare`]
@@ -513,14 +574,14 @@ impl Modeler {
     pub(crate) fn answer(
         &self,
         plan: &QueryPlan,
-        hosts: &[Option<HostInfo>],
+        prepared: &Prepared,
         selected: &SelectedSamples,
         spec: &QuerySpec,
         scratch: &mut AnswerScratch,
     ) -> CoreResult<QueryResult> {
         match spec {
             QuerySpec::Graph(q) => {
-                self.annotate_graph(plan, hosts, selected, q.timeframe, scratch)?;
+                self.annotate_graph(plan, &prepared.hosts, selected, q.timeframe, scratch)?;
                 check_floor(q.min_quality, scratch.graph.worst_quality())?;
                 let mut g = std::mem::take(&mut scratch.graph);
                 if !q.provenance {
@@ -538,7 +599,9 @@ impl Modeler {
                 }
                 Ok(QueryResult::Flows(resp))
             }
-            QuerySpec::WhatIf(q) => self.whatif_answer(plan, selected, q).map(QueryResult::Fcts),
+            QuerySpec::WhatIf(q) => self
+                .whatif_answer(plan, selected, q, &prepared.flows, &mut scratch.kernel)
+                .map(QueryResult::Fcts),
             QuerySpec::Reachable(_) => Err(RemosError::Internal(UNPLANNED.into())),
         }
     }
@@ -553,7 +616,7 @@ impl Modeler {
     ) -> CoreResult<QueryResult> {
         spec.validate()?;
         let plan = self.prepare(col, spec, ws)?;
-        self.answer(&plan, &ws.hosts, &ws.selected, spec, &mut ws.scratch)
+        self.answer(&plan, &ws.prepared, &ws.selected, spec, &mut ws.scratch)
     }
 
     /// Build the annotated logical topology for `names` — the
@@ -584,7 +647,7 @@ impl Modeler {
         ws: &'ws mut QueryWorkspace,
     ) -> CoreResult<&'ws RemosGraph> {
         let mut nodes = std::mem::take(&mut ws.nodes);
-        copy_names(&mut nodes, names);
+        copy_names(&mut nodes, names.iter());
         let q = GraphQuery { nodes, timeframe: tf, min_quality: None, provenance: true };
         let spec = QuerySpec::Graph(q);
         let answered = self.query(col, &spec, ws);
@@ -613,7 +676,7 @@ impl Modeler {
         tf: Timeframe,
         scratch: &mut AnswerScratch,
     ) -> CoreResult<()> {
-        let AnswerScratch { vals, sort_buf, graph: out } = scratch;
+        let AnswerScratch { vals, sort_buf, graph: out, .. } = scratch;
         let topo: &Topology = &plan.topo;
         let structure = &plan.structure;
         if out.nodes.is_empty() {
@@ -891,36 +954,22 @@ impl Modeler {
         Ok(FlowInfoResponse { fixed, variable, independent })
     }
 
-    /// Answer a what-if query over one sample selection. Endpoint names
-    /// resolve against the plan's frozen topology, flows route through
-    /// the plan's (per-epoch) routing table, the newest selected snapshot
-    /// supplies per-interface background utilization, and
-    /// `remos_net::whatif` replays the fluid max-min schedule on a
-    /// scratch arena.
+    /// Answer a what-if query over one sample selection. `flows` are the
+    /// query's flows as [`Modeler::prepare`] resolved them against the
+    /// plan's frozen topology; they route through the plan's (per-epoch)
+    /// routing table, the newest selected snapshot supplies per-interface
+    /// background utilization, and `remos_net::whatif` replays the fluid
+    /// max-min schedule on `kernel`, the workspace's kernel, rebuilt first
+    /// unless it serves this plan's topology and routing table.
     fn whatif_answer(
         &self,
         plan: &QueryPlan,
         selected: &SelectedSamples,
         q: &WhatIfQuery,
+        flows: &[WhatIfFlow],
+        kernel: &mut Option<WhatIfEngine>,
     ) -> CoreResult<crate::whatif::FctReport> {
         use crate::whatif::{FctReport, FlowFct};
-        use remos_net::whatif::{WhatIfEngine, WhatIfFlow};
-
-        let topo: &Topology = &plan.topo;
-        let lookup =
-            |n: &String| topo.lookup(n).map_err(|_| RemosError::UnknownNode(n.clone()));
-        let net_flows = q
-            .flows
-            .iter()
-            .map(|f| {
-                Ok(WhatIfFlow {
-                    src: lookup(&f.src)?,
-                    dst: lookup(&f.dst)?,
-                    size_bytes: f.size_bytes,
-                    arrival: f.arrival,
-                })
-            })
-            .collect::<CoreResult<Vec<_>>>()?;
 
         // The replay's contention structure depends on every link's
         // background load, not just the queried paths — so the answer is
@@ -933,13 +982,18 @@ impl Modeler {
             .fold(DataQuality::Fresh, DataQuality::worst);
         check_floor(q.min_quality, worst_quality)?;
 
-        let mut engine = WhatIfEngine::new(Arc::clone(&plan.topo), Arc::clone(&plan.routing));
+        if kernel.as_ref().is_some_and(|k| !k.serves(&plan.topo, &plan.routing)) {
+            *kernel = None;
+        }
+        let engine = kernel.get_or_insert_with(|| {
+            WhatIfEngine::new(Arc::clone(&plan.topo), Arc::clone(&plan.routing))
+        });
         let background = selected
             .samples
             .iter()
             .max_by_key(|(t, _)| *t)
             .map(|(_, util)| util.as_slice());
-        let report = engine.estimate_with(&net_flows, background, q.horizon)?;
+        let report = engine.estimate_with(flows, background, q.horizon)?;
 
         let provenance = q.provenance.then(|| Provenance {
             timeframe: q.timeframe,
@@ -948,18 +1002,15 @@ impl Modeler {
             oldest_sample: selected.oldest(),
             worst_quality,
             solver: format!("whatif-replay/epoch{}/{:?}", plan.epoch, engine.mode()),
-            scope: net_flows.len(),
+            scope: flows.len(),
             degraded: false,
             source: None,
         });
 
-        let flows = q
-            .flows
+        let flows = flows
             .iter()
             .zip(report.estimates.iter())
             .map(|(f, e)| FlowFct {
-                src: f.src.clone(),
-                dst: f.dst.clone(),
                 size_bytes: f.size_bytes,
                 started: e.started,
                 finished: e.finished,
@@ -978,5 +1029,59 @@ impl Modeler {
             solves: report.solves,
             provenance,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::collector::oracle::OracleCollector;
+    use crate::whatif::HypotheticalFlow;
+    use remos_net::flow::FlowParams;
+    use remos_net::{mbps, SimDuration, Simulator, TopologyBuilder};
+    use remos_snmp::sim::share;
+
+    /// Hosts h1..h4 around one switch, `rate` Mb/s a link, a 20 Mb/s CBR
+    /// flow h1 -> h2, sampled once.
+    fn star(rate: f64) -> OracleCollector {
+        let mut b = TopologyBuilder::new();
+        let hosts: Vec<_> = (1..=4).map(|i| b.compute(&format!("h{i}"))).collect();
+        let r = b.network("r");
+        for &h in &hosts {
+            b.link(h, r, mbps(rate), SimDuration::from_micros(5)).expect("link");
+        }
+        let sim = share(Simulator::new(b.build().expect("topology")).expect("simulator"));
+        sim.lock().start_flow(FlowParams::cbr(hosts[0], hosts[1], mbps(20.0))).expect("flow");
+        let mut col = OracleCollector::new(sim);
+        col.poll().expect("poll");
+        col
+    }
+
+    /// One workspace answers a what-if query against two collectors whose
+    /// topologies differ, then against the first again: each answer is
+    /// the one a fresh workspace gives, so the kernel a workspace keeps
+    /// never replays over a plan it was not built for.
+    #[test]
+    fn the_cached_kernel_never_outlives_its_plan() {
+        let (slow, fast) = (star(100.0), star(1_000.0));
+        let spec: QuerySpec = Query::estimate_fcts([
+            HypotheticalFlow::new("h1", "h2", 1_250_000),
+            HypotheticalFlow::new("h3", "h2", 2_500_000).at(SimTime::from_millis(20)),
+            HypotheticalFlow::new("h4", "h1", 625_000),
+        ])
+        .into();
+        let modeler = Modeler::default();
+        let digest = |col: &OracleCollector, ws: &mut QueryWorkspace| {
+            let answer = modeler.query(col, &spec, ws).and_then(QueryResult::into_fcts);
+            answer.expect("a what-if answer").fct_digest
+        };
+        let mut ws = QueryWorkspace::new();
+        let mut digests = Vec::new();
+        for col in [&slow, &fast, &slow] {
+            let warm = digest(col, &mut ws);
+            assert_eq!(warm, digest(col, &mut QueryWorkspace::new()), "answer {}", digests.len());
+            digests.push(warm);
+        }
+        assert_ne!(digests[0], digests[1], "the two topologies must give different answers");
     }
 }

@@ -25,7 +25,6 @@ use crate::quality::DataQuality;
 use crate::timeframe::Timeframe;
 use crate::whatif::{FctReport, HypotheticalFlow};
 use remos_net::SimTime;
-use std::borrow::Cow;
 
 /// Entry points for building query specs.
 ///
@@ -258,14 +257,6 @@ pub(crate) fn require_nodes(nodes: &[String]) -> CoreResult<()> {
     Ok(())
 }
 
-/// Sorted, deduplicated endpoint names of a flow set.
-fn endpoint_names<'a>(pairs: impl Iterator<Item = (&'a String, &'a String)>) -> Vec<String> {
-    let mut names: Vec<String> = pairs.flat_map(|(s, d)| [s.clone(), d.clone()]).collect();
-    names.sort();
-    names.dedup();
-    names
-}
-
 impl QuerySpec {
     /// Stage one of every query: reject a malformed spec. Pure — it looks
     /// at the spec alone, so a rejected query costs no measured time and
@@ -299,22 +290,6 @@ impl QuerySpec {
             QuerySpec::Flows(q) => Some(q.timeframe),
             QuerySpec::WhatIf(q) => Some(q.timeframe),
             QuerySpec::Reachable(_) => None,
-        }
-    }
-
-    /// The node names the query's structural plan must cover: a graph
-    /// query's nodes as written, a flow set's endpoints in canonical
-    /// (sorted, deduplicated) order.
-    pub(crate) fn plan_names(&self) -> Cow<'_, [String]> {
-        match self {
-            QuerySpec::Graph(q) => Cow::Borrowed(&q.nodes),
-            QuerySpec::Flows(q) => Cow::Owned(endpoint_names(
-                q.request.all_endpoints().into_iter().map(|e| (&e.src, &e.dst)),
-            )),
-            QuerySpec::WhatIf(q) => {
-                Cow::Owned(endpoint_names(q.flows.iter().map(|f| (&f.src, &f.dst))))
-            }
-            QuerySpec::Reachable(q) => Cow::Borrowed(std::slice::from_ref(&q.anchor)),
         }
     }
 }

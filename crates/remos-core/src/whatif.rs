@@ -46,13 +46,12 @@ impl HypotheticalFlow {
     }
 }
 
-/// The estimated fate of one hypothetical flow, in input order.
+/// The estimated fate of one hypothetical flow. Estimates come in the
+/// order the query listed its flows, so the `k`-th estimate is the `k`-th
+/// flow's; the endpoint names stay with the caller's query rather than
+/// being copied into every answer.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FlowFct {
-    /// Source host name, echoed from the query.
-    pub src: String,
-    /// Destination host name, echoed from the query.
-    pub dst: String,
     /// Transfer size, echoed from the query.
     pub size_bytes: u64,
     /// When the flow entered the replay schedule.
@@ -131,8 +130,6 @@ mod tests {
 
     fn fct(ms: u64, completed: bool) -> FlowFct {
         FlowFct {
-            src: "a".into(),
-            dst: "b".into(),
             size_bytes: 1000,
             started: SimTime::ZERO,
             finished: SimTime::from_millis(ms),

@@ -9,8 +9,8 @@
 //! rate recomputations as there are flow arrivals and departures.
 //!
 //! The flow table, the solve, the octet counters and the completion heap
-//! are the fluid core's (`fluid::Core`, shared with the what-if kernel);
-//! stepping the clock does no per-flow work. The simulator adds routing
+//! are the fluid core's (`fluid::Core<true>`, the metered flavour of the
+//! what-if kernel's core); stepping the clock does no per-flow work. The simulator adds routing
 //! and link state, traffic processes, completion watches, the audit and
 //! the event digest.
 
@@ -206,7 +206,7 @@ pub struct Simulator {
     /// The flow table (live flows in id order), the capacities and octet
     /// counters of all resources — `dir_link_count()` interfaces, then one
     /// per capped network node — the completion heap and the solve.
-    core: Core,
+    core: Core<true>,
     /// The simulator's side of each core slot. Live slots are the core's;
     /// retired slots sit on `free` keeping their buffers for the next flow.
     slots: Vec<ActiveFlow>,

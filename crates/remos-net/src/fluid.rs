@@ -2,11 +2,18 @@
 //! [`WhatIfEngine`](crate::WhatIfEngine) both run. [`Core`] holds the flow
 //! table (per slot: id, weight, cap, resources, rate, progress and freeze
 //! key), the live flows in ascending id order, which of them cross which
-//! resource, each resource's octet counter, the completion heap and what
-//! changed since the last solve. On those it runs the model's event-loop
-//! primitives: the solve ([`SolverMode::Full`] fills every live flow with
-//! [`maxmin::solve`]; [`SolverMode::Incremental`] sweeps what the change
-//! reaches), the rate install, the next completion and the due pop.
+//! resource, the completion heap and what changed since the last solve. On
+//! those it runs the model's event-loop primitives: the solve
+//! ([`SolverMode::Full`] fills every live flow with [`maxmin::solve`];
+//! [`SolverMode::Incremental`] sweeps what the change reaches), the rate
+//! install, the next completion and the due pop.
+//!
+//! Only the simulator's core meters octets. `Core<true>` keeps each
+//! resource's octet counter and member-rate sum, which the SNMP-visible
+//! interface counters and link utilisation read; the what-if kernel's
+//! `Core<false>` has no counter array, and every fold and re-sum that
+//! keeps the counters compiles out of it. No solve reads a counter, so the
+//! two flavours install the same rates at the same instants, bit for bit.
 //!
 //! The callers keep what differs: the simulator its routing, link state,
 //! processes and audit; the what-if kernel its arrivals and horizon. Every
@@ -17,16 +24,17 @@
 //! ## Time costs what changed
 //!
 //! There is no clock step: between events rates are constant, so a slot
-//! keeps its progress as `(remaining_at, sent_at, t_at)` and a resource
-//! its counter as `(octets_at, t_at, sum_at)`, `sum_at` being its members'
-//! rates summed in id order; both are derived at `now` when read. A rate
-//! install that changes the rate bitwise, or a start, retire or re-path,
-//! first folds the old rate (and sum) up to `now`; sums are summed again
-//! once the event is over. The flows with a finite ETA sit once each in a
-//! min-heap keyed `(eta, id)`: its top is the next completion, and the
-//! flows due pop off it in id order. An event costs the flows it re-solves
-//! × their hops × `log n`. docs/PERFORMANCE.md argues why that is the
-//! stepwise integral within rounding.
+//! keeps its progress as `(remaining_at, sent_at, t_at)` and (in the
+//! simulator's core) a resource its counter as `(octets_at, t_at,
+//! sum_at)`, `sum_at` being its members' rates summed in id order; both
+//! are derived at `now` when read. A rate install that changes the rate
+//! bitwise, or a start, retire or re-path, first folds the old rate (and
+//! sum) up to `now`; sums are summed again once the event is over. The
+//! flows with a finite ETA sit once each in a min-heap keyed `(eta, id)`:
+//! its top is the next completion, and the flows due pop off it in id
+//! order. An event costs the flows it re-solves × their hops × `log n`.
+//! docs/PERFORMANCE.md argues why that is the stepwise integral within
+//! rounding.
 //!
 //! ## A delta re-solves what it changes
 //!
@@ -168,7 +176,8 @@ impl Counter {
     }
 }
 
-/// The octet counters, and the resources whose `sum_at` is stale.
+/// The octet counters, and the resources whose `sum_at` is stale; both
+/// empty in a core that does not meter octets.
 struct Counters {
     at: Vec<Counter>,
     stale: Vec<usize>,
@@ -282,18 +291,18 @@ pub(crate) fn is_slack(bound: f64, capacity: f64) -> bool {
     bound < capacity * (1.0 - EPS)
 }
 
-/// Flow table, membership index, octet counters, completion heap, dirty
-/// tracker, stored keys and the solve; allocation-free at steady state
-/// (every list is reused across solves). The caller assigns slots and
-/// keeps the clock; flow ids ascend in start order, and the instants it
-/// passes never go back.
-pub(crate) struct Core {
+/// Flow table, membership index, completion heap, dirty tracker, stored
+/// keys and the solve, plus per-resource octet counters when `OCTETS`;
+/// allocation-free at steady state (every list is reused across solves).
+/// The caller assigns slots and keeps the clock; flow ids ascend in start
+/// order, and the instants it passes never go back.
+pub(crate) struct Core<const OCTETS: bool> {
     mode: SolverMode,
     /// Per-resource capacity: dir-links, then capped backplanes.
     capacities: Vec<f64>,
     /// The flow table, by slot.
     slots: Vec<Slot>,
-    /// Per-resource octet counters.
+    /// Per-resource octet counters (none unless `OCTETS`).
     counters: Counters,
     /// The live flows with a finite ETA.
     etas: Etas,
@@ -341,19 +350,39 @@ pub(crate) struct Core {
     resolved: u64,
 }
 
-impl Core {
-    pub(crate) fn new(capacities: Vec<f64>) -> Core {
+impl Core<true> {
+    /// Sum of the installed rates of the flows crossing resource `r`: each
+    /// flow once, in ascending id order, from the empty-sum identity
+    /// `-0.0` — the same terms in the same order as a scan of the flow
+    /// table, hence the same bits. It is the counter's `sum_at`, summed
+    /// again after every event that changed a term.
+    pub(crate) fn rate_sum(&self, r: usize) -> Bps {
+        self.counters.at[r].sum_at
+    }
+
+    /// Octets resource `r` has carried by `now`.
+    pub(crate) fn octets(&self, r: usize, now: SimTime) -> f64 {
+        self.counters.at[r].octets(now)
+    }
+}
+
+impl<const OCTETS: bool> Core<OCTETS> {
+    /// Initial capacity of each member list. The simulator's lists get a
+    /// head start so moderate per-resource load never grows one: its
+    /// steady-state churn must stay allocation-free from the first event.
+    /// The kernel's start empty and keep what they grew across estimates.
+    const MEMBERS_HEAD_START: usize = if OCTETS { 16 } else { 0 };
+
+    pub(crate) fn new(capacities: Vec<f64>) -> Self {
         let n = capacities.len();
         Core {
             mode: SolverMode::default(),
             capacities,
             slots: Vec::new(),
-            counters: Counters { at: vec![IDLE; n], stale: Vec::new() },
+            counters: Counters { at: if OCTETS { vec![IDLE; n] } else { Vec::new() }, stale: Vec::new() },
             etas: Etas::default(),
             order: Vec::new(),
-            // A head start so moderate per-resource load never grows a
-            // list: steady-state churn must stay allocation-free.
-            members: (0..n).map(|_| Vec::with_capacity(16)).collect(),
+            members: (0..n).map(|_| Vec::with_capacity(Self::MEMBERS_HEAD_START)).collect(),
             ub: Vec::new(),
             live: Vec::new(),
             fresh: Vec::new(),
@@ -423,20 +452,6 @@ impl Core {
     /// The rate last installed in `slot`.
     pub(crate) fn rate(&self, slot: u32) -> Bps {
         self.slots[slot as usize].rate
-    }
-
-    /// Sum of the installed rates of the flows crossing resource `r`: each
-    /// flow once, in ascending id order, from the empty-sum identity
-    /// `-0.0` — the same terms in the same order as a scan of the flow
-    /// table, hence the same bits. It is the counter's `sum_at`, summed
-    /// again after every event that changed a term.
-    pub(crate) fn rate_sum(&self, r: usize) -> Bps {
-        self.counters.at[r].sum_at
-    }
-
-    /// Octets resource `r` has carried by `now`.
-    pub(crate) fn octets(&self, r: usize, now: SimTime) -> f64 {
-        self.counters.at[r].octets(now)
     }
 
     /// Bytes the flow in `slot` has sent by `now` (a retired slot keeps
@@ -553,6 +568,9 @@ impl Core {
 
     /// Sum the stale counters' members' rates again, in id order.
     fn sum_stale(&mut self) {
+        if !OCTETS {
+            return;
+        }
         for &r in &self.counters.stale {
             let c = &mut self.counters.at[r];
             c.sum_at = self.members[r].iter().map(|&(_, s)| self.slots[s as usize].rate).sum();
@@ -565,7 +583,9 @@ impl Core {
     fn join(&mut self, slot: u32, now: SimTime) {
         let s = slot as usize;
         let f = &self.slots[s];
-        self.counters.fold(&f.resources, now);
+        if OCTETS {
+            self.counters.fold(&f.resources, now);
+        }
         self.ub[s] = f.resources.iter().map(|&r| self.capacities[r]).fold(f.cap.unwrap_or(f64::INFINITY), f64::min);
         for &r in &f.resources {
             let v = &mut self.members[r];
@@ -583,7 +603,9 @@ impl Core {
     fn leave(&mut self, slot: u32, now: SimTime) {
         let s = slot as usize;
         let f = &self.slots[s];
-        self.counters.fold(&f.resources, now);
+        if OCTETS {
+            self.counters.fold(&f.resources, now);
+        }
         for &r in &f.resources {
             let v = &mut self.members[r];
             if let Ok(pos) = v.binary_search_by_key(&f.id, |e| e.0) {
@@ -647,10 +669,11 @@ impl Core {
     }
 
     /// Install a solved rate at `now`. Only a rate that changed **bitwise**
-    /// does anything: it folds the old rate into the flow's progress and
-    /// its resources' counters, then re-derives the ETA. The sweep never
-    /// visits a flow a change does not reach, so this rule is what keeps
-    /// progress, counters and completions identical between the modes.
+    /// does anything: it folds the old rate into the flow's progress (and
+    /// its resources' counters, if metered), then re-derives the ETA. The
+    /// sweep never visits a flow a change does not reach, so this rule is
+    /// what keeps progress, counters and completions identical between the
+    /// modes.
     fn apply_rate(&mut self, slot: u32, rate: Bps, now: SimTime) {
         let f = &mut self.slots[slot as usize];
         if rate.to_bits() == f.rate.to_bits() {
@@ -658,7 +681,9 @@ impl Core {
         }
         f.fold(now);
         f.rate = rate;
-        self.counters.fold(&f.resources, now);
+        if OCTETS {
+            self.counters.fold(&f.resources, now);
+        }
         self.etas.set(slot, f.id, completion_eta(now, f.remaining_at, rate));
     }
 
@@ -948,49 +973,58 @@ mod tests {
         })
     }
 
+    /// Run `tape` through a `Core<OCTETS>` over `caps`; after every solve,
+    /// every live flow's rate must be the full solve's, bit for bit.
+    fn replay<const OCTETS: bool>(caps: &[f64], tape: &[Op]) -> Result<(), String> {
+        let mut core = Core::<OCTETS>::new(caps.to_vec());
+        let (mut free, mut slots) = (Vec::new(), 0u32);
+        let mut next_id = 0;
+        for op in tape.iter().chain([Op::Solve(false)].iter()) {
+            let live = core.order().len();
+            match op.clone() {
+                Op::Add(spec) => {
+                    let slot = free.pop().unwrap_or_else(|| {
+                        slots += 1;
+                        slots - 1
+                    });
+                    *core.resources_mut(slot) = spec.resources;
+                    core.start(next_id, slot, spec.weight, spec.cap, f64::INFINITY, SimTime::ZERO);
+                    next_id += 1;
+                }
+                Op::Remove(i) if live > 0 => {
+                    let id = core.order()[i % live].0;
+                    free.extend(core.retire(id, SimTime::ZERO));
+                }
+                Op::Reroute(i, path) if live > 0 => {
+                    let slot = core.order()[i % live].1;
+                    core.repath(slot, SimTime::ZERO, |r| *r = path);
+                }
+                Op::Solve(all) => {
+                    if all {
+                        core.mark_all();
+                    }
+                    core.recompute(SimTime::ZERO);
+                    let full = solve(caps, &core.live_specs());
+                    for (&(id, s), want) in core.order().iter().zip(&full.rates) {
+                        prop_assert_eq!(core.rate(s).to_bits(), want.to_bits(),
+                            "flow {} after {:?} (octets metered: {})", id, op, OCTETS);
+                    }
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
     proptest! {
         /// After every solve of a random tape, every live flow's rate is
         /// the full solve's, bit for bit: the stored keys carry the freezes
-        /// no change reached from one sweep to the next.
+        /// no change reached from one sweep to the next. Both flavours of
+        /// the core, with and without octet counters, are held to it.
         #[test]
         fn the_sweep_matches_a_full_solve_after_every_delta((caps, tape) in arb_tape()) {
-            let mut core = Core::new(caps.clone());
-            let (mut free, mut slots) = (Vec::new(), 0u32);
-            let mut next_id = 0;
-            for op in tape.iter().chain([Op::Solve(false)].iter()) {
-                let live = core.order().len();
-                match op.clone() {
-                    Op::Add(spec) => {
-                        let slot = free.pop().unwrap_or_else(|| {
-                            slots += 1;
-                            slots - 1
-                        });
-                        *core.resources_mut(slot) = spec.resources;
-                        core.start(next_id, slot, spec.weight, spec.cap, f64::INFINITY, SimTime::ZERO);
-                        next_id += 1;
-                    }
-                    Op::Remove(i) if live > 0 => {
-                        let id = core.order()[i % live].0;
-                        free.extend(core.retire(id, SimTime::ZERO));
-                    }
-                    Op::Reroute(i, path) if live > 0 => {
-                        let slot = core.order()[i % live].1;
-                        core.repath(slot, SimTime::ZERO, |r| *r = path);
-                    }
-                    Op::Solve(all) => {
-                        if all {
-                            core.mark_all();
-                        }
-                        core.recompute(SimTime::ZERO);
-                        let full = solve(&caps, &core.live_specs());
-                        for (&(id, s), want) in core.order().iter().zip(&full.rates) {
-                            prop_assert_eq!(core.rate(s).to_bits(), want.to_bits(),
-                                "flow {} after {:?}", id, op);
-                        }
-                    }
-                    _ => {}
-                }
-            }
+            replay::<true>(&caps, &tape)?;
+            replay::<false>(&caps, &tape)?;
         }
     }
 }

@@ -6,9 +6,16 @@
 //! flows?* Given hypothetical flows `(size_bytes, arrival, src, dst)`,
 //! [`WhatIfEngine::estimate`] replays a fluid max-min schedule against a
 //! frozen topology snapshot — a discrete event loop over arrivals and
-//! completions on its own copy of the simulator's fluid core (`fluid.rs`:
-//! flow table, solve, lazy progress, completion heap), never touching live
-//! engine state.
+//! completions on its own instance of the simulator's fluid core
+//! (`fluid.rs`: flow table, solve, lazy progress, completion heap), never
+//! touching live engine state. The kernel's core is the unmetered flavour,
+//! `Core<false>`: an estimate reads no interface counter, so it keeps none.
+//!
+//! A kernel is built once per snapshot and reused: the modeler keeps one in
+//! each query workspace and reuses it for as long as the plan's topology
+//! and routing table are the very ones it holds
+//! ([`WhatIfEngine::serves`]), so a warm answer pays for its replay and
+//! its report, not for the kernel's arenas.
 //!
 //! The replay is **bit-identical** to running the same flow set through a
 //! [`Simulator`] (the ground truth [`replay_ground_truth`] builds) because
@@ -140,8 +147,10 @@ pub(crate) fn resource_layout(topo: &Topology) -> (Vec<f64>, Vec<usize>) {
 /// shared [`Routing`] (typically the modeler's per-epoch table), which
 /// fills a source's row the first time a flow starts there. All per-run
 /// state lives in arenas that are reused across
-/// [`estimate`](WhatIfEngine::estimate) calls, so batch callers pay the
-/// allocation cost once.
+/// [`estimate`](WhatIfEngine::estimate) calls, so a caller that keeps the
+/// kernel — the modeler keeps one per query workspace, for as long as it
+/// [`serves`](WhatIfEngine::serves) the plan — pays the allocation cost
+/// once.
 pub struct WhatIfEngine {
     topo: Arc<Topology>,
     routing: Arc<Routing>,
@@ -150,8 +159,8 @@ pub struct WhatIfEngine {
     backplane: Vec<usize>,
     /// Flow table, solve and completion heap over the run's effective
     /// capacities (base minus background); a flow's slot is its input
-    /// index, its id its replay rank.
-    core: Core,
+    /// index, its id its replay rank. It keeps no octet counters.
+    core: Core<false>,
     // --- per-run arenas, reused across estimates ---
     path: Path,
     /// Input indices sorted by `(arrival, input index)` — the replay id
@@ -194,6 +203,14 @@ impl WhatIfEngine {
     /// The frozen topology the kernel replays against.
     pub fn topology(&self) -> &Topology {
         &self.topo
+    }
+
+    /// Whether this kernel replays over exactly `topo` and `routing`: the
+    /// same allocations, not equal contents. The kernel holds both `Arc`s,
+    /// so neither address can be reused by another snapshot while it
+    /// lives, and a `true` answer can never come from a freed one.
+    pub fn serves(&self, topo: &Arc<Topology>, routing: &Arc<Routing>) -> bool {
+        Arc::ptr_eq(&self.topo, topo) && Arc::ptr_eq(&self.routing, routing)
     }
 
     /// Flows the last estimate's sweeps froze, summed over its solves
@@ -493,6 +510,17 @@ mod tests {
         assert!((rep.estimates[2].slowdown - 1.0).abs() < 1e-6);
         assert!(rep.replay_steps >= 4);
         assert!(rep.solves >= 3);
+    }
+
+    #[test]
+    fn a_kernel_serves_only_the_snapshot_it_holds() {
+        let topo = Arc::new(star());
+        let routing = Arc::new(Routing::new(&topo));
+        let eng = WhatIfEngine::new(Arc::clone(&topo), Arc::clone(&routing));
+        assert!(eng.serves(&topo, &routing));
+        // Equal contents in other allocations are another snapshot.
+        assert!(!eng.serves(&Arc::new(star()), &routing));
+        assert!(!eng.serves(&topo, &Arc::new(Routing::new(&topo))));
     }
 
     #[test]
