@@ -33,7 +33,8 @@ pub struct LinkSpec {
     pub b: String,
     /// Capacity in Mbps (default 100).
     pub mbps: Option<f64>,
-    /// One-way latency in microseconds (default 100).
+    /// One-way latency in microseconds (default 100); at most
+    /// `u64::MAX / 1000`, so that it fits in nanoseconds.
     pub latency_us: Option<u64>,
 }
 
@@ -347,7 +348,13 @@ impl Scenario {
             };
             ids.insert(n.name.clone(), id);
         }
-        for l in &self.links {
+        for (i, l) in self.links.iter().enumerate() {
+            let us = l.latency_us.unwrap_or(calib::HOP_LATENCY_US);
+            let latency = us.checked_mul(1_000).map(SimDuration::from_nanos).ok_or_else(|| {
+                ScenarioError::Invalid(format!(
+                    "links[{i}].latency_us: {us} µs does not fit in 64-bit nanoseconds"
+                ))
+            })?;
             let a = *ids
                 .get(&l.a)
                 .ok_or_else(|| ScenarioError::Invalid(format!("unknown node {:?}", l.a)))?;
@@ -358,7 +365,7 @@ impl Scenario {
                 a,
                 bb,
                 mbps(l.mbps.unwrap_or(100.0)),
-                SimDuration::from_micros(l.latency_us.unwrap_or(calib::HOP_LATENCY_US)),
+                latency,
             )?;
         }
         Ok(b.build()?)
@@ -481,6 +488,33 @@ mod tests {
         // Defaulted capacity and latency.
         let (l0, _) = t.neighbors(a)[0];
         assert_eq!(t.link(l0).capacity, mbps(100.0));
+    }
+
+    #[test]
+    fn latencies_beyond_nanosecond_range_are_a_typed_error() {
+        let with_latency = |us| {
+            let mut sc = mini();
+            sc.links[1].latency_us = Some(us);
+            sc.build_topology()
+        };
+        let edge = u64::MAX / 1_000;
+        assert!(with_latency(edge).is_ok());
+        let err = with_latency(edge + 1).unwrap_err().to_string();
+        assert!(err.contains("links[1].latency_us"), "{err}");
+        assert!(matches!(with_latency(u64::MAX), Err(ScenarioError::Invalid(_))));
+    }
+
+    #[test]
+    fn huge_path_latencies_still_route() {
+        // Each link fits in nanoseconds; their sum does not.
+        let mut sc = mini();
+        for l in &mut sc.links {
+            l.latency_us = Some(18_000_000_000_000_000);
+        }
+        let t = sc.build_topology().unwrap();
+        let (a, b) = (t.lookup("a").unwrap(), t.lookup("b").unwrap());
+        let path = remos_net::routing::Routing::new(&t).path(&t, a, b).unwrap();
+        assert_eq!(path.hop_count(), 2);
     }
 
     #[test]

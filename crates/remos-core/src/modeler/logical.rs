@@ -95,33 +95,56 @@ pub fn logicalize(
         }
     }
 
-    // Induced adjacency over used links, in link-id order.
-    let mut adj: Vec<Vec<LinkId>> = vec![Vec::new(); topo.node_count()];
+    // Induced adjacency over used links, one CSR built in two passes:
+    // count degrees, then scatter in link-id order. Node `n`'s used links
+    // end up at `adj[off[n]..off[n + 1]]`.
+    let nodes = topo.node_count();
+    let mut off = vec![0u32; nodes + 2];
     for l in topo.link_ids().filter(|l| used_link[l.index()]) {
         let link = topo.link(l);
-        adj[link.a.index()].push(l);
-        adj[link.b.index()].push(l);
+        off[link.a.index() + 2] += 1;
+        off[link.b.index() + 2] += 1;
     }
+    for i in 2..nodes + 2 {
+        off[i] += off[i - 1];
+    }
+    // `off[i + 1]` now starts node `i`; scattering advances it to node
+    // `i`'s end, which is where node `i + 1` starts.
+    let mut adj = vec![LinkId(0); off[nodes + 1] as usize];
+    for l in topo.link_ids().filter(|l| used_link[l.index()]) {
+        let link = topo.link(l);
+        for end in [link.a, link.b] {
+            adj[off[end.index() + 1] as usize] = l;
+            off[end.index() + 1] += 1;
+        }
+    }
+    let adj_of = |n: NodeId| &adj[off[n.index()] as usize..off[n.index() + 1] as usize];
 
     // 2. Retained nodes, of those a used link touches (and the lone
     //    target of a one-target query, which none does): compute nodes,
     //    and network nodes of induced degree != 2 (junctions). Degree-2
     //    network nodes are pure forwarders and get collapsed.
-    let keep = |n: NodeId| -> bool { host(n) || adj[n.index()].len() != 2 };
-    let used = |n: NodeId| n == sorted[0] || !adj[n.index()].is_empty();
-    let kept: Vec<NodeId> = topo.node_ids().filter(|&n| used(n) && keep(n)).collect();
+    let keep = |n: NodeId| -> bool { host(n) || adj_of(n).len() != 2 };
+    let used = |n: NodeId| n == sorted[0] || !adj_of(n).is_empty();
+    let kept_count = topo.node_ids().filter(|&n| used(n) && keep(n)).count();
+    let mut kept = Vec::with_capacity(kept_count);
+    kept.extend(topo.node_ids().filter(|&n| used(n) && keep(n)));
 
     // Walk chains from each kept node. A used link lies on exactly one
     // chain, so un-marking links as they are walked emits each chain
-    // once, from its end that comes first in (node, link) order.
-    let mut links = Vec::new();
+    // once, from its end that comes first in (node, link) order. Every
+    // chain ends in two used links at kept nodes, so there are half as
+    // many chains as such links.
+    let ends: usize = kept.iter().map(|&k| adj_of(k).len()).sum();
+    let mut links = Vec::with_capacity(ends / 2);
+    let mut chain: Vec<DirLink> = Vec::new();
     for &start in &kept {
-        for &first in &adj[start.index()] {
+        for &first in adj_of(start) {
             if !used_link[first.index()] {
                 continue;
             }
             // Traverse to the next kept node.
-            let mut fwd: Vec<DirLink> = Vec::new();
+            chain.clear();
             let mut capacity = f64::INFINITY;
             let mut latency = SimDuration::ZERO;
             let mut at = start;
@@ -130,12 +153,12 @@ pub fn logicalize(
                 used_link[via.index()] = false;
                 let link = topo.link(via);
                 let dir = link.direction_from(at);
-                fwd.push(DirLink { link: via, dir });
+                chain.push(DirLink { link: via, dir });
                 capacity = capacity.min(link.capacity);
                 latency += link.latency;
                 let next = link.opposite(at);
                 if keep(next) {
-                    let rev: Vec<DirLink> = fwd
+                    let rev = chain
                         .iter()
                         .rev()
                         .map(|d| DirLink { link: d.link, dir: d.dir.reverse() })
@@ -145,20 +168,14 @@ pub fn logicalize(
                         b: next,
                         capacity,
                         latency,
-                        phys: [fwd, rev],
+                        phys: [chain.to_vec(), rev],
                     });
                     break;
                 }
                 // Degree-2 forwarder: continue out the other side.
-                let out = adj[next.index()]
-                    .iter()
-                    .copied()
-                    .find(|&l| l != via)
-                    .ok_or_else(|| {
-                        RemosError::Internal(format!(
-                            "degree-2 node {next:?} lacks a second used link"
-                        ))
-                    })?;
+                let out = adj_of(next).iter().copied().find(|&l| l != via).ok_or_else(|| {
+                    RemosError::Internal(format!("degree-2 node {next:?} lacks a second used link"))
+                })?;
                 at = next;
                 via = out;
             }

@@ -15,9 +15,11 @@ use remos_core::collector::multi::{MultiCollector, MultiCollectorConfig};
 use remos_core::collector::oracle::OracleCollector;
 use remos_core::collector::shard::shard_fabric;
 use remos_core::collector::Collector;
+use remos_core::modeler::logical::logicalize;
 use remos_core::modeler::{Modeler, ModelerConfig, QueryWorkspace};
 use remos_core::timeframe::Timeframe;
 use remos_net::fabric::{synth_fabric_workload, FlowSizeEcdf, WorkloadSpec};
+use remos_net::routing::Routing;
 use remos_net::{FabricChurn, FatTree, SimDuration, Simulator, SolverMode, WhatIfEngine};
 use remos_snmp::sim::{share, SharedSim};
 use std::hint::black_box;
@@ -283,6 +285,26 @@ fn warm_cached_queries_are_allocation_free() {
     let delta = alloc_count() - before;
     expect_zero(delta, "warm cached queries");
     assert_eq!(ws.graph().digest(), digest, "measured queries drifted");
+}
+
+/// A plan miss allocates per plan, not per node: logicalizing 64 hosts
+/// (four in each pod) on a k=16 fat-tree whose routing rows are already
+/// filled allocates the two support vectors of each logical link and at
+/// most 16 buffers besides, whatever the fabric's 1,344 nodes.
+#[test]
+fn a_logicalize_allocates_per_logical_link() {
+    let tree = FatTree::build(16).expect("fat tree builds");
+    let t = &tree;
+    let targets: Vec<_> =
+        (0..t.pods()).flat_map(|p| (0..4).map(move |j| t.host(p, (p * 5 + j * 19) % 64))).collect();
+    let routing = Routing::new(tree.topology());
+    let first = logicalize(tree.topology(), &routing, &targets).expect("cold logicalize");
+    let before = alloc_count();
+    let warm = logicalize(tree.topology(), &routing, &targets).expect("warm logicalize");
+    let delta = alloc_count() - before;
+    assert_eq!(warm, first, "a second logicalize drifted");
+    let bound = 2 * warm.links.len() as u64 + 16;
+    expect_at_most(delta, bound, &format!("logicalize of 64 hosts, {} logical links", warm.links.len()));
 }
 
 /// A warm what-if kernel allocates only its report. One `Incremental`

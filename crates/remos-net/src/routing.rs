@@ -1,22 +1,27 @@
 //! Shortest-path routing.
 //!
-//! Routes are computed per source with a Dijkstra variant that minimises
-//! `(hop count, total latency, tie-break by node id)` — the testbed's
-//! behaviour, where "latency between any pair of nodes is virtually the
-//! same" and hop count dominates. Compute nodes never forward traffic
-//! (§4.3: network nodes are responsible for forwarding), so interior path
-//! nodes must be network nodes.
+//! Routes minimise `(hop count, total latency, tie-break by node id)` —
+//! the testbed's behaviour, where "latency between any pair of nodes is
+//! virtually the same" and hop count dominates. Compute nodes never
+//! forward traffic (§4.3: network nodes are responsible for forwarding),
+//! so interior path nodes must be network nodes.
 //!
 //! A source's routes are computed the first time something routes from
 //! it, so the engine, the what-if kernel, the SNMP `ipRouteTable` walk
-//! and the modeler each pay for the sources they use. The table is
-//! deterministic, which keeps whole-simulation runs reproducible.
+//! and the modeler each pay for the sources they use. Every link costs
+//! exactly one hop and hop count is the first key, so a row settles one
+//! hop layer at a time: the nodes first reached at `h + 1` hops are
+//! sorted by `(latency, node id)` once layer `h` is expanded, which is the
+//! order a Dijkstra heap on `(hops, latency, node id)` would pop them in,
+//! and the first strict improvement wins as it would there. The
+//! relaxations read the topology's packed routing adjacency, not its
+//! `Link` and `Node` structs. Path latencies saturate at `u64::MAX`
+//! nanoseconds instead of wrapping. The table is deterministic, which
+//! keeps whole-simulation runs reproducible.
 
 use crate::error::{NetError, Result};
 use crate::topology::{DirLink, LinkId, NodeId, NodeKind, Topology};
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::OnceLock;
 
 /// A routed path between two compute nodes.
@@ -83,13 +88,17 @@ const NO_PREV: u32 = u32::MAX;
 /// that walk by a quarter on the k=16 fabric, a batch every 32 does not.
 const ROW_BATCH: usize = 32;
 
-/// Dijkstra working state, reused by every row a thread fills.
+/// Working state of a row fill, reused by every row a thread fills: the
+/// best distances and two hop layers.
 #[derive(Default)]
 struct Scratch {
     /// Best `(hops, latency ns)` found so far, per node.
     dist: Vec<(u32, u64)>,
-    /// Min-heap on `(hops, latency ns, node)`.
-    heap: BinaryHeap<Reverse<(u32, u64, NodeId)>>,
+    /// The forwarding nodes settled at the current hop count, in
+    /// `(latency, node id)` order.
+    layer: Vec<NodeId>,
+    /// The forwarding nodes first reached at one hop more.
+    next: Vec<NodeId>,
     /// Rows of [`NO_PREV`] allocated ahead, all of one length.
     blank: Vec<Box<[u32]>>,
 }
@@ -157,9 +166,10 @@ impl Routing {
         }
     }
 
-    /// Dijkstra from `src`: its predecessor row.
+    /// Shortest paths from `src`, one hop layer at a time: its
+    /// predecessor row.
     fn fill(&self, topo: &Topology, src: NodeId, scratch: &mut Scratch) -> Box<[u32]> {
-        let Scratch { dist, heap, blank } = scratch;
+        let Scratch { dist, layer, next, blank } = scratch;
         let n = topo.node_count();
         let mut prev = match blank.pop() {
             Some(row) if row.len() == n => row,
@@ -171,30 +181,38 @@ impl Routing {
         };
         dist.clear();
         dist.resize(n, (u32::MAX, u64::MAX));
-        heap.clear();
         dist[src.index()] = (0, 0);
-        heap.push(Reverse((0, 0, src)));
-
-        while let Some(Reverse((hops, latency_ns, node))) = heap.pop() {
-            // An entry a later, better one has superseded.
-            if (hops, latency_ns) > dist[node.index()] {
-                continue;
-            }
-            for &(link, next) in topo.neighbors(node) {
-                if self.up.as_ref().is_some_and(|up| !up[link.index()]) {
-                    continue;
-                }
-                let cand = (hops + 1, latency_ns + topo.link(link).latency.as_nanos());
-                if cand < dist[next.index()] {
-                    dist[next.index()] = cand;
-                    prev[next.index()] = link.index() as u32;
-                    // Hosts terminate paths: only the source host and
-                    // network nodes forward, so no other host is expanded.
-                    if topo.node(next).kind != NodeKind::Compute {
-                        heap.push(Reverse((cand.0, cand.1, next)));
+        layer.clear();
+        layer.push(src);
+        let up = self.up.as_deref();
+        let mut hops = 0;
+        while !layer.is_empty() {
+            next.clear();
+            for &node in layer.iter() {
+                let latency_ns = dist[node.index()].1;
+                for edge in topo.route_edges(node) {
+                    if up.is_some_and(|up| !up[edge.link as usize]) {
+                        continue;
+                    }
+                    let cand = (hops + 1, latency_ns.saturating_add(edge.latency_ns));
+                    let best = &mut dist[edge.next.index()];
+                    if cand < *best {
+                        // Hosts terminate paths: only the source host and
+                        // network nodes forward, so no other host is
+                        // expanded. A node joins the next layer once.
+                        if edge.forwards && best.0 != cand.0 {
+                            next.push(edge.next);
+                        }
+                        *best = cand;
+                        prev[edge.next.index()] = edge.link;
                     }
                 }
             }
+            // Only layer `hops` relaxes nodes at `hops + 1`, so their
+            // latencies are final now: expand them in heap order.
+            next.sort_unstable_by_key(|&v| (dist[v.index()].1, v));
+            std::mem::swap(layer, next);
+            hops += 1;
         }
         prev
     }
@@ -288,6 +306,7 @@ mod tests {
     use crate::topology::TopologyBuilder;
     use crate::units::mbps;
     use remos_prop::prelude::*;
+    use std::collections::BinaryHeap;
     use std::sync::Barrier;
 
     /// Line: h1 - r1 - r2 - h2, plus a slow shortcut h1 - r2.
@@ -717,6 +736,69 @@ mod tests {
             prop_assert_eq!(raced.rows_built(), topo.node_count());
             agree(&topo, &eager, &raced.clone(), pairs.iter())?;
         }
+    }
+
+    /// Every row of `lazy`, routers' included, equals the eager table's,
+    /// predecessor for predecessor.
+    fn rows_agree(topo: &Topology, eager: &Eager, lazy: &Routing) {
+        for src in topo.node_ids() {
+            let tree = lazy.tree(topo, src).unwrap();
+            for node in topo.node_ids() {
+                let want = eager.prev[src.index() * eager.n + node.index()];
+                let want = (want != NO_PREV).then_some(LinkId(want));
+                assert_eq!(tree.prev(node), want, "{src:?}->{node:?}");
+            }
+        }
+    }
+
+    /// The fat-tree's links are all of one latency, so the node-id
+    /// tie-break picks every predecessor, across up to six hop layers:
+    /// with every link up, and with one aggregation-core and one
+    /// edge-aggregation link down.
+    #[test]
+    fn fat_tree_rows_match_the_eager_table() {
+        for k in [4, 8] {
+            let tree = crate::fabric::FatTree::build(k).unwrap();
+            let topo = tree.topology();
+            let between = |a: &str, b: &str| {
+                let (a, b) = (topo.lookup(a).unwrap(), topo.lookup(b).unwrap());
+                topo.neighbors(a).iter().find(|&&(_, n)| n == b).unwrap().0
+            };
+            let mut up = vec![true; topo.link_count()];
+            up[between("p0a0", "c0x0").index()] = false;
+            up[between("p1e0", "p1a1").index()] = false;
+            for up in [None, Some(&up[..])] {
+                let eager = Eager::build(topo, up);
+                let lazy = Routing::with_link_state(topo, up);
+                rows_agree(topo, &eager, &lazy);
+                let hosts = tree.hosts();
+                let pairs: Vec<_> =
+                    hosts.iter().flat_map(|&s| hosts.iter().map(move |&d| (s, d))).collect();
+                agree(topo, &eager, &lazy, pairs.iter()).unwrap();
+            }
+        }
+    }
+
+    /// Path latencies add without overflow: a path whose sum exceeds
+    /// `u64` nanoseconds saturates, so it loses to a short one of the same
+    /// hop count instead of wrapping around to beat it.
+    #[test]
+    fn latency_sums_saturate_instead_of_wrapping() {
+        let mut b = TopologyBuilder::new();
+        let h1 = b.compute("h1");
+        let h2 = b.compute("h2");
+        let far = b.network("far");
+        let near = b.network("near");
+        // 1.8e19 ns + 4.47e17 ns is 384 ns past `u64::MAX`.
+        b.link(h1, far, mbps(100.0), SimDuration::from_micros(18_000_000_000_000_000)).unwrap();
+        b.link(far, h2, mbps(100.0), SimDuration::from_micros(446_744_073_709_552)).unwrap();
+        b.link(h1, near, mbps(100.0), SimDuration::from_micros(1)).unwrap();
+        b.link(near, h2, mbps(100.0), SimDuration::from_micros(1)).unwrap();
+        let t = b.build().unwrap();
+        let p = Routing::new(&t).path(&t, h1, h2).unwrap();
+        assert_eq!(p.nodes, vec![h1, near, h2]);
+        let p = Routing::new(&t).path(&t, h2, h1).unwrap();
+        assert_eq!(p.nodes, vec![h2, near, h1]);
     }
 
     #[test]

@@ -190,6 +190,21 @@ impl Link {
     }
 }
 
+/// One entry of the routing adjacency: what a shortest-path relaxation
+/// reads about an incident link, packed so that the relaxation loop
+/// dereferences no [`Link`] or [`Node`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RouteEdge {
+    /// The link's one-way latency, in nanoseconds.
+    pub(crate) latency_ns: u64,
+    /// The neighbor the link leads to.
+    pub(crate) next: NodeId,
+    /// The link's raw id.
+    pub(crate) link: u32,
+    /// True if the neighbor forwards traffic (is a network node).
+    pub(crate) forwards: bool,
+}
+
 /// An immutable network topology.
 ///
 /// Construct with [`TopologyBuilder`]. All simulator state (routing, flows,
@@ -204,6 +219,8 @@ pub struct Topology {
     /// Concatenated `(link, neighbor)` pairs for all nodes, in link order
     /// within each node (one flat arena instead of a boxed list per node).
     adj: Vec<(LinkId, NodeId)>,
+    /// [`RouteEdge`]s parallel to `adj`, under the same offsets.
+    route_adj: Vec<RouteEdge>,
     names: BTreeMap<String, NodeId>,
 }
 
@@ -271,6 +288,14 @@ impl Topology {
     pub fn neighbors(&self, n: NodeId) -> &[(LinkId, NodeId)] {
         let i = n.index();
         &self.adj[self.adj_off[i] as usize..self.adj_off[i + 1] as usize]
+    }
+
+    /// The routing adjacency of `n`: [`neighbors`](Self::neighbors) in the
+    /// same order, with each link's latency and each neighbor's kind.
+    #[inline]
+    pub(crate) fn route_edges(&self, n: NodeId) -> &[RouteEdge] {
+        let i = n.index();
+        &self.route_adj[self.adj_off[i] as usize..self.adj_off[i + 1] as usize]
     }
 
     /// Degree of a node.
@@ -470,7 +495,23 @@ impl TopologyBuilder {
             adj[cur[l.b.index()] as usize] = (id, l.a);
             cur[l.b.index()] += 1;
         }
-        Ok(Topology { nodes: self.nodes, links: self.links, adj_off, adj, names: self.names })
+        let route_adj = adj
+            .iter()
+            .map(|&(link, next)| RouteEdge {
+                latency_ns: self.links[link.index()].latency.as_nanos(),
+                next,
+                link: link.0,
+                forwards: self.nodes[next.index()].kind == NodeKind::Network,
+            })
+            .collect();
+        Ok(Topology {
+            nodes: self.nodes,
+            links: self.links,
+            adj_off,
+            adj,
+            route_adj,
+            names: self.names,
+        })
     }
 }
 
