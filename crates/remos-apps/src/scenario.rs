@@ -515,6 +515,29 @@ mod tests {
         let (a, b) = (t.lookup("a").unwrap(), t.lookup("b").unwrap());
         let path = remos_net::routing::Routing::new(&t).path(&t, a, b).unwrap();
         assert_eq!(path.hop_count(), 2);
+        assert_eq!(path.latency(&t), SimDuration::from_nanos(u64::MAX));
+    }
+
+    #[test]
+    fn huge_path_latencies_saturate_in_a_graph_query() {
+        use remos_core::collector::{oracle::OracleCollector, Collector};
+        use remos_core::{Modeler, ModelerConfig, Timeframe};
+        let mut sc = mini();
+        for l in &mut sc.links {
+            l.latency_us = Some(18_000_000_000_000_000);
+        }
+        let sim = remos_net::Simulator::new(sc.build_topology().unwrap()).unwrap();
+        let mut col = OracleCollector::new(remos_snmp::sim::share(sim));
+        col.poll().unwrap();
+        let names = ["a", "b"].map(String::from);
+        let g = Modeler::new(ModelerConfig::default())
+            .get_graph(&col, &names, Timeframe::Current)
+            .unwrap();
+        // `r` forwards a chain of two links, so one logical link remains.
+        assert_eq!(g.links.len(), 1);
+        assert_eq!(g.links[0].latency, SimDuration::from_nanos(u64::MAX));
+        let (a, b) = (g.index_of("a").unwrap(), g.index_of("b").unwrap());
+        assert_eq!(g.path_latency(a, b).unwrap(), SimDuration::from_nanos(u64::MAX));
     }
 
     #[test]

@@ -404,16 +404,16 @@ impl Remos {
 
     /// Reachability reads the topology alone — no samples, no plan — so
     /// it skips the measure, prepare and answer stages: one row of the
-    /// modeler's routing table for the current epoch answers every
-    /// candidate. Only hosts send or receive, so a switch reaches, and is
-    /// reached by, nothing but itself.
+    /// topology's routing table ([`Topology::routing`](remos_net::Topology::routing))
+    /// answers every candidate. Only hosts send or receive, so a switch
+    /// reaches, and is reached by, nothing but itself.
     fn answer_reachable(&mut self, q: &ReachableQuery) -> CoreResult<QueryResult> {
         self.ensure_topology()?;
         let topo = self.collector.topology()?;
         let a = topo
             .lookup(&q.anchor)
             .map_err(|_| RemosError::UnknownNode(q.anchor.clone()))?;
-        let routing = self.modeler.routing_for(self.collector.topology_epoch(), &topo);
+        let routing = topo.routing();
         let host = |id| topo.node(id).kind == NodeKind::Compute;
         Ok(QueryResult::Peers(
             q.candidates
@@ -1218,7 +1218,7 @@ mod tests {
     /// candidate, for every anchor of a topology with an unlinked host
     /// (`d`), a host behind another host (`c`, which `b` reaches and `a`
     /// cannot: hosts do not forward) and switches among the candidates —
-    /// with the epoch's shared table and with capacity-0 private ones.
+    /// behind a caching modeler and a capacity-0 one.
     #[test]
     fn reachable_matches_per_candidate_paths() {
         let mut b = TopologyBuilder::new();
@@ -1238,7 +1238,7 @@ mod tests {
                 Box::new(SimClock(Arc::clone(&sim))),
                 RemosConfig { modeler, ..RemosConfig::default() },
             );
-            // A resident plan, so there is a table for the epoch to share.
+            // A plan first: at capacity 0 it routes in a table of its own.
             remos.run(Query::graph(["a", "b"])).unwrap();
             for anchor in &candidates[..6] {
                 let got = remos
@@ -1262,10 +1262,9 @@ mod tests {
                 remos.run(Query::reachable("a", candidates.clone())).unwrap().into_peers().unwrap(),
                 ["a", "b"]
             );
-            // Only host anchors route, and the epoch's table keeps their rows.
+            // Only host anchors route, and the topology's table keeps their rows.
             let topo = remos.collector.topology().unwrap();
-            let table = remos.modeler.routing_for(remos.collector.topology_epoch(), &topo);
-            assert_eq!(table.rows_built(), if plan_cache_capacity == 0 { 0 } else { 4 });
+            assert_eq!(topo.routing().rows_built(), 4, "capacity {plan_cache_capacity}");
         }
     }
 

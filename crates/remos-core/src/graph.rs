@@ -338,7 +338,7 @@ impl RemosGraph {
                 if done[v] {
                     continue;
                 }
-                let cand = (lat + self.links[li].latency.as_nanos(), hops + 1);
+                let cand = (lat.saturating_add(self.links[li].latency.as_nanos()), hops + 1);
                 if cand < dist[v] {
                     dist[v] = cand;
                     prev[v] = Some((li, u));
@@ -346,7 +346,8 @@ impl RemosGraph {
                 }
             }
         }
-        if dist[dst].0 == u64::MAX {
+        // Not `dist`: a saturated latency is `u64::MAX` on a real path.
+        if prev[dst].is_none() {
             return Err(RemosError::Disconnected(
                 self.nodes[src].name.clone(),
                 self.nodes[dst].name.clone(),
@@ -395,12 +396,13 @@ impl RemosGraph {
         Ok(q)
     }
 
-    /// One-way latency along the routed path.
+    /// One-way latency along the routed path, saturating at `u64::MAX`
+    /// nanoseconds.
     pub fn path_latency(&self, src: usize, dst: usize) -> CoreResult<SimDuration> {
         let steps = self.path(src, dst)?;
         let mut total = SimDuration::ZERO;
         for &(li, _, _) in &steps {
-            total += self.links[li].latency;
+            total = total.saturating_add(self.links[li].latency);
         }
         Ok(total)
     }
@@ -562,6 +564,20 @@ mod tests {
             g.path_latency(h0, h5).unwrap(),
             SimDuration::from_micros(150)
         );
+    }
+
+    #[test]
+    fn huge_latencies_saturate_along_a_path() {
+        // Three links, each more than a third of `u64::MAX` ns: the route
+        // is still found, and its latency is clamped, not wrapped.
+        let mut g = two_switch_graph(None, mbps(10.0));
+        for l in &mut g.links {
+            l.latency = SimDuration::from_nanos(u64::MAX / 3 + 1);
+        }
+        let h0 = g.index_of("h0").unwrap();
+        let h5 = g.index_of("h5").unwrap();
+        assert_eq!(g.path(h0, h5).unwrap().len(), 3);
+        assert_eq!(g.path_latency(h0, h5).unwrap(), SimDuration::from_nanos(u64::MAX));
     }
 
     #[test]

@@ -155,7 +155,7 @@ pub fn logicalize(
                 let dir = link.direction_from(at);
                 chain.push(DirLink { link: via, dir });
                 capacity = capacity.min(link.capacity);
-                latency += link.latency;
+                latency = latency.saturating_add(link.latency);
                 let next = link.opposite(at);
                 if keep(next) {
                     let rev = chain

@@ -45,7 +45,6 @@ use crate::timeframe::Timeframe;
 use flowsolve::{ResourceModel, SampleSolver, StageFlow};
 use plan::{PlanCache, QueryPlan};
 use predict::{predict, PredictorKind};
-use remos_net::routing::Routing;
 use remos_net::topology::{NodeId, NodeKind, Topology};
 use remos_net::whatif::{WhatIfEngine, WhatIfFlow};
 use remos_net::{Bps, SimTime};
@@ -282,16 +281,9 @@ impl Modeler {
             .collect()
     }
 
-    /// The routing table for the collector's topology `topo` at `epoch`:
-    /// the one the cached plans of that epoch share, or a private one
-    /// when there are none (see [`PlanCache::routing_for`]).
-    pub(crate) fn routing_for(&self, epoch: u64, topo: &Arc<Topology>) -> Arc<Routing> {
-        self.cache.lock().routing_for(epoch, topo)
-    }
-
     /// Obtain the structural plan for `names`: cache hit when the
     /// collector's topology epoch and the canonical target set match a
-    /// resident plan, a build over the epoch's routing table otherwise
+    /// resident plan, a build over the topology's routing table otherwise
     /// (capacity 0: always a build, over a table of its own). On a hit
     /// with a stable query set the only work is name validation and
     /// rebuilding the canonical key in the caller's buffer, so the warm
@@ -337,7 +329,7 @@ impl Modeler {
         // order-insensitive), so a cold rebuild reproduces a cached plan
         // bit for bit.
         let targets = Self::resolve_names(&topo, key)?;
-        let routing = self.routing_for(epoch, &topo);
+        let routing = self.cache.lock().routing_for(&topo);
         let built = Arc::new(QueryPlan::build(epoch, topo, routing, &targets)?);
         if self.cache.lock().insert(epoch, key.to_vec(), Arc::clone(&built)) {
             self.metrics.plan_cache_evictions.inc();

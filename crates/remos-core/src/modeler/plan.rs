@@ -8,9 +8,9 @@
 //! a [`QueryPlan`] and shared behind `Arc`s; a small bounded LRU
 //! ([`PlanCache`]) keyed by `(topology_epoch, canonical target set)` lets
 //! repeated queries skip it entirely. Routing depends on the topology
-//! alone, so a plan is built over the [`Routing`] of the resident plans
-//! of its epoch: a miss runs Dijkstra only from targets none of them
-//! routed from.
+//! alone, so a plan is built over the topology's own [`Routing`] table,
+//! the one the simulator fills while every link is up: a miss routes only
+//! from targets nothing has routed from yet.
 //!
 //! Invalidation is epoch-based: every collector bumps its
 //! `topology_epoch` on rediscovery, so a plan built under an older epoch
@@ -40,8 +40,8 @@ pub struct QueryPlan {
     pub epoch: u64,
     /// The physical topology the plan was derived from.
     pub topo: Arc<Topology>,
-    /// Routes over `topo`, a row per source routed from so far; shared
-    /// with the other resident plans of the same epoch.
+    /// Routes over `topo`, a row per source routed from so far: the
+    /// topology's own table (private to the plan at capacity 0).
     pub routing: Arc<Routing>,
     /// Logical structure connecting the targets.
     pub structure: Arc<LogicalStructure>,
@@ -132,15 +132,17 @@ impl PlanCache {
         PlanCache { cap, tick: 0, entries: Vec::new() }
     }
 
-    /// The routing table to build a plan under `(epoch, topo)` over: the
-    /// one resident plans of that epoch and topology `Arc` (the hit path's
-    /// `Arc::ptr_eq` rule) share, else a fresh one — always, at capacity
-    /// 0, so the reference modeler shares no memo with the path under test.
-    pub fn routing_for(&self, epoch: u64, topo: &Arc<Topology>) -> Arc<Routing> {
-        self.entries
-            .iter()
-            .find(|e| e.epoch == epoch && Arc::ptr_eq(&e.plan.topo, topo))
-            .map_or_else(|| Arc::new(Routing::new(topo)), |e| Arc::clone(&e.plan.routing))
+    /// The routing table to build a plan over `topo` with: the topology's
+    /// own ([`Topology::routing`]), which everything else routing over it
+    /// with every link up shares — except at capacity 0, where every plan
+    /// gets a fresh one, so the reference modeler shares no memo with the
+    /// path under test.
+    pub fn routing_for(&self, topo: &Topology) -> Arc<Routing> {
+        if self.cap == 0 {
+            Arc::new(Routing::new(topo))
+        } else {
+            Arc::clone(topo.routing())
+        }
     }
 
     /// Look up a plan; refreshes its recency on hit.

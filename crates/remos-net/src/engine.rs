@@ -249,16 +249,17 @@ pub struct Simulator {
 
 impl Simulator {
     /// Build a simulator over a topology. Routes are computed per source,
-    /// the first time a flow starts there.
+    /// the first time a flow starts there, in the topology's own table
+    /// ([`Topology::routing`]) while every link is up.
     pub fn new(topo: Topology) -> Result<Simulator> {
-        let routing = Routing::new(&topo);
+        let routing = Arc::clone(topo.routing());
         let (capacities, backplane) = resource_layout(&topo);
         let link_up = vec![true; topo.link_count()];
         let obs = Obs::new();
         let obs_metrics = EngineMetrics::new(&obs);
         Ok(Simulator {
             topo: Arc::new(topo),
-            routing: Arc::new(routing),
+            routing,
             now: SimTime::ZERO,
             core: Core::new(capacities),
             slots: Vec::new(),
@@ -391,7 +392,9 @@ impl Simulator {
         Arc::clone(&self.topo)
     }
 
-    /// The routing table.
+    /// The routing table: the topology's own ([`Topology::routing`])
+    /// while every link is up, a masked one of the simulator's while some
+    /// link is down.
     pub fn routing(&self) -> &Routing {
         &self.routing
     }
@@ -563,7 +566,13 @@ impl Simulator {
         if flips == 0 {
             return Ok(());
         }
-        self.routing = Arc::new(Routing::with_link_state(&self.topo, Some(&self.link_up)));
+        // A table of its own only while some link is down: with every link
+        // back up, the routes are the topology's again.
+        self.routing = if self.link_up.iter().all(|&up| up) {
+            Arc::clone(self.topo.routing())
+        } else {
+            Arc::new(Routing::with_link_state(&self.topo, Some(&self.link_up)))
+        };
         self.routing_rebuilds += 1;
         self.obs_metrics.routing_rebuilds.inc();
         self.obs_metrics.link_batch_size.observe(flips);

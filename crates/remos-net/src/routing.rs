@@ -7,17 +7,21 @@
 //! so interior path nodes must be network nodes.
 //!
 //! A source's routes are computed the first time something routes from
-//! it, so the engine, the what-if kernel, the SNMP `ipRouteTable` walk
-//! and the modeler each pay for the sources they use. Every link costs
-//! exactly one hop and hop count is the first key, so a row settles one
-//! hop layer at a time: the nodes first reached at `h + 1` hops are
-//! sorted by `(latency, node id)` once layer `h` is expanded, which is the
-//! order a Dijkstra heap on `(hops, latency, node id)` would pop them in,
-//! and the first strict improvement wins as it would there. The
-//! relaxations read the topology's packed routing adjacency, not its
-//! `Link` and `Node` structs. Path latencies saturate at `u64::MAX`
-//! nanoseconds instead of wrapping. The table is deterministic, which
-//! keeps whole-simulation runs reproducible.
+//! it. A [`Topology`] owns its all-links-up table
+//! ([`Topology::routing`]); the engine (while no link is down), the
+//! what-if kernel, the SNMP `ipRouteTable` walk and the modeler all route
+//! over it, so each row is filled once between them. A row is a pure
+//! function of its inputs, so sharing a table only shares the work.
+//!
+//! Every link costs exactly one hop and hop count is the first key, so a
+//! row settles one hop layer at a time: the nodes first reached at
+//! `h + 1` hops are sorted by `(latency, node id)` once layer `h` is
+//! expanded, which is the order a Dijkstra heap on `(hops, latency, node
+//! id)` would pop them in, and the first strict improvement wins as it
+//! would there. The relaxations read the topology's packed routing
+//! adjacency, not its `Link` and `Node` structs. Path latencies saturate
+//! at `u64::MAX` nanoseconds instead of wrapping. The table is
+//! deterministic, which keeps whole-simulation runs reproducible.
 
 use crate::error::{NetError, Result};
 use crate::topology::{DirLink, LinkId, NodeId, NodeKind, Topology};
@@ -44,11 +48,12 @@ impl Path {
         self.hops.len()
     }
 
-    /// Total one-way latency along the path.
+    /// Total one-way latency along the path, saturating at `u64::MAX`
+    /// nanoseconds.
     pub fn latency(&self, topo: &Topology) -> crate::time::SimDuration {
         let mut total = crate::time::SimDuration::ZERO;
         for h in &self.hops {
-            total += topo.link(h.link).latency;
+            total = total.saturating_add(topo.link(h.link).latency);
         }
         total
     }
@@ -112,7 +117,9 @@ thread_local! {
 ///
 /// A row is a pure function of `(topology, link state, source)`, so
 /// which caller fills it, in what order and on which thread cannot show
-/// in any route; sharing a table only shares the work.
+/// in any route; sharing a table only shares the work. The all-links-up
+/// table of a topology is [`Topology::routing`]; [`Routing::new`] makes a
+/// private one, which shares nothing.
 #[derive(Clone, Debug)]
 pub struct Routing {
     /// `rows[src][node]` = id of the link taken to reach `node` from its
@@ -146,7 +153,13 @@ impl Routing {
     /// and carries no routes. `None` means everything is up.
     pub fn with_link_state(topo: &Topology, up: Option<&[bool]>) -> Routing {
         debug_assert!(up.is_none_or(|up| up.len() == topo.link_count()));
-        Routing { rows: vec![OnceLock::new(); topo.node_count()], up: up.map(Box::from) }
+        Routing { up: up.map(Box::from), ..Self::with_rows(topo.node_count()) }
+    }
+
+    /// An empty all-links-up table for a topology of `nodes` nodes (the
+    /// one [`Topology::routing`] hands out).
+    pub(crate) fn with_rows(nodes: usize) -> Routing {
+        Routing { rows: vec![OnceLock::new(); nodes], up: None }
     }
 
     /// Number of sources routed from so far.

@@ -146,6 +146,13 @@ impl SimDuration {
     pub const fn mul_u64(self, k: u64) -> Self {
         SimDuration(self.0 * k)
     }
+
+    /// The sum, clamped at `u64::MAX` nanoseconds instead of overflowing
+    /// (how path latencies add up).
+    #[inline]
+    pub const fn saturating_add(self, rhs: SimDuration) -> Self {
+        SimDuration(self.0.saturating_add(rhs.0))
+    }
 }
 
 impl Add<SimDuration> for SimTime {

@@ -11,10 +11,12 @@
 //! these two network nodes are the bottleneck").
 
 use crate::error::{NetError, Result};
+use crate::routing::Routing;
 use crate::time::SimDuration;
 use crate::units::Bps;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifies a node within one [`Topology`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -208,8 +210,11 @@ pub(crate) struct RouteEdge {
 /// An immutable network topology.
 ///
 /// Construct with [`TopologyBuilder`]. All simulator state (routing, flows,
-/// counters) is derived from this structure.
-#[derive(Clone, Debug)]
+/// counters) is derived from this structure. Nothing changes it after
+/// [`TopologyBuilder::build`] but one memo: its all-links-up [`Routing`]
+/// table, whose rows fill on first use and which every clone shares (see
+/// [`Topology::routing`]).
+#[derive(Clone)]
 pub struct Topology {
     nodes: Vec<Node>,
     links: Vec<Link>,
@@ -222,9 +227,35 @@ pub struct Topology {
     /// [`RouteEdge`]s parallel to `adj`, under the same offsets.
     route_adj: Vec<RouteEdge>,
     names: BTreeMap<String, NodeId>,
+    /// Routes with every link up, a row per source filled on first use.
+    routing: Arc<Routing>,
+}
+
+impl fmt::Debug for Topology {
+    /// The structure alone: which routing rows are filled does not show.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Topology")
+            .field("nodes", &self.nodes)
+            .field("links", &self.links)
+            .field("adj_off", &self.adj_off)
+            .field("adj", &self.adj)
+            .field("route_adj", &self.route_adj)
+            .field("names", &self.names)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Topology {
+    /// The routing table over this topology with every link up. A row is
+    /// a pure function of `(topology, source)`, so everything that routes
+    /// over an all-up view of this topology — the simulator while no link
+    /// is down, the modeler's plans, the what-if kernel — shares one table
+    /// and fills each row once.
+    #[inline]
+    pub fn routing(&self) -> &Arc<Routing> {
+        &self.routing
+    }
+
     /// Number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
@@ -511,6 +542,7 @@ impl TopologyBuilder {
             adj,
             route_adj,
             names: self.names,
+            routing: Arc::new(Routing::with_rows(n)),
         })
     }
 }

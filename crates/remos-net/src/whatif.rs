@@ -183,10 +183,11 @@ impl WhatIfEngine {
         }
     }
 
-    /// Build a kernel from a bare topology, routing it internally.
+    /// Build a kernel from a bare topology, routing over the topology's
+    /// own table ([`Topology::routing`]).
     pub fn from_topology(topo: Topology) -> WhatIfEngine {
-        let routing = Routing::new(&topo);
-        WhatIfEngine::new(Arc::new(topo), Arc::new(routing))
+        let routing = Arc::clone(topo.routing());
+        WhatIfEngine::new(Arc::new(topo), routing)
     }
 
     /// Select the rate-recomputation strategy (both are bit-identical;
