@@ -480,9 +480,9 @@ mod tests {
         let t = mini().build_topology().unwrap();
         assert_eq!(t.node_count(), 3);
         let a = t.lookup("a").unwrap();
-        assert_eq!(t.node(a).compute_flops, 100e6);
+        assert_eq!(t.node(a).host.unwrap().compute_flops, 100e6);
         let b = t.lookup("b").unwrap();
-        assert_eq!(t.node(b).compute_flops, calib::NODE_FLOPS);
+        assert_eq!(t.node(b).host.unwrap().compute_flops, calib::NODE_FLOPS);
         let r = t.lookup("r").unwrap();
         assert_eq!(t.node(r).internal_bw, Some(mbps(50.0)));
         // Defaulted capacity and latency.

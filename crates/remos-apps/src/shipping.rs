@@ -92,7 +92,8 @@ pub fn execute(
     let v = topo.lookup(server).map_err(remos_core::RemosError::from)?;
     let t0 = s.now();
     let compute_secs = |node: remos_net::NodeId| {
-        job.work_flops / topo.node(node).compute_flops.max(1.0)
+        let flops = topo.node(node).host.map_or(0.0, |h| h.compute_flops);
+        job.work_flops / flops.max(1.0)
     };
     if decision.ship {
         let f = s

@@ -116,7 +116,7 @@ pub fn execute_sweep(
     let topo = s.topology_arc();
     let slowest_flops = chain
         .iter()
-        .map(|&n| topo.node(n).compute_flops)
+        .map(|&n| topo.node(n).host.map_or(0.0, |h| h.compute_flops))
         .fold(f64::INFINITY, f64::min);
     let block_compute =
         SimDuration::from_secs_f64(cfg.stage_flops / depth as f64 / slowest_flops.max(1.0));

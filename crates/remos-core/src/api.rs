@@ -549,6 +549,9 @@ mod tests {
     use remos_snmp::SimTransport;
     use std::sync::Arc;
 
+    /// m-4's resources, which differ from the builder defaults.
+    const M4: HostInfo = HostInfo { compute_flops: 120e6, memory_bytes: 1 << 30 };
+
     /// Build the full stack over a small dumbbell:
     /// m-1, m-2 — aspen === timberline — m-3, m-4.
     fn full_stack() -> (Remos, SharedSim) {
@@ -556,7 +559,7 @@ mod tests {
         let m1 = b.compute("m-1");
         let m2 = b.compute("m-2");
         let m3 = b.compute("m-3");
-        let m4 = b.compute("m-4");
+        let m4 = b.compute_with_host("m-4", Some(M4));
         let aspen = b.network("aspen");
         let timberline = b.network("timberline");
         let lat = SimDuration::from_micros(100);
@@ -860,6 +863,14 @@ mod tests {
         assert!((h.compute_flops - 50e6).abs() < 1e6);
         assert_eq!(h.memory_bytes, 256 * 1024 * 1024);
         assert!(remos.host_info("aspen").is_err());
+        // Discovery writes each agent's mflops and hrMemorySize onto its
+        // node; a switch carries none.
+        assert_eq!(remos.host_info("m-4").unwrap(), M4);
+        let topo = remos.collector().topology().unwrap();
+        let host = |name: &str| topo.node(topo.lookup(name).unwrap()).host;
+        assert_eq!(host("m-1"), Some(h));
+        assert_eq!(host("m-4"), Some(M4));
+        assert_eq!(host("aspen"), None);
     }
 
     #[test]

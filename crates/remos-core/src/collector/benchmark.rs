@@ -13,7 +13,6 @@
 
 use crate::collector::{Collector, SampleHistory, Snapshot};
 use crate::error::{CoreResult, RemosError};
-use crate::graph::HostInfo;
 use remos_net::flow::{FlowParams, FlowTag};
 use remos_net::topology::{NodeId, NodeKind, Topology, TopologyBuilder};
 use remos_net::{Bps, SimDuration, SimTime};
@@ -133,7 +132,8 @@ impl Collector for BenchmarkCollector {
         let ids: HashMap<&str, NodeId> = self
             .hosts
             .iter()
-            .map(|h| (h.as_str(), b.compute(h)))
+            // The probed region is opaque: no host resources are observable.
+            .map(|h| (h.as_str(), b.compute_with_host(h, None)))
             .collect();
         self.pairs.clear();
         for i in 0..self.hosts.len() {
@@ -170,11 +170,6 @@ impl Collector for BenchmarkCollector {
             .as_ref()
             .map(Arc::clone)
             .ok_or_else(|| RemosError::Collector("topology not discovered yet".into()))
-    }
-
-    fn host_info(&self, name: &str) -> CoreResult<HostInfo> {
-        // The probed region is opaque: no host resources are observable.
-        Err(RemosError::UnknownNode(name.to_string()))
     }
 
     fn poll(&mut self) -> CoreResult<bool> {

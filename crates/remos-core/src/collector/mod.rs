@@ -189,8 +189,16 @@ pub trait Collector: Send {
     /// The discovered physical-view topology.
     fn topology(&self) -> CoreResult<Arc<Topology>>;
 
-    /// Compute/memory resources of a named host, if known.
-    fn host_info(&self, name: &str) -> CoreResult<HostInfo>;
+    /// Compute/memory resources of a named host: the `host` its node in
+    /// [`Collector::topology`] carries, [`RemosError::UnknownNode`] for a
+    /// switch, an unmeasured host, or a name the topology lacks.
+    fn host_info(&self, name: &str) -> CoreResult<HostInfo> {
+        let topo = self.topology()?;
+        topo.lookup(name)
+            .ok()
+            .and_then(|id| topo.node(id).host)
+            .ok_or_else(|| RemosError::UnknownNode(name.to_string()))
+    }
 
     /// Take one measurement. Returns `true` if a utilization sample was
     /// appended (the first poll after discovery only establishes a counter

@@ -8,8 +8,9 @@
 //! [`MultiCollector`] owns several child collectors, each responsible for
 //! a region (e.g. one SNMP collector per campus subnet, a
 //! [`ShardCollector`](crate::collector::shard::ShardCollector) per pod
-//! group of a fabric), and merges their views: nodes are unified by name,
-//! links by endpoint-name pair (border links observed by two children are
+//! group of a fabric), and merges their views: nodes are unified by name
+//! (a host keeps the first resources a child measured for it), links by
+//! endpoint-name pair (border links observed by two children are
 //! deduplicated, utilization merged by maximum), and snapshots are
 //! re-indexed into the merged topology. When every child reports the
 //! *same* shared topology `Arc` (the fabric-shard case), the merged view
@@ -58,7 +59,7 @@ use crate::graph::HostInfo;
 use crate::quality::DataQuality;
 use remos_net::topology::{DirLink, NodeKind, Topology, TopologyBuilder};
 use remos_net::{SimDuration, SimTime};
-use remos_obs::{Counter, Histogram, Obs};
+use remos_obs::{Counter, Fnv, Histogram, Obs};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -112,8 +113,6 @@ struct Run {
 /// in-place merged sample buffers.
 struct Merged {
     topo: Arc<Topology>,
-    /// Host name -> child that first reported it, for O(1) `host_info`.
-    host_child: HashMap<String, usize>,
     /// Per child: the entries only it observes, coalesced into runs.
     exclusive: Vec<Vec<Run>>,
     /// Entries observed by several children.
@@ -154,39 +153,29 @@ impl MultiMetrics {
     }
 }
 
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_bytes(d: u64, bytes: &[u8]) -> u64 {
-    let mut d = d;
-    for &b in bytes {
-        d ^= u64::from(b);
-        d = d.wrapping_mul(FNV_PRIME);
-    }
-    d
-}
-
 /// FNV-1a digest of everything that gives a child topology its meaning:
 /// node names/kinds/resources and link endpoints/capacity/latency, in id
 /// order. Equal digests imply the same dir-link indexing, so remaps and
 /// histories built under one stay valid under the other.
 fn structure_digest(t: &Topology) -> u64 {
-    let mut d = FNV_BASIS;
+    let mut d = Fnv::new();
     for n in t.node_ids() {
         let node = t.node(n);
-        d = fnv_bytes(d, node.name.as_bytes());
-        d = fnv_bytes(d, &[matches!(node.kind, NodeKind::Network) as u8]);
-        d = fnv_bytes(d, &node.compute_flops.to_bits().to_le_bytes());
-        d = fnv_bytes(d, &node.memory_bytes.to_le_bytes());
+        d.bytes(node.name.as_bytes());
+        d.bytes(&[matches!(node.kind, NodeKind::Network) as u8, node.host.is_some() as u8]);
+        if let Some(h) = node.host {
+            d.f64(h.compute_flops);
+            d.u64(h.memory_bytes);
+        }
     }
     for l in t.link_ids() {
         let link = t.link(l);
-        d = fnv_bytes(d, &(link.a.index() as u64).to_le_bytes());
-        d = fnv_bytes(d, &(link.b.index() as u64).to_le_bytes());
-        d = fnv_bytes(d, &link.capacity.to_bits().to_le_bytes());
-        d = fnv_bytes(d, &link.latency.as_nanos().to_le_bytes());
+        d.u64(link.a.index() as u64);
+        d.u64(link.b.index() as u64);
+        d.f64(link.capacity);
+        d.u64(link.latency.as_nanos());
     }
-    d
+    d.value()
 }
 
 /// The epoch *vector* folded to one value: FNV-1a over the per-child
@@ -194,11 +183,12 @@ fn structure_digest(t: &Topology) -> u64 {
 /// [`Collector::topology_epoch`]; one shard's rediscovery only moves it
 /// when that shard's structure actually changed.
 fn epoch_digest(child_structs: &[u64]) -> u64 {
-    let mut d = FNV_BASIS;
+    let mut d = Fnv::new();
     for &s in child_structs {
-        d = fnv_bytes(d, &s.to_le_bytes());
+        d.u64(s);
     }
-    fnv_bytes(d, &(child_structs.len() as u64).to_le_bytes())
+    d.u64(child_structs.len() as u64);
+    d.value()
 }
 
 /// A federation of collectors presenting one merged view.
@@ -302,18 +292,6 @@ impl MultiCollector {
             self.merge_by_name(topos)?
         };
 
-        // Host name -> first child able to answer `host_info` for it.
-        let mut host_child: HashMap<String, usize> = HashMap::new();
-        for (ci, t) in topos.iter().enumerate() {
-            let Some(t) = t else { continue };
-            for nid in t.node_ids() {
-                let node = t.node(nid);
-                if node.kind == NodeKind::Compute {
-                    host_child.entry(node.name.clone()).or_insert(ci);
-                }
-            }
-        }
-
         // Contributor split: which children actually observe each merged
         // entry. A child observes the entries its coverage() declares
         // (all of them by default), remapped into the merged indexing.
@@ -353,7 +331,6 @@ impl MultiCollector {
         }
         Ok(Merged {
             topo,
-            host_child,
             exclusive,
             shared,
             util: vec![0.0; n],
@@ -373,19 +350,17 @@ impl MultiCollector {
         topos: &[Option<Arc<Topology>>],
     ) -> CoreResult<(Arc<Topology>, Vec<Vec<usize>>)> {
         // Union of nodes by name. Network kind wins on conflict (a border
-        // router may look like an opaque endpoint to a benchmark child).
-        let mut kinds: BTreeMap<String, NodeKind> = BTreeMap::new();
-        let mut speeds: HashMap<String, (f64, u64)> = HashMap::new();
+        // router may look like an opaque endpoint to a benchmark child); a
+        // host's resources are the first child's that measured them.
+        let mut nodes: BTreeMap<String, (NodeKind, Option<HostInfo>)> = BTreeMap::new();
         for t in topos.iter().flatten() {
             for n in t.node_ids() {
                 let node = t.node(n);
-                let e = kinds.entry(node.name.clone()).or_insert(node.kind);
+                let e = nodes.entry(node.name.clone()).or_insert((node.kind, None));
                 if node.kind == NodeKind::Network {
-                    *e = NodeKind::Network;
+                    e.0 = NodeKind::Network;
                 }
-                speeds
-                    .entry(node.name.clone())
-                    .or_insert((node.compute_flops, node.memory_bytes));
+                e.1 = e.1.or(node.host);
             }
         }
         // Union of links by ordered name pair.
@@ -404,13 +379,10 @@ impl MultiCollector {
         // Build merged topology.
         let mut b = TopologyBuilder::new();
         let mut ids = HashMap::new();
-        for (name, kind) in &kinds {
+        for (name, &(kind, host)) in &nodes {
             let id = match kind {
                 NodeKind::Network => b.network(name),
-                NodeKind::Compute => {
-                    let (flops, _mem) = speeds[name];
-                    b.compute_with_speed(name, flops)
-                }
+                NodeKind::Compute => b.compute_with_host(name, host),
             };
             ids.insert(name.clone(), id);
         }
@@ -528,25 +500,6 @@ impl Collector for MultiCollector {
             .as_ref()
             .map(|m| Arc::clone(&m.topo))
             .ok_or_else(|| RemosError::Collector("topology not discovered yet".into()))
-    }
-
-    fn host_info(&self, name: &str) -> CoreResult<HostInfo> {
-        // O(1) owner lookup via the map built at merge time; fall back to
-        // the scan when the mapped child cannot answer right now (its
-        // region may be down) or before the first merge.
-        if let Some(m) = &self.merged {
-            if let Some(&ci) = m.host_child.get(name) {
-                if let Ok(h) = self.children[ci].host_info(name) {
-                    return Ok(h);
-                }
-            }
-        }
-        for c in &self.children {
-            if let Ok(h) = c.host_info(name) {
-                return Ok(h);
-            }
-        }
-        Err(RemosError::UnknownNode(name.to_string()))
     }
 
     fn poll(&mut self) -> CoreResult<bool> {

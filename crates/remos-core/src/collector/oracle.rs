@@ -7,9 +7,8 @@
 //! is not exposed through any MIB.
 
 use crate::collector::{Collector, SampleHistory, Snapshot};
-use crate::error::{CoreResult, RemosError};
-use crate::graph::HostInfo;
-use remos_net::topology::{DirLink, NodeKind, Topology};
+use crate::error::CoreResult;
+use remos_net::topology::{DirLink, Topology};
 use remos_net::SimTime;
 use remos_snmp::sim::SharedSim;
 use std::sync::Arc;
@@ -47,17 +46,6 @@ impl Collector for OracleCollector {
 
     fn topology(&self) -> CoreResult<Arc<Topology>> {
         Ok(self.sim.read().topology_arc())
-    }
-
-    fn host_info(&self, name: &str) -> CoreResult<HostInfo> {
-        let sim = self.sim.read();
-        let topo = sim.topology();
-        let id = topo.lookup(name).map_err(RemosError::from)?;
-        let node = topo.node(id);
-        if node.kind != NodeKind::Compute {
-            return Err(RemosError::UnknownNode(name.to_string()));
-        }
-        Ok(HostInfo { compute_flops: node.compute_flops, memory_bytes: node.memory_bytes })
     }
 
     fn poll(&mut self) -> CoreResult<bool> {

@@ -37,9 +37,8 @@
 
 use crate::collector::{Collector, SampleHistory, Snapshot};
 use crate::error::{CoreResult, RemosError};
-use crate::graph::HostInfo;
 use crate::quality::DataQuality;
-use remos_net::topology::{DirLink, NodeKind, Topology};
+use remos_net::topology::{DirLink, Topology};
 use remos_net::{Direction, FatTree, SimDuration, SimTime, Simulator};
 use remos_obs::{Counter, Obs};
 use remos_snmp::sim::SharedSim;
@@ -170,17 +169,6 @@ impl Collector for ShardCollector {
 
     fn topology(&self) -> CoreResult<Arc<Topology>> {
         Ok(self.sim.read().topology_arc())
-    }
-
-    fn host_info(&self, name: &str) -> CoreResult<HostInfo> {
-        let sim = self.sim.read();
-        let topo = sim.topology();
-        let id = topo.lookup(name).map_err(RemosError::from)?;
-        let node = topo.node(id);
-        if node.kind != NodeKind::Compute {
-            return Err(RemosError::UnknownNode(name.to_string()));
-        }
-        Ok(HostInfo { compute_flops: node.compute_flops, memory_bytes: node.memory_bytes })
     }
 
     fn poll(&mut self) -> CoreResult<bool> {

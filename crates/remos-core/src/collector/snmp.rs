@@ -135,7 +135,6 @@ struct View {
     topo: Arc<Topology>,
     /// Per dir-link index: where to read its counter.
     sources: Vec<CounterSource>,
-    hosts: HashMap<String, HostInfo>,
     /// Per dir-link: last good raw counter reading with its timestamp.
     baseline: Vec<Option<(SimTime, u32)>>,
     /// Per dir-link: last freshly measured rate (carried forward while
@@ -429,17 +428,14 @@ impl<T: Transport + Sync> SnmpCollector<T> {
         }
 
         // Union of node names: agents plus neighbor-only names.
-        let mut routers = BTreeSet::new();
+        let agent_index: HashMap<&str, usize> = scans
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s.name.as_str(), i))
+            .collect();
         let mut all_names = BTreeSet::new();
-        let mut hosts = HashMap::new();
         for s in &scans {
             all_names.insert(s.name.clone());
-            if s.is_router {
-                routers.insert(s.name.clone());
-            }
-            if let Some(h) = s.host {
-                hosts.insert(s.name.clone(), h);
-            }
             for (_, peer) in s.ifaces.values() {
                 all_names.insert(peer.clone());
             }
@@ -465,13 +461,12 @@ impl<T: Transport + Sync> SnmpCollector<T> {
         let mut b = TopologyBuilder::new();
         let mut ids: HashMap<String, NodeId> = HashMap::new();
         for name in &all_names {
-            let id = if routers.contains(name) {
-                b.network(name)
-            } else if let Some(h) = hosts.get(name) {
-                b.compute_with_speed(name, h.compute_flops)
-            } else {
-                // Neighbor without an agent: assume a host.
-                b.compute(name)
+            // A neighbor without an agent is assumed to be a host whose
+            // resources nobody measured.
+            let scan = agent_index.get(name.as_str()).map(|&i| &scans[i]);
+            let id = match scan {
+                Some(s) if s.is_router => b.network(name),
+                _ => b.compute_with_host(name, scan.and_then(|s| s.host)),
             };
             ids.insert(name.clone(), id);
         }
@@ -485,11 +480,6 @@ impl<T: Transport + Sync> SnmpCollector<T> {
         let topo = Arc::new(b.build().map_err(RemosError::from)?);
 
         // Counter sources per directed interface.
-        let agent_index: HashMap<&str, usize> = scans
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.name.as_str(), i))
-            .collect();
         let mut sources = vec![CounterSource::None; topo.dir_link_count()];
         for (si, s) in scans.iter().enumerate() {
             for (&if_index, (_, peer)) in &s.ifaces {
@@ -514,7 +504,6 @@ impl<T: Transport + Sync> SnmpCollector<T> {
         Ok(View {
             topo,
             sources,
-            hosts,
             baseline: vec![None; n],
             last_util: vec![0.0; n],
             last_fresh: vec![None; n],
@@ -583,17 +572,6 @@ impl<T: Transport + Sync> Collector for SnmpCollector<T> {
             .as_ref()
             .map(|v| Arc::clone(&v.topo))
             .ok_or_else(|| RemosError::Collector("topology not discovered yet".into()))
-    }
-
-    fn host_info(&self, name: &str) -> CoreResult<HostInfo> {
-        let view = self
-            .view
-            .as_ref()
-            .ok_or_else(|| RemosError::Collector("topology not discovered yet".into()))?;
-        view.hosts
-            .get(name)
-            .copied()
-            .ok_or_else(|| RemosError::UnknownNode(name.to_string()))
     }
 
     fn poll(&mut self) -> CoreResult<bool> {

@@ -17,33 +17,27 @@ use remos_net::{Bps, SimDuration};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// FNV-1a fold used by [`RemosGraph::digest`]. Floats are folded by bit
-/// pattern so the digest is exactly as strict as bit equality.
-struct Fnv(u64);
+/// Host compute/memory attributes, carried on the topology node.
+pub use remos_net::topology::HostInfo;
 
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
+/// [`RemosGraph::digest`]'s fold: FNV-1a ([`remos_obs::Fnv`]) with
+/// length-delimited byte strings. Floats are folded by bit pattern so
+/// the digest is exactly as strict as bit equality.
+struct Fold(remos_obs::Fnv);
+
+impl Fold {
+    fn new() -> Fold {
+        Fold(remos_obs::Fnv::new())
     }
 
     fn bytes(&mut self, b: &[u8]) {
-        for &x in b {
-            self.0 ^= x as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0.bytes(b);
         // Length-delimit so ("ab","c") and ("a","bc") differ.
         self.u64(b.len() as u64);
     }
 
     fn u64(&mut self, v: u64) {
-        self.bytes_raw(&v.to_le_bytes());
-    }
-
-    fn bytes_raw(&mut self, b: &[u8]) {
-        for &x in b {
-            self.0 ^= x as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0.u64(v);
     }
 
     fn usize(&mut self, v: usize) {
@@ -83,18 +77,8 @@ impl Fnv {
     }
 
     fn finish(&self) -> u64 {
-        self.0
+        self.0.value()
     }
-}
-
-/// Host compute/memory attributes (§2: Remos "does include a simple
-/// interface to computation and memory resources").
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct HostInfo {
-    /// Peak floating-point rate, flops.
-    pub compute_flops: f64,
-    /// Physical memory, bytes.
-    pub memory_bytes: u64,
 }
 
 /// A node of the logical topology.
@@ -203,7 +187,7 @@ impl RemosGraph {
     /// bit-identical answers — the equality the plan cache is held to:
     /// a cache hit must produce the same digest a cold build would.
     pub fn digest(&self) -> u64 {
-        let mut d = Fnv::new();
+        let mut d = Fold::new();
         d.usize(self.nodes.len());
         for n in &self.nodes {
             d.bytes(n.name.as_bytes());

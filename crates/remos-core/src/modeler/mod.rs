@@ -17,14 +17,14 @@
 //! 3. **prepare** — `Modeler::prepare`: every collector *read*. One
 //!    lookup of the structural [`plan::QueryPlan`] (logicalization of
 //!    the target set, cached per `(topology_epoch, target set)`, over
-//!    routes memoised per `topology_epoch`), the host table, and the
-//!    sample selection for the timeframe.
+//!    routes memoised per `topology_epoch`), a what-if query's resolved
+//!    flows, and the sample selection for the timeframe.
 //! 4. **answer** — `Modeler::answer`: `&self`, pure over what stage 3
 //!    produced. Annotation, flow solving, what-if replay, the
 //!    `min_quality` floor and provenance stripping all live here and
 //!    nowhere else.
 //!
-//! See `docs/PERFORMANCE.md` ("Cache configuration") for the plan-cache
+//! See `docs/PERFORMANCE.md` ("Query-path caching") for the plan-cache
 //! invalidation rules and the bit-equality argument.
 
 pub mod flowsolve;
@@ -36,7 +36,7 @@ pub mod sharing;
 use crate::collector::Collector;
 use crate::error::{CoreResult, InvalidQueryKind, RemosError};
 use crate::flows::{FlowGrant, FlowInfoRequest, FlowInfoResponse};
-use crate::graph::{HostInfo, RemosGraph, RemosLink, RemosNode};
+use crate::graph::{RemosGraph, RemosLink, RemosNode};
 use crate::provenance::Provenance;
 use crate::quality::DataQuality;
 use crate::query::{GraphQuery, Query, QueryResult, QuerySpec, WhatIfQuery};
@@ -149,8 +149,6 @@ impl SelectedSamples {
 /// what its kind of answer needs from the collector's topology.
 #[derive(Default)]
 pub(crate) struct Prepared {
-    /// A graph query's host table, node-slot order.
-    pub(crate) hosts: Vec<Option<HostInfo>>,
     /// A what-if query's flows, endpoints resolved, in input order.
     flows: Vec<WhatIfFlow>,
     /// A what-if query's endpoints, sorted and deduplicated: its plan's
@@ -458,33 +456,9 @@ impl Modeler {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// Host info for each retained node of a plan, in node-table order.
-    /// Collector access happens here, on the caller's thread, so the
-    /// annotation pass itself is pure and parallelizable. Non-compute
-    /// nodes are `None` without consulting the collector — `host_info`
-    /// is only defined for hosts (its switch answer is an error by
-    /// contract), and skipping the call keeps the warm query path free
-    /// of per-switch error-construction allocations.
-    pub(crate) fn host_table(
-        col: &dyn Collector,
-        plan: &QueryPlan,
-        out: &mut Vec<Option<HostInfo>>,
-    ) {
-        out.clear();
-        out.extend(plan.structure.nodes.iter().map(|&nid| {
-            let n = plan.topo.node(nid);
-            if n.kind == NodeKind::Compute {
-                col.host_info(&n.name).ok()
-            } else {
-                None
-            }
-        }));
-    }
-
     /// Stage three of a query: every collector read it needs, into `ws`.
-    /// One plan lookup over the spec's node names, the host table for
-    /// graph answers or the resolved flows for what-if answers, and the
-    /// timeframe's sample selection.
+    /// One plan lookup over the spec's node names, the resolved flows for
+    /// what-if answers, and the timeframe's sample selection.
     pub(crate) fn prepare(
         &self,
         col: &dyn Collector,
@@ -508,11 +482,7 @@ impl Modeler {
     ) -> CoreResult<(Arc<QueryPlan>, Timeframe)> {
         let tf = spec.timeframe().ok_or_else(|| RemosError::Internal(UNPLANNED.into()))?;
         let plan = match spec {
-            QuerySpec::Graph(q) => {
-                let plan = self.plan_for(col, &q.nodes, key)?;
-                Self::host_table(col, &plan, &mut prepared.hosts);
-                plan
-            }
+            QuerySpec::Graph(q) => self.plan_for(col, &q.nodes, key)?,
             QuerySpec::Flows(q) => self.plan_for(col, &q.request.endpoint_names(), key)?,
             QuerySpec::WhatIf(q) => self.whatif_plan(col, q, key, prepared)?,
             QuerySpec::Reachable(_) => return Err(RemosError::Internal(UNPLANNED.into())),
@@ -540,7 +510,7 @@ impl Modeler {
             }
             Ok(id)
         };
-        let Prepared { flows, endpoints, .. } = prepared;
+        let Prepared { flows, endpoints } = prepared;
         flows.clear();
         endpoints.clear();
         for f in &q.flows {
@@ -573,7 +543,7 @@ impl Modeler {
     ) -> CoreResult<QueryResult> {
         match spec {
             QuerySpec::Graph(q) => {
-                self.annotate_graph(plan, &prepared.hosts, selected, q.timeframe, scratch)?;
+                self.annotate_graph(plan, selected, q.timeframe, scratch)?;
                 check_floor(q.min_quality, scratch.graph.worst_quality())?;
                 let mut g = std::mem::take(&mut scratch.graph);
                 if !q.provenance {
@@ -625,11 +595,11 @@ impl Modeler {
     }
 
     /// [`Modeler::get_graph`] through a caller-owned [`QueryWorkspace`].
-    /// Identical answer, but every buffer (node list, cache key, host
-    /// table, sample selection, and the output graph itself) is reused
-    /// in place, so a warm cached query — plan-cache hit,
-    /// `Current`/`Window` timeframe, unchanged topology and target set —
-    /// performs zero heap allocations. The returned reference borrows
+    /// Identical answer, but every buffer (node list, cache key, sample
+    /// selection, and the output graph itself) is reused in place, so a
+    /// warm cached query — plan-cache hit, `Current`/`Window` timeframe,
+    /// unchanged topology and target set — performs zero heap
+    /// allocations. The returned reference borrows
     /// the workspace's resident graph.
     pub fn get_graph_in<'ws>(
         &self,
@@ -651,7 +621,8 @@ impl Modeler {
     }
 
     /// Annotate a plan's logical structure with the selected samples,
-    /// into `scratch.graph`. Node and link tables are overwritten
+    /// into `scratch.graph`; each node's host resources are the ones its
+    /// plan's topology carries. Node and link tables are overwritten
     /// element-wise (`clone_from` reuses each node-name `String` buffer;
     /// `RemosLink` owns no heap), the value buffers are shared by every
     /// (link, direction) pair, and the name/adjacency indices are
@@ -663,7 +634,6 @@ impl Modeler {
     fn annotate_graph(
         &self,
         plan: &QueryPlan,
-        hosts: &[Option<HostInfo>],
         selected: &SelectedSamples,
         tf: Timeframe,
         scratch: &mut AnswerScratch,
@@ -681,7 +651,6 @@ impl Modeler {
         out.nodes.truncate(structure.nodes.len());
         for (i, &nid) in structure.nodes.iter().enumerate() {
             let n = topo.node(nid);
-            let host = hosts.get(i).copied().flatten();
             if i < out.nodes.len() {
                 let e = &mut out.nodes[i];
                 if e.name != n.name {
@@ -690,13 +659,13 @@ impl Modeler {
                 }
                 e.kind = n.kind;
                 e.internal_bw = n.internal_bw;
-                e.host = host;
+                e.host = n.host;
             } else {
                 out.nodes.push(RemosNode {
                     name: n.name.clone(),
                     kind: n.kind,
                     internal_bw: n.internal_bw,
-                    host,
+                    host: n.host,
                 });
             }
         }

@@ -45,8 +45,8 @@ pub struct QueryPlan {
     pub routing: Arc<Routing>,
     /// Logical structure connecting the targets.
     pub structure: Arc<LogicalStructure>,
-    /// Statically annotated logical graph (no host info, availability =
-    /// capacity): the flow solver's resource space.
+    /// Statically annotated logical graph (host resources from `topo`,
+    /// availability = capacity): the flow solver's resource space.
     pub static_graph: Arc<RemosGraph>,
 }
 
@@ -68,7 +68,7 @@ impl QueryPlan {
                     name: n.name.clone(),
                     kind: n.kind,
                     internal_bw: n.internal_bw,
-                    host: None,
+                    host: n.host,
                 }
             })
             .collect();

@@ -10,11 +10,12 @@ use remos_prop::prelude::*;
 use remos_core::collector::{Collector, SampleHistory, Snapshot};
 use remos_core::error::CoreResult;
 use remos_core::graph::HostInfo;
-use remos_core::modeler::{Modeler, ModelerConfig};
-use remos_core::{FlowInfoRequest, RemosError, Timeframe};
+use remos_core::modeler::{Modeler, ModelerConfig, QueryWorkspace};
+use remos_core::{FlowInfoRequest, Timeframe};
 use remos_net::topology::Topology;
 use remos_net::{mbps, SimDuration, SimTime, TopologyBuilder};
 use remos_obs::Obs;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 const HOSTS: [&str; 4] = ["h0", "h1", "h2", "h3"];
@@ -22,8 +23,14 @@ const HOSTS: [&str; 4] = ["h0", "h1", "h2", "h3"];
 /// Two structurally different topologies over the same host names, so a
 /// plan cached under one must never answer a query about the other.
 fn topo_a() -> Topology {
+    topo_a_with_h3(HostInfo::default())
+}
+
+/// Topology A with `h3`'s resources set to `h3`.
+fn topo_a_with_h3(h3: HostInfo) -> Topology {
     let mut b = TopologyBuilder::new();
-    let hs: Vec<_> = HOSTS.iter().map(|h| b.compute(h)).collect();
+    let mut hs: Vec<_> = HOSTS[..3].iter().map(|h| b.compute(h)).collect();
+    hs.push(b.compute_with_host("h3", Some(h3)));
     let r0 = b.network("r0");
     let r1 = b.network("r1");
     let lat = SimDuration::from_micros(100);
@@ -66,8 +73,13 @@ struct StubCollector {
 
 impl StubCollector {
     fn new(seed: u64) -> StubCollector {
+        StubCollector::over(seed, [topo_a(), topo_b()])
+    }
+
+    /// A stub alternating between the two given topologies.
+    fn over(seed: u64, [a, b]: [Topology; 2]) -> StubCollector {
         StubCollector {
-            topos: [Arc::new(topo_a()), Arc::new(topo_b())],
+            topos: [Arc::new(a), Arc::new(b)],
             current: 0,
             epoch: 0,
             history: SampleHistory::default(),
@@ -100,10 +112,6 @@ impl Collector for StubCollector {
 
     fn topology(&self) -> CoreResult<Arc<Topology>> {
         Ok(Arc::clone(&self.topos[self.current]))
-    }
-
-    fn host_info(&self, name: &str) -> CoreResult<HostInfo> {
-        Err(RemosError::UnknownNode(name.to_string()))
     }
 
     fn poll(&mut self) -> CoreResult<bool> {
@@ -323,4 +331,90 @@ fn plans_of_one_epoch_share_one_routing_table() {
     let (x, y) = (plan(&cold, &col, 1), plan(&cold, &col, 1));
     assert!(!Arc::ptr_eq(&x.routing, &y.routing), "capacity 0 shared a table");
     assert_eq!(y.routing.rows_built(), 2, "a private table holds this query's rows only");
+}
+
+/// A host's resources live on its topology node, so a plan's answer
+/// follows the topology it was built from: two topologies that differ
+/// only in h3's memory answer with each one's value, whether the
+/// collector bumps its epoch between them or swaps silently and only the
+/// plan cache's `Arc::ptr_eq` guard notices.
+#[test]
+fn host_resources_follow_the_topology_across_swaps() {
+    let big = HostInfo { memory_bytes: 4 << 30, ..HostInfo::default() };
+    let mut col = StubCollector::over(5, [topo_a(), topo_a_with_h3(big)]);
+    col.poll().unwrap();
+    let modeler = Modeler::new(ModelerConfig::default());
+    let targets = target_set(0);
+    // One workspace throughout, so each answer overwrites the last in place.
+    let mut ws = QueryWorkspace::new();
+    let mut h3_memory = |col: &StubCollector| {
+        let g = modeler.get_graph_in(col, &targets, Timeframe::Current, &mut ws).unwrap();
+        g.nodes[g.index_of("h3").unwrap()].host.unwrap().memory_bytes
+    };
+    assert_eq!(h3_memory(&col), HostInfo::default().memory_bytes);
+    col.refresh_topology().unwrap();
+    col.poll().unwrap();
+    assert_eq!(h3_memory(&col), big.memory_bytes, "after an epoch bump");
+    col.swap_topology_without_bumping_the_epoch();
+    col.poll().unwrap();
+    assert_eq!(h3_memory(&col), HostInfo::default().memory_bytes, "after a silent swap");
+    col.swap_topology_without_bumping_the_epoch();
+    col.poll().unwrap();
+    assert_eq!(h3_memory(&col), big.memory_bytes, "after a second silent swap");
+}
+
+/// Counts `host_info` calls on their way to the stub.
+struct CountingCollector {
+    inner: StubCollector,
+    host_info_calls: AtomicUsize,
+}
+
+impl Collector for CountingCollector {
+    fn refresh_topology(&mut self) -> CoreResult<()> {
+        self.inner.refresh_topology()
+    }
+
+    fn topology(&self) -> CoreResult<Arc<Topology>> {
+        self.inner.topology()
+    }
+
+    fn host_info(&self, name: &str) -> CoreResult<HostInfo> {
+        self.host_info_calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.host_info(name)
+    }
+
+    fn poll(&mut self) -> CoreResult<bool> {
+        self.inner.poll()
+    }
+
+    fn history(&self) -> &SampleHistory {
+        self.inner.history()
+    }
+
+    fn topology_epoch(&self) -> u64 {
+        self.inner.topology_epoch()
+    }
+
+    fn now(&self) -> CoreResult<SimTime> {
+        self.inner.now()
+    }
+}
+
+/// A graph answer reads host resources from its plan's topology: a warm
+/// answer (plan-cache hit) asks the collector for none of them.
+#[test]
+fn a_warm_graph_answer_makes_no_host_info_call() {
+    let obs = Obs::new();
+    let mut col = CountingCollector { inner: StubCollector::new(9), host_info_calls: 0.into() };
+    col.poll().unwrap();
+    let mut modeler = Modeler::new(ModelerConfig::default());
+    modeler.set_obs(&obs);
+    let targets = target_set(2);
+    let cold = modeler.get_graph(&col, &targets, Timeframe::Current).unwrap();
+    let warm = modeler.get_graph(&col, &targets, Timeframe::Current).unwrap();
+    assert_eq!(warm.digest(), cold.digest());
+    assert_eq!(warm.nodes.iter().filter(|n| n.host.is_some()).count(), HOSTS.len());
+    let hits = obs.metrics_snapshot().counters.get("modeler_plan_cache_hits_total").copied();
+    assert_eq!(hits, Some(1), "the second answer is a plan-cache hit");
+    assert_eq!(col.host_info_calls.load(Ordering::Relaxed), 0);
 }

@@ -12,7 +12,7 @@
 //! sequential [`crate::runtime::FxRuntime`]); use this executor to study
 //! co-application interference and to validate simultaneous flow queries.
 
-use crate::program::{CommPattern, Phase, Program};
+use crate::program::{Phase, Program};
 use crate::runtime::{FxError, FxResult, Mapping, RuntimeConfig, TimeBreakdown};
 use remos_obs::sync::Mutex;
 use remos_net::engine::{FlowHandle, ProcessCtx, TrafficProcess};
@@ -20,7 +20,6 @@ use remos_net::flow::FlowParams;
 use remos_net::topology::NodeId;
 use remos_net::{SimDuration, SimTime};
 use remos_snmp::sim::SharedSim;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One task: a program pinned to a mapping, starting at `start`.
@@ -112,38 +111,15 @@ impl TaskMachine {
         let Some(phase) = self.phases().get(self.cursor.1) else { return Step::Done };
         match phase {
             Phase::Compute { parallel_flops, replicated_flops } => {
-                let per_rank = parallel_flops / self.program.ranks as f64;
-                let mut worst = 0.0f64;
-                for (i, &speed) in self.speeds.iter().enumerate() {
-                    let k = self.mapping.ranks_on_node(i, self.program.ranks) as f64;
-                    worst = worst.max(k * (per_rank + replicated_flops) / speed.max(1.0));
-                }
+                let ranks = self.program.ranks;
+                let worst =
+                    self.mapping.compute_span(&self.speeds, ranks, *parallel_flops, *replicated_flops);
                 Step::Sleep(SimDuration::from_secs_f64(worst))
             }
-            Phase::Comm(pattern) => Step::Comm(Self::node_transfers(
-                pattern,
-                self.program.ranks,
-                &self.mapping,
-            )),
-        }
-    }
-
-    fn node_transfers(
-        pattern: &CommPattern,
-        ranks: usize,
-        mapping: &Mapping,
-    ) -> Vec<(usize, usize, u64)> {
-        let mut agg: HashMap<(usize, usize), u64> = HashMap::new();
-        for (rs, rd, bytes) in pattern.transfers(ranks) {
-            let ns = mapping.node_of_rank(rs);
-            let nd = mapping.node_of_rank(rd);
-            if ns != nd {
-                *agg.entry((ns, nd)).or_insert(0) += bytes;
+            Phase::Comm(pattern) => {
+                Step::Comm(self.mapping.node_transfers(pattern, self.program.ranks))
             }
         }
-        let mut v: Vec<_> = agg.into_iter().map(|((s, d), b)| (s, d, b)).collect();
-        v.sort_unstable();
-        v
     }
 
     fn finish(&mut self, now: SimTime) {
@@ -241,13 +217,7 @@ pub fn run_concurrent(
                     t.program.ranks
                 )));
             }
-            let mut ids = Vec::with_capacity(t.mapping.nodes.len());
-            let mut speeds = Vec::with_capacity(t.mapping.nodes.len());
-            for n in &t.mapping.nodes {
-                let id = topo.lookup(n)?;
-                ids.push(id);
-                speeds.push(topo.node(id).compute_flops);
-            }
+            let (ids, speeds) = t.mapping.resolve(&topo)?;
             let has_startup = !t.program.startup.is_empty();
             let machine = TaskMachine {
                 program: t.program,

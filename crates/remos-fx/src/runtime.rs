@@ -11,9 +11,9 @@
 //! which is precisely how "a single busy communication link … degrade\[s\]
 //! overall performance dramatically".
 
-use crate::program::{Phase, Program};
+use crate::program::{CommPattern, Phase, Program};
 use remos_net::flow::{FlowParams, FlowTag};
-use remos_net::topology::NodeId;
+use remos_net::topology::{NodeId, Topology};
 use remos_net::{NetError, SimDuration, SimTime};
 use remos_snmp::sim::SharedSim;
 use std::collections::HashMap;
@@ -93,6 +93,59 @@ impl Mapping {
     /// Ranks hosted by node index `i` for a program of `ranks` ranks.
     pub fn ranks_on_node(&self, i: usize, ranks: usize) -> usize {
         (0..ranks).filter(|&r| self.node_of_rank(r) == i).count()
+    }
+
+    /// Each mapped node's id and compute speed (flops/s) on `topo`. Only
+    /// a node carrying host resources can run ranks.
+    pub(crate) fn resolve(&self, topo: &Topology) -> FxResult<(Vec<NodeId>, Vec<f64>)> {
+        let mut ids = Vec::with_capacity(self.nodes.len());
+        let mut speeds = Vec::with_capacity(self.nodes.len());
+        for n in &self.nodes {
+            let id = topo.lookup(n)?;
+            let host = topo.node(id).host;
+            let host = host.ok_or_else(|| FxError::Invalid(format!("{n} is not a compute host")))?;
+            ids.push(id);
+            speeds.push(host.compute_flops);
+        }
+        Ok((ids, speeds))
+    }
+
+    /// Seconds a compute phase holds the barrier: the slowest node's
+    /// time for the ranks it hosts, at the resolved `speeds`.
+    pub(crate) fn compute_span(
+        &self,
+        speeds: &[f64],
+        ranks: usize,
+        parallel_flops: f64,
+        replicated_flops: f64,
+    ) -> f64 {
+        let per_rank = parallel_flops / ranks as f64;
+        speeds.iter().enumerate().fold(0.0f64, |worst, (i, &speed)| {
+            let k = self.ranks_on_node(i, ranks) as f64;
+            worst.max(k * (per_rank + replicated_flops) / speed.max(1.0))
+        })
+    }
+
+    /// Node-pair transfers (src node, dst node, bytes) a comm phase
+    /// induces under this mapping, sorted so flows start in a
+    /// deterministic order; rank-local transfers are free.
+    pub(crate) fn node_transfers(
+        &self,
+        pattern: &CommPattern,
+        ranks: usize,
+    ) -> Vec<(usize, usize, u64)> {
+        let mut agg: HashMap<(usize, usize), u64> = HashMap::new();
+        for (rs, rd, bytes) in pattern.transfers(ranks) {
+            let ns = self.node_of_rank(rs);
+            let nd = self.node_of_rank(rd);
+            if ns != nd {
+                *agg.entry((ns, nd)).or_insert(0) += bytes;
+            }
+        }
+        let mut v: Vec<(usize, usize, u64)> =
+            agg.into_iter().map(|((s, d), b)| (s, d, b)).collect();
+        v.sort_unstable();
+        v
     }
 }
 
@@ -179,40 +232,6 @@ impl FxRuntime {
         &self.sim
     }
 
-    fn resolve(&self, mapping: &Mapping) -> FxResult<(Vec<NodeId>, Vec<f64>)> {
-        let sim = self.sim.lock();
-        let topo = sim.topology();
-        let mut ids = Vec::with_capacity(mapping.nodes.len());
-        let mut speeds = Vec::with_capacity(mapping.nodes.len());
-        for n in &mapping.nodes {
-            let id = topo.lookup(n)?;
-            ids.push(id);
-            speeds.push(topo.node(id).compute_flops);
-        }
-        Ok((ids, speeds))
-    }
-
-    /// Node-pair transfers (src node, dst node, bytes) a comm phase
-    /// induces under a mapping; rank-local transfers are free.
-    fn node_transfers(
-        pattern: &crate::program::CommPattern,
-        ranks: usize,
-        mapping: &Mapping,
-    ) -> Vec<(usize, usize, u64)> {
-        let mut agg: HashMap<(usize, usize), u64> = HashMap::new();
-        for (rs, rd, bytes) in pattern.transfers(ranks) {
-            let ns = mapping.node_of_rank(rs);
-            let nd = mapping.node_of_rank(rd);
-            if ns != nd {
-                *agg.entry((ns, nd)).or_insert(0) += bytes;
-            }
-        }
-        let mut v: Vec<(usize, usize, u64)> =
-            agg.into_iter().map(|((s, d), b)| (s, d, b)).collect();
-        v.sort_unstable(); // deterministic flow start order
-        v
-    }
-
     /// Execute one phase; returns (elapsed seconds, bytes sent).
     fn run_phase(
         &mut self,
@@ -226,20 +245,15 @@ impl FxRuntime {
         match phase {
             Phase::Compute { parallel_flops, replicated_flops } => {
                 // Barrier semantics: the slowest node gates the phase.
-                let per_rank = parallel_flops / ranks as f64;
-                let mut worst = 0.0f64;
-                for (i, &speed) in speeds.iter().enumerate() {
-                    let k = mapping.ranks_on_node(i, ranks) as f64;
-                    let t = k * (per_rank + replicated_flops) / speed.max(1.0);
-                    worst = worst.max(t);
-                }
+                let worst =
+                    mapping.compute_span(speeds, ranks, *parallel_flops, *replicated_flops);
                 let d = SimDuration::from_secs_f64(worst);
                 self.sim.lock().run_for(d)?;
                 breakdown.compute += worst;
                 Ok(0)
             }
             Phase::Comm(pattern) => {
-                let transfers = Self::node_transfers(pattern, ranks, mapping);
+                let transfers = mapping.node_transfers(pattern, ranks);
                 if transfers.is_empty() {
                     return Ok(0);
                 }
@@ -307,7 +321,7 @@ impl FxRuntime {
                 prog.ranks
             )));
         }
-        let (mut ids, mut speeds) = self.resolve(&mapping)?;
+        let (mut ids, mut speeds) = mapping.resolve(self.sim.lock().topology())?;
         let start = self.now();
         let mut breakdown = TimeBreakdown::default();
         let mut bytes_sent = 0u64;
@@ -326,7 +340,7 @@ impl FxRuntime {
                 breakdown.decision += t_dec1.since(t_dec0).as_secs_f64();
                 if new_mapping != mapping {
                     mapping = new_mapping;
-                    let (i, s) = self.resolve(&mapping)?;
+                    let (i, s) = mapping.resolve(self.sim.lock().topology())?;
                     ids = i;
                     speeds = s;
                     self.sim.lock().run_for(self.cfg.migration_cost)?;
@@ -368,7 +382,7 @@ impl FxRuntime {
                             ));
                         };
                         mapping = new_mapping;
-                        let (i, s) = self.resolve(&mapping)?;
+                        let (i, s) = mapping.resolve(self.sim.lock().topology())?;
                         ids = i;
                         speeds = s;
                         self.sim.lock().run_for(self.cfg.migration_cost)?;
@@ -606,6 +620,12 @@ mod tests {
         assert!(matches!(rt.run(&prog, &m), Err(FxError::Invalid(_))));
         let m2 = Mapping::of(&["h1", "nope"]).unwrap();
         assert!(matches!(rt.run(&prog, &m2), Err(FxError::Net(_))));
+        // A switch has no compute resources, in either executor.
+        let m3 = Mapping::of(&["h1", "sw"]).unwrap();
+        assert!(matches!(rt.run(&prog, &m3), Err(FxError::Invalid(m)) if m.contains("sw")));
+        let task = crate::TaskSpec { program: prog, mapping: m3, start: SimTime::ZERO };
+        let concurrent = crate::run_concurrent(rt.sim(), RuntimeConfig::default(), vec![task]);
+        assert!(matches!(concurrent, Err(FxError::Invalid(m)) if m.contains("sw")));
     }
 
     #[test]

@@ -2,88 +2,56 @@
 //!
 //! Two simulation runs with the same topology, seeds, and schedules must
 //! produce byte-identical event sequences; [`EventDigest`] folds every
-//! event into a 64-bit FNV-1a hash so a test can compare whole runs with
-//! one equality check and CI can print a single hex fingerprint per
-//! scenario (see `docs/DETERMINISM.md`).
-//!
-//! FNV-1a is used because it is tiny, dependency-free, and — unlike
-//! `DefaultHasher` — explicitly stable across Rust releases, platforms,
-//! and processes. It is *not* collision-resistant; this is a regression
-//! tripwire, not an integrity mechanism.
+//! event into the workspace's one FNV-1a fold ([`Fnv`]) so a test can
+//! compare whole runs with one equality check and CI can print a single
+//! hex fingerprint per scenario (see `docs/DETERMINISM.md`).
 
 use crate::engine::LinkEvent;
 use crate::flow::FlowRecord;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+use remos_obs::Fnv;
 
 /// Incremental, order-sensitive 64-bit event-log digest.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EventDigest(u64);
-
-impl Default for EventDigest {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EventDigest(pub(crate) Fnv);
 
 impl EventDigest {
     /// A fresh digest (FNV-1a offset basis).
     pub fn new() -> EventDigest {
-        EventDigest(FNV_OFFSET)
+        EventDigest(Fnv::new())
     }
 
     /// Current digest value.
     pub fn value(&self) -> u64 {
-        self.0
-    }
-
-    /// Fold raw bytes.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Fold a `u64` (little-endian).
-    pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    /// Fold an `f64` by bit pattern — exact, not approximate, so even a
-    /// 1-ulp drift between runs changes the digest.
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
+        self.0.value()
     }
 
     /// Fold a flow-start event.
     pub fn record_start(&mut self, id: u64, src: u32, dst: u32, at_nanos: u64) {
-        self.write_u64(0x01);
-        self.write_u64(id);
-        self.write_u64(u64::from(src));
-        self.write_u64(u64::from(dst));
-        self.write_u64(at_nanos);
+        self.0.u64(0x01);
+        self.0.u64(id);
+        self.0.u64(u64::from(src));
+        self.0.u64(u64::from(dst));
+        self.0.u64(at_nanos);
     }
 
     /// Fold a flow-finish record (completion, stop, or kill).
     pub fn record_finish(&mut self, rec: &FlowRecord) {
-        self.write_u64(0x02);
-        self.write_u64(rec.id);
-        self.write_u64(u64::from(rec.src.0));
-        self.write_u64(u64::from(rec.dst.0));
-        self.write_u64(rec.started.as_nanos());
-        self.write_u64(rec.finished.as_nanos());
-        self.write_f64(rec.bytes);
-        self.write_u64(u64::from(rec.completed));
+        self.0.u64(0x02);
+        self.0.u64(rec.id);
+        self.0.u64(u64::from(rec.src.0));
+        self.0.u64(u64::from(rec.dst.0));
+        self.0.u64(rec.started.as_nanos());
+        self.0.u64(rec.finished.as_nanos());
+        self.0.f64(rec.bytes);
+        self.0.u64(u64::from(rec.completed));
     }
 
     /// Fold a link state transition.
     pub fn record_link(&mut self, ev: &LinkEvent) {
-        self.write_u64(0x03);
-        self.write_u64(ev.t.as_nanos());
-        self.write_u64(u64::from(ev.link.0));
-        self.write_u64(u64::from(ev.up));
+        self.0.u64(0x03);
+        self.0.u64(ev.t.as_nanos());
+        self.0.u64(u64::from(ev.link.0));
+        self.0.u64(u64::from(ev.up));
     }
 
     /// Fold one flow's bit-exact allocated rate. Used by the engine's
@@ -91,53 +59,8 @@ impl EventDigest {
     /// order lets the equivalence tests compare the full and incremental
     /// solvers' outputs with a single value per instant.
     pub fn record_rate(&mut self, id: u64, rate: f64) {
-        self.write_u64(0x04);
-        self.write_u64(id);
-        self.write_f64(rate);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn empty_digests_are_equal() {
-        assert_eq!(EventDigest::new(), EventDigest::new());
-    }
-
-    #[test]
-    fn known_fnv_vector() {
-        // FNV-1a of "a" is a published test vector.
-        let mut d = EventDigest::new();
-        d.write_bytes(b"a");
-        assert_eq!(d.value(), 0xaf63_dc4c_8601_ec8c);
-    }
-
-    #[test]
-    fn order_sensitive() {
-        let mut a = EventDigest::new();
-        a.write_u64(1);
-        a.write_u64(2);
-        let mut b = EventDigest::new();
-        b.write_u64(2);
-        b.write_u64(1);
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn f64_bit_exact() {
-        let mut a = EventDigest::new();
-        a.write_f64(0.1 + 0.2);
-        let mut b = EventDigest::new();
-        b.write_f64(0.3);
-        // 0.1 + 0.2 != 0.3 in binary64; the digest must see the difference.
-        assert_ne!(a, b);
-        // Negative zero and zero differ by bit pattern, deliberately.
-        let mut c = EventDigest::new();
-        c.write_f64(0.0);
-        let mut d = EventDigest::new();
-        d.write_f64(-0.0);
-        assert_ne!(c, d);
+        self.0.u64(0x04);
+        self.0.u64(id);
+        self.0.f64(rate);
     }
 }

@@ -374,10 +374,10 @@ impl Simulator {
     /// the same seeds must produce equal digests; see
     /// `docs/DETERMINISM.md`.
     pub fn event_digest(&self) -> u64 {
-        let mut d = self.digest;
-        d.write_u64(self.now.as_nanos());
+        let mut d = self.digest.0;
+        d.u64(self.now.as_nanos());
         for r in 0..self.topo.dir_link_count() {
-            d.write_f64(self.core.octets(r, self.now));
+            d.f64(self.core.octets(r, self.now));
         }
         d.value()
     }

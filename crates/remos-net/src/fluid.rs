@@ -367,11 +367,12 @@ impl Core<true> {
 }
 
 impl<const OCTETS: bool> Core<OCTETS> {
-    /// Initial capacity of each member list. The simulator's lists get a
-    /// head start so moderate per-resource load never grows one: its
-    /// steady-state churn must stay allocation-free from the first event.
-    /// The kernel's start empty and keep what they grew across estimates.
-    const MEMBERS_HEAD_START: usize = if OCTETS { 16 } else { 0 };
+    /// Capacity the simulator gives a member list at its first member, so
+    /// moderate per-resource load never grows one: its steady-state churn
+    /// must stay allocation-free from the first event. A resource no flow
+    /// crosses holds none (most of a fabric's, at any time). The kernel's
+    /// lists grow as needed and keep what they grew across estimates.
+    const MEMBERS_HEAD_START: usize = 16;
 
     pub(crate) fn new(capacities: Vec<f64>) -> Self {
         let n = capacities.len();
@@ -382,7 +383,7 @@ impl<const OCTETS: bool> Core<OCTETS> {
             counters: Counters { at: if OCTETS { vec![IDLE; n] } else { Vec::new() }, stale: Vec::new() },
             etas: Etas::default(),
             order: Vec::new(),
-            members: (0..n).map(|_| Vec::with_capacity(Self::MEMBERS_HEAD_START)).collect(),
+            members: vec![Vec::new(); n],
             ub: Vec::new(),
             live: Vec::new(),
             fresh: Vec::new(),
@@ -590,6 +591,9 @@ impl<const OCTETS: bool> Core<OCTETS> {
         for &r in &f.resources {
             let v = &mut self.members[r];
             if let Err(pos) = v.binary_search_by_key(&f.id, |e| e.0) {
+                if OCTETS && v.capacity() == 0 {
+                    v.reserve_exact(Self::MEMBERS_HEAD_START);
+                }
                 v.insert(pos, (f.id, slot));
             }
         }
@@ -971,6 +975,18 @@ mod tests {
             });
             (Just(caps), prop::collection::vec(op, 1..40))
         })
+    }
+
+    /// A member list is allocated at its first member, with the
+    /// simulator's head start, and never for a resource no flow crosses.
+    #[test]
+    fn member_lists_start_at_their_first_member() {
+        let mut core = Core::<true>::new(vec![1e9; 3]);
+        assert!(core.members.iter().all(|m| m.capacity() == 0));
+        *core.resources_mut(0) = vec![0, 2];
+        core.start(0, 0, 1.0, None, 1e6, SimTime::ZERO);
+        let caps: Vec<usize> = core.members.iter().map(Vec::capacity).collect();
+        assert_eq!(caps, [16, 0, 16]);
     }
 
     /// Run `tape` through a `Core<OCTETS>` over `caps`; after every solve,

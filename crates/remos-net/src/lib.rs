@@ -54,6 +54,8 @@ pub use engine::{FlowHandle, Simulator, SolverMode};
 pub use error::{NetError, Result};
 pub use fabric::{FabricChurn, FatTree};
 pub use time::{SimDuration, SimTime};
-pub use topology::{DirLink, Direction, LinkId, NodeId, NodeKind, Topology, TopologyBuilder};
+pub use topology::{
+    DirLink, Direction, HostInfo, LinkId, NodeId, NodeKind, Topology, TopologyBuilder,
+};
 pub use units::{gbps, kbps, mbps, Bps};
 pub use whatif::{FlowEstimate, WhatIfEngine, WhatIfFlow, WhatIfReport};

@@ -119,6 +119,23 @@ impl DirLink {
     }
 }
 
+/// A host's compute and memory resources (§2: Remos "does include a
+/// simple interface to computation and memory resources").
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct HostInfo {
+    /// Peak floating-point rate, flops.
+    pub compute_flops: f64,
+    /// Physical memory, bytes.
+    pub memory_bytes: u64,
+}
+
+impl Default for HostInfo {
+    /// [`DEFAULT_COMPUTE_FLOPS`] and [`DEFAULT_MEMORY_BYTES`].
+    fn default() -> Self {
+        HostInfo { compute_flops: DEFAULT_COMPUTE_FLOPS, memory_bytes: DEFAULT_MEMORY_BYTES }
+    }
+}
+
 /// Node attributes.
 #[derive(Clone, Debug)]
 pub struct Node {
@@ -129,12 +146,10 @@ pub struct Node {
     /// Internal (backplane) bandwidth cap for network nodes, in bits/s.
     /// `None` means the node never limits aggregate throughput.
     pub internal_bw: Option<Bps>,
-    /// Relative compute speed in floating-point operations per second.
-    /// Only meaningful for compute nodes; used by the Fx runtime substrate.
-    pub compute_flops: f64,
-    /// Physical memory in bytes (the paper notes Remos includes a simple
-    /// interface to computation and memory resources, §2).
-    pub memory_bytes: u64,
+    /// The host's resources: `None` for network nodes and for hosts
+    /// whose resources nobody measured (an SNMP neighbour without an
+    /// agent, an opaque benchmark endpoint).
+    pub host: Option<HostInfo>,
 }
 
 /// Duplex link attributes.
@@ -436,42 +451,41 @@ impl TopologyBuilder {
         Self::default()
     }
 
-    fn add_node(&mut self, name: &str, kind: NodeKind) -> NodeId {
+    fn add_node(&mut self, name: &str, kind: NodeKind, host: Option<HostInfo>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         if self.names.insert(name.to_string(), id).is_some() {
             self.errors.push(NetError::DuplicateName(name.to_string()));
         }
-        self.nodes.push(Node {
-            name: name.to_string(),
-            kind,
-            internal_bw: None,
-            compute_flops: DEFAULT_COMPUTE_FLOPS,
-            memory_bytes: DEFAULT_MEMORY_BYTES,
-        });
+        self.nodes.push(Node { name: name.to_string(), kind, internal_bw: None, host });
         id
     }
 
     /// Add a compute node (host) with default resources.
     pub fn compute(&mut self, name: &str) -> NodeId {
-        self.add_node(name, NodeKind::Compute)
+        self.compute_with_host(name, Some(HostInfo::default()))
     }
 
-    /// Add a compute node with an explicit speed (flops/s).
+    /// Add a compute node with an explicit speed (flops/s) and default
+    /// memory.
     pub fn compute_with_speed(&mut self, name: &str, flops: f64) -> NodeId {
-        let id = self.add_node(name, NodeKind::Compute);
-        self.nodes[id.index()].compute_flops = flops;
-        id
+        let host = HostInfo { compute_flops: flops, ..HostInfo::default() };
+        self.compute_with_host(name, Some(host))
+    }
+
+    /// Add a compute node with the given resources (`None`: unmeasured).
+    pub fn compute_with_host(&mut self, name: &str, host: Option<HostInfo>) -> NodeId {
+        self.add_node(name, NodeKind::Compute, host)
     }
 
     /// Add a network node (router/switch).
     pub fn network(&mut self, name: &str) -> NodeId {
-        self.add_node(name, NodeKind::Network)
+        self.add_node(name, NodeKind::Network, None)
     }
 
     /// Add a network node whose backplane caps aggregate throughput
     /// (Fig 1's "internal bandwidth").
     pub fn network_with_internal_bw(&mut self, name: &str, internal_bw: Bps) -> NodeId {
-        let id = self.add_node(name, NodeKind::Network);
+        let id = self.network(name);
         self.nodes[id.index()].internal_bw = Some(internal_bw);
         id
     }

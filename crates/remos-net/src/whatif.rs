@@ -32,7 +32,6 @@
 //! asserted by the `whatif_equivalence` tests against the audited
 //! simulator.
 
-use crate::digest::EventDigest;
 use crate::engine::{resources_into, ProcessCtx, Simulator, SolverMode, TrafficProcess};
 use crate::error::{NetError, Result};
 use crate::flow::FlowParams;
@@ -343,15 +342,15 @@ impl WhatIfEngine {
 /// kernel and the ground-truth replay fold through this one function, so
 /// digest equality means every start/finish nanosecond matches.
 pub fn fct_digest(flows: &[WhatIfFlow], estimates: &[FlowEstimate]) -> u64 {
-    let mut d = EventDigest::new();
+    let mut d = remos_obs::Fnv::new();
     for (i, (w, e)) in flows.iter().zip(estimates.iter()).enumerate() {
-        d.write_u64(i as u64);
-        d.write_u64(u64::from(w.src.0));
-        d.write_u64(u64::from(w.dst.0));
-        d.write_u64(w.size_bytes);
-        d.write_u64(e.started.as_nanos());
-        d.write_u64(e.finished.as_nanos());
-        d.write_u64(u64::from(e.completed));
+        d.u64(i as u64);
+        d.u64(u64::from(w.src.0));
+        d.u64(u64::from(w.dst.0));
+        d.u64(w.size_bytes);
+        d.u64(e.started.as_nanos());
+        d.u64(e.finished.as_nanos());
+        d.u64(u64::from(e.completed));
     }
     d.value()
 }

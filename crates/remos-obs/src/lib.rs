@@ -22,12 +22,14 @@
 //! layer — producing a single unified snapshot.
 
 pub mod clock;
+pub mod fnv;
 pub mod json;
 pub mod metrics;
 pub mod sync;
 pub mod trace;
 
 pub use clock::{ClockSource, ManualClock, WallClock};
+pub use fnv::Fnv;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use trace::{TraceKind, TraceRecord, TraceRecorder, DEFAULT_TRACE_CAPACITY};
 

@@ -11,13 +11,11 @@
 //! digest folds **every** record at append time, so it fingerprints the
 //! complete trace regardless of eviction.
 
+use crate::fnv::Fnv;
 use std::collections::VecDeque;
 
 /// Default ring-buffer capacity (records kept for inspection).
 pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// What a trace record marks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -83,7 +81,7 @@ pub struct TraceRecorder {
     capacity: usize,
     buf: VecDeque<TraceRecord>,
     next_seq: u64,
-    digest: u64,
+    digest: Fnv,
 }
 
 impl Default for TraceRecorder {
@@ -94,27 +92,18 @@ impl Default for TraceRecorder {
 
 impl TraceRecorder {
     /// Recorder keeping at most `capacity` records (digest is unbounded).
-    /// The ring is allocated up front so recording never touches the
-    /// heap — spans are emitted from the engine's steady-state hot path.
+    /// The ring is allocated whole at the first record, so a recorder
+    /// that never records (a component's default handle, replaced by
+    /// `set_obs`) holds none, and recording never touches the heap again
+    /// — spans are emitted from the engine's steady-state hot path.
     pub fn new(capacity: usize) -> TraceRecorder {
         let capacity = capacity.max(1);
         TraceRecorder {
             capacity,
-            buf: VecDeque::with_capacity(capacity),
+            buf: VecDeque::new(),
             next_seq: 0,
-            digest: FNV_OFFSET,
+            digest: Fnv::new(),
         }
-    }
-
-    fn fold_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.digest ^= u64::from(b);
-            self.digest = self.digest.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    fn fold_u64(&mut self, v: u64) {
-        self.fold_bytes(&v.to_le_bytes());
     }
 
     /// Append one record; returns its sequence number.
@@ -128,15 +117,17 @@ impl TraceRecorder {
         let seq = self.next_seq;
         self.next_seq += 1;
         let attrs = &attrs[..attrs.len().min(MAX_TRACE_ATTRS)];
-        self.fold_u64(kind.tag());
-        self.fold_bytes(name.as_bytes());
-        self.fold_u64(t_nanos);
+        self.digest.u64(kind.tag());
+        self.digest.bytes(name.as_bytes());
+        self.digest.u64(t_nanos);
         for (k, v) in attrs {
-            self.fold_bytes(k.as_bytes());
-            self.fold_u64(*v);
+            self.digest.bytes(k.as_bytes());
+            self.digest.u64(*v);
         }
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
+        } else if self.buf.capacity() == 0 {
+            self.buf.reserve_exact(self.capacity);
         }
         let mut stored = [("", 0u64); MAX_TRACE_ATTRS];
         stored[..attrs.len()].copy_from_slice(attrs);
@@ -164,7 +155,7 @@ impl TraceRecorder {
     /// Order-sensitive digest over **all** records ever appended. Two
     /// identical runs must agree on this bit-for-bit.
     pub fn digest(&self) -> u64 {
-        self.digest
+        self.digest.value()
     }
 }
 
@@ -200,6 +191,20 @@ mod tests {
         // Held records are the most recent, in order.
         let seqs: Vec<u64> = a.records().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![8, 9]);
+    }
+
+    #[test]
+    fn the_ring_is_allocated_whole_at_the_first_record() {
+        let mut t = TraceRecorder::new(8);
+        assert_eq!(t.buf.capacity(), 0, "a recorder that never records holds no ring");
+        t.record(TraceKind::Event, "e", 0, &[]);
+        let ring = t.buf.capacity();
+        assert!(ring >= 8);
+        for i in 1..20 {
+            t.record(TraceKind::Event, "e", i, &[]);
+        }
+        assert_eq!(t.buf.capacity(), ring, "the ring grew after the first record");
+        assert_eq!(t.records().count(), 8);
     }
 
     #[test]

@@ -32,7 +32,7 @@ use remos_core::{
     CoreResult, DataQuality, QueryBudget, QueryResult, QuerySpec, Remos, RemosError,
 };
 use remos_net::{SimDuration, SimTime};
-use remos_obs::{Counter, Gauge, Histogram, Obs};
+use remos_obs::{Counter, Fnv, Gauge, Histogram, Obs};
 use std::collections::BTreeMap;
 
 /// Serving-layer tuning.
@@ -168,11 +168,6 @@ impl ServeMetrics {
     }
 }
 
-// FNV-1a over every admission and serving decision: two runs with the
-// same seed and arrival sequence must fold to the same digest.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 const DECISION_ADMIT: u64 = 1;
 const DECISION_SHED_QUOTA: u64 = 2;
 const DECISION_SHED_QUEUE: u64 = 3;
@@ -190,7 +185,9 @@ pub struct Server {
     quotas: TokenBuckets,
     rng: Rng,
     next_id: u64,
-    digest: u64,
+    /// FNV-1a over every admission and serving decision: two runs with
+    /// the same seed and arrival sequence fold to the same digest.
+    digest: Fnv,
     metrics: ServeMetrics,
 }
 
@@ -209,7 +206,7 @@ impl Server {
             quotas,
             rng,
             next_id: 0,
-            digest: FNV_OFFSET,
+            digest: Fnv::new(),
             metrics,
         }
     }
@@ -234,7 +231,7 @@ impl Server {
     /// report the same digest — the bit-reproducibility contract for shed
     /// decisions.
     pub fn decision_digest(&self) -> u64 {
-        self.digest
+        self.digest.value()
     }
 
     fn now(&self) -> SimTime {
@@ -242,12 +239,8 @@ impl Server {
     }
 
     fn fold(&mut self, decision: u64, id: u64) {
-        for v in [decision, id] {
-            for b in v.to_le_bytes() {
-                self.digest ^= b as u64;
-                self.digest = self.digest.wrapping_mul(FNV_PRIME);
-            }
-        }
+        self.digest.u64(decision);
+        self.digest.u64(id);
     }
 
     /// Admission control: charge the tenant's token bucket and reserve a

@@ -108,10 +108,10 @@ impl MibProvider for SimMibProvider {
             NodeKind::Compute => "remos-sim host",
         };
         mib.set_system_group(&node.name, descr, uptime_ticks, services);
-        if node.kind == NodeKind::Compute {
+        if let Some(h) = node.host {
             mib.set_host_resources(
-                (node.memory_bytes / 1024) as i64,
-                (node.compute_flops / 1e6).round() as u32,
+                (h.memory_bytes / 1024) as i64,
+                (h.compute_flops / 1e6).round() as u32,
             );
         }
 

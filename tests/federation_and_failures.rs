@@ -7,7 +7,7 @@ use remos::core::collector::snmp::{SnmpCollector, SnmpCollectorConfig};
 use remos::core::collector::{Collector, SimClock};
 use remos::core::{Query, Remos, RemosConfig, RemosError};
 use remos::net::flow::FlowParams;
-use remos::net::{mbps, SimDuration, Simulator};
+use remos::net::{mbps, HostInfo, SimDuration, Simulator, TopologyBuilder};
 use remos::snmp::sim::{register_all_agents, share, SharedSim};
 use remos::snmp::SimTransport;
 use std::sync::Arc;
@@ -73,6 +73,42 @@ fn federated_collectors_match_single_collector() {
     // Host info resolves through the federation.
     assert!(multi.host_info("m-1").is_ok());
     assert!(multi.host_info("aspen").is_err());
+}
+
+/// A border host that one child sees only as an agentless neighbour and
+/// another measures through its own agent: the merged node and
+/// `host_info` carry the measured resources, not the builder defaults.
+#[test]
+fn border_host_resources_come_from_the_child_that_measured_them() {
+    let x_host = HostInfo { compute_flops: 200e6, memory_bytes: 512 << 20 };
+    let mut b = TopologyBuilder::new();
+    let (h1, h2) = (b.compute("h1"), b.compute("h2"));
+    let x = b.compute_with_host("x", Some(x_host));
+    let (r1, r2) = (b.network("r1"), b.network("r2"));
+    for (a, c) in [(h1, r1), (x, r1), (r1, r2), (h2, r2)] {
+        b.link(a, c, mbps(100.0), SimDuration::from_micros(50)).unwrap();
+    }
+    let sim = share(Simulator::new(b.build().unwrap()).unwrap());
+    let transport = Arc::new(SimTransport::new());
+    register_all_agents(&transport, &sim, "public");
+    let mk = |set: &[&str]| {
+        let set = set.iter().map(|a| a.to_string()).collect();
+        let c = SnmpCollector::new(Arc::clone(&transport), set, SnmpCollectorConfig::default());
+        Box::new(c) as Box<dyn Collector>
+    };
+    // The first child reaches x only as r1's neighbour; the second runs
+    // x's agent.
+    let mut multi = MultiCollector::new(vec![mk(&["h1", "r1"]), mk(&["x", "r2", "h2"])]);
+    multi.refresh_topology().unwrap();
+    let topo = multi.topology().unwrap();
+    let host = |name: &str| topo.node(topo.lookup(name).unwrap()).host;
+    assert_eq!(host("x"), Some(x_host));
+    assert_eq!(multi.host_info("x").unwrap(), x_host);
+    assert_eq!(host("h1"), Some(HostInfo::default()));
+    // r1 looks like an agentless host to the second child; the router
+    // kind wins, and a router has no host resources.
+    assert_eq!(host("r1"), None);
+    assert!(matches!(multi.host_info("r1"), Err(RemosError::UnknownNode(_))));
 }
 
 /// A federation with border entries recomputes them on every merge, so it

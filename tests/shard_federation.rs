@@ -14,7 +14,6 @@ use remos::core::collector::multi::{MultiCollector, MultiCollectorConfig};
 use remos::core::collector::oracle::OracleCollector;
 use remos::core::collector::shard::{shard_fabric, ShardCollector};
 use remos::core::collector::{Collector, SampleHistory, SimClock, Snapshot};
-use remos::core::graph::HostInfo;
 use remos::core::{
     CoreResult, DataQuality, FlowInfoRequest, Modeler, ModelerConfig, Query, Remos, RemosConfig,
     RemosError, Timeframe,
@@ -58,11 +57,6 @@ impl Collector for FlakyShard {
 
     fn topology(&self) -> CoreResult<Arc<Topology>> {
         self.inner.topology()
-    }
-
-    fn host_info(&self, name: &str) -> CoreResult<HostInfo> {
-        self.check()?;
-        self.inner.host_info(name)
     }
 
     fn poll(&mut self) -> CoreResult<bool> {
