@@ -3,6 +3,17 @@
 
 use std::collections::HashMap;
 
+/// `s` seconds of simulated time, built by `from` (a `from_secs_f64`):
+/// an error naming `what`, not a panic, when `s` is negative, NaN or
+/// infinite. A span past the end of the clock saturates.
+pub fn seconds<T>(what: &str, s: f64, from: fn(f64) -> T) -> Result<T, String> {
+    if s >= 0.0 && s.is_finite() {
+        Ok(from(s))
+    } else {
+        Err(format!("{what}: expected a number of seconds >= 0, got {s}"))
+    }
+}
+
 /// Parsed command line.
 #[derive(Debug, Default)]
 pub struct Parsed {

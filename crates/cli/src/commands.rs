@@ -1,6 +1,6 @@
 //! Command implementations.
 
-use crate::args::{parse_pair, parse_pair_value, Parsed};
+use crate::args::{parse_pair, parse_pair_value, seconds, Parsed};
 use remos_apps::scenario::{Scenario, TrafficSpec};
 use remos_apps::TestbedHarness;
 use remos_core::{FlowInfoRequest, HypotheticalFlow, Query, QueryResult, QuerySpec, Timeframe};
@@ -42,7 +42,7 @@ fn harness(p: &Parsed) -> Result<TestbedHarness, String> {
     if warmup > 0.0 {
         h.sim
             .lock()
-            .run_for(SimDuration::from_secs_f64(warmup))
+            .run_for(seconds("--warmup", warmup, SimDuration::from_secs_f64)?)
             .map_err(|e| e.to_string())?;
     }
     Ok(h)
@@ -53,11 +53,11 @@ fn timeframe(p: &Parsed) -> Result<Timeframe, String> {
         (Some(_), Some(_)) => Err("--window and --future are mutually exclusive".into()),
         (Some(w), None) => {
             let s: f64 = w.parse().map_err(|_| "--window: not a number".to_string())?;
-            Ok(Timeframe::Window(SimDuration::from_secs_f64(s)))
+            Ok(Timeframe::Window(seconds("--window", s, SimDuration::from_secs_f64)?))
         }
         (None, Some(f)) => {
             let s: f64 = f.parse().map_err(|_| "--future: not a number".to_string())?;
-            Ok(Timeframe::Future(SimDuration::from_secs_f64(s)))
+            Ok(Timeframe::Future(seconds("--future", s, SimDuration::from_secs_f64)?))
         }
         (None, None) => Ok(Timeframe::Current),
     }
@@ -429,7 +429,7 @@ pub fn whatif(p: &Parsed, out: &mut dyn Write) -> CmdResult {
     let mut q = Query::estimate_fcts(flows).timeframe(tf);
     if let Some(hz) = p.get("--horizon") {
         let s: f64 = hz.parse().map_err(|_| "--horizon: not a number".to_string())?;
-        q = q.horizon(SimTime::from_secs_f64(s));
+        q = q.horizon(seconds("--horizon", s, SimTime::from_secs_f64)?);
     }
     let report = h
         .adapter
@@ -569,7 +569,7 @@ pub fn watch(p: &Parsed, out: &mut dyn Write) -> CmdResult {
         None => None,
         Some(w) => {
             let s: f64 = w.parse().map_err(|_| "--window: not a number".to_string())?;
-            Some(SimDuration::from_secs_f64(s))
+            Some(seconds("--window", s, SimDuration::from_secs_f64)?)
         }
     };
     let steps = (duration / interval).ceil() as usize;
@@ -584,7 +584,7 @@ pub fn watch(p: &Parsed, out: &mut dyn Write) -> CmdResult {
     for _ in 0..steps {
         h.sim
             .lock()
-            .run_for(SimDuration::from_secs_f64(interval))
+            .run_for(seconds("--interval", interval, SimDuration::from_secs_f64)?)
             .map_err(|e| e.to_string())?;
         let g = h
             .adapter

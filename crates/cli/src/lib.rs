@@ -358,6 +358,91 @@ mod tests {
         }
     }
 
+    /// Every single-byte corruption of `file` at each position, with the
+    /// bytes a hand-edited line most plausibly gets wrong.
+    fn corruptions(file: &str) -> impl Iterator<Item = Vec<u8>> + '_ {
+        (0..file.len()).flat_map(move |at| {
+            [b' ', b',', b'\n', b'#', b'-', b'.', b'e', b'9', b'x', 0xff].map(move |with| {
+                let mut bytes = file.as_bytes().to_vec();
+                bytes[at] = with;
+                bytes
+            })
+        })
+    }
+
+    /// Seconds no `SimDuration` holds: `1e300` saturates at the end of the
+    /// clock, and the other three are refused.
+    const BAD_SECONDS: [&str; 4] = ["1e300", "-1", "nan", "inf"];
+
+    /// A request file is outside input: every prefix of a valid file,
+    /// every single-byte corruption of it and a deadline of each of
+    /// [`BAD_SECONDS`] is served or refused with an error, never a panic.
+    /// A deadline past the end of the clock is served; the others are
+    /// refused.
+    #[test]
+    fn serve_request_files_never_panic() {
+        const FILE: &str = "t0 m-1,m-8 0.5\n# c\nt1 m-2,m-4\n";
+        let path = std::env::temp_dir().join("remos_cli_test_requests_fuzz.txt");
+        let serve = |text: &[u8]| {
+            std::fs::write(&path, text).unwrap();
+            let path = path.to_str().unwrap();
+            call(&["serve", "--scenario", "cmu", "--warmup", "0", "--requests", path])
+        };
+        assert!(serve(FILE.as_bytes()).is_ok());
+        for end in 0..FILE.len() {
+            let _ = serve(&FILE.as_bytes()[..end]);
+        }
+        for bytes in corruptions(FILE) {
+            let _ = serve(&bytes);
+        }
+        for d in BAD_SECONDS {
+            let got = serve(format!("t0 m-1,m-2 {d}\n").as_bytes());
+            assert_eq!(got.is_ok(), d == "1e300", "{d}: {got:?}");
+        }
+        // A warm-up to the end of the clock leaves no time to measure in:
+        // the request is answered from the topology alone.
+        std::fs::write(&path, "t0 m-1,m-2 1\n").unwrap();
+        let path = path.to_str().unwrap();
+        let warmup = ["serve", "--scenario", "cmu", "--warmup", "1e300", "--requests", path];
+        assert!(call(&warmup).is_ok_and(|out| out.contains("1 topology-only")));
+        let _ = std::fs::remove_file(path);
+    }
+
+    /// A `query --batch` file is outside input too: every prefix, every
+    /// single-byte corruption and each of [`BAD_SECONDS`], as a node name
+    /// and as the batch's `--window` or `--future`, answers or errors,
+    /// never panics or hangs. No history holds a `1e300` s window.
+    #[test]
+    fn query_batch_files_never_panic() {
+        const FILE: &str = "m-1,m-8\n# c\nm-2, m-4,m-5\n";
+        let path = std::env::temp_dir().join("remos_cli_test_batch_fuzz.txt");
+        let query = |text: &[u8], extra: &[&str]| {
+            std::fs::write(&path, text).unwrap();
+            let path = path.to_str().unwrap();
+            let args = ["query", "--scenario", "cmu", "--warmup", "0", "--batch", path];
+            call(&[&args[..], extra].concat())
+        };
+        assert!(query(FILE.as_bytes(), &[]).is_ok());
+        for end in 0..FILE.len() {
+            let _ = query(&FILE.as_bytes()[..end], &[]);
+        }
+        for bytes in corruptions(FILE) {
+            let _ = query(&bytes, &[]);
+        }
+        for d in BAD_SECONDS {
+            assert!(query(format!("m-1,{d}\n").as_bytes(), &[]).is_ok(), "{d} as a node");
+            for tf in ["--window", "--future"] {
+                let got = query(FILE.as_bytes(), &[tf, d]);
+                let refused = match d {
+                    "1e300" => got.as_ref().is_ok_and(|out| out.contains("could not accumulate")),
+                    _ => got.is_err(),
+                };
+                assert!(refused, "{tf} {d}: {got:?}");
+            }
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn bad_input_files_name_the_field() {
         let write = |name: &str, text: &str| {

@@ -12,7 +12,7 @@
 //! its own circuit breaker and federated through a `MultiCollector`, so
 //! one faulty region trips one breaker instead of the whole stack.
 
-use crate::args::Parsed;
+use crate::args::{seconds, Parsed};
 use remos_net::rng::Rng;
 use remos_core::collector::multi::MultiCollector;
 use remos_core::collector::snmp::{SnmpCollector, SnmpCollectorConfig};
@@ -56,7 +56,7 @@ fn serve_stack(p: &Parsed) -> Result<(Server, SharedSim, ShardBreakers), String>
     let warmup = p.get_f64("--warmup", 1.0)?;
     if warmup > 0.0 {
         sim.lock()
-            .run_for(SimDuration::from_secs_f64(warmup))
+            .run_for(seconds("--warmup", warmup, SimDuration::from_secs_f64)?)
             .map_err(|e| e.to_string())?;
     }
 
@@ -69,12 +69,8 @@ fn serve_stack(p: &Parsed) -> Result<(Server, SharedSim, ShardBreakers), String>
             .rsplit_once(':')
             .ok_or_else(|| format!("--kill: expected node:seconds, got {spec:?}"))?;
         let at: f64 = at.parse().map_err(|_| format!("--kill: bad time in {spec:?}"))?;
-        director.set_plan(
-            node,
-            FaultPlan::new()
-                .crash(SimTime::from_secs_f64(at), SimDuration::from_secs(1_000_000)),
-            7,
-        );
+        let at = seconds("--kill", at, SimTime::from_secs_f64)?;
+        director.set_plan(node, FaultPlan::new().crash(at, SimDuration::from_secs(1_000_000)), 7);
     }
 
     let shards: usize = match p.get("--shards") {
@@ -123,7 +119,7 @@ fn serve_stack(p: &Parsed) -> Result<(Server, SharedSim, ShardBreakers), String>
     cfg.quota.burst_milli = (burst * MILLI as f64) as u64;
     let deadline = p.get_f64("--deadline", 5.0)?;
     cfg.default_allowance = if deadline > 0.0 {
-        Some(SimDuration::from_secs_f64(deadline))
+        Some(seconds("--deadline", deadline, SimDuration::from_secs_f64)?)
     } else {
         None
     };
@@ -255,9 +251,9 @@ pub fn serve(p: &Parsed, out: &mut dyn Write) -> CmdResult {
         }
         let mut req = ServeRequest::new(tenant, Query::graph(nodes));
         if let Some(d) = parts.next() {
-            let d: f64 =
-                d.parse().map_err(|_| format!("{path}:{}: bad deadline", lineno + 1))?;
-            req = req.with_allowance(SimDuration::from_secs_f64(d));
+            let at = format!("{path}:{}: deadline", lineno + 1);
+            let d: f64 = d.parse().map_err(|_| format!("{at}: not a number"))?;
+            req = req.with_allowance(seconds(&at, d, SimDuration::from_secs_f64)?);
         }
         submitted += 1;
         match server.submit(req) {
@@ -363,7 +359,7 @@ pub fn loadgen(p: &Parsed, out: &mut dyn Write) -> CmdResult {
         }
         if gap > 0.0 {
             sim.lock()
-                .run_for(SimDuration::from_secs_f64(gap))
+                .run_for(seconds("--gap", gap, SimDuration::from_secs_f64)?)
                 .map_err(|e| e.to_string())?;
         }
     }

@@ -221,7 +221,8 @@ impl Remos {
         let mut guard = 0;
         while self.collector.history().len() < needed {
             guard += 1;
-            if guard > needed * 2 + 8 {
+            // A history too short to ever hold them fails before polling.
+            if needed > self.collector.history().capacity() || guard > needed * 2 + 8 {
                 return Err(RemosError::Collector(format!(
                     "could not accumulate {needed} samples"
                 )));

@@ -29,9 +29,10 @@ impl QueryBudget {
         QueryBudget { deadline: Some(deadline) }
     }
 
-    /// A budget of `allowance` starting at `now`.
+    /// A budget of `allowance` starting at `now`. An allowance past the
+    /// end of the clock saturates to [`SimTime::MAX`]: it never expires.
     pub fn starting(now: SimTime, allowance: SimDuration) -> QueryBudget {
-        QueryBudget { deadline: Some(now + allowance) }
+        QueryBudget { deadline: Some(now.checked_add(allowance).unwrap_or(SimTime::MAX)) }
     }
 
     /// `Ok` while the deadline has not passed at `now`; a typed
@@ -88,5 +89,9 @@ mod tests {
             b.remaining(SimTime::from_secs(3)),
             Some(SimDuration::from_secs(2))
         );
+        let forever = SimDuration::from_nanos(u64::MAX);
+        let forever = QueryBudget::starting(SimTime::from_secs(2), forever);
+        assert_eq!(forever.deadline, Some(SimTime::MAX));
+        assert!(!forever.expired(SimTime::MAX));
     }
 }

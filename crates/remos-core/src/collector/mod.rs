@@ -100,6 +100,11 @@ impl SampleHistory {
         SampleHistory { samples: VecDeque::new(), max_len, generation: 0 }
     }
 
+    /// The most samples the history holds.
+    pub(crate) fn capacity(&self) -> usize {
+        self.max_len
+    }
+
     /// Append a snapshot, evicting the oldest if full.
     pub fn push(&mut self, s: Snapshot) {
         if self.samples.len() == self.max_len {

@@ -40,7 +40,7 @@ pub struct QueryPlan {
     pub epoch: u64,
     /// The physical topology the plan was derived from.
     pub topo: Arc<Topology>,
-    /// Routes over `topo`, a row per source routed from so far: the
+    /// Routes over `topo`, rows filled as sources are routed from: the
     /// topology's own table (private to the plan at capacity 0).
     pub routing: Arc<Routing>,
     /// Logical structure connecting the targets.

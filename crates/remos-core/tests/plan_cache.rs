@@ -298,17 +298,18 @@ fn plans_of_one_epoch_share_one_routing_table() {
     };
 
     let first = plan(&cached, &col, 0);
-    assert_eq!(first.routing.rows_built(), 1, "{{h0, h3}} routes from h0 alone");
+    assert_eq!(first.routing.rows_built(), 1, "{{h0, h3}} routes from h0's switch r0 alone");
     let second = plan(&cached, &col, 1);
     assert!(Arc::ptr_eq(&first.routing, &second.routing), "two misses, one epoch, two tables");
-    assert_eq!(first.routing.rows_built(), 3, "h1 and h2 joined h0; h3 is only ever a destination");
+    // h1 shares h0's switch r0; h3 is only ever a destination.
+    assert_eq!(first.routing.rows_built(), 2, "h2 routes from its switch r1");
     // A third set evicts the first; rebuilding it is a miss that still
     // lands on the shared table and finds its row there.
     plan(&cached, &col, 2);
     let rebuilt = plan(&cached, &col, 0);
     assert!(!Arc::ptr_eq(&first, &rebuilt), "capacity 2 kept three plans");
     assert!(Arc::ptr_eq(&first.routing, &rebuilt.routing));
-    assert_eq!(rebuilt.routing.rows_built(), 3);
+    assert_eq!(rebuilt.routing.rows_built(), 2);
 
     col.refresh_topology().unwrap();
     col.poll().unwrap();

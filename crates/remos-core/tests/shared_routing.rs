@@ -37,7 +37,8 @@ fn assert_digests_match(col: &OracleCollector, cached: &Modeler, sets: &[Vec<Str
 /// On a k=4 fabric with flows from the eight hosts of pods 0 and 1, a
 /// cached plan routes over the simulator's table, and a miss over those
 /// hosts fills no row. A capacity-0 plan routes over a table of its own
-/// and answers the same.
+/// and answers the same. Every host is single-homed, so each routes from
+/// its edge switch's row.
 #[test]
 fn plans_route_over_the_simulators_table() {
     let tree = FatTree::build(4).unwrap();
@@ -52,7 +53,7 @@ fn plans_route_over_the_simulators_table() {
     let mut col = OracleCollector::new(Arc::clone(&sim));
     col.poll().unwrap();
     let routed = sim.read().routing().rows_built();
-    assert_eq!(routed, 8, "one row per flow source");
+    assert_eq!(routed, 4, "one row per flow source's edge switch");
 
     let cached = Modeler::new(ModelerConfig::default());
     let sources = names(&topo, &hosts[..8]);
@@ -63,10 +64,41 @@ fn plans_route_over_the_simulators_table() {
 
     let reference = cold().plan_for(&col, &sources, &mut Vec::new()).unwrap();
     assert!(!std::ptr::eq(&*reference.routing, sim.read().routing()), "capacity 0 shared");
-    assert_eq!(reference.routing.rows_built(), 7, "a private table holds this query's rows only");
+    // The first seven hosts route; the last is only a destination.
+    assert_eq!(reference.routing.rows_built(), 4, "a private table holds this query's rows only");
 
     // Sets the engine routed from, did not route from, and both.
     let sets = [sources, names(&topo, &hosts[8..]), names(&topo, &[hosts[0], hosts[9], hosts[14]])];
+    assert_digests_match(&col, &cached, &sets);
+}
+
+/// Flows from one host of each edge switch of a k=4 fabric fill the
+/// eight edge rows. A plan miss over any hosts, the other host of each
+/// switch included, which never sourced a flow, then fills no row: a
+/// single-homed host routes from its switch's row.
+#[test]
+fn a_miss_fills_no_row_its_switches_have() {
+    let tree = FatTree::build(4).unwrap();
+    let hosts = tree.hosts().to_vec();
+    let mut sim = Simulator::new(tree.into_parts().0).unwrap();
+    for i in (0..16).step_by(2) {
+        sim.start_flow(FlowParams::cbr(hosts[i], hosts[(i + 5) % 16], mbps(100.0))).unwrap();
+    }
+    sim.run_for(SimDuration::from_millis(100)).unwrap();
+    let topo = sim.topology_arc();
+    let sim = share(sim);
+    let mut col = OracleCollector::new(Arc::clone(&sim));
+    col.poll().unwrap();
+    assert_eq!(sim.read().routing().rows_built(), 8, "one row per edge switch");
+
+    let cached = Modeler::new(ModelerConfig::default());
+    let idle: Vec<_> = hosts.iter().skip(1).step_by(2).copied().collect();
+    let sets = [names(&topo, &idle), names(&topo, &hosts), names(&topo, &[hosts[15], hosts[1]])];
+    for set in &sets {
+        let plan = cached.plan_for(&col, set, &mut Vec::new()).unwrap();
+        assert!(Arc::ptr_eq(&plan.routing, topo.routing()));
+        assert_eq!(plan.routing.rows_built(), 8, "the miss over {set:?} filled a row");
+    }
     assert_digests_match(&col, &cached, &sets);
 }
 

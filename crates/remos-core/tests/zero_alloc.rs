@@ -52,8 +52,9 @@ fn expect_zero(delta: u64, what: &str) {
 /// set its last component-size record, which a long probe put shortly
 /// after event 3300; from there 2600+ consecutive events ran with zero
 /// allocations. A routing row is allocated the first time a flow starts
-/// at its host, so the warmup must also have started a flow at every one
-/// of the 128 hosts.
+/// under its edge switch (every host routes from its switch's row), so the
+/// warmup must also have started a flow under every one of the 32 edge
+/// switches.
 #[test]
 fn steady_state_churn_events_are_allocation_free() {
     let mut churn = FabricChurn::new(8, 120, 0xFA_B51C, 80).expect("fabric churn builds");
@@ -63,8 +64,7 @@ fn steady_state_churn_events_are_allocation_free() {
         drained.clear();
         churn.sim.drain_finished_into(&mut drained);
     }
-    let hosts = churn.sim.topology().compute_nodes().len();
-    assert_eq!(churn.sim.routing().rows_built(), hosts, "warmup left a host unrouted");
+    assert_eq!(churn.sim.routing().rows_built(), 32, "warmup left an edge switch unrouted");
     let before = alloc_count();
     for _ in 0..128 {
         churn.step().expect("measured churn event");
@@ -107,7 +107,7 @@ fn steady_state_churn_with_completing_transfers_is_allocation_free() {
     for i in 0..3500 {
         assert_eq!(event(&mut churn, i), 3, "warmup event {i}: a transfer outlived its event");
     }
-    assert_eq!(churn.sim.routing().rows_built(), hosts.len(), "warmup left a host unrouted");
+    assert_eq!(churn.sim.routing().rows_built(), 32, "warmup left an edge switch unrouted");
     let before = alloc_count();
     let completed: usize = (3500..3628).map(|i| event(&mut churn, i)).sum();
     let delta = alloc_count() - before;

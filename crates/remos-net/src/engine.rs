@@ -900,8 +900,8 @@ impl Simulator {
 
     /// Run for a span of simulated time.
     pub fn run_for(&mut self, d: SimDuration) -> Result<()> {
-        let target = self.now + d;
-        self.run_until(target)
+        let target = self.now.checked_add(d);
+        self.run_until(target.ok_or_else(|| NetError::Invalid(format!("{d} past the clock")))?)
     }
 
     /// Run until every listed flow has finished; returns their records in

@@ -7,11 +7,15 @@
 //! so interior path nodes must be network nodes.
 //!
 //! A source's routes are computed the first time something routes from
-//! it. A [`Topology`] owns its all-links-up table
-//! ([`Topology::routing`]); the engine (while no link is down), the
-//! what-if kernel, the SNMP `ipRouteTable` walk and the modeler all route
-//! over it, so each row is filled once between them. A row is a pure
-//! function of its inputs, so sharing a table only shares the work.
+//! it. A host forwards only as a source, so a host whose only link leads
+//! to a network node reaches everything through that access switch,
+//! in the switch's order: its tree is the switch's row plus one hop, and
+//! it fills no row of its own ([`Routing::tree`]). A [`Topology`] owns
+//! its all-links-up table ([`Topology::routing`]); the engine (while no
+//! link is down), the what-if kernel, the SNMP `ipRouteTable` walk and
+//! the modeler all route over it, so each row is filled once between
+//! them. A row is a pure function of its inputs, so sharing a table only
+//! shares the work.
 //!
 //! Every link costs exactly one hop and hop count is the first key, so a
 //! row settles one hop layer at a time: the nodes first reached at
@@ -112,8 +116,9 @@ thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
-/// Routing table over one topology and link state, one row per source,
-/// each filled on first use.
+/// Routing table over one topology and link state, each row filled on
+/// first use: one per network node, and one per host that is not
+/// single-homed. A single-homed host routes from its access switch's row.
 ///
 /// A row is a pure function of `(topology, link state, source)`, so
 /// which caller fills it, in what order and on which thread cannot show
@@ -129,9 +134,17 @@ pub struct Routing {
     up: Option<Box<[bool]>>,
 }
 
-/// One source's shortest-path tree, borrowed from its [`Routing`].
+/// One source's shortest-path tree, borrowed from its [`Routing`]: the
+/// row of `via`, read with `src` and `via` swapped. `via` is `src` for a
+/// source with a row of its own, and the access switch of a single-homed
+/// host, whose row holds that host's access link at `src` and nothing at
+/// `via` itself — exactly the host's predecessors at `via` and `src`.
 #[derive(Clone, Copy, Debug)]
-pub struct Tree<'a>(&'a [u32]);
+pub struct Tree<'a> {
+    row: &'a [u32],
+    src: NodeId,
+    via: NodeId,
+}
 
 impl Tree<'_> {
     /// The link `node` is reached over on the best path from the source:
@@ -139,7 +152,9 @@ impl Tree<'_> {
     /// (respecting the no-forwarding rule for hosts).
     #[inline]
     pub fn prev(self, node: NodeId) -> Option<LinkId> {
-        self.0.get(node.index()).filter(|&&raw| raw != NO_PREV).map(|&raw| LinkId(raw))
+        let swap = if node == self.src || node == self.via { self.src.0 ^ self.via.0 } else { 0 };
+        let raw = *self.row.get((node.0 ^ swap) as usize)?;
+        (raw != NO_PREV).then_some(LinkId(raw))
     }
 }
 
@@ -162,7 +177,8 @@ impl Routing {
         Routing { rows: vec![OnceLock::new(); nodes], up: None }
     }
 
-    /// Number of sources routed from so far.
+    /// Number of rows filled so far: one per source routed from, but one
+    /// for a switch and all the single-homed hosts behind it.
     pub fn rows_built(&self) -> usize {
         self.rows.iter().filter(|r| r.get().is_some()).count()
     }
@@ -170,13 +186,25 @@ impl Routing {
     /// The shortest-path tree rooted at `src` (any node, routers
     /// included), computed on first use. `topo` must be the topology the
     /// table was built over.
+    ///
+    /// A host forwards only as a source, so one whose only link leads to
+    /// a forwarding node `e` routes as `e` does, one hop and one link
+    /// latency further out: while no path latency can saturate that shift
+    /// keeps every `(hops, latency, id)` comparison and layer order, and
+    /// the host's tree is `e`'s row. If that link is down the host
+    /// reaches nothing and fills no row.
     pub fn tree(&self, topo: &Topology, src: NodeId) -> Result<Tree<'_>> {
-        match self.rows.get(src.index()) {
-            Some(row) if topo.node_count() == self.rows.len() => {
-                Ok(Tree(row.get_or_init(|| SCRATCH.with_borrow_mut(|s| self.fill(topo, src, s)))))
-            }
-            _ => Err(NetError::Internal(format!("no routing row for {src:?}"))),
+        if src.index() >= self.rows.len() || topo.node_count() != self.rows.len() {
+            return Err(NetError::Internal(format!("no routing row for {src:?}")));
         }
+        let via = match topo.access(src) {
+            Some((link, e)) if self.up.as_deref().is_none_or(|up| up[link as usize]) => e,
+            Some(_) => return Ok(Tree { row: &[], src, via: src }),
+            None => src,
+        };
+        let row = self.rows[via.index()]
+            .get_or_init(|| SCRATCH.with_borrow_mut(|s| self.fill(topo, via, s)));
+        Ok(Tree { row, src, via })
     }
 
     /// Shortest paths from `src`, one hop layer at a time: its
@@ -575,7 +603,7 @@ mod tests {
                             }
                         }
                         let l = topo.link(link);
-                        let cand = (hops + 1, latency_ns + l.latency.as_nanos());
+                        let cand = (hops + 1, latency_ns.saturating_add(l.latency.as_nanos()));
                         if cand < dist[next.index()] {
                             dist[next.index()] = cand;
                             prev[next.index()] = link.index() as u32;
@@ -679,6 +707,25 @@ mod tests {
         (topo, up)
     }
 
+    /// The sources whose rows routing from every node fills: a host whose
+    /// only link leads to a network node routes from that node's row, or
+    /// from none if the link is down; every other node from its own.
+    fn row_roots(topo: &Topology, up: Option<&[bool]>) -> std::collections::BTreeSet<NodeId> {
+        let fits = topo
+            .link_ids()
+            .try_fold(0u64, |sum, l| sum.checked_add(topo.link(l).latency.as_nanos()))
+            .is_some();
+        let network = |n: NodeId| topo.node(n).kind == NodeKind::Network;
+        topo.node_ids()
+            .filter_map(|n| match topo.neighbors(n) {
+                &[(l, e)] if fits && !network(n) && network(e) => {
+                    up.is_none_or(|up| up[l.index()]).then_some(e)
+                }
+                _ => Some(n),
+            })
+            .collect()
+    }
+
     /// Every answer `lazy` gives about each of `pairs` equals the eager
     /// table's; one path buffer is reused, dirty, from pair to pair.
     fn agree<'a>(
@@ -721,10 +768,11 @@ mod tests {
                 pairs.swap(i, rng.gen_range(0..i + 1));
             }
 
+            let rows = row_roots(&topo, up.as_deref()).len();
             let lazy = Routing::with_link_state(&topo, up.as_deref());
             prop_assert_eq!(lazy.rows_built(), 0);
             agree(&topo, &eager, &lazy, pairs.iter())?;
-            prop_assert_eq!(lazy.rows_built(), topo.node_count());
+            prop_assert_eq!(lazy.rows_built(), rows);
 
             let raced = Routing::with_link_state(&topo, up.as_deref());
             let start = Barrier::new(4);
@@ -746,7 +794,7 @@ mod tests {
             for outcome in outcomes {
                 outcome?;
             }
-            prop_assert_eq!(raced.rows_built(), topo.node_count());
+            prop_assert_eq!(raced.rows_built(), rows);
             agree(&topo, &eager, &raced.clone(), pairs.iter())?;
         }
     }
@@ -812,6 +860,88 @@ mod tests {
         assert_eq!(p.nodes, vec![h1, near, h2]);
         let p = Routing::new(&t).path(&t, h2, h1).unwrap();
         assert_eq!(p.nodes, vec![h2, near, h1]);
+    }
+
+    /// The edge switches' rows hold every host's tree: each host of a
+    /// k=4 and a k=8 fabric routes exactly as the eager table says while
+    /// routing from all of them fills only the k²/2 edge rows. A host
+    /// whose one link is down reaches nothing and fills no row, and a host
+    /// with two links keeps a row of its own, with both up or one down.
+    #[test]
+    fn single_homed_hosts_route_through_their_switch_row() {
+        for k in [4, 8] {
+            let tree = crate::fabric::FatTree::build(k).unwrap();
+            let topo = tree.topology();
+            let eager = Eager::build(topo, None);
+            let lazy = Routing::new(topo);
+            for &src in tree.hosts() {
+                let row = lazy.tree(topo, src).unwrap();
+                for node in topo.node_ids() {
+                    let want = eager.prev[src.index() * eager.n + node.index()];
+                    assert_eq!(row.prev(node), (want != NO_PREV).then_some(LinkId(want)));
+                }
+            }
+            let filled: Vec<_> = topo
+                .node_ids()
+                .filter(|n| lazy.rows[n.index()].get().is_some())
+                .map(|n| topo.node(n).name.clone())
+                .collect();
+            let edges: Vec<_> =
+                (0..k).flat_map(|p| (0..k / 2).map(move |e| format!("p{p}e{e}"))).collect();
+            assert_eq!(filled, edges, "k={k}");
+
+            let host = tree.hosts()[1];
+            let mut up = vec![true; topo.link_count()];
+            up[topo.neighbors(host)[0].0.index()] = false;
+            let cut = Routing::with_link_state(topo, Some(&up));
+            assert!(tree.hosts().iter().all(|&dst| !cut.reachable(topo, host, dst) || dst == host));
+            assert_eq!(cut.next_hop(topo, host, tree.hosts()[0]), None);
+            assert_eq!(cut.rows_built(), 0);
+        }
+
+        let (mut b, h, r1, r2) = (TopologyBuilder::new(), NodeId(0), NodeId(1), NodeId(2));
+        b.compute("h");
+        b.network("r1");
+        b.network("r2");
+        let h2 = b.compute("h2");
+        let lat = SimDuration::from_micros(10);
+        for (x, y) in [(h, r1), (h, r2), (r1, h2), (r2, h2)] {
+            b.link(x, y, mbps(100.0), lat).unwrap();
+        }
+        let t = b.build().unwrap();
+        let r = Routing::new(&t);
+        assert_eq!(r.path(&t, h, h2).unwrap().nodes, vec![h, r1, h2]);
+        let masked = Routing::with_link_state(&t, Some(&[false, true, true, true]));
+        assert_eq!(masked.path(&t, h, h2).unwrap().nodes, vec![h, r2, h2]);
+        for r in [r, masked] {
+            assert!(r.rows[h.index()].get().is_some() && r.rows_built() == 1, "h shared a row");
+        }
+    }
+
+    /// A host behind a link of nearly `u64::MAX` ns: from its switch `e`,
+    /// `h2` is nearer through `r1`, but from the host both routes' latencies
+    /// saturate and `r2`, settled first, keeps the tie. Sharing `e`'s row
+    /// would answer `r1`, so where latencies can saturate the host keeps
+    /// its own row.
+    #[test]
+    fn saturating_latencies_keep_a_host_on_its_own_row() {
+        let mut b = TopologyBuilder::new();
+        let h = b.compute("h");
+        let e = b.network("e");
+        let r1 = b.network("r1");
+        let r2 = b.network("r2");
+        let h2 = b.compute("h2");
+        let ns = SimDuration::from_nanos;
+        b.link(h, e, mbps(100.0), ns(u64::MAX - 4)).unwrap();
+        for (x, y, lat) in [(e, r1, 10), (e, r2, 1), (r1, h2, 1), (r2, h2, 100)] {
+            b.link(x, y, mbps(100.0), ns(lat)).unwrap();
+        }
+        let t = b.build().unwrap();
+        let eager = Eager::build(&t, None);
+        let lazy = Routing::new(&t);
+        rows_agree(&t, &eager, &lazy);
+        assert_eq!(lazy.path(&t, h, h2).unwrap().nodes, vec![h, e, r2, h2]);
+        assert_eq!(lazy.path(&t, h2, h).unwrap().nodes, vec![h2, r1, e, h]);
     }
 
     #[test]

@@ -242,7 +242,11 @@ pub struct Topology {
     /// [`RouteEdge`]s parallel to `adj`, under the same offsets.
     route_adj: Vec<RouteEdge>,
     names: BTreeMap<String, NodeId>,
-    /// Routes with every link up, a row per source filled on first use.
+    /// Per node: the one link of a single-homed host and the forwarding
+    /// node it leads to, whose routing row the host reads (see
+    /// [`Routing::tree`]); `None` for every other node.
+    access: Vec<Option<(u32, NodeId)>>,
+    /// Routes with every link up, rows filled on first use.
     routing: Arc<Routing>,
 }
 
@@ -334,6 +338,13 @@ impl Topology {
     pub fn neighbors(&self, n: NodeId) -> &[(LinkId, NodeId)] {
         let i = n.index();
         &self.adj[self.adj_off[i] as usize..self.adj_off[i + 1] as usize]
+    }
+
+    /// The link and the forwarding node a single-homed host `n` routes
+    /// through; `None` if `n` is not one.
+    #[inline]
+    pub(crate) fn access(&self, n: NodeId) -> Option<(u32, NodeId)> {
+        self.access[n.index()]
     }
 
     /// The routing adjacency of `n`: [`neighbors`](Self::neighbors) in the
@@ -540,13 +551,28 @@ impl TopologyBuilder {
             adj[cur[l.b.index()] as usize] = (id, l.a);
             cur[l.b.index()] += 1;
         }
-        let route_adj = adj
+        let route_adj: Vec<RouteEdge> = adj
             .iter()
             .map(|&(link, next)| RouteEdge {
                 latency_ns: self.links[link.index()].latency.as_nanos(),
                 next,
                 link: link.0,
                 forwards: self.nodes[next.index()].kind == NodeKind::Network,
+            })
+            .collect();
+        // Sharing its switch's row needs every path latency to stay
+        // unsaturated, which holds while the sum of all latencies fits.
+        let latencies_fit = self
+            .links
+            .iter()
+            .try_fold(0u64, |sum, l| sum.checked_add(l.latency.as_nanos()))
+            .is_some();
+        let access = (0..n)
+            .map(|i| match &route_adj[adj_off[i] as usize..adj_off[i + 1] as usize] {
+                [e] if latencies_fit && e.forwards && self.nodes[i].kind == NodeKind::Compute => {
+                    Some((e.link, e.next))
+                }
+                _ => None,
             })
             .collect();
         Ok(Topology {
@@ -556,6 +582,7 @@ impl TopologyBuilder {
             adj,
             route_adj,
             names: self.names,
+            access,
             routing: Arc::new(Routing::with_rows(n)),
         })
     }

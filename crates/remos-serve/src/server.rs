@@ -271,10 +271,11 @@ impl Server {
         let backlog_drain =
             poll_gap.mul_u64(self.queue.queued_cost().saturating_add(cost).max(1));
         let id = self.next_id;
+        // An allowance past the end of the clock never expires.
         let deadline = req
             .allowance
             .or(self.cfg.default_allowance)
-            .map(|allowance| now + allowance);
+            .map(|allowance| now.checked_add(allowance).unwrap_or(SimTime::MAX));
         let q = Queued {
             id,
             tenant: req.tenant,
@@ -642,6 +643,26 @@ mod tests {
             b_out.result,
             Err(RemosError::DeadlineExceeded { .. })
         ));
+    }
+
+    /// An allowance that ends past `SimTime::MAX` (a request file's
+    /// `1e300` seconds) saturates there: it is admitted, never sheds for
+    /// its deadline and is answered in full, whether the request brings
+    /// it or the server's default grants it.
+    #[test]
+    fn an_allowance_past_the_clock_never_expires() {
+        let forever = SimDuration::from_nanos(u64::MAX);
+        let cfg = ServerConfig { default_allowance: Some(forever), ..ServerConfig::default() };
+        let (mut server, _sim, _d, _b) = stack_with(RemosConfig::default(), cfg);
+        server.remos().run(Query::graph(["m-1", "m-2"])).unwrap();
+        server.submit(graph_req("a").with_allowance(forever)).unwrap();
+        server.submit(graph_req("b")).unwrap();
+        let outs = server.drain();
+        assert_eq!(outs.len(), 2);
+        for out in outs {
+            assert_eq!(out.rung, Rung::Full, "{}", out.tenant);
+            assert!(out.result.is_ok(), "{}: {:?}", out.tenant, out.result);
+        }
     }
 
     #[test]
