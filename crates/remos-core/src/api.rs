@@ -741,6 +741,25 @@ mod tests {
         assert!(q.max - q.min > mbps(50.0), "{q}");
     }
 
+    /// A `Future` horizon that carries the newest sample's time past
+    /// `SimTime::MAX` is a typed rejection, not an overflow panic.
+    #[test]
+    fn a_horizon_past_the_clock_is_rejected() {
+        let (_, sim) = full_stack();
+        let gap = SimDuration::from_nanos(u64::MAX / 10 * 3);
+        let horizon = SimDuration::from_nanos(u64::MAX / 2);
+        let mut remos = Remos::new(
+            Box::new(crate::collector::oracle::OracleCollector::new(Arc::clone(&sim))),
+            Box::new(SimClock(Arc::clone(&sim))),
+            RemosConfig { poll_gap: gap, ..RemosConfig::default() },
+        );
+        let res = remos.run(Query::graph(["m-1", "m-3"]).timeframe(Timeframe::Future(horizon)));
+        assert_eq!(
+            res.err(),
+            Some(RemosError::InvalidQuery(InvalidQueryKind::HorizonPastClock { horizon }))
+        );
+    }
+
     #[test]
     fn future_query_extrapolates_a_trend() {
         use crate::modeler::predict::PredictorKind;

@@ -34,11 +34,12 @@ use std::sync::Arc;
 /// of its measurement (fresh, carried forward from an earlier interval, or
 /// missing entirely).
 ///
-/// The two planes are shared, immutable buffers: history entries whose
-/// values did not change hold the same `Arc`, and a producer writes a
+/// The two planes are shared, immutable buffers: a producer writes a
 /// plane only through `Arc::get_mut` (or `make_mut`), i.e. only while no
 /// one else holds it. So while a plane is held, an equal pointer means
-/// equal bits.
+/// equal bits, and a producer that publishes a plane it did not write
+/// shares it with the entry before (which a [`SampleHistory`] stores for
+/// nothing).
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     /// End of the measurement interval.
@@ -73,14 +74,133 @@ impl Snapshot {
     }
 }
 
-/// Bounded history of utilization snapshots, newest last.
+/// A plane element a history diffs: equal only when bit for bit equal
+/// (`-0.0` differs from `0.0`, a NaN equals itself).
+trait PlaneValue: Copy {
+    fn same(self, other: Self) -> bool;
+}
+
+impl PlaneValue for Bps {
+    fn same(self, other: Bps) -> bool {
+        self.to_bits() == other.to_bits()
+    }
+}
+
+impl PlaneValue for DataQuality {
+    fn same(self, other: DataQuality) -> bool {
+        self == other
+    }
+}
+
+/// What takes one plane of the entry after an older entry back to that
+/// entry's plane.
+#[derive(Clone, Debug)]
+enum Undo<T> {
+    /// Set back the last `k` pairs of the history's ring for this plane
+    /// kind (0: the planes are equal).
+    Pairs(u32),
+    /// The older plane itself: smaller than its pairs would be, or of
+    /// another length.
+    Whole(Arc<[T]>),
+}
+
+/// An older history entry: its stamp and its undo against the entry
+/// after it.
+#[derive(Clone, Debug)]
+struct Older {
+    t: SimTime,
+    interval: SimDuration,
+    util: Undo<Bps>,
+    quality: Undo<DataQuality>,
+}
+
+/// The undo that takes plane `new` back to `old`, its pairs appended to
+/// `ring`, and `old` when no undo keeps it (the caller's spare). Costs
+/// nothing when the two share a buffer.
+fn diff<T: PlaneValue>(
+    old: Arc<[T]>,
+    new: &Arc<[T]>,
+    ring: &mut VecDeque<(u32, T)>,
+) -> (Undo<T>, Option<Arc<[T]>>) {
+    if Arc::ptr_eq(&old, new) {
+        return (Undo::Pairs(0), None);
+    }
+    if old.len() != new.len() || u32::try_from(old.len()).is_err() {
+        return (Undo::Whole(old), None);
+    }
+    // Pairs pay only while they take less room than the plane.
+    let most = (old.len() * size_of::<T>()).saturating_sub(1) / size_of::<(u32, T)>();
+    let start = ring.len();
+    for (i, (&a, &b)) in (0u32..).zip(old.iter().zip(new.iter())) {
+        if !a.same(b) {
+            if ring.len() - start == most {
+                ring.truncate(start);
+                return (Undo::Whole(old), None);
+            }
+            ring.push_back((i, a));
+        }
+    }
+    (Undo::Pairs((ring.len() - start) as u32), Some(old))
+}
+
+/// Drop an evicted undo: its pairs leave the front of `ring`, and its
+/// whole plane becomes the spare if there is none.
+fn release<T>(undo: Undo<T>, ring: &mut VecDeque<(u32, T)>, spare: &mut Option<Arc<[T]>>) {
+    match undo {
+        Undo::Pairs(k) => drop(ring.drain(..k as usize)),
+        Undo::Whole(plane) => drop(spare.get_or_insert(plane)),
+    }
+}
+
+/// `src` as a published plane: written into `old` (a history's spare)
+/// when `Arc::get_mut` grants it, i.e. no one else holds it, else copied
+/// into a new one.
+pub(crate) fn refill<T: Copy>(old: Option<Arc<[T]>>, src: &[T]) -> Arc<[T]> {
+    if let Some(mut plane) = old {
+        if let Some(buf) = Arc::get_mut(&mut plane).filter(|b| b.len() == src.len()) {
+            buf.copy_from_slice(src);
+            return plane;
+        }
+    }
+    Arc::from(src)
+}
+
+/// Bounded history of utilization snapshots.
+///
+/// The newest entry is kept whole: the [`Snapshot`] [`latest`] returns.
+/// Every older entry is stored as its *undo* against the entry after
+/// it, per plane: the `(index, old value)` pairs where the two differ,
+/// or the whole old plane when that is smaller. A plane pushed
+/// pointer-equal (or bit-equal) to the newest costs nothing. So a
+/// history whose samples move a few entries a poll holds one pair of
+/// whole planes, not one per entry. Older entries are read by
+/// rebuilding them newest → oldest, bit for bit, through [`rewind`].
+///
+/// The pairs of every entry live in one reused ring per plane kind, and
+/// a plane [`push`] displaces that no undo keeps is held as a *spare*:
+/// the buffer a producer's next publish writes into
+/// ([`take_spare_util`]). So a steady-state producer allocates nothing.
+///
+/// [`latest`]: SampleHistory::latest
+/// [`rewind`]: SampleHistory::rewind
+/// [`push`]: SampleHistory::push
+/// [`take_spare_util`]: SampleHistory::take_spare_util
 #[derive(Clone, Debug)]
 pub struct SampleHistory {
-    samples: VecDeque<Snapshot>,
+    newest: Option<Snapshot>,
+    /// Entries before the newest, oldest first.
+    older: VecDeque<Older>,
+    /// The `Pairs` undos of `older`, in its order: an entry's pairs
+    /// follow those of every older entry.
+    util_pairs: VecDeque<(u32, Bps)>,
+    quality_pairs: VecDeque<(u32, DataQuality)>,
+    spare_util: Option<Arc<[Bps]>>,
+    spare_quality: Option<Arc<[DataQuality]>>,
     max_len: usize,
     /// Monotone counter bumped whenever the sample set changes (a snapshot
-    /// appended, or the history cleared on rediscovery). Consumers use it
-    /// to tell whether two reads of the history saw the same samples.
+    /// appended or restamped, or the history cleared on rediscovery).
+    /// Consumers use it to tell whether two reads of the history saw the
+    /// same samples.
     generation: u64,
 }
 
@@ -97,7 +217,16 @@ impl SampleHistory {
     /// History bounded to `max_len` samples.
     pub fn new(max_len: usize) -> Self {
         assert!(max_len > 0);
-        SampleHistory { samples: VecDeque::new(), max_len, generation: 0 }
+        SampleHistory {
+            newest: None,
+            older: VecDeque::new(),
+            util_pairs: VecDeque::new(),
+            quality_pairs: VecDeque::new(),
+            spare_util: None,
+            spare_quality: None,
+            max_len,
+            generation: 0,
+        }
     }
 
     /// The most samples the history holds.
@@ -105,83 +234,213 @@ impl SampleHistory {
         self.max_len
     }
 
-    /// Append a snapshot, evicting the oldest if full.
+    /// Append a snapshot, evicting the oldest if full. The entry it
+    /// displaces keeps only its undo against `s`; a plane of it that no
+    /// undo keeps becomes the spare.
     pub fn push(&mut self, s: Snapshot) {
-        if self.samples.len() == self.max_len {
-            self.samples.pop_front();
-        }
-        self.samples.push_back(s);
         self.generation += 1;
+        let Some(prev) = self.newest.replace(s) else { return };
+        let Some(new) = &self.newest else { return };
+        if self.max_len == 1 {
+            // No older entry is kept, so nothing is diffed: a plane the
+            // new one does not share is spare as it stands.
+            if !Arc::ptr_eq(&prev.util, &new.util) {
+                self.spare_util = Some(prev.util);
+            }
+            if !Arc::ptr_eq(&prev.quality, &new.quality) {
+                self.spare_quality = Some(prev.quality);
+            }
+            return;
+        }
+        if self.older.len() + 1 == self.max_len {
+            if let Some(evicted) = self.older.pop_front() {
+                release(evicted.util, &mut self.util_pairs, &mut self.spare_util);
+                release(evicted.quality, &mut self.quality_pairs, &mut self.spare_quality);
+            }
+        }
+        let (util, spare_util) = diff(prev.util, &new.util, &mut self.util_pairs);
+        let (quality, spare_quality) = diff(prev.quality, &new.quality, &mut self.quality_pairs);
+        self.spare_util = spare_util.or(self.spare_util.take());
+        self.spare_quality = spare_quality.or(self.spare_quality.take());
+        self.older.push_back(Older { t: prev.t, interval: prev.interval, util, quality });
     }
 
     /// Move the latest sample's `t`/`interval` in place: what a re-read
     /// of unchanged values would have pushed. Counts as a change of the
     /// sample set. `false` when there is no sample to restamp.
     pub fn restamp_latest(&mut self, t: SimTime, interval: SimDuration) -> bool {
-        let Some(s) = self.samples.back_mut() else { return false };
+        let Some(s) = &mut self.newest else { return false };
         (s.t, s.interval) = (t, interval);
         self.generation += 1;
         true
     }
 
-    /// All samples, oldest first.
-    pub fn all(&self) -> impl Iterator<Item = &Snapshot> {
-        self.samples.iter()
-    }
-
     /// The most recent sample.
     pub fn latest(&self) -> Option<&Snapshot> {
-        self.samples.back()
+        self.newest.as_ref()
     }
 
-    /// Samples whose interval end lies within `window` of the latest
-    /// sample (inclusive), oldest first.
-    pub fn within(&self, window: SimDuration) -> Vec<&Snapshot> {
-        let Some(latest) = self.latest() else { return Vec::new() };
-        self.samples
-            .iter()
-            .filter(|s| latest.t.saturating_since(s.t) <= window)
-            .collect()
+    /// Walk every stored sample, newest → oldest, rebuilding each older
+    /// one into `buf` (reused: a warm walk allocates nothing).
+    pub fn rewind<'h, 'b>(&'h self, buf: &'b mut RewindBuf) -> Rewind<'h, 'b> {
+        Rewind {
+            started: false,
+            left: self.older.len(),
+            util: self.newest.as_ref().map(|s| &s.util[..]),
+            quality: self.newest.as_ref().map(|s| &s.quality[..]),
+            util_end: self.util_pairs.len(),
+            quality_end: self.quality_pairs.len(),
+            history: self,
+            buf,
+        }
+    }
+
+    /// The util plane the last [`push`] displaced that no entry keeps, for
+    /// a producer to write its next sample into (when `Arc::get_mut`
+    /// grants it). Taking it does not change the sample set.
+    ///
+    /// [`push`]: SampleHistory::push
+    pub fn take_spare_util(&mut self) -> Option<Arc<[Bps]>> {
+        self.spare_util.take()
+    }
+
+    /// The quality plane counterpart of [`take_spare_util`].
+    ///
+    /// [`take_spare_util`]: SampleHistory::take_spare_util
+    pub fn take_spare_quality(&mut self) -> Option<Arc<[DataQuality]>> {
+        self.spare_quality.take()
     }
 
     /// Number of stored samples.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        usize::from(self.newest.is_some()) + self.older.len()
     }
 
     /// True when no samples are stored.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.newest.is_none()
     }
 
     /// Discard all samples (used when the topology is re-discovered and
-    /// interface indices change meaning).
+    /// interface indices change meaning), spares included.
     pub fn clear(&mut self) {
-        self.samples.clear();
+        self.newest = None;
+        self.older.clear();
+        self.util_pairs.clear();
+        self.quality_pairs.clear();
+        (self.spare_util, self.spare_quality) = (None, None);
         self.generation += 1;
     }
 
-    /// Pop the oldest snapshot *for buffer reuse* — only when the history
-    /// is full, i.e. exactly the snapshot the next [`push`] would evict
-    /// anyway. Steady-state collectors write into its planes in place of
-    /// fresh allocations (the zero-alloc contract) when `Arc::get_mut`
-    /// grants them, i.e. when no later entry shares them. Bumps the
-    /// generation: the sample set changed.
-    ///
-    /// [`push`]: SampleHistory::push
-    pub fn recycle_oldest(&mut self) -> Option<Snapshot> {
-        if self.samples.len() < self.max_len {
-            return None;
+    /// Whether the newest undo — what takes the latest sample back to the
+    /// one before it — is empty, per `[util, quality]` plane: the two
+    /// share the plane or equal it bit for bit. `[false; 2]` with fewer
+    /// than two samples.
+    pub fn newest_undo_is_empty(&self) -> [bool; 2] {
+        match self.older.back() {
+            Some(o) => [matches!(o.util, Undo::Pairs(0)), matches!(o.quality, Undo::Pairs(0))],
+            None => [false; 2],
         }
-        self.generation += 1;
-        self.samples.pop_front()
     }
 
     /// Monotone snapshot-generation counter: bumped on every push,
-    /// restamp, recycle and clear. Equal generations guarantee equal
-    /// sample sets.
+    /// restamp and clear. Equal generations guarantee equal sample sets.
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+}
+
+/// Buffers [`SampleHistory::rewind`] rebuilds older samples into.
+#[derive(Clone, Debug, Default)]
+pub struct RewindBuf {
+    util: Vec<Bps>,
+    quality: Vec<DataQuality>,
+}
+
+/// One stored sample as [`Rewind::next_sample`] rebuilt it.
+#[derive(Clone, Copy, Debug)]
+pub struct Sample<'a> {
+    /// End of the measurement interval.
+    pub t: SimTime,
+    /// Length of the interval the rates were averaged over.
+    pub interval: SimDuration,
+    /// The sample's util plane, bit for bit.
+    pub util: &'a [Bps],
+    /// The sample's quality plane.
+    pub quality: &'a [DataQuality],
+}
+
+/// A walk over a [`SampleHistory`], newest → oldest (see
+/// [`SampleHistory::rewind`]).
+pub struct Rewind<'h, 'b> {
+    history: &'h SampleHistory,
+    buf: &'b mut RewindBuf,
+    started: bool,
+    /// Older entries not yet visited: `history.older[..left]`.
+    left: usize,
+    /// Where the current sample's planes are: a stored plane, or `buf`
+    /// (`None`).
+    util: Option<&'h [Bps]>,
+    quality: Option<&'h [DataQuality]>,
+    /// End of the ring pairs not yet applied.
+    util_end: usize,
+    quality_end: usize,
+}
+
+impl Rewind<'_, '_> {
+    /// The next older sample, or `None` past the oldest.
+    pub fn next_sample(&mut self) -> Option<Sample<'_>> {
+        let h = self.history;
+        let (t, interval) = if self.started {
+            self.left = self.left.checked_sub(1)?;
+            let o = h.older.get(self.left)?;
+            undo(&o.util, &mut self.util, &mut self.buf.util, &h.util_pairs, &mut self.util_end);
+            undo(
+                &o.quality,
+                &mut self.quality,
+                &mut self.buf.quality,
+                &h.quality_pairs,
+                &mut self.quality_end,
+            );
+            (o.t, o.interval)
+        } else {
+            let s = h.newest.as_ref()?;
+            self.started = true;
+            (s.t, s.interval)
+        };
+        Some(Sample {
+            t,
+            interval,
+            util: self.util.unwrap_or(&self.buf.util),
+            quality: self.quality.unwrap_or(&self.buf.quality),
+        })
+    }
+}
+
+/// Apply one undo to the current plane (`cur`, or `buf` when `None`):
+/// pairs are set back in `buf`, the ring's `..end` being the pairs not
+/// yet applied.
+fn undo<'h, T: Copy>(
+    undo: &'h Undo<T>,
+    cur: &mut Option<&'h [T]>,
+    buf: &mut Vec<T>,
+    ring: &VecDeque<(u32, T)>,
+    end: &mut usize,
+) {
+    match *undo {
+        Undo::Whole(ref plane) => *cur = Some(plane),
+        Undo::Pairs(0) => {}
+        Undo::Pairs(k) => {
+            if let Some(plane) = cur.take() {
+                buf.clear();
+                buf.extend_from_slice(plane);
+            }
+            let start = *end - k as usize;
+            for &(i, v) in ring.range(start..*end) {
+                buf[i as usize] = v;
+            }
+            *end = start;
+        }
     }
 }
 
@@ -364,6 +623,28 @@ mod tests {
         Snapshot::fresh(SimTime::from_secs(t_secs), SimDuration::from_secs(1), util)
     }
 
+    /// Every stored sample as rebuilt, newest first: stamp, util bits and
+    /// quality.
+    type Rebuilt = (SimTime, SimDuration, Vec<u64>, Vec<DataQuality>);
+
+    fn rebuilt(h: &SampleHistory, buf: &mut RewindBuf) -> Vec<Rebuilt> {
+        let mut out = Vec::new();
+        let mut walk = h.rewind(buf);
+        while let Some(s) = walk.next_sample() {
+            out.push((
+                s.t,
+                s.interval,
+                s.util.iter().map(|u| u.to_bits()).collect(),
+                s.quality.to_vec(),
+            ));
+        }
+        out
+    }
+
+    fn owned(s: &Snapshot) -> Rebuilt {
+        (s.t, s.interval, s.util.iter().map(|u| u.to_bits()).collect(), s.quality.to_vec())
+    }
+
     #[test]
     fn history_bounds_and_order() {
         let mut h = SampleHistory::new(3);
@@ -371,31 +652,29 @@ mod tests {
             h.push(snap(i, &[i as f64]));
         }
         assert_eq!(h.len(), 3);
-        let ts: Vec<u64> = h.all().map(|s| s.t.as_nanos() / 1_000_000_000).collect();
-        assert_eq!(ts, vec![2, 3, 4]);
+        let newest_first: Vec<(u64, u64)> = rebuilt(&h, &mut RewindBuf::default())
+            .iter()
+            .map(|(t, _, u, _)| (t.as_nanos() / 1_000_000_000, u[0]))
+            .collect();
+        let bits = |v: f64| v.to_bits();
+        assert_eq!(newest_first, vec![(4, bits(4.0)), (3, bits(3.0)), (2, bits(2.0))]);
         assert_eq!(h.latest().unwrap().util[0], 4.0);
     }
 
     #[test]
-    fn window_filtering() {
-        let mut h = SampleHistory::default();
-        for i in 0..10 {
-            h.push(snap(i, &[0.0]));
-        }
-        let recent = h.within(SimDuration::from_secs(3));
-        assert_eq!(recent.len(), 4); // t=6,7,8,9
-        assert!(h.within(SimDuration::from_secs(100)).len() == 10);
-    }
-
-    #[test]
-    fn evicted_planes_are_writable_only_while_no_entry_shares_them() {
+    fn displaced_planes_are_spare_and_writable_only_while_no_one_holds_them() {
         let mut h = SampleHistory::new(2);
-        assert!(h.recycle_oldest().is_none(), "nothing to recycle until full");
-        let first = snap(0, &[1.0]);
+        let first = snap(0, &[1.0, 7.0, 7.0, 7.0]);
         // The second entry shares the first one's quality plane only.
-        let second = Snapshot { t: SimTime::from_secs(1), util: Arc::from([2.0]), ..first.clone() };
+        let second = Snapshot {
+            t: SimTime::from_secs(1),
+            util: Arc::from([2.0, 7.0, 7.0, 7.0]),
+            ..first.clone()
+        };
         h.push(first);
+        assert!(h.take_spare_util().is_none(), "nothing displaced yet");
         h.push(second);
+        assert_eq!(h.newest_undo_is_empty(), [false, true]);
         // A restamp moves the stamp and keeps both planes.
         let planes = |s: &Snapshot| (Arc::as_ptr(&s.util), Arc::as_ptr(&s.quality));
         let (before, g) = (planes(h.latest().unwrap()), h.generation());
@@ -404,19 +683,30 @@ mod tests {
         let latest = h.latest().unwrap();
         assert_eq!((latest.t, latest.interval), (SimTime::from_secs(5), SimDuration::from_secs(4)));
         assert_eq!(planes(latest), before);
-        // The evicted entry's own util plane is writable; the quality
-        // plane the surviving entry still reads is not.
-        let mut evicted = h.recycle_oldest().unwrap();
-        assert_eq!(Arc::get_mut(&mut evicted.util).map(|u| u[0]), Some(1.0));
-        assert!(Arc::get_mut(&mut evicted.quality).is_none(), "a later entry shares it");
+        // The displaced util plane is spare and writable, and rewriting it
+        // leaves the entry it was displaced from intact. The quality plane
+        // the newest entry still reads was never displaced.
+        let g = h.generation();
+        let mut spare = h.take_spare_util().unwrap();
+        assert_eq!(h.generation(), g, "taking a spare changes no sample");
+        assert!(h.take_spare_quality().is_none(), "the newest entry shares it");
+        Arc::get_mut(&mut spare).unwrap().copy_from_slice(&[2.0, 8.0, 7.0, 7.0]);
+        let older = rebuilt(&h, &mut RewindBuf::default()).pop().unwrap();
+        assert_eq!(older.2, [1.0f64, 7.0, 7.0, 7.0].map(f64::to_bits));
+        // Publishing the refilled spare displaces the newest plane; a
+        // reader still holds it, so it is spare but not writable.
+        let newest = h.latest().unwrap().clone();
+        h.push(Snapshot { t: SimTime::from_secs(6), util: spare, ..newest.clone() });
+        let reader = newest.util;
+        let mut held = h.take_spare_util().unwrap();
+        assert!(Arc::ptr_eq(&held, &reader) && Arc::get_mut(&mut held).is_none());
         // Rediscovery: interface indices change meaning, so no buffer
-        // survives it to be recycled.
-        h.push(snap(6, &[3.0]));
+        // survives it to be refilled.
+        h.push(snap(7, &[3.0]));
         h.clear();
         assert!(!h.restamp_latest(SimTime::from_secs(9), SimDuration::ZERO));
-        assert!(h.recycle_oldest().is_none(), "clear leaves nothing to recycle");
-        h.push(snap(8, &[5.0]));
-        assert!(h.recycle_oldest().is_none());
+        assert!(h.take_spare_util().is_none() && h.take_spare_quality().is_none());
+        assert_eq!(h.newest_undo_is_empty(), [false; 2]);
     }
 
     #[test]
@@ -427,5 +717,145 @@ mod tests {
         h.clear();
         assert!(h.is_empty());
         assert!(h.latest().is_none());
+        assert!(rebuilt(&h, &mut RewindBuf::default()).is_empty());
+    }
+
+    mod properties {
+        use super::*;
+        use remos_prop::prelude::*;
+
+        const UTIL: [f64; 6] = [0.0, -0.0, 1.0, 2.5, 1e9, f64::NAN];
+        const QUALITY: [DataQuality; 4] = [
+            DataQuality::Fresh,
+            DataQuality::Stale { age: SimDuration::from_secs(1) },
+            DataQuality::Stale { age: SimDuration::from_secs(2) },
+            DataQuality::Missing,
+        ];
+
+        /// The next sample one tape word asks for, given the reference
+        /// history (newest last) and the history's spare planes.
+        fn next_sample(
+            w: u64,
+            width: usize,
+            reference: &VecDeque<Snapshot>,
+            h: &mut SampleHistory,
+        ) -> Snapshot {
+            let pick = |k: u32| (w >> k) as usize;
+            let t = SimTime::from_secs(
+                reference.back().map_or(0, |s| s.t.as_nanos() / 1_000_000_000 + 1),
+            );
+            let interval = SimDuration::from_millis(pick(40) as u64 % 3);
+            let dense = |width: usize| -> Snapshot {
+                let util: Vec<f64> =
+                    (0..width).map(|i| UTIL[(pick(8) + i * pick(12)) % 6]).collect();
+                let quality: Vec<DataQuality> =
+                    (0..width).map(|i| QUALITY[(pick(16) + i) % 4]).collect();
+                Snapshot { t, interval, util: util.into(), quality: quality.into() }
+            };
+            let Some(last) = reference.back() else { return dense(width) };
+            let mut util = last.util.to_vec();
+            let mut quality = last.quality.to_vec();
+            match (w >> 4) % 8 {
+                // Both planes shared.
+                0 | 1 => return Snapshot { t, interval, ..last.clone() },
+                // Equal bits in fresh buffers.
+                2 => {}
+                // A few entries move (to -0.0 and NaN among others), and
+                // the quality plane is shared or moves too.
+                3 | 4 => {
+                    for k in 0..1 + pick(20) % 2 {
+                        let i = (pick(24) + k * 5) % util.len().max(1);
+                        if let Some(u) = util.get_mut(i) {
+                            *u = UTIL[pick(28 + k as u32) % 6];
+                        }
+                    }
+                    if pick(32) % 2 == 0 {
+                        return Snapshot {
+                            t,
+                            interval,
+                            util: util.into(),
+                            quality: Arc::clone(&last.quality),
+                        };
+                    }
+                    let i = pick(34) % quality.len().max(1);
+                    if let Some(q) = quality.get_mut(i) {
+                        *q = QUALITY[pick(36) % 4];
+                    }
+                }
+                // Back to the values of the sample before the newest.
+                5 => {
+                    if let Some(prev) =
+                        reference.len().checked_sub(2).and_then(|i| reference.get(i))
+                    {
+                        (util, quality) = (prev.util.to_vec(), prev.quality.to_vec());
+                    }
+                }
+                // Every entry redrawn, at this width or (drift) another.
+                6 => return dense(if pick(44) % 3 == 0 { width + 1 } else { width }),
+                // A producer refilling the spare planes where it may.
+                _ => {
+                    if let Some(u) = util.get_mut(pick(24) % width) {
+                        *u = UTIL[pick(28) % 6];
+                    }
+                    let util = refill(h.take_spare_util(), &util);
+                    let quality = refill(h.take_spare_quality(), &quality);
+                    return Snapshot { t, interval, util, quality };
+                }
+            }
+            Snapshot { t, interval, util: util.into(), quality: quality.into() }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Replaying a random tape of pushes (shared, bit-equal,
+            /// sparse, changing back, dense, drifting in width, refilling
+            /// spares), restamps and clears, every rebuilt entry equals a
+            /// plain `VecDeque<Snapshot>` reference's bit for bit, newest
+            /// first, and so do the length and the generation.
+            #[test]
+            fn rebuilt_history_matches_a_plain_deque(
+                tape in prop::collection::vec(any::<u64>(), 0..80),
+                cap in 1usize..7,
+                width in 1usize..10,
+            ) {
+                let mut h = SampleHistory::new(cap);
+                let mut reference: VecDeque<Snapshot> = VecDeque::new();
+                let mut generation = 0u64;
+                let mut buf = RewindBuf::default();
+                for (step, &w) in tape.iter().enumerate() {
+                    match w % 16 {
+                        0 => {
+                            let t = SimTime::from_secs(1000 + step as u64);
+                            let stamp = (t, SimDuration::from_secs(2));
+                            let restamped = h.restamp_latest(stamp.0, stamp.1);
+                            prop_assert_eq!(restamped, !reference.is_empty());
+                            if let Some(s) = reference.back_mut() {
+                                (s.t, s.interval) = stamp;
+                                generation += 1;
+                            }
+                        }
+                        1 => {
+                            h.clear();
+                            reference.clear();
+                            generation += 1;
+                        }
+                        _ => {
+                            let s = next_sample(w, width, &reference, &mut h);
+                            if reference.len() == cap {
+                                reference.pop_front();
+                            }
+                            reference.push_back(s.clone());
+                            h.push(s);
+                            generation += 1;
+                        }
+                    }
+                    prop_assert_eq!(h.len(), reference.len());
+                    prop_assert_eq!(h.generation(), generation);
+                    let want: Vec<Rebuilt> = reference.iter().rev().map(owned).collect();
+                    prop_assert_eq!(rebuilt(&h, &mut buf), want, "step {}", step);
+                }
+            }
+        }
     }
 }

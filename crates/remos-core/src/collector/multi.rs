@@ -36,11 +36,13 @@
 //!   cannot be reused) or its lag behind the merge time moved. Border
 //!   entries observed by several children are recomputed every merge.
 //! * **Publish by identity** — [`Snapshot`]'s planes are shared `Arc`s.
-//!   A plane the merge did not write is the previous entry's, shared; a
-//!   written one goes into the evicted entry's plane when `Arc::get_mut`
-//!   grants it, else into a new allocation. Settled entries share one
-//!   pair of planes, and no plane is written while another entry holds
-//!   it.
+//!   A plane the merge did not write is the previous entry's, shared,
+//!   and the history stores it for nothing. A written one goes into the
+//!   history's spare — the plane the last publish displaced — when
+//!   `Arc::get_mut` grants it, else into a new allocation; the history
+//!   keeps only the entries it changed, as the displaced entry's undo.
+//!   So publish alternates between two planes, and no plane is written
+//!   while another holder reads it.
 //! * **Epoch vector** — [`Collector::topology_epoch`] is an FNV-1a
 //!   digest over the children's *structural* digests, not a counter. A
 //!   child re-discovering an unchanged region keeps the digest (and the
@@ -53,7 +55,7 @@
 //! the surviving children's regions stay [`DataQuality::Fresh`]. Polling
 //! and re-discovery succeed as long as at least one child does.
 
-use crate::collector::{Collector, SampleHistory, Snapshot};
+use crate::collector::{refill, Collector, SampleHistory, Snapshot};
 use crate::error::{CoreResult, RemosError};
 use crate::graph::HostInfo;
 use crate::quality::DataQuality;
@@ -447,18 +449,6 @@ fn aged_quality(
     q
 }
 
-/// `src` as a published plane: written into `old` when `Arc::get_mut`
-/// grants it (no other entry shares it), else copied into a new one.
-fn refill<T: Copy>(old: Option<Arc<[T]>>, src: &[T]) -> Arc<[T]> {
-    if let Some(mut plane) = old {
-        if let Some(buf) = Arc::get_mut(&mut plane).filter(|b| b.len() == src.len()) {
-            buf.copy_from_slice(src);
-            return plane;
-        }
-    }
-    Arc::from(src)
-}
-
 impl Collector for MultiCollector {
     fn set_obs(&mut self, obs: &remos_obs::Obs) {
         self.obs = obs.clone();
@@ -635,9 +625,10 @@ impl Collector for MultiCollector {
         metrics.dirty_shards.observe(dirty);
         // Publish by identity: a plane the merge did not write is the
         // previous entry's, shared (that entry was published from the
-        // merged buffers as they still stand). A written plane goes into
-        // the evicted entry's plane when no later entry shares it, else
-        // into a new allocation.
+        // merged buffers as they still stand), and costs the history
+        // nothing. A written plane goes into the history's spare, the
+        // plane the last publish displaced, when no one else holds it,
+        // else into a new allocation.
         let n = merged.util.len();
         let prev = history.latest().filter(|s| s.util.len() == n && s.quality.len() == n);
         let kept_util = prev.filter(|_| !wrote_util).map(|s| Arc::clone(&s.util));
@@ -645,9 +636,14 @@ impl Collector for MultiCollector {
         if kept_util.is_some() && kept_quality.is_some() {
             metrics.publish_reused.inc();
         }
-        let (old_util, old_quality) = history.recycle_oldest().map(|s| (s.util, s.quality)).unzip();
-        let util = kept_util.unwrap_or_else(|| refill(old_util, &merged.util));
-        let quality = kept_quality.unwrap_or_else(|| refill(old_quality, &merged.quality));
+        let util = match kept_util {
+            Some(u) => u,
+            None => refill(history.take_spare_util(), &merged.util),
+        };
+        let quality = match kept_quality {
+            Some(q) => q,
+            None => refill(history.take_spare_quality(), &merged.quality),
+        };
         history.push(Snapshot { t, interval, util, quality });
         if let (Some(t0), Some(t1)) = (t0, obs.clock_nanos()) {
             metrics.merge_ns.observe(t1.saturating_sub(t0));

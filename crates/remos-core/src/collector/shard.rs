@@ -18,8 +18,9 @@
 //! an interface's rate is a sum over its members' solved rates, both
 //! change only through a solve, and polls read settled rates.
 //!
-//! A re-read writes the held sample's util plane in place. Its quality
-//! plane (region `Fresh`, the rest `Missing`) is built once per
+//! A re-read writes the util plane the previous re-read displaced (its
+//! history's spare), so a shard alternates between two util planes. Its
+//! quality plane (region `Fresh`, the rest `Missing`) is built once per
 //! discovered topology and never rewritten, so the federation, which
 //! re-ages a child's quality only when that plane's pointer or the
 //! child's lag moves, re-ages a live shard never.
@@ -56,8 +57,8 @@ pub struct ShardCollector {
     label: String,
     /// Directed-interface indices this shard measures, sorted ascending.
     region: Vec<u32>,
-    /// The latest sample only (depth 1), its util plane recycled in place
-    /// on every re-read.
+    /// The latest sample only (depth 1); the util plane a re-read
+    /// displaces is its spare, rewritten by the next re-read.
     history: SampleHistory,
     last_rates: Option<SimTime>,
     /// [`Simulator::rates_epoch`] the held sample's values were read at.
@@ -128,19 +129,24 @@ impl ShardCollector {
             return Ok(true);
         }
         (self.read_epoch, self.values_gen) = (epoch, self.values_gen + 1);
-        // From the second poll on this recycles the previous sample: its
-        // non-region entries are already zero (regions never change), so
-        // only the measured entries need rewriting, and its quality plane
-        // is kept as it is.
-        let (mut util, quality) = match self.history.recycle_oldest() {
-            Some(s) if s.util.len() == n && s.quality.len() == n => (s.util, s.quality),
+        // The quality plane is the held sample's, built once per
+        // discovery. The util plane is the one the last re-read displaced
+        // (built by the first two): its non-region entries are already
+        // zero (regions never change), so only the measured entries need
+        // rewriting.
+        let quality = match self.history.latest() {
+            Some(s) if s.quality.len() == n => Arc::clone(&s.quality),
             _ => {
                 let q = |i: usize| match self.region.binary_search(&(i as u32)) {
                     Ok(_) => DataQuality::Fresh,
                     Err(_) => DataQuality::Missing,
                 };
-                (std::iter::repeat_n(0.0, n).collect(), (0..n).map(q).collect())
+                (0..n).map(q).collect()
             }
+        };
+        let mut util = match self.history.take_spare_util() {
+            Some(u) if u.len() == n => u,
+            _ => std::iter::repeat_n(0.0, n).collect(),
         };
         // Each entry is the engine's membership sum for that interface,
         // the same bits a monolithic `dirlink_rate` read returns. The

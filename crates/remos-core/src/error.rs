@@ -45,6 +45,12 @@ pub enum InvalidQueryKind {
     EmptyRateLadder,
     /// `estimate_fcts` was asked about zero hypothetical flows.
     EmptyFlowSet,
+    /// A `Future` horizon reaches past the last time the simulated clock
+    /// can represent, counted from the newest sample.
+    HorizonPastClock {
+        /// The rejected horizon.
+        horizon: SimDuration,
+    },
 }
 
 impl InvalidQueryKind {
@@ -89,6 +95,9 @@ impl fmt::Display for InvalidQueryKind {
             }
             InvalidQueryKind::EmptyRateLadder => write!(f, "empty rate ladder"),
             InvalidQueryKind::EmptyFlowSet => write!(f, "empty what-if flow set"),
+            InvalidQueryKind::HorizonPastClock { horizon } => {
+                write!(f, "future horizon {horizon} runs past the clock")
+            }
         }
     }
 }

@@ -33,7 +33,7 @@ pub mod plan;
 pub mod predict;
 pub mod sharing;
 
-use crate::collector::Collector;
+use crate::collector::{Collector, RewindBuf, SampleHistory};
 use crate::error::{CoreResult, InvalidQueryKind, RemosError};
 use crate::flows::{FlowGrant, FlowInfoRequest, FlowInfoResponse};
 use crate::graph::{RemosGraph, RemosLink, RemosNode};
@@ -131,6 +131,79 @@ pub(crate) struct SelectedSamples {
     /// selected samples (entries the collector never measured are
     /// `Missing`).
     quality: Vec<DataQuality>,
+    /// Where the history's older samples are rebuilt.
+    rewind: RewindBuf,
+    /// A `Future` prediction's per-dir-link series.
+    series: Series,
+}
+
+/// The whole history as per-dir-link series, gathered in one walk: what
+/// a `Future` prediction reads. Only the values that move are stored.
+#[derive(Default)]
+struct Series {
+    /// Sample end times, newest first.
+    times: Vec<SimTime>,
+    /// The last visited sample's values, padded or truncated to the
+    /// plan's dir-links.
+    last: Vec<Bps>,
+    /// `(d, k, v)`: sample `k` (newest = 0) reads `v` at dir-link `d`,
+    /// which sample `k - 1` does not; sorted by `(d, k)`.
+    changes: Vec<(usize, usize, Bps)>,
+    /// One dir-link's series, oldest first.
+    one: Vec<(SimTime, Bps)>,
+}
+
+impl Series {
+    /// Walk `history` newest → oldest once, noting every sample's time
+    /// and every value that differs from the sample after it.
+    fn gather(&mut self, history: &SampleHistory, n: usize, buf: &mut RewindBuf) {
+        self.times.clear();
+        self.changes.clear();
+        let mut walk = history.rewind(buf);
+        while let Some(s) = walk.next_sample() {
+            let value = |d: usize| s.util.get(d).copied().unwrap_or(0.0);
+            let k = self.times.len();
+            if k == 0 {
+                self.last.clear();
+                self.last.extend((0..n).map(value));
+            }
+            for (d, last) in self.last.iter_mut().enumerate() {
+                let v = value(d);
+                if v.to_bits() != last.to_bits() {
+                    self.changes.push((d, k, v));
+                    *last = v;
+                }
+            }
+            self.times.push(s.t);
+        }
+        self.changes.sort_unstable_by_key(|&(d, k, _)| (d, k));
+    }
+
+    /// Predict each dir-link `horizon` past the newest sample into
+    /// `util`, from its series oldest first, as [`predict`] takes it.
+    fn predict_into(
+        &mut self,
+        newest: &[Bps],
+        kind: PredictorKind,
+        horizon: remos_net::SimDuration,
+        util: &mut [Bps],
+    ) {
+        let m = self.times.len();
+        self.one.clear();
+        self.one.resize(m, (SimTime::ZERO, 0.0));
+        let mut changes = self.changes.iter().peekable();
+        for (d, u) in util.iter_mut().enumerate() {
+            let mut v = newest.get(d).copied().unwrap_or(0.0);
+            for (k, &t) in self.times.iter().enumerate() {
+                if let Some(&(_, _, changed)) = changes.next_if(|&&(cd, ck, _)| (cd, ck) == (d, k))
+                {
+                    v = changed;
+                }
+                self.one[m - 1 - k] = (t, v);
+            }
+            *u = predict(kind, &self.one, horizon);
+        }
+    }
 }
 
 impl SelectedSamples {
@@ -345,10 +418,9 @@ impl Modeler {
     }
 
     /// Pick (or synthesize) the utilization samples a timeframe refers
-    /// to, into the caller's buffer. For `Current` and `Window`
-    /// timeframes the steady state (stable history depth) reuses every
-    /// sample vector in place and allocates nothing; `Future` still
-    /// allocates its per-dirlink prediction series.
+    /// to, into the caller's buffer. Older samples are rebuilt from the
+    /// history newest → oldest, in one walk, into buffers the steady state
+    /// reuses: once warm, no timeframe allocates.
     pub(crate) fn select_samples(
         &self,
         col: &dyn Collector,
@@ -379,25 +451,32 @@ impl Modeler {
                     .latest()
                     .ok_or(RemosError::InsufficientHistory { needed: 1, available: 0 })?
                     .t;
+                let SelectedSamples { samples, quality, rewind, .. } = out;
                 // An estimate over a window is only as good as its worst
                 // constituent sample, per dir-link.
-                out.quality.clear();
-                out.quality.resize(n, DataQuality::Fresh);
+                quality.clear();
+                quality.resize(n, DataQuality::Fresh);
                 let mut count = 0;
-                for s in history.all().filter(|s| latest_t.saturating_since(s.t) <= w) {
-                    for (d, q) in out.quality.iter_mut().enumerate() {
+                let mut walk = history.rewind(rewind);
+                while let Some(s) = walk.next_sample() {
+                    if latest_t.saturating_since(s.t) > w {
+                        continue;
+                    }
+                    for (d, q) in quality.iter_mut().enumerate() {
                         *q = q.worst(s.quality.get(d).copied().unwrap_or(DataQuality::Missing));
                     }
-                    if count == out.samples.len() {
-                        out.samples.push((s.t, Vec::new()));
+                    if count == samples.len() {
+                        samples.push((s.t, Vec::new()));
                     }
-                    Self::write_sample(&mut out.samples[count], s.t, &s.util, n);
+                    Self::write_sample(&mut samples[count], s.t, s.util, n);
                     count += 1;
                 }
-                out.samples.truncate(count);
+                samples.truncate(count);
                 if count == 0 {
                     return Err(RemosError::InsufficientHistory { needed: 1, available: 0 });
                 }
+                // Oldest first, the order the answer folds them in.
+                samples.reverse();
                 Ok(())
             }
             Timeframe::Future(h) => {
@@ -405,27 +484,26 @@ impl Modeler {
                     needed: 2,
                     available: 0,
                 })?;
-                let t_last = latest.t;
+                let t_end = latest
+                    .t
+                    .checked_add(h)
+                    .ok_or(InvalidQueryKind::HorizonPastClock { horizon: h })?;
+                let SelectedSamples { samples, quality, rewind, series } = out;
                 // A prediction inherits the quality of the newest data it
                 // extrapolates from.
-                out.quality.clear();
-                out.quality.extend_from_slice(&latest.quality);
-                out.quality.resize(n, DataQuality::Missing);
-                out.samples.truncate(1);
-                if out.samples.is_empty() {
-                    out.samples.push((t_last + h, Vec::new()));
+                quality.clear();
+                quality.extend_from_slice(&latest.quality);
+                quality.resize(n, DataQuality::Missing);
+                samples.truncate(1);
+                if samples.is_empty() {
+                    samples.push((t_end, Vec::new()));
                 }
-                out.samples[0].0 = t_last + h;
-                let util = &mut out.samples[0].1;
+                samples[0].0 = t_end;
+                let util = &mut samples[0].1;
                 util.clear();
                 util.resize(n, 0.0);
-                for (d, u) in util.iter_mut().enumerate() {
-                    let series: Vec<(SimTime, f64)> = history
-                        .all()
-                        .map(|s| (s.t, s.util.get(d).copied().unwrap_or(0.0)))
-                        .collect();
-                    *u = predict(self.cfg.predictor, &series, h);
-                }
+                series.gather(history, n, rewind);
+                series.predict_into(&latest.util, self.cfg.predictor, h, util);
                 Ok(())
             }
         }
@@ -997,21 +1075,26 @@ impl Modeler {
 mod tests {
     use super::*;
     use crate::collector::oracle::OracleCollector;
+    use crate::collector::Snapshot;
     use crate::whatif::HypotheticalFlow;
     use remos_net::flow::FlowParams;
     use remos_net::{mbps, SimDuration, Simulator, TopologyBuilder};
-    use remos_snmp::sim::share;
+    use remos_snmp::sim::{share, SharedSim};
 
-    /// Hosts h1..h4 around one switch, `rate` Mb/s a link, a 20 Mb/s CBR
-    /// flow h1 -> h2, sampled once.
-    fn star(rate: f64) -> OracleCollector {
+    /// Hosts h1..h4 around one switch, `rate` Mb/s a link.
+    fn star_sim(rate: f64) -> (SharedSim, Vec<NodeId>) {
         let mut b = TopologyBuilder::new();
         let hosts: Vec<_> = (1..=4).map(|i| b.compute(&format!("h{i}"))).collect();
         let r = b.network("r");
         for &h in &hosts {
             b.link(h, r, mbps(rate), SimDuration::from_micros(5)).expect("link");
         }
-        let sim = share(Simulator::new(b.build().expect("topology")).expect("simulator"));
+        (share(Simulator::new(b.build().expect("topology")).expect("simulator")), hosts)
+    }
+
+    /// The star with a 20 Mb/s CBR flow h1 -> h2, sampled once.
+    fn star(rate: f64) -> OracleCollector {
+        let (sim, hosts) = star_sim(rate);
         sim.lock().start_flow(FlowParams::cbr(hosts[0], hosts[1], mbps(20.0))).expect("flow");
         let mut col = OracleCollector::new(sim);
         col.poll().expect("poll");
@@ -1044,5 +1127,67 @@ mod tests {
             digests.push(warm);
         }
         assert_ne!(digests[0], digests[1], "the two topologies must give different answers");
+    }
+
+    /// An oracle over the star whose history holds `polls` samples 1 s
+    /// apart, a flow started or stopped before each, and the snapshots
+    /// as they were published, oldest first.
+    fn churned_star(polls: u64) -> (OracleCollector, Vec<Snapshot>) {
+        let (sim, hosts) = star_sim(100.0);
+        let mut col = OracleCollector::new(Arc::clone(&sim));
+        let (mut live, mut published) = (Vec::new(), Vec::new());
+        for i in 0..polls as usize {
+            {
+                let mut s = sim.lock();
+                if i % 3 == 2 {
+                    s.stop_flow(live.remove(0)).expect("stop");
+                } else {
+                    let (src, dst) = (hosts[i % 4], hosts[(i + 1 + i / 4) % 4]);
+                    let rate = mbps(5.0 * (1 + i % 7) as f64);
+                    live.push(s.start_flow(FlowParams::cbr(src, dst, rate)).expect("flow"));
+                }
+                s.run_for(SimDuration::from_secs(1)).expect("advance");
+            }
+            col.poll().expect("poll");
+            published.push(col.history().latest().expect("a sample").clone());
+        }
+        (col, published)
+    }
+
+    /// `Window` and `Future` read older samples rebuilt from the history's
+    /// undo entries: the samples a window selects, and every predictor's
+    /// answer, equal those computed from the snapshots as published, bit
+    /// for bit.
+    #[test]
+    fn window_and_future_read_the_published_samples() {
+        let (col, published) = churned_star(10);
+        let n = col.topology().expect("topology").dir_link_count();
+        let bits = |u: &[Bps]| u.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut out = SelectedSamples::default();
+        let modeler = Modeler::default();
+        // A 3 s window over samples 1 s apart covers the newest four.
+        modeler
+            .select_samples(&col, n, Timeframe::Window(SimDuration::from_secs(3)), &mut out)
+            .expect("window");
+        let want: Vec<_> = published[6..].iter().map(|s| (s.t, bits(&s.util))).collect();
+        let got: Vec<_> = out.samples.iter().map(|(t, u)| (*t, bits(u))).collect();
+        assert_eq!(got, want);
+        let h = SimDuration::from_secs(2);
+        for kind in [
+            PredictorKind::LastValue,
+            PredictorKind::WindowMean,
+            PredictorKind::Ewma(0.3),
+            PredictorKind::LinearTrend,
+        ] {
+            let modeler = Modeler::new(ModelerConfig { predictor: kind, ..Default::default() });
+            modeler.select_samples(&col, n, Timeframe::Future(h), &mut out).expect("future");
+            let want: Vec<Bps> = (0..n)
+                .map(|d| {
+                    let series: Vec<_> = published.iter().map(|s| (s.t, s.util[d])).collect();
+                    predict(kind, &series, h)
+                })
+                .collect();
+            assert_eq!(bits(&out.samples[0].1), bits(&want), "{kind:?}");
+        }
     }
 }

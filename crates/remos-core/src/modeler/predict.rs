@@ -51,13 +51,11 @@ pub fn predict(kind: PredictorKind, series: &[(SimTime, f64)], horizon: SimDurat
             // Least squares on (t, v) with t relative to the first sample.
             let t0 = series[0].0;
             let n = series.len() as f64;
-            let xs: Vec<f64> =
-                series.iter().map(|&(t, _)| t.saturating_since(t0).as_secs_f64()).collect();
-            let ys: Vec<f64> = series.iter().map(|&(_, v)| v).collect();
-            let sx: f64 = xs.iter().sum();
-            let sy: f64 = ys.iter().sum();
-            let sxx: f64 = xs.iter().map(|x| x * x).sum();
-            let sxy: f64 = xs.iter().zip(&ys).map(|(x, y)| x * y).sum();
+            let xys = || series.iter().map(|&(t, v)| (t.saturating_since(t0).as_secs_f64(), v));
+            let sx: f64 = xys().map(|(x, _)| x).sum();
+            let sy: f64 = xys().map(|(_, y)| y).sum();
+            let sxx: f64 = xys().map(|(x, _)| x * x).sum();
+            let sxy: f64 = xys().map(|(x, y)| x * y).sum();
             let denom = n * sxx - sx * sx;
             if denom.abs() < 1e-12 {
                 return last_v;

@@ -197,10 +197,11 @@ fn steady_state_sharded_merge_is_allocation_free() {
 /// The same federation while the fabric churns: a flow starts or stops
 /// between polls, so every poll re-reads every shard and changes util.
 /// Once warm, a poll still touches the heap zero times. Each shard
-/// writes its util plane in place, the merge copies each shard's region
-/// run by run, and the publish writes into the evicted entry's util plane
-/// (no later entry shares it). The quality plane is never rewritten:
-/// every publish shares the one `Arc`.
+/// writes the util plane its last re-read displaced, the merge copies
+/// each shard's region run by run, and the publish writes into the util
+/// plane the previous publish displaced (the history's spare, which no
+/// one else holds). The quality plane is never rewritten: every publish
+/// shares the one `Arc`.
 #[test]
 fn churning_sharded_merge_is_allocation_free() {
     let obs = remos_obs::Obs::new();
@@ -240,6 +241,65 @@ fn churning_sharded_merge_is_allocation_free() {
     // Every poll re-read and re-applied all 4 shards and shared no util.
     let reapplied = obs.histogram("multi_dirty_shards").snapshot().sum - reapplied_before;
     assert_eq!((reapplied, obs.counter("multi_publish_reused_total").get()), (256, 0));
+}
+
+/// A warm `Window` query over the churning federation. A toggle moves
+/// fewer than half of the util entries and no quality entry, so every
+/// entry before the newest is stored as undo pairs against the one after
+/// it, and the query rebuilds them into its workspace. Once warm, a poll
+/// and the query together touch the heap zero times, and each answer is
+/// the one a fresh workspace gives.
+#[test]
+fn window_queries_over_a_churning_history_are_allocation_free() {
+    let obs = remos_obs::Obs::new();
+    let (tree, sim, mut fed) = sharded_fabric(&obs);
+    let topo = tree.topology();
+    let names: Vec<String> =
+        topo.compute_nodes().iter().map(|&h| topo.node(h).name.clone()).collect();
+    let toggled = remos_net::flow::FlowParams::greedy(tree.host(0, 1), tree.host(3, 0));
+    let mut held = None;
+    let mut churn = || {
+        let mut s = sim.lock();
+        match held.take() {
+            Some(h) => drop(s.stop_flow(h).expect("stop flow")),
+            None => held = Some(s.start_flow(toggled.clone()).expect("start flow")),
+        }
+        s.run_for(SimDuration::from_millis(100)).expect("advance sim");
+    };
+    let modeler = Modeler::new(ModelerConfig::default());
+    // Polls are 100 ms apart: the window covers all 4 entries.
+    let tf = Timeframe::Window(SimDuration::from_secs(1));
+    let mut ws = QueryWorkspace::new();
+    for _ in 0..16 {
+        churn();
+        assert!(fed.poll().expect("warm poll"));
+        modeler.get_graph_in(&fed, &names, tf, &mut ws).expect("warm window query");
+    }
+    let mut delta = 0;
+    for round in 0..64 {
+        churn();
+        let bits = |fed: &MultiCollector| -> Vec<u64> {
+            let snap = fed.history().latest().expect("a sample");
+            snap.util.iter().map(|u| u.to_bits()).collect()
+        };
+        let prev = bits(&fed);
+        let before = alloc_count();
+        assert!(fed.poll().expect("measured poll"));
+        let warm = modeler.get_graph_in(&fed, &names, tf, &mut ws).expect("measured query");
+        black_box(warm);
+        delta += alloc_count() - before;
+        let moved = prev.iter().zip(bits(&fed)).filter(|(a, b)| **a != *b).count();
+        assert!(
+            moved > 0 && 2 * moved < prev.len(),
+            "round {round}: {moved} of {} entries moved",
+            prev.len()
+        );
+        assert_eq!(fed.history().newest_undo_is_empty(), [false, true], "round {round}");
+        let mut fresh = QueryWorkspace::new();
+        let cold = modeler.get_graph_in(&fed, &names, tf, &mut fresh).expect("cold query");
+        assert_eq!(ws.graph().digest(), cold.digest(), "round {round}: warm answer drifted");
+    }
+    expect_zero(delta, "window queries over a churning history");
 }
 
 /// Warm cached graph queries through a reused [`QueryWorkspace`]: after

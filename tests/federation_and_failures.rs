@@ -113,7 +113,7 @@ fn border_host_resources_come_from_the_child_that_measured_them() {
 
 /// A federation with border entries recomputes them on every merge, so it
 /// never publishes a plane shared with the previous entry: over idle
-/// polls on a two-sample history (every publish recycles) it is
+/// polls on a two-sample history (every publish evicts one) it is
 /// bit-identical to a from-scratch re-merge and reuses nothing.
 #[test]
 fn snmp_federation_with_border_links_never_reuses_a_published_buffer() {

@@ -72,8 +72,8 @@ fn serve(server: &mut Server, spec: &QuerySpec) -> (QueryResult, u64) {
 }
 
 /// Warm-up: discovery, the plan, every workspace buffer — and the merged
-/// history, whose 512 entries must all exist before a publish recycles
-/// instead of allocating.
+/// history, whose entry and undo rings grow until its 512 entries all
+/// exist.
 fn warm_up(server: &mut Server, spec: &QuerySpec) {
     for _ in 0..520 {
         serve(server, spec);

@@ -13,7 +13,7 @@ use remos_prop::prelude::*;
 use remos::core::collector::multi::{MultiCollector, MultiCollectorConfig};
 use remos::core::collector::oracle::OracleCollector;
 use remos::core::collector::shard::{shard_fabric, ShardCollector};
-use remos::core::collector::{Collector, SampleHistory, SimClock, Snapshot};
+use remos::core::collector::{Collector, RewindBuf, SampleHistory, SimClock, Snapshot};
 use remos::core::{
     CoreResult, DataQuality, FlowInfoRequest, Modeler, ModelerConfig, Query, Remos, RemosConfig,
     RemosError, Timeframe,
@@ -356,7 +356,7 @@ fn served_plan_misses_match_the_cold_oracle_answer() {
 /// Builds a 4-shard flaky federation over `sim`, returning the
 /// federation, the per-shard kill switches, and the per-shard regions.
 /// The merged history holds two samples, so every publish from the third
-/// on recycles a buffer.
+/// on evicts one.
 fn flaky_federation(
     tree: &FatTree,
     sim: &SharedSim,
@@ -391,16 +391,20 @@ fn flaky_federation(
 const ROUNDS: u64 = 20;
 const QUIET: u64 = 4;
 
-/// Whether the latest merged entry holds the same `[util, quality]`
-/// planes as the entry before it (`[false; 2]` without one).
-fn shares_planes(fed: &MultiCollector) -> [bool; 2] {
-    let all: Vec<&Snapshot> = fed.history().all().collect();
-    match all[..] {
-        [.., prev, last] => {
-            [Arc::ptr_eq(&prev.util, &last.util), Arc::ptr_eq(&prev.quality, &last.quality)]
-        }
-        _ => [false; 2],
+/// Every sample of `fed`'s merged history, rebuilt, newest first.
+fn rebuilt(fed: &MultiCollector) -> Vec<Snapshot> {
+    let mut buf = RewindBuf::default();
+    let mut walk = fed.history().rewind(&mut buf);
+    let mut out = Vec::new();
+    while let Some(s) = walk.next_sample() {
+        out.push(Snapshot {
+            t: s.t,
+            interval: s.interval,
+            util: s.util.into(),
+            quality: s.quality.into(),
+        });
     }
+    out
 }
 
 proptest! {
@@ -439,6 +443,7 @@ proptest! {
         // Rounds since any shard was down (the oracle's `interval` matches
         // the federation's only once every shard has polled twice running).
         let mut all_up_for = 0u64;
+        let mut full_held: Option<Snapshot> = None;
         for round in 0..ROUNDS {
             let quiet = round >= ROUNDS - QUIET;
             // Interleaved faults: each shard is independently down ~1/4
@@ -488,11 +493,23 @@ proptest! {
             snapshots_bit_identical(inc, full, &format!("round {round}, inc vs full"));
             snapshots_bit_identical(legacy, full, &format!("round {round}, legacy vs full"));
             // Once the quiet tail has settled, `inc` publishes the previous
-            // entry's planes as they are; `full` rewrites both every merge.
+            // entry's planes as they are, so its newest undo is empty.
+            // `full` rewrites both every merge: it never publishes a plane
+            // it published before (held, so no pointer is reused).
             if round > ROUNDS - QUIET {
-                prop_assert_eq!(shares_planes(&feds[0]), [true; 2], "round {}: inc", round);
+                let unchanged = feds[0].history().newest_undo_is_empty();
+                prop_assert_eq!(unchanged, [true; 2], "round {}: inc", round);
             }
-            prop_assert_eq!(shares_planes(&feds[2]), [false; 2], "round {}: full", round);
+            if outcomes[2] == Some(true) {
+                if let Some(held) = &full_held {
+                    let shared = [
+                        Arc::ptr_eq(&held.util, &full.util),
+                        Arc::ptr_eq(&held.quality, &full.quality),
+                    ];
+                    prop_assert_eq!(shared, [false; 2], "round {}: full", round);
+                }
+                full_held = Some(full.clone());
+            }
             if all_up {
                 let mut truth = oracle.history().latest().unwrap().clone();
                 if all_up_for < 2 {
@@ -529,10 +546,11 @@ proptest! {
 }
 
 /// Publishing by identity is invisible to history queries. Idle polls
-/// share their predecessor's planes and churn polls write new ones, so
-/// evictions find their planes shared or not; throughout, a `Window`
-/// graph over every host and a `Window` flow query answer bit-identically
-/// on `inc` and on `full`, which shares nothing.
+/// share their predecessor's planes (an empty undo) and churn polls write
+/// new ones (undo pairs, or a whole plane), so a window rebuilds entries
+/// of every kind; throughout, a `Window` graph over every host, a
+/// `Window` flow query and every rebuilt entry agree bit for bit on `inc`
+/// and on `full`, which shares nothing.
 #[test]
 fn window_answers_agree_when_entries_share_planes() {
     let tree = FatTree::build(4).unwrap();
@@ -562,7 +580,7 @@ fn window_answers_agree_when_entries_share_planes() {
         (g.digest(), grants)
     };
     let mut next = lcg(0x1D1E);
-    let mut shared = 0;
+    let mut unchanged = 0;
     for round in 0..32u64 {
         match next(4) {
             0 if !handles.is_empty() => {
@@ -575,12 +593,14 @@ fn window_answers_agree_when_entries_share_planes() {
         sim.lock().run_for(SimDuration::from_millis(500)).unwrap();
         assert!(inc.poll().unwrap() && full.poll().unwrap());
         assert_eq!(answer(&inc), answer(&full), "round {round}: window answers");
-        for (a, b) in inc.history().all().zip(full.history().all()) {
+        let (inc_all, full_all) = (rebuilt(&inc), rebuilt(&full));
+        assert_eq!(inc_all.len(), full_all.len(), "round {round}: history length");
+        for (a, b) in inc_all.iter().zip(&full_all) {
             snapshots_bit_identical(a, b, &format!("round {round}"));
         }
-        shared += u32::from(shares_planes(&inc)[0]);
+        unchanged += u32::from(inc.history().newest_undo_is_empty()[0]);
     }
-    assert!(shared > 4, "only {shared} publishes shared their util plane");
+    assert!(unchanged > 4, "only {unchanged} publishes left their util plane unchanged");
 }
 
 /// One shard crashes mid-churn: its region ages Stale and then Missing
