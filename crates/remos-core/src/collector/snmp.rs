@@ -2,10 +2,12 @@
 //!
 //! Discovery walks each agent's `system` group (name, kind via
 //! sysServices), `ifTable` (interface speeds) and LLDP-style neighbor
-//! table (adjacency), then reconstructs a [`Topology`]. Polling reads
-//! `ifOutOctets` (falling back to the far side's `ifInOctets` when a link
-//! endpoint runs no agent), differences Counter32 readings with wrap
-//! handling, and appends per-interface utilization snapshots.
+//! table (adjacency), then reconstructs a [`Topology`]. A poll sends each
+//! agent one GET: `sysUpTime.0` and exactly the `ifOutOctets` instances
+//! of its links (the far side's `ifInOctets` when a link endpoint runs no
+//! agent), so uptime and counters come from one agent snapshot. It
+//! differences Counter32 readings with wrap handling and appends
+//! per-interface utilization snapshots.
 //!
 //! Latency uses a fixed per-hop delay, exactly as the paper's collector
 //! does ("For latency, the Collector currently assumes a fixed per-hop
@@ -34,9 +36,10 @@ use remos_net::counters::rate_from_readings;
 use remos_net::topology::{DirLink, NodeId, Topology, TopologyBuilder};
 use remos_net::{SimDuration, SimTime};
 use remos_obs::{Counter, Obs};
+use remos_snmp::agent::MAX_RESPONSE_BINDINGS;
 use remos_snmp::oid::well_known;
 use remos_snmp::transport::Transport;
-use remos_snmp::{Manager, RetryPolicy, Value};
+use remos_snmp::{Manager, Oid, RetryPolicy, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -118,23 +121,20 @@ pub struct AgentHealth {
     pub last_uptime_ticks: Option<u64>,
 }
 
-/// Where a directed interface's traffic counter lives.
-#[derive(Clone, Debug)]
-enum CounterSource {
-    /// `agents[idx]`'s interface `if_index`, ifOutOctets.
-    Out { agent: usize, if_index: u32 },
-    /// `agents[idx]`'s interface `if_index`, ifInOctets (far side has no
-    /// agent).
-    In { agent: usize, if_index: u32 },
-    /// Neither endpoint runs an agent; utilization is unobservable and
-    /// reported as zero with [`DataQuality::Missing`].
-    None,
+/// One agent's poll: a single GET of `sysUpTime.0` followed by every
+/// counter instance the view reads from that agent.
+struct AgentPoll {
+    /// `sysUpTime.0`, then `ifOutOctets.i` / `ifInOctets.j` instances.
+    oids: Vec<Oid>,
+    /// The dir-link index each counter lands on: `oids[k + 1]` is read
+    /// into dir-link `links[k]`.
+    links: Vec<usize>,
 }
 
 struct View {
     topo: Arc<Topology>,
-    /// Per dir-link index: where to read its counter.
-    sources: Vec<CounterSource>,
+    /// Per agent, parallel to [`SnmpCollector::agents`]: its poll request.
+    polls: Vec<AgentPoll>,
     /// Per dir-link: last good raw counter reading with its timestamp.
     baseline: Vec<Option<(SimTime, u32)>>,
     /// Per dir-link: last freshly measured rate (carried forward while
@@ -201,13 +201,6 @@ struct AgentScan {
     host: Option<HostInfo>,
     /// This agent's own address (route-table mode).
     own_ip: Option<[u8; 4]>,
-}
-
-/// One agent's per-poll readings.
-struct AgentRead {
-    ticks: u64,
-    out_col: Option<BTreeMap<u32, u32>>,
-    in_col: Option<BTreeMap<u32, u32>>,
 }
 
 /// Carried-forward value and quality for a directed link with no fresh
@@ -479,8 +472,10 @@ impl<T: Transport + Sync> SnmpCollector<T> {
         }
         let topo = Arc::new(b.build().map_err(RemosError::from)?);
 
-        // Counter sources per directed interface.
-        let mut sources = vec![CounterSource::None; topo.dir_link_count()];
+        // Where each directed interface's counter lives: an agent and the
+        // instance it reads. A link with no agent at either end has none,
+        // and is reported as zero with `DataQuality::Missing`.
+        let mut sources: Vec<Option<(usize, Oid)>> = vec![None; topo.dir_link_count()];
         for (si, s) in scans.iter().enumerate() {
             for (&if_index, (_, peer)) in &s.ifaces {
                 let key = if s.name < *peer {
@@ -493,17 +488,27 @@ impl<T: Transport + Sync> SnmpCollector<T> {
                 let out_dir = topo.link(link).direction_from(me);
                 let out_idx = DirLink { link, dir: out_dir }.index();
                 let in_idx = DirLink { link, dir: out_dir.reverse() }.index();
-                // Prefer the sender's ifOutOctets for each direction.
-                sources[out_idx] = CounterSource::Out { agent: si, if_index };
+                // Prefer the sender's ifOutOctets for each direction; the
+                // far side's ifInOctets when that end runs no agent.
+                sources[out_idx] = Some((si, well_known::if_out_octets().child([if_index])));
                 if !agent_index.contains_key(peer.as_str()) {
-                    sources[in_idx] = CounterSource::In { agent: si, if_index };
+                    sources[in_idx] = Some((si, well_known::if_in_octets().child([if_index])));
                 }
             }
         }
         let n = sources.len();
+        let mut polls: Vec<AgentPoll> = (0..scans.len())
+            .map(|_| AgentPoll { oids: vec![well_known::sys_uptime()], links: Vec::new() })
+            .collect();
+        for (link, source) in sources.into_iter().enumerate() {
+            if let Some((agent, oid)) = source {
+                polls[agent].oids.push(oid);
+                polls[agent].links.push(link);
+            }
+        }
         Ok(View {
             topo,
-            sources,
+            polls,
             baseline: vec![None; n],
             last_util: vec![0.0; n],
             last_fresh: vec![None; n],
@@ -511,35 +516,39 @@ impl<T: Transport + Sync> SnmpCollector<T> {
         })
     }
 
-    /// Read one agent's uptime and the counter columns it serves. Any
-    /// failure returns `None` — the caller degrades just this agent.
-    /// `down` agents get a single-datagram recovery probe first; full reads
-    /// (and their retry costs) resume only once the probe answers.
+    /// Read agent `ai`'s uptime and, into `readings`, the counters of
+    /// the dir-links `poll` maps to it: one GET, split only past an
+    /// agent's response limit. A counter that comes back `NoSuchObject`
+    /// or not a Counter32 reads `None`, which leaves only its link
+    /// unobservable. Any request failure returns `None`, and the caller
+    /// degrades just this agent. A `Down` agent gets a single-datagram
+    /// recovery probe first; full reads (and their retry costs) resume
+    /// only once the probe answers.
     fn read_agent(
         &self,
         ai: usize,
-        needs_out: bool,
-        needs_in: bool,
-        down: bool,
-    ) -> Option<AgentRead> {
+        poll: &AgentPoll,
+        readings: &mut [Option<u32>],
+    ) -> Option<u64> {
         let addr = &self.agents[ai];
-        if down && self.probe.get(addr, &well_known::sys_uptime()).is_err() {
+        if self.health[ai].state == AgentState::Down
+            && self.probe.get(addr, &well_known::sys_uptime()).is_err()
+        {
             return None;
         }
-        let ticks = self.manager.get(addr, &well_known::sys_uptime()).ok()?.as_u64()?;
-        let col = |root: &remos_snmp::Oid| -> Option<BTreeMap<u32, u32>> {
-            let rows = self.manager.bulk_walk(addr, root).ok()?;
-            let mut m = BTreeMap::new();
-            for b in rows {
-                if let (Some([idx]), Some(c)) = (root.suffix_of(&b.oid), b.value.as_counter32()) {
-                    m.insert(*idx, c);
-                }
+        let mut ticks = None;
+        for (i, oids) in poll.oids.chunks(MAX_RESPONSE_BINDINGS).enumerate() {
+            let mut values = self.manager.get_many(addr, oids).ok()?.into_iter();
+            if i == 0 {
+                ticks = Some(values.next()?.as_u64()?);
             }
-            Some(m)
-        };
-        let out_col = if needs_out { Some(col(&well_known::if_out_octets())?) } else { None };
-        let in_col = if needs_in { Some(col(&well_known::if_in_octets())?) } else { None };
-        Some(AgentRead { ticks, out_col, in_col })
+            // `oids[k + 1]` lands on `links[k]`; chunk 0 led with sysUpTime.
+            let first = (i * MAX_RESPONSE_BINDINGS).saturating_sub(1);
+            for (&link, value) in poll.links[first..].iter().zip(values) {
+                readings[link] = value.as_counter32();
+            }
+        }
+        ticks
     }
 }
 
@@ -598,74 +607,67 @@ impl<T: Transport + Sync> Collector for SnmpCollector<T> {
             self.refresh_topology()?;
         }
 
-        // Which counter columns each agent must serve.
-        let needs: Vec<(bool, bool)> = {
-            let view = self
-                .view
-                .as_ref()
-                .ok_or_else(|| RemosError::Collector("topology not discovered yet".into()))?;
-            let mut needs = vec![(false, false); self.agents.len()];
-            for src in &view.sources {
-                match src {
-                    CounterSource::Out { agent, .. } => needs[*agent].0 = true,
-                    CounterSource::In { agent, .. } => needs[*agent].1 = true,
-                    CounterSource::None => {}
+        // Fault-isolated per-agent reads, each straight into the
+        // per-dir-link readings; a failed agent leaves all its links
+        // unobservable.
+        let view = self
+            .view
+            .as_ref()
+            .ok_or_else(|| RemosError::Collector("topology not discovered yet".into()))?;
+        let mut readings: Vec<Option<u32>> = vec![None; view.baseline.len()];
+        let ticks: Vec<Option<u64>> = (0..self.agents.len())
+            .map(|ai| {
+                let poll = &view.polls[ai];
+                let read = self.read_agent(ai, poll, &mut readings);
+                if read.is_none() {
+                    for &link in &poll.links {
+                        readings[link] = None;
+                    }
                 }
-            }
-            needs
-        };
-
-        // Fault-isolated per-agent reads.
-        let down: Vec<bool> = self.health.iter().map(|h| h.state == AgentState::Down).collect();
-        let reads: Vec<Option<AgentRead>> = (0..self.agents.len())
-            .map(|ai| self.read_agent(ai, needs[ai].0, needs[ai].1, down[ai]))
+                read
+            })
             .collect();
 
-        let prev_ticks: Vec<Option<u64>> = self.health.iter().map(|h| h.last_uptime_ticks).collect();
         // sysUpTime regression marks a restart: that agent's counters
         // restarted from zero and the interval since the last reading is
         // poisoned.
-        let disc: Vec<bool> = reads
+        let disc: Vec<bool> = ticks
             .iter()
-            .zip(&prev_ticks)
-            .map(|(r, p)| match (r, p) {
-                (Some(r), Some(l)) => r.ticks < *l,
-                _ => false,
-            })
+            .zip(&self.health)
+            .map(|(r, h)| matches!((r, h.last_uptime_ticks), (Some(r), Some(l)) if *r < l))
             .collect();
 
         // Collector time advances by the largest uptime delta among agents
         // whose clock did not regress — robust to any subset crashing.
-        let delta_ticks = reads
+        let delta_ticks = ticks
             .iter()
-            .zip(&prev_ticks)
+            .zip(&self.health)
             .zip(&disc)
-            .filter_map(|((r, p), d)| match (r, p) {
-                (Some(r), Some(l)) if !*d => Some(r.ticks.saturating_sub(*l)),
+            .filter_map(|((r, h), d)| match (r, h.last_uptime_ticks) {
+                (Some(r), Some(l)) if !*d => Some(r.saturating_sub(l)),
                 _ => None,
             })
             .max();
         let t = match self.last_t {
             Some(t0) => Some(t0 + SimDuration::from_millis(delta_ticks.unwrap_or(0) * 10)),
-            None => reads
+            None => ticks
                 .iter()
                 .flatten()
-                .map(|r| r.ticks)
                 .max()
-                .map(|ticks| SimTime::from_millis(ticks * 10)),
+                .map(|&ticks| SimTime::from_millis(ticks * 10)),
         };
 
         // Health transitions.
         let t_nanos = t.or(self.last_t).map_or(0, SimTime::as_nanos);
-        for (ai, read) in reads.iter().enumerate() {
+        for (ai, read) in ticks.iter().enumerate() {
             let h = &mut self.health[ai];
             let prev = h.state;
-            match read {
+            match *read {
                 Some(r) => {
                     h.consecutive_failures = 0;
                     h.state = AgentState::Healthy;
                     h.last_ok = t.or(h.last_ok);
-                    h.last_uptime_ticks = Some(r.ticks);
+                    h.last_uptime_ticks = Some(r);
                 }
                 None => {
                     h.consecutive_failures += 1;
@@ -701,7 +703,7 @@ impl<T: Transport + Sync> Collector for SnmpCollector<T> {
         // record. Not an error — a federated parent may still be covered
         // by its other collectors.
         let Some(t) = t else { return Ok(false) };
-        if reads.iter().all(|r| r.is_none()) {
+        if ticks.iter().all(Option::is_none) {
             return Ok(false);
         }
 
@@ -710,34 +712,13 @@ impl<T: Transport + Sync> Collector for SnmpCollector<T> {
             .view
             .as_mut()
             .ok_or_else(|| RemosError::Collector("topology not discovered yet".into()))?;
-        let n = view.sources.len();
-
-        // Per-directed-link readings from whichever agent serves each.
-        let readings: Vec<Option<u32>> = view
-            .sources
-            .iter()
-            .map(|src| match src {
-                CounterSource::Out { agent, if_index } => reads[*agent]
-                    .as_ref()
-                    .and_then(|r| r.out_col.as_ref())
-                    .and_then(|m| m.get(if_index))
-                    .copied(),
-                CounterSource::In { agent, if_index } => reads[*agent]
-                    .as_ref()
-                    .and_then(|r| r.in_col.as_ref())
-                    .and_then(|m| m.get(if_index))
-                    .copied(),
-                CounterSource::None => None,
-            })
-            .collect();
-        let poisoned: Vec<bool> = view
-            .sources
-            .iter()
-            .map(|src| match src {
-                CounterSource::Out { agent, .. } | CounterSource::In { agent, .. } => disc[*agent],
-                CounterSource::None => false,
-            })
-            .collect();
+        let n = readings.len();
+        let mut poisoned = vec![false; n];
+        for (poll, _) in view.polls.iter().zip(&disc).filter(|(_, d)| **d) {
+            for &link in &poll.links {
+                poisoned[link] = true;
+            }
+        }
 
         if !view.primed {
             // First poll after discovery: establish baselines only.
@@ -765,8 +746,20 @@ impl<T: Transport + Sync> Collector for SnmpCollector<T> {
             return Ok(false);
         }
 
-        let mut util = vec![0.0; n];
-        let mut quality = vec![DataQuality::Missing; n];
+        // Every entry is written below, so the history's spare planes are
+        // refilled in place while no reader holds them.
+        let mut util_plane = self
+            .history
+            .take_spare_util()
+            .filter(|p| p.len() == n)
+            .unwrap_or_else(|| std::iter::repeat_n(0.0, n).collect());
+        let mut quality_plane = self
+            .history
+            .take_spare_quality()
+            .filter(|p| p.len() == n)
+            .unwrap_or_else(|| std::iter::repeat_n(DataQuality::Missing, n).collect());
+        let util = Arc::make_mut(&mut util_plane);
+        let quality = Arc::make_mut(&mut quality_plane);
         let mut interval = SimDuration::ZERO;
         for i in 0..n {
             match readings[i] {
@@ -829,7 +822,7 @@ impl<T: Transport + Sync> Collector for SnmpCollector<T> {
         if interval == SimDuration::ZERO {
             interval = t.saturating_since(self.last_t.unwrap_or(t));
         }
-        self.history.push(Snapshot { t, interval, util: util.into(), quality: quality.into() });
+        self.history.push(Snapshot { t, interval, util: util_plane, quality: quality_plane });
         self.last_t = Some(t);
         Ok(true)
     }
@@ -857,5 +850,181 @@ impl<T: Transport + Sync> Collector for SnmpCollector<T> {
         }
         self.last_t
             .ok_or_else(|| RemosError::Collector("no agent reachable for time".into()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use remos_net::flow::FlowParams;
+    use remos_net::{mbps, Simulator};
+    use remos_snmp::agent::{Agent, MibProvider};
+    use remos_snmp::sim::{share, SharedSim, SimMibProvider};
+    use remos_snmp::{Mib, SimTransport};
+
+    /// `m-1 — aspen — m-2`, an 80 Mb/s flow from m-1 to m-2, and a
+    /// collector over `agents` (agent name → provider of its MIB).
+    fn stack(
+        agents: impl Fn(&SharedSim, NodeId, &str) -> Box<dyn MibProvider>,
+    ) -> (SnmpCollector<SimTransport>, Arc<SimTransport>, SharedSim) {
+        let mut b = TopologyBuilder::new();
+        let (h1, h2, r) = (b.compute("m-1"), b.compute("m-2"), b.network("aspen"));
+        b.link(h1, r, mbps(100.0), SimDuration::from_micros(50)).unwrap();
+        b.link(r, h2, mbps(100.0), SimDuration::from_micros(50)).unwrap();
+        let sim = share(Simulator::new(b.build().unwrap()).unwrap());
+        sim.lock().start_flow(FlowParams::cbr(h1, h2, mbps(80.0))).unwrap();
+        let transport = Arc::new(SimTransport::new());
+        for (id, name) in [(h1, "m-1"), (h2, "m-2"), (r, "aspen")] {
+            transport.register(Agent::new(name, "public", agents(&sim, id, name)));
+        }
+        let names = transport.agent_names();
+        let c = SnmpCollector::new(Arc::clone(&transport), names, SnmpCollectorConfig::default());
+        (c, transport, sim)
+    }
+
+    fn live(sim: &SharedSim, id: NodeId, _: &str) -> Box<dyn MibProvider> {
+        Box::new(SimMibProvider::new(Arc::clone(sim), id))
+    }
+
+    /// Poll once a second of network time until a sample is recorded
+    /// (the first poll after discovery only sets baselines).
+    fn sample(c: &mut SnmpCollector<SimTransport>, sim: &SharedSim) {
+        for _ in 0..3 {
+            sim.lock().run_for(SimDuration::from_secs(1)).unwrap();
+            if c.poll().unwrap() {
+                return;
+            }
+        }
+        panic!("three polls recorded no sample");
+    }
+
+    /// The collector's dir-link from `a` towards `b`.
+    fn dir_link(c: &SnmpCollector<SimTransport>, a: &str, b: &str) -> usize {
+        let topo = c.topology().unwrap();
+        let (a, b) = (topo.lookup(a).unwrap(), topo.lookup(b).unwrap());
+        let &(link, _) = topo.neighbors(a).iter().find(|&&(_, n)| n == b).unwrap();
+        DirLink { link, dir: topo.link(link).direction_from(a) }.index()
+    }
+
+    #[test]
+    fn a_poll_sends_one_datagram_per_agent() {
+        let (mut c, transport, sim) = stack(live);
+        sample(&mut c, &sim);
+        for _ in 0..3 {
+            transport.reset_stats();
+            sample(&mut c, &sim);
+            let healthy =
+                c.agent_health().iter().filter(|h| h.state == AgentState::Healthy).count();
+            assert_eq!(healthy, 3);
+            assert_eq!(transport.stats().requests, healthy as u64);
+        }
+        let latest = c.history().latest().unwrap();
+        let fwd = dir_link(&c, "aspen", "m-2");
+        assert_eq!(latest.quality[fwd], DataQuality::Fresh);
+        assert!((latest.util[fwd] - mbps(80.0)).abs() < mbps(80.0) * 0.01, "{}", latest.util[fwd]);
+    }
+
+    /// A provider whose MIB lacks one instance.
+    struct Without(SimMibProvider, Oid);
+
+    impl MibProvider for Without {
+        fn snapshot(&self) -> Mib {
+            let mut mib = Mib::new();
+            for (oid, value) in self.0.snapshot().iter().filter(|(oid, _)| **oid != self.1) {
+                mib.set(oid.clone(), value.clone());
+            }
+            mib
+        }
+    }
+
+    #[test]
+    fn a_missing_counter_instance_degrades_only_its_link() {
+        // aspen's interface 1 faces m-1; its ifOutOctets is gone.
+        let (mut c, _, sim) = stack(|sim, id, name| match name {
+            "aspen" => Box::new(Without(
+                SimMibProvider::new(Arc::clone(sim), id),
+                well_known::if_out_octets().child([1]),
+            )),
+            _ => live(sim, id, name),
+        });
+        for _ in 0..3 {
+            sample(&mut c, &sim);
+        }
+        assert!(c.agent_health().iter().all(|h| h.state == AgentState::Healthy));
+        let dark = dir_link(&c, "aspen", "m-1");
+        let latest = c.history().latest().unwrap();
+        for (i, q) in latest.quality.iter().enumerate() {
+            let want = if i == dark { DataQuality::Missing } else { DataQuality::Fresh };
+            assert_eq!(*q, want, "dir-link {i}");
+        }
+        let fwd = dir_link(&c, "m-1", "aspen");
+        assert!((latest.util[fwd] - mbps(80.0)).abs() < mbps(80.0) * 0.01, "{}", latest.util[fwd]);
+    }
+
+    #[test]
+    fn a_poll_writes_into_the_planes_its_history_displaced() {
+        let (mut c, _, sim) = stack(live);
+        let planes = |c: &SnmpCollector<SimTransport>| {
+            let s = c.history().latest().unwrap();
+            (Arc::as_ptr(&s.util), Arc::as_ptr(&s.quality))
+        };
+        sample(&mut c, &sim);
+        let first = planes(&c);
+        sample(&mut c, &sim);
+        let second = planes(&c);
+        assert_ne!(first, second);
+        // The third sample displaces the second's planes into the spare and
+        // was written into the first's, which no undo keeps.
+        sample(&mut c, &sim);
+        assert_eq!(planes(&c), first);
+        sample(&mut c, &sim);
+        assert_eq!(planes(&c), second);
+        // A plane a reader still holds is never written: the poll copies.
+        let held = c.history().latest().unwrap().clone();
+        let before: Vec<u64> = held.util.iter().map(|u| u.to_bits()).collect();
+        sample(&mut c, &sim);
+        sample(&mut c, &sim);
+        assert_ne!(Arc::as_ptr(&c.history().latest().unwrap().util), Arc::as_ptr(&held.util));
+        assert_eq!(held.util.iter().map(|u| u.to_bits()).collect::<Vec<_>>(), before);
+    }
+
+    #[test]
+    fn a_poll_splits_only_past_the_response_limit() {
+        // One agent on a router with more counters than one response
+        // holds: its hosts run no agent, so it serves both directions.
+        let hosts = MAX_RESPONSE_BINDINGS / 2 + 8;
+        let mut b = TopologyBuilder::new();
+        let r = b.network("hub");
+        for i in 0..hosts {
+            let h = b.compute(&format!("h{i}"));
+            b.link(h, r, mbps(100.0), SimDuration::from_micros(50)).unwrap();
+        }
+        let sim = share(Simulator::new(b.build().unwrap()).unwrap());
+        let transport = Arc::new(SimTransport::new());
+        transport.register(Agent::new("hub", "public", live(&sim, r, "hub")));
+        let mut c = SnmpCollector::new(
+            Arc::clone(&transport),
+            vec!["hub".into()],
+            SnmpCollectorConfig::default(),
+        );
+        sample(&mut c, &sim);
+        transport.reset_stats();
+        sample(&mut c, &sim);
+        // sysUpTime and 2 counters a host, MAX_RESPONSE_BINDINGS a GET.
+        let bindings = 1 + 2 * hosts;
+        assert_eq!(transport.stats().requests, bindings.div_ceil(MAX_RESPONSE_BINDINGS) as u64);
+        let latest = c.history().latest().unwrap();
+        assert!(latest.quality.iter().all(|q| *q == DataQuality::Fresh));
+    }
+
+    #[test]
+    fn a_down_agent_is_probed_before_its_read() {
+        let (mut c, transport, sim) = stack(live);
+        sample(&mut c, &sim);
+        c.health[0].state = AgentState::Down;
+        transport.reset_stats();
+        sample(&mut c, &sim);
+        assert_eq!(transport.stats().requests, 3 + 1, "one probe, then one GET each");
+        assert_eq!(c.agent_health()[0].state, AgentState::Healthy);
     }
 }
