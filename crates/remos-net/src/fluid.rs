@@ -57,10 +57,17 @@
 //!   old one dirties nothing, so propagation ends there.
 //!
 //! A resource whose members' rate bounds (`min(cap, least capacity on the
-//! path)`) sum below its capacity is *slack*: it never pops with an active
-//! flow, so a dirty slack resource is not rebuilt — only the flows it used
-//! to freeze are swept, to find where they freeze now. The sweep with
-//! every flow dirty is a full solve. docs/PERFORMANCE.md has the argument.
+//! path)`), summed in id order, fall below its capacity is *slack*: it
+//! never pops with an active flow, so a dirty slack resource is not
+//! rebuilt — only the flows it used to freeze are swept, to find where
+//! they freeze now. A `Tally` per resource makes that O(1) while none
+//! froze there: it counts the members whose stored key names it, and
+//! keeps their bounds' sum as they join and leave, with an error band
+//! wider than both that running sum's rounding and the id-order sum's.
+//! The band decides the test unless the threshold lies inside it, where
+//! the id-order sum decides, so the test is exactly the id-order one.
+//! The sweep with every flow dirty is a full solve. docs/PERFORMANCE.md
+//! has the argument.
 
 use crate::maxmin::{self, pop_key, share_key, Event, FlowSpec, EPS, UNBOUNDED};
 use crate::time::{SimDuration, SimTime};
@@ -279,6 +286,12 @@ type Pos = (u64, u64, u64, u32);
 /// Before every event.
 const BOTTOM: Pos = (0, 0, 0, 0);
 
+/// The resource whose pop `event` is (out of range for a cap event and
+/// for [`UNBOUNDED`]).
+fn named(event: Event) -> usize {
+    event.1.wrapping_sub(1) as usize
+}
+
 /// Where flow `id` (in `slot`) froze, or is due to, by `event`.
 fn at(event: Event, id: u64, slot: u32) -> Pos {
     (event.0, event.1, id + 1, slot)
@@ -289,6 +302,45 @@ fn at(event: Event, id: u64, slot: u32) -> Pos {
 /// tightest link saturates it.
 pub(crate) fn is_slack(bound: f64, capacity: f64) -> bool {
     bound < capacity * (1.0 - EPS)
+}
+
+/// What a resource's slack test and slack walk read, kept as flows join
+/// and leave it and as its members' stored keys change.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    /// Its members' rate bounds, added as they joined and subtracted as
+    /// they left: within `err` of their exact sum.
+    bound: f64,
+    err: f64,
+    /// How many of its members' stored keys name it.
+    keyed: u32,
+}
+
+impl Tally {
+    /// Add `ub` to the bound (`-ub` takes it out): the rounding is at most
+    /// half an ulp of the result, and `err` takes a whole one.
+    fn add(&mut self, ub: f64) {
+        self.bound += ub;
+        self.err += f64::EPSILON * self.bound.abs();
+    }
+
+    /// `is_slack` of the id-order sum of the bounds of `n` members, if the
+    /// running bound decides it: the id-order sum is within
+    /// `(n + 1)·ε·(bound + err)` of the exact one, and the exact one within
+    /// `err` of the running bound; the band is eight times that, which
+    /// also covers the rounding of the band's own ends. `None` when
+    /// `capacity·(1 − EPS)` lies inside it (or the bound is not finite).
+    fn slack(&self, n: usize, capacity: f64) -> Option<bool> {
+        let threshold = capacity * (1.0 - EPS);
+        let band = 8.0 * (self.err + (n as f64 + 1.0) * f64::EPSILON * (self.bound.abs() + self.err));
+        if self.bound + band < threshold {
+            Some(true)
+        } else if self.bound - band >= threshold {
+            Some(false)
+        } else {
+            None
+        }
+    }
 }
 
 /// Flow table, membership index, completion heap, dirty tracker, stored
@@ -312,6 +364,8 @@ pub(crate) struct Core<const OCTETS: bool> {
     /// Per-resource `(flow id, slot)` of the live flows crossing it, sorted
     /// by id and deduped.
     members: Vec<Vec<(u64, u32)>>,
+    /// Per-resource running bound sum and count of members keyed there.
+    tally: Vec<Tally>,
     /// Per-slot rate upper bound; holds a live flow; started (or re-pathed)
     /// and not yet solved.
     ub: Vec<f64>,
@@ -384,6 +438,7 @@ impl<const OCTETS: bool> Core<OCTETS> {
             etas: Etas::default(),
             order: Vec::new(),
             members: vec![Vec::new(); n],
+            tally: vec![Tally::default(); n],
             ub: Vec::new(),
             live: Vec::new(),
             fresh: Vec::new(),
@@ -587,7 +642,8 @@ impl<const OCTETS: bool> Core<OCTETS> {
         if OCTETS {
             self.counters.fold(&f.resources, now);
         }
-        self.ub[s] = f.resources.iter().map(|&r| self.capacities[r]).fold(f.cap.unwrap_or(f64::INFINITY), f64::min);
+        let ub = f.resources.iter().map(|&r| self.capacities[r]).fold(f.cap.unwrap_or(f64::INFINITY), f64::min);
+        self.ub[s] = ub;
         for &r in &f.resources {
             let v = &mut self.members[r];
             if let Err(pos) = v.binary_search_by_key(&f.id, |e| e.0) {
@@ -595,6 +651,9 @@ impl<const OCTETS: bool> Core<OCTETS> {
                     v.reserve_exact(Self::MEMBERS_HEAD_START);
                 }
                 v.insert(pos, (f.id, slot));
+                let t = &mut self.tally[r];
+                t.add(ub);
+                t.keyed += u32::from(named(f.key) == r);
             }
         }
         self.live[s] = true;
@@ -614,6 +673,14 @@ impl<const OCTETS: bool> Core<OCTETS> {
             let v = &mut self.members[r];
             if let Ok(pos) = v.binary_search_by_key(&f.id, |e| e.0) {
                 v.remove(pos);
+                let t = &mut self.tally[r];
+                t.keyed -= u32::from(named(f.key) == r);
+                if v.is_empty() {
+                    // The exact sum of no bounds: the band closes.
+                    *t = Tally::default();
+                } else {
+                    t.add(-self.ub[s]);
+                }
             }
         }
         self.live[s] = false;
@@ -627,6 +694,7 @@ impl<const OCTETS: bool> Core<OCTETS> {
         for m in &mut self.members {
             m.clear();
         }
+        self.tally.fill(Tally::default());
         self.counters.at.fill(IDLE);
         self.counters.stale.clear();
         self.etas.heap.clear();
@@ -744,7 +812,7 @@ impl<const OCTETS: bool> Core<OCTETS> {
         for k in 0..self.swept.len() {
             let s = self.swept[k];
             if !self.done[s as usize] {
-                self.slots[s as usize].key = UNBOUNDED;
+                self.set_key(s, UNBOUNDED);
                 self.apply_rate(s, f64::INFINITY, now);
                 self.resolved += 1;
             }
@@ -803,25 +871,61 @@ impl<const OCTETS: bool> Core<OCTETS> {
         }
     }
 
+    /// Store `key` as live slot `s`'s freeze key, moving it between the
+    /// resources' keyed counts.
+    fn set_key(&mut self, s: u32, key: Event) {
+        let f = &mut self.slots[s as usize];
+        let old = std::mem::replace(&mut f.key, key);
+        if old.1 != key.1 {
+            if f.resources.contains(&named(old)) {
+                self.tally[named(old)].keyed -= 1;
+            }
+            if f.resources.contains(&named(key)) {
+                self.tally[named(key)].keyed += 1;
+            }
+        }
+    }
+
+    /// Its members' rate bounds summed in id order: the sum the slack
+    /// test is defined on.
+    fn bound_sum(&self, r: usize) -> f64 {
+        self.members[r].iter().map(|&(_, s)| self.ub[s as usize]).sum()
+    }
+
+    /// Whether resource `r` is slack: [`is_slack`] of [`Core::bound_sum`].
+    /// Its tally decides that in O(1) unless the threshold lies in the
+    /// tally's error band; only then is the id-order sum taken.
+    fn slack(&self, r: usize) -> bool {
+        let capacity = self.capacities[r];
+        self.tally[r].slack(self.members[r].len(), capacity).unwrap_or_else(|| is_slack(self.bound_sum(r), capacity))
+    }
+
     /// From `pos` on, resource `r`'s stored pops no longer hold. If it can
     /// bind, rebuild its state from its members' keys and sweep them all;
-    /// if it is slack it never pops, and only the flows it froze are swept.
+    /// if it is slack it never pops, and only the flows it froze are swept
+    /// (none, without a walk, when its tally counts none).
     fn make_dirty(&mut self, r: usize, pos: Pos) {
         if self.rgen[r] == self.gen {
             return;
         }
         self.rgen[r] = self.gen;
-        let bound: f64 = self.members[r].iter().map(|&(_, s)| self.ub[s as usize]).sum();
-        let tracked = !is_slack(bound, self.capacities[r]);
+        let tracked = !self.slack(r);
         self.tracked[r] = tracked;
         if tracked {
             self.rebuild(r, pos);
-        }
-        for m in 0..self.members[r].len() {
-            let s = self.members[r][m].1;
-            if tracked || self.slots[s as usize].key.1 == r as u64 + 1 {
-                self.enter(s, pos);
+            for m in 0..self.members[r].len() {
+                self.enter(self.members[r][m].1, pos);
             }
+            return;
+        }
+        let (mut left, mut m) = (self.tally[r].keyed, 0);
+        while left > 0 {
+            let s = self.members[r][m].1;
+            if named(self.slots[s as usize].key) == r {
+                self.enter(s, pos);
+                left -= 1;
+            }
+            m += 1;
         }
     }
 
@@ -918,11 +1022,11 @@ impl<const OCTETS: bool> Core<OCTETS> {
     /// one that can bind takes the freeze into its state.
     fn freeze(&mut self, s: u32, rate: f64, event: Event, now: SimTime) {
         let i = s as usize;
-        let f = &mut self.slots[i];
+        let f = &self.slots[i];
         let changed = self.fresh[i] || f.key != event || f.rate.to_bits() != rate.to_bits();
-        self.done[i] = true;
-        f.key = event;
         let (pos, weight) = (at(event, f.id, s), f.weight);
+        self.done[i] = true;
+        self.set_key(s, event);
         self.resolved += 1;
         self.apply_rate(s, rate, now);
         for k in 0..self.slots[i].resources.len() {
@@ -956,24 +1060,49 @@ mod tests {
         Solve(bool),
     }
 
-    /// Round capacities, mostly unit weights and whole-Mb/s caps over up
-    /// to six resources, and a tape of arrivals, departures, re-paths and
-    /// solves (several changes may share one solve).
-    fn arb_tape() -> impl Strategy<Value = (Vec<f64>, Vec<Op>)> {
-        let capacity = prop_oneof![Just(1.0e9), Just(1.0e8), Just(4.0e8), 1.0e6..1.0e9f64];
-        prop::collection::vec(capacity, 1..6).prop_flat_map(|caps| {
-            let n = caps.len();
-            let path = move || prop::collection::btree_set(0..n, 1..=n.min(3)).prop_map(|r| r.into_iter().collect());
-            let weight = prop_oneof![Just(1.0), Just(1.0), Just(2.0), 0.1..10.0f64];
-            let cap = prop::option::of(prop_oneof![(1u32..400).prop_map(|m| f64::from(m) * 1e6), 1.0e5..1.0e9f64]);
-            let flow = (weight, cap, path()).prop_map(|(weight, cap, resources)| FlowSpec { weight, cap, resources });
-            let op = (0..9u8, flow, 0..64usize, path()).prop_map(|(k, f, i, p)| match k {
-                0..=2 => Op::Add(f),
-                3 | 4 => Op::Remove(i),
-                5 => Op::Reroute(i, p),
-                _ => Op::Solve(k == 8),
-            });
-            (Just(caps), prop::collection::vec(op, 1..40))
+    /// A tape of arrivals, departures, re-paths and solves (several
+    /// changes may share one solve) over up to six resources, with mostly
+    /// unit weights. Off the `threshold`: round capacities and whole-Mb/s
+    /// caps. On it: caps drawn from three random rates, and capacities
+    /// within an ulp of a sum of some of them over `1 − EPS`, so members'
+    /// bounds often sum to the slack threshold inside a tally's band, in
+    /// an order whose rounding differs from the id order's.
+    fn arb_tape(threshold: bool) -> impl Strategy<Value = (Vec<f64>, Vec<Op>)> {
+        let rates =
+            if threshold { prop::collection::vec(1.0e5..1.0e6f64, 3..4).boxed() } else { Just(Vec::new()).boxed() };
+        rates.prop_flat_map(move |rates| {
+            let capacity = if threshold {
+                let rates = rates.clone();
+                (1u32..8, -1i64..=1)
+                    .prop_map(move |(subset, ulps)| {
+                        let sum: f64 = (0..3).filter(|i| subset >> i & 1 == 1).map(|i| rates[i]).sum();
+                        f64::from_bits((sum / (1.0 - EPS)).to_bits().wrapping_add_signed(ulps))
+                    })
+                    .boxed()
+            } else {
+                prop_oneof![Just(1.0e9), Just(1.0e8), Just(4.0e8), 1.0e6..1.0e9f64].boxed()
+            };
+            let cap = if threshold {
+                let rates = rates.clone();
+                prop::option::of((0..3usize).prop_map(move |i| rates[i])).boxed()
+            } else {
+                prop::option::of(prop_oneof![(1u32..400).prop_map(|m| f64::from(m) * 1e6), 1.0e5..1.0e9f64]).boxed()
+            };
+            prop::collection::vec(capacity, 1..6).prop_flat_map(move |caps| {
+                let n = caps.len();
+                let path =
+                    move || prop::collection::btree_set(0..n, 1..=n.min(3)).prop_map(|r| r.into_iter().collect());
+                let weight = prop_oneof![Just(1.0), Just(1.0), Just(2.0), 0.1..10.0f64];
+                let flow =
+                    (weight, cap.clone(), path()).prop_map(|(weight, cap, resources)| FlowSpec { weight, cap, resources });
+                let op = (0..9u8, flow, 0..64usize, path()).prop_map(|(k, f, i, p)| match k {
+                    0..=2 => Op::Add(f),
+                    3 | 4 => Op::Remove(i),
+                    5 => Op::Reroute(i, p),
+                    _ => Op::Solve(k == 8),
+                });
+                (Just(caps), prop::collection::vec(op, 1..40))
+            })
         })
     }
 
@@ -989,8 +1118,25 @@ mod tests {
         assert_eq!(caps, [16, 0, 16]);
     }
 
-    /// Run `tape` through a `Core<OCTETS>` over `caps`; after every solve,
-    /// every live flow's rate must be the full solve's, bit for bit.
+    /// Every resource's tally against a recount: its slack test agrees
+    /// with [`is_slack`] of the id-order sum, and it counts exactly the
+    /// members whose stored key names the resource.
+    fn check_tallies<const OCTETS: bool>(core: &Core<OCTETS>) -> Result<(), String> {
+        for (r, t) in core.tally.iter().enumerate() {
+            let (n, capacity) = (core.members[r].len(), core.capacities[r]);
+            let slack = is_slack(core.bound_sum(r), capacity);
+            prop_assert!(core.slack(r) == slack,
+                "resource {} slack: {:?} by its band, {} by the id-order sum (octets metered: {})",
+                r, t.slack(n, capacity), slack, OCTETS);
+            let keyed = core.members[r].iter().filter(|&&(_, s)| named(core.slots[s as usize].key) == r).count();
+            prop_assert_eq!(t.keyed as usize, keyed, "members keyed at resource {} (octets metered: {})", r, OCTETS);
+        }
+        Ok(())
+    }
+
+    /// Run `tape` through a `Core<OCTETS>` over `caps`; after every op the
+    /// tallies must match a recount, and after every solve every live
+    /// flow's rate must be the full solve's, bit for bit.
     fn replay<const OCTETS: bool>(caps: &[f64], tape: &[Op]) -> Result<(), String> {
         let mut core = Core::<OCTETS>::new(caps.to_vec());
         let (mut free, mut slots) = (Vec::new(), 0u32);
@@ -1028,8 +1174,40 @@ mod tests {
                 }
                 _ => {}
             }
+            check_tallies(&core)?;
         }
         Ok(())
+    }
+
+    /// A resource turns slack while a flow it froze is still live: that
+    /// flow is swept again and freezes where it binds now. Flows 0 and 1
+    /// share resource 0 (10 Mb/s), flow 0 also crosses resource 1
+    /// (8 Mb/s); both freeze at resource 0's pop at 5 Mb/s. Once flow 1
+    /// leaves, resource 0's bound sum is flow 0's 8 Mb/s, so it is slack,
+    /// and only its keyed count leads the sweep to flow 0, which must
+    /// rise to 8 Mb/s at resource 1.
+    fn slack_resource_resweeps_its_frozen_member<const OCTETS: bool>() {
+        let caps = [10e6, 8e6];
+        let mut core = Core::<OCTETS>::new(caps.to_vec());
+        for (id, path) in [vec![0, 1], vec![0]].into_iter().enumerate() {
+            *core.resources_mut(id as u32) = path;
+            core.start(id as u64, id as u32, 1.0, None, f64::INFINITY, SimTime::ZERO);
+        }
+        core.recompute(SimTime::ZERO);
+        assert_eq!((core.rate(0), core.rate(1)), (5e6, 5e6));
+        assert_eq!(core.tally[0].keyed, 2);
+        core.retire(1, SimTime::ZERO);
+        assert!(core.slack(0) && core.tally[0].keyed == 1, "resource 0 is slack and keys flow 0");
+        core.recompute(SimTime::ZERO);
+        let full = solve(&caps, &core.live_specs());
+        assert_eq!(core.rate(0).to_bits(), full.rates[0].to_bits(), "octets metered: {OCTETS}");
+        assert_eq!(core.rate(0), 8e6);
+    }
+
+    #[test]
+    fn a_resource_turned_slack_resweeps_the_flow_it_froze() {
+        slack_resource_resweeps_its_frozen_member::<true>();
+        slack_resource_resweeps_its_frozen_member::<false>();
     }
 
     proptest! {
@@ -1038,7 +1216,16 @@ mod tests {
         /// no change reached from one sweep to the next. Both flavours of
         /// the core, with and without octet counters, are held to it.
         #[test]
-        fn the_sweep_matches_a_full_solve_after_every_delta((caps, tape) in arb_tape()) {
+        fn the_sweep_matches_a_full_solve_after_every_delta((caps, tape) in arb_tape(false)) {
+            replay::<true>(&caps, &tape)?;
+            replay::<false>(&caps, &tape)?;
+        }
+
+        /// The same where members' bounds sum to within ulps of the slack
+        /// threshold, so the tallies' bands run their fallback to the
+        /// id-order sum.
+        #[test]
+        fn the_sweep_matches_a_full_solve_at_the_slack_threshold((caps, tape) in arb_tape(true)) {
             replay::<true>(&caps, &tape)?;
             replay::<false>(&caps, &tape)?;
         }

@@ -165,6 +165,10 @@ pub struct WhatIfEngine {
     /// Input indices sorted by `(arrival, input index)` — the replay id
     /// assignment order.
     sorted: Vec<u32>,
+    /// Per input flow: its bottleneck `(resource, capacity)`, and when it
+    /// finished and whether it completed.
+    bottleneck: Vec<(usize, Bps)>,
+    finished: Vec<(SimTime, bool)>,
 }
 
 impl WhatIfEngine {
@@ -179,6 +183,8 @@ impl WhatIfEngine {
             core: Core::new(capacities),
             path: Path { src: NodeId(0), dst: NodeId(0), hops: Vec::new(), nodes: Vec::new() },
             sorted: Vec::new(),
+            bottleneck: Vec::new(),
+            finished: Vec::new(),
         }
     }
 
@@ -226,11 +232,11 @@ impl WhatIfEngine {
     }
 
     /// Reset the core to the effective capacities under `background`, then
-    /// validate and route every flow into its slot and return each one's
+    /// validate and route every flow into its slot and record each one's
     /// bottleneck `(resource, capacity)`. The ground truth routes through
     /// here too, so both sides reject the same inputs and report the same
     /// ideals.
-    fn route(&mut self, flows: &[WhatIfFlow], background: Option<&[Bps]>) -> Result<Vec<(usize, Bps)>> {
+    fn route(&mut self, flows: &[WhatIfFlow], background: Option<&[Bps]>) -> Result<()> {
         assert!(flows.len() <= u32::MAX as usize, "what-if batch too large");
         self.core.clear();
         let n_dir = self.topo.dir_link_count();
@@ -241,7 +247,7 @@ impl WhatIfEngine {
                 *c = (*c - util.get(i).copied().unwrap_or(0.0)).max(0.0);
             }
         }
-        let mut bottleneck = Vec::with_capacity(flows.len());
+        self.bottleneck.clear();
         for (i, w) in flows.iter().enumerate() {
             if w.src == w.dst {
                 return Err(NetError::Invalid(format!("what-if flow {i}: src == dst")));
@@ -250,9 +256,9 @@ impl WhatIfEngine {
             resources_into(&self.backplane, &self.path, self.core.resources_mut(i as u32));
             let capacities = self.core.capacities();
             let least = |bn: (usize, Bps), &r: &usize| if capacities[r] < bn.1 { (r, capacities[r]) } else { bn };
-            bottleneck.push(self.core.resources(i as u32).iter().fold((usize::MAX, f64::INFINITY), least));
+            self.bottleneck.push(self.core.resources(i as u32).iter().fold((usize::MAX, f64::INFINITY), least));
         }
-        Ok(bottleneck)
+        Ok(())
     }
 
     /// Estimate with options: `background` is per-directed-interface
@@ -270,7 +276,7 @@ impl WhatIfEngine {
         background: Option<&[Bps]>,
         horizon: Option<SimTime>,
     ) -> Result<WhatIfReport> {
-        let bottleneck = self.route(flows, background)?;
+        self.route(flows, background)?;
         // Replay ids follow (arrival, input index) order — exactly the
         // order a ground-truth arrival process starts them in. The keys
         // are distinct, so the unstable sort (no scratch buffer) agrees.
@@ -279,7 +285,8 @@ impl WhatIfEngine {
         self.sorted.sort_unstable_by_key(|&i| (flows[i as usize].arrival, i));
         let arrival = |next: usize| self.sorted.get(next).map(|&i| flows[i as usize].arrival);
 
-        let mut finished: Vec<(SimTime, bool)> = vec![(SimTime::MAX, false); flows.len()];
+        self.finished.clear();
+        self.finished.resize(flows.len(), (SimTime::MAX, false));
         let mut now = SimTime::ZERO;
         let mut next = 0usize;
         let (mut replay_steps, mut solves) = (0u64, 0u64);
@@ -311,7 +318,7 @@ impl WhatIfEngine {
             now = t_next;
             while let Some(id) = self.core.pop_due(now) {
                 if let Some(input) = self.core.retire(id, now) {
-                    finished[input as usize] = (now, true);
+                    self.finished[input as usize] = (now, true);
                 }
             }
             replay_steps += 1;
@@ -320,15 +327,15 @@ impl WhatIfEngine {
         // Horizon leftovers: running flows are cut off now, and flows that
         // never arrived at their arrival.
         for &(_, input) in self.core.order() {
-            finished[input as usize] = (now, false);
+            self.finished[input as usize] = (now, false);
         }
         for &input in &self.sorted[next..] {
-            finished[input as usize] = (flows[input as usize].arrival, false);
+            self.finished[input as usize] = (flows[input as usize].arrival, false);
         }
         let estimates: Vec<FlowEstimate> = flows
             .iter()
-            .zip(&finished)
-            .zip(&bottleneck)
+            .zip(&self.finished)
+            .zip(&self.bottleneck)
             .map(|((w, &(finish, completed)), &bn)| {
                 estimate_of(w.size_bytes, (w.arrival.min(finish), finish, completed), bn)
             })
@@ -386,7 +393,8 @@ impl TrafficProcess for ArrivalProcess {
 /// naming the first one. `replay_steps` is reported as the simulator's
 /// solve count.
 pub fn replay_ground_truth(topo: Topology, flows: &[WhatIfFlow]) -> Result<WhatIfReport> {
-    let bottleneck = WhatIfEngine::from_topology(topo.clone()).route(flows, None)?;
+    let mut kernel = WhatIfEngine::from_topology(topo.clone());
+    kernel.route(flows, None)?;
     let mut order: Vec<u32> = (0..flows.len() as u32).collect();
     order.sort_by_key(|&i| (flows[i as usize].arrival, i));
     let entries: Vec<(SimTime, FlowParams)> = order
@@ -421,8 +429,12 @@ pub fn replay_ground_truth(topo: Topology, flows: &[WhatIfFlow]) -> Result<WhatI
         let input = order.get(rec.id as usize).ok_or(NetError::UnknownFlow(rec.id))?;
         ran[*input as usize] = (rec.started, rec.finished, rec.completed);
     }
-    let estimates: Vec<FlowEstimate> =
-        flows.iter().zip(ran).zip(bottleneck).map(|((w, ran), bn)| estimate_of(w.size_bytes, ran, bn)).collect();
+    let estimates: Vec<FlowEstimate> = flows
+        .iter()
+        .zip(ran)
+        .zip(&kernel.bottleneck)
+        .map(|((w, ran), &bn)| estimate_of(w.size_bytes, ran, bn))
+        .collect();
     let solves = sim.rates_epoch();
     Ok(WhatIfReport { fct_digest: fct_digest(flows, &estimates), estimates, replay_steps: solves, solves })
 }
