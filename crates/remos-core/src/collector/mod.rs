@@ -47,7 +47,7 @@ pub struct Snapshot {
     /// Length of the interval the rates were averaged over.
     pub interval: SimDuration,
     /// Utilization in bits/s, indexed by [`DirLink::index`] of the
-    /// collector's topology.
+    /// collector's topology, or in [`Collector::coverage`] order.
     pub util: Arc<[Bps]>,
     /// Per-directed-interface measurement quality, parallel to `util`.
     pub quality: Arc<[DataQuality]>,
@@ -506,10 +506,11 @@ pub trait Collector: Send {
 
     /// Directed-interface indices (into this collector's *own* topology,
     /// sorted ascending) this collector actually measures; `None` means
-    /// all of them. Region-scoped shard collectors report their slice of
-    /// a shared fabric here so a federation can attribute each merged
-    /// entry to the children that observe it instead of treating every
-    /// child as a full-view contributor.
+    /// all of them. A covering collector's [`Snapshot`] entry `k` is
+    /// interface `coverage()[k]`, so only a federation reads its samples.
+    /// Region-scoped shard collectors report their slice of a shared
+    /// fabric here so a federation can attribute each merged entry to the
+    /// children that observe it.
     fn coverage(&self) -> Option<&[u32]> {
         None
     }

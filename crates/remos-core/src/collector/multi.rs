@@ -30,7 +30,8 @@
 //! * **Dirty-shard merge** — the merged `util`/`quality` vectors are
 //!   persistent. A child's util is re-applied only when its
 //!   `generation()` moved (a shard that only restamped its sample keeps
-//!   it), as one copy per run of entries only it observes. Its quality
+//!   it), as one copy per run of entries only it observes (a covering
+//!   child's planes hold just its coverage, in order). Its quality
 //!   is re-aged only when its latest quality plane is not the one the
 //!   last apply read (the federation holds that `Arc`, so the pointer
 //!   cannot be reused) or its lag behind the merge time moved. Border
@@ -92,6 +93,7 @@ impl Default for MultiCollectorConfig {
 /// One child's observation of a merged entry.
 struct Contributor {
     child: u32,
+    /// The entry's position in the child's sample planes.
     child_idx: u32,
 }
 
@@ -296,22 +298,23 @@ impl MultiCollector {
 
         // Contributor split: which children actually observe each merged
         // entry. A child observes the entries its coverage() declares
-        // (all of them by default), remapped into the merged indexing.
+        // (all of them by default), remapped into the merged indexing; a
+        // covering child's sample holds entry `coverage()[k]` at `k`.
         let n = topo.dir_link_count();
         let mut contrib: Vec<Vec<Contributor>> = (0..n).map(|_| Vec::new()).collect();
         for (ci, map) in remap.iter().enumerate() {
             if map.is_empty() {
                 continue;
             }
-            let mut note = |child_idx: usize| {
-                let m = map.get(child_idx).copied().unwrap_or(usize::MAX);
+            let mut note = |dir_idx: usize, child_idx: usize| {
+                let m = map.get(dir_idx).copied().unwrap_or(usize::MAX);
                 if m != usize::MAX {
                     contrib[m].push(Contributor { child: ci as u32, child_idx: child_idx as u32 });
                 }
             };
             match self.children[ci].coverage() {
-                None => (0..map.len()).for_each(&mut note),
-                Some(list) => list.iter().for_each(|&i| note(i as usize)),
+                None => (0..map.len()).for_each(|i| note(i, i)),
+                Some(list) => list.iter().enumerate().for_each(|(k, &i)| note(i as usize, k)),
             }
         }
         let mut exclusive: Vec<Vec<Run>> = (0..topos.len()).map(|_| Vec::new()).collect();

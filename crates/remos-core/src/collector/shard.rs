@@ -18,10 +18,11 @@
 //! an interface's rate is a sum over its members' solved rates, both
 //! change only through a solve, and polls read settled rates.
 //!
-//! A re-read writes the util plane the previous re-read displaced (its
-//! history's spare), so a shard alternates between two util planes. Its
-//! quality plane (region `Fresh`, the rest `Missing`) is built once per
-//! discovered topology and never rewritten, so the federation, which
+//! A shard's sample is its region: entry `k` of each plane is the
+//! interface at [`Collector::coverage`]`()[k]`. A re-read writes the util
+//! plane the previous re-read displaced (its history's spare), so a shard
+//! alternates between two util planes. Its all-`Fresh` quality plane is
+//! built with the shard and never rewritten, so the federation, which
 //! re-ages a child's quality only when that plane's pointer or the
 //! child's lag moves, re-ages a live shard never.
 //!
@@ -49,14 +50,15 @@ use std::sync::Arc;
 ///
 /// Only meaningful as a child of a
 /// [`MultiCollector`](crate::collector::multi::MultiCollector): its
-/// history holds one sample, so a `Window` or history query asked of a
-/// bare shard sees that one sample, and entries outside the region read
-/// zero/`Missing`.
+/// samples are in region order, so the modeler refuses to answer from a
+/// bare shard, and its history holds one sample.
 pub struct ShardCollector {
     sim: SharedSim,
     label: String,
     /// Directed-interface indices this shard measures, sorted ascending.
     region: Vec<u32>,
+    /// Every sample's quality plane: the region, all `Fresh`.
+    quality: Arc<[DataQuality]>,
     /// The latest sample only (depth 1); the util plane a re-read
     /// displaces is its spare, rewritten by the next re-read.
     history: SampleHistory,
@@ -87,6 +89,7 @@ impl ShardCollector {
         Ok(ShardCollector {
             sim,
             label: label.to_string(),
+            quality: std::iter::repeat_n(DataQuality::Fresh, region.len()).collect(),
             region,
             history: SampleHistory::new(1),
             last_rates: None,
@@ -103,9 +106,7 @@ impl ShardCollector {
         &self.region
     }
 
-    /// Read one settled sample. Region entries are measured Fresh;
-    /// everything outside the region stays zero/Missing (the federation
-    /// attributes those to the shards that do cover them).
+    /// Read one settled sample of the region, in region order.
     fn sample(&mut self, sim: &Simulator) -> CoreResult<bool> {
         let t = sim.now();
         let n = sim.topology().dir_link_count();
@@ -129,34 +130,16 @@ impl ShardCollector {
             return Ok(true);
         }
         (self.read_epoch, self.values_gen) = (epoch, self.values_gen + 1);
-        // The quality plane is the held sample's, built once per
-        // discovery. The util plane is the one the last re-read displaced
-        // (built by the first two): its non-region entries are already
-        // zero (regions never change), so only the measured entries need
-        // rewriting.
-        let quality = match self.history.latest() {
-            Some(s) if s.quality.len() == n => Arc::clone(&s.quality),
-            _ => {
-                let q = |i: usize| match self.region.binary_search(&(i as u32)) {
-                    Ok(_) => DataQuality::Fresh,
-                    Err(_) => DataQuality::Missing,
-                };
-                (0..n).map(q).collect()
-            }
-        };
-        let mut util = match self.history.take_spare_util() {
-            Some(u) if u.len() == n => u,
-            _ => std::iter::repeat_n(0.0, n).collect(),
-        };
         // Each entry is the engine's membership sum for that interface,
-        // the same bits a monolithic `dirlink_rate` read returns. The
-        // federation copies a shard's util and never holds it, so this
-        // writes in place.
-        let buf = Arc::make_mut(&mut util);
-        for &i in &self.region {
-            buf[i as usize] = sim.dirlink_rate_settled(DirLink::from_index(i as usize));
+        // the same bits a monolithic `dirlink_rate` read returns, written
+        // into the util plane the last re-read displaced (the federation
+        // copies a shard's util and never holds it).
+        let fresh = || self.region.iter().map(|_| 0.0).collect();
+        let mut util = self.history.take_spare_util().unwrap_or_else(fresh);
+        for (u, &i) in Arc::make_mut(&mut util).iter_mut().zip(&self.region) {
+            *u = sim.dirlink_rate_settled(DirLink::from_index(i as usize));
         }
-        self.history.push(Snapshot { t, interval, util, quality });
+        self.history.push(Snapshot { t, interval, util, quality: Arc::clone(&self.quality) });
         Ok(true)
     }
 }
@@ -314,29 +297,42 @@ mod tests {
         for s in &mut shards {
             assert!(s.poll().unwrap());
         }
-        // Every dirlink's rate, reassembled from the shard snapshots,
-        // equals bitwise both the simulator's own (exclusive-lock) answer
-        // and the reference both now derive from one index: a scan of the
-        // flow table in id order, rebuilt here from routed paths.
-        let n = tree.topology().dir_link_count();
-        for i in 0..n {
-            let d = DirLink::from_index(i);
-            let mut s = sim.lock();
-            let scanned: f64 = flows
-                .iter()
-                .filter(|(_, path)| path.hops.contains(&d))
-                .map(|&(h, _)| s.flow_rate(h).unwrap())
-                .sum();
-            let owner = shards.iter().find(|s| s.region().contains(&(i as u32))).unwrap();
-            let snap = owner.history().latest().unwrap();
-            assert_eq!(snap.util[i].to_bits(), scanned.to_bits(), "dirlink {i}");
-            assert_eq!(snap.util[i].to_bits(), s.dirlink_rate(d).to_bits(), "dirlink {i}");
-            assert_eq!(snap.quality[i], DataQuality::Fresh);
+        // A shard's planes are its region in region order: entry `k` of
+        // each equals bitwise both the simulator's own (exclusive-lock)
+        // answer for `region[k]` and the reference both derive from one
+        // index: a scan of the flow table in id order, rebuilt here from
+        // routed paths.
+        for shard in &shards {
+            let (region, snap) = (shard.region(), shard.history().latest().unwrap());
+            assert_eq!((snap.util.len(), snap.quality.len()), (region.len(), region.len()));
+            for (k, &i) in region.iter().enumerate() {
+                let d = DirLink::from_index(i as usize);
+                let mut s = sim.lock();
+                let scanned: f64 = flows
+                    .iter()
+                    .filter(|(_, path)| path.hops.contains(&d))
+                    .map(|&(h, _)| s.flow_rate(h).unwrap())
+                    .sum();
+                assert_eq!(snap.util[k].to_bits(), scanned.to_bits(), "dirlink {i}");
+                assert_eq!(snap.util[k].to_bits(), s.dirlink_rate(d).to_bits(), "dirlink {i}");
+                assert_eq!(snap.quality[k], DataQuality::Fresh);
+            }
         }
         // A shard is a sensor: it keeps its latest sample and nothing else.
-        for s in &mut shards {
+        // Its quality plane is allocated once: a re-read after a solve and
+        // a rediscovery publish the same one.
+        let planes: Vec<_> =
+            shards.iter().map(|s| Arc::clone(&s.history().latest().unwrap().quality)).collect();
+        sim.lock().start_flow(FlowParams::greedy(tree.host(1, 0), tree.host(3, 1))).unwrap();
+        for (s, plane) in shards.iter_mut().zip(&planes) {
+            let gen = s.generation();
+            assert!(s.poll().unwrap());
+            assert!(s.generation() > gen, "{}: a solve must end the repeat", s.describe());
+            assert!(Arc::ptr_eq(&s.history().latest().unwrap().quality, plane));
+            s.refresh_topology().unwrap();
             assert!(s.poll().unwrap());
             assert_eq!(s.history().len(), 1);
+            assert!(Arc::ptr_eq(&s.history().latest().unwrap().quality, plane));
         }
         // Host info and time answer like any full-view collector.
         assert!(shards[0].host_info("p0e0h0").is_ok());

@@ -428,6 +428,11 @@ impl Modeler {
         tf: Timeframe,
         out: &mut SelectedSamples,
     ) -> CoreResult<()> {
+        // A covering collector's planes are in coverage order: only a
+        // federation reads them.
+        if col.coverage().is_some() {
+            return Err(RemosError::Collector(format!("{}: not a full view", col.describe())));
+        }
         let n = n_phys_dirlinks;
         let history = col.history();
         match tf {

@@ -377,6 +377,10 @@ impl<C: Collector> Collector for BreakerCollector<C> {
         };
         format!("{} [breaker {state}]", self.inner.describe())
     }
+
+    fn coverage(&self) -> Option<&[u32]> {
+        self.inner.coverage()
+    }
 }
 
 #[cfg(test)]

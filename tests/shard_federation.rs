@@ -22,6 +22,7 @@ use remos::net::flow::FlowParams;
 use remos::net::topology::Topology;
 use remos::net::{mbps, FatTree, SimDuration, SimTime, Simulator, SolverMode};
 use remos::obs::Obs;
+use remos::serve::{BreakerCollector, BreakerConfig, CircuitBreaker};
 use remos::snmp::sim::{share, SharedSim};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -706,4 +707,62 @@ fn crashed_shard_ages_while_its_siblings_repeat() {
     assert!(fed.poll().unwrap());
     assert_eq!(obs.counter("shard_repeats_total").get(), 22);
     assert!(fed.history().latest().unwrap().quality.iter().all(|q| q.is_fresh()));
+}
+
+/// Border entries read every contributor's sample at its own position.
+/// One shard covers every dir-link, the other every even one, so every
+/// entry of the second is shared and sits at half its dir-link index in
+/// that shard's planes. The second sits behind a circuit breaker, which
+/// must forward its coverage. The merge keeps the larger utilization
+/// (`max` from `0.0` turns an idle link's `-0.0` into `0.0`), so values
+/// are compared as numbers; every entry is measured Fresh.
+#[test]
+fn overlapping_regions_merge_like_the_oracle() {
+    let tree = FatTree::build(4).unwrap();
+    let sim = share(Simulator::new(FatTree::build(4).unwrap().into_parts().0).unwrap());
+    let mut handles = seed_flows(&tree, &sim, 0xB0DE2, 12);
+    let n = tree.topology().dir_link_count() as u32;
+    let all = ShardCollector::new(Arc::clone(&sim), "all", (0..n).collect()).unwrap();
+    let even = ShardCollector::new(Arc::clone(&sim), "even", (0..n).step_by(2).collect()).unwrap();
+    let even = BreakerCollector::wrap(even, CircuitBreaker::new(BreakerConfig::default()));
+    let mut fed = MultiCollector::new(vec![Box::new(all), Box::new(even)]);
+    fed.refresh_topology().unwrap();
+    let mut oracle = OracleCollector::new(Arc::clone(&sim));
+    for round in 0..6u64 {
+        match round {
+            2 => drop(sim.lock().stop_flow(handles.swap_remove(0)).unwrap()),
+            4 => handles.extend(seed_flows(&tree, &sim, round, 3)),
+            _ => {}
+        }
+        sim.lock().run_for(SimDuration::from_millis(250)).unwrap();
+        assert!(oracle.poll().unwrap() && fed.poll().unwrap());
+        let (o, f) = (oracle.history().latest().unwrap(), fed.history().latest().unwrap());
+        assert_eq!(f.util.len(), n as usize, "round {round}: merged width");
+        for (i, (x, y)) in o.util.iter().zip(f.util.iter()).enumerate() {
+            assert_eq!(x, y, "round {round}: util[{i}]");
+            assert!(f.quality[i].is_fresh(), "round {round}: quality[{i}] {:?}", f.quality[i]);
+        }
+        assert!(o.util.iter().any(|&u| u > 0.0), "round {round}: no traffic");
+    }
+}
+
+/// A covering collector's samples are in coverage order, so a query
+/// asked of a bare shard is refused with a typed error instead of being
+/// answered from region positions read as dir-link indices. What needs
+/// no samples still answers.
+#[test]
+fn a_bare_shard_refuses_sample_queries() {
+    let tree = FatTree::build(4).unwrap();
+    let sim = share(Simulator::new(FatTree::build(4).unwrap().into_parts().0).unwrap());
+    seed_flows(&tree, &sim, 0xBA2E, 4);
+    let shard = shard_fabric(&tree, &sim, 2).unwrap().swap_remove(0);
+    let mut remos =
+        Remos::new(Box::new(shard), Box::new(SimClock(Arc::clone(&sim))), RemosConfig::default());
+    let names: Vec<String> =
+        (0..2).map(|p| tree.topology().node(tree.host(p, 0)).name.clone()).collect();
+    let err = remos.run(Query::graph(names.iter())).unwrap_err();
+    assert!(matches!(err, RemosError::Collector(_)), "{err:?}");
+    assert!(remos.topology_only(&names).is_ok());
+    assert!(remos.host_info(&names[0]).is_ok());
+    assert!(remos.collector().now().is_ok());
 }
