@@ -253,3 +253,148 @@ fn chaos_seed_c0ffee_is_deterministic() {
 fn chaos_seed_1998_is_deterministic() {
     chaos_run(1998);
 }
+
+/// Digest of every field of every grant a staged flow query answered
+/// (see `flow_answers_digest`). Machine-independent: a change to the
+/// stage order, the sharing arithmetic, the quartile or degrade rules, a
+/// path's latency or a grant's provenance moves it.
+const FLOW_ANSWERS_DIGEST: u64 = 0x18c0_5c31_28f2_b122;
+
+/// Two fixed, three variable and one independent flow over two capped
+/// backplanes (`sw0` at 150 Mb/s, `sw1` at 200 Mb/s, joined by a 100 Mb/s
+/// trunk), asked at `Current` and `Window(2 s)` after each of six rounds
+/// of background churn, under each sharing policy; every grant's
+/// endpoints, bandwidth quartile bits, latency, `fully_satisfied`,
+/// quality and provenance folded in answer order.
+fn flow_answers_digest() -> u64 {
+    use remos::core::collector::oracle::OracleCollector;
+    use remos::core::collector::Collector;
+    use remos::core::modeler::sharing::SharingPolicy;
+    use remos::core::{DataQuality, FlowInfoRequest, Modeler, ModelerConfig, Timeframe};
+    use remos::net::flow::FlowParams;
+    use remos::net::{mbps, Simulator, TopologyBuilder};
+    use remos::obs::Fnv;
+    use remos::snmp::sim::share;
+
+    fn text(d: &mut Fnv, s: &str) {
+        d.u64(s.len() as u64);
+        d.bytes(s.as_bytes());
+    }
+    fn quality(d: &mut Fnv, q: DataQuality) {
+        match q {
+            DataQuality::Fresh => d.u64(0),
+            DataQuality::Stale { age } => {
+                d.u64(1);
+                d.u64(age.as_nanos());
+            }
+            DataQuality::Missing => d.u64(2),
+        }
+    }
+
+    let req = FlowInfoRequest::new()
+        .fixed("a0", "b0", mbps(20.0))
+        .fixed("a1", "b1", mbps(30.0))
+        .variable("a2", "b2", 3.0)
+        .variable("a3", "a1", 4.5)
+        .variable("b3", "a0", 9.0)
+        .independent("b1", "b2");
+    let mut d = Fnv::new();
+    for sharing in [SharingPolicy::ExternalPinned, SharingPolicy::ExternalFairShare] {
+        let mut b = TopologyBuilder::new();
+        let sw = [
+            b.network_with_internal_bw("sw0", mbps(150.0)),
+            b.network_with_internal_bw("sw1", mbps(200.0)),
+        ];
+        b.link(sw[0], sw[1], mbps(100.0), SimDuration::from_micros(200)).unwrap();
+        let mut hosts = Vec::new();
+        for (s, side) in ["a", "b"].into_iter().enumerate() {
+            for i in 0..4 {
+                let h = b.compute(&format!("{side}{i}"));
+                b.link(h, sw[s], mbps(100.0), SimDuration::from_micros(50 + 10 * i)).unwrap();
+                hosts.push(h);
+            }
+        }
+        let sim = share(Simulator::new(b.build().unwrap()).unwrap());
+        let mut col = OracleCollector::new(std::sync::Arc::clone(&sim));
+        let modeler = Modeler::new(ModelerConfig { sharing, ..ModelerConfig::default() });
+        let mut lcg = 0x00F1_0A25_u64;
+        let mut next = |n: usize| {
+            lcg = lcg
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (lcg >> 33) as usize % n
+        };
+        let mut background = std::collections::VecDeque::new();
+        for round in 0..6 {
+            {
+                let mut s = sim.lock();
+                // Churn: retire the oldest background flow once three
+                // run, and admit one between random distinct hosts.
+                if background.len() == 3 {
+                    s.stop_flow(background.pop_front().unwrap()).unwrap();
+                }
+                let src = hosts[next(hosts.len())];
+                let mut dst = hosts[next(hosts.len())];
+                while dst == src {
+                    dst = hosts[next(hosts.len())];
+                }
+                let flow = if round % 2 == 0 {
+                    FlowParams::greedy(src, dst)
+                } else {
+                    FlowParams::cbr(src, dst, mbps(10.0 + next(40) as f64))
+                };
+                background.push_back(s.start_flow(flow).unwrap());
+            }
+            for _ in 0..2 {
+                sim.lock().run_for(SimDuration::from_millis(500)).unwrap();
+                col.poll().unwrap();
+            }
+            for tf in [Timeframe::Current, Timeframe::Window(SimDuration::from_secs(2))] {
+                let resp = modeler.flow_info(&col, &req, tf).unwrap();
+                assert_eq!(resp.fixed.len(), 2);
+                assert_eq!(resp.variable.len(), 3);
+                for g in resp.all_grants() {
+                    text(&mut d, &g.endpoints.src);
+                    text(&mut d, &g.endpoints.dst);
+                    let q = &g.bandwidth;
+                    for v in [q.min, q.q1, q.median, q.q3, q.max, q.mean, q.accuracy] {
+                        d.f64(v);
+                    }
+                    d.u64(q.samples as u64);
+                    d.u64(g.latency.as_nanos());
+                    d.u64(u64::from(g.fully_satisfied));
+                    quality(&mut d, g.estimate_quality);
+                    let p = g.provenance.as_ref().expect("flow grants carry provenance");
+                    match p.timeframe {
+                        Timeframe::Current => d.u64(0),
+                        Timeframe::Window(w) => {
+                            d.u64(1);
+                            d.u64(w.as_nanos());
+                        }
+                        Timeframe::Future(f) => {
+                            d.u64(2);
+                            d.u64(f.as_nanos());
+                        }
+                    }
+                    d.u64(p.snapshots as u64);
+                    for t in [p.newest_sample, p.oldest_sample] {
+                        d.u64(t.map_or(u64::MAX, SimTime::as_nanos));
+                    }
+                    quality(&mut d, p.worst_quality);
+                    text(&mut d, &p.solver);
+                    d.u64(p.scope as u64);
+                    d.u64(u64::from(p.degraded));
+                    text(&mut d, p.source.as_deref().unwrap_or("-"));
+                }
+            }
+        }
+    }
+    d.value()
+}
+
+/// §4.2's staged answer, pinned bit for bit.
+#[test]
+fn flow_answers_match_the_golden() {
+    let got = flow_answers_digest();
+    assert_eq!(got, FLOW_ANSWERS_DIGEST, "got {got:#x}");
+}
