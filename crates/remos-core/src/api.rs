@@ -1076,7 +1076,7 @@ mod tests {
         assert_eq!(report.flows.len(), 2);
         assert_eq!(report.completed_count(), 2);
         for f in &report.flows {
-            let fct = f.fct.as_secs_f64();
+            let fct = f.fct().as_secs_f64();
             assert!((fct - 0.1).abs() < 0.01, "fct {fct}");
             assert!(f.slowdown < 1.01, "slowdown {}", f.slowdown);
         }
@@ -1112,8 +1112,8 @@ mod tests {
         let busy = remos.run(flow()).unwrap().into_fcts().unwrap();
         // The hypothetical m-2 -> m-4 flow shares the backbone with the
         // 60 Mbps stream: ~40 Mbps left, so the estimate is ~2.5x slower.
-        let i = idle.flows[0].fct.as_secs_f64();
-        let b = busy.flows[0].fct.as_secs_f64();
+        let i = idle.flows[0].fct().as_secs_f64();
+        let b = busy.flows[0].fct().as_secs_f64();
         assert!(b > i * 2.0, "busy {b} vs idle {i}");
     }
 

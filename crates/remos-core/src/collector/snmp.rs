@@ -276,12 +276,6 @@ impl<T: Transport + Sync> SnmpCollector<T> {
         &self.agents
     }
 
-    /// Liveness of one agent by address.
-    pub fn agent_state(&self, agent: &str) -> Option<AgentState> {
-        let i = self.agents.iter().position(|a| a == agent)?;
-        Some(self.health[i].state)
-    }
-
     fn scan_agent(&self, addr: &str) -> CoreResult<AgentScan> {
         let vals = self.manager.get_many(
             addr,

@@ -97,21 +97,21 @@ impl FlowInfoRequest {
         self.fixed.len() + self.variable.len() + usize::from(self.independent.is_some())
     }
 
-    /// All endpoints, in solve order (fixed, variable, independent).
-    pub fn all_endpoints(&self) -> Vec<&FlowEndpoints> {
-        self.fixed
-            .iter()
-            .map(|f| &f.endpoints)
-            .chain(self.variable.iter().map(|v| &v.endpoints))
-            .chain(self.independent.iter())
-            .collect()
+    /// Every flow in solve order (fixed, variable, independent) as
+    /// `(endpoints, weight, cap)`: a fixed flow weighs 1 and is capped at
+    /// its request, a variable flow weighs its `relative_bw`, and the
+    /// independent flow weighs 1, uncapped.
+    pub(crate) fn flows(&self) -> impl Iterator<Item = (&FlowEndpoints, f64, Option<Bps>)> {
+        let fixed = self.fixed.iter().map(|f| (&f.endpoints, 1.0, Some(f.requested)));
+        let variable = self.variable.iter().map(|v| (&v.endpoints, v.relative_bw, None));
+        fixed.chain(variable).chain(self.independent.iter().map(|e| (e, 1.0, None)))
     }
 
     /// The endpoints' node names, sorted and deduplicated: the node set
     /// the request's plan covers.
     pub(crate) fn endpoint_names(&self) -> Vec<String> {
         let mut names: Vec<String> =
-            self.all_endpoints().into_iter().flat_map(|e| [e.src.clone(), e.dst.clone()]).collect();
+            self.flows().flat_map(|(e, ..)| [e.src.clone(), e.dst.clone()]).collect();
         names.sort();
         names.dedup();
         names
@@ -136,8 +136,10 @@ impl FlowInfoRequest {
                 return Err(InvalidQueryKind::BadVariableWeight { value: v.relative_bw }.into());
             }
         }
-        match self.all_endpoints().into_iter().find(|e| e.src == e.dst) {
-            Some(e) => Err(InvalidQueryKind::IdenticalEndpoints { node: e.src.clone() }.into()),
+        match self.flows().find(|(e, ..)| e.src == e.dst) {
+            Some((e, ..)) => {
+                Err(InvalidQueryKind::IdenticalEndpoints { node: e.src.clone() }.into())
+            }
             None => Ok(()),
         }
     }
@@ -215,16 +217,17 @@ mod tests {
         assert_eq!(req.fixed.len(), 1);
         assert_eq!(req.variable.len(), 2);
         assert!(req.independent.is_some());
-        let eps = req.all_endpoints();
-        assert_eq!(eps.len(), 4);
-        assert_eq!(eps[0].src, "m-1");
-        assert_eq!(eps[3].dst, "m-5");
+        let flows: Vec<_> = req.flows().collect();
+        assert_eq!(flows.len(), 4);
+        assert_eq!((flows[0].0.src.as_str(), flows[0].1, flows[0].2), ("m-1", 1.0, Some(1e6)));
+        assert_eq!((flows[2].1, flows[2].2), (4.5, None));
+        assert_eq!((flows[3].0.dst.as_str(), flows[3].1, flows[3].2), ("m-5", 1.0, None));
     }
 
     #[test]
     fn empty_request() {
         let req = FlowInfoRequest::new();
         assert_eq!(req.flow_count(), 0);
-        assert!(req.all_endpoints().is_empty());
+        assert_eq!(req.flows().count(), 0);
     }
 }

@@ -271,11 +271,6 @@ impl RemosGraph {
             .ok_or_else(|| RemosError::UnknownNode(name.to_string()))
     }
 
-    /// Node by name.
-    pub fn node_by_name(&self, name: &str) -> CoreResult<&RemosNode> {
-        Ok(&self.nodes[self.index_of(name)?])
-    }
-
     /// `(link index, neighbor index)` pairs incident to node `i`.
     pub fn neighbors(&self, i: usize) -> &[(usize, usize)] {
         self.indices.as_ref().map_or(&[], |ix| &ix.adj[i])

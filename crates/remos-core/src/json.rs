@@ -2,8 +2,9 @@
 //! written ([`RemosGraph::to_json`], [`FctReport::to_json`] — `remos-sim
 //! graph --json`, `whatif --json`) and inputs are read
 //! ([`HypotheticalFlow::list_from_json`] — `whatif --flows FILE`). A
-//! what-if report is written beside the flows it answers: the caller owns
-//! the endpoint names, and each estimate is written with its flow's.
+//! what-if report holds the kernel's estimates only, so it is written
+//! beside the flows it answers: each estimate takes its flow's endpoint
+//! names and size from the caller's list.
 //!
 //! Field names and enum shapes are fixed: structs are objects keyed by
 //! field name, unit variants are strings (`"Fresh"`), data-carrying
@@ -16,7 +17,7 @@ use crate::provenance::Provenance;
 use crate::quality::DataQuality;
 use crate::stats::Quartiles;
 use crate::timeframe::Timeframe;
-use crate::whatif::{FctReport, FlowFct, HypotheticalFlow};
+use crate::whatif::{FctReport, FlowEstimate, HypotheticalFlow};
 use remos_net::topology::NodeKind;
 use remos_net::SimTime;
 use remos_obs::json::{Error, Value};
@@ -96,17 +97,17 @@ fn link(l: &RemosLink) -> Value {
     ])
 }
 
-/// One estimate, with the endpoint names of the query flow it answers
-/// (`null` when the caller supplied none).
-fn flow_fct(f: &FlowFct, query: Option<&HypotheticalFlow>) -> Value {
+/// One estimate, with the endpoint names and size of the query flow it
+/// answers (`null` when the caller supplied none).
+fn flow_estimate(f: &FlowEstimate, query: Option<&HypotheticalFlow>) -> Value {
     Value::object([
         ("src", query.map(|h| h.src.as_str()).into()),
         ("dst", query.map(|h| h.dst.as_str()).into()),
-        ("size_bytes", f.size_bytes.into()),
+        ("size_bytes", query.map(|h| h.size_bytes).into()),
         ("started", f.started.as_nanos().into()),
         ("finished", f.finished.as_nanos().into()),
         ("completed", f.completed.into()),
-        ("fct", f.fct.as_nanos().into()),
+        ("fct", f.fct().as_nanos().into()),
         // Infinite for a flow the horizon cut off: written as `null`.
         ("slowdown", f.slowdown.into()),
         ("bottleneck", f.bottleneck.into()),
@@ -128,11 +129,12 @@ impl RemosGraph {
 
 impl FctReport {
     /// The report as a JSON document; `fct_digest` is written as an
-    /// exact integer. A report does not hold its flows' endpoint names:
-    /// pass the flows of the query it answers, in the query's order, and
-    /// each estimate is written with its flow's `src` and `dst`.
+    /// exact integer. A report holds no endpoint names or sizes: pass
+    /// the flows of the query it answers, in the query's order, and each
+    /// estimate is written with its flow's `src`, `dst` and `size_bytes`,
+    /// all three `null` for an estimate past the end of `flows`.
     pub fn to_json(&self, flows: &[HypotheticalFlow]) -> Value {
-        let answers = self.flows.iter().enumerate().map(|(i, f)| flow_fct(f, flows.get(i)));
+        let answers = self.flows.iter().enumerate().map(|(i, f)| flow_estimate(f, flows.get(i)));
         Value::object([
             ("flows", answers.collect()),
             ("fct_digest", self.fct_digest.into()),

@@ -91,7 +91,7 @@ pub use quality::DataQuality;
 pub use query::{Query, QueryResult, QuerySpec};
 pub use stats::Quartiles;
 pub use timeframe::Timeframe;
-pub use whatif::{FctReport, FlowFct, HypotheticalFlow};
+pub use whatif::{FctReport, FlowEstimate, HypotheticalFlow};
 
 /// Everything a query-writing application needs, in one import:
 /// `use remos_core::prelude::*;`.
@@ -103,5 +103,5 @@ pub mod prelude {
     pub use crate::quality::DataQuality;
     pub use crate::query::{Query, QueryResult, QuerySpec};
     pub use crate::timeframe::Timeframe;
-    pub use crate::whatif::{FctReport, FlowFct, HypotheticalFlow};
+    pub use crate::whatif::{FctReport, FlowEstimate, HypotheticalFlow};
 }

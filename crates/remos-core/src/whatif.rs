@@ -6,11 +6,14 @@
 //! replaying a fluid max-min schedule over the query plan's frozen
 //! topology snapshot (see `remos_net::whatif`), never touching live
 //! collector or engine state. This module holds the typed input
-//! ([`HypotheticalFlow`]) and output ([`FctReport`] / [`FlowFct`]) the
-//! query builder family exposes.
+//! ([`HypotheticalFlow`]) and output ([`FctReport`]) the query builder
+//! family exposes. A report's per-flow estimates are the kernel's own
+//! [`FlowEstimate`]s, moved out of its answer; the `k`-th answers the
+//! query's `k`-th flow, whose endpoints and size stay with the caller.
 
 use crate::provenance::Provenance;
-use remos_net::{Bps, SimDuration, SimTime};
+pub use remos_net::whatif::FlowEstimate;
+use remos_net::{SimDuration, SimTime};
 
 /// One hypothetical flow in an `estimate_fcts` query: named endpoints
 /// (resolved against the query plan's topology), a transfer size, and an
@@ -46,38 +49,12 @@ impl HypotheticalFlow {
     }
 }
 
-/// The estimated fate of one hypothetical flow. Estimates come in the
-/// order the query listed its flows, so the `k`-th estimate is the `k`-th
-/// flow's; the endpoint names stay with the caller's query rather than
-/// being copied into every answer.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FlowFct {
-    /// Transfer size, echoed from the query.
-    pub size_bytes: u64,
-    /// When the flow entered the replay schedule.
-    pub started: SimTime,
-    /// When its last byte drained (or the horizon, if cut off).
-    pub finished: SimTime,
-    /// False when an `horizon` expired before the flow drained.
-    pub completed: bool,
-    /// Estimated flow completion time (`finished - started`).
-    pub fct: SimDuration,
-    /// FCT divided by the ideal FCT at the path's bottleneck line rate
-    /// with zero contention; `INFINITY` for flows the horizon cut off.
-    pub slowdown: f64,
-    /// Resource index of the path's capacity bottleneck (directed-link
-    /// index, or a backplane slot past the link prefix).
-    pub bottleneck: usize,
-    /// Capacity of that bottleneck resource, bits/s.
-    pub bottleneck_capacity: Bps,
-}
-
 /// The typed answer to an `estimate_fcts` query: per-flow completion
 /// estimates plus the replay's determinism digest and work counters.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FctReport {
     /// Per-flow estimates, in the order the query listed the flows.
-    pub flows: Vec<FlowFct>,
+    pub flows: Vec<FlowEstimate>,
     /// FNV-1a digest over `(index, endpoints, size, started, finished,
     /// completed)` for every flow — bit-identical runs produce identical
     /// digests (see `docs/DETERMINISM.md`).
@@ -102,7 +79,7 @@ impl FctReport {
     /// *completed* flows; `None` when nothing completed.
     pub fn fct_quantile(&self, q: f64) -> Option<SimDuration> {
         let mut fcts: Vec<SimDuration> =
-            self.flows.iter().filter(|f| f.completed).map(|f| f.fct).collect();
+            self.flows.iter().filter(|f| f.completed).map(FlowEstimate::fct).collect();
         if fcts.is_empty() {
             return None;
         }
@@ -128,13 +105,11 @@ impl FctReport {
 mod tests {
     use super::*;
 
-    fn fct(ms: u64, completed: bool) -> FlowFct {
-        FlowFct {
-            size_bytes: 1000,
+    fn fct(ms: u64, completed: bool) -> FlowEstimate {
+        FlowEstimate {
             started: SimTime::ZERO,
             finished: SimTime::from_millis(ms),
             completed,
-            fct: SimDuration::from_millis(ms),
             slowdown: if completed { 2.0 } else { f64::INFINITY },
             bottleneck: 0,
             bottleneck_capacity: 1e8,

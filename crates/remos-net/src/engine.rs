@@ -490,14 +490,6 @@ impl Simulator {
         ProcessId(id)
     }
 
-    /// Remove a traffic process (it will not fire again). Flows it started
-    /// keep running; stop them separately if needed.
-    pub fn remove_process(&mut self, id: ProcessId) {
-        if let Some(slot) = self.processes.get_mut(id.0) {
-            *slot = None;
-        }
-    }
-
     /// Current rate of an active flow, bits/s.
     pub fn flow_rate(&mut self, h: FlowHandle) -> Result<Bps> {
         self.recompute_rates_if_dirty();

@@ -253,11 +253,6 @@ impl<C: Collector> BreakerCollector<C> {
         &self.breaker
     }
 
-    /// The wrapped collector.
-    pub fn inner_mut(&mut self) -> &mut C {
-        &mut self.inner
-    }
-
     fn known_now(&self) -> SimTime {
         SimTime::from_nanos(self.cached_now.load(Ordering::Relaxed))
     }

@@ -174,11 +174,6 @@ impl FaultDirector {
         );
     }
 
-    /// Remove any plan for `agent`.
-    pub fn clear_plan(&self, agent: &str) {
-        self.nodes.lock().remove(agent);
-    }
-
     /// Is `agent` crashed at `now`?
     pub fn is_down(&self, agent: &str, now: SimTime) -> bool {
         self.nodes.lock().get(agent).is_some_and(|nf| nf.plan.is_down(now))

@@ -30,7 +30,7 @@ use counting_alloc::alloc_count;
 const SLACK: u64 = 16;
 
 /// Allocations a warm what-if request may make, at any batch size.
-const WHATIF_BOUND: u64 = 10;
+const WHATIF_BOUND: u64 = 9;
 
 /// The k=8 fabric with a greedy and a CBR flow per pod, settled, served
 /// through the default sharded stack.
