@@ -6,6 +6,11 @@
 //! definitions (rows, node sets, paper values) used by both the table
 //! binaries and the `report` generator.
 
+// Outside tests, a `let _ =` of a must-use value is a build error;
+// tests may use what clippy.toml disallows (docs/AUDIT.md).
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
+
 pub mod experiments;
 
 use remos_apps::TestbedHarness;

@@ -19,6 +19,11 @@
 //! Built-in scenarios: `cmu` (the idle Fig 3 testbed) and `fig4` (the
 //! testbed with the synthetic m-6 → m-8 traffic).
 
+// Outside tests, a `let _ =` of a must-use value is a build error;
+// tests may use what clippy.toml disallows (docs/AUDIT.md).
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
+
 mod args;
 mod commands;
 mod serve;

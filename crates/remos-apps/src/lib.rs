@@ -17,6 +17,11 @@
 //! * [`harness`] — one-call assembly of the full stack (simulator, SNMP
 //!   agents, collector, Remos, adapter, runtime) for experiments.
 
+// Outside tests, a `let _ =` of a must-use value is a build error;
+// tests may use what clippy.toml disallows (docs/AUDIT.md).
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod airshed;
 pub mod bcast;
 pub mod calib;

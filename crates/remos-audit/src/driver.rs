@@ -5,15 +5,15 @@
 use crate::model::Workspace;
 use crate::report;
 use crate::{
-    apply_allowlist, check_tokens, files_under, hygiene, lex, lockorder, manifest, parse_allowlist,
-    rust_files, scope_for, taint, AllowEntry, Filtered, Violation,
+    apply_allowlist, check_tokens, float_eq_scoped, hygiene, lex, lockorder, parse_allowlist,
+    rust_files, taint, AllowEntry, Filtered, Violation,
 };
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Everything one audit run produced.
 pub struct RunResult {
-    /// Files fed to the per-file token rules.
+    /// Files fed to the `float-eq` token rule.
     pub scanned: usize,
     /// Violations not covered by the allowlist.
     pub rejected: Vec<Violation>,
@@ -50,15 +50,8 @@ pub fn run(root: &Path) -> Result<RunResult, String> {
         Err(_) => Vec::new(),
     };
 
-    let mut files =
+    let files =
         rust_files(&crates_dir).map_err(|e| format!("cannot walk {}: {e}", crates_dir.display()))?;
-    let examples_dir = root.join("examples");
-    if examples_dir.is_dir() {
-        files.extend(
-            rust_files(&examples_dir)
-                .map_err(|e| format!("cannot walk {}: {e}", examples_dir.display()))?,
-        );
-    }
 
     let mut violations = Vec::new();
     let mut sources: BTreeMap<PathBuf, Vec<String>> = BTreeMap::new();
@@ -67,13 +60,7 @@ pub fn run(root: &Path) -> Result<RunResult, String> {
     for path in &files {
         let rel = path.strip_prefix(root).unwrap_or(path).to_path_buf();
         let rel_str = rel.to_string_lossy().replace('\\', "/");
-        let scope = scope_for(&rel);
-        let token_scoped = scope.nondet
-            || scope.float_eq
-            || scope.panic
-            || scope.wall_clock
-            || scope.deprecated_shim
-            || scope.thread;
+        let token_scoped = float_eq_scoped(&rel);
         let in_analysis = analyzed(&rel_str);
         if !token_scoped && !in_analysis {
             continue;
@@ -83,27 +70,12 @@ pub fn run(root: &Path) -> Result<RunResult, String> {
         if token_scoped {
             scanned += 1;
             let toks = lex(&src);
-            violations.extend(check_tokens(&rel, &toks, scope));
+            violations.extend(check_tokens(&rel, &toks));
         }
         sources.insert(rel.clone(), src.lines().map(str::to_string).collect());
         if in_analysis {
             ws_sources.push((rel, src));
         }
-    }
-
-    // Every manifest of the checkout except the fixture tree's own
-    // (which exists to seed a violation for the fixture run).
-    let manifests = files_under(root, |p| p.file_name().is_some_and(|n| n == "Cargo.toml"))
-        .map_err(|e| format!("cannot walk {}: {e}", root.display()))?;
-    for path in &manifests {
-        let rel = path.strip_prefix(root).unwrap_or(path).to_path_buf();
-        if rel.to_string_lossy().replace('\\', "/").contains("/fixtures/") {
-            continue;
-        }
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        violations.extend(manifest::check(&rel, &text));
-        sources.insert(rel, text.lines().map(str::to_string).collect());
     }
 
     // Cross-file analyses over the workspace model.

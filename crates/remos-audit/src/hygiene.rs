@@ -1,18 +1,11 @@
-//! Error-hygiene pass: dropped `Result`s and panic sites reachable from
-//! the serving/query hot paths.
-//!
-//! * `dropped-result` — `let _ = call(…);` where any call in the
-//!   discarded expression resolves to a workspace function returning a
-//!   `…Result` type. Discarding a fallible outcome silently converts an
-//!   error into a wrong answer; match on it or propagate it. Macro
-//!   statements (`let _ = writeln!(…)`) are exempt — the lexer never
-//!   reports macro names as calls.
-//! * `hot-path-unwrap` — `.unwrap()` / `.expect(…)` in any function
-//!   reachable (over the resolved call graph) from the public serving
-//!   and query entry points (`Remos::run`/`run_batch`/`run_within`,
-//!   `Server::submit`/`serve_next`/`drain`). The per-file `panic-site`
-//!   rule covers the core crates unconditionally; this rule extends
-//!   the net to *any* crate a request can actually traverse.
+//! Error-hygiene pass: `hot-path-unwrap`, an `.unwrap()` /
+//! `.expect(…)` in any function reachable (over the resolved call graph)
+//! from the public serving and query entry points
+//! (`Remos::run`/`run_batch`/`run_within`,
+//! `Server::submit`/`serve_next`/`drain`). Clippy's `unwrap_used` /
+//! `expect_used` bar these in the core crates unconditionally; this rule
+//! extends the net to *any* crate a request can actually traverse.
+//! (A dropped `Result` is clippy's `let_underscore_must_use`.)
 
 use crate::model::Workspace;
 use crate::parse::calls_in;
@@ -29,75 +22,8 @@ const ENTRY_POINTS: &[(&str, &str)] = &[
     ("Server", "drain"),
 ];
 
-/// Run both hygiene rules across the workspace.
-pub fn analyze(ws: &Workspace) -> Vec<Violation> {
-    let mut out = dropped_results(ws);
-    out.extend(hot_path_unwraps(ws));
-    out
-}
-
-/// `let _ = fallible(…);` detection.
-fn dropped_results(ws: &Workspace) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for i in 0..ws.fns.len() {
-        let info = &ws.fns[i].info;
-        if info.in_test {
-            continue;
-        }
-        let toks = ws.toks(i);
-        let (start, end) = info.body;
-        let mut k = start;
-        while k + 3 < end {
-            if !(toks[k].text == "let" && toks[k + 1].text == "_" && toks[k + 2].text == "=") {
-                k += 1;
-                continue;
-            }
-            if toks[k].in_test {
-                k += 3;
-                continue;
-            }
-            // Statement extent: to the `;` at depth 0.
-            let mut depth = 0i32;
-            let mut stmt_end = k + 3;
-            while stmt_end < end {
-                match toks[stmt_end].text.as_str() {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => depth -= 1,
-                    ";" if depth <= 0 => break,
-                    _ => {}
-                }
-                stmt_end += 1;
-            }
-            for c in calls_in(toks, (k + 3, stmt_end)) {
-                let fallible = ws
-                    .resolve(&c, info)
-                    .into_iter()
-                    .any(|g| ws.fns[g].info.returns_result);
-                if fallible {
-                    out.push(Violation {
-                        rule: "dropped-result",
-                        file: info.file.clone(),
-                        line: toks[k].line,
-                        message: format!(
-                            "`let _ =` discards the Result of `{}` in `{}`; handle or \
-                             propagate the error (use `.ok()` with a comment if the drop \
-                             is truly intended)",
-                            c.name,
-                            info.qname()
-                        ),
-                        token: c.name.clone(),
-                    });
-                    break; // one finding per statement
-                }
-            }
-            k = stmt_end;
-        }
-    }
-    out
-}
-
 /// BFS from the entry points, then flag unwrap/expect in reached code.
-fn hot_path_unwraps(ws: &Workspace) -> Vec<Violation> {
+pub fn analyze(ws: &Workspace) -> Vec<Violation> {
     let n = ws.fns.len();
     let mut reached = vec![false; n];
     let mut queue: Vec<usize> = (0..n)
@@ -179,40 +105,6 @@ mod tests {
     }
 
     #[test]
-    fn dropped_result_on_fallible_call() {
-        let w = ws(&[(
-            "crates/remos-net/src/x.rs",
-            "impl E {
-                fn stop_flow(&mut self, h: u32) -> NetResult<()> { Ok(()) }
-                fn teardown(&mut self, h: u32) {
-                    let _ = self.stop_flow(h);
-                }
-            }",
-        )]);
-        let got = dropped_results(&w);
-        assert_eq!(got.len(), 1, "got: {got:?}");
-        assert_eq!(got[0].rule, "dropped-result");
-        assert_eq!(got[0].line, 4);
-        assert_eq!(got[0].token, "stop_flow");
-    }
-
-    #[test]
-    fn dropped_infallible_and_macros_are_clean() {
-        let w = ws(&[(
-            "crates/remos-net/src/x.rs",
-            "impl E {
-                fn count(&self) -> usize { 0 }
-                fn f(&self, out: &mut String) {
-                    let _ = self.count();
-                    let _ = writeln!(out, \"x\");
-                    let _ = out;
-                }
-            }",
-        )]);
-        assert!(dropped_results(&w).is_empty());
-    }
-
-    #[test]
     fn unwrap_reachable_from_entry_point_is_flagged() {
         let w = ws(&[
             (
@@ -227,7 +119,7 @@ mod tests {
                 "fn unreached() -> u32 { none().unwrap() }",
             ),
         ]);
-        let got = hot_path_unwraps(&w);
+        let got = analyze(&w);
         assert_eq!(got.len(), 1, "got: {got:?}");
         assert_eq!(got[0].rule, "hot-path-unwrap");
         assert!(got[0].file.ends_with("a.rs"));
@@ -241,8 +133,7 @@ mod tests {
              fn helper() {}
              #[cfg(test)]
              mod tests {
-                 fn t() { let _ = fail(); x.unwrap(); }
-                 fn fail() -> CoreResult<()> { Ok(()) }
+                 fn t() { helper(); x.unwrap(); }
              }",
         )]);
         assert!(analyze(&w).is_empty());

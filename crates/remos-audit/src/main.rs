@@ -1,5 +1,5 @@
-//! Audit driver: lint every workspace crate's library sources and run
-//! the cross-file lock-order / determinism-taint / error-hygiene
+//! Audit driver: run the `float-eq` token rule over the library crates
+//! and the cross-file lock-order / determinism-taint / error-hygiene
 //! analyses.
 //!
 //! ```text

@@ -45,8 +45,6 @@ pub struct FnInfo {
     pub line: u32,
     /// True for functions inside `#[cfg(test)]` regions.
     pub in_test: bool,
-    /// True when the return type mentions a `…Result` identifier.
-    pub returns_result: bool,
     /// Parameters in declaration order.
     pub params: Vec<Param>,
     /// Token index range of the body (exclusive of the outer braces);
@@ -309,7 +307,6 @@ fn parse_fn(
         j += 1;
     }
     // Return type: tokens between `->` and the body `{` / `;` / `where`.
-    let mut returns_result = false;
     j += 1; // past `)`
     if j < end && toks[j].text == "->" {
         j += 1;
@@ -324,13 +321,8 @@ fn parse_fn(
                 "{" | ";" if d2 <= 0 => break,
                 _ => {}
             }
-            if toks[j].kind == TokenKind::Ident {
-                if toks[j].text == "where" && d2 <= 0 {
-                    break;
-                }
-                if toks[j].text.ends_with("Result") {
-                    returns_result = true;
-                }
+            if toks[j].text == "where" && d2 <= 0 {
+                break;
             }
             j += 1;
         }
@@ -354,7 +346,6 @@ fn parse_fn(
             file: rel.to_path_buf(),
             line,
             in_test,
-            returns_result,
             params,
             body,
         },
@@ -493,8 +484,6 @@ mod tests {
         ");
         let names: Vec<String> = got.iter().map(|f| f.qname()).collect();
         assert_eq!(names, vec!["free", "S::method", "S::clone"]);
-        assert!(got[0].returns_result);
-        assert!(!got[1].returns_result);
         assert_eq!(got[1].params[0].name, "self");
         assert_eq!(got[1].params[1].name, "m");
         assert!(got[1].params[1].ty_idents.contains(&"HashMap".to_string()));
@@ -509,7 +498,6 @@ mod tests {
         ");
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].qname(), "BreakerCollector::poll");
-        assert!(got[0].returns_result);
     }
 
     #[test]

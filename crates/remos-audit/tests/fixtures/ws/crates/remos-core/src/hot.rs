@@ -1,8 +1,8 @@
 //! Seeded `hot-path-unwrap` violation: an `.unwrap()` in a helper
-//! reachable from `Remos::run`. The same line also trips the per-file
-//! `panic-site` token rule — the fixture intentionally shows both
-//! passes reporting the one defect. This file is ANALYZED by the
-//! audit's fixture tests, never compiled.
+//! reachable from `Remos::run`. In a core crate clippy's `unwrap_used`
+//! rejects this line too; the cross-file pass is what follows a request
+//! into every other crate. This file is ANALYZED by the audit's fixture
+//! tests, never compiled.
 
 pub struct Remos {
     latest: Option<u32>,

@@ -17,6 +17,7 @@ use remos_net::flow::{FlowParams, FlowTag};
 use remos_net::topology::{NodeId, NodeKind, Topology, TopologyBuilder};
 use remos_net::{Bps, SimDuration, SimTime};
 use remos_snmp::sim::SharedSim;
+#[expect(clippy::disallowed_types, reason = "name-to-id lookups only; nothing iterates it")]
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -111,6 +112,7 @@ impl BenchmarkCollector {
 }
 
 impl Collector for BenchmarkCollector {
+    #[expect(clippy::disallowed_types, reason = "name-to-id lookups only; nothing iterates it")]
     fn refresh_topology(&mut self) -> CoreResult<()> {
         if self.hosts.len() < 2 {
             return Err(RemosError::Collector("need at least two hosts to probe".into()));

@@ -63,6 +63,7 @@ use crate::quality::DataQuality;
 use remos_net::topology::{DirLink, NodeKind, Topology, TopologyBuilder};
 use remos_net::{SimDuration, SimTime};
 use remos_obs::{Counter, Fnv, Histogram, Obs};
+#[expect(clippy::disallowed_types, reason = "name-to-id lookups only; nothing iterates it")]
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -350,6 +351,7 @@ impl MultiCollector {
 
     /// The general name-union merge for heterogeneous children (regional
     /// SNMP collectors with border overlap).
+    #[expect(clippy::disallowed_types, reason = "name-to-id lookups only; nothing iterates it")]
     fn merge_by_name(
         &self,
         topos: &[Option<Arc<Topology>>],

@@ -40,6 +40,7 @@ use remos_snmp::agent::MAX_RESPONSE_BINDINGS;
 use remos_snmp::oid::well_known;
 use remos_snmp::transport::Transport;
 use remos_snmp::{Manager, Oid, RetryPolicy, Value};
+#[expect(clippy::disallowed_types, reason = "name-to-id lookups only; nothing iterates it")]
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -378,6 +379,7 @@ impl<T: Transport + Sync> SnmpCollector<T> {
         Ok(AgentScan { name, is_router, ifaces, host, own_ip })
     }
 
+    #[expect(clippy::disallowed_types, reason = "name-to-id lookups only; nothing iterates it")]
     fn discover(&self) -> CoreResult<View> {
         if self.agents.is_empty() {
             return Err(RemosError::Collector("no agents configured".into()));

@@ -14,6 +14,7 @@ use crate::quality::DataQuality;
 use crate::stats::Quartiles;
 use remos_net::topology::NodeKind;
 use remos_net::{Bps, SimDuration};
+#[expect(clippy::disallowed_types, reason = "name-to-id lookups only; nothing iterates it")]
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -159,6 +160,7 @@ pub struct RemosGraph {
 /// Name lookup and adjacency derived from `nodes`/`links`.
 #[derive(Debug)]
 struct Indices {
+    #[expect(clippy::disallowed_types, reason = "name-to-id lookups only; nothing iterates it")]
     name_index: HashMap<String, usize>,
     adj: Vec<Vec<(usize, usize)>>, // per node: (link index, neighbor index)
 }
@@ -431,9 +433,11 @@ impl RemosGraph {
                 Some(bw) => format!("\\n[{:.0} Mbps backplane]", bw / 1e6),
                 None => String::new(),
             };
+            #[expect(clippy::let_underscore_must_use, reason = "writing to a String cannot fail")]
             let _ = writeln!(s, "  \"{}\" [shape={shape} label=\"{}{extra}\"];", n.name, n.name);
         }
         for l in &self.links {
+            #[expect(clippy::let_underscore_must_use, reason = "writing to a String cannot fail")]
             let _ = writeln!(
                 s,
                 "  \"{}\" -- \"{}\" [label=\"{:.0}/{:.0} Mbps\"];",

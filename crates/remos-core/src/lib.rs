@@ -60,6 +60,14 @@
 //! assert!(graph.path_avail_bw(h1, h2).unwrap() > mbps(95.0));
 //! ```
 
+// Library code returns typed errors: outside tests, a panic or a
+// `let _ =` of a must-use value is a build error. Tests may use what
+// clippy.toml disallows (docs/AUDIT.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
+
 // The query path shares the engine's steady-state allocation budget
 // (see docs/PERFORMANCE.md); performance-smelling patterns are build
 // errors, not suggestions.

@@ -812,6 +812,7 @@ impl Modeler {
         // Keep the resident record's solver `String` buffer.
         let mut solver = out.provenance.take().map(|p| p.solver).unwrap_or_default();
         solver.clear();
+        #[expect(clippy::let_underscore_must_use, reason = "writing to a String cannot fail")]
         let _ = fmt::Write::write_fmt(
             &mut solver,
             format_args!("logical-annotate/{:?}", self.cfg.predictor),

@@ -15,6 +15,8 @@
 //!    modeler that rebuilds routing and logicalization from scratch —
 //!    and repeat queries through the workspace never drift.
 
+#![allow(clippy::disallowed_methods, reason = "the positional shims are the reference these tests compare against")]
+
 use remos_prop::prelude::*;
 use remos_core::collector::oracle::OracleCollector;
 use remos_core::collector::Collector;

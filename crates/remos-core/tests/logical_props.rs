@@ -3,6 +3,8 @@
 //! "the graph presented to the user is intended only to represent how the
 //! network behaves as seen by the user").
 
+#![allow(clippy::disallowed_methods, reason = "the positional shims are the reference these tests compare against")]
+
 use remos_prop::prelude::*;
 use remos_core::collector::oracle::OracleCollector;
 use remos_core::collector::Collector;

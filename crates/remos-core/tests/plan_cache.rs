@@ -6,6 +6,8 @@
 //! cache capacity is the only difference, so the capacity-0 modeler is
 //! the reference every cached answer is compared against.
 
+#![allow(clippy::disallowed_methods, reason = "the positional shims are the reference these tests compare against")]
+
 use remos_prop::prelude::*;
 use remos_core::collector::{Collector, SampleHistory, Snapshot};
 use remos_core::error::CoreResult;

@@ -5,6 +5,8 @@
 //! against, keeps a private table, and a link outage routes the engine
 //! over a masked table that no plan ever sees.
 
+#![allow(clippy::disallowed_methods, reason = "the positional shims are the reference these tests compare against")]
+
 use remos_core::collector::oracle::OracleCollector;
 use remos_core::collector::Collector;
 use remos_core::modeler::{Modeler, ModelerConfig};

@@ -24,6 +24,11 @@
 //!   self-traffic discount that fixes §8.3's migrate-away-from-your-own-
 //!   traffic fallacy.
 
+// Outside tests, a `let _ =` of a must-use value is a build error;
+// tests may use what clippy.toml disallows (docs/AUDIT.md).
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod adapt;
 pub mod cluster;
 pub mod concurrent;

@@ -29,8 +29,8 @@ use crate::whatif::resource_layout;
 use std::cmp::Reverse;
 // The solver, the completion pop and the event log take the core's
 // live flows in ascending id order, and the remaining maps are BTreeMaps:
-// ordering is a property of the data, not of a hash seed (audited by
-// remos-audit).
+// ordering is a property of the data, not of a hash seed (HashMap is a
+// disallowed type in this crate's clippy.toml).
 use remos_obs::{Counter, Histogram, Obs};
 use std::collections::BinaryHeap;
 use std::sync::Arc;

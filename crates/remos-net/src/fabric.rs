@@ -286,6 +286,11 @@ impl FlowSizeEcdf {
 
     /// Search-cluster mix: short query/response RPCs with a moderate
     /// heavy tail.
+    ///
+    /// Preset tables are compile-time literals validated by the same
+    /// constructor callers use; a failure is a bug in this file, not a
+    /// runtime condition the caller can handle.
+    #[expect(clippy::expect_used, reason = "a compile-time table the constructor validates; a failure is a bug here")]
     pub fn web_search() -> FlowSizeEcdf {
         FlowSizeEcdf::new(&[
             (0.0, 5_000),
@@ -304,6 +309,7 @@ impl FlowSizeEcdf {
 
     /// Data-mining mix: half the flows are tiny control messages, almost
     /// all bytes ride in very large background transfers.
+    #[expect(clippy::expect_used, reason = "a compile-time table the constructor validates; a failure is a bug here")]
     pub fn data_mining() -> FlowSizeEcdf {
         FlowSizeEcdf::new(&[
             (0.0, 500),
@@ -389,7 +395,9 @@ fn lognormal_gap(rng: &mut Rng, mean_gap_secs: f64) -> f64 {
     (mu + SIGMA * z).exp()
 }
 
-/// Pick an index from cumulative weights via one uniform draw.
+/// Pick an index from cumulative weights via one uniform draw; every
+/// caller builds `cum` non-empty.
+#[expect(clippy::expect_used, reason = "the weight table is non-empty by construction")]
 fn pick_weighted(rng: &mut Rng, cum: &[f64]) -> usize {
     let total = *cum.last().expect("non-empty weight table");
     let u: f64 = rng.unit() * total;

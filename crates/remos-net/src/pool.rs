@@ -9,11 +9,14 @@
 //! Its one caller is `remos-core`'s `Remos::run_batch`, which fans a
 //! batch of query answers across it; the engine solves on the caller.
 //!
-//! The `std::thread` use here is sanctioned: this module is the one
-//! scoped exemption from the remos-audit `thread-spawn` rule, because
-//! the pool runs pure computation over already-collected, immutable data
-//! (shared query plans, pinned sample selections) and never touches the
-//! simulated clock, the collector, or the trace recorder.
+//! The `std::thread` use here is sanctioned: clippy's
+//! `disallowed_methods` bars it in every library crate, and this module
+//! is the one file that expects the lint, because the pool runs pure
+//! computation over already-collected, immutable data (shared query
+//! plans, pinned sample selections) and never touches the simulated
+//! clock, the collector, or the trace recorder.
+
+#![expect(clippy::disallowed_methods, reason = "the one sanctioned thread source")]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -64,7 +64,14 @@ impl SimTime {
     }
 
     /// Time elapsed since `earlier`. Panics if `earlier` is in the future.
+    ///
+    /// The `SimTime`/`SimDuration` operators cannot return `Result`:
+    /// violating their documented preconditions (time going backwards,
+    /// u64 nanosecond overflow) is a caller bug, and a panic with a
+    /// precise message is the contract. Fallible callers use the
+    /// checked/saturating variants instead.
     #[inline]
+    #[expect(clippy::expect_used, reason = "a violated precondition is a caller bug; the panic is the contract")]
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(
             self.0
@@ -158,6 +165,7 @@ impl SimDuration {
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     #[inline]
+    #[expect(clippy::expect_used, reason = "a violated precondition is a caller bug; the panic is the contract")]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.checked_add(rhs.0).expect("SimTime overflow"))
     }
@@ -188,6 +196,7 @@ impl AddAssign for SimDuration {
 impl Sub for SimDuration {
     type Output = SimDuration;
     #[inline]
+    #[expect(clippy::expect_used, reason = "a violated precondition is a caller bug; the panic is the contract")]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_sub(rhs.0).expect("SimDuration underflow"))
     }

@@ -1,16 +1,18 @@
 //! Explicitly-injected clock sources for latency measurement.
 //!
 //! Nothing in this workspace may read wall-clock time implicitly — the
-//! determinism contract (enforced by `remos-audit`) forbids it. Latency
+//! determinism contract forbids it, and clippy's `disallowed_types`
+//! (remos-obs's `clippy.toml`) enforces that. Latency
 //! histograms therefore run off a [`ClockSource`] that a *top-level*
 //! caller injects deliberately: the CLI's `obs` command installs
 //! [`WallClock`] for real measurements; tests install [`ManualClock`];
 //! library code installs nothing, and latency observation is skipped
 //! entirely.
 //!
-//! This file is the single audited home of wall-clock reads
-//! (`remos-audit` carries a `wall-clock` exemption for exactly this
-//! path — see `crates/remos-audit`).
+//! This file is the one sanctioned home of wall-clock reads, so it is
+//! the one file that expects the lint.
+
+#![expect(clippy::disallowed_types, reason = "the one sanctioned wall-clock source")]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

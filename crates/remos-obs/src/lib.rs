@@ -14,12 +14,18 @@
 //!   bit-identical trace digests.
 //! * **Clock injection** — latency measurement only happens when a
 //!   top-level binary installs a [`ClockSource`] ([`WallClock`]);
-//!   library code never reads wall-clock time (see `remos-audit`).
+//!   library code never reads wall-clock time (clippy's
+//!   `disallowed_types`, configured in this crate's `clippy.toml`).
 //!
 //! The [`Obs`] handle bundles all three and is `Clone` (shared
 //! internals), so one handle can be threaded through the simulator, the
 //! SNMP manager, the collector, the Remos facade and the adaptation
 //! layer — producing a single unified snapshot.
+
+// Outside tests, a `let _ =` of a must-use value is a build error;
+// tests may use what clippy.toml disallows (docs/AUDIT.md).
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
 
 pub mod clock;
 pub mod fnv;

@@ -219,7 +219,7 @@ impl MetricsSnapshot {
             if !first {
                 out.push(',');
             }
-            // Writing to a `String` cannot fail.
+            #[expect(clippy::let_underscore_must_use, reason = "writing to a String cannot fail")]
             let _ = json::write_string(out, k);
             out.push(':');
         }

@@ -8,6 +8,10 @@
 //! reproduces by rerunning the test. A failing input worth keeping is
 //! added next to the property as a named `#[test]`.
 
+// Outside tests, a `let _ =` of a must-use value is a build error
+// (docs/AUDIT.md).
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
+
 pub mod test_runner {
     #[derive(Clone, Debug)]
     pub struct ProptestConfig {

@@ -70,6 +70,14 @@
 //! assert!(graph.provenance.unwrap().source.unwrap().starts_with("snmp("));
 //! ```
 
+// Library code returns typed errors: outside tests, a panic or a
+// `let _ =` of a must-use value is a build error. Tests may use what
+// clippy.toml disallows (docs/AUDIT.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod breaker;
 pub mod queue;
 pub mod quota;

@@ -6,10 +6,13 @@
 //! offered load, and a seeded weighted lottery on dequeue so a heavy
 //! tenant cannot starve light ones.
 //!
-//! This module is the one sanctioned `VecDeque` home in the serving crate
-//! (see remos-audit's `unbounded-queue` rule): every enqueue goes through
+//! This module is the one sanctioned `VecDeque` home in the serving
+//! crate: clippy's `disallowed_types` bars it everywhere else in the
+//! crate (see its `clippy.toml`), and here every enqueue goes through
 //! [`FairQueue::push`], which refuses work past the configured bounds
 //! instead of growing.
+
+#![expect(clippy::disallowed_types, reason = "the bounded queue's one sanctioned VecDeque home")]
 
 use remos_net::rng::Rng;
 use remos_core::QuerySpec;

@@ -15,6 +15,8 @@
 //!
 //! A final test hammers the breaker from real threads as a smoke check.
 
+#![allow(clippy::disallowed_methods, reason = "drives the state machines from real threads")]
+
 use remos_net::rng::Rng;
 use remos_core::Query;
 use remos_net::{SimDuration, SimTime};

@@ -14,6 +14,7 @@
 use remos_obs::sync::Mutex;
 use remos_net::rng::Rng;
 use remos_net::{SimDuration, SimTime};
+#[expect(clippy::disallowed_types, reason = "keyed lookups only; no answer reads the iteration order")]
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -143,6 +144,7 @@ struct NodeFaults {
     /// Raw octet totals captured at first read after `restart`, keyed by
     /// directed-link index; the agent reports `raw - baseline` so its
     /// counters look freshly zeroed.
+    #[expect(clippy::disallowed_types, reason = "keyed lookups only; no answer reads the iteration order")]
     baselines: HashMap<u64, f64>,
 }
 
@@ -151,6 +153,7 @@ struct NodeFaults {
 /// uptime and counters after a crash. One director serves a whole testbed.
 #[derive(Default)]
 pub struct FaultDirector {
+    #[expect(clippy::disallowed_types, reason = "keyed lookups only; no answer reads the iteration order")]
     nodes: Mutex<HashMap<String, NodeFaults>>,
 }
 
@@ -162,6 +165,7 @@ impl FaultDirector {
 
     /// Install (or replace) the plan for `agent`; `seed` drives its flaky
     /// windows deterministically.
+    #[expect(clippy::disallowed_types, reason = "keyed lookups only; no answer reads the iteration order")]
     pub fn set_plan(&self, agent: &str, plan: FaultPlan, seed: u64) {
         self.nodes.lock().insert(
             agent.to_string(),

@@ -17,6 +17,7 @@ use crate::pdu::Pdu;
 use remos_obs::sync::Mutex;
 use remos_net::rng::Rng;
 use remos_net::SimTime;
+#[expect(clippy::disallowed_types, reason = "keyed lookups; `agent_names` sorts what it lists")]
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -63,6 +64,7 @@ pub type TransportClock = Box<dyn Fn() -> SimTime + Send>;
 
 /// In-process datagram transport connecting managers to registered agents.
 pub struct SimTransport {
+    #[expect(clippy::disallowed_types, reason = "keyed lookups; `agent_names` sorts what it lists")]
     agents: Mutex<HashMap<String, Agent>>,
     stats: Mutex<TransportStats>,
     loss: Mutex<Option<LossModel>>,
@@ -83,6 +85,7 @@ impl Default for SimTransport {
 
 impl SimTransport {
     /// Empty transport.
+    #[expect(clippy::disallowed_types, reason = "keyed lookups; `agent_names` sorts what it lists")]
     pub fn new() -> SimTransport {
         SimTransport {
             agents: Mutex::new(HashMap::new()),

@@ -7,6 +7,11 @@
 //!
 //! Run with: `cargo run --release --example adaptive_airshed`
 
+// Examples are the code users copy first, so they are held to the
+// library crates' bar: a panic is a build error (docs/AUDIT.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 use remos::apps::airshed::airshed_program_iters;
 use remos::apps::synthetic::add_greedy_traffic;
 use remos::apps::testbed::TESTBED_HOSTS;

@@ -6,6 +6,11 @@
 //!
 //! Run with: `cargo run --release --example node_selection`
 
+// Examples are the code users copy first, so they are held to the
+// library crates' bar: a panic is a build error (docs/AUDIT.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 use remos::apps::fft::fft_program;
 use remos::apps::synthetic::{install_scenario, TrafficScenario};
 use remos::apps::testbed::TESTBED_HOSTS;

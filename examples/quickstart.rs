@@ -7,6 +7,11 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+// Examples are the code users copy first, so they are held to the
+// library crates' bar: a panic is a build error (docs/AUDIT.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 use remos::core::collector::snmp::{SnmpCollector, SnmpCollectorConfig};
 use remos::core::collector::SimClock;
 use remos::core::{Remos, RemosConfig};

@@ -13,6 +13,8 @@
 //! real workloads. See docs/DETERMINISM.md for the reproducibility
 //! contract.
 
+#![allow(clippy::disallowed_methods, reason = "the positional shims are the reference these tests compare against")]
+
 use remos::apps::airshed::airshed_program_iters;
 use remos::apps::fft::fft_program;
 use remos::apps::harness::TestbedHarness;

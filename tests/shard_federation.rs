@@ -9,6 +9,8 @@
 //! (`force_full_merge`) under any interleaving of shard faults, and a
 //! crashed shard must degrade only its own region.
 
+#![allow(clippy::disallowed_methods, reason = "the positional shims are the reference these tests compare against")]
+
 use remos_prop::prelude::*;
 use remos::core::collector::multi::{MultiCollector, MultiCollectorConfig};
 use remos::core::collector::oracle::OracleCollector;
